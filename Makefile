@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-all fuzz conformance chaos soak tcp-smoke scaling
+.PHONY: build test check bench-check benchmark benchmark-compare bench bench-all fuzz conformance chaos soak tcp-smoke scaling
 
 build:
 	$(GO) build ./...
@@ -8,11 +8,28 @@ build:
 test:
 	$(GO) test ./...
 
-# check runs the hygiene gate: gofmt, go vet, and a race-detector pass
-# over the packages with concurrent hot paths (telemetry counters, the
-# cluster runtime, the parallel reducers).
+# check runs the hygiene gate: gofmt, go vet, a race-detector pass over
+# the packages with concurrent hot paths (telemetry counters, the cluster
+# runtime, the parallel reducers), and bench-check.
 check:
 	sh scripts/check.sh
+
+# bench-check vets and tests the repository benchmark (≈10 s). benchmark/
+# is a nested module that calls a dozen internal/ packages by function
+# name, so root `go build/vet/test ./...` cannot see a refactor break it.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# benchmark runs the repository benchmark BENCHMARK.json declares: every
+# workload in its own child process, results under benchmark/out/ (see
+# benchmark/README.md; BENCH_ARGS passes flags such as "-seed 7 -runs 3").
+# benchmark-compare prints one row per workload × end-to-end metric for two
+# of its result files and exits non-zero on a regression.
+benchmark:
+	bash benchmark/run.sh $(BENCH_ARGS)
+
+benchmark-compare:
+	bash benchmark/run.sh -compare $(A) $(B)
 
 # bench runs the hot-path gate (Fig. 6, Table V, Fig. 8 and the
 # steady-state zero-allocation benches) and writes BENCH_hotpaths.json;
@@ -65,6 +82,7 @@ tcp-smoke:
 	$(GO) test -race -count=1 ./serve
 	sh scripts/tcp_smoke.sh
 	sh scripts/tcp_smoke.sh 65536 mpi
+	sh scripts/tcp_smoke.sh 65536 mpi rabenseifner
 	sh scripts/tcp_smoke.sh 65536 hzccl hierarchical 2x2
 
 # scaling runs the paper-scale virtual-time sweep: every algorithm

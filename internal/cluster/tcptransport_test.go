@@ -257,8 +257,10 @@ func TestTCPReliableDropRecovery(t *testing.T) {
 			// Stay alive until the receiver has NACKed and recovered: the
 			// replay is serviced by this process's reader goroutine, but the
 			// transport must not be closed under it.
-			_, err := r.Recv(1)
-			return err
+			if _, err := r.Recv(1); err != nil {
+				return err
+			}
+			return r.Barrier()
 		}
 		got, err := r.Recv(0)
 		if err != nil {
@@ -267,7 +269,13 @@ func TestTCPReliableDropRecovery(t *testing.T) {
 		if string(got) != "dropped then replayed" {
 			return fmt.Errorf("payload %q", got)
 		}
-		return r.Send(0, []byte("done"))
+		if err := r.Send(0, []byte("done")); err != nil {
+			return err
+		}
+		// Both receive deadlines expire together, so rank 0 may be NACKing
+		// for "done" at this very moment; leaving before it has the message
+		// would close the connection under that NACK.
+		return r.Barrier()
 	})
 	if err != nil {
 		t.Fatalf("drop recovery over tcp: %v", err)

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
+	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
+	"hzccl/internal/floatbytes"
 )
 
 // comm is a communicator: an ordered group of ranks executing one
@@ -54,20 +59,35 @@ func (g comm) global(lid int) int {
 	return g.ranks[lid]
 }
 
-// sendRecv performs one ring exchange with wire-byte telemetry:
-// send payload to local id `to`, receive from local id `from`.
+// sendRecv sends payload to local id `to` and receives from local id
+// `from` under one wall-clock span, counting the payload as compressed
+// (an fZ-light container) or raw wire bytes.
 func (g comm) sendRecv(to int, payload []byte, from int, compressed bool) ([]byte, error) {
-	return ringSendRecv(g.r, g.global(to), payload, g.global(from), compressed)
+	sp := mStageSendRecvNS.Start()
+	got, err := g.r.SendRecv(g.global(to), payload, g.global(from))
+	sp.End()
+	if err == nil {
+		countRingBytes(payload, compressed)
+	}
+	return got, err
 }
 
-// send posts one counted send to local id `to` (see ringSend).
+// send posts one counted send; split from recv so the pipelined
+// collectives can slide compute between the two.
 func (g comm) send(to int, payload []byte, compressed bool) error {
-	return ringSend(g.r, g.global(to), payload, compressed)
+	if err := g.r.Send(g.global(to), payload); err != nil {
+		return err
+	}
+	countRingBytes(payload, compressed)
+	return nil
 }
 
-// recv blocks for the next message from local id `from` (see ringRecv).
+// recv blocks for the next message from local id `from`, spanning the wait.
 func (g comm) recv(from int) ([]byte, error) {
-	return ringRecv(g.r, g.global(from))
+	sp := mStageSendRecvNS.Start()
+	got, err := g.r.Recv(g.global(from))
+	sp.End()
+	return got, err
 }
 
 // rawSend/rawRecv are the uncounted variants for control-style moves
@@ -78,4 +98,72 @@ func (g comm) rawSend(to int, data []byte) error {
 
 func (g comm) rawRecv(from int) ([]byte, error) {
 	return g.r.Recv(g.global(from))
+}
+
+// ErrSizeMismatch — wrapped with the observing rank, phase and step — means
+// a plain-flavor payload was not exactly the length the schedule expects.
+// Every plain receive checks before decoding or reducing, so a short, long
+// or ragged payload fails typed, never silently or by panic.
+var ErrSizeMismatch = errors.New("core: payload size mismatch")
+
+// The plain data path, shared by every schedule: floats cross the fabric as
+// little-endian bytes with no intermediate slice on either side. A staging
+// buffer is reused across one call's steps (cluster.Send copies) and then
+// returned to bufpool; a receiver recycles each payload once consumed.
+
+// stage encodes vals into the call's staging buffer *buf (nil until first
+// use, regrown from bufpool if a later block is larger).
+func (g comm) stage(buf *[]byte, vals []float32) []byte {
+	if *buf == nil || cap(*buf) < 4*len(vals) { // empty vals still stage non-nil
+		bufpool.PutBytes(*buf)
+		*buf = bufpool.Bytes(4 * len(vals))
+	}
+	p := (*buf)[:4*len(vals)]
+	g.r.Quiesce(func() { floatbytes.FromFloat32(p, vals) })
+	return p
+}
+
+// staged is stage into a pooled buffer of its own; the caller recycles it.
+func (g comm) staged(vals []float32) []byte {
+	var p []byte
+	return g.stage(&p, vals)
+}
+
+// checkSize fails unless got encodes exactly n floats.
+func (g comm) checkSize(got []byte, n int, phase string, step int) error {
+	if len(got) == 4*n {
+		return nil
+	}
+	return fmt.Errorf("%w: rank %d %s %d: got %d bytes, want %d",
+		ErrSizeMismatch, g.r.ID, phase, step, len(got), 4*n)
+}
+
+// decodeInto decodes got into dst, which it must fill exactly; the caller
+// keeps got. storeInto also recycles got, for payloads dead once decoded.
+func (g comm) decodeInto(dst []float32, got []byte, phase string, step int) error {
+	if err := g.checkSize(got, len(dst), phase, step); err != nil {
+		return err
+	}
+	g.r.Quiesce(func() { floatbytes.ToFloat32(dst, got) })
+	return nil
+}
+
+func (g comm) storeInto(dst []float32, got []byte, phase string, step int) error {
+	err := g.decodeInto(dst, got, phase, step)
+	if err == nil {
+		bufpool.PutBytes(got)
+	}
+	return err
+}
+
+// reduceInto adds got into dst (which it must fill exactly) straight from
+// the wire bytes — dst[i] += got[i], ascending, charged as CPT over the raw
+// bytes — and recycles got.
+func (c Collectives) reduceInto(g comm, dst []float32, got []byte, phase string, step int) error {
+	if err := g.checkSize(got, len(dst), phase, step); err != nil {
+		return err
+	}
+	c.work(g.r, cluster.CatCPT, len(got), func() { floatbytes.AddInto(dst, got) })
+	bufpool.PutBytes(got)
+	return nil
 }

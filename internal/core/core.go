@@ -23,7 +23,6 @@ import (
 
 	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
-	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -182,45 +181,64 @@ func addInto(dst, src []float32) {
 // element-wise across ranks) and returns this rank's fully reduced block
 // (block index BlockOwned(rank, N)).
 func (c Collectives) ReduceScatterPlain(r *cluster.Rank, data []float32) ([]float32, error) {
-	return c.reduceScatterPlainG(world(r), data)
+	acc := bufpool.Float32s(len(data))
+	defer bufpool.PutFloat32s(acc)
+	r.Quiesce(func() { copy(acc, data) })
+	block, err := c.ringReducePlain(world(r), acc)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float32, len(block))
+	copy(out, block)
+	return out, nil
 }
 
-func (c Collectives) reduceScatterPlainG(g comm, data []float32) ([]float32, error) {
+// ringReducePlain runs the plain ring reduce-scatter in place in acc and
+// returns this rank's fully reduced block — a sub-slice of acc, whose other
+// blocks are left holding partial sums.
+func (c Collectives) ringReducePlain(g comm, acc []float32) ([]float32, error) {
 	n := g.n()
-	r := g.r
-	if n == 1 {
-		out := make([]float32, len(data))
-		copy(out, data)
-		return out, nil
-	}
-	var acc []float32
-	r.Quiesce(func() {
-		acc = make([]float32, len(data))
-		copy(acc, data)
-	})
+	var out []byte
+	defer func() { bufpool.PutBytes(out) }()
 	next, prev := (g.id+1)%n, (g.id-1+n)%n
 	for step := 0; step < n-1; step++ {
-		sendIdx := (g.id - step + n) % n
-		recvIdx := (g.id - step - 1 + n) % n
-		s, e := BlockBounds(len(data), n, sendIdx)
-		var payload []byte
-		r.Quiesce(func() { payload = floatbytes.Bytes(acc[s:e]) })
-		got, err := g.sendRecv(next, payload, prev, false)
+		s, e := BlockBounds(len(acc), n, (g.id-step+n)%n)
+		got, err := g.sendRecv(next, g.stage(&out, acc[s:e]), prev, false)
 		if err != nil {
 			return nil, err
 		}
-		rs, re := BlockBounds(len(data), n, recvIdx)
-		var recvVals []float32
-		r.Quiesce(func() { recvVals = floatbytes.Floats(got) })
-		if len(recvVals) != re-rs {
-			return nil, fmt.Errorf("core: reduce-scatter size mismatch at rank %d step %d", r.ID, step)
+		rs, re := BlockBounds(len(acc), n, (g.id-step-1+n)%n)
+		if err := c.reduceInto(g, acc[rs:re], got, "reduce-scatter step", step); err != nil {
+			return nil, err
 		}
-		c.work(r, cluster.CatCPT, 4*(re-rs), func() { addInto(acc[rs:re], recvVals) })
 	}
-	s, e := BlockBounds(len(data), n, BlockOwned(g.id, n))
-	out := make([]float32, e-s)
-	copy(out, acc[s:e])
-	return out, nil
+	s, e := BlockBounds(len(acc), n, BlockOwned(g.id, n))
+	return acc[s:e], nil
+}
+
+// ringAllgatherPlain stages and sends own at step 0 and forwards the buffer
+// just received at every later step; store sees each received payload (and
+// the local id it originated from) first and must not retain it.
+func (g comm) ringAllgatherPlain(own []float32, store func(origin int, got []byte) error) error {
+	n := g.n()
+	if n == 1 {
+		return nil
+	}
+	cur := g.staged(own)
+	next, prev := (g.id+1)%n, (g.id-1+n)%n
+	for step := 0; step < n-1; step++ {
+		got, err := g.sendRecv(next, cur, prev, false)
+		bufpool.PutBytes(cur) // copied on send: dead either way
+		if err != nil {
+			return err
+		}
+		if err := store((g.id-step-1+n)%n, got); err != nil {
+			return err
+		}
+		cur = got
+	}
+	bufpool.PutBytes(cur)
+	return nil
 }
 
 // allgatherBytes runs a ring allgather of opaque payloads over the
@@ -249,46 +267,29 @@ func allgatherBytes(g comm, own []byte, compressed bool) ([][]byte, error) {
 }
 
 // AllreducePlain is the original MPI ring allreduce: plain reduce-scatter
-// followed by plain allgather of the raw reduced blocks.
+// followed by plain allgather of the raw reduced blocks, both in place in
+// the result — the op's one allocation.
 func (c Collectives) AllreducePlain(r *cluster.Rank, data []float32) ([]float32, error) {
-	return c.allreducePlainG(world(r), data)
+	out := make([]float32, len(data))
+	r.Quiesce(func() { copy(out, data) })
+	return c.allreducePlainInPlace(world(r), out)
 }
 
-func (c Collectives) allreducePlainG(g comm, data []float32) ([]float32, error) {
-	r := g.r
-	block, err := c.reduceScatterPlainG(g, data)
+// allreducePlainInPlace ring-reduce-scatters and ring-allgathers inside v,
+// which the caller must own, and returns it.
+func (c Collectives) allreducePlainInPlace(g comm, v []float32) ([]float32, error) {
+	own, err := c.ringReducePlain(g, v)
 	if err != nil {
 		return nil, err
 	}
-	var own []byte
-	r.Quiesce(func() { own = floatbytes.Bytes(block) })
-	gathered, err := allgatherBytes(g, own, false)
-	if err != nil {
-		return nil, err
-	}
-	return assembleBlocks(g, len(data), gathered, func(payload []byte, dst []float32) error {
-		var bad bool
-		r.Quiesce(func() { bad = floatbytes.ToFloat32(dst, payload) != len(dst) })
-		if bad {
-			return fmt.Errorf("core: allgather block size mismatch")
-		}
-		return nil
+	err = g.ringAllgatherPlain(own, func(origin int, got []byte) error {
+		s, e := BlockBounds(len(v), g.n(), BlockOwned(origin, g.n()))
+		return g.decodeInto(v[s:e], got, "allgather origin", origin)
 	})
-}
-
-// assembleBlocks reconstructs the full output array from per-origin
-// payloads, decoding each into the block the origin local id owned.
-func assembleBlocks(g comm, dataLen int, gathered [][]byte,
-	decode func(payload []byte, dst []float32) error) ([]float32, error) {
-	out := make([]float32, dataLen)
-	for origin, payload := range gathered {
-		k := BlockOwned(origin, g.n())
-		s, e := BlockBounds(dataLen, g.n(), k)
-		if err := decode(payload, out[s:e]); err != nil {
-			return nil, fmt.Errorf("core: rank %d decoding block %d: %w", g.r.ID, k, err)
-		}
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return v, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -370,41 +371,46 @@ func (c Collectives) allreduceCCollG(g comm, data []float32) ([]float32, error) 
 	if err != nil {
 		return nil, err
 	}
-	opt := c.Opt
+	return c.allgatherCompressBlock(g, block, len(data))
+}
+
+// allgatherCompressBlock compresses a raw reduced block once (CPR) and
+// runs the compressed allgather tail.
+func (c Collectives) allgatherCompressBlock(g comm, block []float32, dataLen int) ([]float32, error) {
 	var own []byte
 	var cerr error
 	c.work(g.r, cluster.CatCPR, 4*len(block), func() {
-		own, cerr = fzlight.Compress(block, opt.params())
+		own, cerr = fzlight.Compress(block, c.Opt.params())
 	})
 	if cerr != nil {
 		return nil, cerr
 	}
-	return c.allgatherAssembleCompressed(g, own, len(data))
+	return c.allgatherAssembleCompressed(g, own, dataLen)
 }
 
 // allgatherAssembleCompressed runs the compressed allgather tail shared by
 // the C-Coll and hZCCL allreduces: every rank's compressed block travels
-// the ring, each origin's payload decompresses into its owned range, and
-// the payload buffers (the local one included) recycle through bufpool
-// once decoded. Safe because allgatherBytes holds exactly one reference to
-// each payload and Send copies on enqueue.
+// the ring, each origin's payload decompresses into the block that origin
+// owned, and the payload buffers (the local one included) recycle through
+// bufpool once decoded. Safe because allgatherBytes holds exactly one
+// reference to each payload and Send copies on enqueue.
 func (c Collectives) allgatherAssembleCompressed(g comm, own []byte, dataLen int) ([]float32, error) {
 	gathered, err := allgatherBytes(g, own, true)
 	if err != nil {
 		return nil, err
 	}
-	out, err := assembleBlocks(g, dataLen, gathered, func(payload []byte, dst []float32) error {
+	out := make([]float32, dataLen)
+	for origin, payload := range gathered {
+		k := BlockOwned(origin, g.n())
+		s, e := BlockBounds(dataLen, g.n(), k)
 		var derr error
-		c.work(g.r, cluster.CatDPR, 4*len(dst), func() {
-			derr = fzlight.DecompressInto(payload, dst)
+		c.work(g.r, cluster.CatDPR, 4*(e-s), func() {
+			derr = fzlight.DecompressInto(payload, out[s:e])
 		})
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range gathered {
-		bufpool.PutBytes(p)
+		if derr != nil {
+			return nil, fmt.Errorf("core: rank %d decoding block %d: %w", g.r.ID, k, derr)
+		}
+		bufpool.PutBytes(payload)
 	}
 	return out, nil
 }
@@ -598,15 +604,7 @@ func (c Collectives) AllreduceHZNaive(r *cluster.Rank, data []float32) ([]float3
 	if err != nil {
 		return nil, nil, err
 	}
-	var own []byte
-	var cerr error
-	c.work(r, cluster.CatCPR, 4*len(block), func() {
-		own, cerr = fzlight.Compress(block, c.Opt.params())
-	})
-	if cerr != nil {
-		return nil, nil, cerr
-	}
-	out, err := c.allgatherAssembleCompressed(world(r), own, len(data))
+	out, err := c.allgatherCompressBlock(world(r), block, len(data))
 	if err != nil {
 		return nil, nil, err
 	}

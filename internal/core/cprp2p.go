@@ -50,7 +50,7 @@ func (c Collectives) AllreduceCPRP2P(r *cluster.Rank, data []float32) ([]float32
 			bufpool.PutBytes(payload)
 			return nil, cerr
 		}
-		got, err := ringSendRecv(r, next, payload[:m], prev, true)
+		got, err := world(r).sendRecv(next, payload[:m], prev, true)
 		bufpool.PutBytes(payload) // copied on send: dead either way
 		if err != nil {
 			return nil, err

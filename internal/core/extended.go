@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
-	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -27,16 +27,17 @@ func unvrank(v, root, n int) int { return (v + root) % n }
 // (the MPICH algorithm for mid-sized messages) and returns each rank's
 // copy. Non-root ranks pass their (ignored) local buffer for its length.
 func (c Collectives) BroadcastPlain(r *cluster.Rank, data []float32, root int) ([]float32, error) {
-	payload, err := c.bcastBytes(r, func() []byte { return floatbytes.Bytes(data) }, root)
+	g := world(r)
+	payload, err := bcastBytesG(g, func() []byte { return g.staged(data) }, root)
 	if err != nil {
 		return nil, err
 	}
-	if r.ID == root {
-		out := make([]float32, len(data))
-		copy(out, data)
-		return out, nil
+	// The root decodes (and so recycles) its staged bytes like everyone else.
+	out := make([]float32, len(data))
+	if err := g.storeInto(out, payload, "broadcast root", root); err != nil {
+		return nil, err
 	}
-	return floatbytes.Floats(payload), nil
+	return out, nil
 }
 
 // BroadcastCompressed is the compression-accelerated broadcast: the root
@@ -46,7 +47,7 @@ func (c Collectives) BroadcastCompressed(r *cluster.Rank, data []float32, root i
 	opt := c.Opt
 	var comp []byte
 	var cerr error
-	payload, err := c.bcastBytes(r, func() []byte {
+	payload, err := bcastBytesG(world(r), func() []byte {
 		c.work(r, cluster.CatCPR, 4*len(data), func() {
 			comp, cerr = fzlight.Compress(data, opt.params())
 		})
@@ -84,15 +85,9 @@ func (c Collectives) BroadcastCompressed(r *cluster.Rank, data []float32, root i
 	return out, nil
 }
 
-// bcastBytes moves one opaque payload from root to all ranks along a
-// binomial tree. makePayload runs only on the root.
-func (c Collectives) bcastBytes(r *cluster.Rank, makePayload func() []byte, root int) ([]byte, error) {
-	return bcastBytesG(world(r), makePayload, root)
-}
-
-// bcastBytesG is the communicator form of the binomial broadcast; root is
-// a group-local id. The hierarchical collectives run it over one node's
-// members with the leader as root.
+// bcastBytesG moves one opaque payload from root (a group-local id, the
+// only rank makePayload runs on) to every rank of g along a binomial tree.
+// The hierarchical collectives run it over one node with the leader as root.
 func bcastBytesG(g comm, makePayload func() []byte, root int) ([]byte, error) {
 	n := g.n()
 	if root < 0 || root >= n {
@@ -151,13 +146,20 @@ func nextPow2(n int) int {
 // GatherPlain collects every rank's data at root (concatenated in rank
 // order). Only the root receives a non-nil result.
 func (c Collectives) GatherPlain(r *cluster.Rank, data []float32, root int) ([][]float32, error) {
-	payloads, err := c.gatherBytes(r, floatbytes.Bytes(data), root)
+	g := world(r)
+	own := g.staged(data)
+	defer bufpool.PutBytes(own) // referenced by payloads until decoded
+	payloads, err := c.gatherBytes(r, own, root)
 	if err != nil || payloads == nil {
 		return nil, err
 	}
 	out := make([][]float32, len(payloads))
 	for i, p := range payloads {
-		out[i] = floatbytes.Floats(p)
+		// Contributions may differ in length; each must be whole floats.
+		out[i] = make([]float32, len(p)/4)
+		if err := g.decodeInto(out[i], p, "gather origin", i); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -295,19 +297,17 @@ func readU32(b []byte) uint32 {
 
 // AllgatherPlain gives every rank every other rank's data (rank-indexed).
 func (c Collectives) AllgatherPlain(r *cluster.Rank, data []float32) ([][]float32, error) {
-	gathered, err := allgatherBytes(world(r), floatbytes.Bytes(data), false)
+	g := world(r)
+	out := make([][]float32, r.N)
+	out[r.ID] = make([]float32, len(data))
+	copy(out[r.ID], data)
+	err := g.ringAllgatherPlain(data, func(origin int, got []byte) error {
+		// Contributions may differ in length; each must be whole floats.
+		out[origin] = make([]float32, len(got)/4)
+		return g.decodeInto(out[origin], got, "allgather origin", origin)
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([][]float32, len(gathered))
-	for i, p := range gathered {
-		if i == r.ID {
-			own := make([]float32, len(data))
-			copy(own, data)
-			out[i] = own
-			continue
-		}
-		out[i] = floatbytes.Floats(p)
 	}
 	return out, nil
 }
@@ -360,6 +360,7 @@ func (c Collectives) ReducePlain(r *cluster.Rank, data []float32, root int) ([]f
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("core: reduce root %d out of range", root)
 	}
+	g := world(r)
 	acc := make([]float32, len(data))
 	copy(acc, data)
 	v := vrank(r.ID, root, n)
@@ -375,18 +376,16 @@ func (c Collectives) ReducePlain(r *cluster.Rank, data []float32, root int) ([]f
 		if err != nil {
 			return nil, err
 		}
-		var recvVals []float32
-		r.Quiesce(func() { recvVals = floatbytes.Floats(got) })
-		c.work(r, cluster.CatCPT, 4*len(acc), func() { addInto(acc, recvVals) })
+		if err := c.reduceInto(g, acc, got, "reduce child", child); err != nil {
+			return nil, err
+		}
 	}
 	if v != 0 {
 		parent := v & (v - 1)
-		var payload []byte
-		r.Quiesce(func() { payload = floatbytes.Bytes(acc) })
-		if err := r.Send(unvrank(parent, root, n), payload); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		payload := g.staged(acc)
+		err := r.Send(unvrank(parent, root, n), payload)
+		bufpool.PutBytes(payload)
+		return nil, err
 	}
 	return acc, nil
 }
@@ -467,6 +466,7 @@ func (c Collectives) AlltoallCompressed(r *cluster.Rank, data []float32) ([][]fl
 
 func (c Collectives) alltoall(r *cluster.Rank, data []float32, compressed bool) ([][]float32, error) {
 	n := r.N
+	g := world(r)
 	opt := c.Opt
 	out := make([][]float32, n)
 	// Own block.
@@ -474,6 +474,8 @@ func (c Collectives) alltoall(r *cluster.Rank, data []float32, compressed bool) 
 	own := make([]float32, e-s)
 	copy(own, data[s:e])
 	out[r.ID] = own
+	var raw []byte // the plain flavor's staging buffer
+	defer func() { bufpool.PutBytes(raw) }()
 	// Pairwise exchange schedule: in round k, exchange with rank^... for
 	// non-power-of-two we use the simple (i+k) mod n pattern.
 	for k := 1; k < n; k++ {
@@ -490,9 +492,9 @@ func (c Collectives) alltoall(r *cluster.Rank, data []float32, compressed bool) 
 				return nil, cerr
 			}
 		} else {
-			r.Quiesce(func() { payload = floatbytes.Bytes(data[bs:be]) })
+			payload = g.stage(&raw, data[bs:be])
 		}
-		got, err := ringSendRecv(r, to, payload, from, compressed)
+		got, err := g.sendRecv(to, payload, from, compressed)
 		if err != nil {
 			return nil, err
 		}
@@ -511,9 +513,11 @@ func (c Collectives) alltoall(r *cluster.Rank, data []float32, compressed bool) 
 			}
 			out[from] = dst
 		} else {
-			var vals []float32
-			r.Quiesce(func() { vals = floatbytes.Floats(got) })
-			out[from] = vals
+			// Every rank sends block r.ID of an equal-length vector.
+			out[from] = make([]float32, e-s)
+			if err := g.storeInto(out[from], got, "alltoall round", k); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

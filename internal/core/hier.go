@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
-	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -53,14 +53,13 @@ type codec struct {
 	compressed bool
 }
 
-func rawCodec() codec {
+// rawCodec encodes into pooled buffers and recycles what it decodes.
+func rawCodec(r *cluster.Rank) codec {
+	g := world(r)
 	return codec{
-		encode: func(vals []float32) ([]byte, error) { return floatbytes.Bytes(vals), nil },
+		encode: func(vals []float32) ([]byte, error) { return g.staged(vals), nil },
 		decode: func(payload []byte, dst []float32) error {
-			if floatbytes.ToFloat32(dst, payload) != len(dst) {
-				return fmt.Errorf("core: hierarchical block size mismatch")
-			}
-			return nil
+			return g.storeInto(dst, payload, "hierarchical stage", 0)
 		},
 	}
 }
@@ -104,10 +103,9 @@ func gatherNodePartial(g comm, dataLen int, block []float32, cd codec) ([]float3
 		if err != nil {
 			return nil, err
 		}
-		if err := g.send(0, payload, cd.compressed); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		err = g.send(0, payload, cd.compressed)
+		bufpool.PutBytes(payload)
+		return nil, err
 	}
 	partial := make([]float32, dataLen)
 	s, e := BlockBounds(dataLen, m, BlockOwned(0, m))
@@ -144,6 +142,7 @@ func bcastResult(g comm, full []float32, dataLen int, leader bool, cd codec) ([]
 		return nil, err
 	}
 	if leader {
+		bufpool.PutBytes(payload)
 		return full, nil
 	}
 	out := make([]float32, dataLen)
@@ -169,7 +168,9 @@ func scatterOwnedBlocks(g comm, full []float32, dataLen int, cd codec) ([]float3
 			if err != nil {
 				return nil, err
 			}
-			if err := g.send(j, payload, cd.compressed); err != nil {
+			err = g.send(j, payload, cd.compressed)
+			bufpool.PutBytes(payload)
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -218,10 +219,22 @@ func hierPartial(r *cluster.Rank, data []float32, cd codec,
 // Plain
 // ---------------------------------------------------------------------------
 
+// hierPartialPlain is hierPartial with both plain ring stages in place: the
+// intra-node one in pooled scratch (the gather consumes its block before
+// this returns), the leaders' inside the node partial the gather built.
+func (c Collectives) hierPartialPlain(r *cluster.Rank, data []float32, cd codec) (comm, []float32, bool, error) {
+	acc := bufpool.Float32s(len(data))
+	defer bufpool.PutFloat32s(acc)
+	return hierPartial(r, data, cd, func(g comm, data []float32) ([]float32, error) {
+		r.Quiesce(func() { copy(acc, data) })
+		return c.ringReducePlain(g, acc)
+	}, c.allreducePlainInPlace)
+}
+
 // AllreduceHierPlain is the hierarchical allreduce for the Plain backend.
 func (c Collectives) AllreduceHierPlain(r *cluster.Rank, data []float32) ([]float32, error) {
-	cd := rawCodec()
-	intra, full, leader, err := hierPartial(r, data, cd, c.reduceScatterPlainG, c.allreducePlainG)
+	cd := rawCodec(r)
+	intra, full, leader, err := c.hierPartialPlain(r, data, cd)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +245,8 @@ func (c Collectives) AllreduceHierPlain(r *cluster.Rank, data []float32) ([]floa
 // backend: same as the allreduce through stage 3, then the leader
 // scatters each member only its owned world block.
 func (c Collectives) ReduceScatterHierPlain(r *cluster.Rank, data []float32) ([]float32, error) {
-	cd := rawCodec()
-	intra, full, _, err := hierPartial(r, data, cd, c.reduceScatterPlainG, c.allreducePlainG)
+	cd := rawCodec(r)
+	intra, full, _, err := c.hierPartialPlain(r, data, cd)
 	if err != nil {
 		return nil, err
 	}

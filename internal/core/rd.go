@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
-
+	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
-	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -27,58 +25,66 @@ import (
 
 // AllreducePlainRD is the uncompressed recursive-doubling allreduce.
 func (c Collectives) AllreducePlainRD(r *cluster.Rank, data []float32) ([]float32, error) {
-	return c.allreducePlainRDG(world(r), data)
+	g := world(r)
+	return c.allreducePlainFolded(g, data, func(acc []float32, out *[]byte, p2, newrank int) error {
+		for dist := 1; dist < p2; dist <<= 1 { // exchange full partial vectors
+			partner := oldRank(newrank^dist, g.n(), p2)
+			got, err := g.sendRecv(partner, g.stage(out, acc), partner, false)
+			if err != nil {
+				return err
+			}
+			if err := c.reduceInto(g, acc, got, "doubling distance", dist); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-func (c Collectives) allreducePlainRDG(g comm, data []float32) ([]float32, error) {
+// allreducePlainFolded is the frame plain recursive doubling and
+// Rabenseifner share: copy data into the vector to return, run rounds on it
+// over the power-of-two active set, and wrap that in the fold — each even
+// rank of the first 2·(n−p2) hands its vector to its odd neighbour, sits
+// the rounds out and gets the finished vector back.
+func (c Collectives) allreducePlainFolded(g comm, data []float32,
+	rounds func(acc []float32, out *[]byte, p2, newrank int) error) ([]float32, error) {
 	n := g.n()
-	r := g.r
 	acc := make([]float32, len(data))
 	copy(acc, data)
 	if n == 1 {
 		return acc, nil
 	}
 	p2, newrank := activeRanks(g.id, n)
-	rem := n - p2
-
-	// Fold: even ranks of the first 2r hand their vector to the odd
-	// partner and wait for the final result.
-	if g.id < 2*rem {
-		if g.id%2 == 0 {
-			if err := g.rawSend(g.id+1, floatbytes.Bytes(acc)); err != nil {
-				return nil, err
-			}
-			got, err := g.rawRecv(g.id + 1)
-			if err != nil {
-				return nil, err
-			}
-			return floatbytes.Floats(got), nil
+	folds := g.id < 2*(n-p2)
+	var out []byte
+	defer func() { bufpool.PutBytes(out) }()
+	if folds && g.id%2 == 0 {
+		if err := g.rawSend(g.id+1, g.stage(&out, acc)); err != nil {
+			return nil, err
 		}
+		got, err := g.rawRecv(g.id + 1)
+		if err != nil {
+			return nil, err
+		}
+		if err := g.storeInto(acc, got, "unfold", 0); err != nil {
+			return nil, err
+		}
+		return acc, nil
+	}
+	if folds {
 		got, err := g.rawRecv(g.id - 1)
 		if err != nil {
 			return nil, err
 		}
-		vals := floatbytes.Floats(got)
-		c.work(r, cluster.CatCPT, 4*len(acc), func() { addInto(acc, vals) })
-	}
-
-	// Doubling rounds: exchange full partial vectors.
-	for dist := 1; dist < p2; dist <<= 1 {
-		partner := oldRank(newrank^dist, n, p2)
-		got, err := g.sendRecv(partner, floatbytes.Bytes(acc), partner, false)
-		if err != nil {
+		if err := c.reduceInto(g, acc, got, "fold", 0); err != nil {
 			return nil, err
 		}
-		vals := floatbytes.Floats(got)
-		if len(vals) != len(acc) {
-			return nil, fmt.Errorf("core: recursive doubling size mismatch at rank %d", r.ID)
-		}
-		c.work(r, cluster.CatCPT, 4*len(acc), func() { addInto(acc, vals) })
 	}
-
-	// Unfold: return the finished vector to the folded partner.
-	if g.id < 2*rem && g.id%2 == 1 {
-		if err := g.rawSend(g.id-1, floatbytes.Bytes(acc)); err != nil {
+	if err := rounds(acc, &out, p2, newrank); err != nil {
+		return nil, err
+	}
+	if folds {
+		if err := g.rawSend(g.id-1, g.stage(&out, acc)); err != nil {
 			return nil, err
 		}
 	}
@@ -95,12 +101,8 @@ func (c Collectives) allreducePlainRDG(g comm, data []float32) ([]float32, error
 // allreduce replication contract survives compression, at the cost of one
 // extra decompression per round.
 func (c Collectives) AllreduceCCollRD(r *cluster.Rank, data []float32) ([]float32, error) {
-	return c.allreduceCCollRDG(world(r), data)
-}
-
-func (c Collectives) allreduceCCollRDG(g comm, data []float32) ([]float32, error) {
+	g := world(r)
 	n := g.n()
-	r := g.r
 	opt := c.Opt
 	acc := make([]float32, len(data))
 	copy(acc, data)
@@ -207,12 +209,8 @@ func (c Collectives) allreduceCCollRDG(g comm, data []float32) ([]float32, error
 // decompresses once at the end — CPR + log₂(N)·HPR + DPR on the critical
 // path.
 func (c Collectives) AllreduceHZRD(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) {
-	return c.allreduceHZRDG(world(r), data)
-}
-
-func (c Collectives) allreduceHZRDG(g comm, data []float32) ([]float32, *hzdyn.Stats, error) {
+	g := world(r)
 	n := g.n()
-	r := g.r
 	opt := c.Opt
 	stats := &hzdyn.Stats{}
 	if n == 1 {

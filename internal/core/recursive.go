@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
-	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -63,105 +63,61 @@ func unframeBlobsN(msg []byte, want int) ([][]byte, error) {
 
 // AllreducePlainRecursive is the uncompressed Rabenseifner allreduce.
 func (c Collectives) AllreducePlainRecursive(r *cluster.Rank, data []float32) ([]float32, error) {
-	return c.allreducePlainRabG(world(r), data)
-}
+	g := world(r)
+	return c.allreducePlainFolded(g, data, func(acc []float32, out *[]byte, p2, newrank int) error {
+		// span returns acc's elements covering p2-blocks [lo, hi).
+		span := func(lo, hi int) []float32 {
+			s, _ := BlockBounds(len(acc), p2, lo)
+			_, e := BlockBounds(len(acc), p2, hi-1)
+			return acc[s:e]
+		}
 
-func (c Collectives) allreducePlainRabG(g comm, data []float32) ([]float32, error) {
-	n := g.n()
-	r := g.r
-	acc := make([]float32, len(data))
-	copy(acc, data)
-	if n == 1 {
-		return acc, nil
-	}
-	p2, newrank := activeRanks(g.id, n)
-	rem := n - p2
-
-	// Fold phase: even ranks of the first 2r send their data to the odd
-	// partner and wait for the final result.
-	if g.id < 2*rem {
-		if g.id%2 == 0 {
-			if err := g.rawSend(g.id+1, floatbytes.Bytes(acc)); err != nil {
-				return nil, err
+		// Recursive halving over p2 blocks.
+		lo, hi := 0, p2
+		for dist := p2 / 2; dist >= 1; dist /= 2 {
+			partner := oldRank(newrank^dist, g.n(), p2)
+			mid := (lo + hi) / 2
+			var keepLo, keepHi, sendLo, sendHi int
+			if newrank&dist == 0 {
+				keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
+			} else {
+				keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 			}
-			got, err := g.rawRecv(g.id + 1)
+			got, err := g.sendRecv(partner, g.stage(out, span(sendLo, sendHi)), partner, false)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return floatbytes.Floats(got), nil
+			if err := c.reduceInto(g, span(keepLo, keepHi), got, "halving distance", dist); err != nil {
+				return err
+			}
+			lo, hi = keepLo, keepHi
 		}
-		got, err := g.rawRecv(g.id - 1)
-		if err != nil {
-			return nil, err
-		}
-		vals := floatbytes.Floats(got)
-		c.work(r, cluster.CatCPT, 4*len(acc), func() { addInto(acc, vals) })
-	}
 
-	// Recursive halving over p2 blocks.
-	lo, hi := 0, p2
-	for dist := p2 / 2; dist >= 1; dist /= 2 {
-		partner := oldRank(newrank^dist, n, p2)
-		mid := (lo + hi) / 2
-		var keepLo, keepHi, sendLo, sendHi int
-		if newrank&dist == 0 {
-			keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-		} else {
-			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
+		// Recursive doubling allgather.
+		for dist := 1; dist < p2; dist *= 2 {
+			partner := oldRank(newrank^dist, g.n(), p2)
+			got, err := g.sendRecv(partner, g.stage(out, span(lo, hi)), partner, false)
+			if err != nil {
+				return err
+			}
+			// The partner owns the mirrored segment at this distance.
+			var plo, phi int
+			if newrank&dist == 0 {
+				plo, phi = lo+(hi-lo), hi+(hi-lo)
+			} else {
+				plo, phi = lo-(hi-lo), lo
+			}
+			if err := g.storeInto(span(plo, phi), got, "doubling distance", dist); err != nil {
+				return err
+			}
+			if plo < lo {
+				lo = plo
+			} else {
+				hi = phi
+			}
 		}
-		ss, _ := BlockBounds(len(data), p2, sendLo)
-		_, se := BlockBounds(len(data), p2, sendHi-1)
-		got, err := g.sendRecv(partner, floatbytes.Bytes(acc[ss:se]), partner, false)
-		if err != nil {
-			return nil, err
-		}
-		ks, _ := BlockBounds(len(data), p2, keepLo)
-		_, ke := BlockBounds(len(data), p2, keepHi-1)
-		vals := floatbytes.Floats(got)
-		if len(vals) != ke-ks {
-			return nil, fmt.Errorf("core: recursive halving size mismatch at rank %d", r.ID)
-		}
-		c.work(r, cluster.CatCPT, 4*(ke-ks), func() { addInto(acc[ks:ke], vals) })
-		lo, hi = keepLo, keepHi
-	}
-
-	// Recursive doubling allgather.
-	for dist := 1; dist < p2; dist *= 2 {
-		partner := oldRank(newrank^dist, n, p2)
-		ss, _ := BlockBounds(len(data), p2, lo)
-		_, se := BlockBounds(len(data), p2, hi-1)
-		got, err := g.sendRecv(partner, floatbytes.Bytes(acc[ss:se]), partner, false)
-		if err != nil {
-			return nil, err
-		}
-		// The partner owns the mirrored segment at this distance.
-		var plo, phi int
-		if newrank&dist == 0 {
-			plo, phi = lo+(hi-lo), hi+(hi-lo)
-		} else {
-			plo, phi = lo-(hi-lo), lo
-		}
-		ps, _ := BlockBounds(len(data), p2, plo)
-		_, pe := BlockBounds(len(data), p2, phi-1)
-		vals := floatbytes.Floats(got)
-		if len(vals) != pe-ps {
-			return nil, fmt.Errorf("core: recursive doubling size mismatch at rank %d", r.ID)
-		}
-		copy(acc[ps:pe], vals)
-		if plo < lo {
-			lo = plo
-		} else {
-			hi = phi
-		}
-	}
-
-	// Unfold: send the full result back to the folded partner.
-	if g.id < 2*rem && g.id%2 == 1 {
-		if err := g.rawSend(g.id-1, floatbytes.Bytes(acc)); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
+		return nil
+	})
 }
 
 // frameBlobs packs a list of byte slices into one message.
@@ -209,12 +165,8 @@ func unframeBlobs(msg []byte) ([][]byte, error) {
 // homomorphically reduces compressed block sets, the doubling stage moves
 // compressed blocks, and each rank decompresses the p2 blocks at the end.
 func (c Collectives) AllreduceHZRecursive(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) {
-	return c.allreduceHZRabG(world(r), data)
-}
-
-func (c Collectives) allreduceHZRabG(g comm, data []float32) ([]float32, *hzdyn.Stats, error) {
+	g := world(r)
 	n := g.n()
-	r := g.r
 	opt := c.Opt
 	stats := &hzdyn.Stats{}
 	if n == 1 {
@@ -259,7 +211,11 @@ func (c Collectives) allreduceHZRabG(g comm, data []float32) ([]float32, *hzdyn.
 			if err != nil {
 				return nil, nil, err
 			}
-			return floatbytes.Floats(got), stats, nil
+			out := make([]float32, len(data))
+			if err := g.storeInto(out, got, "unfold", 0); err != nil {
+				return nil, nil, err
+			}
+			return out, stats, nil
 		}
 		got, err := g.rawRecv(g.id - 1)
 		if err != nil {
@@ -354,7 +310,10 @@ func (c Collectives) allreduceHZRabG(g comm, data []float32) ([]float32, *hzdyn.
 
 	// Unfold: ship the raw result to the folded partner.
 	if g.id < 2*rem && g.id%2 == 1 {
-		if err := g.rawSend(g.id-1, floatbytes.Bytes(out)); err != nil {
+		raw := g.staged(out)
+		err := g.rawSend(g.id-1, raw)
+		bufpool.PutBytes(raw)
+		if err != nil {
 			return nil, nil, err
 		}
 	}
@@ -370,12 +329,8 @@ func (c Collectives) allreduceHZRabG(g comm, data []float32) ([]float32, *hzdyn.
 // payload — completing the three-backend coverage of this algorithm
 // family for the DegradePolicy ladder.
 func (c Collectives) AllreduceCCollRecursive(r *cluster.Rank, data []float32) ([]float32, error) {
-	return c.allreduceCCollRabG(world(r), data)
-}
-
-func (c Collectives) allreduceCCollRabG(g comm, data []float32) ([]float32, error) {
+	g := world(r)
 	n := g.n()
-	r := g.r
 	opt := c.Opt
 	acc := make([]float32, len(data))
 	copy(acc, data)

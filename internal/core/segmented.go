@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hzccl/internal/cluster"
 	"hzccl/internal/fzlight"
 )
@@ -77,9 +75,6 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 			if derr != nil {
 				return derr
 			}
-			if len(recvVals) != rb-ra {
-				return fmt.Errorf("core: segmented reduce-scatter size mismatch at rank %d step %d seg %d", r.ID, step, k)
-			}
 			c.work(r, cluster.CatCPT, 4*(rb-ra), func() { addInto(acc[ra:rb], recvVals) })
 			return nil
 		}
@@ -137,24 +132,5 @@ func (c Collectives) AllreduceCCollSegmented(r *cluster.Rank, data []float32) ([
 	if err != nil {
 		return nil, err
 	}
-	opt := c.Opt
-	var own []byte
-	var cerr error
-	c.work(r, cluster.CatCPR, 4*len(block), func() {
-		own, cerr = fzlight.Compress(block, opt.params())
-	})
-	if cerr != nil {
-		return nil, cerr
-	}
-	gathered, err := allgatherBytes(world(r), own, true)
-	if err != nil {
-		return nil, err
-	}
-	return assembleBlocks(world(r), len(data), gathered, func(payload []byte, dst []float32) error {
-		var derr error
-		c.work(r, cluster.CatDPR, 4*len(dst), func() {
-			derr = fzlight.DecompressInto(payload, dst)
-		})
-		return derr
-	})
+	return c.allgatherCompressBlock(world(r), block, len(data))
 }

@@ -49,35 +49,3 @@ func countRingBytes(payload []byte, compressed bool) {
 		mRingRawBytes.Add(int64(len(payload)))
 	}
 }
-
-// ringSendRecv wraps Rank.SendRecv with a wall-clock span and wire-byte
-// accounting. compressed says whether payload is an fZ-light container
-// (vs raw float bytes).
-func ringSendRecv(r *cluster.Rank, to int, payload []byte, from int, compressed bool) ([]byte, error) {
-	sp := mStageSendRecvNS.Start()
-	got, err := r.SendRecv(to, payload, from)
-	sp.End()
-	if err == nil {
-		countRingBytes(payload, compressed)
-	}
-	return got, err
-}
-
-// ringSend posts one ring send with wire-byte accounting. Split from
-// ringRecv so the pipelined collectives can slide compute between the
-// send and the matching receive.
-func ringSend(r *cluster.Rank, to int, payload []byte, compressed bool) error {
-	if err := r.Send(to, payload); err != nil {
-		return err
-	}
-	countRingBytes(payload, compressed)
-	return nil
-}
-
-// ringRecv completes one ring exchange, spanning the blocking receive.
-func ringRecv(r *cluster.Rank, from int) ([]byte, error) {
-	sp := mStageSendRecvNS.Start()
-	got, err := r.Recv(from)
-	sp.End()
-	return got, err
-}

@@ -15,6 +15,7 @@ run() {
     go test "$pkg" -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME"
 }
 
+run ./internal/floatbytes FuzzAddInto
 run ./internal/fzlight FuzzDecompress
 run ./internal/fzlight FuzzCompressRoundTrip
 run ./internal/hzdyn FuzzAdd
