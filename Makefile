@@ -8,9 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# check runs the hygiene gate: gofmt, go vet, a race-detector pass over
-# the packages with concurrent hot paths (telemetry counters, the cluster
-# runtime, the parallel reducers), and bench-check.
+# check runs the hygiene gate: gofmt, go vet (asmdecl covers the fzlight
+# block kernels), an arm64 cross vet/build with a no-fused-multiply-add
+# check on the quantisers, a race-detector pass over the packages with
+# concurrent hot paths (telemetry counters, the cluster runtime, the
+# chunk-parallel codecs), and bench-check.
 check:
 	sh scripts/check.sh
 
@@ -33,8 +35,10 @@ benchmark-compare:
 
 # bench runs the hot-path gate (Fig. 6, Table V, Fig. 8 and the
 # steady-state zero-allocation benches) and writes BENCH_hotpaths.json;
-# it fails if the steady-state homomorphic add allocates. bench-all is
-# the old full sweep: every benchmark once, no JSON.
+# it fails if a steady-state hot path allocates or, on full runs, if the
+# CESM-ATM add or (with AVX2+BMI2) fZ-light compress/decompress fall below
+# their floors. bench-all is the old full sweep: every benchmark once, no
+# JSON.
 bench:
 	sh scripts/bench.sh
 

@@ -7,7 +7,7 @@
 //	hzccl-compress -eb 1e-3 [-threads N] [-dims DxHxW] -o out.fzl in.f32   compress
 //	hzccl-compress -d [-compare orig.f32] -o out.f32 in.fzl         decompress
 //	hzccl-compress -info in.fzl                                     inspect
-//	hzccl-compress -add [-parallel N] -o sum.fzl a.fzl b.fzl        homomorphic add
+//	hzccl-compress -add -o sum.fzl a.fzl b.fzl                      homomorphic add
 //
 // -compare prints reconstruction quality (max abs error, RMSE, NRMSE,
 // max rel error, PSNR) of the decompressed output against the original
@@ -59,14 +59,13 @@ func main() {
 		dims       = flag.String("dims", "", "optional dimensions HxW or DxHxW for the Lorenzo predictors")
 		decompress = flag.Bool("d", false, "decompress instead of compress")
 		add        = flag.Bool("add", false, "homomorphically add two compressed files")
-		parallel   = flag.Int("parallel", 1, "goroutines for the sharded homomorphic-add executor (-add mode)")
 		info       = flag.Bool("info", false, "print stream info and exit")
 		out        = flag.String("o", "", "output file (required except for -info)")
 		compare    = flag.String("compare", "", "raw float32 file to compare the decompressed output against (-d mode): prints error metrics")
 		metricsOut = flag.String("metrics", "", "dump the telemetry snapshot at exit: '-' = JSON to stdout, FILE = JSON, FILE.prom = Prometheus text format")
 	)
 	flag.Parse()
-	if err := run(*eb, *threads, *dims, *decompress, *add, *parallel, *info, *out, *compare, flag.Args()); err != nil {
+	if err := run(*eb, *threads, *dims, *decompress, *add, *info, *out, *compare, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "hzccl-compress: %v\n", err)
 		os.Exit(1)
 	}
@@ -89,7 +88,7 @@ func fmtMetric(v float64) string {
 	return fmt.Sprintf("%.6g", v)
 }
 
-func run(eb float64, threads int, dims string, decompress, add bool, parallel int, info bool, out, compare string, args []string) error {
+func run(eb float64, threads int, dims string, decompress, add, info bool, out, compare string, args []string) error {
 	switch {
 	case info:
 		if len(args) != 1 {
@@ -124,7 +123,7 @@ func run(eb float64, threads int, dims string, decompress, add bool, parallel in
 		if err != nil {
 			return err
 		}
-		sum, st, err := hzccl.HomomorphicAddParallelWithStats(a, b, parallel)
+		sum, st, err := hzccl.HomomorphicAddWithStats(a, b)
 		if err != nil {
 			return err
 		}

@@ -28,13 +28,13 @@ func TestCompressDecompressCycle(t *testing.T) {
 	comp := filepath.Join(dir, "out.fzl")
 	back := filepath.Join(dir, "back.f32")
 
-	if err := run(1e-3, 2, "", false, false, 1, false, comp, "", []string{in}); err != nil {
+	if err := run(1e-3, 2, "", false, false, false, comp, "", []string{in}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(0, 1, "", false, false, 1, true, "", "", []string{comp}); err != nil {
+	if err := run(0, 1, "", false, false, true, "", "", []string{comp}); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if err := run(0, 1, "", true, false, 1, false, back, "", []string{comp}); err != nil {
+	if err := run(0, 1, "", true, false, false, back, "", []string{comp}); err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
 	raw, err := os.ReadFile(back)
@@ -49,11 +49,11 @@ func TestCompressDecompressCycle(t *testing.T) {
 	}
 
 	sum := filepath.Join(dir, "sum.fzl")
-	if err := run(0, 1, "", false, true, 1, false, sum, "", []string{comp, comp}); err != nil {
+	if err := run(0, 1, "", false, true, false, sum, "", []string{comp, comp}); err != nil {
 		t.Fatalf("add: %v", err)
 	}
 	back2 := filepath.Join(dir, "sum.f32")
-	if err := run(0, 1, "", true, false, 1, false, back2, "", []string{sum}); err != nil {
+	if err := run(0, 1, "", true, false, false, back2, "", []string{sum}); err != nil {
 		t.Fatal(err)
 	}
 	raw2, _ := os.ReadFile(back2)
@@ -64,23 +64,6 @@ func TestCompressDecompressCycle(t *testing.T) {
 		}
 	}
 
-	// The sharded executor must produce the exact bytes of the serial add.
-	psum := filepath.Join(dir, "psum.fzl")
-	if err := run(0, 1, "", false, true, 4, false, psum, "", []string{comp, comp}); err != nil {
-		t.Fatalf("parallel add: %v", err)
-	}
-	serialBytes, err := os.ReadFile(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelBytes, err := os.ReadFile(psum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(serialBytes) != string(parallelBytes) {
-		t.Fatalf("-parallel 4 add differs from serial (%d vs %d bytes)",
-			len(parallelBytes), len(serialBytes))
-	}
 }
 
 func TestDimsFlag(t *testing.T) {
@@ -95,10 +78,10 @@ func TestDimsFlag(t *testing.T) {
 	in := writeRaw(t, dir, "img.f32", vals)
 	out1 := filepath.Join(dir, "1d.fzl")
 	out2 := filepath.Join(dir, "2d.fzl")
-	if err := run(1e-3, 1, "", false, false, 1, false, out1, "", []string{in}); err != nil {
+	if err := run(1e-3, 1, "", false, false, false, out1, "", []string{in}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(1e-3, 1, "32x64", false, false, 1, false, out2, "", []string{in}); err != nil {
+	if err := run(1e-3, 1, "32x64", false, false, false, out2, "", []string{in}); err != nil {
 		t.Fatal(err)
 	}
 	s1, _ := os.Stat(out1)
@@ -106,14 +89,14 @@ func TestDimsFlag(t *testing.T) {
 	if s2.Size() >= s1.Size() {
 		t.Fatalf("2D (%d) should beat 1D (%d) on this image", s2.Size(), s1.Size())
 	}
-	if err := run(1e-3, 1, "bogus", false, false, 1, false, out2, "", []string{in}); err == nil {
+	if err := run(1e-3, 1, "bogus", false, false, false, out2, "", []string{in}); err == nil {
 		t.Fatal("bogus dims accepted")
 	}
 }
 
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(0, 1, "", false, false, 1, false, filepath.Join(dir, "x"), "", []string{"nope.f32"}); err == nil {
+	if err := run(0, 1, "", false, false, false, filepath.Join(dir, "x"), "", []string{"nope.f32"}); err == nil {
 		t.Error("missing input accepted")
 	}
 	in := writeRaw(t, dir, "short.f32", []float32{1})
@@ -121,19 +104,19 @@ func TestCLIErrors(t *testing.T) {
 	if err := os.WriteFile(odd, []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(1e-3, 1, "", false, false, 1, false, filepath.Join(dir, "x"), "", []string{odd}); err == nil {
+	if err := run(1e-3, 1, "", false, false, false, filepath.Join(dir, "x"), "", []string{odd}); err == nil {
 		t.Error("non-multiple-of-4 input accepted")
 	}
-	if err := run(0, 1, "", false, false, 1, false, filepath.Join(dir, "x"), "", []string{in}); err == nil {
+	if err := run(0, 1, "", false, false, false, filepath.Join(dir, "x"), "", []string{in}); err == nil {
 		t.Error("zero error bound accepted")
 	}
-	if err := run(1e-3, 1, "", false, false, 1, false, "", "", []string{in}); err == nil {
+	if err := run(1e-3, 1, "", false, false, false, "", "", []string{in}); err == nil {
 		t.Error("missing -o accepted")
 	}
-	if err := run(0, 1, "", false, false, 1, true, "", "", []string{}); err == nil {
+	if err := run(0, 1, "", false, false, true, "", "", []string{}); err == nil {
 		t.Error("info without file accepted")
 	}
-	if err := run(0, 1, "", false, true, 1, false, "x", "", []string{in}); err == nil {
+	if err := run(0, 1, "", false, true, false, "x", "", []string{in}); err == nil {
 		t.Error("add with one file accepted")
 	}
 }
@@ -162,16 +145,16 @@ func TestCompareFlag(t *testing.T) {
 	in := writeRaw(t, dir, "in.f32", vals)
 	comp := filepath.Join(dir, "out.fzl")
 	back := filepath.Join(dir, "back.f32")
-	if err := run(1e-3, 1, "", false, false, 1, false, comp, "", []string{in}); err != nil {
+	if err := run(1e-3, 1, "", false, false, false, comp, "", []string{in}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(0, 1, "", true, false, 1, false, back, in, []string{comp}); err != nil {
+	if err := run(0, 1, "", true, false, false, back, in, []string{comp}); err != nil {
 		t.Fatalf("decompress with -compare: %v", err)
 	}
 	// A length mismatch between original and reconstruction must error,
 	// not print metrics over nothing.
 	short := writeRaw(t, dir, "short.f32", vals[:10])
-	if err := run(0, 1, "", true, false, 1, false, back, short, []string{comp}); err == nil {
+	if err := run(0, 1, "", true, false, false, back, short, []string{comp}); err == nil {
 		t.Fatal("-compare with mismatched length should fail")
 	}
 }

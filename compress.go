@@ -3,12 +3,7 @@ package hzccl
 import (
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
-	"hzccl/internal/telemetry"
 )
-
-// mParallelWorkers records the worker count of every sharded homomorphic
-// add, so deployments can see how wide the executor actually runs.
-var mParallelWorkers = telemetry.H("compress.parallel_workers", telemetry.LinearBuckets(1, 1, 16))
 
 // Params configures the fZ-light compressor.
 type Params struct {
@@ -128,26 +123,6 @@ func HomomorphicAdd(a, b []byte) ([]byte, error) {
 // statistics.
 func HomomorphicAddWithStats(a, b []byte) ([]byte, PipelineStats, error) {
 	out, st, err := hzdyn.Add(a, b)
-	return out, pipelineStats(st), err
-}
-
-// HomomorphicAddParallel is HomomorphicAdd with the block work sharded
-// across the given number of goroutines (hzdyn's sharded executor). The
-// output is byte-identical to HomomorphicAdd for any worker count;
-// workers <= 1 runs the serial path.
-func HomomorphicAddParallel(a, b []byte, workers int) ([]byte, error) {
-	out, _, err := HomomorphicAddParallelWithStats(a, b, workers)
-	return out, err
-}
-
-// HomomorphicAddParallelWithStats is HomomorphicAddParallel plus
-// pipeline-selection statistics.
-func HomomorphicAddParallelWithStats(a, b []byte, workers int) ([]byte, PipelineStats, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	mParallelWorkers.Observe(int64(workers))
-	out, st, err := hzdyn.AddParallel(a, b, workers)
 	return out, pipelineStats(st), err
 }
 

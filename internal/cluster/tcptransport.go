@@ -229,7 +229,7 @@ type tcpPeer struct {
 
 	mu        sync.Mutex
 	mail      map[uint32]*tcpMailbox // per-job delivery state
-	gone      map[uint32]struct{}    // jobs ended locally: drop their frames
+	gone      map[uint32]bool        // ended jobs: drop their frames (true: the peer said bye)
 	goneOrder []uint32
 	dead      bool // reader exited; every mailbox is (and will be born) closed
 
@@ -290,8 +290,11 @@ func (p *tcpPeer) deliverable(job uint32) *tcpMailbox {
 func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.gone[job]; !ok {
-		p.gone[job] = struct{}{}
+	said, ok := p.gone[job]
+	// closeChannels doubles as "the peer's bye arrived". The tombstone
+	// keeps that fact even when no mailbox exists yet, for jobEnded.
+	p.gone[job] = said || closeChannels
+	if !ok {
 		p.goneOrder = append(p.goneOrder, job)
 		if len(p.goneOrder) > peerGoneCap {
 			old := p.goneOrder[0]
@@ -308,6 +311,15 @@ func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 	if closeChannels {
 		mb.closeChans()
 	}
+}
+
+// jobEnded reports that the peer's side of the job is over: its bye
+// arrived — before or after anything here looked the job up — or its
+// connection died.
+func (p *tcpPeer) jobEnded(job uint32) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dead || p.gone[job]
 }
 
 // markDead closes every mailbox after the reader goroutine exited: no
@@ -607,7 +619,7 @@ func newTCPPeer(rank int, conn net.Conn) *tcpPeer {
 		rank: rank,
 		conn: conn,
 		mail: make(map[uint32]*tcpMailbox),
-		gone: make(map[uint32]struct{}),
+		gone: make(map[uint32]bool),
 	}
 }
 
@@ -869,6 +881,17 @@ func (s *tcpSession) bind(cfg Config) error {
 	s.retxW.window = cfg.RetxWindow
 	if cfg.onPeerDown != nil {
 		s.onDown.Store(cfg.onPeerDown)
+		// A peer's bye or reset that arrived before the store found no
+		// callback and was dropped by the reader. Report every peer whose
+		// side of the job has already ended: whichever of the reader's
+		// close-then-load and this store-then-scan comes second sees the
+		// other, so the detector hears of it at least once (confirming a
+		// rank twice is harmless).
+		for _, p := range s.t.peers {
+			if p != nil && p.jobEnded(s.job) {
+				cfg.onPeerDown(p.rank, fmt.Errorf("%w: rank %d (job %d session ended before bind)", ErrConnReset, p.rank, s.job))
+			}
+		}
 	}
 	s.bound = true
 	return nil

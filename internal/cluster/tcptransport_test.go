@@ -792,3 +792,69 @@ func TestTCPFormationClosesAcceptedConns(t *testing.T) {
 		t.Fatalf("accepted conn still open after failed formation (read err %v)", err)
 	}
 }
+
+// A killed rank's bye can reach a peer before that peer has bound its
+// session (or even opened it): the reader then finds no failure callback
+// and no mailbox. The evidence must survive until bind and reach the
+// failure detector there — otherwise a survivor blocked on a live but
+// stalled neighbour burns its whole RecvTimeout and ends up suspecting,
+// and evicting, the wrong rank.
+func TestTCPByeBeforeBindReachesDetector(t *testing.T) {
+	for _, opened := range []bool{true, false} {
+		name := "no session yet"
+		if opened {
+			name = "session open, not bound"
+		}
+		t.Run(name, func(t *testing.T) {
+			trs := startMesh(t, 3)
+			const job = 9
+			var s1 Transport
+			if opened {
+				var err error
+				if s1, err = trs[1].Session(job); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Rank 0 runs its side of the job to the end; nothing else has
+			// touched the job on rank 1 yet.
+			s0, err := trs[0].Session(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Ranks: 3, ParallelCompute: true, RecvTimeout: 30 * time.Second}
+			c0 := cfg
+			c0.Transport = s0
+			if _, err := Run(c0, func(r *Rank) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); !trs[1].peers[0].jobEnded(job); {
+				if time.Now().After(deadline) {
+					t.Fatal("rank 0's bye never reached rank 1")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if !opened {
+				if s1, err = trs[1].Session(job); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Rank 1 now binds and waits on rank 2, which is alive and
+			// silent. Only the detector can end this wait early.
+			c1 := cfg
+			c1.Transport = s1
+			start := time.Now()
+			_, err = Run(c1, func(r *Rank) error {
+				r.SetFailFast(true)
+				_, err := r.Recv(2)
+				return err
+			})
+			var failed *RankFailedError
+			if !errors.As(err, &failed) || failed.Rank != 0 {
+				t.Fatalf("recv from the stalled neighbour: %v, want RankFailedError for rank 0", err)
+			}
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Fatalf("took %v to hear of a death that preceded bind", elapsed)
+			}
+		})
+	}
+}

@@ -129,10 +129,12 @@ func TestMeasureCalibration(t *testing.T) {
 	}
 }
 
-// Structural cross-check: predictions with rates derived from a real
-// simulator run must land near the simulator's own virtual time. This
-// validates that the simulator executes exactly the op counts and
-// communication rounds the paper's equations describe.
+// Structural cross-check: with the simulator charging compute from the
+// model's own rates (core.Options.Rates) instead of measured wall time,
+// its virtual time must land on the prediction. This validates that the
+// simulator executes exactly the op counts and communication rounds the
+// paper's equations describe — and, being free of the clock, it gives the
+// same two numbers on every run.
 func TestModelMatchesSimulator(t *testing.T) {
 	const nRanks, n = 8, 1 << 16
 	field := func(rank int) []float32 {
@@ -142,39 +144,24 @@ func TestModelMatchesSimulator(t *testing.T) {
 		}
 		return out
 	}
-	c := core.New(core.Options{ErrorBound: 1e-3})
-	cfg := cluster.Config{Ranks: nRanks, Latency: time.Microsecond, BandwidthBytes: 12.5e9}
-
-	var best *cluster.Result
-	for trial := 0; trial < 3; trial++ {
-		res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-			_, _, err := c.AllreduceHZ(r, field(r.ID))
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best == nil || res.Time < best.Time {
-			best = res
-		}
-	}
-	// Derive effective per-op rates from the run's own breakdown. Op
-	// counts per rank in the hZ allreduce: N CPR (m bytes each), N-1 HPR,
-	// N DPR.
-	m := float64(4 * n / nRanks)
 	rates := testRates()
-	rates.Alpha = 1e-6
-	rates.Beta = 12.5e9
-	rates.CPR = m * nRanks * nRanks / best.Breakdown[cluster.CatCPR]
-	rates.HPR = m * nRanks * (nRanks - 1) / best.Breakdown[cluster.CatHPR]
-	rates.DPR = m * nRanks * nRanks / best.Breakdown[cluster.CatDPR]
 	rates.Ratio = 8 // rough; link time is negligible at these sizes
-
-	pred := rates.Allreduce(HZCCL, nRanks, float64(4*n))
-	got := best.Time
-	if rel := math.Abs(pred-got) / got; rel > 0.5 {
-		t.Fatalf("model %.1fus vs simulator %.1fus (rel err %.2f)", pred*1e6, got*1e6, rel)
+	c := core.New(core.Options{ErrorBound: 1e-3,
+		Rates: &core.Rates{CPR: rates.CPR, DPR: rates.DPR, CPT: rates.CPT, HPR: rates.HPR}})
+	cfg := cluster.Config{Ranks: nRanks, Latency: time.Duration(rates.Alpha * float64(time.Second)), BandwidthBytes: rates.Beta}
+	res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
+		_, _, err := c.AllreduceHZ(r, field(r.ID))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	pred := rates.Allreduce(HZCCL, nRanks, float64(4*n))
+	got := res.Time
+	if rel := math.Abs(pred-got) / got; rel > 0.05 {
+		t.Fatalf("model %.2fus vs simulator %.2fus (rel err %.3f)", pred*1e6, got*1e6, rel)
+	}
+	t.Logf("model %.2fus, simulator %.2fus", pred*1e6, got*1e6)
 }
 
 func TestAllgatherForms(t *testing.T) {

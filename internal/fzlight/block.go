@@ -21,12 +21,32 @@ type Float interface {
 	~float32 | ~float64
 }
 
-// quantErr classifies an out-of-range quantization input.
-func quantErr(x float64) error {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return ErrNonFinite
+// useKernels selects the SIMD block kernels (block_amd64.s) over the
+// portable codecs in this file for full float32 blocks. It is decided once,
+// from the CPU, and only the package's tests ever change it.
+var useKernels = haveKernels()
+
+// kernelDst is what the encode kernel may touch: the largest block
+// (1 marker + 4 sign + 128 magnitude bytes) plus the 8 bytes of slack that
+// worstChunkBytes reserves per block for the last 8-byte residual store.
+const kernelDst = 1 + 4 + 128 + 8
+
+// quantise is the codec's one quantisation rule: q = floor(x + 0.5) with
+// x = v·recip (v the input value, widened exactly to float64), in two IEEE
+// roundings — the product first, then the sum. The explicit conversion of
+// the product forbids fusing the two into one multiply-add (which arm64,
+// ppc64le, s390x and riscv64 would otherwise do), so every architecture,
+// and the SIMD kernels, quantise exact ties k+½ the same way. A value is
+// rejected when !(|x| < quantLimit).
+func quantise(v, recip float64) (int32, error) {
+	x := float64(v * recip)
+	if !(x > -quantLimit && x < quantLimit) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, ErrNonFinite
+		}
+		return 0, ErrRange
 	}
-	return ErrRange
+	return int32(math.Floor(x + 0.5)), nil // Floor compiles to a rounding instruction
 }
 
 // encodeBlock32 quantizes, predicts and encodes one full 32-element block.
@@ -37,11 +57,10 @@ func encodeBlock32[T Float](dst []byte, blk []T, recip float64, qprev *int32, ms
 	q := *qprev
 	blk = blk[:32]
 	for i := 0; i < 32; i++ {
-		x := float64(blk[i]) * recip
-		if !(x > -quantLimit && x < quantLimit) {
-			return 0, quantErr(x)
+		qi, err := quantise(float64(blk[i]), recip)
+		if err != nil {
+			return 0, err
 		}
-		qi := int32(math.Floor(x + 0.5)) // Floor compiles to a rounding instruction
 		p := qi - q
 		q = qi
 		s := p >> 31 // 0 or -1
@@ -75,11 +94,10 @@ func encodeBlockGeneric[T Float](dst []byte, blk []T, recip float64, qprev *int3
 	var maxmag uint32
 	q := *qprev
 	for i := 0; i < n; i++ {
-		x := float64(blk[i]) * recip
-		if !(x > -quantLimit && x < quantLimit) {
-			return 0, quantErr(x)
+		qi, err := quantise(float64(blk[i]), recip)
+		if err != nil {
+			return 0, err
 		}
-		qi := int32(math.Floor(x + 0.5))
 		p := qi - q
 		q = qi
 		if *first {

@@ -1,6 +1,7 @@
 package fzlight
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -35,6 +36,14 @@ func FuzzDecompress(f *testing.F) {
 		if err == nil && len(out) > len(b)*64 {
 			t.Fatalf("implausible expansion: %d values from %d bytes", len(out), len(b))
 		}
+		if useKernels { // the portable decoder must agree, bit for bit
+			withPath(false, func() {
+				ref, rerr := Decompress(b)
+				if (err == nil) != (rerr == nil) || !sameBits(out, ref) {
+					t.Fatalf("kernels: %d values, err %v; portable: %d values, err %v", len(out), err, len(ref), rerr)
+				}
+			})
+		}
 		_, _ = Decompress64(b)
 		_, _ = Stats(b)
 	})
@@ -59,6 +68,14 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		got, err := Decompress(comp)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
+		}
+		if useKernels { // the portable codec must produce the same container
+			withPath(false, func() {
+				ref, err := Compress(clean, Params{ErrorBound: eb, Threads: 1 + int(threads%5)})
+				if err != nil || !bytes.Equal(ref, comp) {
+					t.Fatalf("portable container differs from the kernels' (err %v)", err)
+				}
+			})
 		}
 		if len(got) != len(clean) {
 			t.Fatalf("length %d != %d", len(got), len(clean))

@@ -273,7 +273,8 @@ func compressIntoAny[T Float](dst []byte, data []T, p Params, wide bool) (int, e
 // compressChunk writes one chunk (outlier + encoded blocks) into dst and
 // returns the number of bytes written. This is the fused
 // quantization+prediction+encoding loop of the paper: full 32-element
-// blocks go through the branchless encodeBlock32 path; the first block
+// blocks go through the SIMD kernel where the CPU has one and the data is
+// float32, else through the branchless encodeBlock32 path; the first block
 // (which hosts the chunk outlier) and tail/odd-sized blocks use the
 // generic path.
 func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, error) {
@@ -290,6 +291,8 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 	var qprev int32
 	first := true
 	var outlier int32
+	f32, _ := any(data).([]float32) // nil for every other element type
+	simd := useKernels && f32 != nil && B == 32
 
 	for base := 0; base < len(data); base += B {
 		end := base + B
@@ -300,6 +303,13 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 		var used int
 		var err error
 		if len(blk) == 32 && base > 0 {
+			if simd {
+				if n, q, ok := encodeBlock32Fast(dst[o:], f32[base:end], recip, qprev); ok {
+					qprev = q
+					o += n
+					continue
+				}
+			}
 			used, err = encodeBlock32(dst[o:], blk, recip, &qprev, &mscratch)
 		} else {
 			used, err = encodeBlockGeneric(dst[o:], blk, recip, &qprev, &first, &outlier, pbuf, mbuf)
@@ -346,70 +356,96 @@ func Decompress64(comp []byte) ([]float64, error) {
 var ErrWrongPrecision = errors.New("fzlight: container precision does not match decode type")
 
 // DecompressInto decodes comp into dst, which must hold at least
-// Header.DataLen elements.
+// Header.DataLen elements. For 1D containers with a single chunk (the
+// collectives' configuration) the steady state performs zero heap
+// allocations: the header is parsed on the stack and the chunk decodes
+// straight into dst.
 func DecompressInto(comp []byte, dst []float32) error {
-	h, err := ParseHeader(comp)
+	h, err := ParseHeaderLite(comp)
+	if errors.Is(err, ErrBadVersion) {
+		return decompressLayout(comp, dst)
+	}
 	if err != nil {
 		return err
 	}
 	if h.Float64 {
 		return ErrWrongPrecision
 	}
+	return decompressIntoAny(comp, h, dst)
+}
+
+// decompressLayout decodes the 2D/3D Lorenzo containers, whose headers
+// the lite parser does not cover (and reports any other version).
+func decompressLayout(comp []byte, dst []float32) error {
+	h, err := ParseHeader(comp)
+	if err != nil {
+		return err
+	}
 	if len(dst) < h.DataLen {
 		return ErrShortOutput
 	}
-	switch h.Version {
-	case 3:
+	if h.Version == 3 {
 		return decompress3D(comp, h, dst[:h.DataLen])
-	case 2:
-		return decompress2D(comp, h, dst[:h.DataLen])
 	}
-	return decompressIntoAny(comp, h, dst)
+	return decompress2D(comp, h, dst[:h.DataLen])
 }
 
 // DecompressInto64 decodes a float64 container into dst.
 func DecompressInto64(comp []byte, dst []float64) error {
-	h, err := ParseHeader(comp)
+	h, err := ParseHeaderLite(comp)
+	if errors.Is(err, ErrBadVersion) {
+		if _, err := ParseHeader(comp); err != nil {
+			return err
+		}
+		return ErrWrongPrecision // the 2D/3D layouts are float32-only
+	}
 	if err != nil {
 		return err
 	}
 	if !h.Float64 {
 		return ErrWrongPrecision
 	}
-	if len(dst) < h.DataLen {
-		return ErrShortOutput
-	}
 	return decompressIntoAny(comp, h, dst)
 }
 
-func decompressIntoAny[T Float](comp []byte, h *Header, dst []T) error {
-	offs, err := h.chunkOffsets(len(comp))
-	if err != nil {
-		return err
+func decompressIntoAny[T Float](comp []byte, h HeaderLite, dst []T) error {
+	if len(dst) < h.DataLen {
+		return ErrShortOutput
 	}
 	eb2 := 2 * h.ErrorBound
-	errs := make([]error, h.NumChunks)
-	work := func(i int) {
-		start, end := ChunkBounds(h.DataLen, h.NumChunks, i)
-		sp := mChunkDecodeNS.Start()
-		errs[i] = decompressChunk(comp[offs[i]:offs[i+1]], dst[start:end], eb2, h.BlockSize)
-		sp.End()
-	}
+	var err error
 	if h.NumChunks == 1 {
-		work(0)
+		// No closure, no per-chunk tables: this path must not allocate.
+		sp := mChunkDecodeNS.Start()
+		err = decompressChunk(comp[h.PayloadStart():], dst[:h.DataLen], eb2, h.BlockSize)
+		sp.End()
 	} else {
+		errs := make([]error, h.NumChunks)
 		var wg sync.WaitGroup
 		wg.Add(h.NumChunks)
+		o := h.PayloadStart()
 		for i := 0; i < h.NumChunks; i++ {
-			go func(i int) { defer wg.Done(); work(i) }(i)
+			src := comp[o : o+h.ChunkSize(comp, i)]
+			o += len(src)
+			go func(i int) {
+				defer wg.Done()
+				start, end := ChunkBounds(h.DataLen, h.NumChunks, i)
+				sp := mChunkDecodeNS.Start()
+				errs[i] = decompressChunk(src, dst[start:end], eb2, h.BlockSize)
+				sp.End()
+			}(i)
 		}
 		wg.Wait()
-	}
-	for _, e := range errs {
-		if e != nil {
-			mDecompressErrs.Inc()
-			return e
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				break
+			}
 		}
+	}
+	if err != nil {
+		mDecompressErrs.Inc()
+		return err
 	}
 	mDecompressCalls.Inc()
 	mDecompressRaw.Add(int64(h.DataLen * elemBytes(h.Float64)))
@@ -428,6 +464,8 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 	defer bufpool.PutInt32s(pbuf)
 	defer bufpool.PutUint32s(mbuf)
 	var mscratch [32]uint32
+	out32, _ := any(dst).([]float32) // nil for every other element type
+	simd := useKernels && out32 != nil
 	for base := 0; base < len(dst); base += B {
 		end := base + B
 		if end > len(dst) {
@@ -435,6 +473,13 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 		}
 		n := end - base
 		if n == 32 {
+			if simd {
+				if used, a, ok := decodeBlock32Fast(src[o:], out32[base:end], acc, eb2); ok {
+					acc = a
+					o += used
+					continue
+				}
+			}
 			used, err := decodeBlock32(src[o:], dst[base:end], &acc, eb2, &mscratch)
 			if err != nil {
 				return err

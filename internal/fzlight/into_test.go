@@ -144,3 +144,30 @@ func TestCompressIntoZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state CompressInto allocates %v objects/op, want 0", allocs)
 	}
 }
+
+// So must the matching decode: header on the stack, no closure, no
+// per-chunk tables.
+func TestDecompressIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	data := smoothField(1<<14, 8)
+	comp, err := Compress(data, Params{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float32, len(data))
+	for i := 0; i < 4; i++ {
+		if err := DecompressInto(comp, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := DecompressInto(comp, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state DecompressInto allocates %v objects/op, want 0", allocs)
+	}
+}

@@ -2,7 +2,9 @@ package fzlight
 
 import (
 	"math"
+	"sort"
 	"testing"
+	"time"
 
 	"hzccl/internal/telemetry"
 )
@@ -77,46 +79,37 @@ func BenchmarkCompressTelemetry(b *testing.B) {
 }
 
 // TestCompressTelemetryOverhead bounds the telemetry overhead on the
-// Compress hot path at <2%, the ISSUE's acceptance threshold. On/off
-// trials are interleaved (so a transient load spike hits both sides) and
-// the comparison retries before failing, because a wall-clock ratio on a
-// shared machine is noisy in the false-positive direction only: telemetry
-// cannot get cheaper under load.
+// Compress hot path at <2%, the ISSUE's acceptance threshold. Telemetry is
+// switched on and off from one call to the next and each side is judged by
+// its median call: a load spike or a preemption then lands on both sides
+// alike and moves neither median, where whole back-to-back benchmark runs
+// of a ~1 ms op (what the SIMD kernels made of it) differed by several
+// per cent under `go test ./...` load. It still retries before failing,
+// because what noise remains is in the false-positive direction only:
+// telemetry cannot get cheaper under load.
 func TestCompressTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	data := telemetryBenchData(1 << 20)
 	p := Params{ErrorBound: 1e-3}
-	measure := func() float64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Compress(data, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(res.NsPerOp())
-	}
+	defer telemetry.SetEnabled(true)
 	var overhead float64
 	for attempt := 0; attempt < 3; attempt++ {
-		var on, off float64
-		for k := 0; k < 3; k++ {
-			if v := measure(); on == 0 || v < on {
-				on = v
+		var ns [2][]float64 // [0] telemetry off, [1] on
+		for i := 0; i < 400; i++ {
+			telemetry.SetEnabled(i%2 == 1)
+			t0 := time.Now()
+			if _, err := Compress(data, p); err != nil {
+				t.Fatal(err)
 			}
-			telemetry.SetEnabled(false)
-			v := measure()
-			telemetry.SetEnabled(true)
-			if off == 0 || v < off {
-				off = v
-			}
+			ns[i%2] = append(ns[i%2], float64(time.Since(t0)))
 		}
-		if off <= 0 {
-			t.Fatal("degenerate baseline measurement")
-		}
+		sort.Float64s(ns[0])
+		sort.Float64s(ns[1])
+		off, on := ns[0][len(ns[0])/2], ns[1][len(ns[1])/2]
 		overhead = on/off - 1
-		t.Logf("attempt %d: telemetry on %.0fns/op, off %.0fns/op, overhead %.2f%%",
+		t.Logf("attempt %d: median call with telemetry on %.0fns, off %.0fns, overhead %.2f%%",
 			attempt, on, off, 100*overhead)
 		if overhead <= 0.02 {
 			return

@@ -210,11 +210,11 @@ func compressChunk3D(dst []byte, band []float32, width, height int, recip float6
 	}
 	q := make([]int32, len(band))
 	for i, v := range band {
-		x := float64(v) * recip
-		if !(x > -quantLimit && x < quantLimit) {
-			return 0, quantErr(x)
+		qi, err := quantise(float64(v), recip)
+		if err != nil {
+			return 0, err
 		}
-		q[i] = int32(math.Floor(x + 0.5))
+		q[i] = qi
 	}
 	outlier := q[0]
 	res := lorenzoResiduals3D(q, width, height)

@@ -133,11 +133,11 @@ func compressChunk2D(dst []byte, band []float32, width int, recip float64, B int
 	// Quantize everything first (the row predictor needs random access to
 	// the previous row).
 	for i, v := range band {
-		x := float64(v) * recip
-		if !(x > -quantLimit && x < quantLimit) {
-			return 0, quantErr(x)
+		qi, err := quantise(float64(v), recip)
+		if err != nil {
+			return 0, err
 		}
-		q[i] = int32(math.Floor(x + 0.5))
+		q[i] = qi
 	}
 	outlier := q[0]
 

@@ -39,7 +39,6 @@ var (
 	mAddCalls     = telemetry.C("hzdyn.add.calls")
 	mBlocks       = telemetry.C("hzdyn.blocks")
 	mOverflow     = telemetry.C("hzdyn.overflow_fallbacks")
-	mParallelAdds = telemetry.C("hzdyn.parallel_adds")
 	mPipelineHist = telemetry.H("hzdyn.pipeline_case", telemetry.LinearBuckets(1, 1, 4))
 )
 
@@ -137,214 +136,6 @@ func add(a, b []byte, dynamic bool) ([]byte, Stats, error) {
 // scratch comes from bufpool.
 func AddInto(dst, a, b []byte) (int, Stats, error) {
 	return addInto(dst, a, b, true)
-}
-
-// AddParallel is Add with the block work of each chunk sharded across the
-// given number of goroutines. The output is byte-identical to Add (and to
-// AddInto): sharding only changes who computes each block, never what is
-// emitted. workers <= 1 degenerates to the serial path.
-func AddParallel(a, b []byte, workers int) ([]byte, Stats, error) {
-	buf := bufpool.Bytes(AddBound(len(a), len(b)))
-	n, st, err := AddIntoParallel(buf, a, b, workers)
-	if err != nil {
-		bufpool.PutBytes(buf)
-		return nil, st, err
-	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	bufpool.PutBytes(buf)
-	return out, st, nil
-}
-
-// AddIntoParallel is AddInto with a goroutine-sharded block executor: a
-// serial marker walk splits each chunk's block sequence into `workers`
-// contiguous shards, every shard reduces independently at its worst-case
-// offset inside dst (an output block never outgrows its two input
-// blocks), and a deterministic left-compaction stitches the shards —
-// so the result is byte-identical to the serial path. 2D/3D containers
-// fall back to the serial reducer.
-func AddIntoParallel(dst, a, b []byte, workers int) (int, Stats, error) {
-	if workers <= 1 {
-		return addInto(dst, a, b, true)
-	}
-	var stats Stats
-	ha, err := fzlight.ParseHeaderLite(a)
-	if err != nil {
-		if errors.Is(err, fzlight.ErrBadVersion) {
-			return addIntoSlow(dst, a, b, true)
-		}
-		return 0, stats, fmt.Errorf("hzdyn: left operand: %w", err)
-	}
-	hb, err := fzlight.ParseHeaderLite(b)
-	if err != nil {
-		return 0, stats, fmt.Errorf("hzdyn: right operand: %w", err)
-	}
-	if ha != hb {
-		return 0, stats, ErrGeometry
-	}
-	if len(dst) < AddBound(len(a), len(b)) {
-		return 0, stats, fzlight.ErrShortOutput
-	}
-	mParallelAdds.Inc()
-	hdr := ha.PayloadStart()
-	nc := ha.NumChunks
-
-	if nc == 1 {
-		n, st, err := addChunkSharded(dst[hdr:], a[hdr:], b[hdr:], ha.DataLen, ha.BlockSize, workers)
-		if err != nil {
-			if errors.Is(err, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, err
-		}
-		stats.add(st)
-		fzlight.MarshalHeaderLite(dst, ha)
-		fzlight.PutChunkSize(dst, 0, n)
-		recordAdd(stats)
-		return hdr + n, stats, nil
-	}
-
-	// Multi-chunk containers already reduce chunk pairs concurrently;
-	// spread the shard budget across them.
-	per := (workers + nc - 1) / nc
-	offs := make([]int, nc+1)
-	offsA := make([]int, nc+1)
-	offsB := make([]int, nc+1)
-	offs[0], offsA[0], offsB[0] = hdr, hdr, hdr
-	for i := 0; i < nc; i++ {
-		sa, sb := ha.ChunkSize(a, i), hb.ChunkSize(b, i)
-		offsA[i+1] = offsA[i] + sa
-		offsB[i+1] = offsB[i] + sb
-		offs[i+1] = offs[i] + sa + sb
-	}
-	sizes := make([]int, nc)
-	chunkStats := make([]Stats, nc)
-	errs := make([]error, nc)
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for i := 0; i < nc; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, e := fzlight.ChunkBounds(ha.DataLen, nc, i)
-			sizes[i], chunkStats[i], errs[i] = addChunkSharded(dst[offs[i]:offs[i+1]],
-				a[offsA[i]:offsA[i+1]], b[offsB[i]:offsB[i+1]], e-s, ha.BlockSize, per)
-		}(i)
-	}
-	wg.Wait()
-	fzlight.MarshalHeaderLite(dst, ha)
-	o := hdr
-	for i := 0; i < nc; i++ {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, errs[i]
-		}
-		copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-		fzlight.PutChunkSize(dst, i, sizes[i])
-		o += sizes[i]
-		stats.add(chunkStats[i])
-	}
-	recordAdd(stats)
-	return o, stats, nil
-}
-
-// addChunkSharded is addChunk with the block loop split across `workers`
-// goroutines. The chunk outlier adds at stitch level (it prefixes the
-// chunk, outside every shard); a serial marker walk locates each shard's
-// byte offsets in both inputs; shards then write at their worst-case dst
-// offsets and compact left in order, which makes the output — bytes and
-// accumulated statistics — identical to the serial reducer's.
-func addChunkSharded(dst, a, b []byte, n, B int, workers int) (int, Stats, error) {
-	var st Stats
-	nblocks := (n + B - 1) / B
-	if workers > nblocks {
-		workers = nblocks
-	}
-	if workers <= 1 {
-		return addChunk(dst, a, b, n, B, true)
-	}
-	if len(a) < 4 || len(b) < 4 {
-		return 0, st, fzlight.ErrCorrupt
-	}
-	// Outliers (first quantized value of the chunk) add directly.
-	oa64 := int64(getInt32(a)) + int64(getInt32(b))
-	if oa64 > math.MaxInt32 || oa64 < math.MinInt32 {
-		return 0, st, ErrOverflow
-	}
-	putInt32(dst, int32(oa64))
-	pa, pb := a[4:], b[4:]
-
-	// Serial marker walk: find where each shard's blocks start in both
-	// streams. Shards are contiguous runs of ceil(nblocks/workers) blocks.
-	per := (nblocks + workers - 1) / workers
-	aOff := make([]int, workers+1)
-	bOff := make([]int, workers+1)
-	elemAt := make([]int, workers+1)
-	oa, ob := 0, 0
-	s := 0
-	for k := 0; k < nblocks; k++ {
-		if k == s*per {
-			aOff[s], bOff[s], elemAt[s] = oa, ob, k*B
-			s++
-		}
-		bn := B
-		if (k+1)*B > n {
-			bn = n - k*B
-		}
-		if oa >= len(pa) || ob >= len(pb) {
-			return 0, st, fzlight.ErrCorrupt
-		}
-		sa, err := fzlight.BlockBytes(pa[oa:], bn)
-		if err != nil {
-			return 0, st, err
-		}
-		sb, err := fzlight.BlockBytes(pb[ob:], bn)
-		if err != nil {
-			return 0, st, err
-		}
-		oa += sa
-		ob += sb
-	}
-	if oa != len(pa) || ob != len(pb) {
-		return 0, st, fzlight.ErrCorrupt
-	}
-	workers = s // trailing shards may be empty when per*workers > nblocks
-	aOff[s], bOff[s], elemAt[s] = oa, ob, n
-
-	// Every shard reduces at its worst-case offset: an output block never
-	// outgrows its two input blocks combined, so shard s fits between
-	// woff(s) and woff(s+1).
-	woff := func(s int) int { return 4 + aOff[s] + bOff[s] }
-	sizes := make([]int, workers)
-	shardStats := make([]Stats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			var oaW, obW int
-			sizes[w], oaW, obW, shardStats[w], errs[w] = addBlockRange(
-				dst[woff(w):woff(w+1)],
-				pa[aOff[w]:aOff[w+1]], pb[bOff[w]:bOff[w+1]],
-				elemAt[w+1]-elemAt[w], B, true)
-			if errs[w] == nil && (oaW != aOff[w+1]-aOff[w] || obW != bOff[w+1]-bOff[w]) {
-				errs[w] = fzlight.ErrCorrupt
-			}
-		}(w)
-	}
-	wg.Wait()
-	o := 4
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return 0, st, errs[w]
-		}
-		copy(dst[o:], dst[woff(w):woff(w)+sizes[w]])
-		o += sizes[w]
-		st.add(shardStats[w])
-	}
-	return o, st, nil
 }
 
 func addInto(dst, a, b []byte, dynamic bool) (int, Stats, error) {

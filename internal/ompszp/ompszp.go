@@ -284,7 +284,9 @@ func quantizeBlock(blk []float32, q []int32, recip float32) (blockMeta, error) {
 		if v != 0 {
 			zero = false
 		}
-		x := v * recip
+		// The conversion rounds the product to float32 before the ±0.5, so no
+		// architecture fuses the two into one multiply-add (cf. fzlight.quantise).
+		x := float32(v * recip)
 		if !(x < quantLimit && x > -quantLimit) {
 			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 				return blockMeta{}, ErrNonFinite

@@ -30,6 +30,7 @@ extract() {
         name = ""; mbs = ""
         if (match($0, /"name": "[^"]+"/)) {
             name = substr($0, RSTART + 9, RLENGTH - 10)
+            sub(/-[0-9]+$/, "", name) # the GOMAXPROCS suffix differs between hosts
         }
         if (match($0, /"mb_per_s": [0-9.eE+-]+/)) {
             mbs = substr($0, RSTART + 12, RLENGTH - 12)

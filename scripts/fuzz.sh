@@ -18,6 +18,7 @@ run() {
 run ./internal/floatbytes FuzzAddInto
 run ./internal/fzlight FuzzDecompress
 run ./internal/fzlight FuzzCompressRoundTrip
+run ./internal/fzlight FuzzBlockKernels
 run ./internal/hzdyn FuzzAdd
 run ./internal/hzdyn FuzzHomomorphism
 run ./internal/conformance FuzzCompressorOracle

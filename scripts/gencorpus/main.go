@@ -12,6 +12,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"math"
@@ -125,6 +126,41 @@ func main() {
 	dir = "internal/fzlight/testdata/fuzz/FuzzCompressRoundTrip"
 	write(dir, "seed-outlier", entry(floatsToBytes(outlierField(96)), uint8(2), uint8(3)))
 	write(dir, "seed-alternating", entry(floatsToBytes([]float32{100, -100, 100, -100, 0.5, -0.5}), uint8(1), uint8(0)))
+
+	// --- internal/fzlight: FuzzBlockKernels([]byte) ---
+	// One case is a float64 scale, an int32 carry, then a body read both as
+	// 32 float32 values to encode and as a block stream to decode (see
+	// kernelCase in internal/fzlight/kernel_test.go, whose f.Add seeds cover
+	// every width and lane; these pin the named corner cases on disk).
+	dir = "internal/fzlight/testdata/fuzz/FuzzBlockKernels"
+	kcase := func(scale float64, carry int32, body []byte) string {
+		b := make([]byte, 12, 12+len(body))
+		binary.LittleEndian.PutUint64(b, math.Float64bits(scale))
+		binary.LittleEndian.PutUint32(b[8:], uint32(carry))
+		return entry(append(b, body...))
+	}
+	blk := make([]float32, 32)
+	for i := range blk {
+		blk[i] = 3 * (float32(i-16) + 0.5) // ×⅓ lands on exact ties k+½
+	}
+	write(dir, "seed-ties", kcase(1.0/3, -5, floatsToBytes(blk)))
+	const big = 1<<29 - 32 // ×recip = 2^29−¼: passes the range test, rounds to ±2^29
+	for i := range blk {
+		blk[i] = big * float32(1-2*(i%2))
+	}
+	write(dir, "seed-width31", kcase((1<<29-0.25)/big, 0, floatsToBytes(blk)))
+	blk = sine(32, 0.4)
+	blk[17], blk[28] = float32(math.NaN()), 3e30
+	write(dir, "seed-nan-before-range", kcase(500, 77, floatsToBytes(blk)))
+	blk[3] = float32(math.Inf(-1))
+	write(dir, "seed-inf-first", kcase(500, 77, floatsToBytes(blk)))
+	wrap := []byte{30, 0, 0xFF, 0x0F, 0x80} // c=30, every magnitude near 2^30
+	for i := 0; i < 3*32+4*6+8; i++ {
+		wrap = append(wrap, 0xFF-byte(i))
+	}
+	write(dir, "seed-prefix-sum-wraps", kcase(0.002, math.MaxInt32-3, wrap))
+	write(dir, "seed-no-slack", kcase(0.002, 1, wrap[:len(wrap)-8]))
+	write(dir, "seed-marker-33", kcase(1, 0, []byte{33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}))
 
 	// --- internal/hzdyn: FuzzAdd([]byte, []byte) ---
 	dir = "internal/hzdyn/testdata/fuzz/FuzzAdd"
