@@ -199,3 +199,40 @@ func TestLegacyRecursiveMapsToRabenseifner(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgoChoicesBounded checks that a long session does not grow
+// RunResult.AlgoChoices with every collective call: after 100k calls each
+// rank still reports only its 64 most recent choices, the newest last.
+func TestAlgoChoicesBounded(t *testing.T) {
+	const ranks, keep = 2, 64
+	calls := 100_000
+	if testing.Short() {
+		calls = 10_000
+	}
+	last := hzccl.CollectiveOptions{Algorithm: hzccl.AlgoRecursiveDoubling}
+	res, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: ranks}, func(r *hzccl.Rank) error {
+		data := rankedField(r.ID(), 4)
+		for i := 0; i < calls-1; i++ {
+			if _, err := r.Allreduce(data, hzccl.BackendMPI, hzccl.CollectiveOptions{}); err != nil {
+				return err
+			}
+		}
+		_, err := r.Allreduce(data, hzccl.BackendMPI, last)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.AlgoChoices) != ranks*keep {
+		t.Fatalf("%d algo choices after %d calls on %d ranks, want %d", len(res.AlgoChoices), calls, ranks, ranks*keep)
+	}
+	for i, ch := range res.AlgoChoices {
+		want := hzccl.AlgoRing
+		if i%keep == keep-1 {
+			want = hzccl.AlgoRecursiveDoubling // the final call, last in its rank's window
+		}
+		if ch.Rank != i/keep || ch.Algorithm != want {
+			t.Fatalf("choice %d: %+v, want rank %d %v", i, ch, i/keep, want)
+		}
+	}
+}

@@ -212,7 +212,9 @@ type RunResult struct {
 	Degradations []Degradation
 	// AlgoChoices records which algorithm each Allreduce/ReduceScatter
 	// call resolved to (one entry per rank per call, ordered by rank then
-	// occurrence), including cost-model resolutions of AlgoAuto.
+	// occurrence), including cost-model resolutions of AlgoAuto. A long
+	// session keeps only each rank's 64 most recent calls; the
+	// collective.algo.* counters count them all.
 	AlgoChoices []AlgoChoice
 	// WallSeconds is the real elapsed time of the run, reported next to
 	// the virtual model. On the default in-process fabric it includes all

@@ -82,12 +82,18 @@ func (d Degradation) String() string {
 	return fmt.Sprintf("rank %d %s: %s → %s (%s)", d.Rank, d.Op, d.From, d.To, d.Reason)
 }
 
+// maxAlgoChoices is how many of its most recent algorithm choices a run
+// keeps per rank.
+const maxAlgoChoices = 64
+
 // runRecorder collects the per-rank event records of one cluster run:
-// backend degradations and algorithm choices.
+// backend degradations and, per rank, the most recent maxAlgoChoices
+// algorithm choices (a long session makes one per collective call, so an
+// unbounded log grew with the number of calls).
 type runRecorder struct {
 	mu      sync.Mutex
 	log     []Degradation
-	choices []AlgoChoice
+	choices [][]AlgoChoice // by rank; each holds at most 2·maxAlgoChoices
 }
 
 func (rec *runRecorder) record(d Degradation) {
@@ -109,18 +115,26 @@ func (rec *runRecorder) take() []Degradation {
 
 func (rec *runRecorder) recordChoice(ch AlgoChoice) {
 	rec.mu.Lock()
-	rec.choices = append(rec.choices, ch)
+	for len(rec.choices) <= ch.Rank {
+		rec.choices = append(rec.choices, nil)
+	}
+	c := rec.choices[ch.Rank]
+	if len(c) == 2*maxAlgoChoices {
+		c = c[:copy(c, c[maxAlgoChoices:])] // drop the older half, in place
+	}
+	rec.choices[ch.Rank] = append(c, ch)
 	rec.mu.Unlock()
 }
 
-// takeChoices returns the algorithm choices ordered by rank (then
-// occurrence).
+// takeChoices returns each rank's most recent maxAlgoChoices algorithm
+// choices, ordered by rank (then occurrence).
 func (rec *runRecorder) takeChoices() []AlgoChoice {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	out := make([]AlgoChoice, len(rec.choices))
-	copy(out, rec.choices)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
+	var out []AlgoChoice
+	for _, c := range rec.choices {
+		out = append(out, c[max(0, len(c)-maxAlgoChoices):]...)
+	}
 	return out
 }
 

@@ -489,25 +489,54 @@ func (c Collectives) reduceScatterHZCompressed(g comm, data []float32) ([]byte, 
 			return nil, nil, err
 		}
 		rs, re := BlockBounds(len(data), n, recvIdx)
-		var herr error
-		c.work(r, cluster.CatHPR, 4*(re-rs), func() {
-			out := bufpool.Bytes(hzdyn.AddBound(len(cblocks[recvIdx]), len(got)))
-			m, st, err := hzdyn.AddInto(out, cblocks[recvIdx], got)
-			if err != nil {
-				bufpool.PutBytes(out)
-				herr = err
-				return
-			}
-			bufpool.PutBytes(cblocks[recvIdx])
-			bufpool.PutBytes(got)
-			cblocks[recvIdx] = out[:m]
-			stats.Accumulate(st)
-		})
-		if herr != nil {
-			return nil, nil, herr
+		if cblocks[recvIdx], err = c.addPooled(r, cblocks[recvIdx], got, re-rs, stats); err != nil {
+			return nil, nil, err
 		}
+		bufpool.PutBytes(got)
 	}
 	return cblocks[BlockOwned(g.id, n)], stats, nil
+}
+
+// compressPooled compresses vals into a bufpool buffer the caller owns,
+// under a CPR charge.
+func (c Collectives) compressPooled(r *cluster.Rank, vals []float32) ([]byte, error) {
+	params := c.Opt.params()
+	var out []byte
+	var cerr error
+	c.work(r, cluster.CatCPR, 4*len(vals), func() {
+		buf := bufpool.Bytes(fzlight.CompressBound(len(vals), params))
+		m, err := fzlight.CompressInto(buf, vals, params)
+		if err != nil {
+			bufpool.PutBytes(buf)
+			cerr = err
+			return
+		}
+		out = buf[:m]
+	})
+	return out, cerr
+}
+
+// addPooled is one homomorphic reduction step, under an HPR charge for
+// elems values: it returns acc + got in a fresh bufpool buffer and recycles
+// acc, which the caller must own and not reference anywhere else. got is
+// the caller's to recycle — whole received payloads qualify (the transport
+// copied them), blobs inside a frame do not.
+func (c Collectives) addPooled(r *cluster.Rank, acc, got []byte, elems int, stats *hzdyn.Stats) ([]byte, error) {
+	var sum []byte
+	var herr error
+	c.work(r, cluster.CatHPR, 4*elems, func() {
+		out := bufpool.Bytes(hzdyn.AddBound(len(acc), len(got)))
+		m, st, err := hzdyn.AddInto(out, acc, got)
+		if err != nil {
+			bufpool.PutBytes(out)
+			herr = err
+			return
+		}
+		bufpool.PutBytes(acc)
+		sum = out[:m]
+		stats.Accumulate(st)
+	})
+	return sum, herr
 }
 
 // compressBlocksExcept compresses every reduce-scatter block except

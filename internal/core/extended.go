@@ -400,13 +400,8 @@ func (c Collectives) ReduceHZ(r *cluster.Rank, data []float32, root int) ([]floa
 	if root < 0 || root >= n {
 		return nil, nil, fmt.Errorf("core: reduce root %d out of range", root)
 	}
-	opt := c.Opt
 	stats := &hzdyn.Stats{}
-	var acc []byte
-	var cerr error
-	c.work(r, cluster.CatCPR, 4*len(data), func() {
-		acc, cerr = fzlight.Compress(data, opt.params())
-	})
+	acc, cerr := c.compressPooled(r, data)
 	if cerr != nil {
 		return nil, nil, cerr
 	}
@@ -423,21 +418,17 @@ func (c Collectives) ReduceHZ(r *cluster.Rank, data []float32, root int) ([]floa
 		if err != nil {
 			return nil, nil, err
 		}
-		var herr error
-		c.work(r, cluster.CatHPR, 4*len(data), func() {
-			var st hzdyn.Stats
-			acc, st, herr = hzdyn.Add(acc, got)
-			stats.Accumulate(st)
-		})
-		if herr != nil {
-			return nil, nil, herr
+		if acc, err = c.addPooled(r, acc, got, len(data), stats); err != nil {
+			return nil, nil, err
 		}
+		bufpool.PutBytes(got)
 	}
 	if v != 0 {
 		parent := v & (v - 1)
 		if err := r.Send(unvrank(parent, root, n), acc); err != nil {
 			return nil, nil, err
 		}
+		bufpool.PutBytes(acc) // copied on send: dead here
 		return nil, stats, nil
 	}
 	var out []float32
@@ -448,6 +439,7 @@ func (c Collectives) ReduceHZ(r *cluster.Rank, data []float32, root int) ([]floa
 	if derr != nil {
 		return nil, nil, derr
 	}
+	bufpool.PutBytes(acc)
 	return out, stats, nil
 }
 

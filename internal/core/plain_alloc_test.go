@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hzccl/internal/cluster"
+	"hzccl/internal/hzdyn"
 )
 
 // TestPlainAllreduceAllocatesOnlyItsResult guards the plain data path's
@@ -44,36 +45,85 @@ func TestPlainAllreduceAllocatesOnlyItsResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range schedules {
-			var before, after runtime.MemStats
-			runClusterTopo(t, world, topo, func(r *cluster.Rank) error {
-				data := wideField(r.ID, n)
-				// Rank 0 samples the allocator between two barriers, so
-				// no rank is inside an op while it reads.
-				sample := func(m *runtime.MemStats) error {
-					if err := r.Barrier(); err != nil {
-						return err
-					}
-					if r.ID == 0 {
-						runtime.ReadMemStats(m)
-					}
-					return r.Barrier()
-				}
-				for i := 0; i < warm+ops; i++ {
-					if i == warm {
-						if err := sample(&before); err != nil {
-							return err
-						}
-					}
-					if _, err := s.run(r, data); err != nil {
-						return err
-					}
-				}
-				return sample(&after)
-			})
-			perRankOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops*world)
+			perRankOp := allocPerRankOp(t, world, topo, n, warm, ops, s.run)
 			t.Logf("world %d %-12s %8.0f B per rank per op (input %d B)", world, s.name, perRankOp, 4*n)
 			if perRankOp > budget {
 				t.Errorf("world %d %s: %.0f bytes allocated per rank per Allreduce, budget %d (4·len(data) + 8 KiB)",
+					world, s.name, perRankOp, budget)
+			}
+		}
+	}
+}
+
+// allocPerRankOp runs warm+ops back-to-back calls of run on every rank of a
+// world and returns the bytes allocated per rank per call over the last ops.
+func allocPerRankOp(t *testing.T, world int, topo *cluster.Topology, n, warm, ops int, run func(*cluster.Rank, []float32) ([]float32, error)) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runClusterTopo(t, world, topo, func(r *cluster.Rank) error {
+		data := wideField(r.ID, n)
+		// Rank 0 samples the allocator between two barriers, so
+		// no rank is inside an op while it reads.
+		sample := func(m *runtime.MemStats) error {
+			if err := r.Barrier(); err != nil {
+				return err
+			}
+			if r.ID == 0 {
+				runtime.ReadMemStats(m)
+			}
+			return r.Barrier()
+		}
+		for i := 0; i < warm+ops; i++ {
+			if i == warm {
+				if err := sample(&before); err != nil {
+					return err
+				}
+			}
+			if _, err := run(r, data); err != nil {
+				return err
+			}
+		}
+		return sample(&after)
+	})
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(ops*world)
+}
+
+// TestHZAllreduceAllocatesOnlyItsResult is the same guard for the
+// homomorphic schedules: the compressed blocks, every reduction step's sum
+// and the frames they travel in come from bufpool and go back to it, so an
+// hZ Allreduce (or rooted Reduce) allocates its result slice and little
+// else. Before the recursive-doubling, Rabenseifner and Reduce paths moved
+// to AddInto/CompressInto they allocated a compressed vector per step.
+func TestHZAllreduceAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; byte counts are meaningless")
+	}
+	const n, warm, ops = 1 << 12, 4, 16
+	const budget = 4*n + 8<<10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	c := New(Options{ErrorBound: 1e-3})
+	drop := func(f func(*cluster.Rank, []float32) ([]float32, *hzdyn.Stats, error)) func(*cluster.Rank, []float32) ([]float32, error) {
+		return func(r *cluster.Rank, data []float32) ([]float32, error) {
+			out, _, err := f(r, data)
+			return out, err
+		}
+	}
+	schedules := []struct {
+		name string
+		run  func(*cluster.Rank, []float32) ([]float32, error)
+	}{
+		{"ring", drop(c.AllreduceHZ)},
+		{"rd", drop(c.AllreduceHZRD)},
+		{"rabenseifner", drop(c.AllreduceHZRecursive)},
+		{"reduce", drop(func(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) { return c.ReduceHZ(r, data, 0) })},
+	}
+	for _, world := range []int{2, 4, 5, 8} {
+		for _, s := range schedules {
+			perRankOp := allocPerRankOp(t, world, nil, n, warm, ops, s.run)
+			t.Logf("world %d %-12s %8.0f B per rank per op (input %d B)", world, s.name, perRankOp, 4*n)
+			if perRankOp > budget {
+				t.Errorf("world %d %s: %.0f bytes allocated per rank per call, budget %d (4·len(data) + 8 KiB)",
 					world, s.name, perRankOp, budget)
 			}
 		}

@@ -211,7 +211,6 @@ func (c Collectives) AllreduceCCollRD(r *cluster.Rank, data []float32) ([]float3
 func (c Collectives) AllreduceHZRD(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) {
 	g := world(r)
 	n := g.n()
-	opt := c.Opt
 	stats := &hzdyn.Stats{}
 	if n == 1 {
 		out := make([]float32, len(data))
@@ -221,23 +220,15 @@ func (c Collectives) AllreduceHZRD(r *cluster.Rank, data []float32) ([]float32, 
 	p2, newrank := activeRanks(g.id, n)
 	rem := n - p2
 
-	var acc []byte
-	var cerr error
-	c.work(r, cluster.CatCPR, 4*len(data), func() {
-		acc, cerr = fzlight.Compress(data, opt.params())
-	})
+	acc, cerr := c.compressPooled(r, data)
 	if cerr != nil {
 		return nil, nil, cerr
 	}
-
-	homAdd := func(blob []byte) error {
-		var herr error
-		c.work(r, cluster.CatHPR, 4*len(data), func() {
-			var st hzdyn.Stats
-			acc, st, herr = hzdyn.Add(acc, blob)
-			stats.Accumulate(st)
-		})
-		return herr
+	homAdd := func(got []byte) (err error) {
+		if acc, err = c.addPooled(r, acc, got, len(data), stats); err == nil {
+			bufpool.PutBytes(got)
+		}
+		return err
 	}
 	decompress := func(blob []byte) ([]float32, error) {
 		var out []float32
@@ -254,6 +245,7 @@ func (c Collectives) AllreduceHZRD(r *cluster.Rank, data []float32) ([]float32, 
 			if err := g.rawSend(g.id+1, acc); err != nil {
 				return nil, nil, err
 			}
+			bufpool.PutBytes(acc) // copied on send: dead here
 			got, err := g.rawRecv(g.id + 1)
 			if err != nil {
 				return nil, nil, err
@@ -262,6 +254,7 @@ func (c Collectives) AllreduceHZRD(r *cluster.Rank, data []float32) ([]float32, 
 			if err != nil {
 				return nil, nil, err
 			}
+			bufpool.PutBytes(got)
 			return out, stats, nil
 		}
 		got, err := g.rawRecv(g.id - 1)
@@ -296,5 +289,6 @@ func (c Collectives) AllreduceHZRD(r *cluster.Rank, data []float32) ([]float32, 
 	if err != nil {
 		return nil, nil, err
 	}
+	bufpool.PutBytes(acc)
 	return out, stats, nil
 }

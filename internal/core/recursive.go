@@ -120,13 +120,14 @@ func (c Collectives) AllreducePlainRecursive(r *cluster.Rank, data []float32) ([
 	})
 }
 
-// frameBlobs packs a list of byte slices into one message.
+// frameBlobs packs a list of byte slices into one message, in a bufpool
+// buffer the caller owns.
 func frameBlobs(blobs [][]byte) []byte {
 	size := 4
 	for _, b := range blobs {
 		size += 4 + len(b)
 	}
-	out := make([]byte, 0, size)
+	out := bufpool.Bytes(size)[:0]
 	out = appendU32(out, uint32(len(blobs)))
 	for _, b := range blobs {
 		out = appendU32(out, uint32(len(b)))
@@ -167,7 +168,6 @@ func unframeBlobs(msg []byte) ([][]byte, error) {
 func (c Collectives) AllreduceHZRecursive(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) {
 	g := world(r)
 	n := g.n()
-	opt := c.Opt
 	stats := &hzdyn.Stats{}
 	if n == 1 {
 		out := make([]float32, len(data))
@@ -177,34 +177,62 @@ func (c Collectives) AllreduceHZRecursive(r *cluster.Rank, data []float32) ([]fl
 	p2, newrank := activeRanks(g.id, n)
 	rem := n - p2
 
-	// Compress all p2 blocks once.
+	// Compress all p2 blocks once, each into a pooled buffer this rank
+	// owns until it sends the block away or reduces it into a new one.
 	cblocks := make([][]byte, p2)
+	params := c.Opt.params()
 	var cerr error
 	c.work(r, cluster.CatCPR, 4*len(data), func() {
 		for k := 0; k < p2 && cerr == nil; k++ {
 			s, e := BlockBounds(len(data), p2, k)
-			cblocks[k], cerr = fzlight.Compress(data[s:e], opt.params())
+			buf := bufpool.Bytes(fzlight.CompressBound(e-s, params))
+			var m int
+			m, cerr = fzlight.CompressInto(buf, data[s:e], params)
+			cblocks[k] = buf[:m]
 		}
 	})
 	if cerr != nil {
 		return nil, nil, cerr
 	}
 
-	homAdd := func(k int, blob []byte) error {
-		var herr error
-		s, e := BlockBounds(len(data), p2, k)
-		c.work(r, cluster.CatHPR, 4*(e-s), func() {
-			var st hzdyn.Stats
-			cblocks[k], st, herr = hzdyn.Add(cblocks[k], blob)
-			stats.Accumulate(st)
-		})
-		return herr
+	// reduceFrame adds the blobs of one received frame onto the blocks from
+	// first on, then recycles the frame.
+	reduceFrame := func(frame []byte, first, count int, phase string) error {
+		blobs, err := unframeBlobs(frame)
+		if err != nil {
+			return err
+		}
+		if len(blobs) != count {
+			return fmt.Errorf("core: %s frame has %d blocks, want %d", phase, len(blobs), count)
+		}
+		for i, blob := range blobs {
+			k := first + i
+			s, e := BlockBounds(len(data), p2, k)
+			if cblocks[k], err = c.addPooled(r, cblocks[k], blob, e-s, stats); err != nil {
+				return err
+			}
+		}
+		bufpool.PutBytes(frame)
+		return nil
+	}
+	// sendBlocks frames blocks [lo, hi) for partner and returns its frame.
+	sendBlocks := func(partner, lo, hi int) ([]byte, error) {
+		frame := frameBlobs(cblocks[lo:hi])
+		got, err := g.sendRecv(partner, frame, partner, true)
+		bufpool.PutBytes(frame) // copied on send: dead here
+		return got, err
 	}
 
 	// Fold phase on compressed blocks.
 	if g.id < 2*rem {
 		if g.id%2 == 0 {
-			if err := g.rawSend(g.id+1, frameBlobs(cblocks)); err != nil {
+			frame := frameBlobs(cblocks)
+			err := g.rawSend(g.id+1, frame)
+			bufpool.PutBytes(frame) // copied on send, as are the blocks in it
+			for _, blk := range cblocks {
+				bufpool.PutBytes(blk)
+			}
+			if err != nil {
 				return nil, nil, err
 			}
 			got, err := g.rawRecv(g.id + 1)
@@ -221,17 +249,8 @@ func (c Collectives) AllreduceHZRecursive(r *cluster.Rank, data []float32) ([]fl
 		if err != nil {
 			return nil, nil, err
 		}
-		blobs, err := unframeBlobs(got)
-		if err != nil {
+		if err := reduceFrame(got, 0, p2, "fold"); err != nil {
 			return nil, nil, err
-		}
-		if len(blobs) != p2 {
-			return nil, nil, fmt.Errorf("core: fold frame has %d blocks, want %d", len(blobs), p2)
-		}
-		for k, blob := range blobs {
-			if err := homAdd(k, blob); err != nil {
-				return nil, nil, err
-			}
 		}
 	}
 
@@ -246,32 +265,30 @@ func (c Collectives) AllreduceHZRecursive(r *cluster.Rank, data []float32) ([]fl
 		} else {
 			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 		}
-		got, err := g.sendRecv(partner, frameBlobs(cblocks[sendLo:sendHi]), partner, true)
+		got, err := sendBlocks(partner, sendLo, sendHi)
 		if err != nil {
 			return nil, nil, err
 		}
-		blobs, err := unframeBlobs(got)
-		if err != nil {
+		for k := sendLo; k < sendHi; k++ { // the partner reduces these from here on
+			bufpool.PutBytes(cblocks[k])
+			cblocks[k] = nil
+		}
+		if err := reduceFrame(got, keepLo, keepHi-keepLo, "halving"); err != nil {
 			return nil, nil, err
-		}
-		if len(blobs) != keepHi-keepLo {
-			return nil, nil, fmt.Errorf("core: halving frame has %d blocks, want %d", len(blobs), keepHi-keepLo)
-		}
-		for i, blob := range blobs {
-			if err := homAdd(keepLo+i, blob); err != nil {
-				return nil, nil, err
-			}
 		}
 		lo, hi = keepLo, keepHi
 	}
 
-	// Recursive doubling allgather of compressed blocks.
+	// Recursive doubling allgather of compressed blocks. The gathered blocks
+	// stay inside the frames they arrived in until they are decompressed.
+	frames := [][]byte{cblocks[lo]} // this rank's own reduced block, then every frame
 	for dist := 1; dist < p2; dist *= 2 {
 		partner := oldRank(newrank^dist, n, p2)
-		got, err := g.sendRecv(partner, frameBlobs(cblocks[lo:hi]), partner, true)
+		got, err := sendBlocks(partner, lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}
+		frames = append(frames, got)
 		blobs, err := unframeBlobs(got)
 		if err != nil {
 			return nil, nil, err
@@ -306,6 +323,9 @@ func (c Collectives) AllreduceHZRecursive(r *cluster.Rank, data []float32) ([]fl
 		if derr != nil {
 			return nil, nil, derr
 		}
+	}
+	for _, f := range frames {
+		bufpool.PutBytes(f)
 	}
 
 	// Unfold: ship the raw result to the folded partner.
@@ -445,7 +465,9 @@ func (c Collectives) AllreduceCCollRecursive(r *cluster.Rank, data []float32) ([
 	}
 	for dist := 1; dist < p2; dist *= 2 {
 		partner := oldRank(newrank^dist, n, p2)
-		got, err := g.sendRecv(partner, frameBlobs(blobs[lo:hi]), partner, true)
+		frame := frameBlobs(blobs[lo:hi])
+		got, err := g.sendRecv(partner, frame, partner, true)
+		bufpool.PutBytes(frame) // copied on send: dead here
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +500,10 @@ func (c Collectives) AllreduceCCollRecursive(r *cluster.Rank, data []float32) ([
 
 	// Unfold: ship the canonical framed blocks to the folded partner.
 	if g.id < 2*rem && g.id%2 == 1 {
-		if err := g.rawSend(g.id-1, frameBlobs(blobs)); err != nil {
+		frame := frameBlobs(blobs)
+		err := g.rawSend(g.id-1, frame)
+		bufpool.PutBytes(frame)
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package fzlight
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -284,13 +285,60 @@ type SumScratch32 struct {
 	mags [32]uint32
 }
 
-// SumBlocks32 is the fused pipeline-④ kernel for full 32-element blocks:
-// it inverse fixed-length decodes the two encoded blocks at sa and sb,
-// adds the prediction integers, and fixed-length encodes the sum into dst,
-// in one bitplane-wise pass over the packed words — the unpacked []int32
-// block is never materialized. It returns the bytes written and the bytes
-// consumed from each input. overflow reports a sum that no longer fits in
-// int32.
+// SumBlocks32 is the fused pipeline-④ reducer for runs of full 32-element
+// block pairs: starting at sa[0] and sb[0] it adds up to pairs consecutive
+// block pairs into consecutive blocks at dst and returns the bytes written,
+// the bytes consumed from each input and the number of pairs done. The
+// first pair is always summed; the run then stops, without error, in front
+// of the first pair with a constant block (marker 0) on either side, which
+// the caller's pipelines ①–③ own. overflow reports a sum that no longer
+// fits in int32, err a corrupt operand; dst is then meaningless.
+//
+// With simd set, and where the CPU has them, the SIMD kernel
+// (block_amd64.s) takes every pair it can in one call — both markers in
+// 1–30, a sum narrower than 31 bits and 8 bytes of slack behind each block;
+// the portable sumPair32 below takes the others one at a time, and all of
+// them when simd is clear or on other CPUs. The two agree byte for byte.
+// Callers pass true; hzdyn's tests clear it to pin the portable path.
+//
+// dst must have room for the written blocks; when it extends at least 8
+// bytes past a block's end either path may scribble into that slack (the
+// next block overwrites it, or it is ignored).
+func SumBlocks32(dst, sa, sb []byte, pairs int, simd bool, sc *SumScratch32) (wrote, usedA, usedB, done int, overflow bool, err error) {
+	simd = simd && useKernels
+	for {
+		if simd {
+			w, ua, ub, k := sumBlocks32Fast(dst[wrote:], sa[usedA:], sb[usedB:], pairs-done)
+			wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k
+		}
+		if done > 0 && (done >= pairs || (usedA < len(sa) && sa[usedA] == 0) || (usedB < len(sb) && sb[usedB] == 0)) {
+			return wrote, usedA, usedB, done, false, nil
+		}
+		ra, rb := sa[usedA:], sb[usedB:]
+		if len(ra) > 0 && len(rb) > 0 && ra[0]-1 < 3 && rb[0]-1 < 3 {
+			// Widths 1–3 on both sides, the hottest portable case on
+			// climate-like data: call the specialised SWAR pair kernel
+			// from here, with no frame in between.
+			if ua, ub := 5+4*int(ra[0]), 5+4*int(rb[0]); len(ra) >= ua && len(rb) >= ub {
+				swa, swb := binary.LittleEndian.Uint32(ra[1:]), binary.LittleEndian.Uint32(rb[1:])
+				wrote += bitio.NarrowPairTab[(ra[0]-1)*3+(rb[0]-1)](dst[wrote:], ra[5:ua], rb[5:ub], swa, swb)
+				usedA, usedB, done = usedA+ua, usedB+ub, done+1
+				continue
+			}
+		}
+		w, ua, ub, overflow, err := sumPair32(dst[wrote:], ra, rb, sc)
+		if overflow || err != nil {
+			return 0, 0, 0, 0, overflow, err
+		}
+		wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+1
+	}
+}
+
+// sumPair32 is the portable pipeline ④ for one full block pair: it inverse
+// fixed-length decodes the two encoded blocks at sa and sb, adds the
+// prediction integers, and fixed-length encodes the sum into dst, in one
+// bitplane-wise pass over the packed words — the unpacked []int32 block is
+// never materialized.
 //
 // Both operand code lengths ≤ 30 (the overwhelmingly common case — the
 // compressor emits ≤ 30 for any physically plausible delta stream) take
@@ -301,11 +349,7 @@ type SumScratch32 struct {
 // dst. The width bound proves |a|,|b| < 1<<30, so the sum always fits in
 // int32 and the per-element overflow checks vanish. Code lengths 31 and
 // 32 fall back to the checked wide kernel.
-//
-// dst must have room for the written block; when it extends at least 8
-// bytes past the block's end the kernel may scribble zero bytes into that
-// slack (they are always overwritten by the next block or ignored).
-func SumBlocks32(dst, sa, sb []byte, sc *SumScratch32) (wrote, usedA, usedB int, overflow bool, err error) {
+func sumPair32(dst, sa, sb []byte, sc *SumScratch32) (wrote, usedA, usedB int, overflow bool, err error) {
 	if len(sa) < 1 || len(sb) < 1 {
 		return 0, 0, 0, false, ErrCorrupt
 	}
@@ -334,11 +378,6 @@ func SumBlocks32(dst, sa, sb []byte, sc *SumScratch32) (wrote, usedA, usedB int,
 			}
 			swb = uint32(sb[1]) | uint32(sb[2])<<8 | uint32(sb[3])<<16 | uint32(sb[4])<<24
 			pb = sb[5:usedB]
-		}
-		if ca <= 3 && ca > 0 && cb <= 3 && cb > 0 {
-			// Hottest widths get a direct specialised-kernel call with
-			// no intermediate dispatch frame.
-			return bitio.NarrowPairTab[(ca-1)*3+(cb-1)](dst, pa, pb, swa, swb), usedA, usedB, false, nil
 		}
 		return bitio.AddBlocks32Narrow(dst, pa, pb, swa, swb, ca, cb), usedA, usedB, false, nil
 	}

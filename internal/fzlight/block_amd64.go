@@ -9,6 +9,9 @@ func encodeBlock32K(dst *[kernelDst]byte, blk *[32]float32, recip float64, qprev
 //go:noescape
 func decodeBlock32K(out *[32]float32, src *byte, c int, acc int32, eb2 float64) int32
 
+//go:noescape
+func sumBlocks32K(dst, a, b *byte, dstLen, aLen, bLen, pairs int) (wrote, usedA, usedB, done int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
 
@@ -61,4 +64,28 @@ func decodeBlock32Fast(src []byte, out []float32, acc int32, eb2 float64) (used 
 		return 0, acc, false
 	}
 	return need, decodeBlock32K(o, &src[0], c, acc, eb2), true
+}
+
+// kernelRun caps the block pairs handed to one sumBlocks32K call: assembly
+// cannot be preempted, and 1024 pairs keep a call near 30 µs.
+const kernelRun = 1024
+
+// sumBlocks32Fast adds up to pairs consecutive full block pairs of a and b
+// into dst with the kernel and reports how far it got. It stops in front of
+// the first pair outside the kernel's contract — a marker that is 0 or
+// above 30, a sum of code length 31, or fewer than 8 bytes of slack behind
+// a block in a, b or dst — and everything up to dst[wrote] is final; the
+// portable SumBlocks32 body takes it from there.
+func sumBlocks32Fast(dst, a, b []byte, pairs int) (wrote, usedA, usedB, done int) {
+	// A pair the kernel took left 8 bytes behind it on all three sides, so
+	// the slices below are never empty after the first call.
+	for done < pairs && wrote < len(dst) && usedA < len(a) && usedB < len(b) {
+		run := min(pairs-done, kernelRun)
+		w, ua, ub, k := sumBlocks32K(&dst[wrote], &a[usedA], &b[usedB], len(dst)-wrote, len(a)-usedA, len(b)-usedB, run)
+		wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k
+		if k < run {
+			break
+		}
+	}
+	return wrote, usedA, usedB, done
 }

@@ -2,8 +2,22 @@
 
 // AVX2+BMI2 block kernels for the one shape the collectives use: float32,
 // full 32-value blocks. Each kernel does the whole block in registers, all
-// code lengths in one body. The portable Go codecs in block.go are the
-// definition; these must agree with them byte for byte and bit for bit.
+// code lengths in one body: encodeBlock32K (floats → block), decodeBlock32K
+// (block → floats) and sumBlocks32K (block + block → block, the homomorphic
+// add). The portable Go codecs in block.go are the definition; these must
+// agree with them byte for byte and bit for bit.
+//
+// The kernels are built from two halves, written once as macros. The
+// decode front — LOADPLANES, UNPACK, SIGNED — turns a block's bytes into 32
+// signed deltas in four registers; the encode back — SIGNBITS, ORWIDTH,
+// TRANSPOSE, STOREPLANES — turns 32 deltas into a block's bytes. Encode is
+// quantise + back, decode is front + prefix sum + dequantise, and the add
+// is front(a), front(b), VPADDD, back: the Lorenzo predictor is linear, so
+// deltas add without a prefix sum, a float or an int32 slice in between.
+// When both code lengths are at most 6 the add runs the same pipeline on
+// bytes instead of dwords (UNSQUEEZE, BYTESIGNED, VPADDB, SQUEEZE): the
+// residual plane already is the 32 magnitudes in value order, so there is
+// nothing to transpose.
 //
 // Quantisation rule (quantise in block.go): q = floor(x + 0.5) with
 // x = float64(v)·recip — two IEEE roundings, product then sum, never a
@@ -17,7 +31,9 @@
 //
 // Memory contract, enforced by the Go wrappers in block_amd64.go: encode
 // reads blk[0:32] and writes only inside dst[0:141]; decode writes
-// out[0:32] and reads only src[0:need+8], need = 5 + 32⌊c/8⌋ + 4(c mod 8).
+// out[0:32] and reads only src[0:need+8], need = 5 + 32⌊c/8⌋ + 4(c mod 8);
+// the add takes a pair only when need+8 bytes of each operand are readable
+// and need+8 bytes of dst are writable, and touches nothing beyond those.
 
 DATA f64abs<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
 GLOBL f64abs<>(SB), RODATA|NOPTR, $8
@@ -54,11 +70,132 @@ DATA laneBit<>+16(SB)/8, $0x0000002000000010
 DATA laneBit<>+24(SB)/8, $0x0000008000000040
 GLOBL laneBit<>(SB), RODATA|NOPTR, $32
 
+// bytes 0,0,…(×8), 1(×8) | 2(×8), 3(×8): byte i of a broadcast sign word ←
+// its byte i/8
+DATA signSpread<>+0(SB)/8, $0x0000000000000000
+DATA signSpread<>+8(SB)/8, $0x0101010101010101
+DATA signSpread<>+16(SB)/8, $0x0202020202020202
+DATA signSpread<>+24(SB)/8, $0x0303030303030303
+GLOBL signSpread<>(SB), RODATA|NOPTR, $32
+
+// bytes 1,2,4,…,128, four times: byte i tests sign bit i mod 8
+DATA byteBit<>+0(SB)/8, $0x8040201008040201
+DATA byteBit<>+8(SB)/8, $0x8040201008040201
+DATA byteBit<>+16(SB)/8, $0x8040201008040201
+DATA byteBit<>+24(SB)/8, $0x8040201008040201
+GLOBL byteBit<>(SB), RODATA|NOPTR, $32
+
+// SIGNBITS shifts the sign bits of the eight dwords in M into the sign word
+// collected in AX, which is in place after four groups.
+#define SIGNBITS(M) \
+	VMOVMSKPS M, DX; \
+	ORL DX, AX; \
+	RORL $8, AX
+
+// ORWIDTH leaves in CX the OR of the 32 magnitudes in Y0…Y3, flags set on
+// it: the block's code length is its bit length.
+#define ORWIDTH \
+	VPOR Y1, Y0, Y4; \
+	VPOR Y3, Y2, Y5; \
+	VPOR Y5, Y4, Y4; \
+	VEXTRACTI128 $1, Y4, X5; \
+	VPOR X5, X4, X4; \
+	VMOVQ X4, CX; \
+	VPEXTRQ $1, X4, DX; \
+	ORQ DX, CX; \
+	MOVQ CX, DX; \
+	SHRQ $32, DX; \
+	ORL DX, CX
+
+// TRANSPOSE is the 32×4 byte transpose of the magnitudes in Y0…Y3 (values
+// 0–7, 8–15, 16–23, 24–31) into byte planes 0…3 in the same registers:
+// dword k of each 128-bit lane ← byte k of its four magnitudes, then dword
+// k of all eight lanes gathered into plane k.
+#define TRANSPOSE \
+	VMOVDQU byteCols<>(SB), Y4; \
+	VPSHUFB Y4, Y0, Y0; \
+	VPSHUFB Y4, Y1, Y1; \
+	VPSHUFB Y4, Y2, Y2; \
+	VPSHUFB Y4, Y3, Y3; \
+	VPUNPCKLDQ Y1, Y0, Y4; \
+	VPUNPCKHDQ Y1, Y0, Y5; \
+	VPUNPCKLDQ Y3, Y2, Y6; \
+	VPUNPCKHDQ Y3, Y2, Y7; \
+	VPUNPCKLQDQ Y6, Y4, Y0; \
+	VPUNPCKHQDQ Y6, Y4, Y1; \
+	VPUNPCKLQDQ Y7, Y5, Y2; \
+	VPUNPCKHQDQ Y7, Y5, Y3; \
+	VMOVDQU mixLanes<>(SB), Y4; \
+	VPERMD Y0, Y4, Y0; \
+	VPERMD Y1, Y4, Y1; \
+	VPERMD Y2, Y4, Y2; \
+	VPERMD Y3, Y4, Y3
+
+// SQUEEZE stores the residual plane in Y4 at R8: each of its four qwords
+// (8 values, the low r = DX bits of each byte) squeezed to r bytes by one
+// PEXT, written with four 8-byte stores r bytes apart — the last one ends
+// at R8[3r+8].
+#define SQUEEZE \
+	MOVL $1, R9; \
+	SHLXQ DX, R9, R9; \
+	DECQ R9; \
+	MOVQ $0x0101010101010101, R10; \
+	IMULQ R10, R9; \
+	VMOVQ X4, R10; \
+	VPEXTRQ $1, X4, R11; \
+	VEXTRACTI128 $1, Y4, X4; \
+	VMOVQ X4, R12; \
+	VPEXTRQ $1, X4, R13; \
+	PEXTQ R9, R10, R10; \
+	PEXTQ R9, R11, R11; \
+	PEXTQ R9, R12, R12; \
+	PEXTQ R9, R13, R13; \
+	MOVQ R10, (R8); \
+	ADDQ DX, R8; \
+	MOVQ R11, (R8); \
+	ADDQ DX, R8; \
+	MOVQ R12, (R8); \
+	ADDQ DX, R8; \
+	MOVQ R13, (R8)
+
+// STOREPLANES writes the planes Y0…Y3 of a block of code length CX (1–31)
+// behind the five header bytes at DST: the ⌊c/8⌋ whole planes, then the
+// next one SQUEEZEd to r = c mod 8 bits per value. The last 8-byte store
+// ends at most 8 bytes past the block. Leaves the block's size in AX; the
+// four labels are the caller's, unique per expansion.
+#define STOREPLANES(DST, L1, L23, L3, LRES) \
+	MOVL CX, DX; \
+	ANDL $7, DX; /* r */ \
+	SHRL $3, CX; /* ⌊c/8⌋ ≤ 3 */ \
+	CMPL CX, $1; \
+	JA L23; \
+	JE L1; \
+	VMOVDQA Y0, Y4; \
+	JMP LRES; \
+L1: \
+	VMOVDQU Y0, 5(DST); \
+	VMOVDQA Y1, Y4; \
+	JMP LRES; \
+L23: \
+	VMOVDQU Y0, 5(DST); \
+	VMOVDQU Y1, 37(DST); \
+	CMPL CX, $3; \
+	JE L3; \
+	VMOVDQA Y2, Y4; \
+	JMP LRES; \
+L3: \
+	VMOVDQU Y2, 69(DST); \
+	VMOVDQA Y3, Y4; \
+LRES: \
+	SHLL $5, CX; /* 32·⌊c/8⌋ */ \
+	LEAQ 5(DST)(CX*1), R8; \
+	SQUEEZE; \
+	LEAQ 5(CX)(DX*4), AX
+
 // QUANT quantises blk[off/4 : off/4+8] and leaves the magnitudes of their
 // Lorenzo deltas in M. PREV holds, in lane 0, the quantised value before
 // this group; NEXT receives the same for the following group. AX collects
-// the sign word (rotated into place after four groups), Y11 the lanes that
-// fail the range test.
+// the sign word, Y11 the lanes that fail the range test.
 #define QUANT(off, M, PREV, NEXT) \
 	VCVTPS2PD off(SI), Y4; \
 	VCVTPS2PD off+16(SI), Y5; \
@@ -80,9 +217,7 @@ GLOBL laneBit<>(SB), RODATA|NOPTR, $32
 	VPERMD Y4, Y10, NEXT; /* q7 q0 … q6 */ \
 	VPBLENDD $1, PREV, NEXT, Y5; /* q(−1) q0 … q6 */ \
 	VPSUBD Y5, Y4, Y4; \
-	VMOVMSKPS Y4, BX; \
-	ORL BX, AX; \
-	RORL $8, AX; \
+	SIGNBITS(Y4); \
 	VPABSD Y4, M
 
 // func encodeBlock32K(dst *[141]byte, blk *[32]float32, recip float64, qprev int32) (n int, q int32, ok bool)
@@ -110,102 +245,17 @@ TEXT ·encodeBlock32K(SB), NOSPLIT, $0-45
 	VMOVD X9, BX // the block's last quantised value
 	MOVL BX, q+40(FP)
 	MOVB $1, ok+44(FP)
-
-	// c = bit length of the OR of all 32 magnitudes
-	VPOR Y1, Y0, Y4
-	VPOR Y3, Y2, Y5
-	VPOR Y5, Y4, Y4
-	VEXTRACTI128 $1, Y4, X5
-	VPOR X5, X4, X4
-	VMOVQ X4, CX
-	VPEXTRQ $1, X4, DX
-	ORQ DX, CX
-	MOVQ CX, DX
-	SHRQ $32, DX
-	ORL DX, CX
+	ORWIDTH
 	JZ encConst
 	BSRL CX, CX
 	INCL CX
-	CMPL CX, $32 // only a qprev beyond ±2^29 gets here; the residual step
-	JE encBad    // below assumes c ≤ 31, so leave the block to the caller
+	CMPL CX, $32 // only a qprev beyond ±2^29 gets here; STOREPLANES
+	JE encBad    // assumes c ≤ 31, so leave the block to the caller
 	MOVB CX, (DI)
 	MOVL AX, 1(DI)
-
-	// 32×4 byte transpose: dword k of each 128-bit lane ← byte k of its four
-	// magnitudes, then gather dword k of all eight lanes into plane k.
-	VMOVDQU byteCols<>(SB), Y4
-	VPSHUFB Y4, Y0, Y0
-	VPSHUFB Y4, Y1, Y1
-	VPSHUFB Y4, Y2, Y2
-	VPSHUFB Y4, Y3, Y3
-	VPUNPCKLDQ Y1, Y0, Y4
-	VPUNPCKHDQ Y1, Y0, Y5
-	VPUNPCKLDQ Y3, Y2, Y6
-	VPUNPCKHDQ Y3, Y2, Y7
-	VPUNPCKLQDQ Y6, Y4, Y0
-	VPUNPCKHQDQ Y6, Y4, Y1
-	VPUNPCKLQDQ Y7, Y5, Y2
-	VPUNPCKHQDQ Y7, Y5, Y3
-	VMOVDQU mixLanes<>(SB), Y4
-	VPERMD Y0, Y4, Y0
-	VPERMD Y1, Y4, Y1
-	VPERMD Y2, Y4, Y2
-	VPERMD Y3, Y4, Y3
-
-	// Store the ⌊c/8⌋ whole planes; the next one holds the residual bits.
-	MOVL CX, DX
-	ANDL $7, DX // r
-	SHRL $3, CX // ⌊c/8⌋ ≤ 3
-	CMPL CX, $1
-	JA encPlanes23
-	JE encPlanes1
-	VMOVDQA Y0, Y4
-	JMP encResidual
-
-encPlanes1:
-	VMOVDQU Y0, 5(DI)
-	VMOVDQA Y1, Y4
-	JMP encResidual
-
-encPlanes23:
-	VMOVDQU Y0, 5(DI)
-	VMOVDQU Y1, 37(DI)
-	CMPL CX, $3
-	JE encPlanes3
-	VMOVDQA Y2, Y4
-	JMP encResidual
-
-encPlanes3:
-	VMOVDQU Y2, 69(DI)
-	VMOVDQA Y3, Y4
-
-encResidual:
-	// Squeeze the residual plane's four qwords to r bytes each. The last
-	// 8-byte store ends at most at dst[130] and runs into the slack.
-	SHLL $5, CX // 32·⌊c/8⌋
-	LEAQ 5(DI)(CX*1), R8
-	MOVL $1, R9
-	SHLXQ DX, R9, R9
-	DECQ R9
-	MOVQ $0x0101010101010101, R10
-	IMULQ R10, R9
-	VMOVQ X4, R10
-	VPEXTRQ $1, X4, R11
-	VEXTRACTI128 $1, Y4, X4
-	VMOVQ X4, R12
-	VPEXTRQ $1, X4, R13
-	PEXTQ R9, R10, R10
-	PEXTQ R9, R11, R11
-	PEXTQ R9, R12, R12
-	PEXTQ R9, R13, R13
-	MOVQ R10, (R8)
-	ADDQ DX, R8
-	MOVQ R11, (R8)
-	ADDQ DX, R8
-	MOVQ R12, (R8)
-	ADDQ DX, R8
-	MOVQ R13, (R8)
-	LEAQ 5(CX)(DX*4), AX
+	TRANSPOSE
+	// The last residual store ends at most at dst[130], inside the slack.
+	STOREPLANES(DI, encPlanes1, encPlanes23, encPlanes3, encResidual)
 	MOVQ AX, n+32(FP)
 	VZEROUPPER
 	RET
@@ -223,16 +273,102 @@ encBad:
 	VZEROUPPER
 	RET
 
-// DEQUANT turns the eight magnitudes in M (MX its low half) into deltas
-// with the low eight bits of the sign word in Y8, prefix-sums them onto the
-// accumulator broadcast in Y9, leaves the new accumulator there, and stores
-// float32(eb2·float64(q)) to out[off/4 : off/4+8].
-#define DEQUANT(off, M, MX) \
-	VPAND Y11, Y8, Y12; \
-	VPCMPEQD Y11, Y12, Y12; /* −1 where the lane's sign bit is set */ \
+// UNSQUEEZE loads the residual plane at R8 into Y4: r = DX bytes per 8
+// values, spread back to the low r bits of 8 bytes by one PDEP, four
+// times. The last 8-byte load ends at R8[3r+8].
+#define UNSQUEEZE \
+	MOVL $1, R9; \
+	SHLXQ DX, R9, R9; \
+	DECQ R9; \
+	MOVQ $0x0101010101010101, R10; \
+	IMULQ R10, R9; \
+	MOVQ (R8), R10; \
+	ADDQ DX, R8; \
+	MOVQ (R8), R11; \
+	ADDQ DX, R8; \
+	MOVQ (R8), R12; \
+	ADDQ DX, R8; \
+	MOVQ (R8), R13; \
+	PDEPQ R9, R10, R10; \
+	PDEPQ R9, R11, R11; \
+	PDEPQ R9, R12, R12; \
+	PDEPQ R9, R13, R13; \
+	VMOVQ R10, X4; \
+	VPINSRQ $1, R11, X4, X4; \
+	VMOVQ R12, X5; \
+	VPINSRQ $1, R13, X5, X5; \
+	VINSERTI128 $1, X5, Y4, Y4
+
+// LOADPLANES reads the magnitudes of the block whose marker byte is at SRC,
+// code length CX (1–30), as byte planes Y0…Y3: the stored ones below ⌊c/8⌋,
+// at it the residual plane (UNSQUEEZE, r = c mod 8), zero above. The last
+// 8-byte load ends at most at SRC[need+8−r]. The four labels are the
+// caller's, unique per expansion.
+#define LOADPLANES(SRC, L1, L23, L3, LDONE) \
+	MOVL CX, DX; \
+	ANDL $7, DX; /* r */ \
+	SHRL $3, CX; /* ⌊c/8⌋ */ \
+	MOVL CX, R8; \
+	SHLL $5, R8; \
+	LEAQ 5(SRC)(R8*1), R8; \
+	UNSQUEEZE; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3; \
+	CMPL CX, $1; \
+	JA L23; \
+	JE L1; \
+	VMOVDQA Y4, Y0; \
+	JMP LDONE; \
+L1: \
+	VMOVDQU 5(SRC), Y0; \
+	VMOVDQA Y4, Y1; \
+	JMP LDONE; \
+L23: \
+	VMOVDQU 5(SRC), Y0; \
+	VMOVDQU 37(SRC), Y1; \
+	CMPL CX, $3; \
+	JE L3; \
+	VMOVDQA Y4, Y2; \
+	JMP LDONE; \
+L3: \
+	VMOVDQU 69(SRC), Y2; \
+	VMOVDQA Y4, Y3; \
+LDONE:
+
+// UNPACK is the inverse transpose of the planes Y0…Y3: bytes → words →
+// dwords, then the 128-bit lanes regrouped so that O0…O3 hold the
+// magnitudes of values 0–7, 8–15, 16–23, 24–31.
+#define UNPACK(O0, O1, O2, O3) \
+	VPUNPCKLBW Y1, Y0, Y4; \
+	VPUNPCKHBW Y1, Y0, Y5; \
+	VPUNPCKLBW Y3, Y2, Y6; \
+	VPUNPCKHBW Y3, Y2, Y7; \
+	VPUNPCKLWD Y6, Y4, Y0; /* 0–3 | 16–19 */ \
+	VPUNPCKHWD Y6, Y4, Y1; /* 4–7 | 20–23 */ \
+	VPUNPCKLWD Y7, Y5, Y2; /* 8–11 | 24–27 */ \
+	VPUNPCKHWD Y7, Y5, Y3; /* 12–15 | 28–31 */ \
+	VPERM2I128 $0x20, Y1, Y0, O0; \
+	VPERM2I128 $0x20, Y3, Y2, O1; \
+	VPERM2I128 $0x31, Y1, Y0, O2; \
+	VPERM2I128 $0x31, Y3, Y2, O3
+
+// SIGNED turns the eight magnitudes in M into deltas with the low eight
+// bits of the sign word broadcast in Y8, and shifts those out. Y11 holds
+// laneBit; T is scratch.
+#define SIGNED(M, T) \
+	VPAND Y11, Y8, T; \
+	VPCMPEQD Y11, T, T; /* −1 where the lane's sign bit is set */ \
 	VPSRLD $8, Y8, Y8; \
-	VPXOR Y12, M, M; \
-	VPSUBD Y12, M, M; /* (m ^ s) − s */ \
+	VPXOR T, M, M; \
+	VPSUBD T, M, M /* (m ^ s) − s */
+
+// DEQUANT signs the eight magnitudes in M (MX its low half), prefix-sums
+// the deltas onto the accumulator broadcast in Y9, leaves the new
+// accumulator there, and stores float32(eb2·float64(q)) to
+// out[off/4 : off/4+8].
+#define DEQUANT(off, M, MX) \
+	SIGNED(M, Y12); \
 	VPSLLDQ $4, M, Y12; \
 	VPADDD Y12, M, M; \
 	VPSLLDQ $8, M, Y12; \
@@ -268,79 +404,8 @@ TEXT ·decodeBlock32K(SB), NOSPLIT, $0-44
 	VMOVDQU laneBit<>(SB), Y11
 	VPCMPEQD Y10, Y10, Y10
 	VPSRLD $29, Y10, Y10 // dwords 7,7,…,7
-
-	// Residual plane: spread r bytes back to the low r bits of 8 bytes, four
-	// times. The last load ends at most at src[need+8−r].
-	MOVL CX, DX
-	ANDL $7, DX // r
-	SHRL $3, CX // ⌊c/8⌋
-	MOVL CX, R8
-	SHLL $5, R8
-	LEAQ 5(SI)(R8*1), R8
-	MOVL $1, R9
-	SHLXQ DX, R9, R9
-	DECQ R9
-	MOVQ $0x0101010101010101, R10
-	IMULQ R10, R9
-	MOVQ (R8), R10
-	ADDQ DX, R8
-	MOVQ (R8), R11
-	ADDQ DX, R8
-	MOVQ (R8), R12
-	ADDQ DX, R8
-	MOVQ (R8), R13
-	PDEPQ R9, R10, R10
-	PDEPQ R9, R11, R11
-	PDEPQ R9, R12, R12
-	PDEPQ R9, R13, R13
-	VMOVQ R10, X4
-	VPINSRQ $1, R11, X4, X4
-	VMOVQ R12, X5
-	VPINSRQ $1, R13, X5, X5
-	VINSERTI128 $1, X5, Y4, Y4
-
-	// Y0…Y3 ← planes 0…3: stored ones below ⌊c/8⌋, the residual at it, zero above.
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	CMPL CX, $1
-	JA decPlanes23
-	JE decPlanes1
-	VMOVDQA Y4, Y0
-	JMP decUnpack
-
-decPlanes1:
-	VMOVDQU 5(SI), Y0
-	VMOVDQA Y4, Y1
-	JMP decUnpack
-
-decPlanes23:
-	VMOVDQU 5(SI), Y0
-	VMOVDQU 37(SI), Y1
-	CMPL CX, $3
-	JE decPlanes3
-	VMOVDQA Y4, Y2
-	JMP decUnpack
-
-decPlanes3:
-	VMOVDQU 69(SI), Y2
-	VMOVDQA Y4, Y3
-
-decUnpack:
-	// Inverse transpose: bytes → words → dwords, then regroup the 128-bit
-	// lanes so Y4…Y7 hold values 0–7, 8–15, 16–23, 24–31.
-	VPUNPCKLBW Y1, Y0, Y4
-	VPUNPCKHBW Y1, Y0, Y5
-	VPUNPCKLBW Y3, Y2, Y6
-	VPUNPCKHBW Y3, Y2, Y7
-	VPUNPCKLWD Y6, Y4, Y0 // 0–3 | 16–19
-	VPUNPCKHWD Y6, Y4, Y1 // 4–7 | 20–23
-	VPUNPCKLWD Y7, Y5, Y2 // 8–11 | 24–27
-	VPUNPCKHWD Y7, Y5, Y3 // 12–15 | 28–31
-	VPERM2I128 $0x20, Y1, Y0, Y4
-	VPERM2I128 $0x20, Y3, Y2, Y5
-	VPERM2I128 $0x31, Y1, Y0, Y6
-	VPERM2I128 $0x31, Y3, Y2, Y7
+	LOADPLANES(SI, decPlanes1, decPlanes23, decPlanes3, decUnpack)
+	UNPACK(Y4, Y5, Y6, Y7)
 	DEQUANT(0, Y4, X4)
 	DEQUANT(32, Y5, X5)
 	DEQUANT(64, Y6, X6)
@@ -349,6 +414,199 @@ decUnpack:
 	MOVL AX, ret+40(FP)
 	VZEROUPPER
 	RET
+
+// BYTESIGNED turns the 32 byte magnitudes in Y4 into signed bytes in OUT
+// with the sign word of the block at SRC. Clobbers Y0.
+#define BYTESIGNED(SRC, OUT) \
+	VPBROADCASTD 1(SRC), Y0; \
+	VPSHUFB signSpread<>(SB), Y0, Y0; \
+	VPAND byteBit<>(SB), Y0, Y0; \
+	VPCMPEQB byteBit<>(SB), Y0, Y0; /* −1 where the value's sign bit is set */ \
+	VPXOR Y0, Y4, Y4; \
+	VPSUBB Y0, Y4, OUT /* (m ^ s) − s */
+
+// BLOCKLEN sets N to the size of a block of code length C ≥ 1:
+// 5 + 32⌊c/8⌋ + 4(c mod 8). T is scratch.
+#define BLOCKLEN(C, N, T) \
+	MOVL C, N; \
+	SHRL $3, N; \
+	SHLL $5, N; \
+	MOVL C, T; \
+	ANDL $7, T; \
+	LEAQ 5(N)(T*4), N
+
+// func sumBlocks32K(dst, a, b *byte, dstLen, aLen, bLen, pairs int) (wrote, usedA, usedB, done int)
+//
+// Pipeline ④ on a run of block pairs: a and b point at marker bytes, and up
+// to pairs consecutive blocks of each are added into consecutive blocks at
+// dst. The run stops in front of the first pair the kernel does not take —
+// a marker outside 1–30 on either side, a sum of code length 31, or fewer
+// than need+8 bytes left of a, b or dst (need the block's own size; 9 for a
+// constant sum) — having stored nothing at dst for that pair. With both
+// markers at most 30 every |delta| is below 2^30, so no sum wraps. Pairs
+// with both markers at most 6 take the byte lane at sumNarrow, the others
+// the dword body at sumWide; the checks before and the bookkeeping after
+// are shared.
+TEXT ·sumBlocks32K(SB), NOSPLIT, $24-88
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ dstLen+24(FP), AX
+	LEAQ -8(DI)(AX*1), AX
+	MOVQ AX, dend-8(SP) // a block of n bytes at p fits while p+n ≤ end−8
+	MOVQ aLen+32(FP), AX
+	LEAQ -8(SI)(AX*1), AX
+	MOVQ AX, aend-16(SP)
+	MOVQ bLen+40(FP), AX
+	LEAQ -8(BX)(AX*1), AX
+	MOVQ AX, bend-24(SP)
+	MOVQ $0, done+80(FP)
+	VMOVDQU laneBit<>(SB), Y11
+
+sumLoop:
+	CMPQ SI, aend-16(SP) // the shortest block the kernel takes is 9 bytes,
+	JAE sumDone          // so this also makes the marker readable
+	CMPQ BX, bend-24(SP)
+	JAE sumDone
+	MOVBLZX (SI), CX
+	MOVBLZX (BX), AX
+	LEAL -1(CX), DX
+	CMPL DX, $29
+	JA sumDone
+	LEAL -1(AX), DX
+	CMPL DX, $29
+	JA sumDone
+	BLOCKLEN(CX, R14, DX)
+	BLOCKLEN(AX, R15, DX)
+	LEAQ (SI)(R14*1), DX
+	CMPQ DX, aend-16(SP)
+	JA sumDone
+	LEAQ (BX)(R15*1), DX
+	CMPQ DX, bend-24(SP)
+	JA sumDone
+
+	CMPL CX, $6
+	JA sumWide
+	CMPL AX, $6
+	JBE sumNarrow
+
+sumWide:
+	VPBROADCASTD 1(SI), Y8
+	LOADPLANES(SI, sumA1, sumA23, sumA3, sumAUnpack)
+	UNPACK(Y12, Y13, Y14, Y15)
+	SIGNED(Y12, Y9)
+	SIGNED(Y13, Y9)
+	SIGNED(Y14, Y9)
+	SIGNED(Y15, Y9)
+	MOVBLZX (BX), CX
+	VPBROADCASTD 1(BX), Y8
+	LOADPLANES(BX, sumB1, sumB23, sumB3, sumBUnpack)
+	UNPACK(Y4, Y5, Y6, Y7)
+	SIGNED(Y4, Y9)
+	SIGNED(Y5, Y9)
+	SIGNED(Y6, Y9)
+	SIGNED(Y7, Y9)
+	VPADDD Y12, Y4, Y4
+	VPADDD Y13, Y5, Y5
+	VPADDD Y14, Y6, Y6
+	VPADDD Y15, Y7, Y7
+	XORL AX, AX
+	SIGNBITS(Y4)
+	SIGNBITS(Y5)
+	SIGNBITS(Y6)
+	SIGNBITS(Y7)
+	VPABSD Y4, Y0
+	VPABSD Y5, Y1
+	VPABSD Y6, Y2
+	VPABSD Y7, Y3
+	ORWIDTH
+	JZ sumConst
+	BSRL CX, CX
+	INCL CX
+	CMPL CX, $31
+	JE sumDone
+	BLOCKLEN(CX, R8, DX)
+	LEAQ (DI)(R8*1), DX
+	CMPQ DX, dend-8(SP)
+	JA sumDone
+	MOVB CX, (DI)
+	MOVL AX, 1(DI)
+	TRANSPOSE
+	STOREPLANES(DI, sumPlanes1, sumPlanes23, sumPlanes3, sumResidual)
+	ADDQ AX, DI
+
+sumNext:
+	ADDQ R14, SI
+	ADDQ R15, BX
+	MOVQ done+80(FP), AX
+	INCQ AX
+	MOVQ AX, done+80(FP)
+	CMPQ AX, pairs+48(FP)
+	JLT sumLoop
+
+sumDone:
+	SUBQ dst+0(FP), DI
+	MOVQ DI, wrote+56(FP)
+	SUBQ a+8(FP), SI
+	MOVQ SI, usedA+64(FP)
+	SUBQ b+16(FP), BX
+	MOVQ BX, usedB+72(FP)
+	VZEROUPPER
+	RET
+
+sumNarrow:
+	// Both code lengths at most 6 (no stored planes, |delta| ≤ 63, so every
+	// sum fits a signed byte and needs at most 7 bits): the same pipeline
+	// on one register of 32 bytes, in value order as UNSQUEEZE leaves them,
+	// with no transpose in either direction.
+	MOVL CX, DX
+	LEAQ 5(SI), R8
+	UNSQUEEZE
+	BYTESIGNED(SI, Y6)
+	MOVL AX, DX
+	LEAQ 5(BX), R8
+	UNSQUEEZE
+	BYTESIGNED(BX, Y4)
+	VPADDB Y6, Y4, Y4
+	VPMOVMSKB Y4, AX // the sign word: bit i ← sum i < 0
+	VPABSB Y4, Y4
+	VEXTRACTI128 $1, Y4, X5
+	VPOR X5, X4, X5
+	VMOVQ X5, CX
+	VPEXTRQ $1, X5, DX
+	ORQ DX, CX
+	MOVQ CX, DX
+	SHRQ $32, DX
+	ORL DX, CX
+	MOVL CX, DX
+	SHRL $16, DX
+	ORL DX, CX
+	MOVL CX, DX
+	SHRL $8, DX
+	ORL DX, CX
+	MOVBLZX CX, CX // the OR of the 32 magnitudes
+	JZ sumConst
+	BSRL CX, CX
+	INCL CX // c ≤ 7: the block is 5 + 4c bytes
+	LEAQ 5(DI)(CX*4), R8
+	CMPQ R8, dend-8(SP)
+	JA sumDone
+	MOVB CX, (DI)
+	MOVL AX, 1(DI)
+	MOVL CX, DX
+	LEAQ 5(DI), R8
+	SQUEEZE
+	LEAQ 5(DI)(DX*4), DI
+	JMP sumNext
+
+sumConst:
+	// Every delta cancelled: the sum is a constant block, one marker byte.
+	LEAQ 1(DI), DX
+	CMPQ DX, dend-8(SP)
+	JA sumDone
+	MOVB $0, (DI)
+	INCQ DI
+	JMP sumNext
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -63,7 +63,7 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	want, wantOverflow := legacySum(t, sa, sb)
 	var sc SumScratch32
 	dst := make([]byte, len(sa)+len(sb)+16)
-	wrote, usedA, usedB, overflow, err := SumBlocks32(dst, sa, sb, &sc)
+	wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, true, &sc)
 	if err != nil {
 		t.Fatalf("%s: SumBlocks32: %v", ctx, err)
 	}
@@ -82,13 +82,25 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	// Exactly-sized dst must produce the same bytes through the bounce
 	// paths without writing out of bounds.
 	exact := make([]byte, len(want))
-	wrote, _, _, _, err = SumBlocks32(exact, sa, sb, &sc)
+	wrote, _, _, _, _, err = SumBlocks32(exact, sa, sb, 1, true, &sc)
 	if err != nil {
 		t.Fatalf("%s: exact-dst SumBlocks32: %v", ctx, err)
 	}
 	if wrote != len(want) || !bytes.Equal(exact, want) {
 		t.Fatalf("%s: exact-dst output differs from legacy", ctx)
 	}
+	// With 8 bytes behind each operand the SIMD kernel, where the CPU has
+	// it, takes the pair (the suite's second pass runs this portably too).
+	wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, true, &sc)
+	if err != nil || usedA != len(sa) || usedB != len(sb) || wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
+		t.Fatalf("%s: padded operands: err %v, consumed %d/%d, output\n got % x\nwant % x", ctx, err, usedA, usedB, dst[:wrote], want)
+	}
+}
+
+// padded copies s with 8 zero bytes behind it, the slack the SIMD add
+// kernel asks for.
+func padded(s []byte) []byte {
+	return append(append(make([]byte, 0, len(s)+8), s...), make([]byte, 8)...)
 }
 
 // TestSumBlocks32WidthSweep pins the fused pipeline-④ kernels (SWAR pair
@@ -222,7 +234,7 @@ func FuzzFusedAdd(f *testing.F) {
 		want, wantOverflow := fuzzLegacySum(sa, sb)
 		var sc SumScratch32
 		dst := make([]byte, len(sa)+len(sb)+16)
-		wrote, usedA, usedB, overflow, err := SumBlocks32(dst, sa, sb, &sc)
+		wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, true, &sc)
 		if err != nil {
 			t.Fatalf("SumBlocks32: %v", err)
 		}
@@ -237,6 +249,11 @@ func FuzzFusedAdd(f *testing.F) {
 		}
 		if wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
 			t.Fatalf("fused output differs from legacy\n got % x\nwant % x", dst[:wrote], want)
+		}
+		// Again with the slack that lets the SIMD kernel take the pair.
+		wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, true, &sc)
+		if err != nil || usedA != len(sa) || usedB != len(sb) || wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
+			t.Fatalf("padded operands: err %v, consumed %d/%d\n got % x\nwant % x", err, usedA, usedB, dst[:wrote], want)
 		}
 	})
 }

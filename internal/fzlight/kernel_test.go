@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"hzccl/internal/telemetry"
 )
 
 // TestMain runs the package's tests as dispatched and, where that selected
@@ -415,5 +417,17 @@ func TestKernelContainersMatchPortable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The telemetry snapshot says which path the process is on.
+func TestSIMDGaugeReportsThePath(t *testing.T) {
+	for _, kernels := range []bool{false, haveKernels()} {
+		withPath(kernels, func() {
+			want := map[bool]float64{false: 0, true: 1}[kernels]
+			if got := telemetry.Capture().Gauges["fzlight.simd_kernels"]; got != want {
+				t.Errorf("useKernels=%v: fzlight.simd_kernels = %g, want %g", kernels, got, want)
+			}
+		})
 	}
 }

@@ -17,13 +17,11 @@
 package hzdyn
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
 
-	"hzccl/internal/bitio"
 	"hzccl/internal/bufpool"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/telemetry"
@@ -298,6 +296,11 @@ func recordAdd(stats Stats) {
 	}
 }
 
+// allowSIMD is what addBlockRange passes fzlight.SumBlocks32 as simd: true,
+// so the add takes the SIMD kernel wherever fzlight found the CPU has it.
+// Only the package's tests clear it, to run the suite on the portable path.
+var allowSIMD = true
+
 // sumScratchPool recycles the per-chunk scratch of the fused pipeline-④
 // kernel (one Get/Put per chunk, never per block).
 var sumScratchPool = sync.Pool{New: func() any { return new(fzlight.SumScratch32) }}
@@ -363,20 +366,6 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 		ca, cb := a[oa], b[ob]
 		blocks++
 		switch {
-		case bn == 32 && ca >= 1 && ca <= 3 && cb >= 1 && cb <= 3 &&
-			len(a)-oa >= 5+4*int(ca) && len(b)-ob >= 5+4*int(cb):
-			// Pipeline ④, narrow widths (the overwhelmingly common case
-			// on climate-like data, so it is tested first): call the
-			// specialised SWAR pair kernel directly, with no wrapper
-			// frame in between. The length guards are the same checks
-			// SumBlocks32 makes.
-			ua, ub := 5+4*int(ca), 5+4*int(cb)
-			swa := binary.LittleEndian.Uint32(a[oa+1:])
-			swb := binary.LittleEndian.Uint32(b[ob+1:])
-			o += bitio.NarrowPairTab[(int(ca)-1)*3+(int(cb)-1)](dst[o:], a[oa+5:oa+ua], b[ob+5:ob+ub], swa, swb)
-			oa += ua
-			ob += ub
-			nP4++
 		case dynamic && ca == 0 && cb == 0:
 			// Pipeline ①: sum of two all-zero delta blocks is all-zero.
 			dst[o] = 0
@@ -407,8 +396,9 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			nP3++
 		case bn == 32:
 			// Pipeline ④, fused fast path: IFE → integer add → FE in one
-			// pass over the block pair.
-			wrote, ua, ub, overflow, err := fzlight.SumBlocks32(dst[o:], a[oa:], b[ob:], sum)
+			// pass per block pair, for the whole run of pairs up to the
+			// next constant block in one call.
+			wrote, ua, ub, done, overflow, err := fzlight.SumBlocks32(dst[o:], a[oa:], b[ob:], (n-base)/32, allowSIMD, sum)
 			if err != nil {
 				return 0, 0, 0, st, err
 			}
@@ -418,7 +408,9 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			o += wrote
 			oa += ua
 			ob += ub
-			nP4++
+			base += 32 * (done - 1)
+			blocks += int64(done - 1)
+			nP4 += int64(done)
 		default:
 			// Pipeline ④, generic path for tail/odd-sized blocks.
 			ua, err := fzlight.DecodeBlock(a[oa:], pa[:bn], scratch)

@@ -70,6 +70,10 @@ func TestChaosPooledBuffersNoAliasing(t *testing.T) {
 				chaos := hzccl.NewChaos(spec)
 				label := fmt.Sprintf("%v %v reliable=%v", backend, algo, reliable)
 				outs := make([][][]float32, nRanks)
+				// The hZ rooted Reduce recycles its accumulator and every
+				// payload it folds the same way; it has no schedule of its
+				// own, so it rides along with the ring.
+				reduce := backend == hzccl.BackendHZCCL && algo == hzccl.AlgoRing
 				_, err := hzccl.RunCluster(hzccl.ClusterConfig{
 					Ranks:       nRanks,
 					Topology:    hzccl.UniformTopology(2, 2),
@@ -84,6 +88,16 @@ func TestChaosPooledBuffersNoAliasing(t *testing.T) {
 							return err
 						}
 						outs[r.ID()] = append(outs[r.ID()], out)
+						if !reduce {
+							continue
+						}
+						red, err := r.Reduce(fields[r.ID()], it%nRanks, backend, opt)
+						if err != nil {
+							return err
+						}
+						if r.ID() == it%nRanks {
+							outs[r.ID()] = append(outs[r.ID()], red)
+						}
 					}
 					return nil
 				})

@@ -89,47 +89,49 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
-# The fused-kernel throughput floor: the Table V CESM-ATM reduce is 94%
-# pipeline ④, so its MB/s is a direct measurement of the fused bitplane
-# kernel. The floor (2400 MB/s, ~4x the pre-fusion 586 MB/s baseline,
-# set below the ~3000 MB/s typical to absorb this machine's ±10% noise)
-# only applies when frac-p4 confirms the dataset still exercises the
-# kernel; it is skipped in -short, where a single iteration is noise.
-# The Fig6 allocation ceilings likewise need steady-state iteration
-# counts, so they gate only on full runs.
+# The throughput floors, all on CESM-ATM and all for the SIMD block kernels
+# (internal/fzlight/block_amd64.s), so they apply only where the kernels do:
+# the CPU flags are read from /proc/cpuinfo rather than asked of the
+# package, which exports nothing about its dispatch (a run's telemetry
+# snapshot has the fzlight.simd_kernels gauge). They are skipped in -short,
+# where a single iteration is noise. The Fig6 allocation ceilings likewise
+# need steady-state iteration counts, so they gate only on full runs.
+#
+#   - Table V homomorphic add: 94% pipeline ④ at widths 2–3, so its MB/s
+#     measures the add kernel's byte lane (plus the allocating wrapper's
+#     output buffer and copy). 5,200–6,700 MB/s on the reference box against
+#     ≈ 2,300 for the portable SWAR pair kernels; the floor is 0.7× that,
+#     3,700, up from a portable-path 2,400 that failed at an unchanged
+#     commit (2,085–3,373 MB/s). Checked only while frac-p4 confirms the
+#     dataset still exercises pipeline ④.
+#   - Fig6 fZ-light compress / decompress: ≈ 3,800 / ≈ 4,900 MB/s against
+#     ≈ 950 / ≈ 1,500 portable, floors 2,500 / 3,000.
 if [ "$SHORT" = false ]; then
-    cesm=$(awk '/^BenchmarkTable5HomomorphicAdd\/CESM-ATM/ {
-        mbs = ""; p4 = ""
-        for (i = 3; i + 1 <= NF; i += 2) {
-            if ($(i + 1) == "MB/s") mbs = $(i)
-            if ($(i + 1) == "frac-p4") p4 = $(i)
-        }
-        print mbs, p4
-    }' "$raw" | tail -1)
-    mbs=${cesm% *}
-    p4=${cesm#* }
-    if [ -z "$mbs" ] || [ -z "$p4" ]; then
-        echo "FAIL: BenchmarkTable5HomomorphicAdd/CESM-ATM reported no MB/s or frac-p4" >&2
-        exit 1
-    fi
-    if awk -v p="$p4" 'BEGIN { exit !(p >= 0.9) }'; then
-        if awk -v m="$mbs" 'BEGIN { exit !(m < 2400) }'; then
-            echo "FAIL: Table5 CESM-ATM homomorphic add at ${mbs} MB/s (floor 2400, frac-p4 ${p4})" >&2
+    if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw bmi2 /proc/cpuinfo 2>/dev/null; then
+        cesm=$(awk '/^BenchmarkTable5HomomorphicAdd\/CESM-ATM/ {
+            mbs = ""; p4 = ""
+            for (i = 3; i + 1 <= NF; i += 2) {
+                if ($(i + 1) == "MB/s") mbs = $(i)
+                if ($(i + 1) == "frac-p4") p4 = $(i)
+            }
+            print mbs, p4
+        }' "$raw" | tail -1)
+        mbs=${cesm% *}
+        p4=${cesm#* }
+        if [ -z "$mbs" ] || [ -z "$p4" ]; then
+            echo "FAIL: BenchmarkTable5HomomorphicAdd/CESM-ATM reported no MB/s or frac-p4" >&2
             exit 1
         fi
-        echo "bench: Table5 CESM-ATM ${mbs} MB/s >= 2400 floor (frac-p4 ${p4})"
-    else
-        echo "bench: Table5 CESM-ATM frac-p4 ${p4} < 0.9, MB/s floor not applicable"
-    fi
+        if awk -v p="$p4" 'BEGIN { exit !(p >= 0.9) }'; then
+            if awk -v m="$mbs" 'BEGIN { exit !(m < 3700) }'; then
+                echo "FAIL: Table5 CESM-ATM homomorphic add at ${mbs} MB/s (floor 3700, frac-p4 ${p4})" >&2
+                exit 1
+            fi
+            echo "bench: Table5 CESM-ATM ${mbs} MB/s >= 3700 floor (frac-p4 ${p4})"
+        else
+            echo "bench: Table5 CESM-ATM frac-p4 ${p4} < 0.9, MB/s floor not applicable"
+        fi
 
-    # The fZ-light throughput floors, same dataset: the SIMD block kernels
-    # run CESM-ATM at ~3800 MB/s (compress) and ~4900 MB/s (decompress) on
-    # the reference box against ~950 / ~1500 for the portable Go path, so
-    # the floors sit well above anything the portable path reaches and well
-    # below the kernels' noise. They apply only where the kernels do: the
-    # CPU flags are read from /proc/cpuinfo rather than asked of the
-    # package, which exports nothing about its dispatch.
-    if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw bmi2 /proc/cpuinfo 2>/dev/null; then
         for spec in fz-compress:2500 fz-decompress:3000; do
             bench=${spec%:*}
             floor=${spec#*:}

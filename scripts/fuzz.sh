@@ -19,6 +19,8 @@ run ./internal/floatbytes FuzzAddInto
 run ./internal/fzlight FuzzDecompress
 run ./internal/fzlight FuzzCompressRoundTrip
 run ./internal/fzlight FuzzBlockKernels
+run ./internal/fzlight FuzzFusedAdd
+run ./internal/fzlight FuzzSumKernel
 run ./internal/hzdyn FuzzAdd
 run ./internal/hzdyn FuzzHomomorphism
 run ./internal/conformance FuzzCompressorOracle

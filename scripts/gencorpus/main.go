@@ -162,6 +162,53 @@ func main() {
 	write(dir, "seed-no-slack", kcase(0.002, 1, wrap[:len(wrap)-8]))
 	write(dir, "seed-marker-33", kcase(1, 0, []byte{33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}))
 
+	// --- internal/fzlight: FuzzSumKernel([]byte, []byte) ---
+	// Two block streams, added pair by pair by the SIMD kernel and by the
+	// portable pipeline ④ (sumSeeds in internal/fzlight/sum_kernel_test.go
+	// covers every width pair; these pin the named corner cases on disk).
+	dir = "internal/fzlight/testdata/fuzz/FuzzSumKernel"
+	fill := func(even, odd int32) (p [32]int32) {
+		for i := range p {
+			p[i] = even
+			if i%2 == 1 {
+				p[i] = odd
+			}
+		}
+		return p
+	}
+	stream := func(blocks ...[32]int32) []byte {
+		var out []byte
+		scratch := make([]uint32, 32)
+		for i := range blocks {
+			dst := make([]byte, 1+4+128+8)
+			out = append(out, dst[:fzlight.EncodeBlock(dst, blocks[i][:], scratch)]...)
+		}
+		return out
+	}
+	lead, trail := fill(21, -9), fill(-40, 33) // widths 5 and 6
+	const e30, e31 = 1<<30 - 1, math.MaxInt32
+	write(dir, "seed-carry-30-to-31", entry(
+		stream(lead, fill(e30, -e30), trail),
+		stream(lead, fill(e30, -1), trail)))
+	write(dir, "seed-cancel-to-constant", entry(
+		stream(lead, fill(1000, -77), fill(1000, -77), trail),
+		stream(trail, fill(-1000, 77), fill(-1000, 77), lead)))
+	write(dir, "seed-int32-edge", entry(
+		stream(lead, fill(e31, -e31), trail),
+		stream(lead, fill(-e31, e31), trail)))
+	write(dir, "seed-overflow", entry(
+		stream(lead, fill(e31, -e31)),
+		stream(lead, fill(e31, 1))))
+	write(dir, "seed-constant-midrun", entry(
+		stream(lead, trail, fill(0, 0), lead, trail),
+		stream(trail, lead, lead, fill(0, 0), lead)))
+	run := stream(lead, fill(300, -5), fill(70000, -70000), trail)
+	write(dir, "seed-truncated-in-slack", entry(run[:len(run)-7], run))
+	write(dir, "seed-truncated-in-block", entry(run, run[:len(run)-30]))
+	write(dir, "seed-marker-33", entry(
+		append(stream(lead), 33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
+		run))
+
 	// --- internal/hzdyn: FuzzAdd([]byte, []byte) ---
 	dir = "internal/hzdyn/testdata/fuzz/FuzzAdd"
 	p := fzlight.Params{ErrorBound: eb}
