@@ -21,8 +21,7 @@ const (
 	// rounds — latency-optimal, wins small messages.
 	AlgoRecursiveDoubling = core.AlgoRecursiveDoubling
 	// AlgoRabenseifner is recursive-halving reduce-scatter plus
-	// recursive-doubling allgather (the schedule CollectiveOptions.
-	// Recursive selected before algorithms were first-class).
+	// recursive-doubling allgather.
 	AlgoRabenseifner = core.AlgoRabenseifner
 	// AlgoHierarchical is the two-level topology-aware schedule; node
 	// grouping comes from ClusterConfig.Topology.
@@ -107,18 +106,10 @@ func countAlgo(algo Algorithm, auto bool) {
 }
 
 // resolveAlgorithm maps the requested algorithm to the fixed one that
-// will run: the legacy Recursive flag upgrades the default ring to
-// Rabenseifner for the backends that historically supported it, and
-// AlgoAuto asks the cost model. The resolution is recorded (per rank) in
-// RunResult.AlgoChoices and the collective.algo.* counters.
+// will run: AlgoAuto asks the cost model. The resolution is recorded (per
+// rank) in RunResult.AlgoChoices and the collective.algo.* counters.
 func (r *Rank) resolveAlgorithm(op string, b Backend, opt CollectiveOptions, dataLen int) Algorithm {
 	algo := opt.Algorithm
-	// The legacy Recursive flag only ever switched the allreduce schedule
-	// (reduce-scatter always rang), and only for the backends that
-	// historically supported it.
-	if algo == AlgoRing && opt.Recursive && op == "allreduce" && (b == BackendMPI || b == BackendHZCCL) {
-		algo = AlgoRabenseifner
-	}
 	auto := algo == AlgoAuto
 	var modeled float64
 	if auto {
@@ -145,7 +136,7 @@ func (r *Rank) chooseAlgorithm(op string, b Backend, opt CollectiveOptions, data
 		th = *opt.Rates
 	}
 	rates := costmodel.Rates{
-		CPR: th.CPR, DPR: th.DPR, CPT: th.CPT, HPR: th.HPR,
+		Rates: th,
 		Ratio: defaultAutoRatio,
 		Alpha: cfg.Latency.Seconds(),
 		Beta:  cfg.BandwidthBytes,
@@ -154,102 +145,9 @@ func (r *Rank) chooseAlgorithm(op string, b Backend, opt CollectiveOptions, data
 	if t := cfg.Topology; t != nil {
 		topo = costmodel.Topo{Nodes: t.Nodes(), MaxNode: t.MaxNodeSize()}
 	}
-	cb := costmodel.Plain
-	switch b {
-	case BackendCColl:
-		cb = costmodel.CColl
-	case BackendHZCCL:
-		cb = costmodel.HZCCL
-	}
 	bytes := float64(4 * dataLen)
 	if op == "reduce_scatter" {
-		return rates.ChooseReduceScatter(cb, r.Size(), bytes, topo)
+		return rates.ChooseReduceScatter(b, r.Size(), bytes, topo)
 	}
-	return rates.ChooseAllreduce(cb, r.Size(), bytes, topo)
-}
-
-// dispatchAllreduce runs the resolved (backend, algorithm) pair.
-func (r *Rank) dispatchAllreduce(c core.Collectives, b Backend, algo Algorithm, opt CollectiveOptions, data []float32) ([]float32, error) {
-	switch b {
-	case BackendCColl:
-		switch algo {
-		case AlgoRecursiveDoubling:
-			return c.AllreduceCCollRD(r.r, data)
-		case AlgoRabenseifner:
-			return c.AllreduceCCollRecursive(r.r, data)
-		case AlgoHierarchical:
-			return c.AllreduceHierCColl(r.r, data)
-		default:
-			if opt.Segments > 1 {
-				return c.AllreduceCCollSegmented(r.r, data)
-			}
-			return c.AllreduceCColl(r.r, data)
-		}
-	case BackendHZCCL:
-		var out []float32
-		var err error
-		switch algo {
-		case AlgoRecursiveDoubling:
-			out, _, err = c.AllreduceHZRD(r.r, data)
-		case AlgoRabenseifner:
-			out, _, err = c.AllreduceHZRecursive(r.r, data)
-		case AlgoHierarchical:
-			out, _, err = c.AllreduceHierHZ(r.r, data)
-		default:
-			out, _, err = c.AllreduceHZ(r.r, data)
-		}
-		return out, err
-	default:
-		switch algo {
-		case AlgoRecursiveDoubling:
-			return c.AllreducePlainRD(r.r, data)
-		case AlgoRabenseifner:
-			return c.AllreducePlainRecursive(r.r, data)
-		case AlgoHierarchical:
-			return c.AllreduceHierPlain(r.r, data)
-		default:
-			return c.AllreducePlain(r.r, data)
-		}
-	}
-}
-
-// dispatchReduceScatter runs the resolved (backend, algorithm) pair for
-// the reduce-scatter op. The rd and rabenseifner schedules have no native
-// reduce-scatter; they run the allreduce and slice out the owned block
-// (the cost model prices them accordingly).
-func (r *Rank) dispatchReduceScatter(c core.Collectives, b Backend, algo Algorithm, opt CollectiveOptions, data []float32) ([]float32, error) {
-	switch algo {
-	case AlgoRecursiveDoubling, AlgoRabenseifner:
-		full, err := r.dispatchAllreduce(c, b, algo, opt, data)
-		if err != nil {
-			return nil, err
-		}
-		_, s, e := r.OwnedBlock(len(data))
-		out := make([]float32, e-s)
-		copy(out, full[s:e])
-		return out, nil
-	case AlgoHierarchical:
-		switch b {
-		case BackendCColl:
-			return c.ReduceScatterHierCColl(r.r, data)
-		case BackendHZCCL:
-			out, _, err := c.ReduceScatterHierHZ(r.r, data)
-			return out, err
-		default:
-			return c.ReduceScatterHierPlain(r.r, data)
-		}
-	default:
-		switch b {
-		case BackendCColl:
-			if opt.Segments > 1 {
-				return c.ReduceScatterCCollSegmented(r.r, data)
-			}
-			return c.ReduceScatterCColl(r.r, data)
-		case BackendHZCCL:
-			out, _, err := c.ReduceScatterHZ(r.r, data)
-			return out, err
-		default:
-			return c.ReduceScatterPlain(r.r, data)
-		}
-	}
+	return rates.ChooseAllreduce(b, r.Size(), bytes, topo)
 }

@@ -176,30 +176,6 @@ func TestBadAlgorithmRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyRecursiveMapsToRabenseifner preserves the documented meaning
-// of CollectiveOptions.Recursive.
-func TestLegacyRecursiveMapsToRabenseifner(t *testing.T) {
-	for _, b := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendHZCCL, hzccl.BackendCColl} {
-		res, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: 4}, func(r *hzccl.Rank) error {
-			_, err := r.Allreduce(rankedField(r.ID(), 256), b,
-				hzccl.CollectiveOptions{ErrorBound: 1e-3, Recursive: true})
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := hzccl.AlgoRabenseifner
-		if b == hzccl.BackendCColl {
-			want = hzccl.AlgoRing // C-Coll historically always rang
-		}
-		for _, ch := range res.AlgoChoices {
-			if ch.Algorithm != want {
-				t.Fatalf("%v: Recursive resolved to %v, want %v", b, ch.Algorithm, want)
-			}
-		}
-	}
-}
-
 // TestAlgoChoicesBounded checks that a long session does not grow
 // RunResult.AlgoChoices with every collective call: after 100k calls each
 // rank still reports only its 64 most recent choices, the newest last.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"hzccl/internal/bitio"
@@ -277,6 +278,9 @@ func sparseSnapshot(n, rank, nRanks int) []float32 {
 	return out
 }
 
+// benchFlavors maps the collective benchmarks' kernel names to flavors.
+var benchFlavors = map[string]core.Flavor{"mpi": core.FlavorPlain, "ccoll": core.FlavorCColl, "hz": core.FlavorHZ}
+
 func (cb *collectiveBench) run(b *testing.B, kernel string, mode core.Mode) float64 {
 	b.Helper()
 	b.ReportAllocs()
@@ -286,23 +290,16 @@ func (cb *collectiveBench) run(b *testing.B, kernel string, mode core.Mode) floa
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
 			var err error
-			switch kernel {
-			case "mpi":
-				_, err = c.AllreducePlain(r, cb.data[r.ID])
-			case "ccoll":
-				_, err = c.AllreduceCColl(r, cb.data[r.ID])
-			case "hz":
-				_, _, err = c.AllreduceHZ(r, cb.data[r.ID])
-			case "hz-naive":
+			flavor, ok := benchFlavors[strings.TrimPrefix(kernel, "rs-")]
+			switch {
+			case kernel == "hz-naive":
 				_, _, err = c.AllreduceHZNaive(r, cb.data[r.ID])
-			case "rs-mpi":
-				_, err = c.ReduceScatterPlain(r, cb.data[r.ID])
-			case "rs-ccoll":
-				_, err = c.ReduceScatterCColl(r, cb.data[r.ID])
-			case "rs-hz":
-				_, _, err = c.ReduceScatterHZ(r, cb.data[r.ID])
-			default:
+			case !ok:
 				b.Fatalf("unknown kernel %s", kernel)
+			case strings.HasPrefix(kernel, "rs-"):
+				_, _, err = c.ReduceScatter(r, flavor, core.AlgoRing, cb.data[r.ID])
+			default:
+				_, _, err = c.Allreduce(r, flavor, core.AlgoRing, cb.data[r.ID])
 			}
 			return err
 		})
@@ -330,7 +327,7 @@ func BenchmarkAllreduceTraceOverhead(b *testing.B) {
 	c := core.New(core.Options{ErrorBound: cb.eb, Mode: core.SingleThread, Rates: cb.rates})
 	cfg := cluster.Config{Ranks: cb.nodes, BandwidthBytes: 0.4e9}
 	body := func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, cb.data[r.ID])
+		_, _, err := c.Allreduce(r, core.FlavorHZ, core.AlgoRing, cb.data[r.ID])
 		return err
 	}
 	run := func(traced bool) float64 {
@@ -392,7 +389,7 @@ func BenchmarkFig2Breakdown(b *testing.B) {
 	var doc, mpi float64
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-			_, err := c.AllreduceCColl(r, cb.data[r.ID])
+			_, _, err := c.Allreduce(r, core.FlavorCColl, core.AlgoRing, cb.data[r.ID])
 			return err
 		})
 		if err != nil {
@@ -485,15 +482,7 @@ func BenchmarkTable7Stacking(b *testing.B) {
 			cfg := cluster.Config{Ranks: nodes, BandwidthBytes: 0.4e9}
 			for i := 0; i < b.N; i++ {
 				_, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-					var err error
-					switch kernel {
-					case "mpi":
-						_, err = c.AllreducePlain(r, exps[r.ID])
-					case "ccoll":
-						_, err = c.AllreduceCColl(r, exps[r.ID])
-					default:
-						_, _, err = c.AllreduceHZ(r, exps[r.ID])
-					}
+					_, _, err := c.Allreduce(r, benchFlavors[kernel], core.AlgoRing, exps[r.ID])
 					return err
 				})
 				if err != nil {
@@ -909,11 +898,11 @@ func BenchmarkAblationCPRP2P(b *testing.B) {
 			return err
 		}},
 		{"ccoll", func(c core.Collectives, r *cluster.Rank, data []float32) error {
-			_, err := c.AllreduceCColl(r, data)
+			_, _, err := c.Allreduce(r, core.FlavorCColl, core.AlgoRing, data)
 			return err
 		}},
 		{"hzccl", func(c core.Collectives, r *cluster.Rank, data []float32) error {
-			_, _, err := c.AllreduceHZ(r, data)
+			_, _, err := c.Allreduce(r, core.FlavorHZ, core.AlgoRing, data)
 			return err
 		}},
 	}

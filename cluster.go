@@ -111,31 +111,19 @@ func NewTCPTransport(opt TCPOptions) (*TCPTransport, error) {
 }
 
 // Backend selects a collective implementation.
-type Backend int
+type Backend = core.Flavor
 
 // Collective backends.
 const (
 	// BackendMPI is the uncompressed baseline (original MPI collectives).
-	BackendMPI Backend = iota
+	BackendMPI = core.FlavorPlain
 	// BackendCColl is the C-Coll baseline: compression-accelerated
 	// collectives with the decompress-operate-compress workflow.
-	BackendCColl
+	BackendCColl = core.FlavorCColl
 	// BackendHZCCL is the homomorphic co-design: operations run directly
 	// on compressed blocks.
-	BackendHZCCL
+	BackendHZCCL = core.FlavorHZ
 )
-
-func (b Backend) String() string {
-	switch b {
-	case BackendMPI:
-		return "MPI"
-	case BackendCColl:
-		return "C-Coll"
-	case BackendHZCCL:
-		return "hZCCL"
-	}
-	return "unknown"
-}
 
 // CollectiveOptions configures the compressed backends.
 type CollectiveOptions struct {
@@ -147,16 +135,6 @@ type CollectiveOptions struct {
 	MultiThread bool
 	MTThreads   int
 	MTSpeedup   float64
-	// Segments > 1 pipelines the C-Coll backend's rounds: each block is
-	// compressed, sent and reduced in that many overlapping pieces.
-	Segments int
-	// Recursive selects Rabenseifner's recursive-halving/doubling
-	// allreduce (log₂N rounds) instead of the ring (N−1 rounds); it wins
-	// once per-message latency matters. Kept for compatibility: it maps
-	// to Algorithm = AlgoRabenseifner for BackendMPI and BackendHZCCL
-	// (the backends that historically supported it) when Algorithm is
-	// unset. New code should set Algorithm directly.
-	Recursive bool
 	// Algorithm selects the collective schedule for Allreduce and
 	// ReduceScatter: AlgoRing (the zero value, the historical behavior),
 	// AlgoRecursiveDoubling, AlgoRabenseifner, AlgoHierarchical, or
@@ -190,7 +168,6 @@ func (o CollectiveOptions) core() core.Options {
 		Mode:       mode,
 		MTThreads:  o.MTThreads,
 		MTSpeedup:  o.MTSpeedup,
-		Segments:   o.Segments,
 		Rates:      o.Rates,
 	}
 }
@@ -304,7 +281,8 @@ func (r *Rank) Allreduce(data []float32, b Backend, opt CollectiveOptions) ([]fl
 	}
 	r.r.BeginOp("allreduce")
 	algo := r.resolveAlgorithm("allreduce", b, opt, len(data))
-	return r.dispatchAllreduce(core.New(opt.core()), b, algo, opt, data)
+	out, _, err := core.New(opt.core()).Allreduce(r.r, b, algo, data)
+	return out, err
 }
 
 // ReduceScatter sums data element-wise across all ranks and returns this
@@ -322,7 +300,8 @@ func (r *Rank) ReduceScatter(data []float32, b Backend, opt CollectiveOptions) (
 	}
 	r.r.BeginOp("reduce_scatter")
 	algo := r.resolveAlgorithm("reduce_scatter", b, opt, len(data))
-	return r.dispatchReduceScatter(core.New(opt.core()), b, algo, opt, data)
+	out, _, err := core.New(opt.core()).ReduceScatter(r.r, b, algo, data)
+	return out, err
 }
 
 // OwnedBlock returns the block index this rank holds after ReduceScatter,

@@ -640,7 +640,7 @@ func writeTrace(path string, nodes, message int) error {
 		return err
 	}
 	if _, err := cl.Run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, base)
+		_, _, err := c.Allreduce(r, core.FlavorHZ, core.AlgoRing, base)
 		return err
 	}); err != nil {
 		return err

@@ -54,11 +54,7 @@ func (r *Rank) Broadcast(data []float32, root int, b Backend, opt CollectiveOpti
 		return nil, err
 	}
 	r.r.BeginOp("broadcast")
-	c := core.New(opt.core())
-	if b == BackendMPI {
-		return c.BroadcastPlain(r.r, data, root)
-	}
-	return c.BroadcastCompressed(r.r, data, root)
+	return core.New(opt.core()).Broadcast(r.r, b, data, root)
 }
 
 // Reduce sums data element-wise across ranks at root. Only the root
@@ -75,36 +71,8 @@ func (r *Rank) Reduce(data []float32, root int, b Backend, opt CollectiveOptions
 		})
 	}
 	r.r.BeginOp("reduce")
-	c := core.New(opt.core())
-	switch b {
-	case BackendMPI:
-		return c.ReducePlain(r.r, data, root)
-	case BackendHZCCL:
-		out, _, err := c.ReduceHZ(r.r, data, root)
-		return out, err
-	default:
-		// The DOC treatment of a rooted reduce degenerates to plain
-		// partial sums plus compressed links; model it as reduce-scatter +
-		// gather of the owned blocks.
-		block, err := c.ReduceScatterCColl(r.r, data)
-		if err != nil {
-			return nil, err
-		}
-		blocks, err := c.GatherCompressed(r.r, block, root)
-		if err != nil || blocks == nil {
-			return nil, err
-		}
-		out := make([]float32, len(data))
-		for origin, vals := range blocks {
-			k := core.BlockOwned(origin, r.r.N)
-			s, e := core.BlockBounds(len(data), r.r.N, k)
-			if len(vals) != e-s {
-				return nil, fmt.Errorf("hzccl: reduce gather block %d size mismatch", k)
-			}
-			copy(out[s:e], vals)
-		}
-		return out, nil
-	}
+	out, _, err := core.New(opt.core()).Reduce(r.r, b, data, root)
+	return out, err
 }
 
 // Gather collects every rank's data at root, indexed by origin rank. Only
@@ -114,11 +82,7 @@ func (r *Rank) Gather(data []float32, root int, b Backend, opt CollectiveOptions
 		return nil, err
 	}
 	r.r.BeginOp("gather")
-	c := core.New(opt.core())
-	if b == BackendMPI {
-		return c.GatherPlain(r.r, data, root)
-	}
-	return c.GatherCompressed(r.r, data, root)
+	return core.New(opt.core()).Gather(r.r, b, data, root)
 }
 
 // Allgather gives every rank every rank's data, indexed by origin rank.
@@ -127,11 +91,7 @@ func (r *Rank) Allgather(data []float32, b Backend, opt CollectiveOptions) ([][]
 		return nil, err
 	}
 	r.r.BeginOp("allgather")
-	c := core.New(opt.core())
-	if b == BackendMPI {
-		return c.AllgatherPlain(r.r, data)
-	}
-	return c.AllgatherCompressed(r.r, data)
+	return core.New(opt.core()).Allgather(r.r, b, data)
 }
 
 // Alltoall performs the personalized exchange: block j of this rank's data
@@ -141,9 +101,5 @@ func (r *Rank) Alltoall(data []float32, b Backend, opt CollectiveOptions) ([][]f
 		return nil, err
 	}
 	r.r.BeginOp("alltoall")
-	c := core.New(opt.core())
-	if b == BackendMPI {
-		return c.AlltoallPlain(r.r, data)
-	}
-	return c.AlltoallCompressed(r.r, data)
+	return core.New(opt.core()).Alltoall(r.r, b, data)
 }

@@ -151,7 +151,7 @@ func TestPublicRecursiveAllreduce(t *testing.T) {
 		outs := make([][]float32, nRanks)
 		_, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: nRanks}, func(r *hzccl.Rank) error {
 			out, err := r.Allreduce(fields[r.ID()], backend,
-				hzccl.CollectiveOptions{ErrorBound: 1e-3, Recursive: true})
+				hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: hzccl.AlgoRabenseifner})
 			outs[r.ID()] = out
 			return err
 		})

@@ -73,124 +73,8 @@ func (k collectiveKind) String() string {
 	return "reduce_scatter"
 }
 
-// flavorRun adapts one collective flavor to a uniform signature.
-type flavorRun struct {
-	name       string
-	compressed bool
-	run        func(c core.Collectives, r *cluster.Rank, data []float32) ([]float32, error)
-}
-
-// allreduceRuns returns the plain/ccoll/hz runners of one allreduce
-// schedule.
-func allreduceRuns(algo core.Algorithm) []flavorRun {
-	switch algo {
-	case core.AlgoRecursiveDoubling:
-		return []flavorRun{
-			{"plain", false, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreducePlainRD(r, d)
-			}},
-			{"ccoll", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreduceCCollRD(r, d)
-			}},
-			{"hz", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, _, err := c.AllreduceHZRD(r, d)
-				return out, err
-			}},
-		}
-	case core.AlgoRabenseifner:
-		return []flavorRun{
-			{"plain", false, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreducePlainRecursive(r, d)
-			}},
-			{"ccoll", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreduceCCollRecursive(r, d)
-			}},
-			{"hz", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, _, err := c.AllreduceHZRecursive(r, d)
-				return out, err
-			}},
-		}
-	case core.AlgoHierarchical:
-		return []flavorRun{
-			{"plain", false, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreduceHierPlain(r, d)
-			}},
-			{"ccoll", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreduceHierCColl(r, d)
-			}},
-			{"hz", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, _, err := c.AllreduceHierHZ(r, d)
-				return out, err
-			}},
-		}
-	default: // AlgoRing
-		return []flavorRun{
-			{"plain", false, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreducePlain(r, d)
-			}},
-			{"ccoll", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.AllreduceCColl(r, d)
-			}},
-			{"hz", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, _, err := c.AllreduceHZ(r, d)
-				return out, err
-			}},
-		}
-	}
-}
-
-func flavors(kind collectiveKind, algo core.Algorithm) []flavorRun {
-	if kind == kindAllreduce {
-		return allreduceRuns(algo)
-	}
-	switch algo {
-	case core.AlgoRecursiveDoubling, core.AlgoRabenseifner:
-		// Mirror the public API: under a doubling schedule reduce-scatter
-		// is the allreduce sliced to the rank's world-owned block.
-		runs := allreduceRuns(algo)
-		for i := range runs {
-			inner := runs[i].run
-			runs[i].run = func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, err := inner(c, r, d)
-				if err != nil {
-					return nil, err
-				}
-				k := core.BlockOwned(r.ID, r.N)
-				s, e := core.BlockBounds(len(d), r.N, k)
-				block := make([]float32, e-s)
-				copy(block, out[s:e])
-				return block, nil
-			}
-		}
-		return runs
-	case core.AlgoHierarchical:
-		return []flavorRun{
-			{"plain", false, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.ReduceScatterHierPlain(r, d)
-			}},
-			{"ccoll", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.ReduceScatterHierCColl(r, d)
-			}},
-			{"hz", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, _, err := c.ReduceScatterHierHZ(r, d)
-				return out, err
-			}},
-		}
-	default: // AlgoRing
-		return []flavorRun{
-			{"plain", false, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.ReduceScatterPlain(r, d)
-			}},
-			{"ccoll", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				return c.ReduceScatterCColl(r, d)
-			}},
-			{"hz", true, func(c core.Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-				out, _, err := c.ReduceScatterHZ(r, d)
-				return out, err
-			}},
-		}
-	}
-}
+// flavorNames are the subjects the oracle reports each flavor under.
+var flavorNames = map[core.Flavor]string{core.FlavorPlain: "plain", core.FlavorCColl: "ccoll", core.FlavorHZ: "hz"}
 
 // CheckReduceScatter runs all three Reduce_scatter flavors over ranks
 // processes, with gen(rank) producing each rank's (deterministic) input,
@@ -248,25 +132,25 @@ func (o CollectiveOracle) check(kind collectiveKind, ranks int, gen func(int) []
 			return rep, fmt.Errorf("conformance: oracle requires fixed algorithms, got %v", algo)
 		}
 		compTol := compressedTol(algo, R, eb, plainTol)
-		outputs := map[string][][]float32{}
-		for _, f := range flavors(kind, algo) {
-			outs, err := o.runFlavor(ranks, inputs, f)
+		outputs := map[core.Flavor][][]float32{}
+		for _, f := range core.Flavors() {
+			outs, err := o.runFlavor(kind, f, algo, ranks, inputs)
 			if err != nil {
-				return rep, fmt.Errorf("%s %s@%s: %w", kind, f.name, algo, err)
+				return rep, fmt.Errorf("%s %s@%s: %w", kind, flavorNames[f], algo, err)
 			}
-			outputs[f.name] = outs
+			outputs[f] = outs
 			tol := plainTol
-			if f.compressed {
+			if f != core.FlavorPlain {
 				tol = compTol
 			}
-			o.checkFlavor(rep, kind, fmt.Sprintf("%s@%s", f.name, algo), ranks, n, outs, ref, tol)
+			o.checkFlavor(rep, kind, fmt.Sprintf("%s@%s", flavorNames[f], algo), ranks, n, outs, ref, tol)
 		}
 
 		// Direct cross-flavor differential between the two compressed
 		// paths: the paper's claim is that the homomorphic flavor matches
 		// C-Coll within the accumulated bound, not merely that both track
 		// the exact sum loosely.
-		o.crossFlavor(rep, kind, algo, ranks, n, outputs["ccoll"], outputs["hz"], 2*compTol)
+		o.crossFlavor(rep, kind, algo, ranks, n, outputs[core.FlavorCColl], outputs[core.FlavorHZ], 2*compTol)
 	}
 	return rep, nil
 }
@@ -290,20 +174,20 @@ func compressedTol(algo core.Algorithm, R, eb, plainTol float64) float64 {
 	return 2*R*eb + extra + plainTol
 }
 
-// runFlavor executes one flavor on a fresh cluster and collects per-rank
-// outputs.
-func (o CollectiveOracle) runFlavor(ranks int, inputs [][]float32, f flavorRun) ([][]float32, error) {
+// runFlavor executes one flavor × schedule on a fresh cluster and collects
+// per-rank outputs.
+func (o CollectiveOracle) runFlavor(kind collectiveKind, f core.Flavor, algo core.Algorithm, ranks int, inputs [][]float32) ([][]float32, error) {
 	col := core.New(o.Opt)
 	outs := make([][]float32, ranks)
-	_, err := cluster.Run(o.config(ranks), func(r *cluster.Rank) error {
+	_, err := cluster.Run(o.config(ranks), func(r *cluster.Rank) (err error) {
 		data := make([]float32, len(inputs[r.ID]))
 		copy(data, inputs[r.ID])
-		out, err := f.run(col, r, data)
-		if err != nil {
-			return err
+		if kind == kindAllreduce {
+			outs[r.ID], _, err = col.Allreduce(r, f, algo, data)
+		} else {
+			outs[r.ID], _, err = col.ReduceScatter(r, f, algo, data)
 		}
-		outs[r.ID] = out
-		return nil
+		return err
 	})
 	return outs, err
 }

@@ -32,9 +32,6 @@ const (
 	AlgoAuto
 )
 
-// NumAlgorithms counts the fixed (non-auto) algorithms.
-const NumAlgorithms = int(AlgoAuto)
-
 func (a Algorithm) String() string {
 	switch a {
 	case AlgoRing:

@@ -44,49 +44,14 @@ func TestParseAlgorithm(t *testing.T) {
 // TestRDAllreduce checks the recursive-doubling allreduce for all three
 // backends across power-of-two and non-power-of-two worlds.
 func TestRDAllreduce(t *testing.T) {
+	const n = 1000
+	c := New(Options{ErrorBound: testEB})
 	for _, nRanks := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16} {
-		n := 1000
 		exact := exactSum(nRanks, n)
-		c := New(Options{ErrorBound: testEB})
-		outs := make([][]float32, nRanks)
-
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.AllreducePlainRD(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			return err
-		})
-		for rk, out := range outs {
-			if len(out) != n {
-				t.Fatalf("plain rd ranks=%d rank %d: %d elems", nRanks, rk, len(out))
+		for _, f := range Flavors() {
+			for rk, out := range allreduceAll(t, c, f, AlgoRecursiveDoubling, nRanks, nil, n) {
+				checkNear(t, out, exact, sumBound(f, AlgoRecursiveDoubling, nRanks), flavorName(f)+" rd", nRanks, rk)
 			}
-			for i := range out {
-				if d := math.Abs(float64(out[i]) - exact[i]); d > 1e-3 {
-					t.Fatalf("plain rd ranks=%d rank %d elem %d: err %g", nRanks, rk, i, d)
-				}
-			}
-		}
-
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.AllreduceCCollRD(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			return err
-		})
-		// Every round re-quantizes, so the DOC bound grows with the round
-		// count (log₂N + fold), each round contributing ≤ 2eb.
-		rounds := 2 + int(math.Ceil(math.Log2(float64(nRanks)+1)))
-		docBound := 2*float64(nRanks+rounds)*testEB + 1e-4
-		for rk, out := range outs {
-			checkNear(t, out, exact, docBound, "ccoll rd", nRanks, rk)
-		}
-
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, _, err := c.AllreduceHZRD(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			return err
-		})
-		hzBound := 2*float64(nRanks)*testEB + 1e-4
-		for rk, out := range outs {
-			checkNear(t, out, exact, hzBound, "hz rd", nRanks, rk)
 		}
 	}
 }
@@ -125,60 +90,19 @@ func TestHierAllreduce(t *testing.T) {
 		{8, &cluster.Topology{NodeSizes: []int{3, 5}}},
 		{16, &cluster.Topology{NodeSizes: []int{3, 5, 8}}},
 	}
-	n := 1000
+	const n = 1000
+	c := New(Options{ErrorBound: testEB})
 	for _, tc := range cases {
 		exact := exactSum(tc.ranks, n)
-		c := New(Options{ErrorBound: testEB})
-		outs := make([][]float32, tc.ranks)
-		blocks := make([][]float32, tc.ranks)
-		// Hierarchical compressed paths re-quantize at each of the four
-		// stage boundaries on top of the per-operand error.
-		bound := 2*float64(tc.ranks+8)*testEB + 1e-4
-		name := tc.topo.String()
-
-		runClusterTopo(t, tc.ranks, tc.topo, func(r *cluster.Rank) error {
-			out, err := c.AllreduceHierPlain(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			block, err2 := c.ReduceScatterHierPlain(r, rankField(r.ID, n))
-			blocks[r.ID] = block
-			if err == nil {
-				err = err2
+		for _, f := range Flavors() {
+			bound := sumBound(f, AlgoHierarchical, tc.ranks)
+			label := "hier " + flavorName(f) + " " + tc.topo.String()
+			outs := allreduceAll(t, c, f, AlgoHierarchical, tc.ranks, tc.topo, n)
+			blocks := reduceScatterAll(t, c, f, AlgoHierarchical, tc.ranks, tc.topo, n)
+			for rk := range outs {
+				checkNear(t, outs[rk], exact, bound, label, tc.ranks, rk)
+				checkOwnedBlock(t, blocks[rk], exact, rk, tc.ranks, bound, label+" rs")
 			}
-			return err
-		})
-		for rk := range outs {
-			checkNear(t, outs[rk], exact, 1e-3, "hier plain "+name, tc.ranks, rk)
-			checkOwnedBlock(t, blocks[rk], exact, rk, tc.ranks, 1e-3, "hier plain rs "+name)
-		}
-
-		runClusterTopo(t, tc.ranks, tc.topo, func(r *cluster.Rank) error {
-			out, err := c.AllreduceHierCColl(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			block, err2 := c.ReduceScatterHierCColl(r, rankField(r.ID, n))
-			blocks[r.ID] = block
-			if err == nil {
-				err = err2
-			}
-			return err
-		})
-		for rk := range outs {
-			checkNear(t, outs[rk], exact, bound, "hier ccoll "+name, tc.ranks, rk)
-			checkOwnedBlock(t, blocks[rk], exact, rk, tc.ranks, bound, "hier ccoll rs "+name)
-		}
-
-		runClusterTopo(t, tc.ranks, tc.topo, func(r *cluster.Rank) error {
-			out, _, err := c.AllreduceHierHZ(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			block, _, err2 := c.ReduceScatterHierHZ(r, rankField(r.ID, n))
-			blocks[r.ID] = block
-			if err == nil {
-				err = err2
-			}
-			return err
-		})
-		for rk := range outs {
-			checkNear(t, outs[rk], exact, bound, "hier hz "+name, tc.ranks, rk)
-			checkOwnedBlock(t, blocks[rk], exact, rk, tc.ranks, bound, "hier hz rs "+name)
 		}
 	}
 }

@@ -59,27 +59,18 @@ func (g comm) global(lid int) int {
 	return g.ranks[lid]
 }
 
-// sendRecv sends payload to local id `to` and receives from local id
-// `from` under one wall-clock span, counting the payload as compressed
-// (an fZ-light container) or raw wire bytes.
-func (g comm) sendRecv(to int, payload []byte, from int, compressed bool) ([]byte, error) {
+// send posts payload to local id `to`, counting it as compressed (an
+// fZ-light container or a frame of them) or raw wire bytes. Every payload a
+// schedule moves goes through send and recv, so the wire-byte counters and
+// the send/recv span see all of it.
+func (g comm) send(to int, payload []byte, compressed bool) error {
 	sp := mStageSendRecvNS.Start()
-	got, err := g.r.SendRecv(g.global(to), payload, g.global(from))
+	err := g.r.Send(g.global(to), payload)
 	sp.End()
 	if err == nil {
 		countRingBytes(payload, compressed)
 	}
-	return got, err
-}
-
-// send posts one counted send; split from recv so the pipelined
-// collectives can slide compute between the two.
-func (g comm) send(to int, payload []byte, compressed bool) error {
-	if err := g.r.Send(g.global(to), payload); err != nil {
-		return err
-	}
-	countRingBytes(payload, compressed)
-	return nil
+	return err
 }
 
 // recv blocks for the next message from local id `from`, spanning the wait.
@@ -90,14 +81,12 @@ func (g comm) recv(from int) ([]byte, error) {
 	return got, err
 }
 
-// rawSend/rawRecv are the uncounted variants for control-style moves
-// (fold/unfold hand-offs, tree edges) that predate wire accounting.
-func (g comm) rawSend(to int, data []byte) error {
-	return g.r.Send(g.global(to), data)
-}
-
-func (g comm) rawRecv(from int) ([]byte, error) {
-	return g.r.Recv(g.global(from))
+// sendRecv is send then recv: one ring step with nothing to do in between.
+func (g comm) sendRecv(to int, payload []byte, from int, compressed bool) ([]byte, error) {
+	if err := g.send(to, payload, compressed); err != nil {
+		return nil, err
+	}
+	return g.recv(from)
 }
 
 // ErrSizeMismatch — wrapped with the observing rank, phase and step — means
@@ -139,21 +128,13 @@ func (g comm) checkSize(got []byte, n int, phase string, step int) error {
 }
 
 // decodeInto decodes got into dst, which it must fill exactly; the caller
-// keeps got. storeInto also recycles got, for payloads dead once decoded.
+// keeps got.
 func (g comm) decodeInto(dst []float32, got []byte, phase string, step int) error {
 	if err := g.checkSize(got, len(dst), phase, step); err != nil {
 		return err
 	}
 	g.r.Quiesce(func() { floatbytes.ToFloat32(dst, got) })
 	return nil
-}
-
-func (g comm) storeInto(dst []float32, got []byte, phase string, step int) error {
-	err := g.decodeInto(dst, got, phase, step)
-	if err == nil {
-		bufpool.PutBytes(got)
-	}
-	return err
 }
 
 // reduceInto adds got into dst (which it must fill exactly) straight from

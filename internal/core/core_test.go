@@ -46,17 +46,52 @@ func runCluster(t *testing.T, ranks int, body func(r *cluster.Rank) error) *clus
 	return res
 }
 
-// checkAllreduce verifies out ≈ exact sum within the accumulated error
-// bound: each of the N operands contributes ≤ eb of quantization error,
-// plus recompression rounds for DOC backends (≤ 2N·eb total, generous).
-func checkAllreduce(t *testing.T, out []float32, exact []float64, nRanks int, label string) {
+// flavorName labels a flavor in test failures.
+func flavorName(f Flavor) string {
+	return map[Flavor]string{FlavorPlain: "plain", FlavorCColl: "ccoll", FlavorHZ: "hz"}[f]
+}
+
+// allreduceAll runs one flavor × schedule Allreduce of rankField inputs on a
+// fresh cluster and returns every rank's output.
+func allreduceAll(t *testing.T, c Collectives, f Flavor, a Algorithm, ranks int, topo *cluster.Topology, n int) [][]float32 {
 	t.Helper()
-	bound := 2*float64(nRanks)*testEB + 1e-4
-	for i := range out {
-		if d := math.Abs(float64(out[i]) - exact[i]); d > bound {
-			t.Fatalf("%s: element %d error %g exceeds %g", label, i, d, bound)
-		}
+	outs := make([][]float32, ranks)
+	runClusterTopo(t, ranks, topo, func(r *cluster.Rank) (err error) {
+		outs[r.ID], _, err = c.Allreduce(r, f, a, rankField(r.ID, n))
+		return err
+	})
+	return outs
+}
+
+// reduceScatterAll is allreduceAll for ReduceScatter.
+func reduceScatterAll(t *testing.T, c Collectives, f Flavor, a Algorithm, ranks int, topo *cluster.Topology, n int) [][]float32 {
+	t.Helper()
+	outs := make([][]float32, ranks)
+	runClusterTopo(t, ranks, topo, func(r *cluster.Rank) (err error) {
+		outs[r.ID], _, err = c.ReduceScatter(r, f, a, rankField(r.ID, n))
+		return err
+	})
+	return outs
+}
+
+// sumBound is the reference-agreement bound of one flavor × schedule cell
+// over nRanks ranks. Plain is exact up to float32 addition order. Each of the
+// N compressed operands contributes ≤ eb of quantization error, and the DOC
+// flavor re-quantizes per hop (≤ 2N·eb total, generous). On top of that the
+// doubling schedules re-quantize DOC partials once per round (log₂N + fold,
+// ≤ 2eb each) and the hierarchical one at each of its four stage boundaries.
+func sumBound(f Flavor, a Algorithm, nRanks int) float64 {
+	if f == FlavorPlain {
+		return 1e-3
 	}
+	extra := 0
+	switch {
+	case a == AlgoHierarchical:
+		extra = 8
+	case f == FlavorCColl && a != AlgoRing:
+		extra = 2 + int(math.Ceil(math.Log2(float64(nRanks)+1)))
+	}
+	return 2*float64(nRanks+extra)*testEB + 1e-4
 }
 
 func TestAllreduceBackendsMatchExactSum(t *testing.T) {
@@ -65,57 +100,34 @@ func TestAllreduceBackendsMatchExactSum(t *testing.T) {
 			exact := exactSum(nRanks, n)
 			for _, mode := range []Mode{SingleThread, MultiThread} {
 				c := New(Options{ErrorBound: testEB, Mode: mode, MTThreads: 4})
-
-				outs := make([][]float32, nRanks)
-				runCluster(t, nRanks, func(r *cluster.Rank) error {
-					out, err := c.AllreducePlain(r, rankField(r.ID, n))
-					outs[r.ID] = out
-					return err
-				})
-				for rk, out := range outs {
-					// plain allreduce is exact up to float32 addition order
-					for i := range out {
-						if d := math.Abs(float64(out[i]) - exact[i]); d > 1e-3 {
-							t.Fatalf("plain rank %d elem %d: err %g", rk, i, d)
-						}
+				for _, f := range Flavors() {
+					label := fmt.Sprintf("%s n=%d mode=%v", flavorName(f), n, mode)
+					for rk, out := range allreduceAll(t, c, f, AlgoRing, nRanks, nil, n) {
+						checkNear(t, out, exact, sumBound(f, AlgoRing, nRanks), label, nRanks, rk)
 					}
-				}
-
-				runCluster(t, nRanks, func(r *cluster.Rank) error {
-					out, err := c.AllreduceCColl(r, rankField(r.ID, n))
-					outs[r.ID] = out
-					return err
-				})
-				for _, out := range outs {
-					checkAllreduce(t, out, exact, nRanks, fmt.Sprintf("ccoll n=%d ranks=%d mode=%v", n, nRanks, mode))
-				}
-
-				runCluster(t, nRanks, func(r *cluster.Rank) error {
-					out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
-					outs[r.ID] = out
-					return err
-				})
-				for _, out := range outs {
-					checkAllreduce(t, out, exact, nRanks, fmt.Sprintf("hz n=%d ranks=%d mode=%v", n, nRanks, mode))
 				}
 			}
 		}
 	}
 }
 
+// Every flavor × schedule must leave all ranks with the bitwise-identical
+// vector, on power-of-two and folded worlds alike.
 func TestAllRanksAgree(t *testing.T) {
-	const nRanks, n = 5, 2000
+	const n = 2000
 	c := New(Options{ErrorBound: testEB})
-	outs := make([][]float32, nRanks)
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
-		outs[r.ID] = out
-		return err
-	})
-	for rk := 1; rk < nRanks; rk++ {
-		for i := range outs[0] {
-			if outs[rk][i] != outs[0][i] {
-				t.Fatalf("rank %d disagrees with rank 0 at element %d: %v vs %v", rk, i, outs[rk][i], outs[0][i])
+	for _, nRanks := range []int{4, 5} {
+		for _, f := range Flavors() {
+			for _, a := range FixedAlgorithms() {
+				outs := allreduceAll(t, c, f, a, nRanks, nil, n)
+				for rk := 1; rk < nRanks; rk++ {
+					for i := range outs[0] {
+						if math.Float32bits(outs[rk][i]) != math.Float32bits(outs[0][i]) {
+							t.Fatalf("%s %v ranks=%d: rank %d disagrees with rank 0 at element %d: %v vs %v",
+								flavorName(f), a, nRanks, rk, i, outs[rk][i], outs[0][i])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -125,74 +137,42 @@ func TestReduceScatterBackendsAgree(t *testing.T) {
 	const nRanks, n = 6, 3000
 	exact := exactSum(nRanks, n)
 	c := New(Options{ErrorBound: testEB})
-
-	check := func(label string, blocks [][]float32) {
-		t.Helper()
-		for rk, block := range blocks {
-			k := BlockOwned(rk, nRanks)
-			s, e := BlockBounds(n, nRanks, k)
-			if len(block) != e-s {
-				t.Fatalf("%s rank %d: block length %d want %d", label, rk, len(block), e-s)
-			}
-			for i := range block {
-				if d := math.Abs(float64(block[i]) - exact[s+i]); d > 2*float64(nRanks)*testEB+1e-4 {
-					t.Fatalf("%s rank %d elem %d: err %g", label, rk, i, d)
-				}
+	for _, f := range Flavors() {
+		for _, a := range FixedAlgorithms() {
+			for rk, block := range reduceScatterAll(t, c, f, a, nRanks, nil, n) {
+				checkOwnedBlock(t, block, exact, rk, nRanks, sumBound(f, a, nRanks), fmt.Sprintf("%s %v", flavorName(f), a))
 			}
 		}
 	}
-
-	blocks := make([][]float32, nRanks)
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		b, err := c.ReduceScatterPlain(r, rankField(r.ID, n))
-		blocks[r.ID] = b
-		return err
-	})
-	check("plain", blocks)
-
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		b, err := c.ReduceScatterCColl(r, rankField(r.ID, n))
-		blocks[r.ID] = b
-		return err
-	})
-	check("ccoll", blocks)
-
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		b, _, err := c.ReduceScatterHZ(r, rankField(r.ID, n))
-		blocks[r.ID] = b
-		return err
-	})
-	check("hz", blocks)
 }
 
 func TestSingleRank(t *testing.T) {
 	c := New(Options{ErrorBound: testEB})
 	data := rankField(0, 500)
 	runCluster(t, 1, func(r *cluster.Rank) error {
-		out, err := c.AllreducePlain(r, data)
-		if err != nil {
-			return err
-		}
-		for i := range out {
-			if out[i] != data[i] {
-				return fmt.Errorf("single-rank plain allreduce altered data")
+		for _, f := range Flavors() {
+			for _, a := range FixedAlgorithms() {
+				out, _, err := c.Allreduce(r, f, a, data)
+				if err != nil {
+					return err
+				}
+				block, _, err := c.ReduceScatter(r, f, a, data)
+				if err != nil {
+					return err
+				}
+				if len(out) != len(data) || len(block) != len(data) {
+					return fmt.Errorf("single-rank %s %v returned %d and %d elems", flavorName(f), a, len(out), len(block))
+				}
+				for i := range out {
+					bound := testEB + 1e-6 // at most one quantization
+					if f == FlavorPlain {
+						bound = 0
+					}
+					if d := math.Abs(float64(out[i]) - float64(data[i])); d > bound {
+						return fmt.Errorf("single-rank %s %v allreduce error %g", flavorName(f), a, d)
+					}
+				}
 			}
-		}
-		out, _, err = c.AllreduceHZ(r, data)
-		if err != nil {
-			return err
-		}
-		for i := range out {
-			if d := math.Abs(float64(out[i]) - float64(data[i])); d > testEB+1e-6 {
-				return fmt.Errorf("single-rank hz allreduce error %g", d)
-			}
-		}
-		block, err := c.ReduceScatterPlain(r, data)
-		if err != nil {
-			return err
-		}
-		if len(block) != len(data) {
-			return fmt.Errorf("single-rank reduce-scatter returned %d elems", len(block))
 		}
 		return nil
 	})
@@ -203,30 +183,20 @@ func TestUnevenBlockSizes(t *testing.T) {
 	const nRanks, n = 4, 1003
 	exact := exactSum(nRanks, n)
 	c := New(Options{ErrorBound: testEB})
-	outs := make([][]float32, nRanks)
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
-		outs[r.ID] = out
-		return err
-	})
-	for _, out := range outs {
-		if len(out) != n {
-			t.Fatalf("output length %d want %d", len(out), n)
+	for _, f := range Flavors() {
+		for _, a := range FixedAlgorithms() {
+			for rk, out := range allreduceAll(t, c, f, a, nRanks, nil, n) {
+				checkNear(t, out, exact, sumBound(f, a, nRanks), "uneven "+flavorName(f)+" "+a.String(), nRanks, rk)
+			}
 		}
-		checkAllreduce(t, out, exact, nRanks, "uneven")
 	}
 }
 
 func TestHZNaiveMatchesHZValues(t *testing.T) {
 	const nRanks, n = 4, 2048
 	c := New(Options{ErrorBound: testEB})
-	fused := make([][]float32, nRanks)
+	fused := allreduceAll(t, c, FlavorHZ, AlgoRing, nRanks, nil, n)
 	naive := make([][]float32, nRanks)
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
-		fused[r.ID] = out
-		return err
-	})
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
 		out, _, err := c.AllreduceHZNaive(r, rankField(r.ID, n))
 		naive[r.ID] = out
@@ -275,11 +245,11 @@ func TestRelativePerformanceShape(t *testing.T) {
 	}
 
 	tCColl := run(func(r *cluster.Rank) error {
-		_, err := c.AllreduceCColl(r, smoothRankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	tHZ := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, smoothRankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	tNaive := run(func(r *cluster.Rank) error {
@@ -300,7 +270,7 @@ func TestBreakdownCategories(t *testing.T) {
 	const nRanks, n = 4, 1 << 14
 	c := New(Options{ErrorBound: testEB})
 	res := runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, err := c.AllreduceCColl(r, rankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, rankField(r.ID, n))
 		return err
 	})
 	if res.Breakdown[cluster.CatHPR] != 0 {
@@ -312,7 +282,7 @@ func TestBreakdownCategories(t *testing.T) {
 		}
 	}
 	res = runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, rankField(r.ID, n))
 		return err
 	})
 	if res.Breakdown[cluster.CatCPT] != 0 {
@@ -329,7 +299,7 @@ func TestPipelineStatsAggregation(t *testing.T) {
 	var mu sync.Mutex
 	total := hzdyn.Stats{}
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, st, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		_, st, err := c.Allreduce(r, FlavorHZ, AlgoRing, rankField(r.ID, n))
 		if err != nil {
 			return err
 		}

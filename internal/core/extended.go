@@ -5,202 +5,86 @@ import (
 
 	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
-	"hzccl/internal/fzlight"
-	"hzccl/internal/hzdyn"
 )
 
 // This file extends the framework beyond the paper's two showcase
-// operations to the rest of the collective family the C-Coll substrate
-// (Huang et al., IPDPS'24) covers: Broadcast, Reduce, Gather, Allgather
-// and Alltoall. Data-movement collectives gain compression by compressing
-// once at the source and decompressing once at each sink; the computation
-// collective (Reduce) additionally gains the homomorphic treatment, with
-// partial sums travelling in compressed form up a binomial tree.
+// operations to the data-movement collectives the C-Coll substrate (Huang
+// et al., IPDPS'24) covers: Broadcast, Gather, Allgather and Alltoall. They
+// gain compression by compressing once at the source and decompressing once
+// at each sink, so each is written once over the flavor's codec — C-Coll
+// and hZCCL, which differ only in how they reduce, move data identically.
 
-// vrank maps a rank into the rotated coordinate system where `root` is 0,
-// the standard trick for rooted binomial-tree collectives.
-func vrank(rank, root, n int) int { return (rank - root + n) % n }
-
-func unvrank(v, root, n int) int { return (v + root) % n }
-
-// BroadcastPlain sends root's data to every rank through a binomial tree
-// (the MPICH algorithm for mid-sized messages) and returns each rank's
-// copy. Non-root ranks pass their (ignored) local buffer for its length.
-func (c Collectives) BroadcastPlain(r *cluster.Rank, data []float32, root int) ([]float32, error) {
-	g := world(r)
-	payload, err := bcastBytesG(g, func() []byte { return g.staged(data) }, root)
-	if err != nil {
-		return nil, err
-	}
-	// The root decodes (and so recycles) its staged bytes like everyone else.
+// clone returns a copy of data: what a rank keeps of its own contribution.
+func clone(data []float32) []float32 {
 	out := make([]float32, len(data))
-	if err := g.storeInto(out, payload, "broadcast root", root); err != nil {
-		return nil, err
-	}
-	return out, nil
+	copy(out, data)
+	return out
 }
 
-// BroadcastCompressed is the compression-accelerated broadcast: the root
-// compresses once (CPR), compressed bytes traverse the tree, and every
-// non-root rank decompresses once (DPR) — the C-Coll broadcast design.
-func (c Collectives) BroadcastCompressed(r *cluster.Rank, data []float32, root int) ([]float32, error) {
-	opt := c.Opt
-	var comp []byte
-	var cerr error
-	payload, err := bcastBytesG(world(r), func() []byte {
-		c.work(r, cluster.CatCPR, 4*len(data), func() {
-			comp, cerr = fzlight.Compress(data, opt.params())
-		})
-		if cerr != nil {
-			return nil
-		}
-		return comp
-	}, root)
-	if cerr != nil {
-		return nil, cerr
-	}
+// Broadcast sends root's data to every rank through a binomial tree (the
+// MPICH algorithm for mid-sized messages) and returns each rank's copy:
+// encoded once at the root, decoded once at every other rank. Non-root
+// ranks pass their (ignored) local buffer for its length.
+func (c Collectives) Broadcast(r *cluster.Rank, f Flavor, data []float32, root int) ([]float32, error) {
+	cd := c.codec(r, f)
+	payload, err := bcastBytes(world(r), func() ([]byte, error) { return cd.encode(data) }, cd.compressed, root)
 	if err != nil {
 		return nil, err
 	}
+	defer bufpool.PutBytes(payload)
 	if r.ID == root {
-		if comp == nil {
-			return nil, fmt.Errorf("core: broadcast root compression failed")
-		}
-		out := make([]float32, len(data))
-		copy(out, data)
-		return out, nil
+		return clone(data), nil
 	}
-	var out []float32
-	var derr error
-	h, err := fzlight.ParseHeader(payload)
-	if err != nil {
-		return nil, err
-	}
-	c.work(r, cluster.CatDPR, 4*h.DataLen, func() {
-		out, derr = fzlight.Decompress(payload)
-	})
-	if derr != nil {
-		return nil, derr
-	}
-	return out, nil
+	return cd.decodeNew(payload, len(data))
 }
 
-// bcastBytesG moves one opaque payload from root (a group-local id, the
-// only rank makePayload runs on) to every rank of g along a binomial tree.
-// The hierarchical collectives run it over one node with the leader as root.
-func bcastBytesG(g comm, makePayload func() []byte, root int) ([]byte, error) {
-	n := g.n()
-	if root < 0 || root >= n {
+// bcastBytes moves one opaque payload from root (a group-local id, the only
+// rank makePayload runs on) to every rank of g along a binomial tree. The
+// hierarchical collectives run it over one node with the leader as root.
+func bcastBytes(g comm, makePayload func() ([]byte, error), compressed bool, root int) (payload []byte, err error) {
+	if root < 0 || root >= g.n() {
 		return nil, fmt.Errorf("core: broadcast root %d out of range", root)
 	}
-	var payload []byte
-	if g.id == root {
-		payload = makePayload()
-		if payload == nil && n > 1 {
-			return nil, fmt.Errorf("core: broadcast payload construction failed")
-		}
+	children, parent := treeChildren(g, root)
+	if parent < 0 {
+		payload, err = makePayload()
+	} else {
+		payload, err = g.recv(parent)
 	}
-	if n == 1 {
-		return payload, nil
+	// Forward to the highest subtree first (the MPICH binomial schedule).
+	for i := len(children) - 1; i >= 0 && err == nil; i-- {
+		err = g.send(children[i], payload, compressed)
 	}
-	v := vrank(g.id, root, n)
-	// Receive from the parent: v with its lowest set bit cleared (the
-	// MPICH binomial schedule).
-	if v != 0 {
-		parent := v & (v - 1)
-		got, err := g.rawRecv(unvrank(parent, root, n))
-		if err != nil {
-			return nil, err
-		}
-		payload = got
-	}
-	// Forward to children v|mask for every mask below v's lowest set bit.
-	for mask := nextPow2(n) >> 1; mask > 0; mask >>= 1 {
-		child := v | mask
-		if mask < lowbitFloor(v) && child < n {
-			if err := g.rawSend(unvrank(child, root, n), payload); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return payload, nil
+	return payload, err
 }
 
-// lowbitFloor returns the value of v's lowest set bit, or a large sentinel
-// for v == 0 (the root forwards to every level).
-func lowbitFloor(v int) int {
-	if v == 0 {
-		return 1 << 30
+// Gather collects every rank's data at root, indexed by origin rank: encoded
+// once at each leaf, decoded at the root. Contributions may differ in
+// length. Only the root receives a non-nil result.
+func (c Collectives) Gather(r *cluster.Rank, f Flavor, data []float32, root int) ([][]float32, error) {
+	cd := c.codec(r, f)
+	own, err := cd.encode(data)
+	if err != nil {
+		return nil, err
 	}
-	return v & -v
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// GatherPlain collects every rank's data at root (concatenated in rank
-// order). Only the root receives a non-nil result.
-func (c Collectives) GatherPlain(r *cluster.Rank, data []float32, root int) ([][]float32, error) {
-	g := world(r)
-	own := g.staged(data)
-	defer bufpool.PutBytes(own) // referenced by payloads until decoded
-	payloads, err := c.gatherBytes(r, own, root)
+	defer bufpool.PutBytes(own) // referenced by the gather blobs until sent
+	payloads, err := gatherBytes(world(r), own, cd.compressed, root)
 	if err != nil || payloads == nil {
 		return nil, err
 	}
-	out := make([][]float32, len(payloads))
-	for i, p := range payloads {
-		// Contributions may differ in length; each must be whole floats.
-		out[i] = make([]float32, len(p)/4)
-		if err := g.decodeInto(out[i], p, "gather origin", i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return cd.decodeAll(payloads, r.ID, data)
 }
 
-// GatherCompressed compresses each rank's contribution once (CPR at the
-// leaf) and decompresses everything at the root (N−1 DPR).
-func (c Collectives) GatherCompressed(r *cluster.Rank, data []float32, root int) ([][]float32, error) {
-	opt := c.Opt
-	var comp []byte
-	var cerr error
-	c.work(r, cluster.CatCPR, 4*len(data), func() {
-		comp, cerr = fzlight.Compress(data, opt.params())
-	})
-	if cerr != nil {
-		return nil, cerr
-	}
-	payloads, err := c.gatherBytes(r, comp, root)
-	if err != nil || payloads == nil {
-		return nil, err
-	}
-	out := make([][]float32, len(payloads))
+// decodeAll decodes one payload per rank, of any lengths — except this
+// rank's own, which never passed through the codec.
+func (cd codec) decodeAll(payloads [][]byte, self int, own []float32) (out [][]float32, err error) {
+	out = make([][]float32, len(payloads))
 	for i, p := range payloads {
-		if i == r.ID {
-			own := make([]float32, len(data))
-			copy(own, data)
-			out[i] = own
-			continue
-		}
-		h, err := fzlight.ParseHeader(p)
-		if err != nil {
+		if i == self {
+			out[i] = clone(own)
+		} else if out[i], err = cd.decodeNew(p, -1); err != nil {
 			return nil, err
 		}
-		dst := make([]float32, h.DataLen)
-		var derr error
-		c.work(r, cluster.CatDPR, 4*h.DataLen, func() {
-			derr = fzlight.DecompressInto(p, dst)
-		})
-		if derr != nil {
-			return nil, derr
-		}
-		out[i] = dst
 	}
 	return out, nil
 }
@@ -208,42 +92,29 @@ func (c Collectives) GatherCompressed(r *cluster.Rank, data []float32, root int)
 // gatherBytes funnels one payload per rank to the root along a binomial
 // tree (children fold their subtree's payloads into the parent). Returns
 // payloads indexed by origin rank at the root, nil elsewhere.
-func (c Collectives) gatherBytes(r *cluster.Rank, own []byte, root int) ([][]byte, error) {
-	n := r.N
-	if root < 0 || root >= n {
+func gatherBytes(g comm, own []byte, compressed bool, root int) ([][]byte, error) {
+	if root < 0 || root >= g.n() {
 		return nil, fmt.Errorf("core: gather root %d out of range", root)
 	}
-	collected := map[int][]byte{r.ID: own}
-	if n > 1 {
-		v := vrank(r.ID, root, n)
-		// Receive from children (low bits below our lowest set bit).
-		for mask := 1; mask < n; mask <<= 1 {
-			if mask >= lowbitFloor(v) {
-				break
-			}
-			child := v | mask
-			if child >= n {
-				continue
-			}
-			blob, err := r.Recv(unvrank(child, root, n))
-			if err != nil {
-				return nil, err
-			}
-			if err := decodeGatherBlob(blob, collected); err != nil {
-				return nil, err
-			}
+	collected := map[int][]byte{g.id: own}
+	children, parent := treeChildren(g, root)
+	for _, child := range children {
+		blob, err := g.recv(child)
+		if err != nil {
+			return nil, err
 		}
-		// Send the folded subtree to the parent.
-		if v != 0 {
-			parent := v & (v - 1)
-			if err := r.Send(unvrank(parent, root, n), encodeGatherBlob(collected)); err != nil {
-				return nil, err
-			}
-			return nil, nil
+		if err := decodeGatherBlob(blob, collected); err != nil {
+			return nil, err
 		}
 	}
-	out := make([][]byte, n)
+	if parent >= 0 {
+		return nil, g.send(parent, encodeGatherBlob(collected), compressed)
+	}
+	out := make([][]byte, g.n())
 	for origin, p := range collected {
+		if origin < 0 || origin >= len(out) {
+			return nil, fmt.Errorf("core: gather blob names origin %d of %d", origin, len(out))
+		}
 		out[origin] = p
 	}
 	return out, nil
@@ -287,230 +158,61 @@ func decodeGatherBlob(blob []byte, into map[int][]byte) error {
 	return nil
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// AllgatherPlain gives every rank every other rank's data (rank-indexed).
-func (c Collectives) AllgatherPlain(r *cluster.Rank, data []float32) ([][]float32, error) {
-	g := world(r)
-	out := make([][]float32, r.N)
-	out[r.ID] = make([]float32, len(data))
-	copy(out[r.ID], data)
-	err := g.ringAllgatherPlain(data, func(origin int, got []byte) error {
-		// Contributions may differ in length; each must be whole floats.
-		out[origin] = make([]float32, len(got)/4)
-		return g.decodeInto(out[origin], got, "allgather origin", origin)
+// Allgather gives every rank every rank's data, indexed by origin rank:
+// encoded once, the payloads ring, and each rank decodes the N−1 it
+// received once the ring is done. Contributions may differ in length.
+func (c Collectives) Allgather(r *cluster.Rank, f Flavor, data []float32) ([][]float32, error) {
+	cd := c.codec(r, f)
+	own, err := cd.encode(data)
+	if err != nil {
+		return nil, err
+	}
+	payloads := make([][]byte, r.N)
+	payloads[r.ID] = own
+	err = ringAllgather(world(r), own, cd.compressed, func(origin int, got []byte) error {
+		payloads[origin] = got
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	out, err := cd.decodeAll(payloads, r.ID, data)
+	for _, p := range payloads {
+		bufpool.PutBytes(p) // whole buffers all: this rank's own and the ring's
+	}
+	return out, err
 }
 
-// AllgatherCompressed is the C-Coll allgather: compress once, ring the
-// compressed bytes, decompress N−1 received chunks.
-func (c Collectives) AllgatherCompressed(r *cluster.Rank, data []float32) ([][]float32, error) {
-	opt := c.Opt
-	var comp []byte
-	var cerr error
-	c.work(r, cluster.CatCPR, 4*len(data), func() {
-		comp, cerr = fzlight.Compress(data, opt.params())
-	})
-	if cerr != nil {
-		return nil, cerr
-	}
-	gathered, err := allgatherBytes(world(r), comp, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float32, len(gathered))
-	for i, p := range gathered {
-		if i == r.ID {
-			own := make([]float32, len(data))
-			copy(own, data)
-			out[i] = own
-			continue
-		}
-		h, err := fzlight.ParseHeader(p)
-		if err != nil {
-			return nil, err
-		}
-		dst := make([]float32, h.DataLen)
-		var derr error
-		c.work(r, cluster.CatDPR, 4*h.DataLen, func() {
-			derr = fzlight.DecompressInto(p, dst)
-		})
-		if derr != nil {
-			return nil, derr
-		}
-		out[i] = dst
-	}
-	return out, nil
-}
-
-// ReducePlain sums data across ranks at the root via a binomial tree of
-// raw partial sums. Only the root receives a non-nil result.
-func (c Collectives) ReducePlain(r *cluster.Rank, data []float32, root int) ([]float32, error) {
+// Alltoall performs the personalized exchange: rank i's block j goes to
+// rank j, each block encoded on its own (the online-compression
+// point-to-point design the paper's related work covers). data must contain
+// N equal blocks (BlockBounds layout); returns the N received blocks indexed
+// by source rank.
+func (c Collectives) Alltoall(r *cluster.Rank, f Flavor, data []float32) ([][]float32, error) {
 	n := r.N
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("core: reduce root %d out of range", root)
-	}
 	g := world(r)
-	acc := make([]float32, len(data))
-	copy(acc, data)
-	v := vrank(r.ID, root, n)
-	for mask := 1; mask < n; mask <<= 1 {
-		if mask >= lowbitFloor(v) {
-			break
-		}
-		child := v | mask
-		if child >= n {
-			continue
-		}
-		got, err := r.Recv(unvrank(child, root, n))
+	cd := c.codec(r, f)
+	out := make([][]float32, n)
+	s, e := BlockBounds(len(data), n, r.ID)
+	out[r.ID] = clone(data[s:e])
+	// Pairwise exchange: in round k, send to rank+k and receive from rank−k.
+	for k := 1; k < n; k++ {
+		to, from := (r.ID+k)%n, (r.ID-k+n)%n
+		bs, be := BlockBounds(len(data), n, to)
+		payload, err := cd.encode(data[bs:be])
 		if err != nil {
 			return nil, err
 		}
-		if err := c.reduceInto(g, acc, got, "reduce child", child); err != nil {
-			return nil, err
-		}
-	}
-	if v != 0 {
-		parent := v & (v - 1)
-		payload := g.staged(acc)
-		err := r.Send(unvrank(parent, root, n), payload)
+		got, err := g.sendRecv(to, payload, from, cd.compressed)
 		bufpool.PutBytes(payload)
-		return nil, err
-	}
-	return acc, nil
-}
-
-// ReduceHZ is the homomorphic rooted reduce: each rank compresses once,
-// partial sums combine in compressed form at every tree level (HPR), and
-// only the root decompresses — the rooted analogue of the paper's
-// Reduce_scatter co-design, cost CPR + log2(N)·HPR + 1·DPR on the
-// critical path.
-func (c Collectives) ReduceHZ(r *cluster.Rank, data []float32, root int) ([]float32, *hzdyn.Stats, error) {
-	n := r.N
-	if root < 0 || root >= n {
-		return nil, nil, fmt.Errorf("core: reduce root %d out of range", root)
-	}
-	stats := &hzdyn.Stats{}
-	acc, cerr := c.compressPooled(r, data)
-	if cerr != nil {
-		return nil, nil, cerr
-	}
-	v := vrank(r.ID, root, n)
-	for mask := 1; mask < n; mask <<= 1 {
-		if mask >= lowbitFloor(v) {
-			break
-		}
-		child := v | mask
-		if child >= n {
-			continue
-		}
-		got, err := r.Recv(unvrank(child, root, n))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if acc, err = c.addPooled(r, acc, got, len(data), stats); err != nil {
-			return nil, nil, err
+		// Every rank sends block r.ID of an equal-length vector.
+		if out[from], err = cd.decodeNew(got, e-s); err != nil {
+			return nil, err
 		}
 		bufpool.PutBytes(got)
-	}
-	if v != 0 {
-		parent := v & (v - 1)
-		if err := r.Send(unvrank(parent, root, n), acc); err != nil {
-			return nil, nil, err
-		}
-		bufpool.PutBytes(acc) // copied on send: dead here
-		return nil, stats, nil
-	}
-	var out []float32
-	var derr error
-	c.work(r, cluster.CatDPR, 4*len(data), func() {
-		out, derr = fzlight.Decompress(acc)
-	})
-	if derr != nil {
-		return nil, nil, derr
-	}
-	bufpool.PutBytes(acc)
-	return out, stats, nil
-}
-
-// AlltoallPlain performs the personalized exchange: rank i's block j goes
-// to rank j. data must contain N equal blocks (BlockBounds layout);
-// returns the N received blocks indexed by source rank.
-func (c Collectives) AlltoallPlain(r *cluster.Rank, data []float32) ([][]float32, error) {
-	return c.alltoall(r, data, false)
-}
-
-// AlltoallCompressed compresses each outgoing block (the online-compression
-// point-to-point design the paper's related work covers).
-func (c Collectives) AlltoallCompressed(r *cluster.Rank, data []float32) ([][]float32, error) {
-	return c.alltoall(r, data, true)
-}
-
-func (c Collectives) alltoall(r *cluster.Rank, data []float32, compressed bool) ([][]float32, error) {
-	n := r.N
-	g := world(r)
-	opt := c.Opt
-	out := make([][]float32, n)
-	// Own block.
-	s, e := BlockBounds(len(data), n, r.ID)
-	own := make([]float32, e-s)
-	copy(own, data[s:e])
-	out[r.ID] = own
-	var raw []byte // the plain flavor's staging buffer
-	defer func() { bufpool.PutBytes(raw) }()
-	// Pairwise exchange schedule: in round k, exchange with rank^... for
-	// non-power-of-two we use the simple (i+k) mod n pattern.
-	for k := 1; k < n; k++ {
-		to := (r.ID + k) % n
-		from := (r.ID - k + n) % n
-		bs, be := BlockBounds(len(data), n, to)
-		var payload []byte
-		if compressed {
-			var cerr error
-			c.work(r, cluster.CatCPR, 4*(be-bs), func() {
-				payload, cerr = fzlight.Compress(data[bs:be], opt.params())
-			})
-			if cerr != nil {
-				return nil, cerr
-			}
-		} else {
-			payload = g.stage(&raw, data[bs:be])
-		}
-		got, err := g.sendRecv(to, payload, from, compressed)
-		if err != nil {
-			return nil, err
-		}
-		if compressed {
-			h, err := fzlight.ParseHeader(got)
-			if err != nil {
-				return nil, err
-			}
-			dst := make([]float32, h.DataLen)
-			var derr error
-			c.work(r, cluster.CatDPR, 4*h.DataLen, func() {
-				derr = fzlight.DecompressInto(got, dst)
-			})
-			if derr != nil {
-				return nil, derr
-			}
-			out[from] = dst
-		} else {
-			// Every rank sends block r.ID of an equal-length vector.
-			out[from] = make([]float32, e-s)
-			if err := g.storeInto(out[from], got, "alltoall round", k); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return out, nil
 }

@@ -8,37 +8,43 @@ import (
 	"hzccl/internal/cluster"
 )
 
+// moveTol is the per-element tolerance of a data-movement collective: bit
+// for bit in the plain flavor and for a rank's own contribution, which never
+// passes through the compressor; one quantization otherwise.
+func moveTol(f Flavor, own bool) float64 {
+	if f == FlavorPlain || own {
+		return 0
+	}
+	return testEB + 1e-6
+}
+
+// checkMoved compares moved values against their source.
+func checkMoved(t *testing.T, got, want []float32, tol float64, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elems, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if d := math.Abs(float64(got[i]) - float64(want[i])); d > tol {
+			t.Fatalf("%s: elem %d err %g > %g", label, i, d, tol)
+		}
+	}
+}
+
 func TestBroadcastBothBackends(t *testing.T) {
+	c := New(Options{ErrorBound: testEB})
 	for _, nRanks := range []int{1, 2, 3, 5, 8, 13} {
 		for root := 0; root < nRanks; root += 2 {
 			src := rankField(root, 1000)
-			outs := make([][]float32, nRanks)
-			c := New(Options{ErrorBound: testEB})
-			runCluster(t, nRanks, func(r *cluster.Rank) error {
-				out, err := c.BroadcastPlain(r, src, root)
-				outs[r.ID] = out
-				return err
-			})
-			for rk, out := range outs {
-				for i := range out {
-					if out[i] != src[i] {
-						t.Fatalf("plain bcast n=%d root=%d rank %d differs at %d", nRanks, root, rk, i)
-					}
-				}
-			}
-			runCluster(t, nRanks, func(r *cluster.Rank) error {
-				out, err := c.BroadcastCompressed(r, src, root)
-				outs[r.ID] = out
-				return err
-			})
-			for rk, out := range outs {
-				if len(out) != len(src) {
-					t.Fatalf("compressed bcast rank %d: %d elems", rk, len(out))
-				}
-				for i := range out {
-					if d := math.Abs(float64(out[i]) - float64(src[i])); d > testEB+1e-6 {
-						t.Fatalf("compressed bcast n=%d root=%d rank %d err %g", nRanks, root, rk, d)
-					}
+			for _, f := range Flavors() {
+				outs := make([][]float32, nRanks)
+				runCluster(t, nRanks, func(r *cluster.Rank) (err error) {
+					outs[r.ID], err = c.Broadcast(r, f, src, root)
+					return err
+				})
+				for rk, out := range outs {
+					checkMoved(t, out, src, moveTol(f, rk == root),
+						fmt.Sprintf("%s bcast n=%d root=%d rank %d", flavorName(f), nRanks, root, rk))
 				}
 			}
 		}
@@ -47,56 +53,38 @@ func TestBroadcastBothBackends(t *testing.T) {
 
 func TestBroadcastBadRoot(t *testing.T) {
 	c := New(Options{ErrorBound: testEB})
-	err := func() error {
+	for _, f := range Flavors() {
 		_, err := cluster.Run(cluster.Config{Ranks: 2}, func(r *cluster.Rank) error {
-			_, err := c.BroadcastPlain(r, []float32{1}, 5)
+			_, err := c.Broadcast(r, f, []float32{1}, 5)
 			return err
 		})
-		return err
-	}()
-	if err == nil {
-		t.Fatal("out-of-range root accepted")
+		if err == nil {
+			t.Fatalf("%s: out-of-range root accepted", flavorName(f))
+		}
 	}
 }
 
 func TestGatherBothBackends(t *testing.T) {
+	c := New(Options{ErrorBound: testEB})
 	for _, nRanks := range []int{1, 2, 4, 7} {
 		root := nRanks / 2
-		c := New(Options{ErrorBound: testEB})
-		var rootOut [][]float32
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.GatherPlain(r, rankField(r.ID, 500), root)
-			if r.ID == root {
-				rootOut = out
-			} else if out != nil {
-				return fmt.Errorf("non-root rank %d received gather output", r.ID)
-			}
-			return err
-		})
-		if len(rootOut) != nRanks {
-			t.Fatalf("root gathered %d payloads", len(rootOut))
-		}
-		for origin, vals := range rootOut {
-			want := rankField(origin, 500)
-			for i := range vals {
-				if vals[i] != want[i] {
-					t.Fatalf("plain gather n=%d origin %d differs", nRanks, origin)
+		for _, f := range Flavors() {
+			var rootOut [][]float32
+			runCluster(t, nRanks, func(r *cluster.Rank) error {
+				out, err := c.Gather(r, f, rankField(r.ID, 500), root)
+				if r.ID == root {
+					rootOut = out
+				} else if out != nil {
+					return fmt.Errorf("non-root rank %d received gather output", r.ID)
 				}
+				return err
+			})
+			if len(rootOut) != nRanks {
+				t.Fatalf("%s: root gathered %d payloads", flavorName(f), len(rootOut))
 			}
-		}
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.GatherCompressed(r, rankField(r.ID, 500), root)
-			if r.ID == root {
-				rootOut = out
-			}
-			return err
-		})
-		for origin, vals := range rootOut {
-			want := rankField(origin, 500)
-			for i := range vals {
-				if d := math.Abs(float64(vals[i]) - float64(want[i])); d > testEB+1e-6 {
-					t.Fatalf("compressed gather origin %d err %g", origin, d)
-				}
+			for origin, vals := range rootOut {
+				checkMoved(t, vals, rankField(origin, 500), moveTol(f, origin == root),
+					fmt.Sprintf("%s gather n=%d origin %d", flavorName(f), nRanks, origin))
 			}
 		}
 	}
@@ -105,78 +93,59 @@ func TestGatherBothBackends(t *testing.T) {
 func TestAllgatherBothBackends(t *testing.T) {
 	const nRanks = 6
 	c := New(Options{ErrorBound: testEB})
-	outs := make([][][]float32, nRanks)
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, err := c.AllgatherPlain(r, rankField(r.ID, 700))
-		outs[r.ID] = out
-		return err
-	})
-	for rk, all := range outs {
-		for origin, vals := range all {
-			want := rankField(origin, 700)
-			for i := range vals {
-				if vals[i] != want[i] {
-					t.Fatalf("plain allgather rank %d origin %d differs", rk, origin)
-				}
+	for _, f := range Flavors() {
+		outs := make([][][]float32, nRanks)
+		runCluster(t, nRanks, func(r *cluster.Rank) (err error) {
+			outs[r.ID], err = c.Allgather(r, f, rankField(r.ID, 700))
+			return err
+		})
+		for rk, all := range outs {
+			if len(all) != nRanks {
+				t.Fatalf("%s allgather rank %d: %d contributions", flavorName(f), rk, len(all))
 			}
-		}
-	}
-	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, err := c.AllgatherCompressed(r, rankField(r.ID, 700))
-		outs[r.ID] = out
-		return err
-	})
-	for rk, all := range outs {
-		for origin, vals := range all {
-			want := rankField(origin, 700)
-			tol := testEB + 1e-6
-			if origin == rk {
-				tol = 0 // own block passes through uncompressed
-			}
-			for i := range vals {
-				if d := math.Abs(float64(vals[i]) - float64(want[i])); d > tol {
-					t.Fatalf("compressed allgather rank %d origin %d err %g", rk, origin, d)
-				}
+			for origin, vals := range all {
+				checkMoved(t, vals, rankField(origin, 700), moveTol(f, origin == rk),
+					fmt.Sprintf("%s allgather rank %d origin %d", flavorName(f), rk, origin))
 			}
 		}
 	}
 }
 
 func TestReducePlainAndHZ(t *testing.T) {
+	const n = 1200
+	c := New(Options{ErrorBound: testEB})
 	for _, nRanks := range []int{1, 2, 5, 8} {
 		root := nRanks - 1
-		n := 1200
 		exact := exactSum(nRanks, n)
-		c := New(Options{ErrorBound: testEB})
-
-		var got []float32
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.ReducePlain(r, rankField(r.ID, n), root)
-			if r.ID == root {
-				got = out
-			} else if out != nil {
-				return fmt.Errorf("non-root received reduce output")
+		for _, f := range Flavors() {
+			var got []float32
+			runCluster(t, nRanks, func(r *cluster.Rank) error {
+				out, _, err := c.Reduce(r, f, rankField(r.ID, n), root)
+				if r.ID == root {
+					got = out
+				} else if out != nil {
+					return fmt.Errorf("non-root received reduce output")
+				}
+				return err
+			})
+			bound := sumBound(f, AlgoRing, nRanks)
+			if f == FlavorHZ {
+				bound = float64(nRanks)*testEB + 1e-4 // one quantization per operand, no DOC hops
 			}
-			return err
-		})
-		for i := range got {
-			if d := math.Abs(float64(got[i]) - exact[i]); d > 1e-3 {
-				t.Fatalf("plain reduce n=%d err %g at %d", nRanks, d, i)
-			}
+			checkNear(t, got, exact, bound, flavorName(f)+" reduce", nRanks, root)
 		}
+	}
+}
 
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, _, err := c.ReduceHZ(r, rankField(r.ID, n), root)
-			if r.ID == root {
-				got = out
-			}
+func TestReduceBadRoot(t *testing.T) {
+	c := New(Options{ErrorBound: testEB})
+	for _, f := range Flavors() {
+		_, err := cluster.Run(cluster.Config{Ranks: 2}, func(r *cluster.Rank) error {
+			_, _, err := c.Reduce(r, f, []float32{1}, -1)
 			return err
 		})
-		bound := float64(nRanks)*testEB + 1e-4
-		for i := range got {
-			if d := math.Abs(float64(got[i]) - exact[i]); d > bound {
-				t.Fatalf("hz reduce n=%d err %g at %d (bound %g)", nRanks, d, i, bound)
-			}
+		if err == nil {
+			t.Fatalf("%s: out-of-range root accepted", flavorName(f))
 		}
 	}
 }
@@ -187,7 +156,7 @@ func TestReduceHZBreakdown(t *testing.T) {
 	const nRanks = 8
 	c := New(Options{ErrorBound: testEB})
 	res := runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.ReduceHZ(r, rankField(r.ID, 4096), 0)
+		_, _, err := c.Reduce(r, FlavorHZ, rankField(r.ID, 4096), 0)
 		return err
 	})
 	if res.Breakdown[cluster.CatCPT] != 0 {
@@ -201,46 +170,20 @@ func TestReduceHZBreakdown(t *testing.T) {
 }
 
 func TestAlltoallBothBackends(t *testing.T) {
+	const n = 960
+	c := New(Options{ErrorBound: testEB})
 	for _, nRanks := range []int{1, 2, 4, 6} {
-		n := 960
-		c := New(Options{ErrorBound: testEB})
-		outs := make([][][]float32, nRanks)
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.AlltoallPlain(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			return err
-		})
-		for rk, blocks := range outs {
-			for src, vals := range blocks {
-				want := rankField(src, n)
+		for _, f := range Flavors() {
+			outs := make([][][]float32, nRanks)
+			runCluster(t, nRanks, func(r *cluster.Rank) (err error) {
+				outs[r.ID], err = c.Alltoall(r, f, rankField(r.ID, n))
+				return err
+			})
+			for rk, blocks := range outs {
 				s, e := BlockBounds(n, nRanks, rk)
-				if len(vals) != e-s {
-					t.Fatalf("alltoall rank %d from %d: %d elems want %d", rk, src, len(vals), e-s)
-				}
-				for i := range vals {
-					if vals[i] != want[s+i] {
-						t.Fatalf("plain alltoall rank %d from %d differs at %d", rk, src, i)
-					}
-				}
-			}
-		}
-		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.AlltoallCompressed(r, rankField(r.ID, n))
-			outs[r.ID] = out
-			return err
-		})
-		for rk, blocks := range outs {
-			for src, vals := range blocks {
-				want := rankField(src, n)
-				s, _ := BlockBounds(n, nRanks, rk)
-				tol := testEB + 1e-6
-				if src == rk {
-					tol = 0
-				}
-				for i := range vals {
-					if d := math.Abs(float64(vals[i]) - float64(want[s+i])); d > tol {
-						t.Fatalf("compressed alltoall rank %d from %d err %g", rk, src, d)
-					}
+				for src, vals := range blocks {
+					checkMoved(t, vals, rankField(src, n)[s:e], moveTol(f, src == rk),
+						fmt.Sprintf("%s alltoall n=%d rank %d from %d", flavorName(f), nRanks, rk, src))
 				}
 			}
 		}
@@ -264,11 +207,11 @@ func TestCompressedBroadcastFaster(t *testing.T) {
 		return res.Time
 	}
 	tPlain := run(func(r *cluster.Rank) error {
-		_, err := c.BroadcastPlain(r, src, 0)
+		_, err := c.Broadcast(r, FlavorPlain, src, 0)
 		return err
 	})
 	tComp := run(func(r *cluster.Rank) error {
-		_, err := c.BroadcastCompressed(r, src, 0)
+		_, err := c.Broadcast(r, FlavorCColl, src, 0)
 		return err
 	})
 	if tComp >= tPlain {
@@ -304,8 +247,8 @@ func TestSegmentedMatchesUnsegmented(t *testing.T) {
 		outs[r.ID] = out
 		return err
 	})
-	for _, out := range outs {
-		checkAllreduce(t, out, exact, nRanks, "segmented allreduce")
+	for rk, out := range outs {
+		checkNear(t, out, exact, sumBound(FlavorCColl, AlgoRing, nRanks), "segmented allreduce", nRanks, rk)
 	}
 
 	// Segments <= 1 must fall back to the unsegmented implementation and
@@ -319,7 +262,7 @@ func TestSegmentedMatchesUnsegmented(t *testing.T) {
 		return err
 	})
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, err := plain.AllreduceCColl(r, rankField(r.ID, n))
+		out, _, err := plain.Allreduce(r, FlavorCColl, AlgoRing, rankField(r.ID, n))
 		b[r.ID] = out
 		return err
 	})

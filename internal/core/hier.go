@@ -28,10 +28,11 @@ import (
 // ring reduce-scatter plus gather/broadcast — correct, if pointless, so
 // the cost model never selects it for flat clusters.
 //
-// Compression crosses every stage boundary honestly: for the C-Coll and
-// hZCCL backends the member→leader blocks and the leader→member result
-// travel compressed (CPR at the producer, DPR at the consumer), and stage
-// 3 runs the backend's own ring allreduce among the leaders.
+// Stages 1 and 3 are the flavor's own ring over a sub-communicator. The
+// stage boundaries 2 and 4 move finished float blocks through the flavor's
+// codec, so compression crosses them honestly: CPR at the producer, DPR at
+// the consumer — for hZCCL too, which decompresses its stage-1 block and
+// recompresses it for the leader.
 
 // hierComms splits the world into this rank's intra-node communicator and
 // (for leaders) the inter-node leader communicator. leader is false — and
@@ -44,299 +45,172 @@ func hierComms(r *cluster.Rank) (intra comm, inter comm, leader bool) {
 	return intra, inter, leader
 }
 
-// codec is one backend's wire form for the hierarchical stage boundaries:
-// raw float bits for Plain, fzlight-compressed for C-Coll and hZCCL.
+// codec is how whole float vectors cross the fabric outside a reduction:
+// raw little-endian bits for the plain flavor, one fZ-light container (CPR
+// to encode, DPR to decode, charged to r) for the other two. The
+// hierarchical stage boundaries and the data-movement collectives of
+// extended.go are written over it.
 type codec struct {
-	encode func(vals []float32) ([]byte, error)
-	decode func(payload []byte, dst []float32) error
-	// compressed labels payloads for the wire-byte telemetry split.
+	c Collectives
+	r *cluster.Rank
+	// compressed also labels payloads for the wire-byte telemetry split.
 	compressed bool
 }
 
-// rawCodec encodes into pooled buffers and recycles what it decodes.
-func rawCodec(r *cluster.Rank) codec {
-	g := world(r)
-	return codec{
-		encode: func(vals []float32) ([]byte, error) { return g.staged(vals), nil },
-		decode: func(payload []byte, dst []float32) error {
-			return g.storeInto(dst, payload, "hierarchical stage", 0)
-		},
-	}
+func (c Collectives) codec(r *cluster.Rank, f Flavor) codec {
+	return codec{c: c, r: r, compressed: f != FlavorPlain}
 }
 
-// compressedCodec charges CPR on encode and DPR on decode to the
-// performing rank.
-func (c Collectives) compressedCodec(r *cluster.Rank) codec {
-	opt := c.Opt
-	return codec{
-		compressed: true,
-		encode: func(vals []float32) ([]byte, error) {
-			var out []byte
-			var cerr error
-			c.work(r, cluster.CatCPR, 4*len(vals), func() {
-				out, cerr = fzlight.Compress(vals, opt.params())
-			})
-			return out, cerr
-		},
-		decode: func(payload []byte, dst []float32) error {
-			var derr error
-			c.work(r, cluster.CatDPR, 4*len(dst), func() {
-				derr = fzlight.DecompressInto(payload, dst)
-			})
-			return derr
-		},
+// encode returns vals' payload, in a bufpool buffer the caller owns.
+func (cd codec) encode(vals []float32) ([]byte, error) {
+	if cd.compressed {
+		return cd.c.compressPooled(cd.r, vals)
 	}
+	return world(cd.r).staged(vals), nil
 }
 
-// gatherNodePartial runs stage 2: every member sends its reduced block to
-// the leader (local id 0), which assembles the full node-partial vector.
-// Non-leader ranks return nil.
-func gatherNodePartial(g comm, dataLen int, block []float32, cd codec) ([]float32, error) {
-	m := g.n()
-	if m == 1 {
-		out := make([]float32, dataLen)
-		copy(out, block)
-		return out, nil
+// decode fills dst from payload, which stays the caller's. A raw payload
+// must be exactly dst's size.
+func (cd codec) decode(payload []byte, dst []float32) error {
+	if cd.compressed {
+		return cd.c.decompressInto(cd.r, payload, dst)
 	}
-	if g.id != 0 {
-		payload, err := cd.encode(block)
+	return world(cd.r).decodeInto(dst, payload, "decoding payload", 0)
+}
+
+// decodeNew decodes payload into a fresh slice. A container says how many
+// floats it holds; a raw payload holds want of them, or with want < 0
+// however many whole floats it has (decode rejects a ragged one).
+func (cd codec) decodeNew(payload []byte, want int) ([]float32, error) {
+	if cd.compressed {
+		h, err := fzlight.ParseHeader(payload)
 		if err != nil {
 			return nil, err
 		}
-		err = g.send(0, payload, cd.compressed)
-		bufpool.PutBytes(payload)
-		return nil, err
+		want = h.DataLen
+	} else if want < 0 {
+		want = len(payload) / 4
+	}
+	out := make([]float32, want)
+	return out, cd.decode(payload, out)
+}
+
+// sendEncoded encodes vals, sends them to local id `to` and recycles the
+// payload.
+func (cd codec) sendEncoded(g comm, to int, vals []float32) error {
+	payload, err := cd.encode(vals)
+	if err != nil {
+		return err
+	}
+	err = g.send(to, payload, cd.compressed)
+	bufpool.PutBytes(payload)
+	return err
+}
+
+// recvDecoded receives dst's values from local id `from`.
+func (cd codec) recvDecoded(g comm, from int, dst []float32) error {
+	payload, err := g.recv(from)
+	if err != nil {
+		return err
+	}
+	if err := cd.decode(payload, dst); err != nil {
+		return err
+	}
+	bufpool.PutBytes(payload)
+	return nil
+}
+
+// gatherNodePartial runs stage 2: every member sends the block its stage-1
+// partial finished to the leader (local id 0), which assembles the full
+// node-partial vector. Non-leader ranks return nil.
+func gatherNodePartial(g comm, dataLen int, p partial, cd codec) ([]float32, error) {
+	m := g.n()
+	s, e := BlockBounds(dataLen, m, BlockOwned(g.id, m))
+	if g.id != 0 {
+		block := bufpool.Float32s(e - s)
+		defer bufpool.PutFloat32s(block)
+		if err := p.blockInto(BlockOwned(g.id, m), block); err != nil {
+			return nil, err
+		}
+		return nil, cd.sendEncoded(g, 0, block)
 	}
 	partial := make([]float32, dataLen)
-	s, e := BlockBounds(dataLen, m, BlockOwned(0, m))
-	copy(partial[s:e], block)
+	if err := p.blockInto(BlockOwned(0, m), partial[s:e]); err != nil {
+		return nil, err
+	}
 	for j := 1; j < m; j++ {
-		payload, err := g.recv(j)
-		if err != nil {
-			return nil, err
-		}
 		bs, be := BlockBounds(dataLen, m, BlockOwned(j, m))
-		if err := cd.decode(payload, partial[bs:be]); err != nil {
+		if err := cd.recvDecoded(g, j, partial[bs:be]); err != nil {
 			return nil, fmt.Errorf("core: leader %d assembling member %d block: %w", g.r.ID, j, err)
 		}
 	}
 	return partial, nil
 }
 
-// bcastResult runs stage 4 of the allreduce: the leader encodes the
-// finished vector once and the binomial tree fans it out; members decode.
-func bcastResult(g comm, full []float32, dataLen int, leader bool, cd codec) ([]float32, error) {
-	var cerr error
-	payload, err := bcastBytesG(g, func() []byte {
-		var p []byte
-		p, cerr = cd.encode(full)
-		if cerr != nil {
-			return nil
-		}
-		return p
-	}, 0)
-	if cerr != nil {
-		return nil, cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if leader {
-		bufpool.PutBytes(payload)
-		return full, nil
-	}
-	out := make([]float32, dataLen)
-	if err := cd.decode(payload, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scatterOwnedBlocks runs stage 4 of the reduce-scatter: the leader sends
-// each member only the block that member owns under the *world*
-// reduce-scatter contract (block BlockOwned(globalRank, worldN)), instead
-// of broadcasting the whole vector.
-func scatterOwnedBlocks(g comm, full []float32, dataLen int, cd codec) ([]float32, error) {
-	r := g.r
-	ownBlock := func(global int) (int, int) {
-		return BlockBounds(dataLen, r.N, BlockOwned(global, r.N))
-	}
-	if g.id == 0 {
-		for j := 1; j < g.n(); j++ {
-			s, e := ownBlock(g.global(j))
-			payload, err := cd.encode(full[s:e])
-			if err != nil {
-				return nil, err
-			}
-			err = g.send(j, payload, cd.compressed)
-			bufpool.PutBytes(payload)
-			if err != nil {
-				return nil, err
-			}
-		}
-		s, e := ownBlock(r.ID)
-		out := make([]float32, e-s)
-		copy(out, full[s:e])
-		return out, nil
-	}
-	payload, err := g.recv(0)
-	if err != nil {
-		return nil, err
-	}
-	s, e := ownBlock(r.ID)
-	out := make([]float32, e-s)
-	if err := cd.decode(payload, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// hierPartial runs stages 1–3 generically: intraRS produces each member's
-// node-reduced block, the blocks gather at the leader, and interAR reduces
-// the node partials across leaders. Non-leaders return full == nil.
-func hierPartial(r *cluster.Rank, data []float32, cd codec,
-	intraRS func(g comm, data []float32) ([]float32, error),
-	interAR func(g comm, data []float32) ([]float32, error)) (intra comm, full []float32, leader bool, err error) {
+// hierPartial runs stages 1–3: the intra-node ring reduce-scatter, the
+// gather at the leader, and the leaders' ring allreduce, in place in the
+// vector the gather built. Non-leaders return full == nil.
+func (c Collectives) hierPartial(r *cluster.Rank, f Flavor, data []float32, cd codec, stats *hzdyn.Stats) (intra comm, full []float32, err error) {
 	intra, inter, leader := hierComms(r)
-	block, err := intraRS(intra, data)
+	p, err := c.newPartial(f, blocks{g: intra, nb: intra.n()}, data, stats)
 	if err != nil {
-		return intra, nil, leader, err
+		return intra, nil, err
 	}
-	partial, err := gatherNodePartial(intra, len(data), block, cd)
+	defer p.close()
+	if err := ringReduceScatter(intra, p); err != nil {
+		return intra, nil, err
+	}
+	partial, err := gatherNodePartial(intra, len(data), p, cd)
+	if err != nil || !leader {
+		return intra, nil, err
+	}
+	full, err = c.allreduceRing(inter, f, partial, partial, stats)
+	return intra, full, err
+}
+
+// allreduceHier is the hierarchical allreduce; stage 4 broadcasts: the
+// leader encodes the finished vector once, the binomial tree fans it out,
+// members decode.
+func (c Collectives) allreduceHier(r *cluster.Rank, f Flavor, data []float32, stats *hzdyn.Stats) ([]float32, error) {
+	cd := c.codec(r, f)
+	intra, full, err := c.hierPartial(r, f, data, cd, stats)
 	if err != nil {
-		return intra, nil, leader, err
+		return nil, err
 	}
-	if leader {
-		full, err = interAR(inter, partial)
-		if err != nil {
-			return intra, nil, leader, err
+	payload, err := bcastBytes(intra, func() ([]byte, error) { return cd.encode(full) }, cd.compressed, 0)
+	if err != nil {
+		return nil, err
+	}
+	if full == nil {
+		full = make([]float32, len(data))
+		err = cd.decode(payload, full)
+	}
+	bufpool.PutBytes(payload)
+	return full, err
+}
+
+// reduceScatterHier is the hierarchical reduce-scatter; stage 4 scatters:
+// the leader sends each member only the block that member owns under the
+// *world* reduce-scatter contract (block BlockOwned(globalRank, worldN)),
+// instead of broadcasting the whole vector. out receives this rank's.
+func (c Collectives) reduceScatterHier(r *cluster.Rank, f Flavor, data, out []float32, stats *hzdyn.Stats) error {
+	cd := c.codec(r, f)
+	g, full, err := c.hierPartial(r, f, data, cd, stats)
+	if err != nil {
+		return err
+	}
+	if g.id != 0 {
+		return cd.recvDecoded(g, 0, out)
+	}
+	ownBlock := func(global int) []float32 {
+		s, e := BlockBounds(len(data), r.N, BlockOwned(global, r.N))
+		return full[s:e]
+	}
+	for j := 1; j < g.n(); j++ {
+		if err := cd.sendEncoded(g, j, ownBlock(g.global(j))); err != nil {
+			return err
 		}
 	}
-	return intra, full, leader, nil
-}
-
-// ---------------------------------------------------------------------------
-// Plain
-// ---------------------------------------------------------------------------
-
-// hierPartialPlain is hierPartial with both plain ring stages in place: the
-// intra-node one in pooled scratch (the gather consumes its block before
-// this returns), the leaders' inside the node partial the gather built.
-func (c Collectives) hierPartialPlain(r *cluster.Rank, data []float32, cd codec) (comm, []float32, bool, error) {
-	acc := bufpool.Float32s(len(data))
-	defer bufpool.PutFloat32s(acc)
-	return hierPartial(r, data, cd, func(g comm, data []float32) ([]float32, error) {
-		r.Quiesce(func() { copy(acc, data) })
-		return c.ringReducePlain(g, acc)
-	}, c.allreducePlainInPlace)
-}
-
-// AllreduceHierPlain is the hierarchical allreduce for the Plain backend.
-func (c Collectives) AllreduceHierPlain(r *cluster.Rank, data []float32) ([]float32, error) {
-	cd := rawCodec(r)
-	intra, full, leader, err := c.hierPartialPlain(r, data, cd)
-	if err != nil {
-		return nil, err
-	}
-	return bcastResult(intra, full, len(data), leader, cd)
-}
-
-// ReduceScatterHierPlain is the hierarchical reduce-scatter for the Plain
-// backend: same as the allreduce through stage 3, then the leader
-// scatters each member only its owned world block.
-func (c Collectives) ReduceScatterHierPlain(r *cluster.Rank, data []float32) ([]float32, error) {
-	cd := rawCodec(r)
-	intra, full, _, err := c.hierPartialPlain(r, data, cd)
-	if err != nil {
-		return nil, err
-	}
-	return scatterOwnedBlocks(intra, full, len(data), cd)
-}
-
-// ---------------------------------------------------------------------------
-// C-Coll
-// ---------------------------------------------------------------------------
-
-// AllreduceHierCColl is the hierarchical C-Coll allreduce: DOC rings at
-// both levels, compressed stage boundaries.
-func (c Collectives) AllreduceHierCColl(r *cluster.Rank, data []float32) ([]float32, error) {
-	cd := c.compressedCodec(r)
-	intra, full, leader, err := hierPartial(r, data, cd, c.reduceScatterCCollG, c.allreduceCCollG)
-	if err != nil {
-		return nil, err
-	}
-	return bcastResult(intra, full, len(data), leader, cd)
-}
-
-// ReduceScatterHierCColl is the hierarchical C-Coll reduce-scatter.
-func (c Collectives) ReduceScatterHierCColl(r *cluster.Rank, data []float32) ([]float32, error) {
-	cd := c.compressedCodec(r)
-	intra, full, _, err := hierPartial(r, data, cd, c.reduceScatterCCollG, c.allreduceCCollG)
-	if err != nil {
-		return nil, err
-	}
-	return scatterOwnedBlocks(intra, full, len(data), cd)
-}
-
-// ---------------------------------------------------------------------------
-// hZCCL
-// ---------------------------------------------------------------------------
-
-// hierHZStages adapts the homomorphic ring stages to hierPartial's
-// signature, accumulating hzdyn stats across both levels.
-func (c Collectives) hierHZStages(stats *hzdyn.Stats) (
-	intraRS func(g comm, data []float32) ([]float32, error),
-	interAR func(g comm, data []float32) ([]float32, error)) {
-	intraRS = func(g comm, data []float32) ([]float32, error) {
-		block, st, err := c.reduceScatterHZG(g, data)
-		if err != nil {
-			return nil, err
-		}
-		stats.Accumulate(*st)
-		return block, nil
-	}
-	interAR = func(g comm, data []float32) ([]float32, error) {
-		full, st, err := c.allreduceHZG(g, data)
-		if err != nil {
-			return nil, err
-		}
-		stats.Accumulate(*st)
-		return full, nil
-	}
-	return intraRS, interAR
-}
-
-// AllreduceHierHZ is the hierarchical hZCCL allreduce: the intra-node
-// reduce-scatter and the inter-node leader allreduce both run the
-// homomorphic ring, and the vector crosses the two stage boundaries
-// compressed.
-func (c Collectives) AllreduceHierHZ(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) {
-	stats := &hzdyn.Stats{}
-	cd := c.compressedCodec(r)
-	intraRS, interAR := c.hierHZStages(stats)
-	intra, full, leader, err := hierPartial(r, data, cd, intraRS, interAR)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := bcastResult(intra, full, len(data), leader, cd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, stats, nil
-}
-
-// ReduceScatterHierHZ is the hierarchical hZCCL reduce-scatter.
-func (c Collectives) ReduceScatterHierHZ(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) {
-	stats := &hzdyn.Stats{}
-	cd := c.compressedCodec(r)
-	intraRS, interAR := c.hierHZStages(stats)
-	intra, full, _, err := hierPartial(r, data, cd, intraRS, interAR)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := scatterOwnedBlocks(intra, full, len(data), cd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, stats, nil
+	copy(out, ownBlock(r.ID))
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hzccl/internal/cluster"
-	"hzccl/internal/hzdyn"
 )
 
 // TestPlainAllreduceAllocatesOnlyItsResult guards the plain data path's
@@ -30,28 +29,27 @@ func TestPlainAllreduceAllocatesOnlyItsResult(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	c := New(Options{})
-	schedules := []struct {
-		name string
-		run  func(*cluster.Rank, []float32) ([]float32, error)
-	}{
-		{"ring", c.AllreducePlain},
-		{"rd", c.AllreducePlainRD},
-		{"rabenseifner", c.AllreducePlainRecursive},
-		{"hierarchical", c.AllreduceHierPlain},
-	}
 	for _, world := range []int{2, 4, 5, 8} {
 		topo, err := cluster.ParseTopology(identityTopologies[world])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range schedules {
-			perRankOp := allocPerRankOp(t, world, topo, n, warm, ops, s.run)
-			t.Logf("world %d %-12s %8.0f B per rank per op (input %d B)", world, s.name, perRankOp, 4*n)
+		for _, a := range FixedAlgorithms() {
+			perRankOp := allocPerRankOp(t, world, topo, n, warm, ops, allreduceRun(c, FlavorPlain, a))
+			t.Logf("world %d %-12v %8.0f B per rank per op (input %d B)", world, a, perRankOp, 4*n)
 			if perRankOp > budget {
-				t.Errorf("world %d %s: %.0f bytes allocated per rank per Allreduce, budget %d (4·len(data) + 8 KiB)",
-					world, s.name, perRankOp, budget)
+				t.Errorf("world %d %v: %.0f bytes allocated per rank per Allreduce, budget %d (4·len(data) + 8 KiB)",
+					world, a, perRankOp, budget)
 			}
 		}
+	}
+}
+
+// allreduceRun adapts one flavor × schedule Allreduce to allocPerRankOp.
+func allreduceRun(c Collectives, f Flavor, a Algorithm) func(*cluster.Rank, []float32) ([]float32, error) {
+	return func(r *cluster.Rank, data []float32) ([]float32, error) {
+		out, _, err := c.Allreduce(r, f, a, data)
+		return out, err
 	}
 }
 
@@ -103,20 +101,17 @@ func TestHZAllreduceAllocatesOnlyItsResult(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	c := New(Options{ErrorBound: 1e-3})
-	drop := func(f func(*cluster.Rank, []float32) ([]float32, *hzdyn.Stats, error)) func(*cluster.Rank, []float32) ([]float32, error) {
-		return func(r *cluster.Rank, data []float32) ([]float32, error) {
-			out, _, err := f(r, data)
-			return out, err
-		}
-	}
 	schedules := []struct {
 		name string
 		run  func(*cluster.Rank, []float32) ([]float32, error)
 	}{
-		{"ring", drop(c.AllreduceHZ)},
-		{"rd", drop(c.AllreduceHZRD)},
-		{"rabenseifner", drop(c.AllreduceHZRecursive)},
-		{"reduce", drop(func(r *cluster.Rank, data []float32) ([]float32, *hzdyn.Stats, error) { return c.ReduceHZ(r, data, 0) })},
+		{"ring", allreduceRun(c, FlavorHZ, AlgoRing)},
+		{"rd", allreduceRun(c, FlavorHZ, AlgoRecursiveDoubling)},
+		{"rabenseifner", allreduceRun(c, FlavorHZ, AlgoRabenseifner)},
+		{"reduce", func(r *cluster.Rank, data []float32) ([]float32, error) {
+			out, _, err := c.Reduce(r, FlavorHZ, data, 0)
+			return out, err
+		}},
 	}
 	for _, world := range []int{2, 4, 5, 8} {
 		for _, s := range schedules {

@@ -22,6 +22,13 @@ import (
 // allocating encode/decode pair.
 func wire(v []float32) []float32 { return floatbytes.Floats(floatbytes.Bytes(v)) }
 
+// addInto is the reference accumulate: dst[i] += src[i], ascending.
+func addInto(dst, src []float32) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
 func cloneAll(vecs [][]float32) [][]float32 {
 	out := make([][]float32, len(vecs))
 	for i, v := range vecs {
@@ -250,18 +257,25 @@ func TestPlainBitIdentity(t *testing.T) {
 			runClusterTopo(t, world, topo, func(r *cluster.Rank) error {
 				o, data := &outs[r.ID], vecs[r.ID]
 				var err error
-				run := func(dst *[]float32, f func(*cluster.Rank, []float32) ([]float32, error)) {
+				allreduce := func(dst *[]float32, a Algorithm) {
 					if err == nil {
-						*dst, err = f(r, data)
+						*dst, _, err = c.Allreduce(r, FlavorPlain, a, data)
 					}
 				}
-				run(&o.ring, c.AllreducePlain)
-				run(&o.rs, c.ReduceScatterPlain)
-				run(&o.rd, c.AllreducePlainRD)
-				run(&o.rab, c.AllreducePlainRecursive)
-				run(&o.hier, c.AllreduceHierPlain)
-				run(&o.hierRS, c.ReduceScatterHierPlain)
-				run(&o.reduce, func(r *cluster.Rank, d []float32) ([]float32, error) { return c.ReducePlain(r, d, world/2) })
+				reduceScatter := func(dst *[]float32, a Algorithm) {
+					if err == nil {
+						*dst, _, err = c.ReduceScatter(r, FlavorPlain, a, data)
+					}
+				}
+				allreduce(&o.ring, AlgoRing)
+				reduceScatter(&o.rs, AlgoRing)
+				allreduce(&o.rd, AlgoRecursiveDoubling)
+				allreduce(&o.rab, AlgoRabenseifner)
+				allreduce(&o.hier, AlgoHierarchical)
+				reduceScatter(&o.hierRS, AlgoHierarchical)
+				if err == nil {
+					o.reduce, _, err = c.Reduce(r, FlavorPlain, data, world/2)
+				}
 				return err
 			})
 			for rk, o := range outs {
@@ -307,16 +321,16 @@ func TestPlainDataMovementBitIdentity(t *testing.T) {
 			outs := make([]result, world)
 			runCluster(t, world, func(r *cluster.Rank) (err error) {
 				o := &outs[r.ID]
-				if o.bcast, err = c.BroadcastPlain(r, vecs[root], root); err != nil {
+				if o.bcast, err = c.Broadcast(r, FlavorPlain, vecs[root], root); err != nil {
 					return err
 				}
-				if o.gather, err = c.GatherPlain(r, vecs[r.ID], root); err != nil {
+				if o.gather, err = c.Gather(r, FlavorPlain, vecs[r.ID], root); err != nil {
 					return err
 				}
-				if o.all, err = c.AllgatherPlain(r, vecs[r.ID]); err != nil {
+				if o.all, err = c.Allgather(r, FlavorPlain, vecs[r.ID]); err != nil {
 					return err
 				}
-				o.a2a, err = c.AlltoallPlain(r, vecs[r.ID])
+				o.a2a, err = c.Alltoall(r, FlavorPlain, vecs[r.ID])
 				return err
 			})
 			for rk, o := range outs {

@@ -56,26 +56,24 @@ func steps(moves ...func() error) error {
 	return nil
 }
 
-// errOf adapts a collective to the run signature, dropping its result.
-func errOf(f func(Collectives, *cluster.Rank, []float32) ([]float32, error)) func(Collectives, *cluster.Rank, []float32) error {
-	return func(c Collectives, r *cluster.Rank, data []float32) error {
-		_, err := f(c, r, data)
-		return err
-	}
-}
-
 func sizeCases() []sizeCase {
 	const L, half = sizeTestLen, sizeTestLen / 2
-	ringAR := errOf(Collectives.AllreducePlain)
-	ringRS := errOf(Collectives.ReduceScatterPlain)
-	rd := errOf(Collectives.AllreducePlainRD)
-	rab := errOf(Collectives.AllreducePlainRecursive)
-	hierAR := errOf(Collectives.AllreduceHierPlain)
-	hierRS := errOf(Collectives.ReduceScatterHierPlain)
-	hzRab := errOf(func(c Collectives, r *cluster.Rank, d []float32) ([]float32, error) {
-		out, _, err := c.AllreduceHZRecursive(r, d)
-		return out, err
-	})
+	allreduce := func(f Flavor, a Algorithm) func(Collectives, *cluster.Rank, []float32) error {
+		return func(c Collectives, r *cluster.Rank, d []float32) error {
+			_, _, err := c.Allreduce(r, f, a, d)
+			return err
+		}
+	}
+	reduceScatter := func(a Algorithm) func(Collectives, *cluster.Rank, []float32) error {
+		return func(c Collectives, r *cluster.Rank, d []float32) error {
+			_, _, err := c.ReduceScatter(r, FlavorPlain, a, d)
+			return err
+		}
+	}
+	ringAR, ringRS := allreduce(FlavorPlain, AlgoRing), reduceScatter(AlgoRing)
+	rd, rab := allreduce(FlavorPlain, AlgoRecursiveDoubling), allreduce(FlavorPlain, AlgoRabenseifner)
+	hierAR, hierRS := allreduce(FlavorPlain, AlgoHierarchical), reduceScatter(AlgoHierarchical)
+	hzRab := allreduce(FlavorHZ, AlgoRabenseifner)
 	first := func(to int) func(*cluster.Rank, func(int) error) error {
 		return func(_ *cluster.Rank, malformed func(int) error) error { return malformed(to) }
 	}
@@ -128,19 +126,34 @@ func sizeCases() []sizeCase {
 		{name: "hierarchical scatter", world: 2, topology: "2", bad: 0, victim: 1, want: half, script: leaderOfTwo, run: hierRS},
 		{name: "hierarchical leader ring", world: 2, topology: "1,1", bad: 1, victim: 0, want: half, script: first(0), run: hierAR},
 		{name: "reduce", world: 2, bad: 1, victim: 0, want: L, script: first(0),
-			run: errOf(func(c Collectives, r *cluster.Rank, d []float32) ([]float32, error) { return c.ReducePlain(r, d, 0) })},
+			run: func(c Collectives, r *cluster.Rank, d []float32) error {
+				_, _, err := c.Reduce(r, FlavorPlain, d, 0)
+				return err
+			}},
 		{name: "broadcast", world: 2, bad: 0, victim: 1, want: L, script: first(1),
-			run: errOf(func(c Collectives, r *cluster.Rank, d []float32) ([]float32, error) { return c.BroadcastPlain(r, d, 0) })},
+			run: func(c Collectives, r *cluster.Rank, d []float32) error {
+				_, err := c.Broadcast(r, FlavorPlain, d, 0)
+				return err
+			}},
 		{name: "alltoall", world: 2, bad: 1, victim: 0, want: half, script: first(0),
-			run: func(c Collectives, r *cluster.Rank, d []float32) error { _, err := c.AlltoallPlain(r, d); return err }},
+			run: func(c Collectives, r *cluster.Rank, d []float32) error {
+				_, err := c.Alltoall(r, FlavorPlain, d)
+				return err
+			}},
 		{name: "allgather", world: 2, bad: 1, victim: 0, want: L, script: first(0), raggedOnly: true,
-			run: func(c Collectives, r *cluster.Rank, d []float32) error { _, err := c.AllgatherPlain(r, d); return err }},
+			run: func(c Collectives, r *cluster.Rank, d []float32) error {
+				_, err := c.Allgather(r, FlavorPlain, d)
+				return err
+			}},
 		{name: "gather", world: 2, bad: 1, victim: 0, raggedOnly: true,
 			// One {origin 1, 6 bytes} pair in the gather tree's framing.
 			script: func(r *cluster.Rank, _ func(int) error) error {
 				return r.Send(0, []byte{1, 0, 0, 0, 1, 0, 0, 0, 6, 0, 0, 0, 9, 9, 9, 9, 9, 9})
 			},
-			run: func(c Collectives, r *cluster.Rank, d []float32) error { _, err := c.GatherPlain(r, d, 0); return err }},
+			run: func(c Collectives, r *cluster.Rank, d []float32) error {
+				_, err := c.Gather(r, FlavorPlain, d, 0)
+				return err
+			}},
 	}
 }
 

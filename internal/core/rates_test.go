@@ -19,7 +19,7 @@ func TestModeledChargingMatchesEquations(t *testing.T) {
 	cfg := cluster.Config{Ranks: nRanks, Latency: time.Microsecond, BandwidthBytes: 1e9}
 
 	res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, smoothRankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	if err != nil {
@@ -45,7 +45,7 @@ func TestModeledChargingMatchesEquations(t *testing.T) {
 	}
 	// Determinism: a second run charges identical times.
 	res2, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, smoothRankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestModeledMTScaling(t *testing.T) {
 	run := func(mode Mode) *cluster.Result {
 		c := New(Options{ErrorBound: 1e-3, Mode: mode, Rates: rates, MTSpeedup: 8})
 		res, err := cluster.Run(cluster.Config{Ranks: nRanks}, func(r *cluster.Rank) error {
-			_, err := c.AllreduceCColl(r, smoothRankField(r.ID, n))
+			_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, smoothRankField(r.ID, n))
 			return err
 		})
 		if err != nil {

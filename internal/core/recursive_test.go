@@ -27,58 +27,32 @@ func TestActiveRanks(t *testing.T) {
 
 func TestFrameBlobs(t *testing.T) {
 	blobs := [][]byte{{1, 2, 3}, {}, {9}}
-	got, err := unframeBlobs(frameBlobs(blobs))
+	got, err := unframeBlobsN(frameBlobs(blobs), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0]) != "\x01\x02\x03" || len(got[1]) != 0 || got[2][0] != 9 {
 		t.Fatalf("frame round trip: %v", got)
 	}
-	if _, err := unframeBlobs([]byte{1}); err == nil {
+	if _, err := unframeBlobsN(frameBlobs(blobs), 2); err == nil {
+		t.Error("frame with the wrong blob count accepted")
+	}
+	if _, err := unframeBlobsN([]byte{1}, 1); err == nil {
 		t.Error("short frame accepted")
 	}
-	if _, err := unframeBlobs([]byte{2, 0, 0, 0, 10, 0, 0, 0}); err == nil {
+	if _, err := unframeBlobsN([]byte{2, 0, 0, 0, 10, 0, 0, 0}, 2); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
 
 func TestRecursiveAllreduceMatchesExactSum(t *testing.T) {
+	c := New(Options{ErrorBound: testEB})
 	for _, nRanks := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16} {
 		for _, n := range []int{1024, 1000} {
 			exact := exactSum(nRanks, n)
-			c := New(Options{ErrorBound: testEB})
-
-			outs := make([][]float32, nRanks)
-			runCluster(t, nRanks, func(r *cluster.Rank) error {
-				out, err := c.AllreducePlainRecursive(r, rankField(r.ID, n))
-				outs[r.ID] = out
-				return err
-			})
-			for rk, out := range outs {
-				if len(out) != n {
-					t.Fatalf("plain n=%d ranks=%d rank %d: %d elems", n, nRanks, rk, len(out))
-				}
-				for i := range out {
-					if d := math.Abs(float64(out[i]) - exact[i]); d > 1e-3 {
-						t.Fatalf("plain recursive n=%d ranks=%d rank %d elem %d: err %g", n, nRanks, rk, i, d)
-					}
-				}
-			}
-
-			runCluster(t, nRanks, func(r *cluster.Rank) error {
-				out, _, err := c.AllreduceHZRecursive(r, rankField(r.ID, n))
-				outs[r.ID] = out
-				return err
-			})
-			bound := 2*float64(nRanks)*testEB + 1e-4
-			for rk, out := range outs {
-				if len(out) != n {
-					t.Fatalf("hz n=%d ranks=%d rank %d: %d elems", n, nRanks, rk, len(out))
-				}
-				for i := range out {
-					if d := math.Abs(float64(out[i]) - exact[i]); d > bound {
-						t.Fatalf("hz recursive n=%d ranks=%d rank %d elem %d: err %g", n, nRanks, rk, i, d)
-					}
+			for _, f := range Flavors() {
+				for rk, out := range allreduceAll(t, c, f, AlgoRabenseifner, nRanks, nil, n) {
+					checkNear(t, out, exact, sumBound(f, AlgoRabenseifner, nRanks), flavorName(f)+" rabenseifner", nRanks, rk)
 				}
 			}
 		}
@@ -100,11 +74,11 @@ func TestRecursiveBeatsRingAtHighLatency(t *testing.T) {
 		return res.Time
 	}
 	tRing := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, rankField(r.ID, n))
 		return err
 	})
 	tRec := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZRecursive(r, rankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRabenseifner, rankField(r.ID, n))
 		return err
 	})
 	if tRec >= tRing {
@@ -116,7 +90,7 @@ func TestRecursiveHZBreakdown(t *testing.T) {
 	const nRanks = 8
 	c := New(Options{ErrorBound: testEB})
 	res := runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZRecursive(r, rankField(r.ID, 4096))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRabenseifner, rankField(r.ID, 4096))
 		return err
 	})
 	if res.Breakdown[cluster.CatCPT] != 0 {
@@ -175,11 +149,11 @@ func TestBaselineOrdering(t *testing.T) {
 		return err
 	})
 	tCColl := run(func(r *cluster.Rank) error {
-		_, err := c.AllreduceCColl(r, smoothRankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	tHZ := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, smoothRankField(r.ID, n))
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	if !(tHZ < tCColl && tCColl < tP2P) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
 	"hzccl/internal/fzlight"
 )
@@ -39,7 +40,7 @@ func segRanges(n, s int) [][2]int {
 	return out
 }
 
-// ReduceScatterCCollSegmented is ReduceScatterCColl with per-round
+// ReduceScatterCCollSegmented is the C-Coll ring reduce-scatter with per-round
 // segmentation and one-deep pipelining: while segment k is in flight, the
 // sender is already compressing segment k+1 and the receiver is reducing
 // segment k−1, so the wire time hides behind the DOC pipeline whenever
@@ -48,69 +49,41 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 	n := r.N
 	segs := c.Opt.Segments
 	if segs <= 1 || n == 1 {
-		return c.ReduceScatterCColl(r, data)
+		out, _, err := c.ReduceScatter(r, FlavorCColl, AlgoRing, data)
+		return out, err
 	}
-	opt := c.Opt
-	var acc []float32
-	r.Quiesce(func() {
-		acc = make([]float32, len(data))
-		copy(acc, data)
-	})
+	g := world(r)
+	acc := bufpool.Float32s(len(data))
+	defer bufpool.PutFloat32s(acc)
+	r.Quiesce(func() { copy(acc, data) })
 	next, prev := (r.ID+1)%n, (r.ID-1+n)%n
 	for step := 0; step < n-1; step++ {
-		sendIdx := (r.ID - step + n) % n
-		recvIdx := (r.ID - step - 1 + n) % n
-		s, e := BlockBounds(len(data), n, sendIdx)
-		rs, re := BlockBounds(len(data), n, recvIdx)
-		sendRanges := segRanges(e-s, segs)
-		recvRanges := segRanges(re-rs, segs)
-
-		reduceSeg := func(k int, got []byte) error {
-			ra, rb := rs+recvRanges[k][0], rs+recvRanges[k][1]
-			recvVals := make([]float32, rb-ra)
-			var derr error
-			c.work(r, cluster.CatDPR, 4*(rb-ra), func() {
-				derr = fzlight.DecompressInto(got, recvVals)
-			})
-			if derr != nil {
-				return derr
-			}
-			c.work(r, cluster.CatCPT, 4*(rb-ra), func() { addInto(acc[ra:rb], recvVals) })
-			return nil
-		}
-
+		s, e := BlockBounds(len(data), n, (r.ID-step+n)%n)
+		rs, re := BlockBounds(len(data), n, (r.ID-step-1+n)%n)
+		send, recv := segRanges(e-s, segs), segRanges(re-rs, segs)
 		// One-deep pipeline: compress+send segment k, then drain segment
 		// k−1 — its transfer overlapped the compression just performed.
-		for k := range sendRanges {
-			a, b := s+sendRanges[k][0], s+sendRanges[k][1]
-			var payload []byte
-			var cerr error
-			c.work(r, cluster.CatCPR, 4*(b-a), func() {
-				payload, cerr = fzlight.Compress(acc[a:b], opt.params())
-			})
-			if cerr != nil {
-				return nil, cerr
-			}
-			if err := r.Send(next, payload); err != nil {
-				return nil, err
-			}
-			countRingBytes(payload, true)
-			if k > 0 {
-				got, err := r.Recv(prev)
+		for k := 0; k < len(send) || k <= len(recv); k++ {
+			if k < len(send) {
+				payload, err := c.compressPooled(r, acc[s+send[k][0]:s+send[k][1]])
 				if err != nil {
 					return nil, err
 				}
-				if err := reduceSeg(k-1, got); err != nil {
+				err = g.send(next, payload, true)
+				bufpool.PutBytes(payload)
+				if err != nil {
 					return nil, err
 				}
 			}
-		}
-		got, err := r.Recv(prev)
-		if err != nil {
-			return nil, err
-		}
-		if err := reduceSeg(len(recvRanges)-1, got); err != nil {
-			return nil, err
+			if k > 0 && k <= len(recv) {
+				got, err := g.recv(prev)
+				if err != nil {
+					return nil, err
+				}
+				if err := c.reduceDOC(r, acc[rs+recv[k-1][0]:rs+recv[k-1][1]], got); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 	s, e := BlockBounds(len(data), n, BlockOwned(r.ID, n))
@@ -119,18 +92,14 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 	return out, nil
 }
 
-// AllreduceCCollSegmented is AllreduceCColl with the segmented
+// AllreduceCCollSegmented is the C-Coll ring allreduce with the segmented
 // reduce-scatter stage. The allgather stage stays unsegmented: it moves
 // already-compressed bytes with no compute to overlap, so cutting it up
 // would only multiply per-message latency.
 func (c Collectives) AllreduceCCollSegmented(r *cluster.Rank, data []float32) ([]float32, error) {
-	segs := c.Opt.Segments
-	if segs <= 1 || r.N == 1 {
-		return c.AllreduceCColl(r, data)
-	}
 	block, err := c.ReduceScatterCCollSegmented(r, data)
 	if err != nil {
 		return nil, err
 	}
-	return c.allgatherCompressBlock(world(r), block, len(data))
+	return c.allgatherBlock(world(r), block, len(data))
 }

@@ -24,19 +24,23 @@ var (
 	mRingRawBytes        = telemetry.C("core.ring.raw_bytes")
 )
 
-// stageHist maps a breakdown category to its span histogram.
-func stageHist(cat cluster.Category) *telemetry.Histogram {
+// stageOf maps a breakdown category to its span histogram and, when compute
+// is modeled, its calibrated rate.
+func stageOf(cat cluster.Category, rates *Rates) (*telemetry.Histogram, float64) {
+	if rates == nil {
+		rates = &Rates{}
+	}
 	switch cat {
 	case cluster.CatCPR:
-		return mStageCompressNS
+		return mStageCompressNS, rates.CPR
 	case cluster.CatDPR:
-		return mStageDecompressNS
-	case cluster.CatCPT:
-		return mStageReduceRawNS
+		return mStageDecompressNS, rates.DPR
 	case cluster.CatHPR:
-		return mStageReduceHomNS
+		return mStageReduceHomNS, rates.HPR
+	case cluster.CatCPT:
+		return mStageReduceRawNS, rates.CPT
 	}
-	return mStageOtherNS
+	return mStageOtherNS, rates.CPT
 }
 
 // countRingBytes attributes one ring exchange's outgoing payload to the

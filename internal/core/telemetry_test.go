@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"hzccl/internal/cluster"
@@ -21,7 +22,7 @@ func TestAllreduceHZTelemetry(t *testing.T) {
 
 	before := telemetry.Capture()
 	_, err := cluster.Run(cluster.Config{Ranks: nodes}, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, data)
+		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, data)
 		return err
 	})
 	if err != nil {
@@ -80,7 +81,7 @@ func TestAllreducePlainCountsRawBytes(t *testing.T) {
 	c := New(Options{ErrorBound: 1e-3})
 	before := telemetry.Capture()
 	_, err := cluster.Run(cluster.Config{Ranks: 3}, func(r *cluster.Rank) error {
-		_, err := c.AllreducePlain(r, data)
+		_, _, err := c.Allreduce(r, FlavorPlain, AlgoRing, data)
 		return err
 	})
 	if err != nil {
@@ -92,5 +93,53 @@ func TestAllreducePlainCountsRawBytes(t *testing.T) {
 	}
 	if got := d.Counters["core.ring.compressed_bytes"]; got != 0 {
 		t.Fatalf("core.ring.compressed_bytes = %d, want 0 for plain MPI", got)
+	}
+}
+
+// Every payload a schedule moves is counted: on a 5-rank world — one fold
+// pair, so the fold and unfold hand-offs are in play — the wire-byte counters
+// of each flavor under recursive doubling and Rabenseifner, and of the rooted
+// reduce with its tree edges, add up to exactly the bytes handed to the
+// transport.
+func TestWireBytesCountEveryPayload(t *testing.T) {
+	const nodes, n = 5, 4096
+	c := New(Options{ErrorBound: 1e-3})
+	ops := map[string]func(*cluster.Rank, Flavor, []float32) error{
+		"rd": func(r *cluster.Rank, f Flavor, d []float32) error {
+			_, _, err := c.Allreduce(r, f, AlgoRecursiveDoubling, d)
+			return err
+		},
+		"rabenseifner": func(r *cluster.Rank, f Flavor, d []float32) error {
+			_, _, err := c.Allreduce(r, f, AlgoRabenseifner, d)
+			return err
+		},
+		"reduce": func(r *cluster.Rank, f Flavor, d []float32) error {
+			_, _, err := c.Reduce(r, f, d, 1)
+			return err
+		},
+	}
+	for name, op := range ops {
+		for _, f := range Flavors() {
+			var handed atomic.Int64
+			count := func(fc cluster.FaultContext) (cluster.FaultAction, float64) {
+				handed.Add(int64(fc.Len))
+				return cluster.FaultDeliver, 0
+			}
+			before := telemetry.Capture()
+			_, err := cluster.Run(cluster.Config{Ranks: nodes, Fault: count}, func(r *cluster.Rank) error {
+				return op(r, f, rankField(r.ID, n))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := telemetry.Capture().Delta(before)
+			counted := d.Counters["core.ring.compressed_bytes"] + d.Counters["core.ring.raw_bytes"]
+			if counted != handed.Load() || counted == 0 {
+				t.Errorf("%s %s: counted %d wire bytes, transport was handed %d", flavorName(f), name, counted, handed.Load())
+			}
+			if f == FlavorPlain && d.Counters["core.ring.compressed_bytes"] != 0 {
+				t.Errorf("plain %s counted %d compressed bytes", name, d.Counters["core.ring.compressed_bytes"])
+			}
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func algoTestRates() Rates {
 	return Rates{
-		CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9, Ratio: 4,
+		Rates: core.Rates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}, Ratio: 4,
 		Alpha: 10e-6, Beta: 1.25e9,
 	}
 }

@@ -12,18 +12,17 @@ import (
 	"math"
 	"time"
 
+	"hzccl/internal/core"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
 
-// Rates holds the component throughputs of one node plus the network
-// parameters. All throughputs are in bytes of *raw* (uncompressed) data
-// per second, so t_op(m) = m / rate for a raw block of m bytes.
+// Rates holds the component throughputs of one node (core.Rates: CPR, DPR,
+// CPT, HPR) plus the network parameters. All throughputs are in bytes of
+// *raw* (uncompressed) data per second, so t_op(m) = m / rate for a raw
+// block of m bytes.
 type Rates struct {
-	CPR   float64 // compression
-	DPR   float64 // decompression
-	CPT   float64 // raw element-wise sum
-	HPR   float64 // homomorphic reduction of two compressed blocks
+	core.Rates
 	Ratio float64 // compression ratio (raw bytes / compressed bytes)
 	Alpha float64 // per-message latency, seconds
 	Beta  float64 // link bandwidth, bytes/second
@@ -46,26 +45,14 @@ func (r Rates) Validate() error {
 }
 
 // Backend selects which collective implementation the prediction models.
-type Backend int
+type Backend = core.Flavor
 
 // Backends.
 const (
-	Plain Backend = iota // original MPI, no compression
-	CColl                // DOC workflow
-	HZCCL                // homomorphic co-design
+	Plain = core.FlavorPlain // original MPI, no compression
+	CColl = core.FlavorCColl // DOC workflow
+	HZCCL = core.FlavorHZ    // homomorphic co-design
 )
-
-func (b Backend) String() string {
-	switch b {
-	case Plain:
-		return "MPI"
-	case CColl:
-		return "C-Coll"
-	case HZCCL:
-		return "hZCCL"
-	}
-	return fmt.Sprintf("Backend(%d)", int(b))
-}
 
 // link returns the modeled time to move a raw block of m bytes between two
 // neighbours, compressed when the backend compresses.
@@ -206,10 +193,12 @@ func Measure(sample []float32, eb float64, alpha time.Duration, betaBytes float6
 	}
 
 	r := Rates{
-		CPR:   float64(rawBytes) / tCPR,
-		DPR:   float64(rawBytes) / tDPR,
-		CPT:   float64(rawBytes) / tCPT,
-		HPR:   float64(rawBytes) / tHPR,
+		Rates: core.Rates{
+			CPR: float64(rawBytes) / tCPR,
+			DPR: float64(rawBytes) / tDPR,
+			CPT: float64(rawBytes) / tCPT,
+			HPR: float64(rawBytes) / tHPR,
+		},
 		Ratio: float64(rawBytes) / float64(len(comp)),
 		Alpha: alpha.Seconds(),
 		Beta:  betaBytes,

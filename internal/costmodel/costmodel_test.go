@@ -12,10 +12,7 @@ import (
 // synthetic rates with clean numbers for closed-form checks
 func testRates() Rates {
 	return Rates{
-		CPR:   1e9,
-		DPR:   2e9,
-		CPT:   10e9,
-		HPR:   20e9,
+		Rates: core.Rates{CPR: 1e9, DPR: 2e9, CPT: 10e9, HPR: 20e9},
 		Ratio: 10,
 		Alpha: 1e-6,
 		Beta:  12.5e9,
@@ -147,10 +144,10 @@ func TestModelMatchesSimulator(t *testing.T) {
 	rates := testRates()
 	rates.Ratio = 8 // rough; link time is negligible at these sizes
 	c := core.New(core.Options{ErrorBound: 1e-3,
-		Rates: &core.Rates{CPR: rates.CPR, DPR: rates.DPR, CPT: rates.CPT, HPR: rates.HPR}})
+		Rates: &rates.Rates})
 	cfg := cluster.Config{Ranks: nRanks, Latency: time.Duration(rates.Alpha * float64(time.Second)), BandwidthBytes: rates.Beta}
 	res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, field(r.ID))
+		_, _, err := c.Allreduce(r, core.FlavorHZ, core.AlgoRing, field(r.ID))
 		return err
 	})
 	if err != nil {

@@ -80,13 +80,11 @@ func TestBoundsHoldEmpirically(t *testing.T) {
 		c := core.New(core.Options{ErrorBound: eb})
 		var worst float64
 		res, err := cluster.Run(cluster.Config{Ranks: nRanks}, func(r *cluster.Rank) error {
-			var out []float32
-			var err error
+			flavor := core.FlavorCColl
 			if kind == "hz" {
-				out, _, err = c.AllreduceHZ(r, fields[r.ID])
-			} else {
-				out, err = c.AllreduceCColl(r, fields[r.ID])
+				flavor = core.FlavorHZ
 			}
+			out, _, err := c.Allreduce(r, flavor, core.AlgoRing, fields[r.ID])
 			if err != nil {
 				return err
 			}

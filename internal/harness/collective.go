@@ -42,6 +42,21 @@ func KernelName(k int) string {
 	return fmt.Sprintf("kernel%d", k)
 }
 
+// kernelFlavor splits a kernel index into its threading mode and flavor.
+func kernelFlavor(k int) (core.Mode, core.Flavor) {
+	switch k {
+	case KernelCCollMT:
+		return core.MultiThread, core.FlavorCColl
+	case KernelHZMT:
+		return core.MultiThread, core.FlavorHZ
+	case KernelCCollST:
+		return core.SingleThread, core.FlavorCColl
+	case KernelHZST:
+		return core.SingleThread, core.FlavorHZ
+	}
+	return core.SingleThread, core.FlavorPlain
+}
+
 // Kernels lists all kernel indices in artifact order.
 var Kernels = []int{KernelMPI, KernelCCollMT, KernelHZMT, KernelCCollST, KernelHZST}
 
@@ -225,30 +240,16 @@ type KernelRun struct {
 // its own snapshot, and returns the virtual-time result with the per-run
 // telemetry delta.
 func runKernel(opt Options, op collectiveOp, kernel, nodes int, kind fieldKind, n int, eb float64, rates *core.Rates) (*KernelRun, error) {
-	mode := core.SingleThread
-	switch kernel {
-	case KernelCCollMT, KernelHZMT:
-		mode = core.MultiThread
-	}
+	mode, flavor := kernelFlavor(kernel)
 	c := core.New(opt.coreOptions(mode, eb, rates))
 
-	body := func(r *cluster.Rank) error {
+	body := func(r *cluster.Rank) (err error) {
 		var data []float32
 		r.Quiesce(func() { data = collectiveField(kind, n, r.ID, nodes) })
-		var err error
-		switch {
-		case op == opReduceScatter && kernel == KernelMPI:
-			_, err = c.ReduceScatterPlain(r, data)
-		case op == opReduceScatter && (kernel == KernelCCollMT || kernel == KernelCCollST):
-			_, err = c.ReduceScatterCColl(r, data)
-		case op == opReduceScatter:
-			_, _, err = c.ReduceScatterHZ(r, data)
-		case kernel == KernelMPI:
-			_, err = c.AllreducePlain(r, data)
-		case kernel == KernelCCollMT || kernel == KernelCCollST:
-			_, err = c.AllreduceCColl(r, data)
-		default:
-			_, _, err = c.AllreduceHZ(r, data)
+		if op == opReduceScatter {
+			_, _, err = c.ReduceScatter(r, flavor, core.AlgoRing, data)
+		} else {
+			_, _, err = c.Allreduce(r, flavor, core.AlgoRing, data)
 		}
 		return err
 	}

@@ -36,26 +36,14 @@ func stackDims(opt Options) (int, int) {
 // runStack performs the Allreduce-based stacking with one kernel and
 // returns the cluster result plus rank 0's stacked image.
 func runStack(opt Options, kernel int, scene *imagestack.Image, eb float64, rates *core.Rates) (*cluster.Result, *imagestack.Image, error) {
-	mode := core.SingleThread
-	if kernel == KernelCCollMT || kernel == KernelHZMT {
-		mode = core.MultiThread
-	}
+	mode, flavor := kernelFlavor(kernel)
 	c := core.New(opt.coreOptions(mode, eb, rates))
 
 	var out0 *imagestack.Image
 	body := func(r *cluster.Rank) error {
 		var exp *imagestack.Image
 		r.Quiesce(func() { exp = imagestack.Exposure(scene, r.ID, stackNoiseSigma) })
-		var stacked []float32
-		var err error
-		switch kernel {
-		case KernelMPI:
-			stacked, err = c.AllreducePlain(r, exp.Pix)
-		case KernelCCollMT, KernelCCollST:
-			stacked, err = c.AllreduceCColl(r, exp.Pix)
-		default:
-			stacked, _, err = c.AllreduceHZ(r, exp.Pix)
-		}
+		stacked, _, err := c.Allreduce(r, flavor, core.AlgoRing, exp.Pix)
 		if err != nil {
 			return err
 		}

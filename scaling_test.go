@@ -189,24 +189,14 @@ func checkAutoChoices(t *testing.T, res *hzccl.RunResult, world int, b hzccl.Bac
 		}
 	}
 
-	cm := costmodel.Rates{
-		CPR: rates.CPR, DPR: rates.DPR, CPT: rates.CPT, HPR: rates.HPR,
-		Ratio: 4, Alpha: 1.5e-6, Beta: 12.5e9, // ClusterConfig defaults
-	}
-	cb := costmodel.Plain
-	switch b {
-	case hzccl.BackendCColl:
-		cb = costmodel.CColl
-	case hzccl.BackendHZCCL:
-		cb = costmodel.HZCCL
-	}
+	cm := costmodel.Rates{Rates: rates, Ratio: 4, Alpha: 1.5e-6, Beta: 12.5e9} // ClusterConfig defaults
 	shape := costmodel.FlatTopo(world)
 	if topo != nil {
 		shape = costmodel.Topo{Nodes: topo.Nodes(), MaxNode: topo.MaxNodeSize()}
 	}
 	worst := 0.0
 	for _, a := range []hzccl.Algorithm{hzccl.AlgoRing, hzccl.AlgoRecursiveDoubling, hzccl.AlgoRabenseifner, hzccl.AlgoHierarchical} {
-		if c := cm.AllreduceAlgo(cb, a, world, 4*sweepElems, shape); c > worst {
+		if c := cm.AllreduceAlgo(b, a, world, 4*sweepElems, shape); c > worst {
 			worst = c
 		}
 	}

@@ -26,5 +26,9 @@ run ./internal/hzdyn FuzzHomomorphism
 run ./internal/conformance FuzzCompressorOracle
 run ./internal/conformance FuzzHomomorphicOracle
 run ./internal/conformance FuzzCollectiveShapes
+# The three that drive the schedules under faults and membership change.
+run ./internal/conformance FuzzChaosSchedule
+run ./internal/conformance FuzzShrinkChaos
+run ./internal/conformance FuzzHierarchicalChaos
 
 echo "fuzz: OK"
