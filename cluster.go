@@ -247,7 +247,8 @@ func (r *Rank) ID() int { return r.r.ID }
 // Size returns the number of ranks in the cluster.
 func (r *Rank) Size() int { return r.r.N }
 
-// Send transmits bytes to a peer (the payload is copied).
+// Send transmits bytes to a peer; the caller keeps its buffer and may reuse
+// it once Send returns.
 func (r *Rank) Send(to int, data []byte) error { return r.r.Send(to, data) }
 
 // Recv blocks for the next message from a peer.

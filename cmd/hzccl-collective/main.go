@@ -61,13 +61,10 @@
 package main
 
 import (
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -81,6 +78,7 @@ import (
 	"hzccl/internal/cluster"
 	"hzccl/internal/core"
 	"hzccl/internal/datasets"
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/harness"
 	"hzccl/internal/metrics"
 	"hzccl/internal/obs"
@@ -408,17 +406,6 @@ func parseBackend(s string) (hzccl.Backend, error) {
 	return 0, fmt.Errorf("unknown backend %q (want mpi, ccoll or hzccl)", s)
 }
 
-// digest32 is the result fingerprint printed by transport mode: crc32c
-// over the little-endian bytes of the reduced vector. Ranks running the
-// same collective on any fabric must print identical digests.
-func digest32(v []float32) uint32 {
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
-	}
-	return crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))
-}
-
 // runTransport runs one Allreduce on an explicitly selected fabric and
 // prints, per local rank, a digest of the reduced vector plus the virtual
 // (modeled) and wall-clock times. "tcp" makes this process rank `rank` of
@@ -505,7 +492,7 @@ func runTransport(kind string, rank int, peers, backendStr, algoStr, topoStr str
 			return err
 		}
 		mu.Lock()
-		digests[id0] = digest32(out)
+		digests[id0] = floatbytes.Checksum(out)
 		mu.Unlock()
 		return nil
 	})

@@ -1,8 +1,9 @@
 // Package bufpool is the shared buffer recycler behind the zero-allocation
 // hot paths: compressed payloads (fzlight.CompressInto, hzdyn.AddInto), the
-// transport's copy-on-send buffers (cluster.Send) and the per-chunk integer
-// scratch of the codecs all draw from and return to the pools here instead
-// of churning the garbage collector once per call or per ring step.
+// payloads a fabric hands a receiver (the in-process fabric's copy for the
+// receiver, the TCP reader's frame bodies) and the per-chunk integer scratch
+// of the codecs all draw from and return to the pools here instead of
+// churning the garbage collector once per call or per ring step.
 //
 // Design:
 //
@@ -18,11 +19,14 @@
 //     type under bufpool.* so pool effectiveness is visible in every
 //     metrics export.
 //
-// Ownership rule (the copy-on-send contract): a buffer handed to Put must
-// not be referenced anywhere else. The cluster transport upholds this by
-// copying every payload at Send time and again into the retransmit window,
-// so collective code may recycle its send buffers immediately after Send
-// returns — see internal/cluster.
+// Ownership rule: a buffer handed to Put must not be referenced anywhere
+// else — and must be the caller's to give. Put accepts foreign buffers
+// silently, so recycling memory someone else still owns (a byte view of a
+// caller's result vector, say) hands it to the next Get. cluster.Send never
+// recycles: the sender keeps its buffer and may Put it the moment Send
+// returns, and only the fabric that hands bytes to another owner copies
+// them — into a buffer from here, which the receiver Puts once it has
+// consumed the payload. See internal/cluster.
 package bufpool
 
 import (

@@ -12,6 +12,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"hzccl/internal/bufpool"
 )
 
 type chanTransport struct {
@@ -111,8 +113,14 @@ func (t *chanTransport) chanFor(from, to int) chan message {
 	return ch
 }
 
-func (t *chanTransport) send(from, to int, m message, copies int) error {
-	ch := t.chanFor(from, to)
+// send hands the receiver a pooled copy of the payload, one shared by every
+// delivery of a duplicated message: the receiver ends up owning what it is
+// handed, and the sender keeps its buffer.
+func (t *chanTransport) send(r *Rank, to int, m message, copies int) error {
+	own := bufpool.Bytes(len(m.data))
+	r.Quiesce(func() { copy(own, m.data) })
+	m.data = own
+	ch := t.chanFor(m.from, to)
 	for i := 0; i < copies; i++ {
 		ch <- m
 	}

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"hzccl/internal/bufpool"
 	"hzccl/internal/telemetry"
 )
 
@@ -667,17 +666,18 @@ func (r *Rank) Quiesce(f func()) {
 	r.c.compute.Unlock()
 }
 
-// Send transmits data to peer `to`. The payload is copied, so the caller
-// may reuse — or recycle through bufpool — its buffer the moment Send
-// returns; this copy-on-send rule is what lets the collectives run their
-// hot paths out of pooled buffers without aliasing anything the transport
-// retains (the reliable layer's retransmit window keeps its own pristine
-// copy, recorded below). The copy itself draws from bufpool; on the
-// in-process fabric the receiver ends up owning it exclusively, so a
-// receiver that fully consumes a payload may hand it back with
-// bufpool.PutBytes. Sending is asynchronous (eager): the sender's clock
-// does not advance; transfer time is charged on the receiver, which
-// models the overlapped sends of a ring pipeline.
+// Send transmits data to peer `to`. The caller keeps its buffer: Send is
+// done with data's bytes when it returns and never modifies or recycles
+// them, so the caller may overwrite, reuse or recycle them — through bufpool
+// too — at once. Bytes are copied where they change owner and nowhere else:
+// the in-process fabric copies the payload for the receiver, who ends up
+// owning that copy exclusively and may hand it back with bufpool.PutBytes
+// once consumed; the TCP fabric checksums and writes the caller's bytes in
+// place; the reliable layer's retransmit window records its own pristine
+// copy (below); fault injection copies before it mutates. Sending is
+// asynchronous (eager): the sender's clock does not advance; transfer time
+// is charged on the receiver, which models the overlapped sends of a ring
+// pipeline.
 //
 // Each message carries a crc32c checksum and a per-link sequence number,
 // verified by Recv; a configured Fault hook may drop, duplicate, corrupt
@@ -693,7 +693,7 @@ func (r *Rank) Send(to int, data []byte) error {
 		return fmt.Errorf("%w: self-send", ErrBadPeer)
 	}
 	pt := r.peerPhys(to)
-	m := message{sentAt: r.now, from: r.phys, seq: r.sendSeq[pt], epoch: r.epoch, trace: r.opTrace}
+	m := message{data: data, sentAt: r.now, from: r.phys, seq: r.sendSeq[pt], epoch: r.epoch, trace: r.opTrace}
 	r.sendSeq[pt]++
 	rankSeq := r.sendCount
 	r.sendCount++
@@ -702,15 +702,11 @@ func (r *Rank) Send(to int, data []byte) error {
 	if tr != nil {
 		wallStart = time.Now()
 	}
-	r.Quiesce(func() {
-		m.data = bufpool.Bytes(len(data))
-		copy(m.data, data)
-		m.sum = checksum(m.data)
-	})
+	r.Quiesce(func() { m.sum = checksum(data) })
 	flight.Record(r.phys, telemetry.FlightSend, int64(r.phys), int64(pt), int64(m.seq), int64(len(data)))
 	if tr != nil {
-		// The send half of the flow edge, anchored to the copy/checksum
-		// work that physically happened on this rank.
+		// The send half of the flow edge, anchored to the checksum work
+		// that physically happened on this rank.
 		tr.recordFlow(FlowPoint{
 			Phase: 's',
 			ID:    flowID(m.trace, r.phys, pt, m.epoch, m.seq),
@@ -723,7 +719,7 @@ func (r *Rank) Send(to int, data []byte) error {
 	if r.c.cfg.Reliable {
 		// Record the pristine payload in the per-link replay window before
 		// the fault hook can damage or drop it.
-		r.c.tr.recordRetx(r.phys, pt, m.seq, m.epoch, m.data, m.sum)
+		r.c.tr.recordRetx(r.phys, pt, m.seq, m.epoch, data, m.sum)
 	}
 	copies, dropped, killed := r.c.applyFault(&m, pt, rankSeq)
 	if killed {
@@ -731,16 +727,14 @@ func (r *Rank) Send(to int, data []byte) error {
 		// the replay windows of a dead process are gone (so peers cannot
 		// salvage anything it "sent" after death), and every later
 		// Send/Recv fails immediately.
-		bufpool.PutBytes(m.data)
 		r.killed = true
 		r.c.tr.clearRetx(r.phys)
 		return fmt.Errorf("%w: rank %d at send #%d", ErrRankKilled, r.phys, rankSeq)
 	}
 	if dropped {
-		bufpool.PutBytes(m.data)
 		return nil
 	}
-	return r.c.tr.send(r.phys, pt, m, copies)
+	return r.c.tr.send(r, pt, m, copies)
 }
 
 // Recv blocks until a message from peer `from` arrives and returns its

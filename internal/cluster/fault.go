@@ -176,9 +176,10 @@ func checksum(data []byte) uint32 { return crc32.Checksum(data, msgTable) }
 
 // applyFault runs the configured hook (if any) on a message about to be
 // enqueued and returns how many copies to deliver plus the extra delay.
-// Corruption mutates the (already checksummed) payload copy, so the
-// receiver's verification fails — or, for an empty payload, poisons the
-// stored checksum directly.
+// Corruption damages a private copy of the (already checksummed) payload —
+// m.data is the sender's own buffer, for a plain collective a live
+// accumulator — so the receiver's verification fails; for an empty payload
+// it poisons the stored checksum directly.
 func (c *Cluster) applyFault(m *message, to, rankSeq int) (copies int, drop, kill bool) {
 	return c.applyFaultAttempt(m, to, 0, rankSeq)
 }
@@ -205,6 +206,7 @@ func (c *Cluster) applyFaultAttempt(m *message, to, attempt, rankSeq int) (copie
 		return 2, false, false
 	case FaultCorrupt:
 		if len(m.data) > 0 {
+			m.data = append([]byte(nil), m.data...)
 			if p := c.cfg.Corrupt; p != nil {
 				p.apply(m.data, fc)
 			} else {

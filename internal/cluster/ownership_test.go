@@ -1,0 +1,193 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"hzccl/internal/bufpool"
+)
+
+// onFabric runs body on a fresh n-rank world of the named fabric.
+func onFabric(t *testing.T, fabric string, n int, cfg Config, body func(*Rank) error) error {
+	t.Helper()
+	cfg.Ranks, cfg.ParallelCompute = n, true
+	if fabric == "chan" {
+		_, err := Run(cfg, body)
+		return err
+	}
+	_, err := runMesh(t, cfg, startMesh(t, n), body)
+	return err
+}
+
+// pooled reports whether bufpool now hands out buf's memory: it draws a
+// handful of buffers of buf's size class and looks for buf's address among
+// them. (Only a test may ask a buffer for its address.)
+func pooled(buf []byte) bool {
+	var drawn [][]byte
+	defer func() {
+		for _, b := range drawn {
+			if &b[0] != &buf[0] {
+				bufpool.PutBytes(b)
+			}
+		}
+	}()
+	for i := 0; i < 16; i++ {
+		b := bufpool.Bytes(len(buf))
+		drawn = append(drawn, b)
+		if &b[0] == &buf[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSendLeavesTheCallersBufferAlone is the ownership rule, fabric by
+// fabric and fault by fault: Send neither modifies nor recycles the caller's
+// bytes and is done with them when it returns, so the sender scribbles over
+// its buffer at once — and the receiver still gets the pristine payload
+// (healthy, duplicated, or replayed from the reliable window), or a typed
+// error when the fault is unrecoverable. On the in-process fabric that can
+// only hold because the fabric copies; the payload a receiver gets there
+// never aliases the sender's buffer.
+func TestSendLeavesTheCallersBufferAlone(t *testing.T) {
+	faults := []struct {
+		name    string
+		action  FaultAction
+		pattern *CorruptPattern
+		strict  error // what a strict (Reliable off) receiver sees; nil = the payload
+	}{
+		{"healthy", FaultDeliver, nil, nil},
+		{"corrupt", FaultCorrupt, nil, ErrMessageCorrupt},
+		{"corrupt-pattern", FaultCorrupt, &CorruptPattern{Offset: 3, Mask: 0xff, Burst: 64}, ErrMessageCorrupt},
+		{"duplicate", FaultDuplicate, nil, nil},
+		{"drop", FaultDrop, nil, ErrMessageLost},
+		{"kill", FaultKill, nil, ErrPeerFailed},
+	}
+	const size = 4096 // a bufpool size class of its own in this test
+	pristine := bytes.Repeat([]byte{0x5a, 0xc3, 0x0f, 0x99}, size/4)
+	for _, fabric := range []string{"tcp", "chan"} {
+		for _, reliable := range []bool{true, false} {
+			for _, f := range faults {
+				t.Run(fmt.Sprintf("%s/reliable=%v/%s", fabric, reliable, f.name), func(t *testing.T) {
+					cfg := Config{
+						Reliable: reliable, RecvTimeout: 300 * time.Millisecond, RetryBackoff: time.Microsecond, Corrupt: f.pattern,
+						Fault: FaultOn(func(fc FaultContext) bool { return fc.From == 0 && fc.Seq == 0 && fc.Attempt == 0 }, f.action, 0),
+					}
+					var sendErr, recvErr, broken error
+					var got []byte
+					err := onFabric(t, fabric, 2, cfg, func(r *Rank) error {
+						if r.ID == 0 {
+							buf := bytes.Clone(pristine)
+							sendErr = r.Send(1, buf)
+							if !bytes.Equal(buf, pristine) {
+								broken = fmt.Errorf("Send modified the caller's buffer")
+							} else if pooled(buf) {
+								broken = fmt.Errorf("Send recycled the caller's buffer")
+							}
+							for i := range buf {
+								buf[i] = 0xee // the caller's again: anything still reading it shows
+							}
+							if sendErr != nil {
+								return nil // killed: the rank is gone
+							}
+							// A fence so a drop shows as a gap, then stay for the
+							// receiver's NACK: a TCP sender serves replays itself.
+							if err := r.Send(1, []byte("fence")); err != nil {
+								return err
+							}
+							_, err := r.Recv(1)
+							return err
+						}
+						if got, recvErr = r.Recv(0); recvErr != nil {
+							return nil
+						}
+						if f.action == FaultDuplicate && !reliable {
+							if _, err := r.Recv(0); !errors.Is(err, ErrMessageDuplicate) {
+								return fmt.Errorf("second delivery: %v, want ErrMessageDuplicate", err)
+							}
+						}
+						if fence, err := r.Recv(0); err != nil || string(fence) != "fence" {
+							return fmt.Errorf("fence: %q, %v", fence, err)
+						}
+						return r.Send(0, []byte("ack"))
+					})
+					if broken != nil {
+						t.Fatal(broken)
+					}
+					if f.action == FaultKill {
+						if !errors.Is(sendErr, ErrRankKilled) || recvErr == nil {
+							t.Fatalf("kill: send %v, recv %v", sendErr, recvErr)
+						}
+						return
+					}
+					want := f.strict
+					if reliable {
+						want = nil // recovered from the window's own pristine copy
+					}
+					if want != nil {
+						if !errors.Is(recvErr, want) {
+							t.Fatalf("receiver got %v, want %v", recvErr, want)
+						}
+						return
+					}
+					if err != nil || sendErr != nil || recvErr != nil {
+						t.Fatalf("run %v, send %v, recv %v", err, sendErr, recvErr)
+					}
+					if !bytes.Equal(got, pristine) {
+						t.Fatalf("receiver did not get the pristine payload (first bytes % x)", got[:8])
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTCPAllocsPerMessage pins the steady-state allocation cost of one data
+// frame, send side plus receive side, on a loopback ping-pong with a receive
+// timeout armed (as every benchmark and daemon mesh has): the frame scratch
+// lives on the peer, the timeout timer on the mailbox and the payload in
+// bufpool, so what is left is the runtime's own per-wakeup state. It read 10
+// before those moved.
+func TestTCPAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const runs = 400
+	trs := startMesh(t, 2)
+	cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: 5 * time.Second}
+	var perRoundTrip float64
+	_, err := runMesh(t, cfg, trs, func(r *Rank) error {
+		ball := make([]byte, 8)
+		var err error
+		pass := func() {
+			if r.ID == 0 && err == nil {
+				err = r.Send(1, ball)
+			}
+			if err == nil {
+				var got []byte
+				got, err = r.Recv(1 - r.ID)
+				bufpool.PutBytes(got) // consumed, as the collectives do
+			}
+			if r.ID == 1 && err == nil {
+				err = r.Send(0, ball)
+			}
+		}
+		if r.ID == 1 {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+				pass()
+			}
+			return err
+		}
+		perRoundTrip = testing.AllocsPerRun(runs, pass)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perRoundTrip > 2 {
+		t.Fatalf("%.1f allocations per message, want ≤ 1", perRoundTrip/2)
+	}
+}

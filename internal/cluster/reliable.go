@@ -26,9 +26,10 @@ package cluster
 //
 // Buffer ownership: the retransmit window NEVER aliases a caller's (or a
 // pool's) buffer. retxStore.record copies the payload into a private
-// allocation at Send time, and lookups hand replays out as fresh copies,
-// so collectives recycling their send buffers through bufpool immediately
-// after Send cannot corrupt a later retransmission.
+// allocation at Send time — the one copy a reliable TCP send makes — and
+// lookups hand replays out as fresh copies, so a sender overwriting or
+// recycling its buffer the moment Send returns cannot corrupt a later
+// retransmission.
 
 import (
 	"errors"

@@ -173,6 +173,11 @@ type tcpMailbox struct {
 	retx  chan tcpRetx // replay answers (one outstanding NACK at a time)
 	ctl   chan tcpCtl  // agree/release frames
 
+	// timer bounds recv's wait on inbox: one per mailbox, re-armed per call
+	// by the session's rank, the inbox's only consumer, which stops and
+	// drains it before it returns.
+	timer *time.Timer
+
 	// bye closes when the job ended on the local side; the reader drops
 	// further frames instead of blocking on a consumer that will never
 	// come back.
@@ -225,7 +230,15 @@ type tcpPeer struct {
 	rank int
 	conn net.Conn
 
-	wmu sync.Mutex // serializes frame writes
+	// wmu serializes frame writes and guards their scratch: whead holds a
+	// frame's length prefix and body prefix (the longest is a data
+	// frame's), wvec and wbufs the writev vector — kept here because a
+	// net.Buffers and what it points at escape to the heap per call
+	// otherwise.
+	wmu   sync.Mutex
+	whead [4 + 1 + tcpDataHdrLen]byte
+	wvec  [2][]byte
+	wbufs net.Buffers
 
 	mu        sync.Mutex
 	mail      map[uint32]*tcpMailbox // per-job delivery state
@@ -337,8 +350,9 @@ func (p *tcpPeer) markDead() {
 // JobHandler consumes job control frames (kinds ≥ 1) sent by peers via
 // SendJob: daemon-level traffic such as submit/start/done messages that
 // travels over the mesh but belongs to no session. Handlers run on the
-// reader goroutine of the originating connection and own payload; they
-// must not block, or that peer's entire connection stalls.
+// reader goroutine of the originating connection, which recycles payload
+// when the handler returns — copy what must outlive the call; they must not
+// block, or that peer's entire connection stalls.
 type JobHandler func(from int, job uint32, kind byte, payload []byte)
 
 // TCPTransport is the multi-process Transport. Create one per process
@@ -805,8 +819,8 @@ func (t *TCPTransport) peer(rank int) (*tcpPeer, error) {
 // a transport handed directly to Config.Transport behaves exactly as the
 // single-job versions of this protocol did.
 func (t *TCPTransport) bind(cfg Config) error { return t.def.bind(cfg) }
-func (t *TCPTransport) send(from, to int, m message, copies int) error {
-	return t.def.send(from, to, m, copies)
+func (t *TCPTransport) send(r *Rank, to int, m message, copies int) error {
+	return t.def.send(r, to, m, copies)
 }
 func (t *TCPTransport) recv(from, to int, timeout time.Duration, abort <-chan struct{}) (message, bool, error) {
 	return t.def.recv(from, to, timeout, abort)
@@ -981,15 +995,20 @@ func (s *tcpSession) liveView() (coord, count int, peers []*tcpPeer) {
 // (starting with the type byte), payload an optional trailing byte
 // string. Writes to one connection are serialized.
 func (p *tcpPeer) writeFrame(hdr, payload []byte) error {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hdr)+len(payload)))
+	if len(hdr) > len(p.whead)-4 {
+		panic(fmt.Sprintf("cluster: %d-byte frame header overflows the write scratch", len(hdr)))
+	}
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	bufs := net.Buffers{lenBuf[:], hdr}
-	if len(payload) > 0 {
-		bufs = append(bufs, payload)
+	binary.LittleEndian.PutUint32(p.whead[:4], uint32(len(hdr)+len(payload)))
+	head := p.whead[:4+copy(p.whead[4:], hdr)]
+	p.wvec = [2][]byte{head, payload}
+	p.wbufs = p.wvec[:2]
+	if len(payload) == 0 {
+		p.wbufs = p.wvec[:1]
 	}
-	n, err := bufs.WriteTo(p.conn)
+	n, err := p.wbufs.WriteTo(p.conn)
+	p.wvec[1] = nil // the payload is the caller's again
 	mTransportBytesOut.Add(n)
 	return err
 }
@@ -1003,10 +1022,10 @@ func (p *tcpPeer) writeJob(job uint32, kind byte, payload []byte) error {
 	return p.writeFrame(hdr[:], payload)
 }
 
-// send frames a data message onto the wire. The transport recycles
-// m.data once written: unlike the channel fabric no receiver in this
-// address space will ever own it.
-func (s *tcpSession) send(from, to int, m message, copies int) error {
+// send frames a data message onto the wire, straight from the sender's
+// buffer: the write is synchronous, so the bytes are the caller's again
+// when it returns and nothing here owns — or recycles — them.
+func (s *tcpSession) send(_ *Rank, to int, m message, copies int) error {
 	p, err := s.t.peer(to)
 	if err != nil {
 		return err
@@ -1022,10 +1041,9 @@ func (s *tcpSession) send(from, to int, m message, copies int) error {
 	binary.LittleEndian.PutUint64(hdr[33:41], m.trace)
 	for i := 0; i < copies; i++ {
 		if err := p.writeFrame(hdr[:], m.data); err != nil {
-			return fmt.Errorf("cluster: tcp send %d→%d seq %d: %w", from, to, m.seq, err)
+			return fmt.Errorf("cluster: tcp send %d→%d seq %d: %w", m.from, to, m.seq, err)
 		}
 	}
-	bufpool.PutBytes(m.data)
 	return nil
 }
 
@@ -1043,9 +1061,23 @@ func (s *tcpSession) recv(from, to int, timeout time.Duration, abort <-chan stru
 	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutC = timer.C
+		if mb.timer == nil {
+			mb.timer = time.NewTimer(timeout)
+		} else {
+			mb.timer.Reset(timeout)
+		}
+		// Stop, and drain a tick that fired while another case won, so the
+		// next Reset starts clean whatever the toolchain's timer-channel
+		// semantics (GODEBUG=asynctimerchan=1, a go directive below 1.23).
+		defer func() {
+			if !mb.timer.Stop() {
+				select {
+				case <-mb.timer.C:
+				default:
+				}
+			}
+		}()
+		timeoutC = mb.timer.C
 	}
 	select {
 	case m, ok := <-mb.inbox:
@@ -1318,12 +1350,14 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 // dropping it when the job already ended locally.
 func (t *TCPTransport) readFrames(p *tcpPeer) error {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
+	// One scratch for every fixed-size read: handed to io.ReadFull it lives
+	// on the heap, so it is allocated per connection rather than per frame.
+	head := make([]byte, tcpDataHdrLen)
 	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, head[:4]); err != nil {
 			return err
 		}
-		frameLen := int(binary.LittleEndian.Uint32(lenBuf[:]))
+		frameLen := int(binary.LittleEndian.Uint32(head))
 		if frameLen < 1 || frameLen > maxFrameBytes {
 			return fmt.Errorf("cluster: tcp frame length %d out of range", frameLen)
 		}
@@ -1338,8 +1372,8 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 			if body < tcpDataHdrLen {
 				return fmt.Errorf("cluster: tcp data frame body %d too short", body)
 			}
-			var hdr [tcpDataHdrLen]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			hdr := head[:tcpDataHdrLen]
+			if _, err := io.ReadFull(br, hdr); err != nil {
 				return err
 			}
 			payload := bufpool.Bytes(body - tcpDataHdrLen)
@@ -1375,8 +1409,8 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 			if body != 12 {
 				return fmt.Errorf("cluster: tcp nack frame body %d, want 12", body)
 			}
-			var hdr [12]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			hdr := head[:12]
+			if _, err := io.ReadFull(br, hdr); err != nil {
 				return err
 			}
 			job := binary.LittleEndian.Uint32(hdr[0:4])
@@ -1389,8 +1423,8 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 			if body < 17 {
 				return fmt.Errorf("cluster: tcp retx frame body %d too short", body)
 			}
-			var hdr [17]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			hdr := head[:17]
+			if _, err := io.ReadFull(br, hdr); err != nil {
 				return err
 			}
 			job := binary.LittleEndian.Uint32(hdr[0:4])
@@ -1400,26 +1434,30 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 				epoch:  binary.LittleEndian.Uint32(hdr[9:13]),
 				sum:    binary.LittleEndian.Uint32(hdr[13:17]),
 			}
-			a.data = make([]byte, body-17)
+			a.data = bufpool.Bytes(body - 17) // the receiver's, like a data payload, once delivered
 			if _, err := io.ReadFull(br, a.data); err != nil {
+				bufpool.PutBytes(a.data)
 				return err
 			}
 			mb := p.deliverable(job)
 			if mb == nil {
+				bufpool.PutBytes(a.data)
 				continue
 			}
 			select {
 			case mb.retx <- a:
 			case <-mb.bye:
+				bufpool.PutBytes(a.data)
 			case <-t.closed:
+				bufpool.PutBytes(a.data)
 				return errReadLoopStopped
 			}
 		case frameAgree, frameRelease:
 			if body != tcpCtlBodyLen {
 				return fmt.Errorf("cluster: tcp control frame body %d, want %d", body, tcpCtlBodyLen)
 			}
-			var hdr [tcpCtlBodyLen]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			hdr := head[:tcpCtlBodyLen]
+			if _, err := io.ReadFull(br, hdr); err != nil {
 				return err
 			}
 			job := binary.LittleEndian.Uint32(hdr[0:4])
@@ -1445,14 +1483,15 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 			if body < 5 {
 				return fmt.Errorf("cluster: tcp job frame body %d too short", body)
 			}
-			var hdr [5]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			hdr := head[:5]
+			if _, err := io.ReadFull(br, hdr); err != nil {
 				return err
 			}
 			job := binary.LittleEndian.Uint32(hdr[0:4])
 			jkind := hdr[4]
-			payload := make([]byte, body-5)
+			payload := bufpool.Bytes(body - 5)
 			if _, err := io.ReadFull(br, payload); err != nil {
+				bufpool.PutBytes(payload)
 				return err
 			}
 			mTransportJobFrames.Inc()
@@ -1473,11 +1512,10 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 						f(p.rank, fmt.Errorf("%w: rank %d (job %d session ended)", ErrConnReset, p.rank, job))
 					}
 				}
-				continue
-			}
-			if h, ok := t.jobHandler.Load().(JobHandler); ok && h != nil {
+			} else if h, ok := t.jobHandler.Load().(JobHandler); ok && h != nil {
 				h(p.rank, job, jkind, payload)
 			}
+			bufpool.PutBytes(payload)
 		default:
 			return fmt.Errorf("cluster: tcp unknown frame type %d", kind)
 		}

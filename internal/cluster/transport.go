@@ -40,10 +40,14 @@ type Transport interface {
 	// configured world size matches their own.
 	bind(cfg Config) error
 
-	// send delivers `copies` copies of m on the from→to link. The
-	// transport takes ownership of m.data: the in-process fabric hands it
-	// to the receiver, the TCP fabric recycles it after writing the frame.
-	send(from, to int, m message, copies int) error
+	// send delivers `copies` copies of m, which rank r (m.from) is
+	// sending, on the link to `to`. m.data is r's caller's buffer, lent
+	// for the duration of the call: the transport neither modifies, keeps
+	// nor recycles it. A fabric that hands the bytes to another owner (the
+	// in-process one, to the receiver) copies them, under r.Quiesce; one
+	// that is done with them when the call returns (TCP, a synchronous
+	// write) sends them in place.
+	send(r *Rank, to int, m message, copies int) error
 
 	// recv returns the next message on the from→to link. ok == false
 	// means the sending rank exited (or its connection closed) and the

@@ -71,7 +71,7 @@ func (c Collectives) AllreduceCPRP2P(r *cluster.Rank, data []float32) ([]float32
 			return nil, err
 		}
 		got, err := g.sendRecv(next, payload, prev, true)
-		bufpool.PutBytes(payload) // copied on send: dead either way
+		bufpool.PutBytes(payload) // Send is done with it: dead either way
 		if err != nil {
 			return nil, err
 		}

@@ -95,27 +95,20 @@ func (g comm) sendRecv(to int, payload []byte, from int, compressed bool) ([]byt
 // or ragged payload fails typed, never silently or by panic.
 var ErrSizeMismatch = errors.New("core: payload size mismatch")
 
-// The plain data path, shared by every schedule: floats cross the fabric as
-// little-endian bytes with no intermediate slice on either side. A staging
-// buffer is reused across one call's steps (cluster.Send copies) and then
-// returned to bufpool; a receiver recycles each payload once consumed.
+// The plain data path, shared by every schedule: the wire format of a
+// float32 block is its little-endian memory, so a partial sends a block as
+// floatbytes.Wire's view of its own sums (cluster.Send is done with
+// the caller's bytes when it returns), reduces an incoming one straight from
+// the wire bytes and recycles each payload once consumed. Only a payload the
+// caller is going to recycle is encoded into a pooled buffer (staged): a
+// view must never reach bufpool, which would hand a caller's result vector
+// to the next Get.
 
-// stage encodes vals into the call's staging buffer *buf (nil until first
-// use, regrown from bufpool if a later block is larger).
-func (g comm) stage(buf *[]byte, vals []float32) []byte {
-	if *buf == nil || cap(*buf) < 4*len(vals) { // empty vals still stage non-nil
-		bufpool.PutBytes(*buf)
-		*buf = bufpool.Bytes(4 * len(vals))
-	}
-	p := (*buf)[:4*len(vals)]
+// staged encodes vals into a pooled buffer; the caller recycles it.
+func (g comm) staged(vals []float32) []byte {
+	p := bufpool.Bytes(4 * len(vals))
 	g.r.Quiesce(func() { floatbytes.FromFloat32(p, vals) })
 	return p
-}
-
-// staged is stage into a pooled buffer of its own; the caller recycles it.
-func (g comm) staged(vals []float32) []byte {
-	var p []byte
-	return g.stage(&p, vals)
 }
 
 // checkSize fails unless got encodes exactly n floats.
@@ -133,7 +126,7 @@ func (g comm) decodeInto(dst []float32, got []byte, phase string, step int) erro
 	if err := g.checkSize(got, len(dst), phase, step); err != nil {
 		return err
 	}
-	g.r.Quiesce(func() { floatbytes.ToFloat32(dst, got) })
+	g.r.Quiesce(func() { floatbytes.Load(dst, got) })
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hzccl/internal/bufpool"
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/hzdyn"
 )
 
@@ -57,8 +58,8 @@ type partial interface {
 	// wire returns this rank's partial sums of blocks [lo, hi) for a peer
 	// to reduce into its own.
 	wire(lo, hi int) ([]byte, error)
-	// sent says the last payload is with the transport, which copied it:
-	// the partial may recycle it and use the time it is in flight.
+	// sent says the transport is done with the last payload's bytes: the
+	// partial may recycle it and use the time it is in flight.
 	sent() error
 	// reduce adds a peer's wire(lo, hi) into blocks [lo, hi).
 	reduce(lo, hi int, got []byte) error
@@ -149,29 +150,35 @@ func release(buf *[]byte) {
 	*buf = nil
 }
 
-// plainPartial is the plain flavor: float32 sums, reduced straight from the
-// little-endian wire bytes (floatbytes.AddInto) with no intermediate slice.
+// plainPartial is the plain flavor: float32 sums, sent as their own memory
+// and reduced straight from the little-endian wire bytes
+// (floatbytes.AddInto), with no intermediate slice either way.
 type plainPartial struct {
 	blocks
 	// acc holds the running sums: the result vector itself when the caller
 	// wants one, pooled scratch otherwise.
 	acc []float32
-	// out is the staging buffer every outgoing payload is encoded into.
-	out []byte
 	// held is the last adopted payload, which the ring is still forwarding.
 	held []byte
 }
 
 func newPlain(b blocks, data []float32) *plainPartial {
 	p := &plainPartial{blocks: b}
-	if b.full {
-		p.acc = p.vector()
-	} else {
-		p.acc = bufpool.Float32s(len(data))
-	}
-	if !sameVector(p.acc, data) {
-		b.g.r.Quiesce(func() { copy(p.acc, data) })
-	}
+	b.g.r.Quiesce(func() {
+		switch {
+		case !b.full:
+			p.acc = bufpool.Float32s(len(data))
+			copy(p.acc, data)
+		case b.into == nil:
+			p.into = clone(data) // allocated and filled in one step: nothing is cleared first
+			p.acc = p.into
+		default:
+			p.acc = b.into
+			if !sameVector(p.acc, data) {
+				copy(p.acc, data)
+			}
+		}
+	})
 	return p
 }
 
@@ -183,7 +190,7 @@ func (p *plainPartial) vals(lo, hi int) []float32 {
 }
 
 func (p *plainPartial) wire(lo, hi int) ([]byte, error) {
-	return p.g.stage(&p.out, p.vals(lo, hi)), nil
+	return floatbytes.Wire(p.vals(lo, hi)), nil
 }
 
 func (p *plainPartial) sent() error { return nil }
@@ -195,7 +202,6 @@ func (p *plainPartial) reduce(lo, hi int, got []byte) error {
 func (p *plainPartial) final(lo, hi int) ([]byte, error) { return p.wire(lo, hi) }
 
 func (p *plainPartial) adopt(lo, hi int, got []byte) error {
-	release(&p.out) // adopting follows a send: whatever was staged has left
 	release(&p.held)
 	if err := p.g.decodeInto(p.vals(lo, hi), got, "adopting block", lo); err != nil {
 		return err
@@ -224,7 +230,6 @@ func (p *plainPartial) blockInto(k int, dst []float32) error {
 }
 
 func (p *plainPartial) close() {
-	release(&p.out)
 	release(&p.held)
 	if !p.full {
 		bufpool.PutFloat32s(p.acc)

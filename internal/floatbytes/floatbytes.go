@@ -1,20 +1,38 @@
 // Package floatbytes converts between float32 slices and little-endian
-// byte slices. The cluster substrate moves opaque []byte messages, so the
-// plain (no-compression) collectives serialize through these helpers: they
-// stage an outgoing block with FromFloat32, reduce an incoming one straight
-// from its wire bytes with AddInto, and land allgathered blocks with
-// ToFloat32, so that path never builds an intermediate []float32 or
-// []byte. The three bulk loops are word-wise — two floats per 8-byte load
-// or store, four words per iteration, bounds checked once per iteration by
-// re-slicing — which measures ≈2.5× the one-float-at-a-time loop they
-// replace. Bytes and Floats are the allocating conveniences for file I/O
-// and tests.
+// byte slices. The cluster substrate moves opaque []byte messages, and the
+// wire format of a float32 block is its little-endian memory: on a
+// little-endian target the plain (no-compression) collectives send a block
+// as a byte view of the floats themselves (Wire), land an allgathered one
+// with a memmove (Load) and fingerprint a result in place (Checksum) —
+// view_le.go; everywhere else the same three calls go through the portable
+// loops below (portable.go). Either way an incoming block is reduced
+// straight from its wire bytes with AddInto, so that path never builds an
+// intermediate []float32 or []byte. The three bulk loops are word-wise — two
+// floats per 8-byte load or store, four words per iteration, bounds checked
+// once per iteration by re-slicing — which measures ≈2.5× the
+// one-float-at-a-time loop they replace. Bytes and Floats are the
+// allocating conveniences for file I/O and tests.
 package floatbytes
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksumPortable is Checksum through a fixed encode buffer.
+func checksumPortable(vals []float32) uint32 {
+	var buf [4096]byte
+	sum := uint32(0)
+	for len(vals) > 0 {
+		n := min(len(vals), len(buf)/4)
+		sum = crc32.Update(sum, castagnoli, buf[:FromFloat32(buf[:], vals[:n])])
+		vals = vals[n:]
+	}
+	return sum
+}
 
 // pack joins two floats into the word that stores them little-endian in
 // order.

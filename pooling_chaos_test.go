@@ -33,6 +33,13 @@ import (
 // sharpest case: both deliveries share one payload buffer, so the dedup
 // (reliable) and ErrMessageDuplicate (strict) paths must neither read nor
 // recycle a buffer the first delivery already handed back to the pool.
+//
+// The plain flavor runs the same matrix a second time on job sessions of a
+// loopback TCP mesh, the fabric that does not copy: there every payload is
+// written from the sender's own memory — for this flavor a view of the
+// result vector being reduced — so a fault injector that mutated in place,
+// or a transport that recycled what it was lent, would corrupt a result
+// rather than a copy.
 func TestChaosPooledBuffersNoAliasing(t *testing.T) {
 	const nRanks, n, iters = 4, 4096, 3
 	fields := make([][]float32, nRanks)
@@ -49,7 +56,12 @@ func TestChaosPooledBuffersNoAliasing(t *testing.T) {
 
 	var faults hzccl.ChaosCounts
 	seed := int64(170)
-	for _, backend := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL} {
+	legs := []struct {
+		backend hzccl.Backend
+		mesh    *loopbackMesh // nil: the in-process fabric
+	}{{hzccl.BackendMPI, nil}, {hzccl.BackendCColl, nil}, {hzccl.BackendHZCCL, nil}, {hzccl.BackendMPI, newLoopbackMesh(t, nRanks)}}
+	for _, leg := range legs {
+		backend := leg.backend
 		// Plain sums are exact up to float32 rounding; the compressed
 		// flavors add their quantisation hops.
 		tol := 0.03
@@ -68,13 +80,13 @@ func TestChaosPooledBuffersNoAliasing(t *testing.T) {
 					opt.Degrade = &hzccl.DegradePolicy{Ladder: []hzccl.Backend{backend}, AttemptsPerBackend: 200}
 				}
 				chaos := hzccl.NewChaos(spec)
-				label := fmt.Sprintf("%v %v reliable=%v", backend, algo, reliable)
+				label := fmt.Sprintf("%v %v reliable=%v tcp=%v", backend, algo, reliable, leg.mesh != nil)
 				outs := make([][][]float32, nRanks)
 				// The hZ rooted Reduce recycles its accumulator and every
 				// payload it folds the same way; it has no schedule of its
 				// own, so it rides along with the ring.
 				reduce := backend == hzccl.BackendHZCCL && algo == hzccl.AlgoRing
-				_, err := hzccl.RunCluster(hzccl.ClusterConfig{
+				err := leg.mesh.run(hzccl.ClusterConfig{
 					Ranks:       nRanks,
 					Topology:    hzccl.UniformTopology(2, 2),
 					Reliable:    reliable,
@@ -99,7 +111,9 @@ func TestChaosPooledBuffersNoAliasing(t *testing.T) {
 							outs[r.ID()] = append(outs[r.ID()], red)
 						}
 					}
-					return nil
+					// A TCP rank serves its own replay window: nobody leaves
+					// while a peer may still NACK it.
+					return r.Barrier()
 				})
 				if err != nil {
 					t.Fatalf("%s under chaos: %v", label, err)

@@ -2,11 +2,12 @@
 # check.sh — the repo's fast hygiene gate: formatting, vet (asmdecl covers
 # the fzlight block kernels), an arm64 cross vet/build (the non-amd64 stub
 # and the portable codec path) with a check that no quantiser fused its
-# multiply and add there, a race pass over the concurrent packages
-# (telemetry's lock-free counters and the cluster runtime), and the nested
-# benchmark module's own vet + tests (root `go vet/test ./...` does not
-# descend into benchmark/go.mod, and the benchmark compiles against
-# internal/ packages). `make check` runs this.
+# multiply and add there, an s390x cross vet/build (the big-endian side of
+# floatbytes, the one place byte order is compiled in), a race pass over the
+# concurrent packages (telemetry's lock-free counters and the cluster
+# runtime), and the nested benchmark module's own vet + tests (root
+# `go vet/test ./...` does not descend into benchmark/go.mod, and the
+# benchmark compiles against internal/ packages). `make check` runs this.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,6 +39,10 @@ if [ -n "$fused" ]; then
     echo "$fused" >&2
     exit 1
 fi
+
+echo "== s390x (big-endian): go vet, go build =="
+GOARCH=s390x go vet ./...
+GOARCH=s390x go build ./...
 
 echo "== go test -race (concurrent packages) =="
 go test -race . ./internal/telemetry ./internal/cluster ./internal/fzlight ./internal/hzdyn ./internal/core

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -16,6 +13,7 @@ import (
 
 	"hzccl"
 	"hzccl/internal/datasets"
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/metrics"
 	"hzccl/internal/telemetry"
 )
@@ -713,7 +711,7 @@ func (d *Daemon) runJob(sess hzccl.Transport, spec JobSpec) rankReport {
 		if err != nil {
 			return err
 		}
-		digest = digest32(out)
+		digest = floatbytes.Checksum(out)
 		have = true
 		return nil
 	})
@@ -745,14 +743,4 @@ func parseBackend(s string) (hzccl.Backend, error) {
 		return hzccl.BackendHZCCL, nil
 	}
 	return 0, fmt.Errorf("unknown backend %q (want mpi, ccoll or hzccl)", s)
-}
-
-// digest32 fingerprints a reduced vector: crc32c over its little-endian
-// float32 bits, the format `hzccl-collective -transport` prints.
-func digest32(v []float32) uint32 {
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
-	}
-	return crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))
 }

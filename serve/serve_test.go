@@ -16,6 +16,7 @@ import (
 
 	"hzccl"
 	"hzccl/internal/datasets"
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/metrics"
 	"hzccl/internal/telemetry"
 )
@@ -116,7 +117,7 @@ func refDigests(t *testing.T, world int, spec JobSpec) map[string]string {
 			return err
 		}
 		mu.Lock()
-		digests[strconv.Itoa(id0)] = fmt.Sprintf("%08x", digest32(out))
+		digests[strconv.Itoa(id0)] = fmt.Sprintf("%08x", floatbytes.Checksum(out))
 		mu.Unlock()
 		return nil
 	})
