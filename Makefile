@@ -10,7 +10,8 @@ test:
 
 # check runs the hygiene gate: gofmt, go vet (asmdecl covers the fzlight
 # block kernels), an arm64 cross vet/build with a no-fused-multiply-add
-# check on the quantisers, an s390x (big-endian) cross vet/build, a
+# check on the quantisers, an s390x (big-endian) cross vet/build, a 386
+# test run of bitio/fzlight/hzdyn (the portable pipeline ④, natively), a
 # race-detector pass over the packages with
 # concurrent hot paths (telemetry counters, the cluster runtime, the
 # chunk-parallel codecs), and bench-check.

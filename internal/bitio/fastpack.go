@@ -5,12 +5,18 @@ import (
 	"math/bits"
 )
 
-// Code in this file provides the width-specialized pack/unpack routines —
-// the paper's ultra_fast_bit_shifting_x functions, one per residual width
-// x ∈ [1,7]. Each processes eight magnitudes per iteration through fixed
-// shifts so the compiler emits constant-shift, bounds-check-free code.
-// This file is generated by design (the seven bodies differ only in the
-// residual width); edit with care and keep pack/unpack symmetric.
+// This file holds two groups of hand-unrolled bit-packing code; there is
+// no generator, so edit each body by hand and keep pack/unpack symmetric.
+//
+//   - pack1…pack7 / unpack1…unpack7 are the paper's encoder, its
+//     ultra_fast_bit_shifting_x functions, one per residual width x ∈ [1,7].
+//     Each moves eight magnitudes per iteration through fixed shifts so the
+//     compiler emits constant-shift, bounds-check-free code. The fZ-light
+//     portable codec packs and unpacks residuals with them.
+//   - Everything from "Portable pipeline-④ cores" on is the portable add of
+//     two non-constant blocks, the path fzlight.SumBlocks32 takes where the
+//     CPU has no SIMD kernel: the word cores (…BC0–…BC3) for code lengths
+//     1–30 and the SWAR add (AddBlocks32Narrow) for pairs of widths ≤ 6.
 
 func pack1(dst []byte, mags []uint32, shift uint) {
 	o := 0
@@ -286,13 +292,14 @@ func unpack7(src []byte, mags []uint32, shift uint) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused pipeline-④ kernels.
+// Portable pipeline-④ cores.
 //
-// The routines below are the word-wise engine behind fzlight.SumBlocks32:
-// they move whole 64-bit words of packed payload instead of single bytes,
-// and they fold sign application, integer addition and sign/magnitude
-// re-extraction into the unpack itself so a block pair is summed without
-// ever materialising unpacked magnitude arrays for the operands.
+// The routines below are the word-wise engine behind fzlight.SumBlocks32's
+// portable path: they move whole 64-bit words of packed payload instead of
+// single bytes, and they fold sign application, integer addition and
+// sign/magnitude re-extraction into the unpack itself so a block pair is
+// summed without ever materialising unpacked magnitude arrays for the
+// operands.
 //
 // Layout recap for a full 32-element block payload (after the 1-byte code
 // marker and the 4-byte sign word): floor(c/8) byte planes of 32 bytes
@@ -302,14 +309,13 @@ func unpack7(src []byte, mags []uint32, shift uint) {
 // byte boundary (group g at byte r*g), so both planes and residuals can be
 // consumed with 64-bit loads.
 //
-// Dispatch: unpackDeltas32Tab / unpackAddMags32Tab / packMags32Tab map a
-// code length to its kernel. The common widths 4, 8, 12, 16 and 24 get
-// fully specialised constant-shift bodies (residual 0 or 4 bits: pure
-// plane moves, or exact 32-bit residual loads); every other width takes
-// the generic word-wise core for its plane count with a variable residual
-// width. Widths 31 and 32 (only reachable when a summed magnitude may no
-// longer fit in 31 bits) are excluded by the callers, which fall back to
-// the checked wide kernel in package fzlight.
+// Dispatch: UnpackDeltas32 / UnpackAddMags32 / PackMags32 switch on the
+// plane count and hand the residual width to the word core for it; no
+// width has a body of its own. Throughput of this portable path is not a
+// goal: on CPUs with AVX2 and BMI2 the kernel in fzlight takes the pairs.
+// Widths 31 and 32 (only reachable when a summed magnitude may no longer
+// fit in 31 bits) are excluded by the callers, which fall back to the
+// checked wide kernel in package fzlight.
 
 // fusedSlack is the load/store headroom (bytes) past the residual region
 // that lets the kernels use unconditional 64-bit accesses. Callers whose
@@ -341,7 +347,18 @@ func remSrc(p []byte, bc int, r uint, rbuf *[40]byte) []byte {
 // starting just after the sign word) with code length c in [1,30] and
 // sign word signW into the signed prediction deltas d.
 func UnpackDeltas32(p []byte, signW uint32, c int, d *[32]int32) {
-	unpackDeltas32Tab[c](p, signW, d)
+	switch r := uint(c % 8); c / 8 {
+	case 0:
+		unpackDeltas32BC0(p, signW, r, d)
+	case 1:
+		unpackDeltas32BC1(p, signW, r, d)
+	case 2:
+		unpackDeltas32BC2(p, signW, r, d)
+	case 3:
+		unpackDeltas32BC3(p, signW, r, d)
+	default:
+		panic(errCodeLength)
+	}
 }
 
 // UnpackAddMags32 decodes a second full-block payload with code length c
@@ -351,84 +368,47 @@ func UnpackDeltas32(p []byte, signW uint32, c int, d *[32]int32) {
 // caller derives the output code length with bits.Len32). c == 0 performs
 // the pure re-encode of d (the right-hand block contributed nothing).
 func UnpackAddMags32(p []byte, signW uint32, c int, d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
-	return unpackAddMags32Tab[c](p, signW, d, mags)
+	switch r := uint(c % 8); c / 8 {
+	case 0:
+		if c == 0 {
+			return reencodeMags32(d, mags)
+		}
+		return unpackAddMags32BC0(p, signW, r, d, mags)
+	case 1:
+		return unpackAddMags32BC1(p, signW, r, d, mags)
+	case 2:
+		return unpackAddMags32BC2(p, signW, r, d, mags)
+	case 3:
+		return unpackAddMags32BC3(p, signW, r, d, mags)
+	default:
+		panic(errCodeLength)
+	}
 }
 
 // PackMags32 writes the planes + residuals of 32 magnitudes with code
 // length c in [1,31] into dst and returns the bytes written. Every
 // magnitude must satisfy mags[i] < 1<<c.
 func PackMags32(dst []byte, mags *[32]uint32, c int) int {
-	return packMags32Tab[c](dst, mags)
+	switch r := uint(c % 8); c / 8 {
+	case 0:
+		return packMags32BC0(dst, mags, r)
+	case 1:
+		return packMags32BC1(dst, mags, r)
+	case 2:
+		return packMags32BC2(dst, mags, r)
+	case 3:
+		return packMags32BC3(dst, mags, r)
+	default:
+		panic(errCodeLength)
+	}
 }
 
-var (
-	unpackDeltas32Tab  [31]func(p []byte, signW uint32, d *[32]int32)
-	unpackAddMags32Tab [31]func(p []byte, signW uint32, d *[32]int32, mags *[32]uint32) (uint32, uint32)
-	packMags32Tab      [32]func(dst []byte, mags *[32]uint32) int
-)
+// errCodeLength is the panic of a full-block core handed a code length
+// above 31, which no valid block carries.
+const errCodeLength = "bitio: code length above 31"
 
-func init() {
-	for c := 1; c <= 30; c++ {
-		bc, r := c/8, uint(c%8)
-		switch bc {
-		case 0:
-			unpackDeltas32Tab[c] = func(p []byte, s uint32, d *[32]int32) { unpackDeltas32BC0(p, s, r, d) }
-			unpackAddMags32Tab[c] = func(p []byte, s uint32, d *[32]int32, m *[32]uint32) (uint32, uint32) {
-				return unpackAddMags32BC0(p, s, r, d, m)
-			}
-		case 1:
-			unpackDeltas32Tab[c] = func(p []byte, s uint32, d *[32]int32) { unpackDeltas32BC1(p, s, r, d) }
-			unpackAddMags32Tab[c] = func(p []byte, s uint32, d *[32]int32, m *[32]uint32) (uint32, uint32) {
-				return unpackAddMags32BC1(p, s, r, d, m)
-			}
-		case 2:
-			unpackDeltas32Tab[c] = func(p []byte, s uint32, d *[32]int32) { unpackDeltas32BC2(p, s, r, d) }
-			unpackAddMags32Tab[c] = func(p []byte, s uint32, d *[32]int32, m *[32]uint32) (uint32, uint32) {
-				return unpackAddMags32BC2(p, s, r, d, m)
-			}
-		case 3:
-			unpackDeltas32Tab[c] = func(p []byte, s uint32, d *[32]int32) { unpackDeltas32BC3(p, s, r, d) }
-			unpackAddMags32Tab[c] = func(p []byte, s uint32, d *[32]int32, m *[32]uint32) (uint32, uint32) {
-				return unpackAddMags32BC3(p, s, r, d, m)
-			}
-		}
-	}
-	for c := 1; c <= 31; c++ {
-		bc, r := c/8, uint(c%8)
-		switch bc {
-		case 0:
-			packMags32Tab[c] = func(dst []byte, m *[32]uint32) int { return packMags32BC0(dst, m, r) }
-		case 1:
-			packMags32Tab[c] = func(dst []byte, m *[32]uint32) int { return packMags32BC1(dst, m, r) }
-		case 2:
-			packMags32Tab[c] = func(dst []byte, m *[32]uint32) int { return packMags32BC2(dst, m, r) }
-		case 3:
-			packMags32Tab[c] = func(dst []byte, m *[32]uint32) int { return packMags32BC3(dst, m, r) }
-		}
-	}
-	// c == 0 on the add side: nothing to decode, re-extract d as-is.
-	unpackAddMags32Tab[0] = func(_ []byte, _ uint32, d *[32]int32, m *[32]uint32) (uint32, uint32) {
-		return reencodeMags32(d, m)
-	}
-	// Fully specialised common widths (residual 0 or 4 bits).
-	unpackDeltas32Tab[4] = unpackDeltas32W4
-	unpackDeltas32Tab[8] = unpackDeltas32W8
-	unpackDeltas32Tab[12] = unpackDeltas32W12
-	unpackDeltas32Tab[16] = unpackDeltas32W16
-	unpackDeltas32Tab[24] = unpackDeltas32W24
-	unpackAddMags32Tab[4] = unpackAddMags32W4
-	unpackAddMags32Tab[8] = unpackAddMags32W8
-	unpackAddMags32Tab[12] = unpackAddMags32W12
-	unpackAddMags32Tab[16] = unpackAddMags32W16
-	unpackAddMags32Tab[24] = unpackAddMags32W24
-	packMags32Tab[4] = packMags32W4
-	packMags32Tab[8] = packMags32W8
-	packMags32Tab[12] = packMags32W12
-	packMags32Tab[16] = packMags32W16
-	packMags32Tab[24] = packMags32W24
-}
-
-// ---- generated word-wise cores (see the generator note above) ----
+// Word cores, one per plane count bc = c/8, each hand-unrolled over the
+// eight elements of a group with the residual width r = c%8 a variable.
 
 func unpackDeltas32BC0(p []byte, signW uint32, r uint, d *[32]int32) {
 	var rbuf [40]byte
@@ -1202,721 +1182,8 @@ func packMags32BC3(dst []byte, mags *[32]uint32, r uint) int {
 	return 96 + int(4*r)
 }
 
-func unpackDeltas32W4(p []byte, signW uint32, d *[32]int32) {
-	for g := 0; g < 4; g++ {
-		rw := binary.LittleEndian.Uint32(p[0+4*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		m0 := rw >> 0 & 0xf
-		n0 := -int32(sw >> 0 & 1)
-		dd[0] = (int32(m0) ^ n0) - n0
-		m1 := rw >> 4 & 0xf
-		n1 := -int32(sw >> 1 & 1)
-		dd[1] = (int32(m1) ^ n1) - n1
-		m2 := rw >> 8 & 0xf
-		n2 := -int32(sw >> 2 & 1)
-		dd[2] = (int32(m2) ^ n2) - n2
-		m3 := rw >> 12 & 0xf
-		n3 := -int32(sw >> 3 & 1)
-		dd[3] = (int32(m3) ^ n3) - n3
-		m4 := rw >> 16 & 0xf
-		n4 := -int32(sw >> 4 & 1)
-		dd[4] = (int32(m4) ^ n4) - n4
-		m5 := rw >> 20 & 0xf
-		n5 := -int32(sw >> 5 & 1)
-		dd[5] = (int32(m5) ^ n5) - n5
-		m6 := rw >> 24 & 0xf
-		n6 := -int32(sw >> 6 & 1)
-		dd[6] = (int32(m6) ^ n6) - n6
-		m7 := rw >> 28 & 0xf
-		n7 := -int32(sw >> 7 & 1)
-		dd[7] = (int32(m7) ^ n7) - n7
-	}
-}
-
-func unpackAddMags32W4(p []byte, signW uint32, d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
-	for g := 0; g < 4; g++ {
-		rw := binary.LittleEndian.Uint32(p[0+4*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		mm := mags[8*g : 8*g+8]
-		var og uint32
-		m0 := rw >> 0 & 0xf
-		n0 := -int32(sw >> 0 & 1)
-		s0 := dd[0] + ((int32(m0) ^ n0) - n0)
-		g0 := s0 >> 31
-		u0 := uint32((s0 ^ g0) - g0)
-		mm[0] = u0
-		og |= uint32(g0&1) << 0
-		ormag |= u0
-		m1 := rw >> 4 & 0xf
-		n1 := -int32(sw >> 1 & 1)
-		s1 := dd[1] + ((int32(m1) ^ n1) - n1)
-		g1 := s1 >> 31
-		u1 := uint32((s1 ^ g1) - g1)
-		mm[1] = u1
-		og |= uint32(g1&1) << 1
-		ormag |= u1
-		m2 := rw >> 8 & 0xf
-		n2 := -int32(sw >> 2 & 1)
-		s2 := dd[2] + ((int32(m2) ^ n2) - n2)
-		g2 := s2 >> 31
-		u2 := uint32((s2 ^ g2) - g2)
-		mm[2] = u2
-		og |= uint32(g2&1) << 2
-		ormag |= u2
-		m3 := rw >> 12 & 0xf
-		n3 := -int32(sw >> 3 & 1)
-		s3 := dd[3] + ((int32(m3) ^ n3) - n3)
-		g3 := s3 >> 31
-		u3 := uint32((s3 ^ g3) - g3)
-		mm[3] = u3
-		og |= uint32(g3&1) << 3
-		ormag |= u3
-		m4 := rw >> 16 & 0xf
-		n4 := -int32(sw >> 4 & 1)
-		s4 := dd[4] + ((int32(m4) ^ n4) - n4)
-		g4 := s4 >> 31
-		u4 := uint32((s4 ^ g4) - g4)
-		mm[4] = u4
-		og |= uint32(g4&1) << 4
-		ormag |= u4
-		m5 := rw >> 20 & 0xf
-		n5 := -int32(sw >> 5 & 1)
-		s5 := dd[5] + ((int32(m5) ^ n5) - n5)
-		g5 := s5 >> 31
-		u5 := uint32((s5 ^ g5) - g5)
-		mm[5] = u5
-		og |= uint32(g5&1) << 5
-		ormag |= u5
-		m6 := rw >> 24 & 0xf
-		n6 := -int32(sw >> 6 & 1)
-		s6 := dd[6] + ((int32(m6) ^ n6) - n6)
-		g6 := s6 >> 31
-		u6 := uint32((s6 ^ g6) - g6)
-		mm[6] = u6
-		og |= uint32(g6&1) << 6
-		ormag |= u6
-		m7 := rw >> 28 & 0xf
-		n7 := -int32(sw >> 7 & 1)
-		s7 := dd[7] + ((int32(m7) ^ n7) - n7)
-		g7 := s7 >> 31
-		u7 := uint32((s7 ^ g7) - g7)
-		mm[7] = u7
-		og |= uint32(g7&1) << 7
-		ormag |= u7
-		osign |= og << uint(8*g)
-	}
-	return osign, ormag
-}
-
-func packMags32W4(dst []byte, mags *[32]uint32) int {
-	for g := 0; g < 4; g++ {
-		mm := mags[8*g : 8*g+8]
-		var rw uint32
-		m0 := mm[0]
-		rw |= m0 >> 0 << 0
-		m1 := mm[1]
-		rw |= m1 >> 0 << 4
-		m2 := mm[2]
-		rw |= m2 >> 0 << 8
-		m3 := mm[3]
-		rw |= m3 >> 0 << 12
-		m4 := mm[4]
-		rw |= m4 >> 0 << 16
-		m5 := mm[5]
-		rw |= m5 >> 0 << 20
-		m6 := mm[6]
-		rw |= m6 >> 0 << 24
-		m7 := mm[7]
-		rw |= m7 >> 0 << 28
-		binary.LittleEndian.PutUint32(dst[0+4*g:], rw)
-	}
-	return 16
-}
-
-func unpackDeltas32W12(p []byte, signW uint32, d *[32]int32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		rw := binary.LittleEndian.Uint32(p[32+4*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		m0 := uint32(p0>>0)&0xff | (rw>>0&0xf)<<8
-		n0 := -int32(sw >> 0 & 1)
-		dd[0] = (int32(m0) ^ n0) - n0
-		m1 := uint32(p0>>8)&0xff | (rw>>4&0xf)<<8
-		n1 := -int32(sw >> 1 & 1)
-		dd[1] = (int32(m1) ^ n1) - n1
-		m2 := uint32(p0>>16)&0xff | (rw>>8&0xf)<<8
-		n2 := -int32(sw >> 2 & 1)
-		dd[2] = (int32(m2) ^ n2) - n2
-		m3 := uint32(p0>>24)&0xff | (rw>>12&0xf)<<8
-		n3 := -int32(sw >> 3 & 1)
-		dd[3] = (int32(m3) ^ n3) - n3
-		m4 := uint32(p0>>32)&0xff | (rw>>16&0xf)<<8
-		n4 := -int32(sw >> 4 & 1)
-		dd[4] = (int32(m4) ^ n4) - n4
-		m5 := uint32(p0>>40)&0xff | (rw>>20&0xf)<<8
-		n5 := -int32(sw >> 5 & 1)
-		dd[5] = (int32(m5) ^ n5) - n5
-		m6 := uint32(p0>>48)&0xff | (rw>>24&0xf)<<8
-		n6 := -int32(sw >> 6 & 1)
-		dd[6] = (int32(m6) ^ n6) - n6
-		m7 := uint32(p0>>56)&0xff | (rw>>28&0xf)<<8
-		n7 := -int32(sw >> 7 & 1)
-		dd[7] = (int32(m7) ^ n7) - n7
-	}
-}
-
-func unpackAddMags32W12(p []byte, signW uint32, d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		rw := binary.LittleEndian.Uint32(p[32+4*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		mm := mags[8*g : 8*g+8]
-		var og uint32
-		m0 := uint32(p0>>0)&0xff | (rw>>0&0xf)<<8
-		n0 := -int32(sw >> 0 & 1)
-		s0 := dd[0] + ((int32(m0) ^ n0) - n0)
-		g0 := s0 >> 31
-		u0 := uint32((s0 ^ g0) - g0)
-		mm[0] = u0
-		og |= uint32(g0&1) << 0
-		ormag |= u0
-		m1 := uint32(p0>>8)&0xff | (rw>>4&0xf)<<8
-		n1 := -int32(sw >> 1 & 1)
-		s1 := dd[1] + ((int32(m1) ^ n1) - n1)
-		g1 := s1 >> 31
-		u1 := uint32((s1 ^ g1) - g1)
-		mm[1] = u1
-		og |= uint32(g1&1) << 1
-		ormag |= u1
-		m2 := uint32(p0>>16)&0xff | (rw>>8&0xf)<<8
-		n2 := -int32(sw >> 2 & 1)
-		s2 := dd[2] + ((int32(m2) ^ n2) - n2)
-		g2 := s2 >> 31
-		u2 := uint32((s2 ^ g2) - g2)
-		mm[2] = u2
-		og |= uint32(g2&1) << 2
-		ormag |= u2
-		m3 := uint32(p0>>24)&0xff | (rw>>12&0xf)<<8
-		n3 := -int32(sw >> 3 & 1)
-		s3 := dd[3] + ((int32(m3) ^ n3) - n3)
-		g3 := s3 >> 31
-		u3 := uint32((s3 ^ g3) - g3)
-		mm[3] = u3
-		og |= uint32(g3&1) << 3
-		ormag |= u3
-		m4 := uint32(p0>>32)&0xff | (rw>>16&0xf)<<8
-		n4 := -int32(sw >> 4 & 1)
-		s4 := dd[4] + ((int32(m4) ^ n4) - n4)
-		g4 := s4 >> 31
-		u4 := uint32((s4 ^ g4) - g4)
-		mm[4] = u4
-		og |= uint32(g4&1) << 4
-		ormag |= u4
-		m5 := uint32(p0>>40)&0xff | (rw>>20&0xf)<<8
-		n5 := -int32(sw >> 5 & 1)
-		s5 := dd[5] + ((int32(m5) ^ n5) - n5)
-		g5 := s5 >> 31
-		u5 := uint32((s5 ^ g5) - g5)
-		mm[5] = u5
-		og |= uint32(g5&1) << 5
-		ormag |= u5
-		m6 := uint32(p0>>48)&0xff | (rw>>24&0xf)<<8
-		n6 := -int32(sw >> 6 & 1)
-		s6 := dd[6] + ((int32(m6) ^ n6) - n6)
-		g6 := s6 >> 31
-		u6 := uint32((s6 ^ g6) - g6)
-		mm[6] = u6
-		og |= uint32(g6&1) << 6
-		ormag |= u6
-		m7 := uint32(p0>>56)&0xff | (rw>>28&0xf)<<8
-		n7 := -int32(sw >> 7 & 1)
-		s7 := dd[7] + ((int32(m7) ^ n7) - n7)
-		g7 := s7 >> 31
-		u7 := uint32((s7 ^ g7) - g7)
-		mm[7] = u7
-		og |= uint32(g7&1) << 7
-		ormag |= u7
-		osign |= og << uint(8*g)
-	}
-	return osign, ormag
-}
-
-func packMags32W12(dst []byte, mags *[32]uint32) int {
-	for g := 0; g < 4; g++ {
-		mm := mags[8*g : 8*g+8]
-		var p0 uint64
-		var rw uint32
-		m0 := mm[0]
-		p0 |= uint64(m0>>0&0xff) << 0
-		rw |= m0 >> 8 << 0
-		m1 := mm[1]
-		p0 |= uint64(m1>>0&0xff) << 8
-		rw |= m1 >> 8 << 4
-		m2 := mm[2]
-		p0 |= uint64(m2>>0&0xff) << 16
-		rw |= m2 >> 8 << 8
-		m3 := mm[3]
-		p0 |= uint64(m3>>0&0xff) << 24
-		rw |= m3 >> 8 << 12
-		m4 := mm[4]
-		p0 |= uint64(m4>>0&0xff) << 32
-		rw |= m4 >> 8 << 16
-		m5 := mm[5]
-		p0 |= uint64(m5>>0&0xff) << 40
-		rw |= m5 >> 8 << 20
-		m6 := mm[6]
-		p0 |= uint64(m6>>0&0xff) << 48
-		rw |= m6 >> 8 << 24
-		m7 := mm[7]
-		p0 |= uint64(m7>>0&0xff) << 56
-		rw |= m7 >> 8 << 28
-		binary.LittleEndian.PutUint64(dst[0+8*g:], p0)
-		binary.LittleEndian.PutUint32(dst[32+4*g:], rw)
-	}
-	return 48
-}
-
-func unpackDeltas32W8(p []byte, signW uint32, d *[32]int32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		m0 := uint32(p0>>0) & 0xff
-		n0 := -int32(sw >> 0 & 1)
-		dd[0] = (int32(m0) ^ n0) - n0
-		m1 := uint32(p0>>8) & 0xff
-		n1 := -int32(sw >> 1 & 1)
-		dd[1] = (int32(m1) ^ n1) - n1
-		m2 := uint32(p0>>16) & 0xff
-		n2 := -int32(sw >> 2 & 1)
-		dd[2] = (int32(m2) ^ n2) - n2
-		m3 := uint32(p0>>24) & 0xff
-		n3 := -int32(sw >> 3 & 1)
-		dd[3] = (int32(m3) ^ n3) - n3
-		m4 := uint32(p0>>32) & 0xff
-		n4 := -int32(sw >> 4 & 1)
-		dd[4] = (int32(m4) ^ n4) - n4
-		m5 := uint32(p0>>40) & 0xff
-		n5 := -int32(sw >> 5 & 1)
-		dd[5] = (int32(m5) ^ n5) - n5
-		m6 := uint32(p0>>48) & 0xff
-		n6 := -int32(sw >> 6 & 1)
-		dd[6] = (int32(m6) ^ n6) - n6
-		m7 := uint32(p0>>56) & 0xff
-		n7 := -int32(sw >> 7 & 1)
-		dd[7] = (int32(m7) ^ n7) - n7
-	}
-}
-
-func unpackAddMags32W8(p []byte, signW uint32, d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		mm := mags[8*g : 8*g+8]
-		var og uint32
-		m0 := uint32(p0>>0) & 0xff
-		n0 := -int32(sw >> 0 & 1)
-		s0 := dd[0] + ((int32(m0) ^ n0) - n0)
-		g0 := s0 >> 31
-		u0 := uint32((s0 ^ g0) - g0)
-		mm[0] = u0
-		og |= uint32(g0&1) << 0
-		ormag |= u0
-		m1 := uint32(p0>>8) & 0xff
-		n1 := -int32(sw >> 1 & 1)
-		s1 := dd[1] + ((int32(m1) ^ n1) - n1)
-		g1 := s1 >> 31
-		u1 := uint32((s1 ^ g1) - g1)
-		mm[1] = u1
-		og |= uint32(g1&1) << 1
-		ormag |= u1
-		m2 := uint32(p0>>16) & 0xff
-		n2 := -int32(sw >> 2 & 1)
-		s2 := dd[2] + ((int32(m2) ^ n2) - n2)
-		g2 := s2 >> 31
-		u2 := uint32((s2 ^ g2) - g2)
-		mm[2] = u2
-		og |= uint32(g2&1) << 2
-		ormag |= u2
-		m3 := uint32(p0>>24) & 0xff
-		n3 := -int32(sw >> 3 & 1)
-		s3 := dd[3] + ((int32(m3) ^ n3) - n3)
-		g3 := s3 >> 31
-		u3 := uint32((s3 ^ g3) - g3)
-		mm[3] = u3
-		og |= uint32(g3&1) << 3
-		ormag |= u3
-		m4 := uint32(p0>>32) & 0xff
-		n4 := -int32(sw >> 4 & 1)
-		s4 := dd[4] + ((int32(m4) ^ n4) - n4)
-		g4 := s4 >> 31
-		u4 := uint32((s4 ^ g4) - g4)
-		mm[4] = u4
-		og |= uint32(g4&1) << 4
-		ormag |= u4
-		m5 := uint32(p0>>40) & 0xff
-		n5 := -int32(sw >> 5 & 1)
-		s5 := dd[5] + ((int32(m5) ^ n5) - n5)
-		g5 := s5 >> 31
-		u5 := uint32((s5 ^ g5) - g5)
-		mm[5] = u5
-		og |= uint32(g5&1) << 5
-		ormag |= u5
-		m6 := uint32(p0>>48) & 0xff
-		n6 := -int32(sw >> 6 & 1)
-		s6 := dd[6] + ((int32(m6) ^ n6) - n6)
-		g6 := s6 >> 31
-		u6 := uint32((s6 ^ g6) - g6)
-		mm[6] = u6
-		og |= uint32(g6&1) << 6
-		ormag |= u6
-		m7 := uint32(p0>>56) & 0xff
-		n7 := -int32(sw >> 7 & 1)
-		s7 := dd[7] + ((int32(m7) ^ n7) - n7)
-		g7 := s7 >> 31
-		u7 := uint32((s7 ^ g7) - g7)
-		mm[7] = u7
-		og |= uint32(g7&1) << 7
-		ormag |= u7
-		osign |= og << uint(8*g)
-	}
-	return osign, ormag
-}
-
-func packMags32W8(dst []byte, mags *[32]uint32) int {
-	for g := 0; g < 4; g++ {
-		mm := mags[8*g : 8*g+8]
-		var p0 uint64
-		m0 := mm[0]
-		p0 |= uint64(m0>>0&0xff) << 0
-		m1 := mm[1]
-		p0 |= uint64(m1>>0&0xff) << 8
-		m2 := mm[2]
-		p0 |= uint64(m2>>0&0xff) << 16
-		m3 := mm[3]
-		p0 |= uint64(m3>>0&0xff) << 24
-		m4 := mm[4]
-		p0 |= uint64(m4>>0&0xff) << 32
-		m5 := mm[5]
-		p0 |= uint64(m5>>0&0xff) << 40
-		m6 := mm[6]
-		p0 |= uint64(m6>>0&0xff) << 48
-		m7 := mm[7]
-		p0 |= uint64(m7>>0&0xff) << 56
-		binary.LittleEndian.PutUint64(dst[0+8*g:], p0)
-	}
-	return 32
-}
-
-func unpackDeltas32W16(p []byte, signW uint32, d *[32]int32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		p1 := binary.LittleEndian.Uint64(p[32+8*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		m0 := uint32(p0>>0)&0xff | (uint32(p1>>0)&0xff)<<8
-		n0 := -int32(sw >> 0 & 1)
-		dd[0] = (int32(m0) ^ n0) - n0
-		m1 := uint32(p0>>8)&0xff | (uint32(p1>>8)&0xff)<<8
-		n1 := -int32(sw >> 1 & 1)
-		dd[1] = (int32(m1) ^ n1) - n1
-		m2 := uint32(p0>>16)&0xff | (uint32(p1>>16)&0xff)<<8
-		n2 := -int32(sw >> 2 & 1)
-		dd[2] = (int32(m2) ^ n2) - n2
-		m3 := uint32(p0>>24)&0xff | (uint32(p1>>24)&0xff)<<8
-		n3 := -int32(sw >> 3 & 1)
-		dd[3] = (int32(m3) ^ n3) - n3
-		m4 := uint32(p0>>32)&0xff | (uint32(p1>>32)&0xff)<<8
-		n4 := -int32(sw >> 4 & 1)
-		dd[4] = (int32(m4) ^ n4) - n4
-		m5 := uint32(p0>>40)&0xff | (uint32(p1>>40)&0xff)<<8
-		n5 := -int32(sw >> 5 & 1)
-		dd[5] = (int32(m5) ^ n5) - n5
-		m6 := uint32(p0>>48)&0xff | (uint32(p1>>48)&0xff)<<8
-		n6 := -int32(sw >> 6 & 1)
-		dd[6] = (int32(m6) ^ n6) - n6
-		m7 := uint32(p0>>56)&0xff | (uint32(p1>>56)&0xff)<<8
-		n7 := -int32(sw >> 7 & 1)
-		dd[7] = (int32(m7) ^ n7) - n7
-	}
-}
-
-func unpackAddMags32W16(p []byte, signW uint32, d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		p1 := binary.LittleEndian.Uint64(p[32+8*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		mm := mags[8*g : 8*g+8]
-		var og uint32
-		m0 := uint32(p0>>0)&0xff | (uint32(p1>>0)&0xff)<<8
-		n0 := -int32(sw >> 0 & 1)
-		s0 := dd[0] + ((int32(m0) ^ n0) - n0)
-		g0 := s0 >> 31
-		u0 := uint32((s0 ^ g0) - g0)
-		mm[0] = u0
-		og |= uint32(g0&1) << 0
-		ormag |= u0
-		m1 := uint32(p0>>8)&0xff | (uint32(p1>>8)&0xff)<<8
-		n1 := -int32(sw >> 1 & 1)
-		s1 := dd[1] + ((int32(m1) ^ n1) - n1)
-		g1 := s1 >> 31
-		u1 := uint32((s1 ^ g1) - g1)
-		mm[1] = u1
-		og |= uint32(g1&1) << 1
-		ormag |= u1
-		m2 := uint32(p0>>16)&0xff | (uint32(p1>>16)&0xff)<<8
-		n2 := -int32(sw >> 2 & 1)
-		s2 := dd[2] + ((int32(m2) ^ n2) - n2)
-		g2 := s2 >> 31
-		u2 := uint32((s2 ^ g2) - g2)
-		mm[2] = u2
-		og |= uint32(g2&1) << 2
-		ormag |= u2
-		m3 := uint32(p0>>24)&0xff | (uint32(p1>>24)&0xff)<<8
-		n3 := -int32(sw >> 3 & 1)
-		s3 := dd[3] + ((int32(m3) ^ n3) - n3)
-		g3 := s3 >> 31
-		u3 := uint32((s3 ^ g3) - g3)
-		mm[3] = u3
-		og |= uint32(g3&1) << 3
-		ormag |= u3
-		m4 := uint32(p0>>32)&0xff | (uint32(p1>>32)&0xff)<<8
-		n4 := -int32(sw >> 4 & 1)
-		s4 := dd[4] + ((int32(m4) ^ n4) - n4)
-		g4 := s4 >> 31
-		u4 := uint32((s4 ^ g4) - g4)
-		mm[4] = u4
-		og |= uint32(g4&1) << 4
-		ormag |= u4
-		m5 := uint32(p0>>40)&0xff | (uint32(p1>>40)&0xff)<<8
-		n5 := -int32(sw >> 5 & 1)
-		s5 := dd[5] + ((int32(m5) ^ n5) - n5)
-		g5 := s5 >> 31
-		u5 := uint32((s5 ^ g5) - g5)
-		mm[5] = u5
-		og |= uint32(g5&1) << 5
-		ormag |= u5
-		m6 := uint32(p0>>48)&0xff | (uint32(p1>>48)&0xff)<<8
-		n6 := -int32(sw >> 6 & 1)
-		s6 := dd[6] + ((int32(m6) ^ n6) - n6)
-		g6 := s6 >> 31
-		u6 := uint32((s6 ^ g6) - g6)
-		mm[6] = u6
-		og |= uint32(g6&1) << 6
-		ormag |= u6
-		m7 := uint32(p0>>56)&0xff | (uint32(p1>>56)&0xff)<<8
-		n7 := -int32(sw >> 7 & 1)
-		s7 := dd[7] + ((int32(m7) ^ n7) - n7)
-		g7 := s7 >> 31
-		u7 := uint32((s7 ^ g7) - g7)
-		mm[7] = u7
-		og |= uint32(g7&1) << 7
-		ormag |= u7
-		osign |= og << uint(8*g)
-	}
-	return osign, ormag
-}
-
-func packMags32W16(dst []byte, mags *[32]uint32) int {
-	for g := 0; g < 4; g++ {
-		mm := mags[8*g : 8*g+8]
-		var p0 uint64
-		var p1 uint64
-		m0 := mm[0]
-		p0 |= uint64(m0>>0&0xff) << 0
-		p1 |= uint64(m0>>8&0xff) << 0
-		m1 := mm[1]
-		p0 |= uint64(m1>>0&0xff) << 8
-		p1 |= uint64(m1>>8&0xff) << 8
-		m2 := mm[2]
-		p0 |= uint64(m2>>0&0xff) << 16
-		p1 |= uint64(m2>>8&0xff) << 16
-		m3 := mm[3]
-		p0 |= uint64(m3>>0&0xff) << 24
-		p1 |= uint64(m3>>8&0xff) << 24
-		m4 := mm[4]
-		p0 |= uint64(m4>>0&0xff) << 32
-		p1 |= uint64(m4>>8&0xff) << 32
-		m5 := mm[5]
-		p0 |= uint64(m5>>0&0xff) << 40
-		p1 |= uint64(m5>>8&0xff) << 40
-		m6 := mm[6]
-		p0 |= uint64(m6>>0&0xff) << 48
-		p1 |= uint64(m6>>8&0xff) << 48
-		m7 := mm[7]
-		p0 |= uint64(m7>>0&0xff) << 56
-		p1 |= uint64(m7>>8&0xff) << 56
-		binary.LittleEndian.PutUint64(dst[0+8*g:], p0)
-		binary.LittleEndian.PutUint64(dst[32+8*g:], p1)
-	}
-	return 64
-}
-
-func unpackDeltas32W24(p []byte, signW uint32, d *[32]int32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		p1 := binary.LittleEndian.Uint64(p[32+8*g:])
-		p2 := binary.LittleEndian.Uint64(p[64+8*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		m0 := uint32(p0>>0)&0xff | (uint32(p1>>0)&0xff)<<8 | (uint32(p2>>0)&0xff)<<16
-		n0 := -int32(sw >> 0 & 1)
-		dd[0] = (int32(m0) ^ n0) - n0
-		m1 := uint32(p0>>8)&0xff | (uint32(p1>>8)&0xff)<<8 | (uint32(p2>>8)&0xff)<<16
-		n1 := -int32(sw >> 1 & 1)
-		dd[1] = (int32(m1) ^ n1) - n1
-		m2 := uint32(p0>>16)&0xff | (uint32(p1>>16)&0xff)<<8 | (uint32(p2>>16)&0xff)<<16
-		n2 := -int32(sw >> 2 & 1)
-		dd[2] = (int32(m2) ^ n2) - n2
-		m3 := uint32(p0>>24)&0xff | (uint32(p1>>24)&0xff)<<8 | (uint32(p2>>24)&0xff)<<16
-		n3 := -int32(sw >> 3 & 1)
-		dd[3] = (int32(m3) ^ n3) - n3
-		m4 := uint32(p0>>32)&0xff | (uint32(p1>>32)&0xff)<<8 | (uint32(p2>>32)&0xff)<<16
-		n4 := -int32(sw >> 4 & 1)
-		dd[4] = (int32(m4) ^ n4) - n4
-		m5 := uint32(p0>>40)&0xff | (uint32(p1>>40)&0xff)<<8 | (uint32(p2>>40)&0xff)<<16
-		n5 := -int32(sw >> 5 & 1)
-		dd[5] = (int32(m5) ^ n5) - n5
-		m6 := uint32(p0>>48)&0xff | (uint32(p1>>48)&0xff)<<8 | (uint32(p2>>48)&0xff)<<16
-		n6 := -int32(sw >> 6 & 1)
-		dd[6] = (int32(m6) ^ n6) - n6
-		m7 := uint32(p0>>56)&0xff | (uint32(p1>>56)&0xff)<<8 | (uint32(p2>>56)&0xff)<<16
-		n7 := -int32(sw >> 7 & 1)
-		dd[7] = (int32(m7) ^ n7) - n7
-	}
-}
-
-func unpackAddMags32W24(p []byte, signW uint32, d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
-	for g := 0; g < 4; g++ {
-		p0 := binary.LittleEndian.Uint64(p[0+8*g:])
-		p1 := binary.LittleEndian.Uint64(p[32+8*g:])
-		p2 := binary.LittleEndian.Uint64(p[64+8*g:])
-		sw := signW >> uint(8*g)
-		dd := d[8*g : 8*g+8]
-		mm := mags[8*g : 8*g+8]
-		var og uint32
-		m0 := uint32(p0>>0)&0xff | (uint32(p1>>0)&0xff)<<8 | (uint32(p2>>0)&0xff)<<16
-		n0 := -int32(sw >> 0 & 1)
-		s0 := dd[0] + ((int32(m0) ^ n0) - n0)
-		g0 := s0 >> 31
-		u0 := uint32((s0 ^ g0) - g0)
-		mm[0] = u0
-		og |= uint32(g0&1) << 0
-		ormag |= u0
-		m1 := uint32(p0>>8)&0xff | (uint32(p1>>8)&0xff)<<8 | (uint32(p2>>8)&0xff)<<16
-		n1 := -int32(sw >> 1 & 1)
-		s1 := dd[1] + ((int32(m1) ^ n1) - n1)
-		g1 := s1 >> 31
-		u1 := uint32((s1 ^ g1) - g1)
-		mm[1] = u1
-		og |= uint32(g1&1) << 1
-		ormag |= u1
-		m2 := uint32(p0>>16)&0xff | (uint32(p1>>16)&0xff)<<8 | (uint32(p2>>16)&0xff)<<16
-		n2 := -int32(sw >> 2 & 1)
-		s2 := dd[2] + ((int32(m2) ^ n2) - n2)
-		g2 := s2 >> 31
-		u2 := uint32((s2 ^ g2) - g2)
-		mm[2] = u2
-		og |= uint32(g2&1) << 2
-		ormag |= u2
-		m3 := uint32(p0>>24)&0xff | (uint32(p1>>24)&0xff)<<8 | (uint32(p2>>24)&0xff)<<16
-		n3 := -int32(sw >> 3 & 1)
-		s3 := dd[3] + ((int32(m3) ^ n3) - n3)
-		g3 := s3 >> 31
-		u3 := uint32((s3 ^ g3) - g3)
-		mm[3] = u3
-		og |= uint32(g3&1) << 3
-		ormag |= u3
-		m4 := uint32(p0>>32)&0xff | (uint32(p1>>32)&0xff)<<8 | (uint32(p2>>32)&0xff)<<16
-		n4 := -int32(sw >> 4 & 1)
-		s4 := dd[4] + ((int32(m4) ^ n4) - n4)
-		g4 := s4 >> 31
-		u4 := uint32((s4 ^ g4) - g4)
-		mm[4] = u4
-		og |= uint32(g4&1) << 4
-		ormag |= u4
-		m5 := uint32(p0>>40)&0xff | (uint32(p1>>40)&0xff)<<8 | (uint32(p2>>40)&0xff)<<16
-		n5 := -int32(sw >> 5 & 1)
-		s5 := dd[5] + ((int32(m5) ^ n5) - n5)
-		g5 := s5 >> 31
-		u5 := uint32((s5 ^ g5) - g5)
-		mm[5] = u5
-		og |= uint32(g5&1) << 5
-		ormag |= u5
-		m6 := uint32(p0>>48)&0xff | (uint32(p1>>48)&0xff)<<8 | (uint32(p2>>48)&0xff)<<16
-		n6 := -int32(sw >> 6 & 1)
-		s6 := dd[6] + ((int32(m6) ^ n6) - n6)
-		g6 := s6 >> 31
-		u6 := uint32((s6 ^ g6) - g6)
-		mm[6] = u6
-		og |= uint32(g6&1) << 6
-		ormag |= u6
-		m7 := uint32(p0>>56)&0xff | (uint32(p1>>56)&0xff)<<8 | (uint32(p2>>56)&0xff)<<16
-		n7 := -int32(sw >> 7 & 1)
-		s7 := dd[7] + ((int32(m7) ^ n7) - n7)
-		g7 := s7 >> 31
-		u7 := uint32((s7 ^ g7) - g7)
-		mm[7] = u7
-		og |= uint32(g7&1) << 7
-		ormag |= u7
-		osign |= og << uint(8*g)
-	}
-	return osign, ormag
-}
-
-func packMags32W24(dst []byte, mags *[32]uint32) int {
-	for g := 0; g < 4; g++ {
-		mm := mags[8*g : 8*g+8]
-		var p0 uint64
-		var p1 uint64
-		var p2 uint64
-		m0 := mm[0]
-		p0 |= uint64(m0>>0&0xff) << 0
-		p1 |= uint64(m0>>8&0xff) << 0
-		p2 |= uint64(m0>>16&0xff) << 0
-		m1 := mm[1]
-		p0 |= uint64(m1>>0&0xff) << 8
-		p1 |= uint64(m1>>8&0xff) << 8
-		p2 |= uint64(m1>>16&0xff) << 8
-		m2 := mm[2]
-		p0 |= uint64(m2>>0&0xff) << 16
-		p1 |= uint64(m2>>8&0xff) << 16
-		p2 |= uint64(m2>>16&0xff) << 16
-		m3 := mm[3]
-		p0 |= uint64(m3>>0&0xff) << 24
-		p1 |= uint64(m3>>8&0xff) << 24
-		p2 |= uint64(m3>>16&0xff) << 24
-		m4 := mm[4]
-		p0 |= uint64(m4>>0&0xff) << 32
-		p1 |= uint64(m4>>8&0xff) << 32
-		p2 |= uint64(m4>>16&0xff) << 32
-		m5 := mm[5]
-		p0 |= uint64(m5>>0&0xff) << 40
-		p1 |= uint64(m5>>8&0xff) << 40
-		p2 |= uint64(m5>>16&0xff) << 40
-		m6 := mm[6]
-		p0 |= uint64(m6>>0&0xff) << 48
-		p1 |= uint64(m6>>8&0xff) << 48
-		p2 |= uint64(m6>>16&0xff) << 48
-		m7 := mm[7]
-		p0 |= uint64(m7>>0&0xff) << 56
-		p1 |= uint64(m7>>8&0xff) << 56
-		p2 |= uint64(m7>>16&0xff) << 56
-		binary.LittleEndian.PutUint64(dst[0+8*g:], p0)
-		binary.LittleEndian.PutUint64(dst[32+8*g:], p1)
-		binary.LittleEndian.PutUint64(dst[64+8*g:], p2)
-	}
-	return 96
-}
-
 // reencodeMags32 re-extracts sign/magnitude from d without a second
-// operand (the c == 0 entry of unpackAddMags32Tab).
+// operand (UnpackAddMags32 with c == 0).
 func reencodeMags32(d *[32]int32, mags *[32]uint32) (osign, ormag uint32) {
 	for i := 0; i < 32; i++ {
 		s := d[i]
@@ -2029,9 +1296,6 @@ func AddBlocks32Narrow(dst, pa, pb []byte, swa, swb uint32, ca, cb int) int {
 		f2 += bias
 		f3 += bias
 	default:
-		if ca <= 3 && cb <= 3 {
-			return NarrowPairTab[(ca-1)*3+(cb-1)](dst, pa, pb, swa, swb)
-		}
 		a0, a1, a2, a3 := narrowBiasedTab[ca](&narrowTab[ca-1], pa, swa)
 		b0, b1, b2, b3 := narrowBiasedTab[cb](&narrowTab[cb-1], pb, swb)
 		f0, f1, f2, f3 = a0+b0, a1+b1, a2+b2, a3+b3
@@ -2192,1038 +1456,10 @@ var narrowBiasedTab = [7]func(t *[6][256]uint64, p []byte, sw uint32) (uint64, u
 	nil, narrowBiased1, narrowBiased2, narrowBiased3, narrowBiased4, narrowBiased5, narrowBiased6,
 }
 
-// addNarrowAxB (generated, one per (ca, cb) pair with both widths <= 3)
-// specialise the full SWAR fused add for one operand-width pair: table
-// rows, payload offsets AND the output funnel-compression switch are
-// compile-time constants (the switch only carries the output widths the
-// pair can produce), and the whole block — decode, add, sign extract,
-// width, pack — runs with no internal call boundaries.
-func addNarrow1x1(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[3]
-	_ = pb[3]
-	ma0 := narrowTab[0][0][pa[0]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[0][0][pb[0]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[0][0][pa[1]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[0][0][pb[1]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[0][0][pa[2]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[0][0][pb[2]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[0][0][pa[3]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[0][0][pb[3]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow1x2(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[3]
-	_ = pb[7]
-	ma0 := narrowTab[0][0][pa[0]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[1][0][pb[0]] | narrowTab[1][1][pb[1]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[0][0][pa[1]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[1][0][pb[2]] | narrowTab[1][1][pb[3]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[0][0][pa[2]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[1][0][pb[4]] | narrowTab[1][1][pb[5]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[0][0][pa[3]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[1][0][pb[6]] | narrowTab[1][1][pb[7]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow1x3(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[3]
-	_ = pb[11]
-	ma0 := narrowTab[0][0][pa[0]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[2][0][pb[0]] | narrowTab[2][1][pb[1]] | narrowTab[2][2][pb[2]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[0][0][pa[1]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[2][0][pb[3]] | narrowTab[2][1][pb[4]] | narrowTab[2][2][pb[5]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[0][0][pa[2]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[2][0][pb[6]] | narrowTab[2][1][pb[7]] | narrowTab[2][2][pb[8]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[0][0][pa[3]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[2][0][pb[9]] | narrowTab[2][1][pb[10]] | narrowTab[2][2][pb[11]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		case 4:
-			v0 := (u0 & 0xf000f000f000f) | (u0&0xf000f000f000f00)>>4
-			v0 = (v0 & 0xff000000ff) | (v0&0xff000000ff0000)>>8
-			v0 = (v0 & 0xffff) | (v0&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0xf000f000f000f) | (u1&0xf000f000f000f00)>>4
-			v1 = (v1 & 0xff000000ff) | (v1&0xff000000ff0000)>>8
-			v1 = (v1 & 0xffff) | (v1&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[4:], v1)
-			v2 := (u2 & 0xf000f000f000f) | (u2&0xf000f000f000f00)>>4
-			v2 = (v2 & 0xff000000ff) | (v2&0xff000000ff0000)>>8
-			v2 = (v2 & 0xffff) | (v2&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[8:], v2)
-			v3 := (u3 & 0xf000f000f000f) | (u3&0xf000f000f000f00)>>4
-			v3 = (v3 & 0xff000000ff) | (v3&0xff000000ff0000)>>8
-			v3 = (v3 & 0xffff) | (v3&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[12:], v3)
-			return 21
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow2x1(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[7]
-	_ = pb[3]
-	ma0 := narrowTab[1][0][pa[0]] | narrowTab[1][1][pa[1]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[0][0][pb[0]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[1][0][pa[2]] | narrowTab[1][1][pa[3]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[0][0][pb[1]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[1][0][pa[4]] | narrowTab[1][1][pa[5]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[0][0][pb[2]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[1][0][pa[6]] | narrowTab[1][1][pa[7]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[0][0][pb[3]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow2x2(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[7]
-	_ = pb[7]
-	ma0 := narrowTab[1][0][pa[0]] | narrowTab[1][1][pa[1]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[1][0][pb[0]] | narrowTab[1][1][pb[1]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[1][0][pa[2]] | narrowTab[1][1][pa[3]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[1][0][pb[2]] | narrowTab[1][1][pb[3]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[1][0][pa[4]] | narrowTab[1][1][pa[5]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[1][0][pb[4]] | narrowTab[1][1][pb[5]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[1][0][pa[6]] | narrowTab[1][1][pa[7]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[1][0][pb[6]] | narrowTab[1][1][pb[7]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow2x3(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[7]
-	_ = pb[11]
-	ma0 := narrowTab[1][0][pa[0]] | narrowTab[1][1][pa[1]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[2][0][pb[0]] | narrowTab[2][1][pb[1]] | narrowTab[2][2][pb[2]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[1][0][pa[2]] | narrowTab[1][1][pa[3]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[2][0][pb[3]] | narrowTab[2][1][pb[4]] | narrowTab[2][2][pb[5]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[1][0][pa[4]] | narrowTab[1][1][pa[5]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[2][0][pb[6]] | narrowTab[2][1][pb[7]] | narrowTab[2][2][pb[8]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[1][0][pa[6]] | narrowTab[1][1][pa[7]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[2][0][pb[9]] | narrowTab[2][1][pb[10]] | narrowTab[2][2][pb[11]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		case 4:
-			v0 := (u0 & 0xf000f000f000f) | (u0&0xf000f000f000f00)>>4
-			v0 = (v0 & 0xff000000ff) | (v0&0xff000000ff0000)>>8
-			v0 = (v0 & 0xffff) | (v0&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0xf000f000f000f) | (u1&0xf000f000f000f00)>>4
-			v1 = (v1 & 0xff000000ff) | (v1&0xff000000ff0000)>>8
-			v1 = (v1 & 0xffff) | (v1&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[4:], v1)
-			v2 := (u2 & 0xf000f000f000f) | (u2&0xf000f000f000f00)>>4
-			v2 = (v2 & 0xff000000ff) | (v2&0xff000000ff0000)>>8
-			v2 = (v2 & 0xffff) | (v2&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[8:], v2)
-			v3 := (u3 & 0xf000f000f000f) | (u3&0xf000f000f000f00)>>4
-			v3 = (v3 & 0xff000000ff) | (v3&0xff000000ff0000)>>8
-			v3 = (v3 & 0xffff) | (v3&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[12:], v3)
-			return 21
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow3x1(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[11]
-	_ = pb[3]
-	ma0 := narrowTab[2][0][pa[0]] | narrowTab[2][1][pa[1]] | narrowTab[2][2][pa[2]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[0][0][pb[0]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[2][0][pa[3]] | narrowTab[2][1][pa[4]] | narrowTab[2][2][pa[5]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[0][0][pb[1]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[2][0][pa[6]] | narrowTab[2][1][pa[7]] | narrowTab[2][2][pa[8]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[0][0][pb[2]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[2][0][pa[9]] | narrowTab[2][1][pa[10]] | narrowTab[2][2][pa[11]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[0][0][pb[3]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		case 4:
-			v0 := (u0 & 0xf000f000f000f) | (u0&0xf000f000f000f00)>>4
-			v0 = (v0 & 0xff000000ff) | (v0&0xff000000ff0000)>>8
-			v0 = (v0 & 0xffff) | (v0&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0xf000f000f000f) | (u1&0xf000f000f000f00)>>4
-			v1 = (v1 & 0xff000000ff) | (v1&0xff000000ff0000)>>8
-			v1 = (v1 & 0xffff) | (v1&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[4:], v1)
-			v2 := (u2 & 0xf000f000f000f) | (u2&0xf000f000f000f00)>>4
-			v2 = (v2 & 0xff000000ff) | (v2&0xff000000ff0000)>>8
-			v2 = (v2 & 0xffff) | (v2&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[8:], v2)
-			v3 := (u3 & 0xf000f000f000f) | (u3&0xf000f000f000f00)>>4
-			v3 = (v3 & 0xff000000ff) | (v3&0xff000000ff0000)>>8
-			v3 = (v3 & 0xffff) | (v3&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[12:], v3)
-			return 21
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow3x2(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[11]
-	_ = pb[7]
-	ma0 := narrowTab[2][0][pa[0]] | narrowTab[2][1][pa[1]] | narrowTab[2][2][pa[2]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[1][0][pb[0]] | narrowTab[1][1][pb[1]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[2][0][pa[3]] | narrowTab[2][1][pa[4]] | narrowTab[2][2][pa[5]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[1][0][pb[2]] | narrowTab[1][1][pb[3]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[2][0][pa[6]] | narrowTab[2][1][pa[7]] | narrowTab[2][2][pa[8]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[1][0][pb[4]] | narrowTab[1][1][pb[5]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[2][0][pa[9]] | narrowTab[2][1][pa[10]] | narrowTab[2][2][pa[11]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[1][0][pb[6]] | narrowTab[1][1][pb[7]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		case 4:
-			v0 := (u0 & 0xf000f000f000f) | (u0&0xf000f000f000f00)>>4
-			v0 = (v0 & 0xff000000ff) | (v0&0xff000000ff0000)>>8
-			v0 = (v0 & 0xffff) | (v0&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0xf000f000f000f) | (u1&0xf000f000f000f00)>>4
-			v1 = (v1 & 0xff000000ff) | (v1&0xff000000ff0000)>>8
-			v1 = (v1 & 0xffff) | (v1&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[4:], v1)
-			v2 := (u2 & 0xf000f000f000f) | (u2&0xf000f000f000f00)>>4
-			v2 = (v2 & 0xff000000ff) | (v2&0xff000000ff0000)>>8
-			v2 = (v2 & 0xffff) | (v2&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[8:], v2)
-			v3 := (u3 & 0xf000f000f000f) | (u3&0xf000f000f000f00)>>4
-			v3 = (v3 & 0xff000000ff) | (v3&0xff000000ff0000)>>8
-			v3 = (v3 & 0xffff) | (v3&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[12:], v3)
-			return 21
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-func addNarrow3x3(dst, pa, pb []byte, swa, swb uint32) int {
-	_ = pa[11]
-	_ = pb[11]
-	ma0 := narrowTab[2][0][pa[0]] | narrowTab[2][1][pa[1]] | narrowTab[2][2][pa[2]]
-	ka0 := narrowSign[swa>>0&0xFF]
-	mb0 := narrowTab[2][0][pb[0]] | narrowTab[2][1][pb[1]] | narrowTab[2][2][pb[2]]
-	kb0 := narrowSign[swb>>0&0xFF]
-	f0 := (ma0 ^ ka0) + (ka0 & swarLow) + (mb0 ^ kb0) + (kb0 & swarLow)
-	ma1 := narrowTab[2][0][pa[3]] | narrowTab[2][1][pa[4]] | narrowTab[2][2][pa[5]]
-	ka1 := narrowSign[swa>>8&0xFF]
-	mb1 := narrowTab[2][0][pb[3]] | narrowTab[2][1][pb[4]] | narrowTab[2][2][pb[5]]
-	kb1 := narrowSign[swb>>8&0xFF]
-	f1 := (ma1 ^ ka1) + (ka1 & swarLow) + (mb1 ^ kb1) + (kb1 & swarLow)
-	ma2 := narrowTab[2][0][pa[6]] | narrowTab[2][1][pa[7]] | narrowTab[2][2][pa[8]]
-	ka2 := narrowSign[swa>>16&0xFF]
-	mb2 := narrowTab[2][0][pb[6]] | narrowTab[2][1][pb[7]] | narrowTab[2][2][pb[8]]
-	kb2 := narrowSign[swb>>16&0xFF]
-	f2 := (ma2 ^ ka2) + (ka2 & swarLow) + (mb2 ^ kb2) + (kb2 & swarLow)
-	ma3 := narrowTab[2][0][pa[9]] | narrowTab[2][1][pa[10]] | narrowTab[2][2][pa[11]]
-	ka3 := narrowSign[swa>>24&0xFF]
-	mb3 := narrowTab[2][0][pb[9]] | narrowTab[2][1][pb[10]] | narrowTab[2][2][pb[11]]
-	kb3 := narrowSign[swb>>24&0xFF]
-	f3 := (ma3 ^ ka3) + (ka3 & swarLow) + (mb3 ^ kb3) + (kb3 & swarLow)
-	u0 := narrowAbs(f0)
-	u1 := narrowAbs(f1)
-	u2 := narrowAbs(f2)
-	u3 := narrowAbs(f3)
-	om := u0 | u1 | u2 | u3
-	om |= om >> 32
-	om |= om >> 16
-	om |= om >> 8
-	c := bits.Len32(uint32(om & 0xFF))
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1
-	}
-	dst[1] = byte((^f0 & swarHigh) * swarGather >> 56)
-	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
-	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
-	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		case 4:
-			v0 := (u0 & 0xf000f000f000f) | (u0&0xf000f000f000f00)>>4
-			v0 = (v0 & 0xff000000ff) | (v0&0xff000000ff0000)>>8
-			v0 = (v0 & 0xffff) | (v0&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0xf000f000f000f) | (u1&0xf000f000f000f00)>>4
-			v1 = (v1 & 0xff000000ff) | (v1&0xff000000ff0000)>>8
-			v1 = (v1 & 0xffff) | (v1&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[4:], v1)
-			v2 := (u2 & 0xf000f000f000f) | (u2&0xf000f000f000f00)>>4
-			v2 = (v2 & 0xff000000ff) | (v2&0xff000000ff0000)>>8
-			v2 = (v2 & 0xffff) | (v2&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[8:], v2)
-			v3 := (u3 & 0xf000f000f000f) | (u3&0xf000f000f000f00)>>4
-			v3 = (v3 & 0xff000000ff) | (v3&0xff000000ff0000)>>8
-			v3 = (v3 & 0xffff) | (v3&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[12:], v3)
-			return 21
-		}
-	}
-	return narrowPackSlow(dst, u0, u1, u2, u3, uint(c))
-}
-
-// narrowPackSlow is the variable-width fallback packer of the pair
-// kernels: the tight-dst bounce path, plus any width their constant
-// switches do not carry. It assumes the header is already written.
-func narrowPackSlow(dst []byte, u0, u1, u2, u3 uint64, co uint) int {
-	keep1 := ((uint64(1) << co) - 1) * 0x0001000100010001
-	keep2 := ((uint64(1) << (2 * co)) - 1) * 0x0000000100000001
-	keep3 := (uint64(1) << (4 * co)) - 1
-	w := dst[5:]
-	if len(w) < int(4*co)+fusedSlack {
-		var wbuf [40]byte
-		narrowCompress(wbuf[:], 0, u0, co, keep1, keep2, keep3)
-		narrowCompress(wbuf[:], 1, u1, co, keep1, keep2, keep3)
-		narrowCompress(wbuf[:], 2, u2, co, keep1, keep2, keep3)
-		narrowCompress(wbuf[:], 3, u3, co, keep1, keep2, keep3)
-		copy(w, wbuf[:4*co])
-		return 5 + int(4*co)
-	}
-	narrowCompress(w, 0, u0, co, keep1, keep2, keep3)
-	narrowCompress(w, 1, u1, co, keep1, keep2, keep3)
-	narrowCompress(w, 2, u2, co, keep1, keep2, keep3)
-	narrowCompress(w, 3, u3, co, keep1, keep2, keep3)
-	return 5 + int(4*co)
-}
-
-// NarrowPairTab dispatches the specialised narrow pair kernels on
-// (ca-1)*3 + (cb-1); valid for 1 <= ca, cb <= 3. Exported so callers
-// that already parsed the block headers can invoke a kernel directly.
-var NarrowPairTab = [9]func(dst, pa, pb []byte, swa, swb uint32) int{
-	addNarrow1x1, addNarrow1x2, addNarrow1x3,
-	addNarrow2x1, addNarrow2x2, addNarrow2x3,
-	addNarrow3x1, addNarrow3x2, addNarrow3x3,
-}
-
 // narrowFinish turns four bias-128 sum words into a packed output block:
 // movemask signs, SWAR abs, width from the folded magnitude OR, funnel
-// compress. Shared epilogue of every narrow add path.
+// compress. The output width is at most 7 (|da|+|db| <= 126), which the
+// three funnel steps of narrowCompress pack like any other.
 func narrowFinish(dst []byte, f0, f1, f2, f3 uint64) int {
 	u0 := narrowAbs(f0)
 	u1 := narrowAbs(f1)
@@ -3242,156 +1478,23 @@ func narrowFinish(dst []byte, f0, f1, f2, f3 uint64) int {
 	dst[2] = byte((^f1 & swarHigh) * swarGather >> 56)
 	dst[3] = byte((^f2 & swarHigh) * swarGather >> 56)
 	dst[4] = byte((^f3 & swarHigh) * swarGather >> 56)
-	w := dst[5:]
-	// Narrow operands are at most 6 bits, so |da|+|db| <= 126 and the
-	// output width is at most 7: every funnel below has constant masks
-	// and shifts. The tight-dst bounce stays on the generic path.
-	if len(w) >= 4*c+fusedSlack {
-		switch c {
-		case 1:
-			v0 := (u0 & 0x1000100010001) | (u0&0x100010001000100)>>7
-			v0 = (v0 & 0x300000003) | (v0&0x3000000030000)>>14
-			v0 = (v0 & 0xf) | (v0&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1000100010001) | (u1&0x100010001000100)>>7
-			v1 = (v1 & 0x300000003) | (v1&0x3000000030000)>>14
-			v1 = (v1 & 0xf) | (v1&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[1:], v1)
-			v2 := (u2 & 0x1000100010001) | (u2&0x100010001000100)>>7
-			v2 = (v2 & 0x300000003) | (v2&0x3000000030000)>>14
-			v2 = (v2 & 0xf) | (v2&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[2:], v2)
-			v3 := (u3 & 0x1000100010001) | (u3&0x100010001000100)>>7
-			v3 = (v3 & 0x300000003) | (v3&0x3000000030000)>>14
-			v3 = (v3 & 0xf) | (v3&0xf00000000)>>28
-			binary.LittleEndian.PutUint64(w[3:], v3)
-			return 9
-		case 2:
-			v0 := (u0 & 0x3000300030003) | (u0&0x300030003000300)>>6
-			v0 = (v0 & 0xf0000000f) | (v0&0xf0000000f0000)>>12
-			v0 = (v0 & 0xff) | (v0&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3000300030003) | (u1&0x300030003000300)>>6
-			v1 = (v1 & 0xf0000000f) | (v1&0xf0000000f0000)>>12
-			v1 = (v1 & 0xff) | (v1&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[2:], v1)
-			v2 := (u2 & 0x3000300030003) | (u2&0x300030003000300)>>6
-			v2 = (v2 & 0xf0000000f) | (v2&0xf0000000f0000)>>12
-			v2 = (v2 & 0xff) | (v2&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[4:], v2)
-			v3 := (u3 & 0x3000300030003) | (u3&0x300030003000300)>>6
-			v3 = (v3 & 0xf0000000f) | (v3&0xf0000000f0000)>>12
-			v3 = (v3 & 0xff) | (v3&0xff00000000)>>24
-			binary.LittleEndian.PutUint64(w[6:], v3)
-			return 13
-		case 3:
-			v0 := (u0 & 0x7000700070007) | (u0&0x700070007000700)>>5
-			v0 = (v0 & 0x3f0000003f) | (v0&0x3f0000003f0000)>>10
-			v0 = (v0 & 0xfff) | (v0&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7000700070007) | (u1&0x700070007000700)>>5
-			v1 = (v1 & 0x3f0000003f) | (v1&0x3f0000003f0000)>>10
-			v1 = (v1 & 0xfff) | (v1&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[3:], v1)
-			v2 := (u2 & 0x7000700070007) | (u2&0x700070007000700)>>5
-			v2 = (v2 & 0x3f0000003f) | (v2&0x3f0000003f0000)>>10
-			v2 = (v2 & 0xfff) | (v2&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[6:], v2)
-			v3 := (u3 & 0x7000700070007) | (u3&0x700070007000700)>>5
-			v3 = (v3 & 0x3f0000003f) | (v3&0x3f0000003f0000)>>10
-			v3 = (v3 & 0xfff) | (v3&0xfff00000000)>>20
-			binary.LittleEndian.PutUint64(w[9:], v3)
-			return 17
-		case 4:
-			v0 := (u0 & 0xf000f000f000f) | (u0&0xf000f000f000f00)>>4
-			v0 = (v0 & 0xff000000ff) | (v0&0xff000000ff0000)>>8
-			v0 = (v0 & 0xffff) | (v0&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0xf000f000f000f) | (u1&0xf000f000f000f00)>>4
-			v1 = (v1 & 0xff000000ff) | (v1&0xff000000ff0000)>>8
-			v1 = (v1 & 0xffff) | (v1&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[4:], v1)
-			v2 := (u2 & 0xf000f000f000f) | (u2&0xf000f000f000f00)>>4
-			v2 = (v2 & 0xff000000ff) | (v2&0xff000000ff0000)>>8
-			v2 = (v2 & 0xffff) | (v2&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[8:], v2)
-			v3 := (u3 & 0xf000f000f000f) | (u3&0xf000f000f000f00)>>4
-			v3 = (v3 & 0xff000000ff) | (v3&0xff000000ff0000)>>8
-			v3 = (v3 & 0xffff) | (v3&0xffff00000000)>>16
-			binary.LittleEndian.PutUint64(w[12:], v3)
-			return 21
-		case 5:
-			v0 := (u0 & 0x1f001f001f001f) | (u0&0x1f001f001f001f00)>>3
-			v0 = (v0 & 0x3ff000003ff) | (v0&0x3ff000003ff0000)>>6
-			v0 = (v0 & 0xfffff) | (v0&0xfffff00000000)>>12
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x1f001f001f001f) | (u1&0x1f001f001f001f00)>>3
-			v1 = (v1 & 0x3ff000003ff) | (v1&0x3ff000003ff0000)>>6
-			v1 = (v1 & 0xfffff) | (v1&0xfffff00000000)>>12
-			binary.LittleEndian.PutUint64(w[5:], v1)
-			v2 := (u2 & 0x1f001f001f001f) | (u2&0x1f001f001f001f00)>>3
-			v2 = (v2 & 0x3ff000003ff) | (v2&0x3ff000003ff0000)>>6
-			v2 = (v2 & 0xfffff) | (v2&0xfffff00000000)>>12
-			binary.LittleEndian.PutUint64(w[10:], v2)
-			v3 := (u3 & 0x1f001f001f001f) | (u3&0x1f001f001f001f00)>>3
-			v3 = (v3 & 0x3ff000003ff) | (v3&0x3ff000003ff0000)>>6
-			v3 = (v3 & 0xfffff) | (v3&0xfffff00000000)>>12
-			binary.LittleEndian.PutUint64(w[15:], v3)
-			return 25
-		case 6:
-			v0 := (u0 & 0x3f003f003f003f) | (u0&0x3f003f003f003f00)>>2
-			v0 = (v0 & 0xfff00000fff) | (v0&0xfff00000fff0000)>>4
-			v0 = (v0 & 0xffffff) | (v0&0xffffff00000000)>>8
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x3f003f003f003f) | (u1&0x3f003f003f003f00)>>2
-			v1 = (v1 & 0xfff00000fff) | (v1&0xfff00000fff0000)>>4
-			v1 = (v1 & 0xffffff) | (v1&0xffffff00000000)>>8
-			binary.LittleEndian.PutUint64(w[6:], v1)
-			v2 := (u2 & 0x3f003f003f003f) | (u2&0x3f003f003f003f00)>>2
-			v2 = (v2 & 0xfff00000fff) | (v2&0xfff00000fff0000)>>4
-			v2 = (v2 & 0xffffff) | (v2&0xffffff00000000)>>8
-			binary.LittleEndian.PutUint64(w[12:], v2)
-			v3 := (u3 & 0x3f003f003f003f) | (u3&0x3f003f003f003f00)>>2
-			v3 = (v3 & 0xfff00000fff) | (v3&0xfff00000fff0000)>>4
-			v3 = (v3 & 0xffffff) | (v3&0xffffff00000000)>>8
-			binary.LittleEndian.PutUint64(w[18:], v3)
-			return 29
-		case 7:
-			v0 := (u0 & 0x7f007f007f007f) | (u0&0x7f007f007f007f00)>>1
-			v0 = (v0 & 0x3fff00003fff) | (v0&0x3fff00003fff0000)>>2
-			v0 = (v0 & 0xfffffff) | (v0&0xfffffff00000000)>>4
-			binary.LittleEndian.PutUint64(w[0:], v0)
-			v1 := (u1 & 0x7f007f007f007f) | (u1&0x7f007f007f007f00)>>1
-			v1 = (v1 & 0x3fff00003fff) | (v1&0x3fff00003fff0000)>>2
-			v1 = (v1 & 0xfffffff) | (v1&0xfffffff00000000)>>4
-			binary.LittleEndian.PutUint64(w[7:], v1)
-			v2 := (u2 & 0x7f007f007f007f) | (u2&0x7f007f007f007f00)>>1
-			v2 = (v2 & 0x3fff00003fff) | (v2&0x3fff00003fff0000)>>2
-			v2 = (v2 & 0xfffffff) | (v2&0xfffffff00000000)>>4
-			binary.LittleEndian.PutUint64(w[14:], v2)
-			v3 := (u3 & 0x7f007f007f007f) | (u3&0x7f007f007f007f00)>>1
-			v3 = (v3 & 0x3fff00003fff) | (v3&0x3fff00003fff0000)>>2
-			v3 = (v3 & 0xfffffff) | (v3&0xfffffff00000000)>>4
-			binary.LittleEndian.PutUint64(w[21:], v3)
-			return 33
-		}
-	}
 	co := uint(c)
 	keep1 := ((uint64(1) << co) - 1) * 0x0001000100010001
 	keep2 := ((uint64(1) << (2 * co)) - 1) * 0x0000000100000001
 	keep3 := (uint64(1) << (4 * co)) - 1
-	if len(w) < int(4*co)+fusedSlack {
-		var wbuf [40]byte
-		narrowCompress(wbuf[:], 0, u0, co, keep1, keep2, keep3)
-		narrowCompress(wbuf[:], 1, u1, co, keep1, keep2, keep3)
-		narrowCompress(wbuf[:], 2, u2, co, keep1, keep2, keep3)
-		narrowCompress(wbuf[:], 3, u3, co, keep1, keep2, keep3)
-		copy(w, wbuf[:4*co])
-		return 5 + int(4*co)
+	var wbuf [40]byte
+	out := dst[5:]
+	direct := len(out) >= 4*c+fusedSlack
+	w := out
+	if !direct {
+		w = wbuf[:]
 	}
 	narrowCompress(w, 0, u0, co, keep1, keep2, keep3)
 	narrowCompress(w, 1, u1, co, keep1, keep2, keep3)
 	narrowCompress(w, 2, u2, co, keep1, keep2, keep3)
 	narrowCompress(w, 3, u3, co, keep1, keep2, keep3)
-	return 5 + int(4*co)
+	if !direct {
+		copy(out, wbuf[:4*co])
+	}
+	return 5 + 4*c
 }

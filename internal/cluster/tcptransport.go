@@ -245,6 +245,7 @@ type tcpPeer struct {
 	gone      map[uint32]bool        // ended jobs: drop their frames (true: the peer said bye)
 	goneOrder []uint32
 	dead      bool // reader exited; every mailbox is (and will be born) closed
+	down      bool // reader exited on a peer failure; set before any detector hears of it
 
 	closeOnce sync.Once
 }
@@ -332,7 +333,16 @@ func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 func (p *tcpPeer) jobEnded(job uint32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.dead || p.gone[job]
+	return p.down || p.dead || p.gone[job]
+}
+
+// markDown records that the reader exited on a peer failure. It comes
+// before the failure detectors hear of it and markDead after, so a session
+// binding in between still reports the peer (see tcpSession.bind).
+func (p *tcpPeer) markDown() {
+	p.mu.Lock()
+	p.down = true
+	p.mu.Unlock()
 }
 
 // markDead closes every mailbox after the reader goroutine exited: no
@@ -898,7 +908,7 @@ func (s *tcpSession) bind(cfg Config) error {
 		// A peer's bye or reset that arrived before the store found no
 		// callback and was dropped by the reader. Report every peer whose
 		// side of the job has already ended: whichever of the reader's
-		// close-then-load and this store-then-scan comes second sees the
+		// mark-then-load and this store-then-scan comes second sees the
 		// other, so the detector hears of it at least once (confirming a
 		// rank twice is harmless).
 		for _, p := range s.t.peers {
@@ -1311,15 +1321,17 @@ func classifyPeerErr(rank int, err error) error {
 // readLoop demultiplexes one connection: data frames feed the job's
 // inbox, NACKs are serviced inline from the job's local replay window,
 // replay answers and control frames wake their waiters, job control
-// frames go to the registered handler. On error or EOF every mailbox of
-// every job closes so blocked receivers fail fast — exactly the
-// closed-mailbox semantics of the in-process fabric — and, unless the
-// local transport itself is shutting down, the peer is reported to every
-// active session's failure detector with the classified cause.
+// frames go to the registered handler. On error or EOF, unless the local
+// transport itself is shutting down, the peer is reported to every active
+// session's failure detector with the classified cause; then every mailbox
+// of every job closes so blocked receivers fail fast — exactly the
+// closed-mailbox semantics of the in-process fabric. In that order, a
+// receiver the closing wakes finds the cause already recorded and returns
+// a *RankFailedError rather than a bare ErrPeerFailed.
 func (t *TCPTransport) readLoop(p *tcpPeer) {
 	err := t.readFrames(p)
 	p.close()
-	p.markDead()
+	defer p.markDead()
 	if errors.Is(err, errReadLoopStopped) {
 		return
 	}
@@ -1328,6 +1340,7 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 		// Local shutdown: the read error is our own close, not evidence
 		// about the peer.
 	default:
+		p.markDown()
 		cause := classifyPeerErr(p.rank, err)
 		t.sessMu.Lock()
 		sessions := make([]*tcpSession, 0, len(t.sessions))

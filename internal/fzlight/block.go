@@ -1,7 +1,6 @@
 package fzlight
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -294,39 +293,25 @@ type SumScratch32 struct {
 // the caller's pipelines ①–③ own. overflow reports a sum that no longer
 // fits in int32, err a corrupt operand; dst is then meaningless.
 //
-// With simd set, and where the CPU has them, the SIMD kernel
-// (block_amd64.s) takes every pair it can in one call — both markers in
-// 1–30, a sum narrower than 31 bits and 8 bytes of slack behind each block;
-// the portable sumPair32 below takes the others one at a time, and all of
-// them when simd is clear or on other CPUs. The two agree byte for byte.
-// Callers pass true; hzdyn's tests clear it to pin the portable path.
+// Where the CPU has it (useKernels), the SIMD kernel (block_amd64.s) takes
+// every pair it can in one call — both markers in 1–30, a sum narrower than
+// 31 bits and 8 bytes of slack behind each block; the portable sumPair32
+// below takes the others one at a time, and all of them on other CPUs. The
+// two agree byte for byte.
 //
 // dst must have room for the written blocks; when it extends at least 8
 // bytes past a block's end either path may scribble into that slack (the
 // next block overwrites it, or it is ignored).
-func SumBlocks32(dst, sa, sb []byte, pairs int, simd bool, sc *SumScratch32) (wrote, usedA, usedB, done int, overflow bool, err error) {
-	simd = simd && useKernels
+func SumBlocks32(dst, sa, sb []byte, pairs int, sc *SumScratch32) (wrote, usedA, usedB, done int, overflow bool, err error) {
 	for {
-		if simd {
+		if useKernels {
 			w, ua, ub, k := sumBlocks32Fast(dst[wrote:], sa[usedA:], sb[usedB:], pairs-done)
 			wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k
 		}
 		if done > 0 && (done >= pairs || (usedA < len(sa) && sa[usedA] == 0) || (usedB < len(sb) && sb[usedB] == 0)) {
 			return wrote, usedA, usedB, done, false, nil
 		}
-		ra, rb := sa[usedA:], sb[usedB:]
-		if len(ra) > 0 && len(rb) > 0 && ra[0]-1 < 3 && rb[0]-1 < 3 {
-			// Widths 1–3 on both sides, the hottest portable case on
-			// climate-like data: call the specialised SWAR pair kernel
-			// from here, with no frame in between.
-			if ua, ub := 5+4*int(ra[0]), 5+4*int(rb[0]); len(ra) >= ua && len(rb) >= ub {
-				swa, swb := binary.LittleEndian.Uint32(ra[1:]), binary.LittleEndian.Uint32(rb[1:])
-				wrote += bitio.NarrowPairTab[(ra[0]-1)*3+(rb[0]-1)](dst[wrote:], ra[5:ua], rb[5:ub], swa, swb)
-				usedA, usedB, done = usedA+ua, usedB+ub, done+1
-				continue
-			}
-		}
-		w, ua, ub, overflow, err := sumPair32(dst[wrote:], ra, rb, sc)
+		w, ua, ub, overflow, err := sumPair32(dst[wrote:], sa[usedA:], sb[usedB:], sc)
 		if overflow || err != nil {
 			return 0, 0, 0, 0, overflow, err
 		}

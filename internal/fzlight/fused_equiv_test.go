@@ -63,7 +63,7 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	want, wantOverflow := legacySum(t, sa, sb)
 	var sc SumScratch32
 	dst := make([]byte, len(sa)+len(sb)+16)
-	wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, true, &sc)
+	wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, &sc)
 	if err != nil {
 		t.Fatalf("%s: SumBlocks32: %v", ctx, err)
 	}
@@ -82,7 +82,7 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	// Exactly-sized dst must produce the same bytes through the bounce
 	// paths without writing out of bounds.
 	exact := make([]byte, len(want))
-	wrote, _, _, _, _, err = SumBlocks32(exact, sa, sb, 1, true, &sc)
+	wrote, _, _, _, _, err = SumBlocks32(exact, sa, sb, 1, &sc)
 	if err != nil {
 		t.Fatalf("%s: exact-dst SumBlocks32: %v", ctx, err)
 	}
@@ -91,7 +91,7 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	}
 	// With 8 bytes behind each operand the SIMD kernel, where the CPU has
 	// it, takes the pair (the suite's second pass runs this portably too).
-	wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, true, &sc)
+	wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, &sc)
 	if err != nil || usedA != len(sa) || usedB != len(sb) || wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
 		t.Fatalf("%s: padded operands: err %v, consumed %d/%d, output\n got % x\nwant % x", ctx, err, usedA, usedB, dst[:wrote], want)
 	}
@@ -103,8 +103,8 @@ func padded(s []byte) []byte {
 	return append(append(make([]byte, 0, len(s)+8), s...), make([]byte, 8)...)
 }
 
-// TestSumBlocks32WidthSweep pins the fused pipeline-④ kernels (SWAR pair
-// kernels, scalar word-wise kernels, wide checked fallback) against the
+// TestSumBlocks32WidthSweep pins the fused pipeline-④ kernels (SIMD kernel,
+// SWAR narrow add, word cores, wide checked fallback) against the
 // decode-add-encode reference for every operand width pair 0..32.
 func TestSumBlocks32WidthSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -234,7 +234,7 @@ func FuzzFusedAdd(f *testing.F) {
 		want, wantOverflow := fuzzLegacySum(sa, sb)
 		var sc SumScratch32
 		dst := make([]byte, len(sa)+len(sb)+16)
-		wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, true, &sc)
+		wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, &sc)
 		if err != nil {
 			t.Fatalf("SumBlocks32: %v", err)
 		}
@@ -251,7 +251,7 @@ func FuzzFusedAdd(f *testing.F) {
 			t.Fatalf("fused output differs from legacy\n got % x\nwant % x", dst[:wrote], want)
 		}
 		// Again with the slack that lets the SIMD kernel take the pair.
-		wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, true, &sc)
+		wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, &sc)
 		if err != nil || usedA != len(sa) || usedB != len(sb) || wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
 			t.Fatalf("padded operands: err %v, consumed %d/%d\n got % x\nwant % x", err, usedA, usedB, dst[:wrote], want)
 		}

@@ -36,10 +36,11 @@ func flagUnset(name string) bool {
 	return f == nil || f.Value.String() == "" || f.Value.String() == "false"
 }
 
-// withPath runs f with the dispatch variable set to kernels.
+// withPath runs f with the dispatch variable set to kernels, which a CPU
+// without the kernels cannot select.
 func withPath(kernels bool, f func()) {
 	defer func(old bool) { useKernels = old }(useKernels)
-	useKernels = kernels
+	useKernels = kernels && haveKernels()
 	f()
 }
 

@@ -126,7 +126,7 @@ func sumRun(kernels bool, a, b []byte, pairs int) (r sumResult) {
 	withPath(kernels, func() {
 		var sc SumScratch32
 		dst := make([]byte, len(a)+len(b)+16)
-		r.wrote, r.usedA, r.usedB, r.done, r.overflow, r.err = SumBlocks32(dst, a, b, pairs, true, &sc)
+		r.wrote, r.usedA, r.usedB, r.done, r.overflow, r.err = SumBlocks32(dst, a, b, pairs, &sc)
 		r.out = dst[:r.wrote]
 	})
 	return r
@@ -307,31 +307,36 @@ func FuzzSumKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) { diffSum(t, a, b) })
 }
 
-// BenchmarkSumRun is pipeline ④ alone on a run of pairs — CESM-ATM-like
-// widths 5 and 6 (the kernel's byte lane) and widths 9 and 10 (its dword
-// body) — as dispatched and on the portable path.
+// BenchmarkSumRun is pipeline ④ alone on a run of pairs, as dispatched and
+// on the portable path. Each operand block draws its width from [lo, hi]:
+// 2–3 and 5–6 (CESM-ATM-like; the portable SWAR add, the kernel's byte
+// lane), 8 and 16 (whole byte planes, no residual), 9–10 (the kernel's
+// dword body).
 func BenchmarkSumRun(b *testing.B) {
 	const pairs = 4096
-	for _, base := range []int{5, 9} {
+	for _, w := range [][2]int{{2, 3}, {5, 6}, {8, 8}, {9, 10}, {16, 16}} {
+		lo, hi := w[0], w[1]
 		rng := rand.New(rand.NewSource(24))
 		var pa, pb [][32]int32
 		for i := 0; i < pairs; i++ {
-			pa = append(pa, widthDeltas(rng, base+rng.Intn(2)))
-			pb = append(pb, widthDeltas(rng, base+rng.Intn(2)))
+			pa = append(pa, widthDeltas(rng, lo+rng.Intn(hi-lo+1)))
+			pb = append(pb, widthDeltas(rng, lo+rng.Intn(hi-lo+1)))
 		}
 		sa, sb := append(blockStream(pa...), make([]byte, 8)...), append(blockStream(pb...), make([]byte, 8)...)
 		dst := make([]byte, len(sa)+len(sb))
 		var sc SumScratch32
-		for _, simd := range []bool{true, false} {
-			path := map[bool]string{true: "dispatched", false: "portable"}[simd]
-			b.Run(fmt.Sprintf("widths%d-%d/%s", base, base+1, path), func(b *testing.B) {
-				b.SetBytes(pairs * 128)
-				for i := 0; i < b.N; i++ {
-					if _, _, _, done, _, err := SumBlocks32(dst, sa, sb, pairs, simd, &sc); err != nil || done != pairs {
-						b.Fatal(done, err)
+		for _, kernels := range []bool{true, false} {
+			path := map[bool]string{true: "dispatched", false: "portable"}[kernels]
+			b.Run(fmt.Sprintf("widths%d-%d/%s", lo, hi, path), func(b *testing.B) {
+				withPath(kernels, func() {
+					b.SetBytes(pairs * 128)
+					for i := 0; i < b.N; i++ {
+						if _, _, _, done, _, err := SumBlocks32(dst, sa, sb, pairs, &sc); err != nil || done != pairs {
+							b.Fatal(done, err)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+				})
 			})
 		}
 	}

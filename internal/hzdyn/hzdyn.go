@@ -296,15 +296,6 @@ func recordAdd(stats Stats) {
 	}
 }
 
-// allowSIMD is what addBlockRange passes fzlight.SumBlocks32 as simd: true,
-// so the add takes the SIMD kernel wherever fzlight found the CPU has it.
-// Only the package's tests clear it, to run the suite on the portable path.
-var allowSIMD = true
-
-// sumScratchPool recycles the per-chunk scratch of the fused pipeline-④
-// kernel (one Get/Put per chunk, never per block).
-var sumScratchPool = sync.Pool{New: func() any { return new(fzlight.SumScratch32) }}
-
 func worstChunkBytes(n, B int) int {
 	if n == 0 {
 		return 4
@@ -346,11 +337,9 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 	defer bufpool.PutInt32s(pa)
 	defer bufpool.PutInt32s(pb)
 	defer bufpool.PutUint32s(scratch)
-	// The fused-kernel scratch is pooled, not stack-declared: its pointer
-	// flows through the bitio dispatch tables, so escape analysis would
-	// heap-allocate it per call.
-	sum := sumScratchPool.Get().(*fzlight.SumScratch32)
-	defer sumScratchPool.Put(sum)
+	// One pipeline-④ scratch per range, on the stack: SumBlocks32 does not
+	// let it escape.
+	var sum fzlight.SumScratch32
 
 	// Pipeline tallies stay in registers; they fold into st after the loop.
 	var blocks, nP1, nP2, nP3, nP4 int64
@@ -398,7 +387,7 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			// Pipeline ④, fused fast path: IFE → integer add → FE in one
 			// pass per block pair, for the whole run of pairs up to the
 			// next constant block in one call.
-			wrote, ua, ub, done, overflow, err := fzlight.SumBlocks32(dst[o:], a[oa:], b[ob:], (n-base)/32, allowSIMD, sum)
+			wrote, ua, ub, done, overflow, err := fzlight.SumBlocks32(dst[o:], a[oa:], b[ob:], (n-base)/32, &sum)
 			if err != nil {
 				return 0, 0, 0, st, err
 			}
