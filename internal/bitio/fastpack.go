@@ -14,8 +14,8 @@ import (
 //     compiler emits constant-shift, bounds-check-free code. The fZ-light
 //     portable codec packs and unpacks residuals with them.
 //   - Everything from "Portable pipeline-④ cores" on is the portable add of
-//     two non-constant blocks, the path fzlight.SumBlocks32 takes where the
-//     CPU has no SIMD kernel: the word cores (…BC0–…BC3) for code lengths
+//     two non-constant blocks, the path fzlight.SumPair32 takes where the
+//     SIMD kernel does not: the word cores (…BC0–…BC3) for code lengths
 //     1–30 and the SWAR add (AddBlocks32Narrow) for pairs of widths ≤ 6.
 
 func pack1(dst []byte, mags []uint32, shift uint) {
@@ -294,8 +294,8 @@ func unpack7(src []byte, mags []uint32, shift uint) {
 // ---------------------------------------------------------------------------
 // Portable pipeline-④ cores.
 //
-// The routines below are the word-wise engine behind fzlight.SumBlocks32's
-// portable path: they move whole 64-bit words of packed payload instead of
+// The routines below are the word-wise engine behind fzlight.SumPair32,
+// the portable pipeline ④: they move whole 64-bit words of packed payload instead of
 // single bytes, and they fold sign application, integer addition and
 // sign/magnitude re-extraction into the unpack itself so a block pair is
 // summed without ever materialising unpacked magnitude arrays for the

@@ -246,6 +246,11 @@ type tcpPeer struct {
 	goneOrder []uint32
 	dead      bool // reader exited; every mailbox is (and will be born) closed
 	down      bool // reader exited on a peer failure; set before any detector hears of it
+	// byeJob is the job whose bye frame the reader is handling while inBye:
+	// jobEnded reports it before the job's detector hears of it, and only
+	// endJob, after the detector, closes its mailboxes.
+	byeJob uint32
+	inBye  bool
 
 	closeOnce sync.Once
 }
@@ -308,6 +313,7 @@ func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 	// closeChannels doubles as "the peer's bye arrived". The tombstone
 	// keeps that fact even when no mailbox exists yet, for jobEnded.
 	p.gone[job] = said || closeChannels
+	p.inBye = p.inBye && !closeChannels
 	if !ok {
 		p.goneOrder = append(p.goneOrder, job)
 		if len(p.goneOrder) > peerGoneCap {
@@ -333,7 +339,21 @@ func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 func (p *tcpPeer) jobEnded(job uint32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.down || p.dead || p.gone[job]
+	return p.down || p.dead || p.gone[job] || (p.inBye && p.byeJob == job)
+}
+
+// peerBye ends job on the peer's bye in the order the failure detectors
+// need, as readLoop does for a dead connection: mark the job ended for
+// jobEnded (so a session binding meanwhile still reports the peer), then
+// report — the job's detector records the cause — and only then close the
+// mailboxes, so a receiver the closing wakes finds that cause and returns
+// a *RankFailedError, not a bare ErrPeerFailed.
+func (p *tcpPeer) peerBye(job uint32, report func()) {
+	p.mu.Lock()
+	p.byeJob, p.inBye = job, true
+	p.mu.Unlock()
+	report()
+	p.endJob(job, true)
 }
 
 // markDown records that the reader exited on a peer failure. It comes
@@ -1509,22 +1529,22 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 			}
 			mTransportJobFrames.Inc()
 			if jkind == jobByeKind {
-				// The peer's side of this job ended: close its mailboxes
-				// here (we are its sole writer) so blocked receivers see
-				// "peer gone".
-				p.endJob(job, true)
-				// Surface the end to the job's failure detector exactly
-				// like a connection reset would in a one-rank-per-process
-				// world. A healthy job's bye follows its final agreement
-				// round, so the evidence is inert; a killed rank's
-				// mid-collective bye is what lets blocked survivors abort
-				// their waits and blame the right rank instead of timing
-				// out on the stalled neighbors in between.
-				if s := t.sessionFor(job); s != nil {
-					if f, ok := s.onDown.Load().(func(rank int, cause error)); ok && f != nil {
-						f(p.rank, fmt.Errorf("%w: rank %d (job %d session ended)", ErrConnReset, p.rank, job))
+				// The peer's side of this job ended: surface the end to the
+				// job's failure detector exactly like a connection reset
+				// would in a one-rank-per-process world, then close its
+				// mailboxes here (we are its sole writer) so blocked
+				// receivers see "peer gone". A healthy job's bye follows its
+				// final agreement round, so the evidence is inert; a killed
+				// rank's mid-collective bye is what lets blocked survivors
+				// abort their waits and blame the right rank instead of
+				// timing out on the stalled neighbors in between.
+				p.peerBye(job, func() {
+					if s := t.sessionFor(job); s != nil {
+						if f, ok := s.onDown.Load().(func(rank int, cause error)); ok && f != nil {
+							f(p.rank, fmt.Errorf("%w: rank %d (job %d session ended)", ErrConnReset, p.rank, job))
+						}
 					}
-				}
+				})
 			} else if h, ok := t.jobHandler.Load().(JobHandler); ok && h != nil {
 				h(p.rank, job, jkind, payload)
 			}

@@ -858,3 +858,51 @@ func TestTCPByeBeforeBindReachesDetector(t *testing.T) {
 		})
 	}
 }
+
+// A rank that ends mid-collective says bye on each of its connections. The
+// bye must reach the survivors' failure detectors before it closes the
+// job's mailboxes: a receiver blocked on that rank and woken by the closing
+// must find the recorded cause and return a *RankFailedError, not the
+// untyped ErrPeerFailed wrap a detector without a cause leaves it.
+func TestTCPByeMidCollectiveIsTyped(t *testing.T) {
+	runs := 200
+	if testing.Short() {
+		runs = 20
+	}
+	trs := startMesh(t, 3)
+	cfg := Config{Ranks: 3, ParallelCompute: true, RecvTimeout: 30 * time.Second}
+	for i := 0; i < runs; i++ {
+		job := uint32(100 + i)
+		sess := make([]Transport, 3)
+		for k := range sess {
+			var err error
+			if sess[k], err = trs[k].Session(job); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var waitErr [2]error
+		_, err := runSessions(t, cfg, sess, func(r *Rank) error {
+			// One ring step, then rank 2 leaves while both others wait on it.
+			if err := r.Send((r.ID+1)%3, []byte{byte(r.ID)}); err != nil {
+				return err
+			}
+			if _, err := r.Recv((r.ID + 2) % 3); err != nil {
+				return err
+			}
+			if r.ID == 2 {
+				return nil
+			}
+			_, waitErr[r.ID] = r.Recv(2)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		for id, err := range waitErr {
+			var failed *RankFailedError
+			if !errors.As(err, &failed) || failed.Rank != 2 {
+				t.Fatalf("run %d: rank %d's Recv(2) after rank 2 left: %v, want a *RankFailedError for rank 2", i, id, err)
+			}
+		}
+	}
+}

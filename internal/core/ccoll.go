@@ -20,7 +20,11 @@ import "hzccl/internal/bufpool"
 //     dec(comp(final)), so under that schedule every rank's result is that.
 type ccollPartial struct {
 	blocks
-	acc []float32 // pooled working copy of the sums
+	// Block k's sums are the caller's data until its first reduce, which
+	// writes data + dec(got) into acc, pooled, and sets held[k]; the input
+	// is never copied.
+	data, acc []float32
+	held      []bool
 	// reanchor is the first quirk above, requant the second.
 	reanchor, requant bool
 	// out is the last wire payload or frame.
@@ -34,18 +38,23 @@ type ccollPartial struct {
 
 func newCColl(b blocks, data []float32) *ccollPartial {
 	n := b.g.n()
-	p := &ccollPartial{blocks: b, acc: bufpool.Float32s(len(data)), blobs: make([][]byte, b.nb)}
+	p := &ccollPartial{blocks: b, data: data, acc: bufpool.Float32s(len(data)), held: make([]bool, b.nb), blobs: make([][]byte, b.nb)}
 	p.reanchor = b.nb == 1
 	p.requant = p.reanchor && n&(n-1) != 0
-	b.g.r.Quiesce(func() { copy(p.acc, data) })
 	return p
 }
 
 func (p *ccollPartial) compressed() bool { return true }
 
+// vals returns the slice holding the sums of blocks [lo, hi). A schedule
+// reduces a span either wholly for the first time or inside one it reduced
+// before, so block lo speaks for the span.
 func (p *ccollPartial) vals(lo, hi int) []float32 {
 	s, e := p.span(lo, hi)
-	return p.acc[s:e]
+	if p.held[lo] {
+		return p.acc[s:e]
+	}
+	return p.data[s:e]
 }
 
 // wire compresses the span as one container.
@@ -63,14 +72,20 @@ func (p *ccollPartial) sent() error {
 }
 
 func (p *ccollPartial) reduce(lo, hi int, got []byte) error {
-	r, acc := p.g.r, p.vals(lo, hi)
+	r, sums := p.g.r, p.vals(lo, hi)
+	s, e := p.span(lo, hi)
+	acc := p.acc[s:e]
+	for k := lo; k < hi; k++ {
+		p.held[k] = true
+	}
 	if p.reanchor && p.out != nil {
 		if err := p.c.decompressInto(r, p.out, acc); err != nil {
 			return err
 		}
 		release(&p.out)
+		sums = acc
 	}
-	return p.c.reduceDOC(r, acc, got)
+	return p.c.reduceDOC(r, acc, sums, got)
 }
 
 // canonical makes sure blocks [lo, hi) have their canonical containers,
@@ -156,7 +171,7 @@ func (p *ccollPartial) result() ([]float32, error) {
 		k := p.decodeOrder(i)
 		s, e := p.span(k, k+1)
 		if p.blobs[k] == nil {
-			copy(p.vector()[s:e], p.acc[s:e])
+			copy(p.vector()[s:e], p.vals(k, k+1))
 		} else if err := p.c.decompressInto(p.g.r, p.blobs[k], p.vector()[s:e]); err != nil {
 			return nil, err
 		}

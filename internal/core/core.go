@@ -182,9 +182,10 @@ func (c Collectives) decompressInto(r *cluster.Rank, blob []byte, dst []float32)
 	return err
 }
 
-// reduceDOC is one decompress-operate step: decode got (DPR), add it into acc
-// element-wise (CPT) and recycle got, which the caller must own whole.
-func (c Collectives) reduceDOC(r *cluster.Rank, acc []float32, got []byte) error {
+// reduceDOC is one decompress-operate step: decode got (DPR), set acc to
+// sums + got element-wise (CPT; sums may be acc itself) and recycle got,
+// which the caller must own whole.
+func (c Collectives) reduceDOC(r *cluster.Rank, acc, sums []float32, got []byte) error {
 	vals := bufpool.Float32s(len(acc))
 	defer bufpool.PutFloat32s(vals)
 	if err := c.decompressInto(r, got, vals); err != nil {
@@ -192,7 +193,7 @@ func (c Collectives) reduceDOC(r *cluster.Rank, acc []float32, got []byte) error
 	}
 	c.work(r, cluster.CatCPT, 4*len(acc), func() {
 		for i, v := range vals {
-			acc[i] += v
+			acc[i] = sums[i] + v
 		}
 	})
 	bufpool.PutBytes(got)

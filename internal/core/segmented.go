@@ -80,7 +80,8 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 				if err != nil {
 					return nil, err
 				}
-				if err := c.reduceDOC(r, acc[rs+recv[k-1][0]:rs+recv[k-1][1]], got); err != nil {
+				blk := acc[rs+recv[k-1][0] : rs+recv[k-1][1]]
+				if err := c.reduceDOC(r, blk, blk, got); err != nil {
 					return nil, err
 				}
 			}

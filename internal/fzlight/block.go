@@ -31,6 +31,70 @@ var useKernels = haveKernels()
 // worstChunkBytes reserves per block for the last 8-byte residual store.
 const kernelDst = 1 + 4 + 128 + 8
 
+// kernelRun caps the blocks handed to one kernel call: assembly cannot be
+// preempted, and 1024 blocks keep a call near 30 µs.
+const kernelRun = 1024
+
+// The three wrappers below run a kernel (block_amd64.s) over the full
+// blocks at the head of their buffers, kernelRun at a time, where the CPU
+// has the kernels, and return in front of the first block it does not
+// take, or at the end: the bytes used and written, the blocks done, and
+// the state carried out of the last one. The caller's portable codec then
+// takes that one block — and names its error, if it has one — and calls
+// the wrapper again. On a CPU without the kernels they do nothing.
+
+// encodeRun32 stops in front of a value out of range or not finite, a code
+// length of 32, or fewer than kernelDst bytes left of dst.
+func encodeRun32(dst []byte, src []float32, recip float64, q int32) (wrote, done int, _ int32) {
+	for useKernels && len(src)-32*done >= 32 && len(dst)-wrote >= kernelDst {
+		run := min((len(src)-32*done)/32, kernelRun)
+		w, k, nq := encodeRun32K(&dst[wrote], &src[32*done], len(dst)-wrote, run, recip, q)
+		wrote, done, q = wrote+w, done+k, nq
+		if k < run {
+			break
+		}
+	}
+	return wrote, done, q
+}
+
+// decodeRun32 stops in front of a marker above 30 or a non-constant block
+// without 8 bytes of src behind it — the stream's last, or a truncated one.
+func decodeRun32(src []byte, out []float32, acc int32, eb2 float64) (used, done int, _ int32) {
+	for useKernels && len(out)-32*done >= 32 && used < len(src) {
+		run := min((len(out)-32*done)/32, kernelRun)
+		u, k, a := decodeRun32K(&out[32*done], &src[used], len(src)-used, run, acc, eb2)
+		used, done, acc = used+u, done+k, a
+		if k < run {
+			break
+		}
+	}
+	return used, done, acc
+}
+
+// SumRun32 is hZ-dynamic on a run of full 32-element block pairs, for
+// package hzdyn: starting at a[0] and b[0] it adds up to pairs consecutive
+// block pairs into consecutive blocks at dst and counts in tally[p] (p =
+// 1…4, the paper's numbering) the pairs pipeline p took. With dynamic set a
+// constant block takes pipelines ①–③, which write a 0 marker or copy the
+// other block; without it a constant block stops the run. Otherwise it
+// stops in front of a marker above 30 (above 32 beside a constant block),
+// a sum of code length 31, or a block without 8 bytes of slack behind it in
+// a, b or dst; SumPair32 and hzdyn's pipelines then take that pair. dst
+// may be scribbled up to 8 bytes past wrote.
+func SumRun32(dst, a, b []byte, pairs int, dynamic bool, tally *[5]int64) (wrote, usedA, usedB, done int) {
+	// A pair the kernel took left 8 bytes behind it on all three sides, so
+	// the slices below are never empty after the first call.
+	for useKernels && done < pairs && wrote < len(dst) && usedA < len(a) && usedB < len(b) {
+		run := min(pairs-done, kernelRun)
+		w, ua, ub, k := sumRun32K(&dst[wrote], &a[usedA], &b[usedB], len(dst)-wrote, len(a)-usedA, len(b)-usedB, run, dynamic, tally)
+		wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k
+		if k < run {
+			break
+		}
+	}
+	return wrote, usedA, usedB, done
+}
+
 // quantise is the codec's one quantisation rule: q = floor(x + 0.5) with
 // x = v·recip (v the input value, widened exactly to float64), in two IEEE
 // roundings — the product first, then the sum. The explicit conversion of
@@ -276,7 +340,7 @@ func EncodeBlock(dst []byte, p []int32, scratch []uint32) int {
 	return o
 }
 
-// SumScratch32 is the per-call scratch for SumBlocks32. Callers declare
+// SumScratch32 is the per-call scratch for SumPair32. Callers declare
 // one per stream (or per worker) and reuse it across blocks so the
 // kernel does not pay a fresh stack-zeroing per block.
 type SumScratch32 struct {
@@ -284,42 +348,7 @@ type SumScratch32 struct {
 	mags [32]uint32
 }
 
-// SumBlocks32 is the fused pipeline-④ reducer for runs of full 32-element
-// block pairs: starting at sa[0] and sb[0] it adds up to pairs consecutive
-// block pairs into consecutive blocks at dst and returns the bytes written,
-// the bytes consumed from each input and the number of pairs done. The
-// first pair is always summed; the run then stops, without error, in front
-// of the first pair with a constant block (marker 0) on either side, which
-// the caller's pipelines ①–③ own. overflow reports a sum that no longer
-// fits in int32, err a corrupt operand; dst is then meaningless.
-//
-// Where the CPU has it (useKernels), the SIMD kernel (block_amd64.s) takes
-// every pair it can in one call — both markers in 1–30, a sum narrower than
-// 31 bits and 8 bytes of slack behind each block; the portable sumPair32
-// below takes the others one at a time, and all of them on other CPUs. The
-// two agree byte for byte.
-//
-// dst must have room for the written blocks; when it extends at least 8
-// bytes past a block's end either path may scribble into that slack (the
-// next block overwrites it, or it is ignored).
-func SumBlocks32(dst, sa, sb []byte, pairs int, sc *SumScratch32) (wrote, usedA, usedB, done int, overflow bool, err error) {
-	for {
-		if useKernels {
-			w, ua, ub, k := sumBlocks32Fast(dst[wrote:], sa[usedA:], sb[usedB:], pairs-done)
-			wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k
-		}
-		if done > 0 && (done >= pairs || (usedA < len(sa) && sa[usedA] == 0) || (usedB < len(sb) && sb[usedB] == 0)) {
-			return wrote, usedA, usedB, done, false, nil
-		}
-		w, ua, ub, overflow, err := sumPair32(dst[wrote:], sa[usedA:], sb[usedB:], sc)
-		if overflow || err != nil {
-			return 0, 0, 0, 0, overflow, err
-		}
-		wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+1
-	}
-}
-
-// sumPair32 is the portable pipeline ④ for one full block pair: it inverse
+// SumPair32 is the portable pipeline ④ for one full block pair: it inverse
 // fixed-length decodes the two encoded blocks at sa and sb, adds the
 // prediction integers, and fixed-length encodes the sum into dst, in one
 // bitplane-wise pass over the packed words — the unpacked []int32 block is
@@ -333,8 +362,11 @@ func SumBlocks32(dst, sa, sb []byte, pairs int, sc *SumScratch32) (wrote, usedA,
 // gives the output width), and the packed output is written straight into
 // dst. The width bound proves |a|,|b| < 1<<30, so the sum always fits in
 // int32 and the per-element overflow checks vanish. Code lengths 31 and
-// 32 fall back to the checked wide kernel.
-func sumPair32(dst, sa, sb []byte, sc *SumScratch32) (wrote, usedA, usedB int, overflow bool, err error) {
+// 32 fall back to the checked wide kernel. overflow reports a sum that no
+// longer fits in int32, err a corrupt operand; dst is then meaningless.
+// dst must have room for the block; up to 8 bytes of any room behind it
+// may be scribbled.
+func SumPair32(dst, sa, sb []byte, sc *SumScratch32) (wrote, usedA, usedB int, overflow bool, err error) {
 	if len(sa) < 1 || len(sb) < 1 {
 		return 0, 0, 0, false, ErrCorrupt
 	}

@@ -1,11 +1,19 @@
 #include "textflag.h"
 
 // AVX2+BMI2 block kernels for the one shape the collectives use: float32,
-// full 32-value blocks. Each kernel does the whole block in registers, all
-// code lengths in one body: encodeBlock32K (floats → block), decodeBlock32K
-// (block → floats) and sumBlocks32K (block + block → block, the homomorphic
-// add). The portable Go codecs in block.go are the definition; these must
-// agree with them byte for byte and bit for bit.
+// full 32-value blocks. Each kernel does a whole block in registers, all
+// code lengths in one body: encodeRun32K (floats → blocks), decodeRun32K
+// (blocks → floats) and sumRun32K (blocks + blocks → blocks, the
+// homomorphic add). The portable Go codecs in block.go are the definition;
+// these must agree with them byte for byte and bit for bit.
+//
+// One calling convention for all three: a kernel takes a run — pointers to
+// the first block of each buffer, the bytes left in each byte buffer and a
+// block count — loads its constants once, loops over the run, and returns
+// in front of the first block outside its contract, having written nothing
+// for it, with the bytes it used and wrote, the blocks it did, and the
+// state carried out of the last block it took. The Go wrappers in block.go
+// hand the portable codec that one block and call the kernel again.
 //
 // The kernels are built from two halves, written once as macros. The
 // decode front — LOADPLANES, UNPACK, SIGNED — turns a block's bytes into 32
@@ -29,11 +37,14 @@
 // transpose; the residual of 8 values is one PEXT (PDEP) of their plane
 // bytes with mask (2^r−1)·0x0101010101010101.
 //
-// Memory contract, enforced by the Go wrappers in block_amd64.go: encode
-// reads blk[0:32] and writes only inside dst[0:141]; decode writes
-// out[0:32] and reads only src[0:need+8], need = 5 + 32⌊c/8⌋ + 4(c mod 8);
-// the add takes a pair only when need+8 bytes of each operand are readable
-// and need+8 bytes of dst are writable, and touches nothing beyond those.
+// Memory contract, per block of a run, checked by the kernel against the
+// lengths it is passed: encode reads the block's 32 floats and takes it
+// only with 141 bytes of dst left, writing inside those; decode writes the
+// block's 32 floats and takes a block of code length c only with
+// need+8 bytes of src left, need = 5 + 32⌊c/8⌋ + 4(c mod 8) (a constant
+// block: its one byte); the add takes a pair only when need+8 bytes of
+// each operand are readable and need+8 bytes of dst are writable, and
+// touches nothing beyond those.
 
 DATA f64abs<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
 GLOBL f64abs<>(SB), RODATA|NOPTR, $8
@@ -220,20 +231,35 @@ LRES: \
 	SIGNBITS(Y4); \
 	VPABSD Y4, M
 
-// func encodeBlock32K(dst *[141]byte, blk *[32]float32, recip float64, qprev int32) (n int, q int32, ok bool)
+// func encodeRun32K(dst *byte, src *float32, dstLen, blocks int, recip float64, qprev int32) (wrote, done int, q int32)
 //
-// ok is false when a value fails the range test; dst, n and q are then
-// meaningless and the caller re-encodes the block portably.
-TEXT ·encodeBlock32K(SB), NOSPLIT, $0-45
+// Encodes up to blocks consecutive full blocks of src into consecutive
+// blocks at dst. The run stops in front of the first block the kernel does
+// not take — a value that fails the range test, a code length of 32 (only
+// a qprev beyond ±2^29 gets there; STOREPLANES assumes c ≤ 31), or fewer
+// than 141 bytes left of dst. q is the last quantised value of the last
+// block taken, qprev if none was.
+TEXT ·encodeRun32K(SB), NOSPLIT, $0-68
 	MOVQ dst+0(FP), DI
-	MOVQ blk+8(FP), SI
-	VBROADCASTSD recip+16(FP), Y15
-	MOVL qprev+24(FP), AX
-	VMOVD AX, X9
+	MOVQ src+8(FP), SI
+	MOVQ dstLen+16(FP), R14
+	LEAQ -141(DI)(R14*1), R14 // a block may start at any DI ≤ R14
+	MOVQ blocks+24(FP), R15
+	SHLQ $7, R15
+	ADDQ SI, R15 // the end of the run's floats
+	VBROADCASTSD recip+32(FP), Y15
+	MOVL qprev+40(FP), BX // the last quantised value taken
 	VBROADCASTSD f64abs<>(SB), Y14
 	VBROADCASTSD f64lim<>(SB), Y13
 	VBROADCASTSD f64half<>(SB), Y12
 	VMOVDQU rotUp<>(SB), Y10
+
+encLoop:
+	CMPQ SI, R15
+	JAE encDone
+	CMPQ DI, R14
+	JA encDone
+	VMOVD BX, X9
 	VPXOR Y11, Y11, Y11
 	XORL AX, AX
 	QUANT(0, Y0, Y9, Y8)
@@ -241,35 +267,38 @@ TEXT ·encodeBlock32K(SB), NOSPLIT, $0-45
 	QUANT(64, Y2, Y9, Y8)
 	QUANT(96, Y3, Y8, Y9)
 	VPTEST Y11, Y11
-	JNZ encBad
-	VMOVD X9, BX // the block's last quantised value
-	MOVL BX, q+40(FP)
-	MOVB $1, ok+44(FP)
+	JNZ encDone
 	ORWIDTH
 	JZ encConst
 	BSRL CX, CX
 	INCL CX
-	CMPL CX, $32 // only a qprev beyond ±2^29 gets here; STOREPLANES
-	JE encBad    // assumes c ≤ 31, so leave the block to the caller
+	CMPL CX, $32
+	JE encDone
 	MOVB CX, (DI)
 	MOVL AX, 1(DI)
 	TRANSPOSE
-	// The last residual store ends at most at dst[130], inside the slack.
+	// The last residual store ends at most 8 bytes past the block, inside
+	// the 141 bytes.
 	STOREPLANES(DI, encPlanes1, encPlanes23, encPlanes3, encResidual)
-	MOVQ AX, n+32(FP)
-	VZEROUPPER
-	RET
+	ADDQ AX, DI
+	JMP encNext
 
 encConst:
 	MOVB $0, (DI)
-	MOVQ $1, n+32(FP)
-	VZEROUPPER
-	RET
+	INCQ DI
 
-encBad:
-	MOVQ $0, n+32(FP)
-	MOVL $0, q+40(FP)
-	MOVB $0, ok+44(FP)
+encNext:
+	VMOVD X9, BX
+	ADDQ $128, SI
+	JMP encLoop
+
+encDone:
+	SUBQ dst+0(FP), DI
+	MOVQ DI, wrote+48(FP)
+	SUBQ src+8(FP), SI
+	SHRQ $7, SI
+	MOVQ SI, done+56(FP)
+	MOVL BX, q+64(FP)
 	VZEROUPPER
 	RET
 
@@ -388,30 +417,86 @@ LDONE:
 	VMOVUPS X12, off(DI); \
 	VMOVUPS X13, off+16(DI)
 
-// func decodeBlock32K(out *[32]float32, src *byte, c int, acc int32, eb2 float64) int32
+// BLOCKLEN sets N to the size of a block of code length C ≥ 1:
+// 5 + 32⌊c/8⌋ + 4(c mod 8). T is scratch.
+#define BLOCKLEN(C, N, T) \
+	MOVL C, N; \
+	SHRL $3, N; \
+	SHLL $5, N; \
+	MOVL C, T; \
+	ANDL $7, T; \
+	LEAQ 5(N)(T*4), N
+
+// func decodeRun32K(out *float32, src *byte, srcLen, blocks int, acc int32, eb2 float64) (used, done int, newAcc int32)
 //
-// src points at the block's marker byte; the caller has checked 1 ≤ c ≤ 30
-// and that need+8 bytes are readable. Returns the new accumulator.
-TEXT ·decodeBlock32K(SB), NOSPLIT, $0-44
+// Decodes up to blocks consecutive full blocks at src onto acc into
+// consecutive blocks of out. The run stops in front of the first block the
+// kernel does not take — no marker byte left, a marker above 30, or fewer
+// than need+8 bytes left of src (the stream's last block) — and newAcc is
+// the accumulator after the last block taken. A constant block is 32
+// copies of float32(eb2·float64(acc)), four stores.
+TEXT ·decodeRun32K(SB), NOSPLIT, $0-68
 	MOVQ out+0(FP), DI
 	MOVQ src+8(FP), SI
-	MOVQ c+16(FP), CX
-	VBROADCASTSD eb2+32(FP), Y15
-	MOVL acc+24(FP), AX
+	MOVQ srcLen+16(FP), R14
+	ADDQ SI, R14 // the end of src
+	MOVQ blocks+24(FP), R15
+	SHLQ $7, R15
+	ADDQ DI, R15 // the end of the run's floats
+	MOVL acc+32(FP), AX
 	VMOVD AX, X9
 	VPBROADCASTD X9, Y9
-	VPBROADCASTD 1(SI), Y8 // sign word
+	VBROADCASTSD eb2+40(FP), Y15
 	VMOVDQU laneBit<>(SB), Y11
 	VPCMPEQD Y10, Y10, Y10
 	VPSRLD $29, Y10, Y10 // dwords 7,7,…,7
+
+decLoop:
+	CMPQ DI, R15
+	JAE decDone
+	CMPQ SI, R14
+	JAE decDone
+	MOVBLZX (SI), CX
+	TESTL CX, CX
+	JZ decConst
+	CMPL CX, $30
+	JA decDone
+	BLOCKLEN(CX, BX, DX)
+	LEAQ 8(SI)(BX*1), DX
+	CMPQ DX, R14
+	JA decDone
+	VPBROADCASTD 1(SI), Y8 // sign word
 	LOADPLANES(SI, decPlanes1, decPlanes23, decPlanes3, decUnpack)
 	UNPACK(Y4, Y5, Y6, Y7)
 	DEQUANT(0, Y4, X4)
 	DEQUANT(32, Y5, X5)
 	DEQUANT(64, Y6, X6)
 	DEQUANT(96, Y7, X7)
+	ADDQ BX, SI
+	ADDQ $128, DI
+	JMP decLoop
+
+decConst:
+	VCVTDQ2PD X9, Y12
+	VMULPD Y15, Y12, Y12
+	VCVTPD2PSY Y12, X12
+	VINSERTF128 $1, X12, Y12, Y12
+	VMOVUPS Y12, (DI)
+	VMOVUPS Y12, 32(DI)
+	VMOVUPS Y12, 64(DI)
+	VMOVUPS Y12, 96(DI)
+	INCQ SI
+	ADDQ $128, DI
+	JMP decLoop
+
+decDone:
+	SUBQ src+8(FP), SI
+	MOVQ SI, used+48(FP)
+	SUBQ out+0(FP), DI
+	SHRQ $7, DI
+	MOVQ DI, done+56(FP)
 	VMOVD X9, AX
-	MOVL AX, ret+40(FP)
+	MOVL AX, newAcc+64(FP)
 	VZEROUPPER
 	RET
 
@@ -425,29 +510,23 @@ TEXT ·decodeBlock32K(SB), NOSPLIT, $0-44
 	VPXOR Y0, Y4, Y4; \
 	VPSUBB Y0, Y4, OUT /* (m ^ s) − s */
 
-// BLOCKLEN sets N to the size of a block of code length C ≥ 1:
-// 5 + 32⌊c/8⌋ + 4(c mod 8). T is scratch.
-#define BLOCKLEN(C, N, T) \
-	MOVL C, N; \
-	SHRL $3, N; \
-	SHLL $5, N; \
-	MOVL C, T; \
-	ANDL $7, T; \
-	LEAQ 5(N)(T*4), N
-
-// func sumBlocks32K(dst, a, b *byte, dstLen, aLen, bLen, pairs int) (wrote, usedA, usedB, done int)
+// func sumRun32K(dst, a, b *byte, dstLen, aLen, bLen, pairs int, dynamic bool, tally *[5]int64) (wrote, usedA, usedB, done int)
 //
-// Pipeline ④ on a run of block pairs: a and b point at marker bytes, and up
+// hZ-dynamic on a run of block pairs: a and b point at marker bytes, and up
 // to pairs consecutive blocks of each are added into consecutive blocks at
-// dst. The run stops in front of the first pair the kernel does not take —
-// a marker outside 1–30 on either side, a sum of code length 31, or fewer
-// than need+8 bytes left of a, b or dst (need the block's own size; 9 for a
-// constant sum) — having stored nothing at dst for that pair. With both
-// markers at most 30 every |delta| is below 2^30, so no sum wraps. Pairs
-// with both markers at most 6 take the byte lane at sumNarrow, the others
-// the dword body at sumWide; the checks before and the bookkeeping after
-// are shared.
-TEXT ·sumBlocks32K(SB), NOSPLIT, $24-88
+// dst, tally[p] counting the pairs pipeline p took. With dynamic set, a
+// constant block on either side takes pipelines ①–③ (marker 0, or the
+// other operand's block copied in 8-byte words); without it, it stops the
+// run. The run stops in front of the first pair the kernel does not take —
+// besides that, a marker above 32 beside a constant block, a marker outside
+// 1–30 in pipeline ④, a sum of code length 31, or fewer than need+8 bytes
+// left of a, b or dst (need the block's own size; 1 for a constant block)
+// — having stored nothing at dst for that pair. With both markers at most
+// 30 every |delta| is below 2^30, so no sum wraps. Pairs with both markers
+// at most 6 take the byte lane at sumNarrow, the others the dword body at
+// sumWide; the checks before and the bookkeeping after are shared, and DX
+// names the pipeline at sumNext.
+TEXT ·sumRun32K(SB), NOSPLIT, $24-104
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
@@ -460,21 +539,23 @@ TEXT ·sumBlocks32K(SB), NOSPLIT, $24-88
 	MOVQ bLen+40(FP), AX
 	LEAQ -8(BX)(AX*1), AX
 	MOVQ AX, bend-24(SP)
-	MOVQ $0, done+80(FP)
+	MOVQ $0, done+96(FP)
 	VMOVDQU laneBit<>(SB), Y11
 
 sumLoop:
-	CMPQ SI, aend-16(SP) // the shortest block the kernel takes is 9 bytes,
-	JAE sumDone          // so this also makes the marker readable
+	CMPQ SI, aend-16(SP) // the shortest block is 1 byte, so this also
+	JAE sumDone          // makes the marker readable
 	CMPQ BX, bend-24(SP)
 	JAE sumDone
 	MOVBLZX (SI), CX
 	MOVBLZX (BX), AX
-	LEAL -1(CX), DX
-	CMPL DX, $29
+	TESTL CX, CX
+	JZ sumAConst
+	TESTL AX, AX
+	JZ sumBConst
+	CMPL CX, $30
 	JA sumDone
-	LEAL -1(AX), DX
-	CMPL DX, $29
+	CMPL AX, $30
 	JA sumDone
 	BLOCKLEN(CX, R14, DX)
 	BLOCKLEN(AX, R15, DX)
@@ -534,23 +615,26 @@ sumWide:
 	TRANSPOSE
 	STOREPLANES(DI, sumPlanes1, sumPlanes23, sumPlanes3, sumResidual)
 	ADDQ AX, DI
+	MOVL $4, DX
 
 sumNext:
+	MOVQ tally+64(FP), R8
+	INCQ (R8)(DX*8)
 	ADDQ R14, SI
 	ADDQ R15, BX
-	MOVQ done+80(FP), AX
+	MOVQ done+96(FP), AX
 	INCQ AX
-	MOVQ AX, done+80(FP)
+	MOVQ AX, done+96(FP)
 	CMPQ AX, pairs+48(FP)
 	JLT sumLoop
 
 sumDone:
 	SUBQ dst+0(FP), DI
-	MOVQ DI, wrote+56(FP)
+	MOVQ DI, wrote+72(FP)
 	SUBQ a+8(FP), SI
-	MOVQ SI, usedA+64(FP)
+	MOVQ SI, usedA+80(FP)
 	SUBQ b+16(FP), BX
-	MOVQ BX, usedB+72(FP)
+	MOVQ BX, usedB+88(FP)
 	VZEROUPPER
 	RET
 
@@ -597,15 +681,73 @@ sumNarrow:
 	LEAQ 5(DI), R8
 	SQUEEZE
 	LEAQ 5(DI)(DX*4), DI
+	MOVL $4, DX
 	JMP sumNext
 
 sumConst:
 	// Every delta cancelled: the sum is a constant block, one marker byte.
+	MOVL $4, R10
+
+sumZero: // R10 names the pipeline
 	LEAQ 1(DI), DX
 	CMPQ DX, dend-8(SP)
 	JA sumDone
 	MOVB $0, (DI)
 	INCQ DI
+	MOVL R10, DX
+	JMP sumNext
+
+sumAConst:
+	// Pipelines ① and ②: a's block is constant, so the sum is b's block.
+	CMPB dynamic+56(FP), $0
+	JE sumDone
+	MOVL $1, R14
+	MOVL $1, R15
+	MOVL $1, R10
+	TESTL AX, AX
+	JZ sumZero
+	CMPL AX, $32
+	JA sumDone
+	BLOCKLEN(AX, R15, DX)
+	LEAQ (BX)(R15*1), DX
+	CMPQ DX, bend-24(SP)
+	JA sumDone
+	MOVQ BX, R8
+	MOVQ R15, R9
+	MOVL $2, R10
+	JMP sumCopy
+
+sumBConst:
+	// Pipeline ③: b's block is constant, so the sum is a's block.
+	CMPB dynamic+56(FP), $0
+	JE sumDone
+	CMPL CX, $32
+	JA sumDone
+	BLOCKLEN(CX, R14, DX)
+	LEAQ (SI)(R14*1), DX
+	CMPQ DX, aend-16(SP)
+	JA sumDone
+	MOVL $1, R15
+	MOVQ SI, R8
+	MOVQ R14, R9
+	MOVL $3, R10
+
+sumCopy:
+	// The R9-byte block at R8 goes to dst in 8-byte words; the last one
+	// ends at most 7 bytes past the block, inside the slack on both sides.
+	LEAQ (DI)(R9*1), DX
+	CMPQ DX, dend-8(SP)
+	JA sumDone
+	XORL DX, DX
+
+sumCopyWord:
+	MOVQ (R8)(DX*1), R11
+	MOVQ R11, (DI)(DX*1)
+	ADDQ $8, DX
+	CMPQ DX, R9
+	JB sumCopyWord
+	ADDQ R9, DI
+	MOVL R10, DX
 	JMP sumNext
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

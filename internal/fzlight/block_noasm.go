@@ -2,17 +2,13 @@
 
 package fzlight
 
-// No block kernels on this architecture: the portable codecs in block.go
-// are the only path.
+// No block kernels on this architecture: useKernels is false, so the
+// portable codecs in block.go are the only path and nothing calls these.
 
 func haveKernels() bool { return false }
 
-func encodeBlock32Fast(dst []byte, blk []float32, recip float64, qprev int32) (int, int32, bool) {
-	return 0, 0, false
+func encodeRun32K(*byte, *float32, int, int, float64, int32) (int, int, int32) { panic("no kernels") }
+func decodeRun32K(*float32, *byte, int, int, int32, float64) (int, int, int32) { panic("no kernels") }
+func sumRun32K(*byte, *byte, *byte, int, int, int, int, bool, *[5]int64) (int, int, int, int) {
+	panic("no kernels")
 }
-
-func decodeBlock32Fast(src []byte, out []float32, acc int32, eb2 float64) (int, int32, bool) {
-	return 0, acc, false
-}
-
-func sumBlocks32Fast(dst, a, b []byte, pairs int) (int, int, int, int) { return 0, 0, 0, 0 }

@@ -61,11 +61,10 @@ func legacySum(t *testing.T, sa, sb []byte) (out []byte, overflow bool) {
 func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	t.Helper()
 	want, wantOverflow := legacySum(t, sa, sb)
-	var sc SumScratch32
 	dst := make([]byte, len(sa)+len(sb)+16)
-	wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, &sc)
+	wrote, usedA, usedB, overflow, err := sumPair(dst, sa, sb)
 	if err != nil {
-		t.Fatalf("%s: SumBlocks32: %v", ctx, err)
+		t.Fatalf("%s: sumPair: %v", ctx, err)
 	}
 	if overflow != wantOverflow {
 		t.Fatalf("%s: overflow %v, want %v", ctx, overflow, wantOverflow)
@@ -82,19 +81,27 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	// Exactly-sized dst must produce the same bytes through the bounce
 	// paths without writing out of bounds.
 	exact := make([]byte, len(want))
-	wrote, _, _, _, _, err = SumBlocks32(exact, sa, sb, 1, &sc)
+	wrote, _, _, _, err = sumPair(exact, sa, sb)
 	if err != nil {
-		t.Fatalf("%s: exact-dst SumBlocks32: %v", ctx, err)
+		t.Fatalf("%s: exact-dst sumPair: %v", ctx, err)
 	}
 	if wrote != len(want) || !bytes.Equal(exact, want) {
 		t.Fatalf("%s: exact-dst output differs from legacy", ctx)
 	}
 	// With 8 bytes behind each operand the SIMD kernel, where the CPU has
 	// it, takes the pair (the suite's second pass runs this portably too).
-	wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, &sc)
+	wrote, usedA, usedB, _, err = sumPair(dst, padded(sa), padded(sb))
 	if err != nil || usedA != len(sa) || usedB != len(sb) || wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
 		t.Fatalf("%s: padded operands: err %v, consumed %d/%d, output\n got % x\nwant % x", ctx, err, usedA, usedB, dst[:wrote], want)
 	}
+}
+
+// sumPair adds one block pair as hzdyn does in its static mode, where
+// every pair is pipeline ④: the kernel where it takes the pair, SumPair32
+// where it does not.
+func sumPair(dst, sa, sb []byte) (wrote, usedA, usedB int, overflow bool, err error) {
+	r := addPairs(dst, sa, sb, 1, false)
+	return r.wrote, r.usedA, r.usedB, r.overflow, r.err
 }
 
 // padded copies s with 8 zero bytes behind it, the slack the SIMD add
@@ -232,11 +239,10 @@ func FuzzFusedAdd(f *testing.F) {
 		}
 		sa, sb := decode(rawA), decode(rawB)
 		want, wantOverflow := fuzzLegacySum(sa, sb)
-		var sc SumScratch32
 		dst := make([]byte, len(sa)+len(sb)+16)
-		wrote, usedA, usedB, _, overflow, err := SumBlocks32(dst, sa, sb, 1, &sc)
+		wrote, usedA, usedB, overflow, err := sumPair(dst, sa, sb)
 		if err != nil {
-			t.Fatalf("SumBlocks32: %v", err)
+			t.Fatalf("sumPair: %v", err)
 		}
 		if overflow != wantOverflow {
 			t.Fatalf("overflow %v, want %v", overflow, wantOverflow)
@@ -251,7 +257,7 @@ func FuzzFusedAdd(f *testing.F) {
 			t.Fatalf("fused output differs from legacy\n got % x\nwant % x", dst[:wrote], want)
 		}
 		// Again with the slack that lets the SIMD kernel take the pair.
-		wrote, usedA, usedB, _, _, err = SumBlocks32(dst, padded(sa), padded(sb), 1, &sc)
+		wrote, usedA, usedB, _, err = sumPair(dst, padded(sa), padded(sb))
 		if err != nil || usedA != len(sa) || usedB != len(sb) || wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
 			t.Fatalf("padded operands: err %v, consumed %d/%d\n got % x\nwant % x", err, usedA, usedB, dst[:wrote], want)
 		}

@@ -272,11 +272,11 @@ func compressIntoAny[T Float](dst []byte, data []T, p Params, wide bool) (int, e
 
 // compressChunk writes one chunk (outlier + encoded blocks) into dst and
 // returns the number of bytes written. This is the fused
-// quantization+prediction+encoding loop of the paper: full 32-element
-// blocks go through the SIMD kernel where the CPU has one and the data is
-// float32, else through the branchless encodeBlock32 path; the first block
-// (which hosts the chunk outlier) and tail/odd-sized blocks use the
-// generic path.
+// quantization+prediction+encoding loop of the paper: runs of full
+// 32-element float32 blocks go through the SIMD kernel where the CPU has
+// one, a full block it declines through the branchless encodeBlock32 path;
+// the first block (which hosts the chunk outlier) and tail/odd-sized
+// blocks use the generic path.
 func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, error) {
 	putInt32(dst, 0) // outlier placeholder
 	o := 4
@@ -292,24 +292,20 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 	first := true
 	var outlier int32
 	f32, _ := any(data).([]float32) // nil for every other element type
-	simd := useKernels && f32 != nil && B == 32
 
-	for base := 0; base < len(data); base += B {
-		end := base + B
-		if end > len(data) {
-			end = len(data)
+	for base := 0; base < len(data); {
+		if base > 0 && B == 32 && f32 != nil {
+			n, k, q := encodeRun32(dst[o:], f32[base:], recip, qprev)
+			o, base, qprev = o+n, base+32*k, q
+			if base == len(data) {
+				break
+			}
 		}
+		end := min(base+B, len(data))
 		blk := data[base:end]
 		var used int
 		var err error
 		if len(blk) == 32 && base > 0 {
-			if simd {
-				if n, q, ok := encodeBlock32Fast(dst[o:], f32[base:end], recip, qprev); ok {
-					qprev = q
-					o += n
-					continue
-				}
-			}
 			used, err = encodeBlock32(dst[o:], blk, recip, &qprev, &mscratch)
 		} else {
 			used, err = encodeBlockGeneric(dst[o:], blk, recip, &qprev, &first, &outlier, pbuf, mbuf)
@@ -317,7 +313,7 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 		if err != nil {
 			return 0, err
 		}
-		o += used
+		o, base = o+used, end
 	}
 	putInt32(dst, outlier)
 	return o, nil
@@ -465,26 +461,22 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 	defer bufpool.PutUint32s(mbuf)
 	var mscratch [32]uint32
 	out32, _ := any(dst).([]float32) // nil for every other element type
-	simd := useKernels && out32 != nil
-	for base := 0; base < len(dst); base += B {
-		end := base + B
-		if end > len(dst) {
-			end = len(dst)
+	for base := 0; base < len(dst); {
+		if B == 32 && out32 != nil {
+			used, k, a := decodeRun32(src[o:], out32[base:], acc, eb2)
+			o, base, acc = o+used, base+32*k, a
+			if base == len(dst) {
+				break
+			}
 		}
+		end := min(base+B, len(dst))
 		n := end - base
 		if n == 32 {
-			if simd {
-				if used, a, ok := decodeBlock32Fast(src[o:], out32[base:end], acc, eb2); ok {
-					acc = a
-					o += used
-					continue
-				}
-			}
 			used, err := decodeBlock32(src[o:], dst[base:end], &acc, eb2, &mscratch)
 			if err != nil {
 				return err
 			}
-			o += used
+			o, base = o+used, end
 			continue
 		}
 		used, err := DecodeBlock(src[o:], pbuf[:n], mbuf)
@@ -497,6 +489,7 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 			acc += pbuf[i]
 			blk[i] = T(eb2 * float64(acc))
 		}
+		base = end
 	}
 	if o != len(src) {
 		return fmt.Errorf("%w: %d trailing bytes in chunk", ErrCorrupt, len(src)-o)

@@ -47,8 +47,9 @@ func withPath(kernels bool, f func()) {
 // A kernel case is one byte string read three ways: bytes 0–7 are the
 // float64 scale (recip for the encoder, 2·eb for the decoder; anything not
 // positive and finite reads as 1), bytes 8–11 the int32 carried into the
-// block (qprev, acc), and the rest both 32 float32 values to encode and a
-// block stream to decode.
+// run (qprev, acc), and the rest both a run of float32 blocks to encode —
+// as many whole 128-byte blocks as it holds, at least one (zero-padded) and
+// at most maxCaseBlocks — and a block stream to decode.
 func kernelCase(scale float64, carry int32, body []byte) []byte {
 	b := make([]byte, 12, 12+len(body))
 	binary.LittleEndian.PutUint64(b, math.Float64bits(scale))
@@ -56,15 +57,26 @@ func kernelCase(scale float64, carry int32, body []byte) []byte {
 	return append(b, body...)
 }
 
-func floatBody(v *[32]float32) []byte {
-	b := make([]byte, 128)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
+const maxCaseBlocks = 16
+
+func floatBody(run ...[32]float32) []byte {
+	b := make([]byte, 0, 128*len(run))
+	for _, x := range flat(run...) {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
 	}
 	return b
 }
 
-func parseKernelCase(b []byte) (scale float64, carry int32, blk [32]float32, stream []byte) {
+// flat lays the blocks of a run end to end.
+func flat(run ...[32]float32) []float32 {
+	v := make([]float32, 0, 32*len(run))
+	for i := range run {
+		v = append(v, run[i][:]...)
+	}
+	return v
+}
+
+func parseKernelCase(b []byte) (scale float64, carry int32, blk []float32, stream []byte) {
 	var head [12]byte
 	copy(head[:], b)
 	scale = math.Float64frombits(binary.LittleEndian.Uint64(head[:]))
@@ -75,8 +87,9 @@ func parseKernelCase(b []byte) (scale float64, carry int32, blk [32]float32, str
 	if len(b) > 12 {
 		stream = b[12:]
 	}
-	var fb [128]byte
-	copy(fb[:], stream)
+	fb := make([]byte, 128*min(max(len(stream)/128, 1), maxCaseBlocks))
+	copy(fb, stream)
+	blk = make([]float32, len(fb)/4)
 	for i := range blk {
 		blk[i] = math.Float32frombits(binary.LittleEndian.Uint32(fb[4*i:]))
 	}
@@ -87,8 +100,9 @@ func parseKernelCase(b []byte) (scale float64, carry int32, blk [32]float32, str
 // every byte-plane boundary and the extremes.
 var kernelWidths = []int{0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 30, 31}
 
-// widthBlock returns values whose deltas, at scale recip, need exactly w
-// bits, with noise in all the lower bits.
+// widthBlock returns values whose deltas, at scale recip and after a
+// carried qprev of 0, need exactly w bits, with noise in all the lower
+// bits.
 func widthBlock(w int, rng *rand.Rand) (v [32]float32, recip float64) {
 	recip = 1.25
 	if w == 0 {
@@ -123,12 +137,12 @@ func widthBlock(w int, rng *rand.Rand) (v [32]float32, recip float64) {
 func kernelSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(19))
 	var seeds [][]byte
-	add := func(scale float64, carry int32, v *[32]float32) {
-		seeds = append(seeds, kernelCase(scale, carry, floatBody(v)))
+	add := func(scale float64, carry int32, run ...[32]float32) {
+		seeds = append(seeds, kernelCase(scale, carry, floatBody(run...)))
 	}
 	for _, w := range kernelWidths {
 		v, recip := widthBlock(w, rng)
-		add(recip, 0, &v)
+		add(recip, 0, v)
 	}
 	// Exact ties. The product 3(k+½)·⅓ rounds to k+½ although ⅓ < 1/3, so
 	// two roundings give k+1 where one fused rounding would give k.
@@ -136,20 +150,20 @@ func kernelSeeds() [][]byte {
 	for i := range v {
 		v[i] = 3 * (float32(i-16) + 0.5)
 	}
-	add(1.0/3, -5, &v)
+	add(1.0/3, -5, v)
 	for i := range v {
 		v[i] = float32(i-16) + 0.5
 	}
-	add(1, 3, &v)
+	add(1, 3, v)
 	// The edges of the range: ±(2^29−1) quanta pass, ±2^29 do not.
 	const edge = 1<<29 - 32
 	for _, sign := range []float32{1, -1} {
 		v = [32]float32{}
 		v[5], v[6] = sign*edge, -sign*edge
-		add((1<<29-1)/float64(edge), 0, &v)
+		add((1<<29-1)/float64(edge), 0, v)
 		v[31] = sign * (1 << 29)
-		add(1, 0, &v)
-		add(1, int32(sign)*(1<<29), &v)
+		add(1, 0, v)
+		add(1, int32(sign)*(1<<29), v)
 	}
 	// NaN and ±Inf in every lane; a later lane holds a plain range error, so
 	// "the first offending value decides" is visible in the typed error.
@@ -158,16 +172,31 @@ func kernelSeeds() [][]byte {
 			v, _ = widthBlock(9, rng)
 			v[lane] = bad
 			v[(lane+11)%32] = 3e30
-			add(1.25, 77, &v)
+			add(1.25, 77, v)
 		}
 	}
 	// −0, denormals and a float32 that overflows the range by itself.
 	v = [32]float32{}
 	v[0], v[1], v[2], v[3] = float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40
-	add(1, 0, &v)
-	add(1e300, 0, &v)
+	add(1, 0, v)
+	add(1e300, 0, v)
 	v[9] = math.MaxFloat32
-	add(1e-300, 0, &v)
+	add(1e-300, 0, v)
+
+	// Runs: every width up to 30 beside constant blocks, and runs a bad
+	// value stops in the middle.
+	var run [][32]float32
+	for _, w := range kernelWidths[:len(kernelWidths)-1] {
+		v, _ := widthBlock(w, rng)
+		run = append(run, v, [32]float32{})
+	}
+	add(1.25, 3, run[:maxCaseBlocks]...)
+	add(1.25, -9, run[len(run)-maxCaseBlocks:]...)
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(-1)), 3e30} {
+		r := append([][32]float32(nil), run[2:10]...)
+		r[5][17] = bad
+		add(1.25, 0, r...)
+	}
 
 	// Hostile decode streams: every width at full magnitude from an
 	// accumulator at the int32 edge, so the prefix sum wraps; markers the
@@ -182,39 +211,26 @@ func kernelSeeds() [][]byte {
 		}
 		seeds = append(seeds, kernelCase(1e30, math.MinInt32, blk[:len(blk)/2]))
 	}
+	// Decode runs: every width 0–32 behind a constant block, so markers 31
+	// and 32 stop the kernel in the middle of a run.
+	for c := 0; c <= 32; c++ {
+		s := blockStream(widthDeltas(rng, 7), [32]int32{}, widthDeltas(rng, c), widthDeltas(rng, 3), [32]int32{})
+		seeds = append(seeds, kernelCase(0.002, 12345, append(s, make([]byte, c%9)...)))
+	}
 	return seeds
 }
 
-// diffKernels runs one case through both block encoders, both block
-// decoders and both chunk codecs and fails on any difference.
+// diffKernels runs one case through the run kernels, the portable block
+// codecs and both chunk codecs and fails on any difference.
 func diffKernels(t *testing.T, b []byte) {
 	t.Helper()
 	scale, carry, blk, stream := parseKernelCase(b)
+	diffEncodeRun(t, blk, scale, carry%(1<<29+1)) // the chain invariant |qprev| ≤ 2^29 is the caller's
+	diffDecodeRun(t, stream, scale, carry)
 
-	// Block encoder. The chain invariant |qprev| ≤ 2^29 is the caller's.
-	qprev := carry % (1<<29 + 1)
-	var dstP, dstK [kernelDst]byte
-	var scratch [32]uint32
-	qP := qprev
-	nP, errP := encodeBlock32(dstP[:], blk[:], scale, &qP, &scratch)
-	nK, qK, ok := encodeBlock32Fast(dstK[:], blk[:], scale, qprev)
-	switch {
-	case errP != nil && ok:
-		t.Fatalf("encode: portable rejects the block (%v), kernel accepts it", errP)
-	case errP == nil && !ok:
-		t.Fatalf("encode: kernel refuses a block the portable encoder takes (c=%d)", dstP[0])
-	case ok && (nK != nP || qK != qP || !bytes.Equal(dstK[:nK], dstP[:nP])):
-		t.Fatalf("encode: kernel n=%d q=%d % x\n      portable n=%d q=%d % x", nK, qK, dstK[:nK], nP, qP, dstP[:nP])
-	}
-	if _, _, ok := encodeBlock32Fast(dstK[:kernelDst-1], blk[:], scale, qprev); ok {
-		t.Fatal("encode: kernel ran on a destination shorter than its contract")
-	}
-
-	// Chunk encoder: the block in second and third position (the first
-	// block hosts the outlier and is portable on both paths).
-	data := make([]float32, 96)
-	copy(data[32:], blk[:])
-	copy(data[64:], blk[:])
+	// Chunk encoder: the run twice, behind a first block (which hosts the
+	// outlier and is portable on both paths).
+	data := append(append(make([]float32, 32), blk...), blk...)
 	var chunkP, chunkK []byte
 	var cerrP, cerrK error
 	for _, kernels := range []bool{false, true} {
@@ -232,31 +248,9 @@ func diffKernels(t *testing.T, b []byte) {
 		t.Fatalf("compressChunk: kernel (%d bytes, %v) != portable (%d bytes, %v)", len(chunkK), cerrK, len(chunkP), cerrP)
 	}
 
-	// Block decoder on the raw stream.
-	var outP, outK [32]float32
-	accP := carry
-	usedP, derrP := decodeBlock32(stream, outP[:], &accP, scale, &scratch)
-	usedK, accK, ok := decodeBlock32Fast(stream, outK[:], carry, scale)
-	if ok {
-		if derrP != nil || usedK != usedP || accK != accP {
-			t.Fatalf("decode: kernel used=%d acc=%d, portable used=%d acc=%d err=%v", usedK, accK, usedP, accP, derrP)
-		}
-		if !sameBits(outK[:], outP[:]) {
-			t.Fatalf("decode (c=%d): kernel %v\n      portable %v", stream[0], outK, outP)
-		}
-	} else if len(stream) > 0 {
-		c := int(stream[0])
-		if c <= 30 && len(stream) >= 5+32*(c/8)+4*(c%8)+8 {
-			t.Fatalf("decode: kernel refused a block inside its contract (c=%d, %d bytes)", c, len(stream))
-		}
-		if accK != carry {
-			t.Fatal("decode: refused block changed the accumulator")
-		}
-	}
-
 	// Chunk decoder on as many whole blocks as the stream holds.
 	end, blocks := 0, 0
-	for blocks < 8 && end < len(stream) {
+	for blocks < maxCaseBlocks && end < len(stream) {
 		n, err := BlockBytes(stream[end:], 32)
 		if err != nil {
 			break
@@ -288,6 +282,116 @@ func diffKernels(t *testing.T, b []byte) {
 	}
 }
 
+// encodeChain is the portable encoder on a run, block by block, up to the
+// first error: off[i] and q[i] are the bytes written and the value carried
+// after i blocks.
+func encodeChain(blk []float32, recip float64, qprev int32) (dst []byte, off []int, q []int32, err error) {
+	dst = make([]byte, len(blk)/32*kernelDst)
+	off, q = []int{0}, []int32{qprev}
+	var scratch [32]uint32
+	for i := 0; i < len(blk); i += 32 {
+		n, err := encodeBlock32(dst[off[len(off)-1]:], blk[i:i+32], recip, &qprev, &scratch)
+		if err != nil {
+			return dst, off, q, err
+		}
+		off, q = append(off, off[len(off)-1]+n), append(q, qprev)
+	}
+	return dst, off, q, nil
+}
+
+// decodeChain is the portable decoder on a stream, block by block, up to
+// the first error or n blocks: off[i] and acc[i] are the bytes used and the
+// accumulator after i blocks.
+func decodeChain(src []byte, n int, eb2 float64, acc int32) (out []float32, off []int, accs []int32) {
+	out = make([]float32, 32*n)
+	off, accs = []int{0}, []int32{acc}
+	var scratch [32]uint32
+	for i := 0; i < n; i++ {
+		u, err := decodeBlock32(src[off[i]:], out[32*i:32*i+32], &acc, eb2, &scratch)
+		if err != nil {
+			break
+		}
+		off, accs = append(off, off[i]+u), append(accs, acc)
+	}
+	return out, off, accs
+}
+
+// encodeKernel and decodeKernel are the run wrappers with the kernels on.
+func encodeKernel(dst []byte, blk []float32, recip float64, qprev int32) (wrote, done int, q int32) {
+	withPath(true, func() { wrote, done, q = encodeRun32(dst, blk, recip, qprev) })
+	return wrote, done, q
+}
+
+func decodeKernel(src []byte, out []float32, eb2 float64, acc int32) (used, done int, a int32) {
+	withPath(true, func() { used, done, a = decodeRun32(src, out, acc, eb2) })
+	return used, done, a
+}
+
+// diffEncodeRun checks the encode kernel on a run against encodeChain: the
+// blocks it takes are a prefix of the portable chain, byte for byte with
+// the same carried value; it stops only at a block the portable encoder
+// rejects or gives code length 32; and with fewer than kernelDst bytes of
+// dst left at its last block it stops in front of that block.
+func diffEncodeRun(t *testing.T, blk []float32, recip float64, qprev int32) {
+	t.Helper()
+	want, off, qs, err := encodeChain(blk, recip, qprev)
+	took := len(off) - 1
+	check := func(what string, dst []byte, wantK int) {
+		t.Helper()
+		w, k, q := encodeKernel(dst, blk, recip, qprev)
+		if k > took {
+			t.Fatalf("encode %s: kernel took block %d, which the portable encoder rejects (%v)", what, took, err)
+		}
+		if k != wantK || w != off[k] || q != qs[k] || !bytes.Equal(dst[:w], want[:w]) {
+			t.Fatalf("encode %s: kernel did %d blocks, %d bytes, q=%d; want %d blocks; portable at %d: %d bytes, q=%d",
+				what, k, w, q, wantK, k, off[k], qs[k])
+		}
+	}
+	dst := make([]byte, len(want)+kernelDst)
+	_, k, _ := encodeKernel(dst, blk, recip, qprev)
+	if k < took && want[off[k]] != 32 {
+		t.Fatalf("encode: kernel refused block %d (c=%d), which the portable encoder takes", k, want[off[k]])
+	}
+	check("run", dst, k)
+	if k > 0 {
+		check("with dst a byte short at the last block", make([]byte, off[k-1]+kernelDst-1), k-1)
+		check("with dst exactly kernelDst at the last block", make([]byte, off[k-1]+kernelDst), k)
+	}
+}
+
+// diffDecodeRun checks the decode kernel on a stream against decodeChain:
+// the blocks it takes are a prefix of the portable chain, bit for bit with
+// the same accumulator; it stops only at a marker above 30 or a block
+// without 8 bytes of slack; and with the stream ending at, or 7 bytes
+// past, its last block it stops in front of that block.
+func diffDecodeRun(t *testing.T, stream []byte, eb2 float64, acc int32) {
+	t.Helper()
+	want, off, accs := decodeChain(stream, maxCaseBlocks, eb2, acc)
+	took := len(off) - 1
+	check := func(what string, src []byte, wantK int) {
+		t.Helper()
+		out := make([]float32, 32*maxCaseBlocks)
+		u, k, a := decodeKernel(src, out, eb2, acc)
+		if k > took {
+			t.Fatalf("decode %s: kernel took block %d, which the portable decoder rejects", what, took)
+		}
+		if k != wantK || u != off[k] || a != accs[k] || !sameBits(out[:32*k], want[:32*k]) {
+			t.Fatalf("decode %s: kernel did %d blocks, used %d, acc=%d; want %d blocks; portable at %d: used %d, acc=%d",
+				what, k, u, a, wantK, k, off[k], accs[k])
+		}
+	}
+	_, k, _ := decodeKernel(stream, make([]float32, 32*maxCaseBlocks), eb2, acc)
+	if rest := stream[off[min(k, took)]:]; k < maxCaseBlocks && len(rest) > 0 && rest[0] <= 30 &&
+		(rest[0] == 0 || len(rest) >= 5+32*int(rest[0]>>3)+4*int(rest[0]&7)+8) {
+		t.Fatalf("decode: kernel refused block %d inside its contract (c=%d, %d bytes left)", k, rest[0], len(rest))
+	}
+	check("run", stream, k)
+	if k > 0 && stream[off[k-1]] != 0 {
+		check("ending at its last block", stream[:off[k]], k-1)
+		check("ending 7 bytes past its last block", stream[:off[k]+7], k-1)
+	}
+}
+
 // sameBits compares two float32 slices by representation.
 func sameBits(a, b []float32) bool {
 	if len(a) != len(b) {
@@ -316,7 +420,7 @@ func TestKernelSeedsCoverWidths(t *testing.T) {
 		var dst [kernelDst]byte
 		var q int32
 		var scratch [32]uint32
-		if _, err := encodeBlock32(dst[:], v[:], recip, &q, &scratch); err != nil {
+		if _, err := encodeBlock32(dst[:], v[:32], recip, &q, &scratch); err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
 		if int(dst[0]) != w {
@@ -341,35 +445,96 @@ func TestKernelsMatchPortable(t *testing.T) {
 	for _, s := range kernelSeeds() {
 		diffKernels(t, s)
 	}
-	// Random blocks at every width, random scales and carries, and the
-	// encoder's own output (plus noise) as decode streams.
+	// Random runs: every width, constant blocks, now and then a bad value,
+	// random scales and carries; then the encoder's own output (plus noise)
+	// and delta streams of every width 0–32 as decode streams.
 	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 3000; i++ {
-		w := rng.Intn(32)
-		v, recip := widthBlock(w, rng)
-		if w != 31 && rng.Intn(4) == 0 {
+	for i := 0; i < 1500; i++ {
+		n := 1 + rng.Intn(maxCaseBlocks)
+		recip := 1.25
+		if rng.Intn(4) == 0 {
 			recip *= math.Exp(rng.NormFloat64())
 		}
-		switch rng.Intn(8) {
-		case 0:
-			v[rng.Intn(32)] = float32(math.NaN())
-		case 1:
-			v[rng.Intn(32)] = float32(math.Inf(1 - 2*rng.Intn(2)))
-		case 2:
-			v[rng.Intn(32)] = float32(float64(1<<29) / recip)
+		run := make([][32]float32, n)
+		for j := range run {
+			run[j], _ = widthBlock(rng.Intn(31)*min(1, rng.Intn(4)), rng)
+			switch rng.Intn(3 * n) {
+			case 0:
+				run[j][rng.Intn(32)] = float32(math.NaN())
+			case 1:
+				run[j][rng.Intn(32)] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			case 2:
+				run[j][rng.Intn(32)] = float32(float64(1<<29) / recip)
+			}
 		}
 		carry := int32(rng.Uint32())
-		diffKernels(t, kernelCase(recip, carry, floatBody(&v)))
+		diffKernels(t, kernelCase(recip, carry, floatBody(run...)))
 
-		var dst [kernelDst]byte
-		var scratch [32]uint32
-		var q int32
-		if n, err := encodeBlock32(dst[:], v[:], recip, &q, &scratch); err == nil {
-			stream := append([]byte(nil), dst[:n+rng.Intn(12)]...)
-			if rng.Intn(3) == 0 {
-				stream[rng.Intn(len(stream))] ^= byte(1 << rng.Intn(8))
-			}
-			diffKernels(t, kernelCase(2/recip, carry, stream))
+		enc, off, _, _ := encodeChain(flat(run...), recip, carry%(1<<29+1))
+		stream := append([]byte(nil), enc[:off[len(off)-1]+rng.Intn(12)]...)
+		if len(stream) > 0 && rng.Intn(3) == 0 {
+			stream[rng.Intn(len(stream))] ^= byte(1 << rng.Intn(8))
+		}
+		diffKernels(t, kernelCase(2/recip, carry, stream))
+
+		deltas := make([][32]int32, n)
+		for j := range deltas {
+			deltas[j] = widthDeltas(rng, rng.Intn(33)*min(1, rng.Intn(3)))
+		}
+		diffKernels(t, kernelCase(0.001+rng.Float64(), carry, append(blockStream(deltas...), make([]byte, rng.Intn(12))...)))
+	}
+}
+
+// Every reason to stop, in the middle of a run: the kernel takes the five
+// blocks in front of it and returns what the portable codec has after
+// those five, which then takes the sixth.
+func TestKernelRunsStopInTheMiddle(t *testing.T) {
+	needKernels(t)
+	rng := rand.New(rand.NewSource(27))
+	var run [][32]float32
+	for _, w := range []int{9, 0, 17, 3, 24, 20, 12, 0} {
+		v, _ := widthBlock(w, rng)
+		run = append(run, v)
+	}
+	encodes := func(what string, r [][32]float32, room func(off []int) int) {
+		t.Helper()
+		blk := flat(r...)
+		want, off, qs, _ := encodeChain(blk, 1.25, 7)
+		dst := make([]byte, room(off))
+		if w, k, q := encodeKernel(dst, blk, 1.25, 7); k != 5 || w != off[5] || q != qs[5] || !bytes.Equal(dst[:w], want[:w]) {
+			t.Fatalf("encode, %s at block 5: kernel did %d blocks, %d bytes, q=%d; portable after 5: %d bytes, q=%d", what, k, w, q, off[5], qs[5])
+		}
+	}
+	plenty := func(off []int) int { return off[len(off)-1] + kernelDst }
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), 1e30} {
+		r := append([][32]float32(nil), run...)
+		r[5][11] = bad
+		encodes(fmt.Sprint(bad), r, plenty)
+	}
+	encodes("dst short of kernelDst", run, func(off []int) int { return off[5] + kernelDst - 1 })
+	// A code length of 32 needs a carried value outside the chain
+	// invariant, so it can only stop a run at its first block.
+	if _, k, q := encodeKernel(make([]byte, 2*kernelDst), make([]float32, 64), 1, math.MinInt32); k != 0 || q != math.MinInt32 {
+		t.Fatalf("encode, code length 32: kernel did %d blocks, q=%d", k, q)
+	}
+
+	deltas := [][32]int32{widthDeltas(rng, 9), {}, widthDeltas(rng, 17), widthDeltas(rng, 3), widthDeltas(rng, 24)}
+	head := blockStream(deltas...)
+	b5 := blockStream(widthDeltas(rng, 20))
+	tail := blockStream(widthDeltas(rng, 12), [32]int32{})
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for what, s := range map[string][]byte{
+		"marker 31":                 cat(head, blockStream(widthDeltas(rng, 31)), tail),
+		"marker 32":                 cat(head, blockStream(widthDeltas(rng, 32)), tail),
+		"marker 33":                 cat(head, []byte{33, 1, 2, 3, 4, 5, 6, 7, 8}, tail),
+		"a block without its slack": cat(head, b5, make([]byte, 7)),
+		"the stream's last block":   cat(head, b5),
+		"a truncated block":         cat(head, b5[:len(b5)-3]),
+	} {
+		want, off, accs := decodeChain(s, 8, 0.002, 5)
+		out := make([]float32, 32*8)
+		if u, k, a := decodeKernel(s, out, 0.002, 5); k != 5 || u != off[5] || a != accs[5] || !sameBits(out[:160], want[:160]) {
+			t.Fatalf("decode, %s at block 5: kernel did %d blocks, used %d, acc=%d; portable after 5: used %d, acc=%d", what, k, u, a, off[5], accs[5])
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package fzlight
 
-// The SIMD add kernel against the portable pipeline ④ it must reproduce:
-// bytes written, bytes consumed from each operand, pairs done, output bytes
-// and typed errors, on runs of block pairs.
+// The SIMD add kernel against the portable pipelines it must reproduce:
+// bytes written, bytes consumed from each operand, pairs done, the ①–④
+// tally, output bytes and typed errors, on runs of block pairs.
 
 import (
 	"bytes"
@@ -85,6 +85,13 @@ func sumSeeds() (seeds [][2][]byte) {
 		p := widthDeltas(rng, c)
 		add(blockStream(lead, p, p, trail), blockStream(trail, negDeltas(p), negDeltas(p), lead))
 	}
+	// Pipelines ①–③ in the middle of a run: constant blocks beside each
+	// other and beside every width, the copied block up to width 32.
+	var zero [32]int32
+	for c := 0; c <= 32; c++ {
+		p := widthDeltas(rng, c)
+		add(blockStream(lead, zero, p, zero, zero, trail), blockStream(trail, p, zero, zero, p, lead))
+	}
 	// int32-edge deltas: ±(2^30−1) at width 30, ±(2^31−1) beyond it, and the
 	// overflow of two of those.
 	const e30, e31 = 1<<30 - 1, math.MaxInt32
@@ -93,13 +100,21 @@ func sumSeeds() (seeds [][2][]byte) {
 	add(blockStream(lead, fillDeltas(e31, -e31)), blockStream(lead, fillDeltas(e31, 1)))
 	// Truncated operands: a run that ends inside a block, on either side, and
 	// one that ends inside the 8 bytes of slack the kernel asks for.
-	full := blockStream(lead, widthDeltas(rng, 9), widthDeltas(rng, 17), trail)
+	full := blockStream(lead, widthDeltas(rng, 9), zero, widthDeltas(rng, 17), trail)
 	for _, cut := range []int{1, 4, 7, 8, 9, 30} {
 		add(full[:len(full)-cut], full)
 		add(full, full[:len(full)-cut])
 	}
 	add(nil, full)
-	add([]byte{33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, full)
+	marker33 := []byte{33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	add(marker33, full)
+	// A marker beyond 32 beside a constant block, on either side, with bytes
+	// enough behind it to pass for a block: the copy must refuse it.
+	for _, m := range []byte{33, 255} {
+		bogus := append(blockStream(lead), append([]byte{m}, make([]byte, 1100)...)...)
+		add(bogus, blockStream(trail, zero, lead))
+		add(blockStream(trail, zero, lead), bogus)
+	}
 	return seeds
 }
 
@@ -117,18 +132,77 @@ func wholeBlocks(s []byte) (n int) {
 
 type sumResult struct {
 	wrote, usedA, usedB, done int
+	tally                     [5]int64
 	overflow                  bool
 	err                       error
 	out                       []byte
 }
 
-func sumRun(kernels bool, a, b []byte, pairs int) (r sumResult) {
-	withPath(kernels, func() {
-		var sc SumScratch32
-		dst := make([]byte, len(a)+len(b)+16)
-		r.wrote, r.usedA, r.usedB, r.done, r.overflow, r.err = SumBlocks32(dst, a, b, pairs, &sc)
-		r.out = dst[:r.wrote]
-	})
+func (r sumResult) String() string {
+	return fmt.Sprintf("wrote=%d usedA=%d usedB=%d done=%d tally=%v overflow=%v err=%v % x",
+		r.wrote, r.usedA, r.usedB, r.done, r.tally[1:], r.overflow, r.err, r.out)
+}
+
+func (r sumResult) same(o sumResult) bool {
+	return r.wrote == o.wrote && r.usedA == o.usedA && r.usedB == o.usedB && r.done == o.done && r.tally == o.tally &&
+		r.overflow == o.overflow && (r.err == nil) == (o.err == nil) && errors.Is(r.err, ErrCorrupt) == errors.Is(o.err, ErrCorrupt) &&
+		bytes.Equal(r.out, o.out)
+}
+
+// portablePair is hzdyn's portable step for one full block pair: with
+// dynamic set, pipelines ①–③ where a block is constant; SumPair32 (④)
+// otherwise.
+func portablePair(dst, a, b []byte, dynamic bool, sc *SumScratch32) (wrote, usedA, usedB, pipeline int, overflow bool, err error) {
+	switch {
+	case len(a) == 0 || len(b) == 0:
+		return 0, 0, 0, 0, false, ErrCorrupt
+	case dynamic && a[0] == 0 && b[0] == 0:
+		dst[0] = 0
+		return 1, 1, 1, 1, false, nil
+	case dynamic && a[0] == 0:
+		n, err := BlockBytes(b, 32)
+		return copy(dst, b[:n]), 1, n, 2, false, err
+	case dynamic && b[0] == 0:
+		n, err := BlockBytes(a, 32)
+		return copy(dst, a[:n]), n, 1, 3, false, err
+	}
+	wrote, usedA, usedB, overflow, err = SumPair32(dst, a, b, sc)
+	return wrote, usedA, usedB, 4, overflow, err
+}
+
+// addPairs is hzdyn's block loop over full pairs: SumRun32 takes what it
+// can, portablePair the pair it stops at. On an error or overflow only
+// those are reported.
+func addPairs(dst, a, b []byte, pairs int, dynamic bool) (r sumResult) {
+	var sc SumScratch32
+	for {
+		w, ua, ub, k := SumRun32(dst[r.wrote:], a[r.usedA:], b[r.usedB:], pairs-r.done, dynamic, &r.tally)
+		r.wrote, r.usedA, r.usedB, r.done = r.wrote+w, r.usedA+ua, r.usedB+ub, r.done+k
+		if r.done >= pairs {
+			break
+		}
+		w, ua, ub, p, overflow, err := portablePair(dst[r.wrote:], a[r.usedA:], b[r.usedB:], dynamic, &sc)
+		if overflow || err != nil {
+			return sumResult{overflow: overflow, err: err}
+		}
+		r.wrote, r.usedA, r.usedB, r.done = r.wrote+w, r.usedA+ua, r.usedB+ub, r.done+1
+		r.tally[p]++
+	}
+	r.out = dst[:r.wrote]
+	return r
+}
+
+// sumRun is addPairs with the kernels or on the portable path alone, into a
+// fresh dst with room to spare.
+func sumRun(kernels bool, a, b []byte, pairs int, dynamic bool) (r sumResult) {
+	withPath(kernels, func() { r = addPairs(make([]byte, len(a)+len(b)+16), a, b, pairs, dynamic) })
+	return r
+}
+
+// kernelSum is the kernel alone on dst.
+func kernelSum(dst, a, b []byte, pairs int, dynamic bool) (r sumResult) {
+	withPath(true, func() { r.wrote, r.usedA, r.usedB, r.done = SumRun32(dst, a, b, pairs, dynamic, &r.tally) })
+	r.out = dst[:r.wrote]
 	return r
 }
 
@@ -149,76 +223,120 @@ func canary(n int) (buf []byte, intact func(keep int) bool) {
 	}
 }
 
-// diffSum runs one operand pair through SumBlocks32 on both paths, then
-// through the kernel alone, and fails on any difference, on a pair the
-// kernel refuses inside its contract, and on a byte touched outside it.
+// kernelTakes says whether the pair at the heads of a and b is inside the
+// add kernel's contract with room bytes of dst left: 8 bytes of slack
+// behind each block and behind the output, a marker at most 32 beside a
+// constant block (dynamic only) and at most 30 otherwise, and no sum of
+// code length 31.
+func kernelTakes(a, b []byte, room int, dynamic bool) bool {
+	size := func(s []byte) int {
+		if len(s) == 0 || s[0] > 32 {
+			return -1
+		}
+		if s[0] == 0 {
+			return 1
+		}
+		return 5 + 32*int(s[0]>>3) + 4*int(s[0]&7)
+	}
+	na, nb := size(a), size(b)
+	if na < 0 || nb < 0 || len(a) < na+8 || len(b) < nb+8 {
+		return false
+	}
+	out := max(na, nb) // pipelines ①–③
+	if a[0] == 0 || b[0] == 0 {
+		if !dynamic {
+			return false
+		}
+	} else {
+		if a[0] > 30 || b[0] > 30 {
+			return false
+		}
+		next := sumRun(false, a, b, 1, false)
+		if next.err != nil || next.out[0] == 31 {
+			return false
+		}
+		out = next.wrote
+	}
+	return room >= out+8
+}
+
+// contractPairs counts the leading pairs of the portable run of a and b
+// into room bytes of dst that are inside the add kernel's contract.
+func contractPairs(a, b []byte, room, pairs int, dynamic bool) (k int) {
+	for ; k < pairs; k++ {
+		r := sumRun(false, a, b, k, dynamic)
+		if r.err != nil || !kernelTakes(a[r.usedA:], b[r.usedB:], room-r.wrote, dynamic) {
+			break
+		}
+	}
+	return k
+}
+
+// diffSum runs one operand pair through addPairs on both paths, dynamic and
+// static, then through the kernel alone, and fails on any difference, on a
+// pair the kernel refuses inside its contract, and on a byte touched
+// outside it.
 func diffSum(t *testing.T, a, b []byte) {
 	t.Helper()
-	pairs := max(1, min(wholeBlocks(a), wholeBlocks(b)))
-	want := sumRun(false, a, b, pairs)
-	if want.err != nil && !errors.Is(want.err, ErrCorrupt) {
-		t.Fatalf("portable: untyped error %v", want.err)
+	// The whole pairs at the head of the streams, and one more: whatever
+	// follows them — a corrupt block, the end — must stop both paths alike.
+	whole := max(1, min(wholeBlocks(a), wholeBlocks(b)))
+	for _, pairs := range []int{whole, whole + 1} {
+		for _, dynamic := range []bool{true, false} {
+			want := sumRun(false, a, b, pairs, dynamic)
+			if want.err != nil && !errors.Is(want.err, ErrCorrupt) {
+				t.Fatalf("portable: untyped error %v", want.err)
+			}
+			if !haveKernels() {
+				continue
+			}
+			if got := sumRun(true, a, b, pairs, dynamic); !got.same(want) {
+				t.Fatalf("%d pairs, dynamic=%v\nkernels:  %v\nportable: %v", pairs, dynamic, got, want)
+			}
+			diffSumKernel(t, a, b, pairs, dynamic)
+		}
 	}
-	if !haveKernels() {
-		return
-	}
-	got := sumRun(true, a, b, pairs)
-	if got.wrote != want.wrote || got.usedA != want.usedA || got.usedB != want.usedB || got.done != want.done ||
-		got.overflow != want.overflow || errors.Is(got.err, ErrCorrupt) != errors.Is(want.err, ErrCorrupt) ||
-		(got.err == nil) != (want.err == nil) || !bytes.Equal(got.out, want.out) {
-		t.Fatalf("kernels: wrote=%d usedA=%d usedB=%d done=%d overflow=%v err=%v % x\nportable: wrote=%d usedA=%d usedB=%d done=%d overflow=%v err=%v % x",
-			got.wrote, got.usedA, got.usedB, got.done, got.overflow, got.err, got.out,
-			want.wrote, want.usedA, want.usedB, want.done, want.overflow, want.err, want.out)
-	}
+}
 
-	// The kernel alone: a prefix of the portable run, stopped for a reason.
+// diffSumKernel checks the kernel alone: a prefix of the portable run,
+// stopped for a reason, and one byte less slack in dst, a or b costs
+// exactly the last pair.
+func diffSumKernel(t *testing.T, a, b []byte, pairs int, dynamic bool) {
+	t.Helper()
+	prefixOK := func(r sumResult) bool {
+		ref := sumRun(false, a, b, r.done, dynamic)
+		return ref.err == nil && r.same(ref)
+	}
 	dst, intact := canary(len(a) + len(b) + 16)
-	w, ua, ub, k := sumBlocks32Fast(dst, a, b, pairs)
-	if !intact(w + 8) {
-		t.Fatalf("kernel wrote past dst[%d+8] (done=%d)", w, k)
+	got := kernelSum(dst, a, b, pairs, dynamic)
+	if !intact(got.wrote + 8) {
+		t.Fatalf("dynamic=%v: kernel wrote past dst[%d+8] (done=%d)", dynamic, got.wrote, got.done)
 	}
-	if k > pairs {
-		t.Fatalf("kernel did %d pairs of %d", k, pairs)
+	if got.done > pairs {
+		t.Fatalf("dynamic=%v: kernel did %d pairs of %d", dynamic, got.done, pairs)
 	}
-	if k > 0 {
-		ref := sumRun(false, a, b, k)
-		if ref.err != nil || ref.done != k || w != ref.wrote || ua != ref.usedA || ub != ref.usedB || !bytes.Equal(dst[:w], ref.out) {
-			t.Fatalf("kernel alone: wrote=%d usedA=%d usedB=%d done=%d % x\nportable: wrote=%d usedA=%d usedB=%d done=%d err=%v % x",
-				w, ua, ub, k, dst[:w], ref.wrote, ref.usedA, ref.usedB, ref.done, ref.err, ref.out)
-		}
+	if !prefixOK(got) {
+		t.Fatalf("dynamic=%v: kernel alone: %v\nportable: %v", dynamic, got, sumRun(false, a, b, got.done, dynamic))
 	}
-	if k < pairs {
-		need := func(s []byte) int { // the block's size if the kernel may take it
-			if len(s) == 0 || s[0] == 0 || s[0] > 30 {
-				return -1
-			}
-			return 5 + 32*int(s[0]>>3) + 4*int(s[0]&7)
-		}
-		na, nb := need(a[ua:]), need(b[ub:])
-		if na > 0 && nb > 0 && len(a)-ua >= na+8 && len(b)-ub >= nb+8 {
-			next := sumRun(false, a[ua:], b[ub:], 1)
-			if next.err == nil && next.out[0] != 31 && len(dst)-w >= next.wrote+8 {
-				t.Fatalf("kernel refused pair %d inside its contract (markers %d, %d → %d)", k, a[ua], b[ub], next.out[0])
-			}
-		}
+	if got.done < pairs && kernelTakes(a[got.usedA:], b[got.usedB:], len(dst)-got.wrote, dynamic) {
+		t.Fatalf("dynamic=%v: kernel refused pair %d inside its contract (markers %d, %d)", dynamic, got.done, a[got.usedA], b[got.usedB])
 	}
+	k := got.done
 	if k == 0 {
 		return
 	}
-	// One byte short of the slack behind the last block, in dst, a and b in
-	// turn: the kernel must stop one pair earlier and stay inside.
-	short, intact := canary(w + 7)
-	if w2, _, _, k2 := sumBlocks32Fast(short, a, b, k); k2 != k-1 || !bytes.Equal(short[:w2], dst[:w2]) || !intact(w2+8) {
-		t.Fatalf("dst %d bytes past the last block: kernel did %d pairs of %d (intact %v)", 7, k2, k, intact(w2+8))
+	short, intact := canary(got.wrote + 7)
+	if r := kernelSum(short, a, b, k, dynamic); r.done != k-1 || !prefixOK(r) || !intact(r.wrote+8) {
+		t.Fatalf("dynamic=%v: dst 7 bytes past the last block: kernel did %d pairs of %d (intact %v)", dynamic, r.done, k, intact(r.wrote+8))
 	}
-	for side, s := range [2][]byte{a[: ua+7 : ua+7], b[: ub+7 : ub+7]} {
+	for side, s := range [2][]byte{a[: got.usedA+7 : got.usedA+7], b[: got.usedB+7 : got.usedB+7]} {
 		full, intact := canary(len(dst))
 		x, y := s, b
 		if side == 1 {
 			x, y = a, s
 		}
-		if w2, _, _, k2 := sumBlocks32Fast(full, x, y, k); k2 != k-1 || !bytes.Equal(full[:w2], dst[:w2]) || !intact(w2+8) {
-			t.Fatalf("operand %d ends 7 bytes past its last block: kernel did %d pairs of %d", side, k2, k)
+		if r := kernelSum(full, x, y, k, dynamic); r.done != k-1 || !prefixOK(r) || !intact(r.wrote+8) {
+			t.Fatalf("dynamic=%v: operand %d ends 7 bytes past its last block: kernel did %d pairs of %d", dynamic, side, r.done, k)
 		}
 	}
 }
@@ -227,19 +345,20 @@ func TestSumKernelMatchesPortable(t *testing.T) {
 	for _, s := range sumSeeds() {
 		diffSum(t, s[0], s[1])
 	}
-	// Random runs: mixed widths, some constant blocks, some noise.
+	// Random runs: mixed widths, constant blocks on either side or both,
+	// widths 31 and 32, some noise.
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 2000; i++ {
 		var blocks [2][][32]int32
-		n := 1 + rng.Intn(6)
+		n := 1 + rng.Intn(8)
 		base := rng.Intn(31)
 		for side := range blocks {
 			for j := 0; j < n; j++ {
 				c := base + rng.Intn(3) - 1
 				switch rng.Intn(10) {
-				case 0:
+				case 0, 1, 2:
 					c = 0
-				case 1:
+				case 3:
 					c = rng.Intn(33)
 				}
 				blocks[side] = append(blocks[side], widthDeltas(rng, max(0, min(c, 32))))
@@ -256,49 +375,49 @@ func TestSumKernelMatchesPortable(t *testing.T) {
 	}
 }
 
-// The kernel must take what it was built for: a run of ordinary pairs with
-// slack behind it is one call.
+// The kernel must take what it was built for: a run of ordinary pairs and
+// constant blocks with slack behind it is one call.
 func TestSumKernelTakesWholeRuns(t *testing.T) {
 	needKernels(t)
 	rng := rand.New(rand.NewSource(23))
 	for c := 1; c <= 29; c++ {
 		var pa, pb [][32]int32
 		for i := 0; i < 9; i++ {
-			pa = append(pa, widthDeltas(rng, c))
-			pb = append(pb, widthDeltas(rng, 1+rng.Intn(c)))
+			pa = append(pa, widthDeltas(rng, c*rng.Intn(2)))
+			pb = append(pb, widthDeltas(rng, (1+rng.Intn(c))*rng.Intn(2)))
 		}
 		a, b := append(blockStream(pa...), make([]byte, 8)...), append(blockStream(pb...), make([]byte, 8)...)
-		dst := make([]byte, len(a)+len(b))
-		if _, ua, ub, k := sumBlocks32Fast(dst, a, b, 9); k != 9 || ua != len(a)-8 || ub != len(b)-8 {
-			t.Fatalf("width %d: kernel did %d pairs of 9 (used %d/%d of %d/%d)", c, k, ua, ub, len(a)-8, len(b)-8)
+		r := kernelSum(make([]byte, len(a)+len(b)), a, b, 9, true)
+		if r.done != 9 || r.usedA != len(a)-8 || r.usedB != len(b)-8 || r.tally[1]+r.tally[2]+r.tally[3]+r.tally[4] != 9 {
+			t.Fatalf("width %d: kernel did %d pairs of 9 (used %d/%d of %d/%d, tally %v)", c, r.done, r.usedA, r.usedB, len(a)-8, len(b)-8, r.tally[1:])
 		}
 	}
 }
 
-// A run longer than one kernel call (the wrapper feeds the kernel a bounded
-// number of pairs at a time) comes out whole and identical.
+// A run longer than one kernel call (the wrapper feeds the kernel kernelRun
+// pairs at a time) comes out whole and identical, tally included.
 func TestSumKernelLongRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	const pairs = 2500
+	const pairs = 2*kernelRun + 452
 	var pa, pb [][32]int32
 	for i := 0; i < pairs; i++ {
-		pa = append(pa, widthDeltas(rng, 4+rng.Intn(6)))
-		pb = append(pb, widthDeltas(rng, 4+rng.Intn(6)))
+		pa = append(pa, widthDeltas(rng, (4+rng.Intn(6))*min(1, rng.Intn(5))))
+		pb = append(pb, widthDeltas(rng, (4+rng.Intn(6))*min(1, rng.Intn(5))))
 	}
 	a, b := append(blockStream(pa...), make([]byte, 8)...), append(blockStream(pb...), make([]byte, 8)...)
-	want, got := sumRun(false, a, b, pairs), sumRun(true, a, b, pairs)
-	if want.err != nil || want.done != pairs || got.done != pairs || got.usedA != want.usedA || got.usedB != want.usedB || !bytes.Equal(got.out, want.out) {
-		t.Fatalf("portable: done=%d err=%v %d bytes; dispatched: done=%d err=%v %d bytes", want.done, want.err, len(want.out), got.done, got.err, len(got.out))
+	want, got := sumRun(false, a, b, pairs, true), sumRun(true, a, b, pairs, true)
+	if want.err != nil || want.done != pairs || !got.same(want) || want.tally[1] == 0 || want.tally[4] == 0 {
+		t.Fatalf("portable: done=%d err=%v tally %v; dispatched: done=%d err=%v tally %v", want.done, want.err, want.tally[1:], got.done, got.err, got.tally[1:])
 	}
 	if haveKernels() {
-		if _, _, _, k := sumBlocks32Fast(make([]byte, len(a)+len(b)), a, b, pairs); k != pairs {
-			t.Fatalf("kernel did %d pairs of %d", k, pairs)
+		if r := kernelSum(make([]byte, len(a)+len(b)), a, b, pairs, true); r.done != pairs {
+			t.Fatalf("kernel did %d pairs of %d", r.done, pairs)
 		}
 	}
 }
 
 // FuzzSumKernel is the differential fuzz target: any two byte strings, read
-// as block streams, must come out of the kernel and the portable pipeline ④
+// as block streams, must come out of the kernel and the portable pipelines
 // identically.
 func FuzzSumKernel(f *testing.F) {
 	for _, s := range sumSeeds() {
@@ -307,32 +426,43 @@ func FuzzSumKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) { diffSum(t, a, b) })
 }
 
-// BenchmarkSumRun is pipeline ④ alone on a run of pairs, as dispatched and
+// BenchmarkSumRun is hZ-dynamic alone on a run of pairs, as dispatched and
 // on the portable path. Each operand block draws its width from [lo, hi]:
 // 2–3 and 5–6 (CESM-ATM-like; the portable SWAR add, the kernel's byte
 // lane), 8 and 16 (whole byte planes, no residual), 9–10 (the kernel's
-// dword body).
+// dword body); "const" makes one block in four constant (pipelines ①–③).
 func BenchmarkSumRun(b *testing.B) {
 	const pairs = 4096
-	for _, w := range [][2]int{{2, 3}, {5, 6}, {8, 8}, {9, 10}, {16, 16}} {
-		lo, hi := w[0], w[1]
+	for _, w := range []struct {
+		lo, hi int
+		konst  bool
+	}{{2, 3, false}, {5, 6, false}, {5, 6, true}, {8, 8, false}, {9, 10, false}, {16, 16, false}} {
 		rng := rand.New(rand.NewSource(24))
 		var pa, pb [][32]int32
+		width := func() int {
+			if w.konst && rng.Intn(4) == 0 {
+				return 0
+			}
+			return w.lo + rng.Intn(w.hi-w.lo+1)
+		}
 		for i := 0; i < pairs; i++ {
-			pa = append(pa, widthDeltas(rng, lo+rng.Intn(hi-lo+1)))
-			pb = append(pb, widthDeltas(rng, lo+rng.Intn(hi-lo+1)))
+			pa = append(pa, widthDeltas(rng, width()))
+			pb = append(pb, widthDeltas(rng, width()))
 		}
 		sa, sb := append(blockStream(pa...), make([]byte, 8)...), append(blockStream(pb...), make([]byte, 8)...)
 		dst := make([]byte, len(sa)+len(sb))
-		var sc SumScratch32
+		name := fmt.Sprintf("widths%d-%d", w.lo, w.hi)
+		if w.konst {
+			name += "-const"
+		}
 		for _, kernels := range []bool{true, false} {
 			path := map[bool]string{true: "dispatched", false: "portable"}[kernels]
-			b.Run(fmt.Sprintf("widths%d-%d/%s", lo, hi, path), func(b *testing.B) {
+			b.Run(name+"/"+path, func(b *testing.B) {
 				withPath(kernels, func() {
 					b.SetBytes(pairs * 128)
 					for i := 0; i < b.N; i++ {
-						if _, _, _, done, _, err := SumBlocks32(dst, sa, sb, pairs, &sc); err != nil || done != pairs {
-							b.Fatal(done, err)
+						if r := addPairs(dst, sa, sb, pairs, true); r.err != nil || r.done != pairs {
+							b.Fatal(r.done, r.err)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")

@@ -337,23 +337,26 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 	defer bufpool.PutInt32s(pa)
 	defer bufpool.PutInt32s(pb)
 	defer bufpool.PutUint32s(scratch)
-	// One pipeline-④ scratch per range, on the stack: SumBlocks32 does not
+	// One pipeline-④ scratch per range, on the stack: SumPair32 does not
 	// let it escape.
 	var sum fzlight.SumScratch32
 
-	// Pipeline tallies stay in registers; they fold into st after the loop.
-	var blocks, nP1, nP2, nP3, nP4 int64
 	o, oa, ob := 0, 0, 0
 	for base := 0; base < n; base += B {
-		bn := B
-		if base+bn > n {
-			bn = n - base
+		if B == 32 {
+			// The SIMD kernel takes every full pair it can, through all four
+			// pipelines; the switch below takes the one it stops at.
+			w, ua, ub, k := fzlight.SumRun32(dst[o:], a[oa:], b[ob:], (n-base)/32, dynamic, &st.Pipeline)
+			o, oa, ob, base = o+w, oa+ua, ob+ub, base+32*k
+			if base == n {
+				break
+			}
 		}
+		bn := min(B, n-base)
 		if oa >= len(a) || ob >= len(b) {
 			return 0, 0, 0, st, fzlight.ErrCorrupt
 		}
 		ca, cb := a[oa], b[ob]
-		blocks++
 		switch {
 		case dynamic && ca == 0 && cb == 0:
 			// Pipeline ①: sum of two all-zero delta blocks is all-zero.
@@ -361,7 +364,7 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			o++
 			oa++
 			ob++
-			nP1++
+			st.Pipeline[PipelineBothConstant]++
 		case dynamic && ca == 0:
 			// Pipeline ②: left deltas are all zero; the sum is the right
 			// block, copied byte-for-byte (marker, signs, planes, residual).
@@ -372,7 +375,7 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			o += copy(dst[o:], b[ob:ob+sb])
 			oa++
 			ob += sb
-			nP2++
+			st.Pipeline[PipelineLeftConstant]++
 		case dynamic && cb == 0:
 			// Pipeline ③: mirror of ②.
 			sa, err := fzlight.BlockBytes(a[oa:], bn)
@@ -382,12 +385,11 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			o += copy(dst[o:], a[oa:oa+sa])
 			oa += sa
 			ob++
-			nP3++
+			st.Pipeline[PipelineRightConstant]++
 		case bn == 32:
-			// Pipeline ④, fused fast path: IFE → integer add → FE in one
-			// pass per block pair, for the whole run of pairs up to the
-			// next constant block in one call.
-			wrote, ua, ub, done, overflow, err := fzlight.SumBlocks32(dst[o:], a[oa:], b[ob:], (n-base)/32, &sum)
+			// Pipeline ④, fused portable path: IFE → integer add → FE in
+			// one pass over the block pair.
+			wrote, ua, ub, overflow, err := fzlight.SumPair32(dst[o:], a[oa:], b[ob:], &sum)
 			if err != nil {
 				return 0, 0, 0, st, err
 			}
@@ -397,9 +399,7 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			o += wrote
 			oa += ua
 			ob += ub
-			base += 32 * (done - 1)
-			blocks += int64(done - 1)
-			nP4 += int64(done)
+			st.Pipeline[PipelineBothEncoded]++
 		default:
 			// Pipeline ④, generic path for tail/odd-sized blocks.
 			ua, err := fzlight.DecodeBlock(a[oa:], pa[:bn], scratch)
@@ -420,14 +420,10 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			o += fzlight.EncodeBlock(dst[o:], pa[:bn], scratch)
 			oa += ua
 			ob += ub
-			nP4++
+			st.Pipeline[PipelineBothEncoded]++
 		}
 	}
-	st.Blocks = blocks
-	st.Pipeline[PipelineBothConstant] = nP1
-	st.Pipeline[PipelineLeftConstant] = nP2
-	st.Pipeline[PipelineRightConstant] = nP3
-	st.Pipeline[PipelineBothEncoded] = nP4
+	st.Blocks = int64((n + B - 1) / B)
 	return o, oa, ob, st, nil
 }
 

@@ -127,11 +127,32 @@ func main() {
 	write(dir, "seed-outlier", entry(floatsToBytes(outlierField(96)), uint8(2), uint8(3)))
 	write(dir, "seed-alternating", entry(floatsToBytes([]float32{100, -100, 100, -100, 0.5, -0.5}), uint8(1), uint8(0)))
 
+	// Delta blocks, filled alternately, and their encoded stream.
+	fill := func(even, odd int32) (p [32]int32) {
+		for i := range p {
+			p[i] = even
+			if i%2 == 1 {
+				p[i] = odd
+			}
+		}
+		return p
+	}
+	stream := func(blocks ...[32]int32) []byte {
+		var out []byte
+		scratch := make([]uint32, 32)
+		for i := range blocks {
+			dst := make([]byte, 1+4+128+8)
+			out = append(out, dst[:fzlight.EncodeBlock(dst, blocks[i][:], scratch)]...)
+		}
+		return out
+	}
+
 	// --- internal/fzlight: FuzzBlockKernels([]byte) ---
 	// One case is a float64 scale, an int32 carry, then a body read both as
-	// 32 float32 values to encode and as a block stream to decode (see
-	// kernelCase in internal/fzlight/kernel_test.go, whose f.Add seeds cover
-	// every width and lane; these pin the named corner cases on disk).
+	// a run of 32-value float32 blocks to encode and as a block stream to
+	// decode (see kernelCase in internal/fzlight/kernel_test.go, whose f.Add
+	// seeds cover every width and lane; these pin the named corner cases on
+	// disk).
 	dir = "internal/fzlight/testdata/fuzz/FuzzBlockKernels"
 	kcase := func(scale float64, carry int32, body []byte) string {
 		b := make([]byte, 12, 12+len(body))
@@ -161,30 +182,33 @@ func main() {
 	write(dir, "seed-prefix-sum-wraps", kcase(0.002, math.MaxInt32-3, wrap))
 	write(dir, "seed-no-slack", kcase(0.002, 1, wrap[:len(wrap)-8]))
 	write(dir, "seed-marker-33", kcase(1, 0, []byte{33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}))
+	// Runs: blocks from 2^-3 to 2^4 wide between constant ones, a bad value
+	// in the middle of one, and decode streams a marker of 31, or a block
+	// without its 8 bytes of slack, stops in the middle.
+	var runVals []float32
+	for k := 0; k < 8; k++ {
+		amp := float32(math.Ldexp(1, 3*k-3))
+		for _, v := range sine(32, float64(k)) {
+			runVals = append(runVals, amp*v)
+		}
+		runVals = append(runVals, make([]float32, 32)...)
+	}
+	write(dir, "seed-run-widths", kcase(1.25, 3, floatsToBytes(runVals)))
+	runVals[5*32+17] = float32(math.NaN())
+	write(dir, "seed-run-nan-midrun", kcase(1.25, 3, floatsToBytes(runVals)))
+	var zero [32]int32
+	head := stream(fill(21, -9), zero, fill(300, -5), fill(70000, -70000), zero)
+	write(dir, "seed-run-marker31-midrun", kcase(0.002, 12345,
+		append(append(head[:len(head):len(head)], stream(fill(1<<30, -5))...), stream(fill(-40, 33), zero)...)))
+	last := stream(fill(1000, -77))
+	write(dir, "seed-run-no-slack-midrun", kcase(0.002, 12345,
+		append(append(head[:len(head):len(head)], last...), make([]byte, 7)...)))
 
 	// --- internal/fzlight: FuzzSumKernel([]byte, []byte) ---
 	// Two block streams, added pair by pair by the SIMD kernel and by the
 	// portable pipeline ④ (sumSeeds in internal/fzlight/sum_kernel_test.go
 	// covers every width pair; these pin the named corner cases on disk).
 	dir = "internal/fzlight/testdata/fuzz/FuzzSumKernel"
-	fill := func(even, odd int32) (p [32]int32) {
-		for i := range p {
-			p[i] = even
-			if i%2 == 1 {
-				p[i] = odd
-			}
-		}
-		return p
-	}
-	stream := func(blocks ...[32]int32) []byte {
-		var out []byte
-		scratch := make([]uint32, 32)
-		for i := range blocks {
-			dst := make([]byte, 1+4+128+8)
-			out = append(out, dst[:fzlight.EncodeBlock(dst, blocks[i][:], scratch)]...)
-		}
-		return out
-	}
 	lead, trail := fill(21, -9), fill(-40, 33) // widths 5 and 6
 	const e30, e31 = 1<<30 - 1, math.MaxInt32
 	write(dir, "seed-carry-30-to-31", entry(
@@ -208,6 +232,16 @@ func main() {
 	write(dir, "seed-marker-33", entry(
 		append(stream(lead), 33, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
 		run))
+	// Every pipeline in one run: ① both constant, ② and ③ copies of the
+	// other side, up to width 32, then ④.
+	write(dir, "seed-pipelines-midrun", entry(
+		stream(lead, zero, fill(300, -5), zero, zero, fill(math.MinInt32, 5), trail),
+		stream(trail, fill(70000, -3), zero, zero, fill(e31, -e31), zero, lead)))
+	// A marker beyond 32 beside a constant block, with bytes enough behind
+	// it to pass for a block, on either side.
+	bogus := append(stream(lead), append([]byte{33}, make([]byte, 200)...)...)
+	write(dir, "seed-marker-33-beside-constant", entry(bogus, stream(trail, zero, lead)))
+	write(dir, "seed-constant-beside-marker-33", entry(stream(trail, zero, lead), bogus))
 
 	// --- internal/hzdyn: FuzzAdd([]byte, []byte) ---
 	dir = "internal/hzdyn/testdata/fuzz/FuzzAdd"

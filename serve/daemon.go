@@ -25,6 +25,10 @@ var (
 	mJobsCompleted = telemetry.C("serve.jobs.completed")
 	mJobsFailed    = telemetry.C("serve.jobs.failed")
 	mJobsRejected  = telemetry.C("serve.jobs.rejected_queue_full")
+	// mJobInputNS times each job's input preparation on every rank — the
+	// dataset field and its error bound — which runs before the collective
+	// and so outside RunResult.WallSeconds.
+	mJobInputNS = telemetry.H("serve.job.input_ns", telemetry.DurationBuckets())
 )
 
 // Flight-recorder phase codes of serve-level FlightJob events (the
@@ -675,8 +679,10 @@ func (d *Daemon) runJob(sess hzccl.Transport, spec JobSpec) rankReport {
 			return rep
 		}
 	}
+	sp := mJobInputNS.Start()
 	base, err := datasets.Field(spec.Dataset, spec.Offset, spec.MessageBytes/4)
 	if err != nil {
+		sp.End()
 		rep.Err = err.Error()
 		return rep
 	}
@@ -684,6 +690,7 @@ func (d *Daemon) runJob(sess hzccl.Transport, spec JobSpec) rankReport {
 		ErrorBound: metrics.AbsBound(spec.RelBound, base),
 		Algorithm:  algo,
 	}
+	sp.End()
 	cfg := hzccl.ClusterConfig{
 		Ranks:          d.tr.World(),
 		Latency:        2 * time.Microsecond,

@@ -386,3 +386,24 @@ func TestDaemonShutdownPropagates(t *testing.T) {
 		}
 	}
 }
+
+// Every rank times its job's input preparation — the dataset field and its
+// error bound, which run before the collective and so outside
+// RunResult.WallSeconds — once per job, in serve.job.input_ns.
+func TestDaemonTimesJobInput(t *testing.T) {
+	const n = 3
+	ds := startService(t, n, nil)
+	c, err := Dial(ds[0].ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := telemetry.Capture()
+	if _, err := c.Submit(JobSpec{MessageBytes: 1 << 16}); err != nil {
+		t.Fatal(err)
+	}
+	h := telemetry.Capture().Delta(before).Histograms["serve.job.input_ns"]
+	if h.Count != n || h.Sum <= 0 {
+		t.Fatalf("serve.job.input_ns advanced by %d spans (%d ns) over one job on %d ranks, want %d", h.Count, h.Sum, n, n)
+	}
+}
