@@ -27,7 +27,8 @@ const (
 	// grouping comes from ClusterConfig.Topology.
 	AlgoHierarchical = core.AlgoHierarchical
 	// AlgoAuto lets the (α, β) cost model pick per message size, world
-	// size, backend and topology; the choice is recorded in
+	// size, backend and topology (α includes LogP's per-message overhead o
+	// when CollectiveOptions.Rates is nil); the choice is recorded in
 	// RunResult.AlgoChoices.
 	AlgoAuto = core.AlgoAuto
 )
@@ -52,15 +53,34 @@ func ParseTopology(s string) (*Topology, error) { return cluster.ParseTopology(s
 type ModelRates = core.Rates
 
 // DefaultAutoRates are the component throughputs AlgoAuto assumes when
-// CollectiveOptions.Rates is nil: single-thread fZ-light-class numbers
-// (≈1 GB/s compress, 2 GB/s decompress, 8 GB/s raw sum, 6 GB/s
-// homomorphic add). Being package constants, the auto choice is
-// deterministic for a given shape.
+// CollectiveOptions.Rates is nil, and the model rates the paper-scale
+// sweep charges (BENCH_scaling.json): 1 GB/s compress, 2 GB/s decompress,
+// 8 GB/s raw sum, 6 GB/s homomorphic add. They are pinned model numbers,
+// not measurements — the AVX2 kernels run CESM-ATM at ≈ 5.5 / 6.9 / 12
+// GB/s compress / decompress / add — and they, not the per-message
+// overhead, are why auto can still miss the best schedule for large
+// messages. Being package constants, the auto choice is deterministic for
+// a given shape.
 var DefaultAutoRates = ModelRates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}
 
 // defaultAutoRatio is the compression ratio the auto model assumes for
 // the compressed backends' wire bytes.
 const defaultAutoRatio = 4.0
+
+// autoOverhead is LogP's per-message software overhead o, in seconds,
+// that AlgoAuto adds to ClusterConfig.Latency when compute is timed by the
+// wall clock (CollectiveOptions.Rates nil): 8 µs, the low end of one
+// message's measured one-way cost on the loopback TCP transport (15–28 µs
+// round trips on a 2-vCPU x86-64 host). With Rates set the virtual clock
+// is the machine, and it charges α alone, so o is not added.
+//
+// Such picks are priced for TCP on both fabrics: the in-process fabric's
+// virtual clock charges α alone too, so its ModeledSeconds include an o
+// its RunResult.Seconds never contain. That is the price of agreement: it
+// is a constant rather than a live measurement because every rank, on
+// either fabric, must resolve auto to the same schedule — the schedule
+// decides the result bits.
+const autoOverhead = 8e-6
 
 // AlgoChoice records which algorithm one collective call ran with.
 type AlgoChoice struct {
@@ -76,7 +96,9 @@ type AlgoChoice struct {
 	// Auto is true when the algorithm was resolved from AlgoAuto.
 	Auto bool
 	// ModeledSeconds is the cost model's prediction for the chosen
-	// algorithm (auto resolutions only; 0 otherwise).
+	// algorithm, the cost the pick was made on: autoOverhead included
+	// per message unless CollectiveOptions.Rates was set (auto resolutions
+	// only; 0 otherwise).
 	ModeledSeconds float64
 }
 
@@ -126,19 +148,21 @@ func (r *Rank) resolveAlgorithm(op string, b Backend, opt CollectiveOptions, dat
 }
 
 // chooseAlgorithm resolves AlgoAuto deterministically: component
-// throughputs from CollectiveOptions.Rates (or DefaultAutoRates), α/β
-// from the cluster configuration, topology shape from
-// ClusterConfig.Topology.
+// throughputs from CollectiveOptions.Rates (or DefaultAutoRates, plus the
+// per-message overhead autoOverhead), α/β from the cluster configuration,
+// topology shape from ClusterConfig.Topology.
 func (r *Rank) chooseAlgorithm(op string, b Backend, opt CollectiveOptions, dataLen int) (Algorithm, float64) {
 	cfg := r.r.Config()
-	th := DefaultAutoRates
+	th, alpha := DefaultAutoRates, cfg.Latency.Seconds()
 	if opt.Rates != nil {
 		th = *opt.Rates
+	} else {
+		alpha += autoOverhead
 	}
 	rates := costmodel.Rates{
 		Rates: th,
 		Ratio: defaultAutoRatio,
-		Alpha: cfg.Latency.Seconds(),
+		Alpha: alpha,
 		Beta:  cfg.BandwidthBytes,
 	}
 	topo := costmodel.FlatTopo(r.Size())

@@ -2,10 +2,13 @@ package hzccl_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"hzccl"
+	"hzccl/internal/costmodel"
 )
 
 // rankedField returns per-rank deterministic data for collective tests.
@@ -131,6 +134,166 @@ func TestAutoDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := pick(); got != first {
 			t.Fatalf("run %d chose %v, first chose %v", i, got, first)
+		}
+	}
+}
+
+// TestAutoPicksAgreeAcrossFabrics holds AlgoAuto to the daemon's promise
+// that its digests are comparable bit for bit to standalone runs: under
+// the daemon's configuration (α 2 µs, β 0.4 GB/s, no model rates, so the
+// per-message overhead is priced), a loopback TCP mesh and the in-process
+// fabric must record identical choices for every flavor × op × size ×
+// grouping — the schedule decides the result bits, so a pick that read
+// anything measured from the fabric would break this first.
+func TestAutoPicksAgreeAcrossFabrics(t *testing.T) {
+	const world = 4
+	sizes := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20} // bytes per rank
+	fields := make([][]float32, world)
+	for r := range fields {
+		fields[r] = sineField(sizes[len(sizes)-1]/4, 300+int64(r))
+	}
+	mesh := newLoopbackMesh(t, world)
+	for _, topo := range []*hzccl.Topology{nil, hzccl.UniformTopology(2, 2)} {
+		cfg := hzccl.ClusterConfig{Ranks: world, Latency: 2 * time.Microsecond, BandwidthBytes: 0.4e9,
+			Topology: topo, RecvTimeout: 10 * time.Second}
+		body := func(r *hzccl.Rank) error {
+			opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: hzccl.AlgoAuto}
+			for _, b := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL} {
+				for _, size := range sizes {
+					in := fields[r.ID()][:size/4]
+					if _, err := r.Allreduce(in, b, opt); err != nil {
+						return fmt.Errorf("%v allreduce %dB: %w", b, size, err)
+					}
+					if _, err := r.ReduceScatter(in, b, opt); err != nil {
+						return fmt.Errorf("%v reduce_scatter %dB: %w", b, size, err)
+					}
+				}
+			}
+			return nil
+		}
+		var picks [2][]hzccl.AlgoChoice
+		for i, m := range []*loopbackMesh{nil, mesh} {
+			res, err := m.results(cfg, body)
+			if err != nil {
+				t.Fatalf("topology %v: %v", topo, err)
+			}
+			for _, rr := range res {
+				picks[i] = append(picks[i], rr.AlgoChoices...)
+			}
+		}
+		if want := world * 3 * len(sizes) * 2; len(picks[0]) != want || len(picks[1]) != want {
+			t.Fatalf("topology %v: %d in-process and %d TCP choices, want %d each", topo, len(picks[0]), len(picks[1]), want)
+		}
+		for i, ch := range picks[0] {
+			if picks[1][i] != ch {
+				t.Fatalf("topology %v choice %d: in-process %+v, TCP %+v", topo, i, ch, picks[1][i])
+			}
+		}
+	}
+}
+
+// hopGap is a shape where the cost model's message count and the
+// simulator's disagree: sim and model are the sequential message hops each
+// side counts.
+type hopGap struct{ sim, model int }
+
+// knownHopGaps lists every (op, algorithm, world, topology) whose modeled
+// α coefficient differs from the hops the simulator's critical path takes.
+// The model serialises recursive doubling's fold into the power-of-two
+// rounds where the eager simulator overlaps them, and its hierarchical
+// form over-counts stages on flat and uneven groupings. Closing a gap
+// moves modeled-mode picks (world 8 on 2x4 is in BENCH_scaling.json), so
+// the fix belongs to the calibration change; until then this table pins
+// both sides. EXPERIMENTS.md records it.
+var knownHopGaps = map[string]hopGap{
+	`allreduce/rd/n=3/""`:                   {2, 3},
+	`reduce_scatter/rd/n=3/""`:              {2, 3},
+	`allreduce/rd/n=5/""`:                   {3, 4},
+	`reduce_scatter/rd/n=5/""`:              {3, 4},
+	`allreduce/rd/n=5/"2,3"`:                {3, 4},
+	`reduce_scatter/rd/n=5/"2,3"`:           {3, 4},
+	`allreduce/hierarchical/n=3/""`:         {4, 6},
+	`reduce_scatter/hierarchical/n=3/""`:    {4, 6},
+	`allreduce/hierarchical/n=4/""`:         {6, 8},
+	`reduce_scatter/hierarchical/n=4/""`:    {5, 9},
+	`allreduce/hierarchical/n=5/""`:         {7, 11},
+	`reduce_scatter/hierarchical/n=5/""`:    {6, 12},
+	`allreduce/hierarchical/n=5/"2,3"`:      {6, 8},
+	`reduce_scatter/hierarchical/n=5/"2,3"`: {6, 8},
+	`allreduce/hierarchical/n=8/""`:         {11, 17},
+	`reduce_scatter/hierarchical/n=8/""`:    {9, 21},
+	`allreduce/hierarchical/n=8/"2x4"`:      {8, 10},
+	`reduce_scatter/hierarchical/n=8/"2x4"`: {7, 11},
+}
+
+// TestModelHopsMatchSimulator pins the cost model's message counts against
+// the simulator. With compute free (model rates of 1e30 B/s), β = 1e30 and
+// α = 1 ms, a run's virtual time over 1 ms is the number of sequential
+// message hops on its critical path; the model priced at α = 1 and
+// everything else free is its α coefficient. Every flavor must count the
+// same hops, and the two sides must agree except on knownHopGaps — a gap
+// closing or a new one opening both fail.
+func TestModelHopsMatchSimulator(t *testing.T) {
+	const hop = time.Millisecond
+	free := hzccl.ModelRates{CPR: 1e30, DPR: 1e30, CPT: 1e30, HPR: 1e30}
+	model := costmodel.Rates{Rates: free, Ratio: 1, Alpha: 1, Beta: 1e30}
+	shapes := []struct {
+		n    int
+		topo string
+	}{{2, ""}, {3, ""}, {4, ""}, {4, "2x2"}, {5, ""}, {5, "2,3"}, {8, ""}, {8, "2x4"}, {8, "4x2"}}
+	seen := map[string]bool{}
+	for _, s := range shapes {
+		cfg := hzccl.ClusterConfig{Ranks: s.n, Latency: hop, BandwidthBytes: 1e30}
+		shape := costmodel.FlatTopo(s.n)
+		if s.topo != "" {
+			var err error
+			if cfg.Topology, err = hzccl.ParseTopology(s.topo); err != nil {
+				t.Fatal(err)
+			}
+			shape = costmodel.Topo{Nodes: cfg.Topology.Nodes(), MaxNode: cfg.Topology.MaxNodeSize()}
+		}
+		for _, b := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL} {
+			for _, a := range fixedAlgos {
+				opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: a, Rates: &free}
+				for _, op := range []string{"allreduce", "reduce_scatter"} {
+					res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
+						var err error
+						if op == "allreduce" {
+							_, err = r.Allreduce(rankedField(r.ID(), 1024), b, opt)
+						} else {
+							_, err = r.ReduceScatter(rankedField(r.ID(), 1024), b, opt)
+						}
+						return err
+					})
+					if err != nil {
+						t.Fatalf("%s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
+					}
+					hops := res.Seconds / hop.Seconds()
+					coeff := model.AllreduceAlgo(b, a, s.n, 4096, shape)
+					if op == "reduce_scatter" {
+						coeff = model.ReduceScatterAlgo(b, a, s.n, 4096, shape)
+					}
+					sim, modeled := int(math.Round(hops)), int(math.Round(coeff))
+					key := fmt.Sprintf("%s/%v/n=%d/%q", op, a, s.n, s.topo)
+					if math.Abs(hops-float64(sim)) > 1e-6 || math.Abs(coeff-float64(modeled)) > 1e-6 {
+						t.Fatalf("%s %v: %g simulated hops, %g modeled: not whole messages", key, b, hops, coeff)
+					}
+					want, gap := knownHopGaps[key]
+					if !gap {
+						want = hopGap{modeled, modeled}
+					}
+					seen[key] = seen[key] || gap
+					if got := (hopGap{sim, modeled}); got != want {
+						t.Errorf("%s %v: simulator %d hops, model %d; want %d and %d (known gap: %v)",
+							key, b, sim, modeled, want.sim, want.model, gap)
+					}
+				}
+			}
+		}
+	}
+	for key := range knownHopGaps {
+		if !seen[key] {
+			t.Errorf("known gap %s names no pinned shape", key)
 		}
 	}
 }

@@ -27,7 +27,8 @@ const (
 	// reduce-scatter). Node grouping comes from cluster.Config.Topology.
 	AlgoHierarchical
 	// AlgoAuto asks the (α, β) cost model to pick per message size, world
-	// size, backend and topology. Resolved before the collective runs;
+	// size, backend and topology (α includes LogP's per-message overhead
+	// o when compute is wall-clock timed). Resolved before the collective runs;
 	// the chosen fixed algorithm is what actually executes.
 	AlgoAuto
 )

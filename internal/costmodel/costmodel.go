@@ -20,7 +20,8 @@ import (
 // Rates holds the component throughputs of one node (core.Rates: CPR, DPR,
 // CPT, HPR) plus the network parameters. All throughputs are in bytes of
 // *raw* (uncompressed) data per second, so t_op(m) = m / rate for a raw
-// block of m bytes.
+// block of m bytes. Alpha is the whole fixed cost of one message: a caller
+// pricing a real transport folds LogP's software overhead o into it.
 type Rates struct {
 	core.Rates
 	Ratio float64 // compression ratio (raw bytes / compressed bytes)

@@ -66,11 +66,19 @@ func newLoopbackMesh(t *testing.T, n int) *loopbackMesh {
 // RunCluster when m is nil, else as one RunCluster per rank on a fresh job
 // session of the mesh — what a daemon job is. It returns the first error.
 func (m *loopbackMesh) run(cfg hzccl.ClusterConfig, body func(*hzccl.Rank) error) error {
+	_, err := m.results(cfg, body)
+	return err
+}
+
+// results is run returning what the runs returned: one RunResult on the
+// in-process fabric, one per rank (in rank order) on the mesh.
+func (m *loopbackMesh) results(cfg hzccl.ClusterConfig, body func(*hzccl.Rank) error) ([]*hzccl.RunResult, error) {
 	if m == nil {
-		_, err := hzccl.RunCluster(cfg, body)
-		return err
+		res, err := hzccl.RunCluster(cfg, body)
+		return []*hzccl.RunResult{res}, err
 	}
 	m.job++
+	res := make([]*hzccl.RunResult, len(m.trs))
 	errs := make([]error, len(m.trs))
 	var wg sync.WaitGroup
 	for i, tr := range m.trs {
@@ -79,12 +87,12 @@ func (m *loopbackMesh) run(cfg hzccl.ClusterConfig, body func(*hzccl.Rank) error
 			defer wg.Done()
 			c := cfg
 			if c.Transport, errs[i] = tr.Session(m.job); errs[i] == nil {
-				_, errs[i] = hzccl.RunCluster(c, body)
+				res[i], errs[i] = hzccl.RunCluster(c, body)
 			}
 		}(i, tr)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return res, errors.Join(errs...)
 }
 
 var fixedAlgos = []hzccl.Algorithm{hzccl.AlgoRing, hzccl.AlgoRecursiveDoubling, hzccl.AlgoRabenseifner, hzccl.AlgoHierarchical}
