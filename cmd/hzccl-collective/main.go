@@ -31,13 +31,10 @@
 // shrunken-world result (which must match an inproc run of the survivor
 // count).
 //
-// Service mode: -serve makes this process one rank of the long-lived
-// collective-as-a-service mesh (the hzccl-serve daemon in the same
-// binary), and -submit ADDR sends one job — described by the usual
+// Service client: -submit ADDR sends one job — described by the usual
 // -backend/-algorithm/-topology/-message/-rel flags — to a running
-// daemon and prints its digests in the standalone format:
+// hzccl-serve daemon and prints its digests in the standalone format:
 //
-//	hzccl-collective -serve -rank R -peers h0:p0,... [-client-listen ADDR]
 //	hzccl-collective -submit HOST:PORT -backend hzccl -message 65536
 //
 // Every process prints its rank's result digest, virtual time and
@@ -66,12 +63,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"hzccl"
@@ -110,8 +105,6 @@ func main() {
 		killRank   = flag.Int("kill-rank", -1, "elastic-membership demo for -transport: crash this rank mid-collective; survivors evict it and finish on the shrunken world (-1 = off)")
 		killStep   = flag.Int("kill-step", 0, "program-order send step at which -kill-rank crashes")
 		recvTO     = flag.Duration("recv-timeout", 0, "receive deadline for -transport runs (0 = 2s; a dropped peer must surface as an error, not a deadlock)")
-		serveMode  = flag.Bool("serve", false, "run as one rank of the collective-as-a-service daemon (hzccl-serve equivalent; requires -rank and -peers, rank 0 serves clients on -client-listen)")
-		clientLn   = flag.String("client-listen", "", "rank 0's client-protocol listen address for -serve (empty = loopback ephemeral, printed at startup)")
 		submitAddr = flag.String("submit", "", "submit one job to a running daemon's client address and print its digests (uses -backend/-algorithm/-topology/-message/-rel/-kill-rank/-kill-step)")
 		obsListen  = flag.String("obs-listen", "", "serve the live introspection endpoint (healthz, metrics, pprof, flight recorder, trace) on this host:port")
 		obsLinger  = flag.Duration("obs-linger", 0, "keep the -obs-listen endpoint up this long after the work finishes")
@@ -138,7 +131,7 @@ func main() {
 	if *transport != "" && *traceFile != "" {
 		transportTrace = &hzccl.Trace{}
 	}
-	if *obsListen != "" && !*serveMode {
+	if *obsListen != "" {
 		srv, err := startObs(*obsListen, *transport, *tcpRank, *tcpPeers, *nodes, transportTrace)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hzccl-collective: obs: %v\n", err)
@@ -157,17 +150,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "obs: lingering %v\n", *obsLinger)
 			time.Sleep(*obsLinger)
 		}
-	}
-
-	if *serveMode {
-		// -serve manages its own obs server so the /jobs endpoint can see
-		// the daemon's registry (the generic startObs above is skipped).
-		if err := runServe(*tcpRank, *tcpPeers, *clientLn, *obsListen, *recvTO); err != nil {
-			fmt.Fprintf(os.Stderr, "hzccl-collective: serve: %v\n", err)
-			os.Exit(1)
-		}
-		finish()
-		return
 	}
 
 	if *submitAddr != "" {
@@ -291,50 +273,6 @@ func mergeTraces(out string, inputs []string) error {
 	}
 	defer f.Close()
 	return hzccl.MergeChromeTraces(f, readers...)
-}
-
-// runServe turns this process into one rank of the collective-as-a-service
-// mesh (the hzccl-serve daemon, reachable from the same binary for
-// single-binary deployments). It blocks until SIGINT/SIGTERM or until the
-// service tears itself down because a peer daemon died.
-func runServe(rank int, peers, clientListen, obsListen string, recvTO time.Duration) error {
-	peerList := strings.Split(peers, ",")
-	if peers == "" || len(peerList) < 2 {
-		return fmt.Errorf("-serve needs -peers with at least two comma-separated host:port addresses")
-	}
-	d, err := serve.Start(serve.Options{
-		Rank: rank, Peers: peerList, ClientAddr: clientListen, RecvTimeout: recvTO,
-		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	})
-	if err != nil {
-		return err
-	}
-	if rank == 0 {
-		// Stdout so scripts can capture the (possibly ephemeral) address.
-		fmt.Printf("client protocol on %s\n", d.ClientAddr())
-	}
-	if obsListen != "" {
-		srv, err := obs.Start(obsListen, obs.Options{
-			Rank: rank, World: d.World(), Transport: "tcp",
-			Jobs: func() any { return d.Jobs() },
-		})
-		if err != nil {
-			d.Close()
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "obs: serving on http://%s\n", srv.Addr())
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "serve: rank %d: %v, shutting down\n", rank, s)
-	case <-d.Done():
-		fmt.Fprintf(os.Stderr, "serve: rank %d: service stopped\n", rank)
-	}
-	return d.Close()
 }
 
 // runSubmit sends one job to a running daemon and prints the per-rank

@@ -14,6 +14,11 @@
 //     time), which is the slower, GPU-oriented layout the paper compares
 //     against.
 //
+// The homomorphic add has no code of its own here: its portable pipeline ④
+// (fzlight.SumBlock) decodes both blocks with these routines, adds, and
+// encodes the sum with them. The four …32 functions in block32.go exist
+// only for the benchmark's bitio layer.
+//
 // All routines are allocation-free: callers supply destination slices that
 // must be large enough (sizes are computable with SignBytes, PlaneBytes and
 // RemainderBytes).

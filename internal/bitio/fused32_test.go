@@ -2,13 +2,12 @@ package bitio
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 )
 
 // refPack32 encodes 32 magnitudes with code length c through the byte-wise
-// reference routines (the layout SumBlocks32 historically produced).
+// reference routines.
 func refPack32(mags *[32]uint32, c int) []byte {
 	bc, r := c/8, c%8
 	dst := make([]byte, 32*bc+4*r)
@@ -36,8 +35,7 @@ func randBlock32(rng *rand.Rand, c int) (mags [32]uint32, signW uint32) {
 }
 
 // TestUnpackDeltas32 checks every code length 1..30 against the reference
-// decode, on both a slack-padded payload (direct 64-bit loads) and an
-// exactly-sized payload (bounce-buffer tail path).
+// decode.
 func TestUnpackDeltas32(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for c := 1; c <= 30; c++ {
@@ -49,20 +47,17 @@ func TestUnpackDeltas32(t *testing.T) {
 				neg := -int32(signW >> uint(i) & 1)
 				want[i] = (int32(mags[i]) ^ neg) - neg
 			}
-			padded := append(append([]byte{}, payload...), make([]byte, fusedSlack)...)
-			for name, p := range map[string][]byte{"padded": padded[:len(payload)+fusedSlack], "exact": payload} {
-				var d [32]int32
-				UnpackDeltas32(p, signW, c, &d)
-				if d != want {
-					t.Fatalf("c=%d trial=%d %s: deltas mismatch\n got %v\nwant %v", c, trial, name, d, want)
-				}
+			var d [32]int32
+			UnpackDeltas32(payload, signW, c, &d)
+			if d != want {
+				t.Fatalf("c=%d trial=%d: deltas mismatch\n got %v\nwant %v", c, trial, d, want)
 			}
 		}
 	}
 }
 
-// TestUnpackAddMags32 checks the fused decode-add-reencode against a
-// scalar reference for every code length 0..30.
+// TestUnpackAddMags32 checks decode-add-reencode against a scalar
+// reference for every code length 0..30.
 func TestUnpackAddMags32(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for c := 0; c <= 30; c++ {
@@ -90,30 +85,23 @@ func TestUnpackAddMags32(t *testing.T) {
 				wantSign |= uint32(ss&1) << uint(i)
 				wantOr |= u
 			}
-			for _, exact := range []bool{false, true} {
-				p := payload
-				if !exact {
-					p = append(append([]byte{}, payload...), make([]byte, fusedSlack)...)
-				}
-				dd := d
-				var got [32]uint32
-				osign, ormag := UnpackAddMags32(p, signW, c, &dd, &got)
-				if got != wantMags || osign != wantSign || ormag != wantOr {
-					t.Fatalf("c=%d trial=%d exact=%v: mismatch sign %08x/%08x or %08x/%08x",
-						c, trial, exact, osign, wantSign, ormag, wantOr)
-				}
+			dd := d
+			var got [32]uint32
+			osign, ormag := UnpackAddMags32(payload, signW, c, &dd, &got)
+			if got != wantMags || osign != wantSign || ormag != wantOr || dd != d {
+				t.Fatalf("c=%d trial=%d: mismatch sign %08x/%08x or %08x/%08x",
+					c, trial, osign, wantSign, ormag, wantOr)
 			}
 		}
 	}
 }
 
 // TestPackMags32 checks the packed output is byte-identical to the
-// reference encoder for every code length 1..31, on both a slack dst
-// (direct stores, allowed to scribble zeros into the slack) and an
-// exactly-sized dst (bounce path, no out-of-bounds writes).
+// reference encoder for every code length 1..32, and that nothing past it
+// is written.
 func TestPackMags32(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for c := 1; c <= 31; c++ {
+	for c := 1; c <= 32; c++ {
 		for trial := 0; trial < 16; trial++ {
 			mags, _ := randBlock32(rng, c)
 			want := refPack32(&mags, c)
@@ -127,25 +115,22 @@ func TestPackMags32(t *testing.T) {
 				t.Fatalf("c=%d trial=%d exact: payload mismatch", c, trial)
 			}
 
-			slack := make([]byte, need+fusedSlack)
-			for i := range slack {
-				slack[i] = 0xEE
-			}
+			slack := bytes.Repeat([]byte{0xEE}, need+8)
 			PackMags32(slack, &mags, c)
-			if !bytes.Equal(slack[:need], want) {
-				t.Fatalf("c=%d trial=%d slack: payload mismatch", c, trial)
+			if !bytes.Equal(slack[:need], want) || !bytes.Equal(slack[need:], bytes.Repeat([]byte{0xEE}, 8)) {
+				t.Fatalf("c=%d trial=%d slack: payload mismatch or bytes written past it", c, trial)
 			}
 		}
 	}
 }
 
 // TestFusedRoundTrip32 drives pack -> unpack-deltas -> add-zero reencode
-// through the kernels only and checks the loop closes.
+// and checks the loop closes.
 func TestFusedRoundTrip32(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for c := 1; c <= 30; c++ {
 		mags, signW := randBlock32(rng, c)
-		payload := make([]byte, 32*(c/8)+4*(c%8)+fusedSlack)
+		payload := make([]byte, 32*(c/8)+4*(c%8))
 		PackMags32(payload, &mags, c)
 		var d [32]int32
 		UnpackDeltas32(payload, signW, c, &d)
@@ -167,21 +152,7 @@ func TestFusedRoundTrip32(t *testing.T) {
 	}
 }
 
-// TestRemSrcTail pins the bounce path: a payload ending flush with its
-// residual region must decode without touching bytes past the slice.
-func TestRemSrcTail(t *testing.T) {
-	var rbuf [40]byte
-	p := []byte{0xAB, 0xCD, 0xEF}
-	rem := remSrc(p, 0, 3, &rbuf)
-	if binary.LittleEndian.Uint64(rem)&0xFFFFFF != 0xEFCDAB {
-		t.Fatal("bounce buffer lost payload bytes")
-	}
-	if got := remSrc(p, 0, 0, &rbuf); &got[0] != &zeroRem[0] {
-		t.Fatal("r==0 must alias zeroRem")
-	}
-}
-
-// TestAddBlocks32Narrow checks the SWAR fused add against a scalar
+// TestAddBlocks32Narrow checks the whole-block add against a scalar
 // reference for every (ca, cb) pair ≤ 6, including the constant-operand
 // entries and the non-canonical negative-zero encoding.
 func TestAddBlocks32Narrow(t *testing.T) {
@@ -229,16 +200,10 @@ func TestAddBlocks32Narrow(t *testing.T) {
 					want = append([]byte{byte(wc), byte(wantSign), byte(wantSign >> 8),
 						byte(wantSign >> 16), byte(wantSign >> 24)}, refPack32(&wantMags, wc)...)
 				}
-				dst := make([]byte, len(want)+fusedSlack)
-				n := AddBlocks32Narrow(dst, pa, pb, swa, swb, ca, cb)
-				if n != len(want) || !bytes.Equal(dst[:n], want) {
+				dst := make([]byte, len(want))
+				if n := AddBlocks32Narrow(dst, pa, pb, swa, swb, ca, cb); n != len(want) || !bytes.Equal(dst, want) {
 					t.Fatalf("ca=%d cb=%d trial=%d: output mismatch (n=%d want %d)\n got % x\nwant % x",
-						ca, cb, trial, n, len(want), dst[:n], want)
-				}
-				// Exactly-sized dst must bounce, not write out of bounds.
-				exact := make([]byte, len(want))
-				if n := AddBlocks32Narrow(exact, pa, pb, swa, swb, ca, cb); n != len(want) || !bytes.Equal(exact, want) {
-					t.Fatalf("ca=%d cb=%d trial=%d: exact-dst mismatch", ca, cb, trial)
+						ca, cb, trial, n, len(want), dst, want)
 				}
 			}
 		}

@@ -79,7 +79,7 @@ func decodeRun32(src []byte, out []float32, acc int32, eb2 float64) (used, done 
 // other block; without it a constant block stops the run. Otherwise it
 // stops in front of a marker above 30 (above 32 beside a constant block),
 // a sum of code length 31, or a block without 8 bytes of slack behind it in
-// a, b or dst; SumPair32 and hzdyn's pipelines then take that pair. dst
+// a, b or dst; SumBlock and hzdyn's pipelines then take that pair. dst
 // may be scribbled up to 8 bytes past wrote.
 func SumRun32(dst, a, b []byte, pairs int, dynamic bool, tally *[5]int64) (wrote, usedA, usedB, done int) {
 	// A pair the kernel took left 8 bytes behind it on all three sides, so
@@ -340,180 +340,28 @@ func EncodeBlock(dst []byte, p []int32, scratch []uint32) int {
 	return o
 }
 
-// SumScratch32 is the per-call scratch for SumPair32. Callers declare
-// one per stream (or per worker) and reuse it across blocks so the
-// kernel does not pay a fresh stack-zeroing per block.
-type SumScratch32 struct {
-	d    [32]int32
-	mags [32]uint32
-}
-
-// SumPair32 is the portable pipeline ④ for one full block pair: it inverse
-// fixed-length decodes the two encoded blocks at sa and sb, adds the
-// prediction integers, and fixed-length encodes the sum into dst, in one
-// bitplane-wise pass over the packed words — the unpacked []int32 block is
-// never materialized.
-//
-// Both operand code lengths ≤ 30 (the overwhelmingly common case — the
-// compressor emits ≤ 30 for any physically plausible delta stream) take
-// the word-wise fast path: operand A is decoded to deltas with the
-// dispatch-table kernels in package bitio, operand B's decode is fused
-// with the add and the sign/magnitude re-extraction (running magnitude-OR
-// gives the output width), and the packed output is written straight into
-// dst. The width bound proves |a|,|b| < 1<<30, so the sum always fits in
-// int32 and the per-element overflow checks vanish. Code lengths 31 and
-// 32 fall back to the checked wide kernel. overflow reports a sum that no
-// longer fits in int32, err a corrupt operand; dst is then meaningless.
-// dst must have room for the block; up to 8 bytes of any room behind it
-// may be scribbled.
-func SumPair32(dst, sa, sb []byte, sc *SumScratch32) (wrote, usedA, usedB int, overflow bool, err error) {
-	if len(sa) < 1 || len(sb) < 1 {
-		return 0, 0, 0, false, ErrCorrupt
-	}
-	ca, cb := int(sa[0]), int(sb[0])
-	if ca > 30 || cb > 30 {
-		return sumBlocks32Wide(dst, sa, sb)
-	}
-	if ca <= 6 && cb <= 6 {
-		// Narrow regime: every magnitude < 64, so the whole block pair
-		// adds 8 lanes per machine word (bitio's SWAR kernel).
-		usedA, usedB = 1, 1
-		var swa, swb uint32
-		var pa, pb []byte
-		if ca > 0 {
-			usedA = 5 + 4*ca
-			if len(sa) < usedA {
-				return 0, 0, 0, false, ErrCorrupt
-			}
-			swa = uint32(sa[1]) | uint32(sa[2])<<8 | uint32(sa[3])<<16 | uint32(sa[4])<<24
-			pa = sa[5:usedA]
-		}
-		if cb > 0 {
-			usedB = 5 + 4*cb
-			if len(sb) < usedB {
-				return 0, 0, 0, false, ErrCorrupt
-			}
-			swb = uint32(sb[1]) | uint32(sb[2])<<8 | uint32(sb[3])<<16 | uint32(sb[4])<<24
-			pb = sb[5:usedB]
-		}
-		return bitio.AddBlocks32Narrow(dst, pa, pb, swa, swb, ca, cb), usedA, usedB, false, nil
-	}
-	usedA, usedB = 1, 1
-	if ca > 0 {
-		usedA = 5 + 32*(ca/8) + 4*(ca%8)
-		if len(sa) < usedA {
-			return 0, 0, 0, false, ErrCorrupt
-		}
-		signWa := uint32(sa[1]) | uint32(sa[2])<<8 | uint32(sa[3])<<16 | uint32(sa[4])<<24
-		bitio.UnpackDeltas32(sa[5:], signWa, ca, &sc.d)
-	} else {
-		sc.d = [32]int32{}
-	}
-	var signWb uint32
-	pb := []byte(nil)
-	if cb > 0 {
-		usedB = 5 + 32*(cb/8) + 4*(cb%8)
-		if len(sb) < usedB {
-			return 0, 0, 0, false, ErrCorrupt
-		}
-		signWb = uint32(sb[1]) | uint32(sb[2])<<8 | uint32(sb[3])<<16 | uint32(sb[4])<<24
-		pb = sb[5:]
-	}
-	signW, ormag := bitio.UnpackAddMags32(pb, signWb, cb, &sc.d, &sc.mags)
-	c := bits.Len32(ormag)
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1, usedA, usedB, false, nil
-	}
-	dst[1] = byte(signW)
-	dst[2] = byte(signW >> 8)
-	dst[3] = byte(signW >> 16)
-	dst[4] = byte(signW >> 24)
-	return 5 + bitio.PackMags32(dst[5:], &sc.mags, c), usedA, usedB, false, nil
-}
-
-// sumBlocks32Wide is the checked fallback for operand code lengths 31 and
-// 32, where a summed magnitude may overflow int32: it unpacks both
-// magnitude arrays, adds in int64 with per-element overflow detection,
-// and re-encodes. It also performs the full marker validation (> 32
-// rejection) for both operands.
-func sumBlocks32Wide(dst, sa, sb []byte) (wrote, usedA, usedB int, overflow bool, err error) {
-	var maga, magb, msum [32]uint32
-	signWa, usedA, err := unpackMags32(sa, &maga)
-	if err != nil {
+// SumBlock is the portable pipeline ④, the reference the SIMD add kernel
+// reproduces: it inverse fixed-length decodes the blocks at the heads of a
+// and b, adds the prediction integers in int64, and fixed-length encodes
+// the sum into dst. len(pa) is the block length; pb and scratch must be at
+// least as long. overflow reports a sum that no longer fits in int32 (dst
+// is then untouched), err a corrupt operand. dst must have room for the
+// block; nothing past wrote is written.
+func SumBlock(dst, a, b []byte, pa, pb []int32, scratch []uint32) (wrote, usedA, usedB int, overflow bool, err error) {
+	if usedA, err = DecodeBlock(a, pa, scratch); err != nil {
 		return 0, 0, 0, false, err
 	}
-	signWb, usedB, err := unpackMags32(sb, &magb)
-	if err != nil {
+	if usedB, err = DecodeBlock(b, pb[:len(pa)], scratch); err != nil {
 		return 0, 0, 0, false, err
 	}
-	var signW, ormag uint32
-	for i := 0; i < 32; i++ {
-		nega := -int32(signWa >> uint(i) & 1)
-		negb := -int32(signWb >> uint(i) & 1)
-		da := (int32(maga[i]) ^ nega) - nega
-		db := (int32(magb[i]) ^ negb) - negb
-		sum := int64(da) + int64(db)
-		if sum != int64(int32(sum)) {
-			overflow = true
+	for i := range pa {
+		s := int64(pa[i]) + int64(pb[i])
+		if s != int64(int32(s)) {
+			return 0, usedA, usedB, true, nil
 		}
-		p := int32(sum)
-		s := p >> 31
-		m := uint32((p ^ s) - s)
-		msum[i] = m
-		signW |= uint32(s) & (1 << uint(i))
-		ormag |= m
+		pa[i] = int32(s)
 	}
-	if overflow {
-		return 0, usedA, usedB, true, nil
-	}
-	c := bits.Len32(ormag)
-	dst[0] = byte(c)
-	if c == 0 {
-		return 1, usedA, usedB, false, nil
-	}
-	dst[1] = byte(signW)
-	dst[2] = byte(signW >> 8)
-	dst[3] = byte(signW >> 16)
-	dst[4] = byte(signW >> 24)
-	o := 5
-	bc, r := c/8, c%8
-	o += bitio.PackPlanes(dst[o:], msum[:], bc)
-	o += bitio.PackRemainder(dst[o:], msum[:], 8*bc, r)
-	return o, usedA, usedB, false, nil
-}
-
-// unpackMags32 reads one encoded 32-element block: magnitudes into mags,
-// sign bits returned as a word. A constant block yields zero magnitudes.
-func unpackMags32(src []byte, mags *[32]uint32) (signW uint32, used int, err error) {
-	if len(src) < 1 {
-		return 0, 0, ErrCorrupt
-	}
-	c := int(src[0])
-	if c > 32 {
-		return 0, 0, fmt.Errorf("%w: code length %d", ErrCorrupt, c)
-	}
-	if c == 0 {
-		for i := range mags {
-			mags[i] = 0
-		}
-		return 0, 1, nil
-	}
-	bc, r := c/8, c%8
-	need := 5 + 32*bc + 4*r
-	if len(src) < need {
-		return 0, 0, ErrCorrupt
-	}
-	signW = uint32(src[1]) | uint32(src[2])<<8 | uint32(src[3])<<16 | uint32(src[4])<<24
-	if bc == 0 {
-		for i := range mags {
-			mags[i] = 0
-		}
-	}
-	o := 5
-	o += bitio.UnpackPlanesAssign(src[o:], mags[:], bc)
-	bitio.UnpackRemainder(src[o:], mags[:], 8*bc, r)
-	return signW, need, nil
+	return EncodeBlock(dst, pa, scratch), usedA, usedB, false, nil
 }
 
 // BlockBytes returns the encoded size of the block starting at src[0] for

@@ -34,8 +34,8 @@ func encodeWidthBlock(t *testing.T, rng *rand.Rand, c int) []byte {
 }
 
 // legacySum is the reference reduction: decode both blocks, add in int64,
-// re-encode. It is the semantics every fused kernel must reproduce
-// byte-for-byte.
+// re-encode. It is the semantics the SIMD kernel and SumBlock must
+// reproduce byte-for-byte.
 func legacySum(t *testing.T, sa, sb []byte) (out []byte, overflow bool) {
 	t.Helper()
 	var pa, pb [32]int32
@@ -78,8 +78,8 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 	if wrote != len(want) || !bytes.Equal(dst[:wrote], want) {
 		t.Fatalf("%s: fused output differs from legacy\n got % x\nwant % x", ctx, dst[:wrote], want)
 	}
-	// Exactly-sized dst must produce the same bytes through the bounce
-	// paths without writing out of bounds.
+	// Exactly-sized dst must produce the same bytes without writing out of
+	// bounds.
 	exact := make([]byte, len(want))
 	wrote, _, _, _, err = sumPair(exact, sa, sb)
 	if err != nil {
@@ -97,7 +97,7 @@ func checkFusedPair(t *testing.T, sa, sb []byte, ctx string) {
 }
 
 // sumPair adds one block pair as hzdyn does in its static mode, where
-// every pair is pipeline ④: the kernel where it takes the pair, SumPair32
+// every pair is pipeline ④: the kernel where it takes the pair, SumBlock
 // where it does not.
 func sumPair(dst, sa, sb []byte) (wrote, usedA, usedB int, overflow bool, err error) {
 	r := addPairs(dst, sa, sb, 1, false)
@@ -110,9 +110,9 @@ func padded(s []byte) []byte {
 	return append(append(make([]byte, 0, len(s)+8), s...), make([]byte, 8)...)
 }
 
-// TestSumBlocks32WidthSweep pins the fused pipeline-④ kernels (SIMD kernel,
-// SWAR narrow add, word cores, wide checked fallback) against the
-// decode-add-encode reference for every operand width pair 0..32.
+// TestSumBlocks32WidthSweep pins both pipeline-④ implementations (the SIMD
+// kernel and the portable SumBlock) against the decode-add-encode
+// reference for every operand width pair 0..32.
 func TestSumBlocks32WidthSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for ca := 0; ca <= 32; ca++ {
@@ -126,11 +126,39 @@ func TestSumBlocks32WidthSweep(t *testing.T) {
 	}
 }
 
+// TestSumBlockWritesOnlyWhatItReports holds the portable pipeline ④ to its
+// contract: for every operand width pair 0..32, on a full and on a tail
+// block, no byte of dst past the reported size changes.
+func TestSumBlockWritesOnlyWhatItReports(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var pa, pb [32]int32
+	var scratch [32]uint32
+	for _, n := range []int{32, 19} {
+		for ca := 0; ca <= 32; ca++ {
+			for cb := 0; cb <= 32; cb++ {
+				da, db := widthDeltas(rng, ca), widthDeltas(rng, cb)
+				var sa, sb [kernelDst]byte
+				a := sa[:EncodeBlock(sa[:], da[:n], scratch[:])]
+				b := sb[:EncodeBlock(sb[:], db[:n], scratch[:])]
+				dst, intact := canary(kernelDst)
+				wrote, usedA, usedB, overflow, err := SumBlock(dst, a, b, pa[:n], pb[:], scratch[:])
+				if err != nil || usedA != len(a) || usedB != len(b) || (wrote == 0) != overflow {
+					t.Fatalf("n=%d widths %d+%d: wrote %d, used %d/%d of %d/%d, overflow %v, err %v",
+						n, ca, cb, wrote, usedA, usedB, len(a), len(b), overflow, err)
+				}
+				if !intact(wrote) {
+					t.Fatalf("n=%d widths %d+%d: wrote past dst[%d]", n, ca, cb, wrote)
+				}
+			}
+		}
+	}
+}
+
 // TestSumBlocks32Datasets walks every block pair of the five paper
-// datasets' compressed Table V operands through the fused kernel and the
-// legacy reference, requiring byte-identical output. This is the
-// conformance anchor for the fused bitplane pipeline: the exact streams
-// the benchmarks reduce are re-reduced block by block.
+// datasets' compressed Table V operands through pipeline ④ and the legacy
+// reference, requiring byte-identical output. This is the conformance
+// anchor for the add: the exact streams the benchmarks reduce are
+// re-reduced block by block.
 func TestSumBlocks32Datasets(t *testing.T) {
 	const n = 1 << 14
 	for _, name := range datasets.Names() {
@@ -185,11 +213,11 @@ func TestSumBlocks32Datasets(t *testing.T) {
 	}
 }
 
-// FuzzFusedAdd feeds arbitrary delta blocks through the fused kernel and
-// the legacy reference. The committed seeds cover the overflow and
-// width-growth edges: operand widths at the SWAR/scalar boundary (6/7),
-// the scalar/wide boundary (30/31) and full-width 31+31 sums that must
-// trip the overflow flag.
+// FuzzFusedAdd feeds arbitrary delta blocks through pipeline ④ and the
+// legacy reference. The committed seeds cover the overflow and width-growth
+// edges: 6- and 7-bit operands whose sums reach 7 and 8 bits, the kernel's
+// limit (30/31) and full-width 31+31 sums that must trip the overflow
+// flag.
 func FuzzFusedAdd(f *testing.F) {
 	mk := func(fill int32) []byte {
 		var p [32]int32
@@ -205,11 +233,11 @@ func FuzzFusedAdd(f *testing.F) {
 		n := EncodeBlock(dst, p[:], scratch)
 		return dst[:n]
 	}
-	// SWAR boundary: 6-bit and 7-bit operands.
+	// 6-bit and 7-bit operands.
 	f.Add(mk(63), mk(63))
 	f.Add(mk(63), mk(64))
 	f.Add(mk(64), mk(64))
-	// Scalar/wide boundary: 30-bit and 31-bit operands.
+	// The kernel's limit: 30-bit and 31-bit operands.
 	f.Add(mk(1<<29), mk(1<<29))
 	f.Add(mk(1<<30), mk(1<<29))
 	// Width growth across the top: 31-bit + 31-bit overflows int32.

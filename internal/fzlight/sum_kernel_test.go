@@ -150,9 +150,9 @@ func (r sumResult) same(o sumResult) bool {
 }
 
 // portablePair is hzdyn's portable step for one full block pair: with
-// dynamic set, pipelines ①–③ where a block is constant; SumPair32 (④)
+// dynamic set, pipelines ①–③ where a block is constant; SumBlock (④)
 // otherwise.
-func portablePair(dst, a, b []byte, dynamic bool, sc *SumScratch32) (wrote, usedA, usedB, pipeline int, overflow bool, err error) {
+func portablePair(dst, a, b []byte, dynamic bool) (wrote, usedA, usedB, pipeline int, overflow bool, err error) {
 	switch {
 	case len(a) == 0 || len(b) == 0:
 		return 0, 0, 0, 0, false, ErrCorrupt
@@ -166,7 +166,9 @@ func portablePair(dst, a, b []byte, dynamic bool, sc *SumScratch32) (wrote, used
 		n, err := BlockBytes(a, 32)
 		return copy(dst, a[:n]), n, 1, 3, false, err
 	}
-	wrote, usedA, usedB, overflow, err = SumPair32(dst, a, b, sc)
+	var pa, pb [32]int32
+	var scratch [32]uint32
+	wrote, usedA, usedB, overflow, err = SumBlock(dst, a, b, pa[:], pb[:], scratch[:])
 	return wrote, usedA, usedB, 4, overflow, err
 }
 
@@ -174,14 +176,13 @@ func portablePair(dst, a, b []byte, dynamic bool, sc *SumScratch32) (wrote, used
 // can, portablePair the pair it stops at. On an error or overflow only
 // those are reported.
 func addPairs(dst, a, b []byte, pairs int, dynamic bool) (r sumResult) {
-	var sc SumScratch32
 	for {
 		w, ua, ub, k := SumRun32(dst[r.wrote:], a[r.usedA:], b[r.usedB:], pairs-r.done, dynamic, &r.tally)
 		r.wrote, r.usedA, r.usedB, r.done = r.wrote+w, r.usedA+ua, r.usedB+ub, r.done+k
 		if r.done >= pairs {
 			break
 		}
-		w, ua, ub, p, overflow, err := portablePair(dst[r.wrote:], a[r.usedA:], b[r.usedB:], dynamic, &sc)
+		w, ua, ub, p, overflow, err := portablePair(dst[r.wrote:], a[r.usedA:], b[r.usedB:], dynamic)
 		if overflow || err != nil {
 			return sumResult{overflow: overflow, err: err}
 		}
@@ -428,9 +429,9 @@ func FuzzSumKernel(f *testing.F) {
 
 // BenchmarkSumRun is hZ-dynamic alone on a run of pairs, as dispatched and
 // on the portable path. Each operand block draws its width from [lo, hi]:
-// 2–3 and 5–6 (CESM-ATM-like; the portable SWAR add, the kernel's byte
-// lane), 8 and 16 (whole byte planes, no residual), 9–10 (the kernel's
-// dword body); "const" makes one block in four constant (pipelines ①–③).
+// 2–3 and 5–6 (CESM-ATM-like; the kernel's byte lane), 8 and 16 (whole byte
+// planes, no residual), 9–10 (the kernel's dword body); "const" makes one
+// block in four constant (pipelines ①–③).
 func BenchmarkSumRun(b *testing.B) {
 	const pairs = 4096
 	for _, w := range []struct {

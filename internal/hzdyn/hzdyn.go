@@ -326,9 +326,8 @@ func addChunk(dst, a, b []byte, n, B int, dynamic bool) (int, Stats, error) {
 }
 
 // addBlockRange reduces a contiguous run of block pairs (no chunk outlier
-// prefix). It is the unit of work of both the serial chunk path and the
-// goroutine-sharded executor: dst receives the packed output blocks, and
-// the returned offsets say how many bytes were written and consumed.
+// prefix): dst receives the packed output blocks, and the returned offsets
+// say how many bytes were written and consumed.
 func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Stats, error) {
 	var st Stats
 	pa := bufpool.Int32s(B)
@@ -337,9 +336,6 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 	defer bufpool.PutInt32s(pa)
 	defer bufpool.PutInt32s(pb)
 	defer bufpool.PutUint32s(scratch)
-	// One pipeline-④ scratch per range, on the stack: SumPair32 does not
-	// let it escape.
-	var sum fzlight.SumScratch32
 
 	o, oa, ob := 0, 0, 0
 	for base := 0; base < n; base += B {
@@ -386,10 +382,10 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 			oa += sa
 			ob++
 			st.Pipeline[PipelineRightConstant]++
-		case bn == 32:
-			// Pipeline ④, fused portable path: IFE → integer add → FE in
-			// one pass over the block pair.
-			wrote, ua, ub, overflow, err := fzlight.SumPair32(dst[o:], a[oa:], b[ob:], &sum)
+		default:
+			// Pipeline ④: IFE both blocks → integer add → FE, for the full
+			// pair the kernel declined and for the tail block alike.
+			wrote, ua, ub, overflow, err := fzlight.SumBlock(dst[o:], a[oa:], b[ob:], pa[:bn], pb, scratch)
 			if err != nil {
 				return 0, 0, 0, st, err
 			}
@@ -397,27 +393,6 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 				return 0, 0, 0, st, ErrOverflow
 			}
 			o += wrote
-			oa += ua
-			ob += ub
-			st.Pipeline[PipelineBothEncoded]++
-		default:
-			// Pipeline ④, generic path for tail/odd-sized blocks.
-			ua, err := fzlight.DecodeBlock(a[oa:], pa[:bn], scratch)
-			if err != nil {
-				return 0, 0, 0, st, err
-			}
-			ub, err := fzlight.DecodeBlock(b[ob:], pb[:bn], scratch)
-			if err != nil {
-				return 0, 0, 0, st, err
-			}
-			for i := 0; i < bn; i++ {
-				s := int64(pa[i]) + int64(pb[i])
-				if s > math.MaxInt32 || s < math.MinInt32 {
-					return 0, 0, 0, st, ErrOverflow
-				}
-				pa[i] = int32(s)
-			}
-			o += fzlight.EncodeBlock(dst[o:], pa[:bn], scratch)
 			oa += ua
 			ob += ub
 			st.Pipeline[PipelineBothEncoded]++

@@ -100,8 +100,8 @@ fi
 #   - Table V homomorphic add: 94% pipeline ④ at widths 2–3, so its MB/s
 #     measures the add kernel's byte lane (plus the allocating wrapper's
 #     output buffer and copy). 5,200–6,700 MB/s on the reference box against
-#     ≈ 2,300 for the portable SWAR pair kernels; the floor is 0.7× that,
-#     3,700, up from a portable-path 2,400 that failed at an unchanged
+#     ≈ 450 for the portable decode → add → encode; the floor is 0.7× the
+#     kernel's 5,200, 3,700, up from a portable-path 2,400 that failed at an unchanged
 #     commit (2,085–3,373 MB/s). Checked only while frac-p4 confirms the
 #     dataset still exercises pipeline ④.
 #   - Fig6 fZ-light compress / decompress: ≈ 4,900 / ≈ 6,600 MB/s with the

@@ -4,7 +4,8 @@
 # and the portable codec path) with a check that no quantiser fused its
 # multiply and add there, an s390x cross vet/build (the big-endian side of
 # floatbytes, the one place byte order is compiled in), a 386 test run of
-# the codec packages (the portable pipeline ④, natively), a race pass over the
+# the codec packages and the conformance oracles (the portable pipeline ④,
+# natively), a race pass over the
 # concurrent packages (telemetry's lock-free counters and the cluster
 # runtime), and the nested benchmark module's own vet + tests (root
 # `go vet/test ./...` does not descend into benchmark/go.mod, and the
@@ -47,10 +48,11 @@ GOARCH=s390x go build ./...
 
 echo "== 386: go test the portable codec and pipeline ④ =="
 # block_noasm.go runs natively here: the only pipeline ④ that arm64,
-# ppc64le and s390x have. floatbytes stays out: its NaN-payload tests fail
-# on 386 (a sum's NaN payload differs from the scalar reference; see
-# ROADMAP "Parked").
-GOARCH=386 go test ./internal/bitio/ ./internal/fzlight/ ./internal/hzdyn/
+# ppc64le and s390x have. conformance runs its homomorphic and collective
+# oracles over it. floatbytes stays out: its NaN-payload tests fail on 386
+# (a sum's NaN payload differs from the scalar reference; see ROADMAP
+# "Parked").
+GOARCH=386 go test ./internal/bitio/ ./internal/fzlight/ ./internal/hzdyn/ ./internal/conformance/
 
 echo "== go test -race (concurrent packages) =="
 go test -race . ./internal/telemetry ./internal/cluster ./internal/fzlight ./internal/hzdyn ./internal/core
