@@ -94,8 +94,10 @@ tcp-smoke:
 # scaling runs the paper-scale virtual-time sweep: every algorithm
 # (ring, rd, rabenseifner, hierarchical, auto) x flavor at the worlds in
 # SCALING_WORLDS (default 8,64; the full paper scale is 8,64,128,512),
-# checked bit-identically against a float64 oracle, plus the cost-model
-# unit suite that pins the auto-selector's crossover points.
+# checked bit-identically against a float64 oracle and row by row against
+# the committed BENCH_scaling.json, plus the replay tests that hold
+# AlgoAuto's prices to the simulator's clock and to the paper's ring
+# equations, and a replay to one message's memory at any world.
 scaling:
 	SCALING_WORLDS=$${SCALING_WORLDS:-8,64,128,512} $(GO) test -count=1 -run 'TestScalingSweep' -v .
-	$(GO) test -count=1 ./internal/costmodel
+	$(GO) test -count=1 -run 'TestReplayMatchesSimulator|TestRingReplayMatchesClosedForms|TestPriceHoldsOneVector' -v . ./internal/costmodel ./internal/core

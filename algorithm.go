@@ -26,10 +26,9 @@ const (
 	// AlgoHierarchical is the two-level topology-aware schedule; node
 	// grouping comes from ClusterConfig.Topology.
 	AlgoHierarchical = core.AlgoHierarchical
-	// AlgoAuto lets the (α, β) cost model pick per message size, world
-	// size, backend and topology (α includes LogP's per-message overhead o
-	// when CollectiveOptions.Rates is nil); the choice is recorded in
-	// RunResult.AlgoChoices.
+	// AlgoAuto runs the fixed algorithm that a replay of each prices
+	// cheapest for the message size, world size, backend and topology;
+	// the choice is recorded in RunResult.AlgoChoices.
 	AlgoAuto = core.AlgoAuto
 )
 
@@ -52,34 +51,24 @@ func ParseTopology(s string) (*Topology, error) { return cluster.ParseTopology(s
 // (CollectiveOptions.Rates) and to drive AlgoAuto's selection.
 type ModelRates = core.Rates
 
-// DefaultAutoRates are the component throughputs AlgoAuto assumes when
-// CollectiveOptions.Rates is nil, and the model rates the paper-scale
-// sweep charges (BENCH_scaling.json): 1 GB/s compress, 2 GB/s decompress,
-// 8 GB/s raw sum, 6 GB/s homomorphic add. They are pinned model numbers,
-// not measurements — the AVX2 kernels run CESM-ATM at ≈ 5.5 / 6.9 / 12
-// GB/s compress / decompress / add — and they, not the per-message
-// overhead, are why auto can still miss the best schedule for large
-// messages. Being package constants, the auto choice is deterministic for
-// a given shape.
+// DefaultAutoRates are the component throughputs AlgoAuto prices with
+// when CollectiveOptions.Rates is nil, and the model rates the paper-scale
+// sweep charges (BENCH_scaling.json): 1 / 2 / 8 / 6 GB/s compress,
+// decompress, raw sum, homomorphic add. Pinned, so every rank on either
+// fabric prices a shape alike; being below the AVX2 kernels' ≈ 5.5 / 6.9
+// / 12 GB/s on CESM-ATM, they are why auto can miss for large messages.
 var DefaultAutoRates = ModelRates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}
 
-// defaultAutoRatio is the compression ratio the auto model assumes for
-// the compressed backends' wire bytes.
+// defaultAutoRatio is the compression ratio AlgoAuto's replays assume for
+// the compressed backends' payloads.
 const defaultAutoRatio = 4.0
 
-// autoOverhead is LogP's per-message software overhead o, in seconds,
-// that AlgoAuto adds to ClusterConfig.Latency when compute is timed by the
-// wall clock (CollectiveOptions.Rates nil): 8 µs, the low end of one
-// message's measured one-way cost on the loopback TCP transport (15–28 µs
-// round trips on a 2-vCPU x86-64 host). With Rates set the virtual clock
-// is the machine, and it charges α alone, so o is not added.
-//
-// Such picks are priced for TCP on both fabrics: the in-process fabric's
-// virtual clock charges α alone too, so its ModeledSeconds include an o
-// its RunResult.Seconds never contain. That is the price of agreement: it
-// is a constant rather than a live measurement because every rank, on
-// either fabric, must resolve auto to the same schedule — the schedule
-// decides the result bits.
+// autoOverhead is LogP's per-message software overhead o that AlgoAuto adds
+// to ClusterConfig.Latency when compute is wall-clock timed (Rates nil):
+// 8 µs, the low end of one message's one-way cost on loopback TCP (15–28 µs
+// round trips, 2-vCPU x86-64). It is a constant, not a measurement, because
+// the schedule decides the result bits, so every rank must pick alike; the
+// in-process fabric's clock charges α alone (DESIGN §13).
 const autoOverhead = 8e-6
 
 // AlgoChoice records which algorithm one collective call ran with.
@@ -95,49 +84,46 @@ type AlgoChoice struct {
 	Algorithm Algorithm
 	// Auto is true when the algorithm was resolved from AlgoAuto.
 	Auto bool
-	// ModeledSeconds is the cost model's prediction for the chosen
-	// algorithm, the cost the pick was made on: autoOverhead included
-	// per message unless CollectiveOptions.Rates was set (auto resolutions
-	// only; 0 otherwise).
+	// ModeledSeconds is the price the pick was made on: the virtual time
+	// a replay of the chosen schedule took, autoOverhead included per
+	// message unless CollectiveOptions.Rates was set. With Rates set it is
+	// the call's virtual time, but for compressed payloads' real sizes
+	// against the replay's ratio of 4. 0 unless Auto.
 	ModeledSeconds float64
 }
 
 // Per-algorithm selection counters, plus one for auto resolutions.
 var (
-	mAlgoRing         = telemetry.C("collective.algo.ring")
-	mAlgoRD           = telemetry.C("collective.algo.rd")
-	mAlgoRab          = telemetry.C("collective.algo.rabenseifner")
-	mAlgoHier         = telemetry.C("collective.algo.hierarchical")
+	mAlgo = [...]*telemetry.Counter{
+		AlgoRing:              telemetry.C("collective.algo.ring"),
+		AlgoRecursiveDoubling: telemetry.C("collective.algo.rd"),
+		AlgoRabenseifner:      telemetry.C("collective.algo.rabenseifner"),
+		AlgoHierarchical:      telemetry.C("collective.algo.hierarchical"),
+	}
 	mAlgoAutoResolved = telemetry.C("collective.algo.auto_resolved")
 )
 
-func countAlgo(algo Algorithm, auto bool) {
-	switch algo {
-	case AlgoRecursiveDoubling:
-		mAlgoRD.Inc()
-	case AlgoRabenseifner:
-		mAlgoRab.Inc()
-	case AlgoHierarchical:
-		mAlgoHier.Inc()
-	default:
-		mAlgoRing.Inc()
+// resolveAlgorithm maps the requested algorithm to the fixed one that
+// will run, recorded (per rank) in RunResult.AlgoChoices and the
+// collective.algo.* counters. AlgoAuto prices every fixed schedule by a
+// replay of its own code (costmodel.Rates.Choose) at CollectiveOptions.Rates
+// (or DefaultAutoRates and α + autoOverhead), the configured α and β, and
+// ClusterConfig.Topology.
+func (r *Rank) resolveAlgorithm(op string, b Backend, opt CollectiveOptions, dataLen int) Algorithm {
+	algo, auto := opt.Algorithm, opt.Algorithm == AlgoAuto
+	var modeled float64
+	if auto {
+		cfg := r.r.Config()
+		rates := costmodel.Rates{Rates: DefaultAutoRates, Ratio: defaultAutoRatio, Alpha: cfg.Latency.Seconds() + autoOverhead, Beta: cfg.BandwidthBytes}
+		if opt.Rates != nil {
+			rates.Rates, rates.Alpha = *opt.Rates, cfg.Latency.Seconds()
+		}
+		algo, modeled = rates.Choose(op, b, r.Size(), float64(4*dataLen), cfg.Topology)
 	}
+	mAlgo[algo].Inc()
 	if auto {
 		mAlgoAutoResolved.Inc()
 	}
-}
-
-// resolveAlgorithm maps the requested algorithm to the fixed one that
-// will run: AlgoAuto asks the cost model. The resolution is recorded (per
-// rank) in RunResult.AlgoChoices and the collective.algo.* counters.
-func (r *Rank) resolveAlgorithm(op string, b Backend, opt CollectiveOptions, dataLen int) Algorithm {
-	algo := opt.Algorithm
-	auto := algo == AlgoAuto
-	var modeled float64
-	if auto {
-		algo, modeled = r.chooseAlgorithm(op, b, opt, dataLen)
-	}
-	countAlgo(algo, auto)
 	if r.rec != nil {
 		r.rec.recordChoice(AlgoChoice{
 			Rank: r.ID(), Op: op, Backend: b,
@@ -145,33 +131,4 @@ func (r *Rank) resolveAlgorithm(op string, b Backend, opt CollectiveOptions, dat
 		})
 	}
 	return algo
-}
-
-// chooseAlgorithm resolves AlgoAuto deterministically: component
-// throughputs from CollectiveOptions.Rates (or DefaultAutoRates, plus the
-// per-message overhead autoOverhead), α/β from the cluster configuration,
-// topology shape from ClusterConfig.Topology.
-func (r *Rank) chooseAlgorithm(op string, b Backend, opt CollectiveOptions, dataLen int) (Algorithm, float64) {
-	cfg := r.r.Config()
-	th, alpha := DefaultAutoRates, cfg.Latency.Seconds()
-	if opt.Rates != nil {
-		th = *opt.Rates
-	} else {
-		alpha += autoOverhead
-	}
-	rates := costmodel.Rates{
-		Rates: th,
-		Ratio: defaultAutoRatio,
-		Alpha: alpha,
-		Beta:  cfg.BandwidthBytes,
-	}
-	topo := costmodel.FlatTopo(r.Size())
-	if t := cfg.Topology; t != nil {
-		topo = costmodel.Topo{Nodes: t.Nodes(), MaxNode: t.MaxNodeSize()}
-	}
-	bytes := float64(4 * dataLen)
-	if op == "reduce_scatter" {
-		return rates.ChooseReduceScatter(b, r.Size(), bytes, topo)
-	}
-	return rates.ChooseAllreduce(b, r.Size(), bytes, topo)
 }

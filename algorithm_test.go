@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hzccl"
-	"hzccl/internal/costmodel"
+	"hzccl/internal/core"
 )
 
 // rankedField returns per-rank deterministic data for collective tests.
@@ -192,108 +193,89 @@ func TestAutoPicksAgreeAcrossFabrics(t *testing.T) {
 	}
 }
 
-// hopGap is a shape where the cost model's message count and the
-// simulator's disagree: sim and model are the sequential message hops each
-// side counts.
-type hopGap struct{ sim, model int }
-
-// knownHopGaps lists every (op, algorithm, world, topology) whose modeled
-// α coefficient differs from the hops the simulator's critical path takes.
-// The model serialises recursive doubling's fold into the power-of-two
-// rounds where the eager simulator overlaps them, and its hierarchical
-// form over-counts stages on flat and uneven groupings. Closing a gap
-// moves modeled-mode picks (world 8 on 2x4 is in BENCH_scaling.json), so
-// the fix belongs to the calibration change; until then this table pins
-// both sides. EXPERIMENTS.md records it.
-var knownHopGaps = map[string]hopGap{
-	`allreduce/rd/n=3/""`:                   {2, 3},
-	`reduce_scatter/rd/n=3/""`:              {2, 3},
-	`allreduce/rd/n=5/""`:                   {3, 4},
-	`reduce_scatter/rd/n=5/""`:              {3, 4},
-	`allreduce/rd/n=5/"2,3"`:                {3, 4},
-	`reduce_scatter/rd/n=5/"2,3"`:           {3, 4},
-	`allreduce/hierarchical/n=3/""`:         {4, 6},
-	`reduce_scatter/hierarchical/n=3/""`:    {4, 6},
-	`allreduce/hierarchical/n=4/""`:         {6, 8},
-	`reduce_scatter/hierarchical/n=4/""`:    {5, 9},
-	`allreduce/hierarchical/n=5/""`:         {7, 11},
-	`reduce_scatter/hierarchical/n=5/""`:    {6, 12},
-	`allreduce/hierarchical/n=5/"2,3"`:      {6, 8},
-	`reduce_scatter/hierarchical/n=5/"2,3"`: {6, 8},
-	`allreduce/hierarchical/n=8/""`:         {11, 17},
-	`reduce_scatter/hierarchical/n=8/""`:    {9, 21},
-	`allreduce/hierarchical/n=8/"2x4"`:      {8, 10},
-	`reduce_scatter/hierarchical/n=8/"2x4"`: {7, 11},
-}
-
-// TestModelHopsMatchSimulator pins the cost model's message counts against
-// the simulator. With compute free (model rates of 1e30 B/s), β = 1e30 and
-// α = 1 ms, a run's virtual time over 1 ms is the number of sequential
-// message hops on its critical path; the model priced at α = 1 and
-// everything else free is its α coefficient. Every flavor must count the
-// same hops, and the two sides must agree except on knownHopGaps — a gap
-// closing or a new one opening both fail.
-func TestModelHopsMatchSimulator(t *testing.T) {
-	const hop = time.Millisecond
-	free := hzccl.ModelRates{CPR: 1e30, DPR: 1e30, CPT: 1e30, HPR: 1e30}
-	model := costmodel.Rates{Rates: free, Ratio: 1, Alpha: 1, Beta: 1e30}
+// TestReplayMatchesSimulator pins AlgoAuto's price to the program: for
+// every flavor × fixed schedule × op on flat and grouped worlds, the
+// replay's price of a shape (core.Price, which the cost model memoises)
+// equals the simulator's RunResult.Seconds for it exactly, at the modeled rates and α. With β = 1e30 payload sizes drop
+// out, so the compressed flavors' stand-in containers price the same as
+// real ones; the plain flavor moves the same bytes either way and is held
+// to it at a finite β too.
+func TestReplayMatchesSimulator(t *testing.T) {
+	const alpha, elems = 10 * time.Microsecond, 1027
+	rates := hzccl.DefaultAutoRates
 	shapes := []struct {
 		n    int
 		topo string
 	}{{2, ""}, {3, ""}, {4, ""}, {4, "2x2"}, {5, ""}, {5, "2,3"}, {8, ""}, {8, "2x4"}, {8, "4x2"}}
-	seen := map[string]bool{}
-	for _, s := range shapes {
-		cfg := hzccl.ClusterConfig{Ranks: s.n, Latency: hop, BandwidthBytes: 1e30}
-		shape := costmodel.FlatTopo(s.n)
-		if s.topo != "" {
-			var err error
-			if cfg.Topology, err = hzccl.ParseTopology(s.topo); err != nil {
-				t.Fatal(err)
-			}
-			shape = costmodel.Topo{Nodes: cfg.Topology.Nodes(), MaxNode: cfg.Topology.MaxNodeSize()}
+	for _, beta := range []float64{1e30, 1.25e9} {
+		backends := []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL}
+		if beta < 1e30 {
+			backends = backends[:1]
 		}
-		for _, b := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL} {
-			for _, a := range fixedAlgos {
-				opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: a, Rates: &free}
-				for _, op := range []string{"allreduce", "reduce_scatter"} {
-					res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
-						var err error
-						if op == "allreduce" {
-							_, err = r.Allreduce(rankedField(r.ID(), 1024), b, opt)
-						} else {
-							_, err = r.ReduceScatter(rankedField(r.ID(), 1024), b, opt)
+		for _, s := range shapes {
+			cfg := hzccl.ClusterConfig{Ranks: s.n, Latency: alpha, BandwidthBytes: beta}
+			if s.topo != "" {
+				var err error
+				if cfg.Topology, err = hzccl.ParseTopology(s.topo); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, b := range backends {
+				for _, a := range fixedAlgos {
+					opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: a, Rates: &rates}
+					for _, op := range []string{"allreduce", "reduce_scatter"} {
+						res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
+							var err error
+							if op == "allreduce" {
+								_, err = r.Allreduce(rankedField(r.ID(), elems), b, opt)
+							} else {
+								_, err = r.ReduceScatter(rankedField(r.ID(), elems), b, opt)
+							}
+							return err
+						})
+						if err != nil {
+							t.Fatalf("%s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
 						}
-						return err
-					})
-					if err != nil {
-						t.Fatalf("%s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
-					}
-					hops := res.Seconds / hop.Seconds()
-					coeff := model.AllreduceAlgo(b, a, s.n, 4096, shape)
-					if op == "reduce_scatter" {
-						coeff = model.ReduceScatterAlgo(b, a, s.n, 4096, shape)
-					}
-					sim, modeled := int(math.Round(hops)), int(math.Round(coeff))
-					key := fmt.Sprintf("%s/%v/n=%d/%q", op, a, s.n, s.topo)
-					if math.Abs(hops-float64(sim)) > 1e-6 || math.Abs(coeff-float64(modeled)) > 1e-6 {
-						t.Fatalf("%s %v: %g simulated hops, %g modeled: not whole messages", key, b, hops, coeff)
-					}
-					want, gap := knownHopGaps[key]
-					if !gap {
-						want = hopGap{modeled, modeled}
-					}
-					seen[key] = seen[key] || gap
-					if got := (hopGap{sim, modeled}); got != want {
-						t.Errorf("%s %v: simulator %d hops, model %d; want %d and %d (known gap: %v)",
-							key, b, sim, modeled, want.sim, want.model, gap)
+						price, err := core.Price(op, b, a, s.n, cfg.Topology, elems, rates, 4, alpha.Seconds(), beta)
+						if err != nil {
+							t.Fatalf("pricing %s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
+						}
+						if price != res.Seconds {
+							t.Errorf("%s %v/%v n=%d %q β=%g: priced %.6g s, simulator charged %.6g s",
+								op, b, a, s.n, s.topo, beta, price, res.Seconds)
+						}
 					}
 				}
 			}
 		}
 	}
-	for key := range knownHopGaps {
-		if !seen[key] {
-			t.Errorf("known gap %s names no pinned shape", key)
+}
+
+// pricingRounds makes every run of TestConcurrentPricingAgrees, -count
+// included, price shapes no one priced before.
+var pricingRounds atomic.Int64
+
+// TestConcurrentPricingAgrees has four ranks resolve AlgoAuto on a shape
+// no one priced before, at once: they share one process-wide price table
+// (run it under -race), and must record identical choices.
+func TestConcurrentPricingAgrees(t *testing.T) {
+	opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: hzccl.AlgoAuto}
+	elems := 3001 + int(pricingRounds.Add(1))
+	for _, b := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL} {
+		cfg := hzccl.ClusterConfig{Ranks: 4, Latency: 3 * time.Microsecond, Topology: hzccl.UniformTopology(2, 2)}
+		res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
+			_, err := r.Allreduce(rankedField(r.ID(), elems), b, opt)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		for _, ch := range res.AlgoChoices {
+			first := res.AlgoChoices[0]
+			if ch.Algorithm != first.Algorithm || ch.ModeledSeconds != first.ModeledSeconds || !(ch.ModeledSeconds > 0) {
+				t.Fatalf("%v: rank %d chose %v at %g s, rank %d %v at %g s",
+					b, first.Rank, first.Algorithm, first.ModeledSeconds, ch.Rank, ch.Algorithm, ch.ModeledSeconds)
+			}
 		}
 	}
 }

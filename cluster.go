@@ -145,10 +145,10 @@ type CollectiveOptions struct {
 	// Rates, when non-nil, switches compute-time charging from measured
 	// wall time to the calibrated model (rawBytes/rate); required for
 	// paper-scale rank counts where measuring each tiny block would
-	// dominate. The same throughputs also drive AlgoAuto's selection
-	// (DefaultAutoRates is assumed when nil, and only then does AlgoAuto
-	// add a per-message software overhead to the latency: set, the
-	// virtual clock charges α alone, and so does the model).
+	// dominate. AlgoAuto prices its candidates at the same throughputs
+	// (DefaultAutoRates when nil, and only then with a per-message
+	// software overhead added to the latency: set, the virtual clock
+	// charges α alone, and so does the replay).
 	Rates *ModelRates
 	// Degrade, when non-nil, enables graceful backend degradation: if the
 	// collective fails (retry budget exhausted, receive timeout), all

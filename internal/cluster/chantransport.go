@@ -105,9 +105,7 @@ func (t *chanTransport) chanFor(from, to int) chan message {
 	}
 	ch, ok := t.mail[key]
 	if !ok {
-		// Eager-send buffer: deep enough that pipelined protocols (e.g.
-		// segmented rings) never block the sender in lockstep patterns.
-		ch = make(chan message, 64)
+		ch = make(chan message, LinkDepth)
 		t.mail[key] = ch
 	}
 	return ch

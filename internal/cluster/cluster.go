@@ -841,10 +841,23 @@ func (r *Rank) recvStrict(from int) ([]byte, error) {
 	}
 }
 
+// LinkDepth is how many messages the in-process fabric buffers per link:
+// deep enough that eager sends never block a sender in the lockstep
+// patterns of pipelined protocols (e.g. segmented rings).
+const LinkDepth = 64
+
+// Arrival is the fabric's one arrival rule: a message of n bytes sent at
+// sentAt over a link of latency alpha seconds and bandwidth beta bytes/s
+// arrives at sentAt + alpha + n/beta, and a receiver's clock moves to the
+// later of that and its own.
+func Arrival(sentAt, alpha, beta float64, n int) float64 {
+	return sentAt + alpha + float64(n)/beta
+}
+
 // chargeArrival advances the virtual clock to the modeled arrival time of
 // m, charging the advance to MPI.
 func (r *Rank) chargeArrival(m message) {
-	arrive := m.sentAt + m.delay + r.c.cfg.Latency.Seconds() + float64(len(m.data))/r.c.cfg.BandwidthBytes
+	arrive := Arrival(m.sentAt+m.delay, r.c.cfg.Latency.Seconds(), r.c.cfg.BandwidthBytes, len(m.data))
 	if arrive > r.now {
 		if tr := r.c.trace; tr != nil {
 			tr.record(TraceEvent{Rank: r.phys, Category: CatMPI, Start: r.now, Dur: arrive - r.now})

@@ -66,7 +66,7 @@ func (c Collectives) AllreduceCPRP2P(r *cluster.Rank, data []float32) ([]float32
 	next, prev := (r.ID+1)%n, (r.ID-1+n)%n
 	cur := out[s:e]
 	for step := 0; step < n-1; step++ {
-		payload, err := c.compressPooled(r, cur)
+		payload, err := c.compressPooled(g, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func (c Collectives) AllreduceCPRP2P(r *cluster.Rank, data []float32) ([]float32
 		// hop compresses from there.
 		os, oe := BlockBounds(len(data), n, BlockOwned((r.ID-step-1+n)%n, n))
 		cur = out[os:oe]
-		if err := c.decompressInto(r, got, cur); err != nil {
+		if err := c.decompressInto(g, got, cur); err != nil {
 			return nil, err
 		}
 		bufpool.PutBytes(got)

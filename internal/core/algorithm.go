@@ -26,10 +26,9 @@ const (
 	// then an intra-node binomial broadcast (or scatter, for
 	// reduce-scatter). Node grouping comes from cluster.Config.Topology.
 	AlgoHierarchical
-	// AlgoAuto asks the (α, β) cost model to pick per message size, world
-	// size, backend and topology (α includes LogP's per-message overhead
-	// o when compute is wall-clock timed). Resolved before the collective runs;
-	// the chosen fixed algorithm is what actually executes.
+	// AlgoAuto picks the fixed algorithm a replay of each prices cheapest
+	// for the message size, world, backend and topology (Price). Resolved
+	// before the collective runs; the chosen fixed algorithm executes.
 	AlgoAuto
 )
 

@@ -1,7 +1,5 @@
 package core
 
-import "hzccl/internal/bufpool"
-
 // ccollPartial is the C-Coll flavor: float32 sums in the raw domain, every
 // message an fZ-light container — compress what leaves (CPR), decompress
 // what arrives (DPR), add (CPT).
@@ -38,7 +36,7 @@ type ccollPartial struct {
 
 func newCColl(b blocks, data []float32) *ccollPartial {
 	n := b.g.n()
-	p := &ccollPartial{blocks: b, data: data, acc: bufpool.Float32s(len(data)), held: make([]bool, b.nb), blobs: make([][]byte, b.nb)}
+	p := &ccollPartial{blocks: b, data: data, acc: b.g.floats(len(data)), held: make([]bool, b.nb), blobs: make([][]byte, b.nb)}
 	p.reanchor = b.nb == 1
 	p.requant = p.reanchor && n&(n-1) != 0
 	return p
@@ -59,33 +57,33 @@ func (p *ccollPartial) vals(lo, hi int) []float32 {
 
 // wire compresses the span as one container.
 func (p *ccollPartial) wire(lo, hi int) (payload []byte, err error) {
-	release(&p.out)
-	p.out, err = p.c.compressPooled(p.g.r, p.vals(lo, hi))
+	p.release(&p.out)
+	p.out, err = p.c.compressPooled(p.g, p.vals(lo, hi))
 	return p.out, err
 }
 
 func (p *ccollPartial) sent() error {
 	if !p.reanchor {
-		release(&p.out)
+		p.release(&p.out)
 	}
 	return nil
 }
 
 func (p *ccollPartial) reduce(lo, hi int, got []byte) error {
-	r, sums := p.g.r, p.vals(lo, hi)
+	sums := p.vals(lo, hi)
 	s, e := p.span(lo, hi)
 	acc := p.acc[s:e]
 	for k := lo; k < hi; k++ {
 		p.held[k] = true
 	}
 	if p.reanchor && p.out != nil {
-		if err := p.c.decompressInto(r, p.out, acc); err != nil {
+		if err := p.c.decompressInto(p.g, p.out, acc); err != nil {
 			return err
 		}
-		release(&p.out)
+		p.release(&p.out)
 		sums = acc
 	}
-	return p.c.reduceDOC(r, acc, sums, got)
+	return p.c.reduceDOC(p.g, acc, sums, got)
 }
 
 // canonical makes sure blocks [lo, hi) have their canonical containers,
@@ -95,7 +93,7 @@ func (p *ccollPartial) canonical(lo, hi int) error {
 		if p.blobs[k] != nil {
 			continue
 		}
-		blob, err := p.c.compressPooled(p.g.r, p.vals(k, k+1))
+		blob, err := p.c.compressPooled(p.g, p.vals(k, k+1))
 		if err != nil {
 			return err
 		}
@@ -110,8 +108,8 @@ func (p *ccollPartial) carry(lo, hi int) []byte {
 	if !p.framed {
 		return p.blobs[lo]
 	}
-	release(&p.out)
-	p.out = frameBlobs(p.blobs[lo:hi])
+	p.release(&p.out)
+	p.out = p.g.frameBlobs(p.blobs[lo:hi])
 	return p.out
 }
 
@@ -128,7 +126,7 @@ func (p *ccollPartial) adopt(lo, hi int, got []byte) error {
 		p.blobs[lo] = got
 		return nil
 	}
-	part, err := unframeBlobsN(got, hi-lo)
+	part, err := p.unframe(got, lo, hi)
 	if err != nil {
 		return err
 	}
@@ -171,8 +169,8 @@ func (p *ccollPartial) result() ([]float32, error) {
 		k := p.decodeOrder(i)
 		s, e := p.span(k, k+1)
 		if p.blobs[k] == nil {
-			copy(p.vector()[s:e], p.vals(k, k+1))
-		} else if err := p.c.decompressInto(p.g.r, p.blobs[k], p.vector()[s:e]); err != nil {
+			p.g.copy(p.vector()[s:e], p.vals(k, k+1))
+		} else if err := p.c.decompressInto(p.g, p.blobs[k], p.vector()[s:e]); err != nil {
 			return nil, err
 		}
 	}
@@ -181,15 +179,15 @@ func (p *ccollPartial) result() ([]float32, error) {
 }
 
 func (p *ccollPartial) blockInto(k int, dst []float32) error {
-	copy(dst, p.vals(k, k+1))
+	p.g.copy(dst, p.vals(k, k+1))
 	return nil
 }
 
 func (p *ccollPartial) close() {
-	release(&p.out)
+	p.release(&p.out)
 	for _, b := range p.pooled {
-		bufpool.PutBytes(b)
+		p.g.recycle(b)
 	}
 	p.pooled = nil
-	bufpool.PutFloat32s(p.acc)
+	p.g.recycleFloats(p.acc)
 }

@@ -16,19 +16,24 @@ import (
 // Allreduce sums data element-wise across all ranks and returns the full
 // vector, bitwise identical on every rank. a must be a fixed algorithm.
 func (c Collectives) Allreduce(r *cluster.Rank, f Flavor, a Algorithm, data []float32) ([]float32, *hzdyn.Stats, error) {
+	return c.allreduce(world(r), r.Config().Topology, f, a, data)
+}
+
+// allreduce is Allreduce over the world g, grouped as topo says.
+func (c Collectives) allreduce(g comm, topo *cluster.Topology, f Flavor, a Algorithm, data []float32) ([]float32, *hzdyn.Stats, error) {
 	stats := &hzdyn.Stats{}
 	var out []float32
 	var err error
 	switch a {
 	case AlgoRing:
-		out, err = c.allreduceRing(world(r), f, data, nil, stats)
+		out, err = c.allreduceRing(g, f, data, nil, stats)
 	case AlgoRecursiveDoubling:
-		out, err = c.allreduceFolded(world(r), f, data, 1, false, doublingRounds, stats)
+		out, err = c.allreduceFolded(g, f, data, 1, false, doublingRounds, stats)
 	case AlgoRabenseifner:
-		p2, _ := activeRanks(r.ID, r.N)
-		out, err = c.allreduceFolded(world(r), f, data, p2, true, halvingDoublingRounds, stats)
+		p2, _ := activeRanks(g.id, g.n())
+		out, err = c.allreduceFolded(g, f, data, p2, true, halvingDoublingRounds, stats)
 	case AlgoHierarchical:
-		out, err = c.allreduceHier(r, f, data, stats)
+		out, err = c.allreduceHier(g, topo, f, data, stats)
 	default:
 		err = fmt.Errorf("core: allreduce needs a fixed algorithm, got %v", a)
 	}
@@ -60,7 +65,7 @@ func (c Collectives) allreduceRing(g comm, f Flavor, data, into []float32, stats
 func (c Collectives) allreduceFolded(g comm, f Flavor, data []float32, nb int, framed bool,
 	rounds func(comm, partial, int, int) error, stats *hzdyn.Stats) ([]float32, error) {
 	if g.n() == 1 {
-		return clone(data), nil
+		return g.clone(data), nil
 	}
 	p, err := c.newPartial(f, blocks{g: g, nb: nb, framed: framed, full: true}, data, stats)
 	if err != nil {
@@ -73,15 +78,20 @@ func (c Collectives) allreduceFolded(g comm, f Flavor, data []float32, nb int, f
 // ReduceScatter sums data element-wise across all ranks and returns this
 // rank's block of the result, block BlockOwned(rank, N) of N. Recursive
 // doubling and Rabenseifner have no reduce-scatter of their own: they run
-// the allreduce and slice the block out (the cost model prices them so).
+// the allreduce and slice the block out.
 func (c Collectives) ReduceScatter(r *cluster.Rank, f Flavor, a Algorithm, data []float32) ([]float32, *hzdyn.Stats, error) {
+	return c.reduceScatter(world(r), r.Config().Topology, f, a, data)
+}
+
+// reduceScatter is ReduceScatter over the world g, grouped as topo says.
+func (c Collectives) reduceScatter(g comm, topo *cluster.Topology, f Flavor, a Algorithm, data []float32) ([]float32, *hzdyn.Stats, error) {
 	stats := &hzdyn.Stats{}
-	s, e := BlockBounds(len(data), r.N, BlockOwned(r.ID, r.N))
-	out := make([]float32, e-s)
+	n, own := g.n(), BlockOwned(g.id, g.n())
+	s, e := BlockBounds(len(data), n, own)
+	out := g.vector(e - s)
 	switch a {
 	case AlgoRing:
-		g := world(r)
-		p, err := c.newPartial(f, blocks{g: g, nb: r.N}, data, stats)
+		p, err := c.newPartial(f, blocks{g: g, nb: n}, data, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -89,19 +99,19 @@ func (c Collectives) ReduceScatter(r *cluster.Rank, f Flavor, a Algorithm, data 
 		if err := ringReduceScatter(g, p); err != nil {
 			return nil, nil, err
 		}
-		if err := p.blockInto(BlockOwned(r.ID, r.N), out); err != nil {
+		if err := p.blockInto(own, out); err != nil {
 			return nil, nil, err
 		}
 	case AlgoHierarchical:
-		if err := c.reduceScatterHier(r, f, data, out, stats); err != nil {
+		if err := c.reduceScatterHier(g, topo, f, data, out, stats); err != nil {
 			return nil, nil, err
 		}
 	default:
-		full, _, err := c.Allreduce(r, f, a, data)
+		full, _, err := c.allreduce(g, topo, f, a, data)
 		if err != nil {
 			return nil, nil, err
 		}
-		copy(out, full[s:e])
+		g.copy(out, full[s:e])
 	}
 	return out, stats, nil
 }

@@ -114,23 +114,27 @@ func (o Options) scale() float64 {
 // work executes f (real work over rawBytes of raw-equivalent data) and
 // charges virtual time for it: measured wall time when no Rates are set,
 // or rawBytes/rate otherwise. Multi-thread mode divides either charge by
-// MTSpeedup.
-func (c Collectives) work(r *cluster.Rank, cat cluster.Category, rawBytes int, f func()) {
-	o := c.Opt
-	inner := f
-	h, rate := stageOf(cat, o.Rates)
-	f = func() {
-		sp := h.Start()
-		inner()
+// MTSpeedup. A replay charges the same and records no span.
+func (c Collectives) work(g comm, cat cluster.Category, rawBytes int, f func()) {
+	h, _ := stageOf(cat, c.Opt.Rates)
+	timed := func() {
+		sp := g.span(h)
+		f()
 		sp.End()
 	}
-	if o.Rates == nil {
-		r.TimeScaled(cat, o.scale(), f)
+	if c.Opt.Rates == nil { // never in a replay, which always models compute
+		g.r.(*cluster.Rank).TimeScaled(cat, c.Opt.scale(), timed)
 		return
 	}
-	r.Quiesce(f)
-	if rate > 0 {
-		r.Elapse(cat, float64(rawBytes)/rate*o.scale())
+	g.quiesce(timed)
+	c.charge(g, cat, rawBytes)
+}
+
+// charge is work's modeled charge alone: what a replay's codec primitives
+// do in place of their work.
+func (c Collectives) charge(g comm, cat cluster.Category, rawBytes int) {
+	if _, rate := stageOf(cat, c.Opt.Rates); rate > 0 {
+		g.r.Elapse(cat, float64(rawBytes)/rate*c.Opt.scale())
 	}
 }
 
@@ -157,8 +161,12 @@ func BlockOwned(rank, n int) int { return (rank + 1) % n }
 func BlockBounds(dataLen, n, k int) (int, int) { return fzlight.ChunkBounds(dataLen, n, k) }
 
 // compressRaw compresses vals into a bufpool buffer the caller owns. It
-// charges nothing: callers wrap it, alone or several at once, in c.work.
-func (c Collectives) compressRaw(vals []float32) ([]byte, error) {
+// charges nothing: callers wrap it, alone or several at once, in c.work. A
+// replay returns its stand-in for the container instead.
+func (c Collectives) compressRaw(g comm, vals []float32) ([]byte, error) {
+	if g.replay != nil {
+		return g.replay.payload(4 * len(vals)), nil
+	}
 	params := c.Opt.params()
 	buf := bufpool.Bytes(fzlight.CompressBound(len(vals), params))
 	m, err := fzlight.CompressInto(buf, vals, params)
@@ -169,29 +177,45 @@ func (c Collectives) compressRaw(vals []float32) ([]byte, error) {
 	return buf[:m], nil
 }
 
+// The codec primitives below each do one charged step; in a replay they
+// only charge it, and hand out a stand-in where a container is due.
+
 // compressPooled is compressRaw under a CPR charge.
-func (c Collectives) compressPooled(r *cluster.Rank, vals []float32) (out []byte, err error) {
-	c.work(r, cluster.CatCPR, 4*len(vals), func() { out, err = c.compressRaw(vals) })
+func (c Collectives) compressPooled(g comm, vals []float32) (out []byte, err error) {
+	if g.replay != nil {
+		c.charge(g, cluster.CatCPR, 4*len(vals))
+		return g.replay.payload(4 * len(vals)), nil
+	}
+	c.work(g, cluster.CatCPR, 4*len(vals), func() { out, err = c.compressRaw(g, vals) })
 	return out, err
 }
 
 // decompressInto decodes blob into dst under a DPR charge for len(dst)
 // values.
-func (c Collectives) decompressInto(r *cluster.Rank, blob []byte, dst []float32) (err error) {
-	c.work(r, cluster.CatDPR, 4*len(dst), func() { err = fzlight.DecompressInto(blob, dst) })
+func (c Collectives) decompressInto(g comm, blob []byte, dst []float32) (err error) {
+	if g.replay != nil {
+		c.charge(g, cluster.CatDPR, 4*len(dst))
+		return nil
+	}
+	c.work(g, cluster.CatDPR, 4*len(dst), func() { err = fzlight.DecompressInto(blob, dst) })
 	return err
 }
 
 // reduceDOC is one decompress-operate step: decode got (DPR), set acc to
 // sums + got element-wise (CPT; sums may be acc itself) and recycle got,
 // which the caller must own whole.
-func (c Collectives) reduceDOC(r *cluster.Rank, acc, sums []float32, got []byte) error {
+func (c Collectives) reduceDOC(g comm, acc, sums []float32, got []byte) error {
+	if g.replay != nil {
+		c.charge(g, cluster.CatDPR, 4*len(acc))
+		c.charge(g, cluster.CatCPT, 4*len(acc))
+		return nil
+	}
 	vals := bufpool.Float32s(len(acc))
 	defer bufpool.PutFloat32s(vals)
-	if err := c.decompressInto(r, got, vals); err != nil {
+	if err := c.decompressInto(g, got, vals); err != nil {
 		return err
 	}
-	c.work(r, cluster.CatCPT, 4*len(acc), func() {
+	c.work(g, cluster.CatCPT, 4*len(acc), func() {
 		for i, v := range vals {
 			acc[i] = sums[i] + v
 		}
@@ -203,8 +227,12 @@ func (c Collectives) reduceDOC(r *cluster.Rank, acc, sums []float32, got []byte)
 // addPooled is one homomorphic reduction step, under an HPR charge for
 // elems values: it returns acc + got in a fresh bufpool buffer the caller
 // owns. Both operands stay the caller's.
-func (c Collectives) addPooled(r *cluster.Rank, acc, got []byte, elems int, stats *hzdyn.Stats) (sum []byte, err error) {
-	c.work(r, cluster.CatHPR, 4*elems, func() {
+func (c Collectives) addPooled(g comm, acc, got []byte, elems int, stats *hzdyn.Stats) (sum []byte, err error) {
+	if g.replay != nil {
+		c.charge(g, cluster.CatHPR, 4*elems)
+		return g.replay.payload(4 * elems), nil
+	}
+	c.work(g, cluster.CatHPR, 4*elems, func() {
 		out := bufpool.Bytes(hzdyn.AddBound(len(acc), len(got)))
 		m, st, aerr := hzdyn.AddInto(out, acc, got)
 		if aerr != nil {

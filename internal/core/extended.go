@@ -14,26 +14,19 @@ import (
 // at each sink, so each is written once over the flavor's codec — C-Coll
 // and hZCCL, which differ only in how they reduce, move data identically.
 
-// clone returns a copy of data: what a rank keeps of its own contribution.
-func clone(data []float32) []float32 {
-	out := make([]float32, len(data))
-	copy(out, data)
-	return out
-}
-
 // Broadcast sends root's data to every rank through a binomial tree (the
 // MPICH algorithm for mid-sized messages) and returns each rank's copy:
 // encoded once at the root, decoded once at every other rank. Non-root
 // ranks pass their (ignored) local buffer for its length.
 func (c Collectives) Broadcast(r *cluster.Rank, f Flavor, data []float32, root int) ([]float32, error) {
-	cd := c.codec(r, f)
-	payload, err := bcastBytes(world(r), func() ([]byte, error) { return cd.encode(data) }, cd.compressed, root)
+	cd := c.codec(world(r), f)
+	payload, err := bcastBytes(cd.g, func() ([]byte, error) { return cd.encode(data) }, cd.compressed, root)
 	if err != nil {
 		return nil, err
 	}
 	defer bufpool.PutBytes(payload)
 	if r.ID == root {
-		return clone(data), nil
+		return cd.g.clone(data), nil
 	}
 	return cd.decodeNew(payload, len(data))
 }
@@ -62,13 +55,13 @@ func bcastBytes(g comm, makePayload func() ([]byte, error), compressed bool, roo
 // once at each leaf, decoded at the root. Contributions may differ in
 // length. Only the root receives a non-nil result.
 func (c Collectives) Gather(r *cluster.Rank, f Flavor, data []float32, root int) ([][]float32, error) {
-	cd := c.codec(r, f)
+	cd := c.codec(world(r), f)
 	own, err := cd.encode(data)
 	if err != nil {
 		return nil, err
 	}
 	defer bufpool.PutBytes(own) // referenced by the gather blobs until sent
-	payloads, err := gatherBytes(world(r), own, cd.compressed, root)
+	payloads, err := gatherBytes(cd.g, own, cd.compressed, root)
 	if err != nil || payloads == nil {
 		return nil, err
 	}
@@ -81,7 +74,7 @@ func (cd codec) decodeAll(payloads [][]byte, self int, own []float32) (out [][]f
 	out = make([][]float32, len(payloads))
 	for i, p := range payloads {
 		if i == self {
-			out[i] = clone(own)
+			out[i] = cd.g.clone(own)
 		} else if out[i], err = cd.decodeNew(p, -1); err != nil {
 			return nil, err
 		}
@@ -162,14 +155,14 @@ func decodeGatherBlob(blob []byte, into map[int][]byte) error {
 // encoded once, the payloads ring, and each rank decodes the N−1 it
 // received once the ring is done. Contributions may differ in length.
 func (c Collectives) Allgather(r *cluster.Rank, f Flavor, data []float32) ([][]float32, error) {
-	cd := c.codec(r, f)
+	cd := c.codec(world(r), f)
 	own, err := cd.encode(data)
 	if err != nil {
 		return nil, err
 	}
 	payloads := make([][]byte, r.N)
 	payloads[r.ID] = own
-	err = ringAllgather(world(r), own, cd.compressed, func(origin int, got []byte) error {
+	err = ringAllgather(cd.g, own, cd.compressed, func(origin int, got []byte) error {
 		payloads[origin] = got
 		return nil
 	})
@@ -191,10 +184,10 @@ func (c Collectives) Allgather(r *cluster.Rank, f Flavor, data []float32) ([][]f
 func (c Collectives) Alltoall(r *cluster.Rank, f Flavor, data []float32) ([][]float32, error) {
 	n := r.N
 	g := world(r)
-	cd := c.codec(r, f)
+	cd := c.codec(g, f)
 	out := make([][]float32, n)
 	s, e := BlockBounds(len(data), n, r.ID)
-	out[r.ID] = clone(data[s:e])
+	out[r.ID] = g.clone(data[s:e])
 	// Pairwise exchange: in round k, send to rank+k and receive from rank−k.
 	for k := 1; k < n; k++ {
 		to, from := (r.ID+k)%n, (r.ID-k+n)%n

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
@@ -34,48 +33,37 @@ import (
 // the consumer — for hZCCL too, which decompresses its stage-1 block and
 // recompresses it for the leader.
 
-// hierComms splits the world into this rank's intra-node communicator and
-// (for leaders) the inter-node leader communicator. leader is false — and
-// inter unusable — for non-leader ranks.
-func hierComms(r *cluster.Rank) (intra comm, inter comm, leader bool) {
-	topo := r.Config().Topology.Normalize(r.N)
-	node := topo.NodeOf(r.ID)
-	intra, _ = subcomm(r, topo.Members(node))
-	inter, leader = subcomm(r, topo.Leaders())
-	return intra, inter, leader
-}
-
 // codec is how whole float vectors cross the fabric outside a reduction:
 // raw little-endian bits for the plain flavor, one fZ-light container (CPR
-// to encode, DPR to decode, charged to r) for the other two. The
+// to encode, DPR to decode, charged to g's rank) for the other two. The
 // hierarchical stage boundaries and the data-movement collectives of
 // extended.go are written over it.
 type codec struct {
 	c Collectives
-	r *cluster.Rank
+	g comm
 	// compressed also labels payloads for the wire-byte telemetry split.
 	compressed bool
 }
 
-func (c Collectives) codec(r *cluster.Rank, f Flavor) codec {
-	return codec{c: c, r: r, compressed: f != FlavorPlain}
+func (c Collectives) codec(g comm, f Flavor) codec {
+	return codec{c: c, g: g, compressed: f != FlavorPlain}
 }
 
 // encode returns vals' payload, in a bufpool buffer the caller owns.
 func (cd codec) encode(vals []float32) ([]byte, error) {
 	if cd.compressed {
-		return cd.c.compressPooled(cd.r, vals)
+		return cd.c.compressPooled(cd.g, vals)
 	}
-	return world(cd.r).staged(vals), nil
+	return cd.g.staged(vals), nil
 }
 
 // decode fills dst from payload, which stays the caller's. A raw payload
 // must be exactly dst's size.
 func (cd codec) decode(payload []byte, dst []float32) error {
 	if cd.compressed {
-		return cd.c.decompressInto(cd.r, payload, dst)
+		return cd.c.decompressInto(cd.g, payload, dst)
 	}
-	return world(cd.r).decodeInto(dst, payload, "decoding payload", 0)
+	return cd.g.decodeInto(dst, payload, "decoding payload", 0)
 }
 
 // decodeNew decodes payload into a fresh slice. A container says how many
@@ -103,7 +91,7 @@ func (cd codec) sendEncoded(g comm, to int, vals []float32) error {
 		return err
 	}
 	err = g.send(to, payload, cd.compressed)
-	bufpool.PutBytes(payload)
+	g.recycle(payload)
 	return err
 }
 
@@ -116,7 +104,7 @@ func (cd codec) recvDecoded(g comm, from int, dst []float32) error {
 	if err := cd.decode(payload, dst); err != nil {
 		return err
 	}
-	bufpool.PutBytes(payload)
+	g.recycle(payload)
 	return nil
 }
 
@@ -127,21 +115,21 @@ func gatherNodePartial(g comm, dataLen int, p partial, cd codec) ([]float32, err
 	m := g.n()
 	s, e := BlockBounds(dataLen, m, BlockOwned(g.id, m))
 	if g.id != 0 {
-		block := bufpool.Float32s(e - s)
-		defer bufpool.PutFloat32s(block)
+		block := g.floats(e - s)
+		defer g.recycleFloats(block)
 		if err := p.blockInto(BlockOwned(g.id, m), block); err != nil {
 			return nil, err
 		}
 		return nil, cd.sendEncoded(g, 0, block)
 	}
-	partial := make([]float32, dataLen)
+	partial := g.vector(dataLen)
 	if err := p.blockInto(BlockOwned(0, m), partial[s:e]); err != nil {
 		return nil, err
 	}
 	for j := 1; j < m; j++ {
 		bs, be := BlockBounds(dataLen, m, BlockOwned(j, m))
 		if err := cd.recvDecoded(g, j, partial[bs:be]); err != nil {
-			return nil, fmt.Errorf("core: leader %d assembling member %d block: %w", g.r.ID, j, err)
+			return nil, fmt.Errorf("core: leader %d assembling member %d block: %w", g.global(0), j, err)
 		}
 	}
 	return partial, nil
@@ -150,8 +138,11 @@ func gatherNodePartial(g comm, dataLen int, p partial, cd codec) ([]float32, err
 // hierPartial runs stages 1–3: the intra-node ring reduce-scatter, the
 // gather at the leader, and the leaders' ring allreduce, in place in the
 // vector the gather built. Non-leaders return full == nil.
-func (c Collectives) hierPartial(r *cluster.Rank, f Flavor, data []float32, cd codec, stats *hzdyn.Stats) (intra comm, full []float32, err error) {
-	intra, inter, leader := hierComms(r)
+func (c Collectives) hierPartial(g comm, topo *cluster.Topology, f Flavor, data []float32, cd codec, stats *hzdyn.Stats) (intra comm, full []float32, err error) {
+	// This rank's node and, for leaders, the inter-node leader group.
+	topo = topo.Normalize(g.n())
+	intra, _ = g.subcomm(topo.Members(topo.NodeOf(g.id)))
+	inter, leader := g.subcomm(topo.Leaders())
 	p, err := c.newPartial(f, blocks{g: intra, nb: intra.n()}, data, stats)
 	if err != nil {
 		return intra, nil, err
@@ -171,9 +162,9 @@ func (c Collectives) hierPartial(r *cluster.Rank, f Flavor, data []float32, cd c
 // allreduceHier is the hierarchical allreduce; stage 4 broadcasts: the
 // leader encodes the finished vector once, the binomial tree fans it out,
 // members decode.
-func (c Collectives) allreduceHier(r *cluster.Rank, f Flavor, data []float32, stats *hzdyn.Stats) ([]float32, error) {
-	cd := c.codec(r, f)
-	intra, full, err := c.hierPartial(r, f, data, cd, stats)
+func (c Collectives) allreduceHier(g comm, topo *cluster.Topology, f Flavor, data []float32, stats *hzdyn.Stats) ([]float32, error) {
+	cd := c.codec(g, f)
+	intra, full, err := c.hierPartial(g, topo, f, data, cd, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -182,10 +173,10 @@ func (c Collectives) allreduceHier(r *cluster.Rank, f Flavor, data []float32, st
 		return nil, err
 	}
 	if full == nil {
-		full = make([]float32, len(data))
+		full = g.vector(len(data))
 		err = cd.decode(payload, full)
 	}
-	bufpool.PutBytes(payload)
+	g.recycle(payload)
 	return full, err
 }
 
@@ -193,24 +184,24 @@ func (c Collectives) allreduceHier(r *cluster.Rank, f Flavor, data []float32, st
 // the leader sends each member only the block that member owns under the
 // *world* reduce-scatter contract (block BlockOwned(globalRank, worldN)),
 // instead of broadcasting the whole vector. out receives this rank's.
-func (c Collectives) reduceScatterHier(r *cluster.Rank, f Flavor, data, out []float32, stats *hzdyn.Stats) error {
-	cd := c.codec(r, f)
-	g, full, err := c.hierPartial(r, f, data, cd, stats)
+func (c Collectives) reduceScatterHier(g comm, topo *cluster.Topology, f Flavor, data, out []float32, stats *hzdyn.Stats) error {
+	cd := c.codec(g, f)
+	intra, full, err := c.hierPartial(g, topo, f, data, cd, stats)
 	if err != nil {
 		return err
 	}
-	if g.id != 0 {
-		return cd.recvDecoded(g, 0, out)
+	if intra.id != 0 {
+		return cd.recvDecoded(intra, 0, out)
 	}
 	ownBlock := func(global int) []float32 {
-		s, e := BlockBounds(len(data), r.N, BlockOwned(global, r.N))
+		s, e := BlockBounds(len(data), g.n(), BlockOwned(global, g.n()))
 		return full[s:e]
 	}
-	for j := 1; j < g.n(); j++ {
-		if err := cd.sendEncoded(g, j, ownBlock(g.global(j))); err != nil {
+	for j := 1; j < intra.n(); j++ {
+		if err := cd.sendEncoded(intra, j, ownBlock(intra.global(j))); err != nil {
 			return err
 		}
 	}
-	copy(out, ownBlock(r.ID))
+	g.copy(out, ownBlock(g.id))
 	return nil
 }

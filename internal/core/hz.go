@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
 	"hzccl/internal/hzdyn"
 )
@@ -60,11 +59,11 @@ func (p *hzPartial) ensure(lo, hi int) (err error) {
 	if missing == 0 {
 		return nil
 	}
-	p.c.work(p.g.r, cluster.CatCPR, 4*raw, func() {
+	p.c.work(p.g, cluster.CatCPR, 4*raw, func() {
 		for k := lo; k < hi && err == nil; k++ {
 			if p.cb[k] == nil {
 				s, e := p.span(k, k+1)
-				p.cb[k], err = p.c.compressRaw(p.data[s:e])
+				p.cb[k], err = p.c.compressRaw(p.g, p.data[s:e])
 				p.owned[k] = err == nil
 			}
 		}
@@ -75,7 +74,7 @@ func (p *hzPartial) ensure(lo, hi int) (err error) {
 // set replaces block k, recycling the buffer it held.
 func (p *hzPartial) set(k int, b []byte, owned bool) {
 	if p.owned[k] {
-		bufpool.PutBytes(p.cb[k])
+		p.g.recycle(p.cb[k])
 	}
 	p.cb[k], p.owned[k] = b, owned
 }
@@ -100,13 +99,13 @@ func (p *hzPartial) final(lo, hi int) ([]byte, error) {
 	if !p.framed {
 		return p.cb[lo], nil
 	}
-	release(&p.out)
-	p.out = frameBlobs(p.cb[lo:hi])
+	p.release(&p.out)
+	p.out = p.g.frameBlobs(p.cb[lo:hi])
 	return p.out, nil
 }
 
 func (p *hzPartial) sent() error {
-	release(&p.out)
+	p.release(&p.out)
 	err := p.ensure(0, p.nb)
 	p.all = true
 	for k := p.awayLo; k < p.awayHi; k++ {
@@ -123,20 +122,20 @@ func (p *hzPartial) reduce(lo, hi int, got []byte) error {
 	blobs := [][]byte{got}
 	if p.framed {
 		var err error
-		if blobs, err = unframeBlobsN(got, hi-lo); err != nil {
+		if blobs, err = p.unframe(got, lo, hi); err != nil {
 			return err
 		}
 	}
 	for i, blob := range blobs {
 		k := lo + i
 		s, e := p.span(k, k+1)
-		sum, err := p.c.addPooled(p.g.r, p.cb[k], blob, e-s, p.stats)
+		sum, err := p.c.addPooled(p.g, p.cb[k], blob, e-s, p.stats)
 		if err != nil {
 			return err
 		}
 		p.set(k, sum, true)
 	}
-	bufpool.PutBytes(got)
+	p.g.recycle(got)
 	return nil
 }
 
@@ -145,7 +144,7 @@ func (p *hzPartial) adopt(lo, hi int, got []byte) error {
 		p.set(lo, got, true)
 		return nil
 	}
-	blobs, err := unframeBlobsN(got, hi-lo)
+	blobs, err := p.unframe(got, lo, hi)
 	if err != nil {
 		return err
 	}
@@ -168,7 +167,7 @@ func (p *hzPartial) unfold() ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	release(&p.out)
+	p.release(&p.out)
 	p.out = p.g.staged(out)
 	return p.out, false, nil
 }
@@ -183,7 +182,7 @@ func (p *hzPartial) refold(got []byte) ([]float32, error) {
 	if err := p.g.decodeInto(p.vector(), got, "unfold", 0); err != nil {
 		return nil, err
 	}
-	bufpool.PutBytes(got)
+	p.g.recycle(got)
 	return p.into, nil
 }
 
@@ -199,8 +198,8 @@ func (p *hzPartial) result() ([]float32, error) {
 	for i := 0; i < p.nb; i++ {
 		k := p.decodeOrder(i)
 		s, e := p.span(k, k+1)
-		if err := p.c.decompressInto(p.g.r, p.cb[k], p.vector()[s:e]); err != nil {
-			return nil, fmt.Errorf("core: rank %d decoding block %d: %w", p.g.r.ID, k, err)
+		if err := p.c.decompressInto(p.g, p.cb[k], p.vector()[s:e]); err != nil {
+			return nil, fmt.Errorf("core: rank %d decoding block %d: %w", p.g.global(p.g.id), k, err)
 		}
 		p.set(k, nil, false)
 	}
@@ -212,16 +211,16 @@ func (p *hzPartial) blockInto(k int, dst []float32) error {
 	if err := p.ensure(k, k+1); err != nil {
 		return err
 	}
-	return p.c.decompressInto(p.g.r, p.cb[k], dst)
+	return p.c.decompressInto(p.g, p.cb[k], dst)
 }
 
 func (p *hzPartial) close() {
-	release(&p.out)
+	p.release(&p.out)
 	for k := range p.cb {
 		p.set(k, nil, false)
 	}
 	for _, f := range p.frames {
-		bufpool.PutBytes(f)
+		p.g.recycle(f)
 	}
 	p.frames = nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"hzccl/internal/bufpool"
 	"hzccl/internal/floatbytes"
 	"hzccl/internal/hzdyn"
 )
@@ -116,7 +115,7 @@ type blocks struct {
 // vector returns the result vector, allocating it on first use.
 func (b *blocks) vector() []float32 {
 	if b.into == nil {
-		b.into = make([]float32, b.n)
+		b.into = b.g.vector(b.n)
 	}
 	return b.into
 }
@@ -144,9 +143,24 @@ func sameVector(a, b []float32) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
+// unframe splits a frame of blocks [lo, hi) into their containers. A
+// replay's frames carry no headers: its containers are each block's
+// stand-in, the size its frameBlobs counted.
+func (b blocks) unframe(got []byte, lo, hi int) ([][]byte, error) {
+	if b.g.replay == nil {
+		return unframeBlobsN(got, hi-lo)
+	}
+	out := make([][]byte, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		s, e := b.span(k, k+1)
+		out = append(out, b.g.replay.payload(4*(e-s)))
+	}
+	return out, nil
+}
+
 // release recycles *buf and forgets it.
-func release(buf *[]byte) {
-	bufpool.PutBytes(*buf)
+func (b *blocks) release(buf *[]byte) {
+	b.g.recycle(*buf)
 	*buf = nil
 }
 
@@ -164,18 +178,18 @@ type plainPartial struct {
 
 func newPlain(b blocks, data []float32) *plainPartial {
 	p := &plainPartial{blocks: b}
-	b.g.r.Quiesce(func() {
+	b.g.quiesce(func() {
 		switch {
 		case !b.full:
-			p.acc = bufpool.Float32s(len(data))
-			copy(p.acc, data)
+			p.acc = b.g.floats(len(data))
+			b.g.copy(p.acc, data)
 		case b.into == nil:
-			p.into = clone(data) // allocated and filled in one step: nothing is cleared first
+			p.into = b.g.clone(data) // allocated and filled in one step: nothing is cleared first
 			p.acc = p.into
 		default:
 			p.acc = b.into
 			if !sameVector(p.acc, data) {
-				copy(p.acc, data)
+				b.g.copy(p.acc, data)
 			}
 		}
 	})
@@ -202,7 +216,7 @@ func (p *plainPartial) reduce(lo, hi int, got []byte) error {
 func (p *plainPartial) final(lo, hi int) ([]byte, error) { return p.wire(lo, hi) }
 
 func (p *plainPartial) adopt(lo, hi int, got []byte) error {
-	release(&p.held)
+	p.release(&p.held)
 	if err := p.g.decodeInto(p.vals(lo, hi), got, "adopting block", lo); err != nil {
 		return err
 	}
@@ -225,13 +239,13 @@ func (p *plainPartial) refold(got []byte) ([]float32, error) {
 func (p *plainPartial) result() ([]float32, error) { return p.acc, nil }
 
 func (p *plainPartial) blockInto(k int, dst []float32) error {
-	copy(dst, p.vals(k, k+1))
+	p.g.copy(dst, p.vals(k, k+1))
 	return nil
 }
 
 func (p *plainPartial) close() {
-	release(&p.held)
+	p.release(&p.held)
 	if !p.full {
-		bufpool.PutFloat32s(p.acc)
+		p.g.recycleFloats(p.acc)
 	}
 }

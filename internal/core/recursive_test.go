@@ -27,14 +27,14 @@ func TestActiveRanks(t *testing.T) {
 
 func TestFrameBlobs(t *testing.T) {
 	blobs := [][]byte{{1, 2, 3}, {}, {9}}
-	got, err := unframeBlobsN(frameBlobs(blobs), 3)
+	got, err := unframeBlobsN(comm{}.frameBlobs(blobs), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0]) != "\x01\x02\x03" || len(got[1]) != 0 || got[2][0] != 9 {
 		t.Fatalf("frame round trip: %v", got)
 	}
-	if _, err := unframeBlobsN(frameBlobs(blobs), 2); err == nil {
+	if _, err := unframeBlobsN(comm{}.frameBlobs(blobs), 2); err == nil {
 		t.Error("frame with the wrong blob count accepted")
 	}
 	if _, err := unframeBlobsN([]byte{1}, 1); err == nil {

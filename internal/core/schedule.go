@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-
-	"hzccl/internal/bufpool"
 )
 
 // The schedules: who sends which blocks of a partial result to whom, and
@@ -276,14 +274,18 @@ func treeReduce(g comm, p partial, root int) error {
 	return p.sent()
 }
 
-// frameBlobs packs a list of byte slices into one message, in a bufpool
-// buffer the caller owns.
-func frameBlobs(blobs [][]byte) []byte {
+// frameBlobs packs a list of byte slices into one message, in a scratch
+// buffer the caller owns. A replay's frame is only its size: blocks.unframe
+// knows what it holds.
+func (g comm) frameBlobs(blobs [][]byte) []byte {
 	size := 4
 	for _, b := range blobs {
 		size += 4 + len(b)
 	}
-	out := bufpool.Bytes(size)[:0]
+	if g.replay != nil {
+		return g.bytes(size)
+	}
+	out := g.bytes(size)[:0]
 	out = appendU32(out, uint32(len(blobs)))
 	for _, b := range blobs {
 		out = appendU32(out, uint32(len(b)))

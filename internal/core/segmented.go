@@ -65,7 +65,7 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 		// k−1 — its transfer overlapped the compression just performed.
 		for k := 0; k < len(send) || k <= len(recv); k++ {
 			if k < len(send) {
-				payload, err := c.compressPooled(r, acc[s+send[k][0]:s+send[k][1]])
+				payload, err := c.compressPooled(g, acc[s+send[k][0]:s+send[k][1]])
 				if err != nil {
 					return nil, err
 				}
@@ -81,7 +81,7 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 					return nil, err
 				}
 				blk := acc[rs+recv[k-1][0] : rs+recv[k-1][1]]
-				if err := c.reduceDOC(r, blk, blk, got); err != nil {
+				if err := c.reduceDOC(g, blk, blk, got); err != nil {
 					return nil, err
 				}
 			}

@@ -2,23 +2,15 @@ package costmodel
 
 import (
 	"math"
+	"slices"
+	"sync"
 
+	"hzccl/internal/cluster"
 	"hzccl/internal/core"
 )
 
-// Algorithm-aware cost predictions. The original closed forms in this
-// package model the ring schedules only; these extend the (α, β) model to
-// the recursive-doubling, Rabenseifner and two-level hierarchical
-// schedules so AlgoAuto can pick per (message size, world size, backend,
-// topology). The formulas intentionally model the critical path of the
-// simulator's implementations (internal/core), not an idealized machine:
-// e.g. the rd/rabenseifner reduce-scatter is costed as a full allreduce,
-// because that is what the dispatcher runs before slicing out the owned
-// block.
-
-// Topo is the shape of a cluster topology as the cost model sees it: how
-// many nodes, and the size of the largest one (the straggler that sets
-// the intra-node critical path).
+// Topo is the shape of a cluster topology as the cost model's callers
+// describe it: how many nodes, and the size of the largest one.
 type Topo struct {
 	Nodes   int
 	MaxNode int
@@ -27,251 +19,104 @@ type Topo struct {
 // FlatTopo is the shape of an unconfigured (single-node) topology.
 func FlatTopo(world int) Topo { return Topo{Nodes: 1, MaxNode: world} }
 
-// log2Rounds returns ceil(log2(p2)) for the power-of-two fold of n ranks,
-// plus whether a fold round is needed (n not a power of two).
-func log2Rounds(n int) (rounds int, fold bool) {
-	p2 := 1
-	for p2*2 <= n {
-		p2 *= 2
+// topology rebuilds a grouping of world ranks with t's shape: Nodes−1
+// nodes share the ranks the largest leaves evenly, smallest first, then the
+// largest (uniform when Nodes·MaxNode is world; nil is one node).
+func (t Topo) topology(world int) *cluster.Topology {
+	if t.Nodes <= 1 || t.MaxNode >= world {
+		return nil
 	}
-	for v := p2; v > 1; v /= 2 {
-		rounds++
+	rest := world - t.MaxNode
+	k := min(t.Nodes-1, rest)
+	sizes := make([]int, 0, k+1)
+	for i := range k {
+		sizes = append(sizes, (rest+i)/k)
 	}
-	return rounds, p2 != n
+	return &cluster.Topology{NodeSizes: append(sizes, t.MaxNode)}
 }
 
-// allreduceRD models the recursive-doubling allreduce: every round moves
-// the full vector. Plain adds raw vectors, C-Coll re-quantizes per round
-// (CPR + DPR + CPT), hZCCL compresses once and homomorphically adds per
-// round.
-func (r Rates) allreduceRD(b Backend, n int, dataBytes float64) float64 {
-	if n <= 1 {
-		return 0
-	}
-	rounds, fold := log2Rounds(n)
-	k := float64(rounds)
-	d := dataBytes
-	var t float64
-	switch b {
-	case Plain:
-		t = k * (r.link(b, d) + d/r.CPT)
-		if fold {
-			t += 2*r.link(b, d) + d/r.CPT
-		}
-	case CColl:
-		t = k * (d/r.CPR + r.link(b, d) + d/r.DPR + d/r.CPT)
-		if fold {
-			t += d/r.CPR + 2*r.link(b, d) + d/r.DPR + d/r.CPT
-		}
-	case HZCCL:
-		t = d/r.CPR + k*(r.link(b, d)+d/r.HPR) + d/r.DPR
-		if fold {
-			t += 2*r.link(b, d) + d/r.HPR
-		}
-	default:
-		return math.NaN()
-	}
-	return t
-}
-
-// allreduceRab models the Rabenseifner schedule: recursive-halving
-// reduce-scatter then recursive-doubling allgather. Each direction moves
-// Σ D/2^i ≈ D·(p2−1)/p2 bytes over log₂(p2) messages.
-func (r Rates) allreduceRab(b Backend, n int, dataBytes float64) float64 {
-	if n <= 1 {
-		return 0
-	}
-	rounds, fold := log2Rounds(n)
-	k := float64(rounds)
-	p2 := math.Exp2(k)
-	moved := dataBytes * (p2 - 1) / p2 // bytes per direction
-	d := dataBytes
-	var t float64
-	switch b {
-	case Plain:
-		t = 2*k*r.Alpha + 2*r.linkBytes(b, moved) + moved/r.CPT
-		if fold {
-			t += 2*r.link(b, d) + d/r.CPT
-		}
-	case CColl:
-		// Halving re-quantizes each exchanged segment; doubling moves
-		// compressed segments produced once per round.
-		t = 2*k*r.Alpha + 2*r.linkBytes(b, moved) +
-			2*moved/r.CPR + 2*moved/r.DPR + moved/r.CPT
-		if fold {
-			t += d/r.CPR + 2*r.link(b, d) + 2*d/r.DPR + d/r.CPT
-		}
-	case HZCCL:
-		// Compress once, homomorphic add per halving segment, decompress
-		// once at the end (internal/core/recursive.go).
-		t = d/r.CPR + 2*k*r.Alpha + 2*r.linkBytes(b, moved) + moved/r.HPR + d/r.DPR
-		if fold {
-			t += 2*r.link(b, d) + d/r.HPR
-		}
-	default:
-		return math.NaN()
-	}
-	return t
-}
-
-// linkBytes is link without the per-message α — used when the message
-// count is accounted separately from the bytes moved.
-func (r Rates) linkBytes(b Backend, m float64) float64 {
-	size := m
-	if b != Plain {
-		size = m / r.Ratio
-	}
-	return size / r.Beta
-}
-
-// allreduceHier models the two-level hierarchical allreduce over a
-// topology of L nodes whose largest node has S ranks:
-//
-//	intra ring reduce-scatter over S
-//	+ (S−1) member→leader block transfers (encode/decode for compressed)
-//	+ inter ring allreduce over L
-//	+ ceil(log2 S) broadcast hops of the full vector (encode once).
-func (r Rates) allreduceHier(b Backend, topo Topo, dataBytes float64) float64 {
-	s := topo.MaxNode
-	l := topo.Nodes
-	if s < 1 {
-		s = 1
-	}
-	if l < 1 {
-		l = 1
-	}
-	t := r.ReduceScatter(b, s, dataBytes)
-	t += r.gatherAtLeader(b, s, dataBytes)
-	t += r.Allreduce(b, l, dataBytes)
-	t += r.bcastNode(b, s, dataBytes)
-	return t
-}
-
-// gatherAtLeader models stage 2: the leader serially receives S−1 blocks
-// of D/S raw bytes (compressed backends pay one member CPR overlapping
-// the first receive, and the leader's DPR per block).
-func (r Rates) gatherAtLeader(b Backend, s int, dataBytes float64) float64 {
-	if s <= 1 {
-		return 0
-	}
-	m := dataBytes / float64(s)
-	k := float64(s - 1)
-	t := k * r.link(b, m)
-	if b != Plain {
-		t += m/r.CPR + k*m/r.DPR
-	}
-	return t
-}
-
-// bcastNode models stage 4 (broadcast shape): ceil(log2 S) tree hops of
-// the full vector, encoded once at the leader and decoded once per
-// member.
-func (r Rates) bcastNode(b Backend, s int, dataBytes float64) float64 {
-	if s <= 1 {
-		return 0
-	}
-	hops := math.Ceil(math.Log2(float64(s)))
-	t := hops * r.link(b, dataBytes)
-	if b != Plain {
-		t += dataBytes/r.CPR + dataBytes/r.DPR
-	}
-	return t
-}
-
-// scatterNode models stage 4 (reduce-scatter shape): the leader serially
-// sends each member its world block of D/world raw bytes.
-func (r Rates) scatterNode(b Backend, s, world int, dataBytes float64) float64 {
-	if s <= 1 || world < 1 {
-		return 0
-	}
-	m := dataBytes / float64(world)
-	k := float64(s - 1)
-	t := k * r.link(b, m)
-	if b != Plain {
-		t += k*m/r.CPR + m/r.DPR
-	}
-	return t
-}
-
-// AllreduceAlgo predicts the allreduce time of one fixed algorithm.
-// Passing core.AlgoAuto returns NaN — resolve it with ChooseAllreduce.
+// AllreduceAlgo prices an allreduce on a Topo shape, for callers that
+// describe their topology by its shape alone. Passing core.AlgoAuto returns
+// NaN — resolve it with Choose.
 func (r Rates) AllreduceAlgo(b Backend, algo core.Algorithm, n int, dataBytes float64, topo Topo) float64 {
-	if n <= 1 {
-		return 0
-	}
-	switch algo {
-	case core.AlgoRing:
-		return r.Allreduce(b, n, dataBytes)
-	case core.AlgoRecursiveDoubling:
-		return r.allreduceRD(b, n, dataBytes)
-	case core.AlgoRabenseifner:
-		return r.allreduceRab(b, n, dataBytes)
-	case core.AlgoHierarchical:
-		return r.allreduceHier(b, topo, dataBytes)
-	}
-	return math.NaN()
+	return r.price("allreduce", b, algo, n, dataBytes, topo.topology(n))
 }
 
-// ReduceScatterAlgo predicts the reduce-scatter time of one fixed
-// algorithm. The rd and rabenseifner schedules have no native
-// reduce-scatter in this codebase — the dispatcher runs the full
-// allreduce and slices the owned block — so they are costed as such.
-func (r Rates) ReduceScatterAlgo(b Backend, algo core.Algorithm, n int, dataBytes float64, topo Topo) float64 {
-	if n <= 1 {
-		return 0
-	}
-	switch algo {
-	case core.AlgoRing:
-		return r.ReduceScatter(b, n, dataBytes)
-	case core.AlgoRecursiveDoubling:
-		return r.allreduceRD(b, n, dataBytes)
-	case core.AlgoRabenseifner:
-		return r.allreduceRab(b, n, dataBytes)
-	case core.AlgoHierarchical:
-		s, l := topo.MaxNode, topo.Nodes
-		if s < 1 {
-			s = 1
-		}
-		if l < 1 {
-			l = 1
-		}
-		t := r.ReduceScatter(b, s, dataBytes)
-		t += r.gatherAtLeader(b, s, dataBytes)
-		t += r.Allreduce(b, l, dataBytes)
-		t += r.scatterNode(b, s, n, dataBytes)
-		return t
-	}
-	return math.NaN()
-}
-
-// ChooseAllreduce returns the fixed algorithm the model predicts fastest
-// for the given shape, with its predicted time. Selection is
-// deterministic: algorithms are scanned in core.FixedAlgorithms() order
-// and ties keep the earliest (the ring, for a zero-size message).
-func (r Rates) ChooseAllreduce(b Backend, n int, dataBytes float64, topo Topo) (core.Algorithm, float64) {
-	return r.choose(b, n, dataBytes, topo, r.AllreduceAlgo)
-}
-
-// ChooseReduceScatter is ChooseAllreduce for the reduce-scatter op.
-func (r Rates) ChooseReduceScatter(b Backend, n int, dataBytes float64, topo Topo) (core.Algorithm, float64) {
-	return r.choose(b, n, dataBytes, topo, r.ReduceScatterAlgo)
-}
-
-func (r Rates) choose(b Backend, n int, dataBytes float64, topo Topo,
-	cost func(Backend, core.Algorithm, int, float64, Topo) float64) (core.Algorithm, float64) {
-	best := core.AlgoRing
-	bestT := math.Inf(1)
-	for _, a := range core.FixedAlgorithms() {
-		t := cost(b, a, n, dataBytes, topo)
-		if math.IsNaN(t) {
-			continue
-		}
+// Choose returns the fixed algorithm with the lowest price for op on world
+// ranks grouped as topo, and that price. Selection is deterministic:
+// algorithms are scanned in core.FixedAlgorithms() order and ties keep the
+// earliest.
+func (r Rates) Choose(op string, b Backend, world int, dataBytes float64, topo *cluster.Topology) (core.Algorithm, float64) {
+	best, bestT := core.AlgoRing, math.Inf(1)
+	for i, t := range r.prices(op, b, world, dataBytes, topo) {
 		if t < bestT {
-			best, bestT = a, t
+			best, bestT = core.FixedAlgorithms()[i], t
 		}
 	}
 	if math.IsInf(bestT, 1) {
 		bestT = 0
 	}
 	return best, bestT
+}
+
+// price is fixed algorithm algo's price of op; NaN for AlgoAuto.
+func (r Rates) price(op string, b Backend, algo core.Algorithm, world int, dataBytes float64, topo *cluster.Topology) float64 {
+	i := slices.Index(core.FixedAlgorithms(), algo)
+	if i < 0 {
+		return math.NaN()
+	}
+	return r.prices(op, b, world, dataBytes, topo)[i]
+}
+
+// memoCap bounds the price table: a daemon fed ever new message sizes
+// starts it afresh when it fills, rather than grow.
+const memoCap = 1024
+
+// memo is the process-wide price table, one entry per shape; concurrent
+// askers of one new shape wait for one set of replays.
+var memo = struct {
+	sync.Mutex
+	m map[priceKey]*memoEntry
+}{m: make(map[priceKey]*memoEntry)}
+
+type priceKey struct {
+	op    string
+	b     Backend
+	world int
+	topo  string // the grouping, as cluster.Topology.String spells it
+	elems int
+	r     Rates
+}
+
+type memoEntry struct {
+	once sync.Once
+	t    []float64
+}
+
+// prices is core.Price on these rates for every fixed algorithm, in
+// core.FixedAlgorithms() order, memoised: the virtual seconds op takes on
+// world ranks grouped as topo (nil: one node), each holding dataBytes of
+// float32 values. NaN where the replay refuses the shape.
+func (r Rates) prices(op string, b Backend, world int, dataBytes float64, topo *cluster.Topology) []float64 {
+	k := priceKey{op: op, b: b, world: world, topo: topo.String(), elems: int(dataBytes / 4), r: r}
+	memo.Lock()
+	e, ok := memo.m[k]
+	if !ok {
+		if len(memo.m) >= memoCap {
+			clear(memo.m)
+		}
+		e = &memoEntry{}
+		memo.m[k] = e
+	}
+	memo.Unlock()
+	e.once.Do(func() {
+		for _, a := range core.FixedAlgorithms() {
+			t, err := core.Price(op, b, a, world, topo, k.elems, r.Rates, r.Ratio, r.Alpha, r.Beta)
+			if err != nil {
+				t = math.NaN()
+			}
+			e.t = append(e.t, t)
+		}
+	})
+	return e.t
 }

@@ -1,9 +1,8 @@
-// Package costmodel encodes the analytic cost equations of the hZCCL
-// paper's Section III-C for ring collectives, parameterized by measured
-// component rates. The simulator (internal/cluster + internal/core) and
-// these closed forms describe the same machine model, so they are
-// cross-checked against each other in tests; the CLI tools use the model
-// to print expected scaling alongside measured curves.
+// Package costmodel prices collectives for AlgoAuto and for the benchmark's
+// predicted-vs-measured residual: algo.go replays each fixed schedule's own
+// code (core.Price) at calibrated component rates, and this file keeps the
+// paper's Section III-C ring equations, pinned to that replay in tests,
+// and the calibration (Measure).
 package costmodel
 
 import (

@@ -2,16 +2,19 @@ package hzccl_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"hzccl"
-	"hzccl/internal/costmodel"
+	"hzccl/internal/core"
 )
 
 // Paper-scale virtual-time scaling sweep (the shape of the paper's Fig. 9):
@@ -28,10 +31,19 @@ import (
 // bug — a misrouted block, a double-add, an off-by-one fold — fails the
 // test outright instead of hiding inside an error-bound tolerance.
 //
-// Environment knobs (used by scripts/bench.sh):
+// Every row is also a golden: its virtual time and speedup must equal the
+// committed BENCH_scaling.json row of the same world, topology, backend and
+// algorithm bit for bit, so a change to a schedule's messages or charges,
+// or to an auto pick, fails here rather than passing silently.
+//
+// Environment knobs (used by scripts/bench.sh and make scaling):
 //
 //	SCALING_WORLDS  comma-separated world sizes (default "8,64")
-//	SCALING_OUT     path to write the Fig.-9-style JSON curve (optional)
+//	SCALING_OUT     path of the Fig.-9-style JSON curve to merge this
+//	                sweep's rows into (optional; other worlds' rows stay),
+//	                written before the golden check: to regenerate the
+//	                golden after an intended change, point it at
+//	                BENCH_scaling.json and rerun
 
 const (
 	sweepEB    = 0.25
@@ -109,6 +121,7 @@ type scalingPoint struct {
 
 func TestScalingSweep(t *testing.T) {
 	worlds := sweepWorlds(t)
+	golden := readScalingGolden(t, "BENCH_scaling.json")
 	rates := hzccl.DefaultAutoRates
 	backends := []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL}
 	algos := []hzccl.Algorithm{
@@ -177,13 +190,48 @@ func TestScalingSweep(t *testing.T) {
 	if out := os.Getenv("SCALING_OUT"); out != "" {
 		writeScalingJSON(t, out, worlds, points)
 	}
+	for _, p := range points {
+		key := scalingKey{p.World, p.Topology, p.Backend, p.Algorithm}
+		if want, ok := golden[key]; !ok {
+			t.Errorf("%+v: no golden row", key)
+		} else if p != want {
+			t.Errorf("%+v: %g s (speedup %g), golden %g s (speedup %g)", key, p.Seconds, p.Speedup, want.Seconds, want.Speedup)
+		}
+	}
+}
+
+// scalingKey identifies one sweep row.
+type scalingKey struct {
+	world                        int
+	topology, backend, algorithm string
+}
+
+// readScalingGolden loads the committed sweep, keyed by row.
+func readScalingGolden(t *testing.T, path string) map[scalingKey]scalingPoint {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden: %v", err)
+	}
+	var doc struct {
+		Points []scalingPoint `json:"points"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("golden %s: %v", path, err)
+	}
+	out := make(map[scalingKey]scalingPoint, len(doc.Points))
+	for _, p := range doc.Points {
+		out[scalingKey{p.World, p.Topology, p.Backend, p.Algorithm}] = p
+	}
+	return out
 }
 
 // checkAutoChoices checks AlgoAuto in modeled mode (Rates set): every rank
 // resolved the same schedule, that schedule is the first argmin of the
-// (α, β) model over the fixed ones, and ModeledSeconds is its cost exactly
-// with the per-message overhead at 0 — the virtual clock charges α alone,
-// so the pick must too, which keeps BENCH_scaling.json's auto rows put.
+// replayed prices over the fixed ones, and ModeledSeconds is its price
+// exactly with the per-message overhead at 0 — the virtual clock charges α
+// alone, so the pick must too. For MPI, whose replay moves the run's own
+// bytes, that price is the run's virtual time.
 func checkAutoChoices(t *testing.T, res *hzccl.RunResult, world int, b hzccl.Backend, topo *hzccl.Topology, rates hzccl.ModelRates) {
 	t.Helper()
 	if len(res.AlgoChoices) != world {
@@ -196,14 +244,13 @@ func checkAutoChoices(t *testing.T, res *hzccl.RunResult, world int, b hzccl.Bac
 		}
 	}
 
-	cm := costmodel.Rates{Rates: rates, Ratio: 4, Alpha: sweepLatency.Seconds(), Beta: sweepBandwidth}
-	shape := costmodel.FlatTopo(world)
-	if topo != nil {
-		shape = costmodel.Topo{Nodes: topo.Nodes(), MaxNode: topo.MaxNodeSize()}
-	}
 	best, bestCost := hzccl.Algorithm(-1), math.Inf(1)
 	for _, a := range fixedAlgos {
-		if c := cm.AllreduceAlgo(b, a, world, 4*sweepElems, shape); c < bestCost {
+		c, err := core.Price("allreduce", b, a, world, topo, sweepElems, rates, 4, sweepLatency.Seconds(), sweepBandwidth)
+		if err != nil {
+			t.Fatalf("world=%d %v/%v: pricing: %v", world, b, a, err)
+		}
+		if c < bestCost {
 			best, bestCost = a, c
 		}
 	}
@@ -211,16 +258,43 @@ func checkAutoChoices(t *testing.T, res *hzccl.RunResult, world int, b hzccl.Bac
 		t.Fatalf("world=%d %v auto: picked %v at %g s; the model without overhead picks %v at %g s",
 			world, b, first.Algorithm, first.ModeledSeconds, best, bestCost)
 	}
+	if b == hzccl.BackendMPI && first.ModeledSeconds != res.Seconds {
+		t.Fatalf("world=%d MPI auto: priced %g s, ran %g s", world, first.ModeledSeconds, res.Seconds)
+	}
 }
 
+// writeScalingJSON writes the sweep to path, merged into the curve already
+// there: the rows of every world the sweep ran replace the stored ones and
+// the other worlds' rows stay, so a short sweep never drops a full one's.
 func writeScalingJSON(t *testing.T, path string, worlds []int, points []scalingPoint) {
 	t.Helper()
-	doc := struct {
+	type curve struct {
 		Worlds []int          `json:"worlds"`
 		Elems  int            `json:"elems"`
 		EB     float64        `json:"errorBound"`
 		Points []scalingPoint `json:"points"`
-	}{Worlds: worlds, Elems: sweepElems, EB: sweepEB, Points: points}
+	}
+	doc := curve{Elems: sweepElems, EB: sweepEB}
+	if raw, err := os.ReadFile(path); err == nil {
+		var old curve
+		if err := json.Unmarshal(raw, &old); err != nil {
+			t.Fatalf("SCALING_OUT %s: %v", path, err)
+		}
+		if old.Elems == sweepElems && old.EB == sweepEB { // else every stored row is stale
+			doc = old
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("SCALING_OUT: %v", err)
+	}
+	doc.Points = slices.DeleteFunc(doc.Points, func(p scalingPoint) bool { return slices.Contains(worlds, p.World) })
+	doc.Points = append(doc.Points, points...)
+	slices.SortStableFunc(doc.Points, func(a, b scalingPoint) int { return a.World - b.World })
+	doc.Worlds = nil
+	for _, p := range doc.Points {
+		if !slices.Contains(doc.Worlds, p.World) {
+			doc.Worlds = append(doc.Worlds, p.World)
+		}
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatalf("SCALING_OUT: %v", err)
@@ -231,7 +305,7 @@ func writeScalingJSON(t *testing.T, path string, worlds []int, points []scalingP
 	if err := enc.Encode(doc); err != nil {
 		t.Fatalf("SCALING_OUT: %v", err)
 	}
-	fmt.Printf("scaling curve written to %s (%d points)\n", path, len(points))
+	fmt.Printf("scaling curve written to %s (%d points, %d of them this sweep's)\n", path, len(doc.Points), len(points))
 }
 
 // TestScalingSweepDeterministic reruns one sweep cell and checks bitwise

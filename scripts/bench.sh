@@ -187,12 +187,13 @@ echo "bench: OK (steady-state AddInto, CompressInto, DecompressInto and FlightRe
 
 # The paper-scale virtual-time sweep (Fig. 9's shape): every collective
 # algorithm x flavor at each world size, each run checked bit-identically
-# against a float64 oracle on a dyadic grid, with the modeled virtual
-# times written as BENCH_scaling.json. -short sweeps 8 and 64 ranks; the
-# full gate goes to the paper's 512.
+# against a float64 oracle on a dyadic grid and row by row against the
+# committed BENCH_scaling.json, its modeled virtual times merged into that
+# file first. -short sweeps 8 and 64 ranks and rewrites only their rows;
+# the full gate goes to the paper's 512.
 WORLDS="8,64,128,512"
 if [ "$SHORT" = true ]; then WORLDS="8,64"; fi
 echo "== scaling sweep (worlds $WORLDS) =="
 SCALING_WORLDS="$WORLDS" SCALING_OUT=BENCH_scaling.json \
     go test -run '^TestScalingSweep$' -count=1 .
-echo "wrote BENCH_scaling.json"
+echo "merged worlds $WORLDS into BENCH_scaling.json"
