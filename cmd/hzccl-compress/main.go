@@ -55,7 +55,7 @@ func parseDims(s string) []int {
 func main() {
 	var (
 		eb         = flag.Float64("eb", 0, "absolute error bound (compress mode)")
-		threads    = flag.Int("threads", 1, "compression threads")
+		threads    = flag.Int("threads", 1, "chunks in the container (the paper's one per thread); the cores are used at any count")
 		dims       = flag.String("dims", "", "optional dimensions HxW or DxHxW for the Lorenzo predictors")
 		decompress = flag.Bool("d", false, "decompress instead of compress")
 		add        = flag.Bool("add", false, "homomorphically add two compressed files")

@@ -13,8 +13,11 @@ type Params struct {
 	// BlockSize is the small-block length of the fixed-length encoder.
 	// 0 selects the default (32); multiples of 8 use the fast paths.
 	BlockSize int
-	// Threads is the number of chunks compressed concurrently (the
-	// paper's per-thread chunk partitioning). 0 or 1 is sequential.
+	// Threads is the number of chunks in the container (the paper's
+	// per-thread chunk partitioning). Each chunk carries its own outlier,
+	// so the count is part of the bytes; 0 selects 1. It does not choose
+	// the cores: compression uses up to GOMAXPROCS of them at any chunk
+	// count, and the bytes do not depend on how many it had.
 	Threads int
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hzccl/internal/core"
+	"hzccl/internal/fanout"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -143,10 +144,18 @@ func (r Rates) Speedup(b Backend, n int, dataBytes float64) float64 {
 // given sample (representative of the workload) with the given error
 // bound. Network parameters are taken from the arguments. The sample
 // should be at least a few hundred KB for stable numbers.
-func Measure(sample []float32, eb float64, alpha time.Duration, betaBytes float64) (Rates, error) {
+//
+// The rates are single-thread rates: Measure runs on one core
+// (fanout.OneCore), however long the sample.
+func Measure(sample []float32, eb float64, alpha time.Duration, betaBytes float64) (r Rates, err error) {
 	if len(sample) == 0 {
 		return Rates{}, errors.New("costmodel: empty calibration sample")
 	}
+	fanout.OneCore(func() { r, err = measure(sample, eb, alpha, betaBytes) })
+	return r, err
+}
+
+func measure(sample []float32, eb float64, alpha time.Duration, betaBytes float64) (Rates, error) {
 	p := fzlight.Params{ErrorBound: eb}
 	rawBytes := 4 * len(sample)
 

@@ -2,11 +2,14 @@ package costmodel
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"hzccl/internal/cluster"
 	"hzccl/internal/core"
+	"hzccl/internal/fzlight"
+	"hzccl/internal/telemetry"
 )
 
 // synthetic rates with clean numbers for closed-form checks
@@ -202,5 +205,37 @@ func TestSpeedupDegenerate(t *testing.T) {
 	r := testRates()
 	if s := r.Speedup(HZCCL, 1, 1e6); s != 0 {
 		t.Errorf("single-rank speedup %g", s)
+	}
+}
+
+// Measure's rates are single-thread rates: at any GOMAXPROCS its timed
+// passes run a chunk long enough to split across cores as one segment,
+// and GOMAXPROCS is restored after.
+func TestMeasureTimesOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sample := make([]float32, 1<<20)
+	for i := range sample {
+		sample[i] = float32(math.Sin(float64(i) * 1e-4))
+	}
+	// offCore runs f and reports the extra segments its compressions split
+	// into and the tasks the fanout runner's helpers took.
+	offCore := func(f func()) (split, helped int64) {
+		before := telemetry.Capture()
+		f()
+		d := telemetry.Capture().Delta(before).Counters
+		return d["fzlight.compress.segments"] - d["fzlight.compress.outliers"], d["fanout.helper_tasks"]
+	}
+	if split, _ := offCore(func() { fzlight.Compress(sample, fzlight.Params{ErrorBound: 1e-3}) }); split == 0 {
+		t.Fatal("the sample does not split at GOMAXPROCS 4; the test proves nothing")
+	}
+	if split, helped := offCore(func() {
+		if _, err := Measure(sample, 1e-3, time.Microsecond, 12.5e9); err != nil {
+			t.Fatal(err)
+		}
+	}); split != 0 || helped != 0 {
+		t.Errorf("Measure split %d extra segments and gave %d tasks to helpers, want every pass on one core", split, helped)
+	}
+	if p := runtime.GOMAXPROCS(0); p != 4 {
+		t.Errorf("GOMAXPROCS %d after Measure, want 4 restored", p)
 	}
 }

@@ -2,6 +2,7 @@ package fzlight
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -53,6 +54,11 @@ func FuzzDecompress(f *testing.F) {
 
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64}, uint8(2), uint8(3))
+	long := make([]byte, 0, 4*(32*40+11)) // room for segments of several blocks
+	for i := 0; i < cap(long)/4; i++ {
+		long = binary.LittleEndian.AppendUint32(long, math.Float32bits(float32(100*math.Sin(float64(i)*0.01))))
+	}
+	f.Add(long, uint8(1), uint8(5*6))
 	f.Fuzz(func(t *testing.T, raw []byte, ebSel, threads uint8) {
 		vals := floatbytes.Floats(raw)
 		clean := vals[:0]
@@ -66,6 +72,15 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		comp, err := Compress(clean, Params{ErrorBound: eb, Threads: 1 + int(threads%5)})
 		if err != nil {
 			t.Fatalf("compress rejected clean input: %v", err)
+		}
+		// Every chunk split into 2–8 segments gives the one-segment bytes.
+		one, err := oneSegment(clean, Params{ErrorBound: eb, Threads: 1 + int(threads%5)})
+		if err != nil || !bytes.Equal(one, comp) {
+			t.Fatalf("one-segment container differs from Compress's (err %v)", err)
+		}
+		segs := 2 + int(threads/5)%7
+		if split, err := compressSegments(clean, Params{ErrorBound: eb, Threads: 1 + int(threads%5)}, segs); err != nil || !bytes.Equal(split, one) {
+			t.Fatalf("%d segments per chunk give a different container (err %v)", segs, err)
 		}
 		got, err := Decompress(comp)
 		if err != nil {

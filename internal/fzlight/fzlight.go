@@ -4,9 +4,13 @@
 //
 // Design (paper §III-B2, §III-B3):
 //
-//   - Multi-layer block partitioning: the input is split into one large
-//     contiguous chunk per thread; each chunk is subdivided into small
-//     blocks of BlockSize elements. Threads always walk contiguous memory.
+//   - Multi-layer block partitioning: the input is split into large
+//     contiguous chunks (Params.Threads of them, the paper's one per
+//     thread); each chunk is subdivided into small blocks of BlockSize
+//     elements. The chunk count is part of the format. The cores are not:
+//     an encode runs its chunks, and block-aligned segments of a long
+//     chunk, on up to GOMAXPROCS goroutines, and every block encodes to
+//     the same bytes on one core or many (plan.go).
 //   - Fused quantization + prediction: each float is quantized to
 //     q = round(v / (2·eb)) and immediately delta-predicted against the
 //     previous quantized value in the same chunk, in a single pass.
@@ -26,7 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 
 	"hzccl/internal/bufpool"
 )
@@ -60,9 +64,11 @@ type Params struct {
 	// BlockSize is the small-block length. 0 selects DefaultBlockSize.
 	// Multiples of 8 use the fast packing paths.
 	BlockSize int
-	// Threads is the number of chunks the input is partitioned into, each
-	// compressed by its own goroutine. 0 and 1 select sequential operation
-	// with a single chunk.
+	// Threads is the number of chunks in the container (the paper's one
+	// chunk per thread): each chunk has its own outlier, so the bytes
+	// depend on it. 0 selects 1. It does not choose the cores: any
+	// container is encoded on up to GOMAXPROCS of them, in chunks or in
+	// block-aligned segments of a chunk, with the same bytes either way.
 	Threads int
 }
 
@@ -148,7 +154,7 @@ func compressAny[T Float](data []T, p Params, layout Header) ([]byte, error) {
 	}
 	_, layout.Float64 = any(data).([]float64)
 	h := layout.shape(len(data), p)
-	buf := bufpool.Bytes(h.bound())
+	buf := bufpool.Bytes(h.Bound())
 	n, err := compressHeader(buf, data, h)
 	if err != nil {
 		bufpool.PutBytes(buf)
@@ -168,30 +174,37 @@ func (h Header) shape(n int, p Params) Header {
 	return h
 }
 
-// bound is the container size h can reach: the header plus the worst-case
+// Bound is the container size h can reach: the header plus the worst-case
 // encoding of every chunk.
-func (h Header) bound() int {
+func (h Header) Bound() int {
 	total := h.PayloadStart()
 	for i := 0; i < h.NumChunks; i++ {
-		s, e := h.ChunkRange(i)
-		total += worstChunkBytes(e-s, h.BlockSize)
+		total += h.ChunkBound(i)
 	}
 	return total
+}
+
+// ChunkBound is the most bytes chunk i of h can encode to.
+func (h Header) ChunkBound(i int) int {
+	s, e := h.ChunkRange(i)
+	return worstChunkBytes(e-s, h.BlockSize)
 }
 
 // CompressBound returns the smallest dst length guaranteed to be
 // sufficient for CompressInto of n elements under p (header plus the
 // worst-case encoding of every chunk).
 func CompressBound(n int, p Params) int {
-	return Header{Version: 1}.shape(n, p.withDefaults()).bound()
+	return Header{Version: 1}.shape(n, p.withDefaults()).Bound()
 }
 
 // CompressInto compresses float32 data into dst, which must hold at least
 // CompressBound(len(data), p) bytes, and returns the container size. It is
-// the reusable-buffer form of Compress: with a single chunk (the
-// collectives' configuration) the steady state performs zero heap
-// allocations — the chunk encodes directly into dst behind an
-// inline-written header, and the per-block scratch comes from bufpool.
+// the reusable-buffer form of Compress, and its steady state performs zero
+// heap allocations: the header is written inline, the per-call plan comes
+// from a free list, chunks and segments encode directly into dst on the
+// fanout runner's helpers, and the per-block scratch comes from bufpool.
+// A chunk of at least 2·minSegment elements is encoded on up to GOMAXPROCS
+// cores; the bytes are the same on any number (plan.go).
 func CompressInto(dst []byte, data []float32, p Params) (int, error) {
 	return compressIntoAny(dst, data, p, false)
 }
@@ -211,87 +224,59 @@ func compressIntoAny[T Float](dst []byte, data []T, p Params, wide bool) (int, e
 
 // compressHeader writes the container h describes for data into dst.
 func compressHeader[T Float](dst []byte, data []T, h Header) (int, error) {
-	if need := h.bound(); len(dst) < need {
+	return compressSplit(dst, data, h, runtime.GOMAXPROCS(0), minSegment)
+}
+
+// compressSplit is compressHeader on the given number of cores with
+// segments of at least minLen elements: the plan's parts encode at their
+// worst-case offsets, on as many goroutines as the plan has parts, and
+// Assemble compacts them behind the header.
+func compressSplit[T Float](dst []byte, data []T, h Header, cores, minLen int) (int, error) {
+	if need := h.Bound(); len(dst) < need {
 		return 0, fmt.Errorf("%w: CompressInto needs %d bytes, got %d", ErrShortOutput, need, len(dst))
 	}
-	hdr := h.PayloadStart()
-	recip := 1 / (2 * h.ErrorBound)
-
-	var total int
-	if h.NumChunks == 1 {
-		sp := mChunkEncodeNS.Start()
-		n, err := encodeChunk(dst[hdr:], data, h, recip)
-		sp.End()
-		if err != nil {
-			mCompressErrs.Inc()
-			return 0, err
-		}
-		h.Marshal(dst)
-		h.PutChunkSize(dst, 0, n)
-		total = n
-	} else {
-		// Every chunk encodes in parallel at its worst-case offset in dst;
-		// the payloads are then compacted left so chunks abut (copy is a
-		// memmove, safe for the overlapping forward shift).
-		nc := h.NumChunks
-		offs := make([]int, nc+1)
-		sizes := make([]int, nc)
-		errs := make([]error, nc)
-		offs[0] = hdr
-		for i := 0; i < nc; i++ {
-			s, e := h.ChunkRange(i)
-			offs[i+1] = offs[i] + worstChunkBytes(e-s, h.BlockSize)
-		}
-		var wg sync.WaitGroup
-		wg.Add(nc)
-		for i := 0; i < nc; i++ {
-			go func(i int) {
-				defer wg.Done()
-				s, e := h.ChunkRange(i)
-				sp := mChunkEncodeNS.Start()
-				sizes[i], errs[i] = encodeChunk(dst[offs[i]:offs[i+1]], data[s:e], h, recip)
-				sp.End()
-			}(i)
-		}
-		wg.Wait()
-		h.Marshal(dst)
-		o := hdr
-		for i := 0; i < nc; i++ {
-			if errs[i] != nil {
-				mCompressErrs.Inc()
-				return 0, errs[i]
-			}
-			copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-			h.PutChunkSize(dst, i, sizes[i])
-			o += sizes[i]
-		}
-		total = o - hdr
+	p := newPlan(h, dst, data, 1/(2*h.ErrorBound), false)
+	p.planEncode(cores, minLen)
+	p.run()
+	n, err := h.Assemble(dst, p.parts)
+	segments := len(p.parts)
+	p.release()
+	if err != nil {
+		mCompressErrs.Inc()
+		return 0, err
 	}
 	mCompressCalls.Inc()
 	mCompressRaw.Add(int64(len(data) * elemBytes(h.Float64)))
-	mCompressOut.Add(int64(hdr + total))
+	mCompressOut.Add(int64(n))
 	mCompressOutlier.Add(int64(h.NumChunks)) // one raw outlier per chunk
-	return hdr + total, nil
+	mCompressSegments.Add(int64(segments))
+	return n, nil
 }
 
-// encodeChunk writes one chunk of h's layout into dst.
-func encodeChunk[T Float](dst []byte, data []T, h Header, recip float64) (int, error) {
+// encodeChunk writes one part of h's layout into dst: a whole chunk, or for
+// version 1 a block-aligned segment of one (see plan.go).
+func encodeChunk[T Float](dst []byte, data []T, h Header, recip float64, qprev int32, head bool) (int, error) {
 	if h.Version == 1 {
-		return compressChunk(dst, data, recip, h.BlockSize)
+		return compressChunk(dst, data, recip, h.BlockSize, qprev, head)
 	}
 	return compressChunkLorenzo(dst, data, h.Width, h.unit(), recip, h.BlockSize)
 }
 
-// compressChunk writes one chunk (outlier + encoded blocks) into dst and
-// returns the number of bytes written. This is the fused
+// compressChunk writes a run of a chunk's blocks into dst and returns the
+// number of bytes written. This is the fused
 // quantization+prediction+encoding loop of the paper: runs of full
 // 32-element float32 blocks go through the SIMD kernel where the CPU has
 // one, a full block it declines through the branchless encodeBlock32 path;
-// the first block (which hosts the chunk outlier) and tail/odd-sized
-// blocks use the generic path.
-func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, error) {
-	putInt32(dst, 0) // outlier placeholder
-	o := 4
+// the chunk's first block (which hosts the chunk outlier) and tail/odd-sized
+// blocks use the generic path. The run is a chunk's head (outlier slot
+// first, qprev unused) or a later segment, whose first delta is taken
+// against qprev, the quantised value in front of it.
+func compressChunk[T Float](dst []byte, data []T, recip float64, B int, qprev int32, head bool) (int, error) {
+	o := 0
+	if head {
+		putInt32(dst, 0) // outlier placeholder
+		o = 4
+	}
 	if len(data) == 0 {
 		return o, nil
 	}
@@ -300,13 +285,12 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 	defer bufpool.PutInt32s(pbuf)
 	defer bufpool.PutUint32s(mbuf)
 	var mscratch [32]uint32
-	var qprev int32
-	first := true
+	first := head
 	var outlier int32
 	f32, _ := any(data).([]float32) // nil for every other element type
 
 	for base := 0; base < len(data); {
-		if base > 0 && B == 32 && f32 != nil {
+		if !first && B == 32 && f32 != nil {
 			n, k, q := encodeRun32(dst[o:], f32[base:], recip, qprev)
 			o, base, qprev = o+n, base+32*k, q
 			if base == len(data) {
@@ -317,7 +301,7 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 		blk := data[base:end]
 		var used int
 		var err error
-		if len(blk) == 32 && base > 0 {
+		if len(blk) == 32 && !first {
 			used, err = encodeBlock32(dst[o:], blk, recip, &qprev, &mscratch)
 		} else {
 			used, err = encodeBlockGeneric(dst[o:], blk, recip, &qprev, &first, &outlier, pbuf, mbuf)
@@ -327,7 +311,9 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 		}
 		o, base = o+used, end
 	}
-	putInt32(dst, outlier)
+	if head {
+		putInt32(dst, outlier)
+	}
 	return o, nil
 }
 
@@ -364,10 +350,9 @@ func Decompress64(comp []byte) ([]float64, error) {
 var ErrWrongPrecision = errors.New("fzlight: container precision does not match decode type")
 
 // DecompressInto decodes comp into dst, which must hold at least
-// Header.DataLen elements. For containers with a single chunk (the
-// collectives' configuration) the steady state performs zero heap
-// allocations: the header is parsed on the stack and the chunk decodes
-// straight into dst.
+// Header.DataLen elements. The steady state performs zero heap
+// allocations: the header is parsed on the stack and each chunk decodes
+// straight into dst, one core per chunk.
 func DecompressInto(comp []byte, dst []float32) error {
 	h, err := ParseHeader(comp)
 	if err != nil {
@@ -395,37 +380,11 @@ func decompressIntoAny[T Float](comp []byte, h Header, dst []T) error {
 	if len(dst) < h.DataLen {
 		return ErrShortOutput
 	}
-	eb2 := 2 * h.ErrorBound
-	var err error
-	if h.NumChunks == 1 {
-		// No closure, no per-chunk tables: this path must not allocate.
-		sp := mChunkDecodeNS.Start()
-		err = decodeChunk(comp[h.PayloadStart():], dst[:h.DataLen], h, eb2)
-		sp.End()
-	} else {
-		errs := make([]error, h.NumChunks)
-		var wg sync.WaitGroup
-		wg.Add(h.NumChunks)
-		o := h.PayloadStart()
-		for i := 0; i < h.NumChunks; i++ {
-			src := comp[o : o+h.ChunkSize(comp, i)]
-			o += len(src)
-			go func(i int) {
-				defer wg.Done()
-				start, end := h.ChunkRange(i)
-				sp := mChunkDecodeNS.Start()
-				errs[i] = decodeChunk(src, dst[start:end], h, eb2)
-				sp.End()
-			}(i)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
+	p := newPlan(h, comp, dst, 2*h.ErrorBound, true)
+	p.planDecode()
+	p.run()
+	err := firstErr(p.parts)
+	p.release()
 	if err != nil {
 		mDecompressErrs.Inc()
 		return err

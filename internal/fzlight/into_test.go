@@ -2,13 +2,17 @@ package fzlight
 
 // Tests for the allocation-free Into API: CompressInto must be a
 // byte-for-byte drop-in for Compress, the header must round-trip,
-// and the single-chunk steady state (the configuration the ring
-// collectives run) must not allocate at all.
+// and the steady state must not allocate at all, in one chunk (the
+// configuration the ring collectives run), in many, or split into
+// segments.
 
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+
+	"hzccl/internal/telemetry"
 )
 
 // CompressInto writing at the front of a CompressBound buffer must produce
@@ -125,22 +129,31 @@ func TestCompressIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
-	data := smoothField(1<<14, 8)
-	p := Params{ErrorBound: 1e-3}
-	dst := make([]byte, CompressBound(len(data), p))
-	// Warm the pools (first call may miss and allocate the scratch).
-	for i := 0; i < 4; i++ {
-		if _, err := CompressInto(dst, data, p); err != nil {
-			t.Fatal(err)
+	// 1 Mi elements split into segments across the runner's helpers, which
+	// must not allocate either; 16 Ki is one segment.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	for _, n := range []int{1 << 14, 1 << 20} {
+		data := smoothField(n, 8)
+		p := Params{ErrorBound: 1e-3}
+		dst := make([]byte, CompressBound(len(data), p))
+		// Warm the pools and the helpers (the first calls may allocate).
+		for i := 0; i < 4; i++ {
+			if _, err := CompressInto(dst, data, p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := CompressInto(dst, data, p); err != nil {
-			t.Fatal(err)
+		before := telemetry.Capture()
+		if allocs := steadyMallocs(20, func() {
+			if _, err := CompressInto(dst, data, p); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("n=%d: steady-state CompressInto allocates %d objects in 20 calls, want 0", n, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state CompressInto allocates %v objects/op, want 0", allocs)
+		d := telemetry.Capture().Delta(before).Counters
+		if split := d["fzlight.compress.segments"] > d["fzlight.compress.calls"]; split != (n >= 2*minSegment) {
+			t.Errorf("n=%d: split %v, want %v", n, split, n >= 2*minSegment)
+		}
 	}
 }
 
@@ -157,6 +170,7 @@ func TestDecompressIntoZeroAllocs(t *testing.T) {
 		comp func() ([]byte, error)
 	}{
 		{"1d", func() ([]byte, error) { return Compress(data, p) }},
+		{"1d-4-chunks", func() ([]byte, error) { return Compress(data, Params{ErrorBound: 1e-3, Threads: 4}) }},
 		{"2d", func() ([]byte, error) { return Compress2D(data, 128, 128, p) }},
 		{"3d", func() ([]byte, error) { return Compress3D(data, 16, 32, 32, p) }},
 	} {
@@ -179,4 +193,24 @@ func TestDecompressIntoZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: steady-state DecompressInto allocates %v objects/op, want 0", tc.name, allocs)
 		}
 	}
+}
+
+// steadyMallocs counts the heap allocations of calls calls of f, in the
+// steady state: the fewest over up to ten rounds. testing.AllocsPerRun
+// runs at GOMAXPROCS 1, where no chunk splits and no helper runs; with
+// more, a call that moves between cores takes a few rounds to find warm
+// sync.Pool scratch (bufpool) on each, while a per-call allocation shows
+// in every round.
+func steadyMallocs(calls int, f func()) uint64 {
+	best := ^uint64(0)
+	for r := 0; r < 10 && best > 0; r++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.Mallocs-m0.Mallocs)
+	}
+	return best
 }

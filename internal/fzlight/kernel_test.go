@@ -236,7 +236,7 @@ func diffKernels(t *testing.T, b []byte) {
 	for _, kernels := range []bool{false, true} {
 		withPath(kernels, func() {
 			dst := make([]byte, worstChunkBytes(len(data), 32))
-			n, err := compressChunk(dst, data, scale, 32)
+			n, err := compressChunk(dst, data, scale, 32, 0, true)
 			if kernels {
 				chunkK, cerrK = dst[:n], err
 			} else {
@@ -433,7 +433,7 @@ func TestKernelSeedsCoverWidths(t *testing.T) {
 	for _, kernels := range []bool{false, true} {
 		withPath(kernels, func() {
 			dst := make([]byte, worstChunkBytes(len(data), 32))
-			if _, err := compressChunk(dst, data, 1.25, 32); err != ErrRange {
+			if _, err := compressChunk(dst, data, 1.25, 32, 0, true); err != ErrRange {
 				t.Errorf("kernels=%v: range error in lane 2 before a NaN in lane 3: got %v, want ErrRange", kernels, err)
 			}
 		})

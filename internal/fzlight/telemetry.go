@@ -4,8 +4,8 @@ import "hzccl/internal/telemetry"
 
 // Telemetry instrumentation for the compressor hot paths. Metrics are
 // resolved once at package init; the per-call cost is a handful of atomic
-// adds plus two clock reads per *chunk* (never per element), which the
-// overhead benchmark in telemetry_bench_test.go bounds at <2% of
+// adds plus two clock reads per chunk or segment (never per element), which
+// the overhead benchmark in telemetry_bench_test.go bounds at <2% of
 // Compress.
 var (
 	mCompressCalls   = telemetry.C("fzlight.compress.calls")
@@ -13,7 +13,10 @@ var (
 	mCompressOut     = telemetry.C("fzlight.compress.compressed_bytes")
 	mCompressOutlier = telemetry.C("fzlight.compress.outliers")
 	mCompressErrs    = telemetry.C("fzlight.compress.errors")
-	mChunkEncodeNS   = telemetry.H("fzlight.chunk.encode_ns", telemetry.DurationBuckets())
+	// Segments counts the parts compressions ran as (DESIGN §11.3): equal to
+	// outliers when no chunk was split across cores.
+	mCompressSegments = telemetry.C("fzlight.compress.segments")
+	mChunkEncodeNS    = telemetry.H("fzlight.chunk.encode_ns", telemetry.DurationBuckets())
 
 	mDecompressCalls = telemetry.C("fzlight.decompress.calls")
 	mDecompressRaw   = telemetry.C("fzlight.decompress.raw_bytes")

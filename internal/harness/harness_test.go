@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"hzccl/internal/datasets"
+	"hzccl/internal/fzlight"
+	"hzccl/internal/metrics"
+	"hzccl/internal/telemetry"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -190,5 +196,41 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(opt.OutDir, name)); err != nil {
 			t.Errorf("fig13 output %s missing: %v", name, err)
 		}
+	}
+}
+
+// bestOf times every codec figure of this package (Fig. 6, Tables IV–VI,
+// the calibrated rates of the collective and stacking experiments), which
+// are single-thread figures or scaled by MTSpeedup: at any GOMAXPROCS a
+// chunk long enough to split across cores runs inside it as one segment,
+// and GOMAXPROCS is restored after.
+func TestBestOfTimesOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	data, err := datasets.Field("CESM-ATM", 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fzlight.Params{ErrorBound: metrics.AbsBound(1e-4, data)}
+	compress := func() error { _, err := fzlight.Compress(data, p); return err }
+	// offCore runs f and reports the extra segments its compressions split
+	// into and the tasks the fanout runner's helpers took.
+	offCore := func(f func()) (split, helped int64) {
+		before := telemetry.Capture()
+		f()
+		d := telemetry.Capture().Delta(before).Counters
+		return d["fzlight.compress.segments"] - d["fzlight.compress.outliers"], d["fanout.helper_tasks"]
+	}
+	if split, _ := offCore(func() { compress() }); split == 0 {
+		t.Fatal("the field does not split at GOMAXPROCS 4; the test proves nothing")
+	}
+	if split, helped := offCore(func() {
+		if _, err := bestOf(2, compress); err != nil {
+			t.Fatal(err)
+		}
+	}); split != 0 || helped != 0 {
+		t.Errorf("bestOf split %d extra segments and gave %d tasks to helpers, want one core", split, helped)
+	}
+	if p := runtime.GOMAXPROCS(0); p != 4 {
+		t.Errorf("GOMAXPROCS %d after bestOf, want 4 restored", p)
 	}
 }

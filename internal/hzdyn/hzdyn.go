@@ -20,9 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"hzccl/internal/bufpool"
+	"hzccl/internal/fanout"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/telemetry"
 )
@@ -129,9 +129,12 @@ func add(a, b []byte, dynamic bool) ([]byte, Stats, error) {
 // AddInto homomorphically sums streams a and b into dst, which must hold
 // at least AddBound(len(a), len(b)) bytes, and returns the container size
 // plus pipeline-selection statistics. It is the reusable-buffer form of
-// Add: with a single chunk the steady state performs zero heap
-// allocations, in every layout — the header is a stack value
-// (fzlight.Header) and all per-chunk scratch comes from bufpool.
+// Add: the steady state performs zero heap allocations, in every layout
+// and at any chunk count — the header is a stack value (fzlight.Header),
+// the per-call plan comes from a free list, the chunks run on the fanout
+// runner's helpers and all per-chunk scratch comes from bufpool. A chunk
+// is reduced on one core: the add is not split below the chunk (DESIGN
+// §11.3).
 func AddInto(dst, a, b []byte) (int, Stats, error) {
 	return addInto(dst, a, b, true)
 }
@@ -152,69 +155,86 @@ func addInto(dst, a, b []byte, dynamic bool) (int, Stats, error) {
 	if len(dst) < AddBound(len(a), len(b)) {
 		return 0, stats, fzlight.ErrShortOutput
 	}
-	hdr := ha.PayloadStart()
-	nc := ha.NumChunks
-
-	if nc == 1 {
-		n, st, err := addChunk(dst[hdr:], a[hdr:], b[hdr:], ha.DataLen, ha.BlockSize, dynamic)
-		if err != nil {
-			if errors.Is(err, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, err
+	p := newPlan(ha, dst, a, b)
+	p.dynamic = dynamic
+	n, err := p.run()
+	if err == nil {
+		for _, st := range p.stats {
+			stats.add(st)
 		}
-		stats.add(st)
-		ha.Marshal(dst)
-		ha.PutChunkSize(dst, 0, n)
 		recordAdd(stats)
-		return hdr + n, stats, nil
 	}
+	p.release()
+	return n, stats, err
+}
 
-	// Multi-chunk: each pair reduces in parallel at its worst-case offset
-	// (the two input chunks' combined size), then the payloads compact
-	// left. The small index slices below are per-call, not per-block; the
-	// zero-allocation guarantee covers the single-chunk configuration the
-	// collectives use.
-	offs := make([]int, nc+1)
-	offsA := make([]int, nc+1)
-	offsB := make([]int, nc+1)
-	offs[0], offsA[0], offsB[0] = hdr, hdr, hdr
-	for i := 0; i < nc; i++ {
-		sa, sb := ha.ChunkSize(a, i), hb.ChunkSize(b, i)
-		offsA[i+1] = offsA[i] + sa
-		offsB[i+1] = offsB[i] + sb
-		offs[i+1] = offs[i] + sa + sb
+// plan is one reduction (b set) or scaling (b nil) of a container: a part
+// per chunk, run on the fanout runner, each written at its worst-case
+// offset in dst — a pair's two input chunks' combined size, a scaled
+// chunk's worst-case encoding — and compacted by fzlight's Assemble.
+type plan struct {
+	h         fzlight.Header
+	dst, a, b []byte
+	dynamic   bool
+	k         int32
+	parts     []fzlight.Part
+	// Chunk i's payload is a[inA[i]:inA[i+1]] (b[inB[i]:inB[i+1]]).
+	inA, inB []int
+	stats    []Stats
+}
+
+var plans = make(fanout.Free[plan], fanout.FreeCap)
+
+func newPlan(h fzlight.Header, dst, a, b []byte) *plan {
+	p := plans.Get()
+	if p == nil {
+		p = new(plan)
 	}
-	sizes := make([]int, nc)
-	chunkStats := make([]Stats, nc)
-	errs := make([]error, nc)
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for i := 0; i < nc; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, e := ha.ChunkRange(i)
-			sizes[i], chunkStats[i], errs[i] = addChunk(dst[offs[i]:offs[i+1]],
-				a[offsA[i]:offsA[i+1]], b[offsB[i]:offsB[i+1]], e-s, ha.BlockSize, dynamic)
-		}(i)
-	}
-	wg.Wait()
-	ha.Marshal(dst)
-	o := hdr
-	for i := 0; i < nc; i++ {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, errs[i]
+	p.h, p.dst, p.a, p.b = h, dst, a, b
+	p.parts, p.stats = p.parts[:0], p.stats[:0]
+	off := h.PayloadStart()
+	p.inA, p.inB = append(p.inA[:0], off), append(p.inB[:0], off)
+	for c := 0; c < h.NumChunks; c++ {
+		s, e := h.ChunkRange(c)
+		sa := h.ChunkSize(a, c)
+		region := h.ChunkBound(c)
+		if b != nil {
+			sb := h.ChunkSize(b, c)
+			region = sa + sb
+			p.inB = append(p.inB, p.inB[c]+sb)
 		}
-		copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-		ha.PutChunkSize(dst, i, sizes[i])
-		o += sizes[i]
-		stats.add(chunkStats[i])
+		p.inA = append(p.inA, p.inA[c]+sa)
+		p.parts = append(p.parts, fzlight.Part{Chunk: c, Start: s, End: e, Off: off, Limit: off + region})
+		p.stats = append(p.stats, Stats{})
+		off += region
 	}
-	recordAdd(stats)
-	return o, stats, nil
+	return p
+}
+
+// Do reduces or scales chunk i.
+func (p *plan) Do(i int) {
+	pt := &p.parts[i]
+	dst, a := p.dst[pt.Off:pt.Limit], p.a[p.inA[i]:p.inA[i+1]]
+	if p.b == nil {
+		pt.Size, pt.Err = scaleChunk(dst, a, pt.End-pt.Start, p.h.BlockSize, p.k)
+		return
+	}
+	pt.Size, p.stats[i], pt.Err = addChunk(dst, a, p.b[p.inB[i]:p.inB[i+1]], pt.End-pt.Start, p.h.BlockSize, p.dynamic)
+}
+
+// run runs every chunk and assembles the container.
+func (p *plan) run() (int, error) {
+	fanout.Run(len(p.parts), p)
+	n, err := p.h.Assemble(p.dst, p.parts)
+	if errors.Is(err, ErrOverflow) {
+		mOverflow.Inc()
+	}
+	return n, err
+}
+
+func (p *plan) release() {
+	p.dst, p.a, p.b = nil, nil, nil
+	plans.Put(p)
 }
 
 // recordAdd folds one reduction's statistics into the package telemetry.
@@ -224,14 +244,6 @@ func recordAdd(stats Stats) {
 	for p := PipelineBothConstant; p <= PipelineBothEncoded; p++ {
 		mPipelineHist.ObserveN(int64(p), stats.Pipeline[p])
 	}
-}
-
-func worstChunkBytes(n, B int) int {
-	if n == 0 {
-		return 4
-	}
-	nblocks := (n + B - 1) / B
-	return 4 + nblocks*(1+(B+7)/8+8) + 4*n
 }
 
 func addChunk(dst, a, b []byte, n, B int, dynamic bool) (int, Stats, error) {
@@ -340,12 +352,7 @@ func ScaleBound(comp []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	total := h.PayloadStart()
-	for i := 0; i < h.NumChunks; i++ {
-		s, e := h.ChunkRange(i)
-		total += worstChunkBytes(e-s, h.BlockSize)
-	}
-	return total, nil
+	return h.Bound(), nil
 }
 
 // ScaleInt multiplies every value in a compressed stream by the integer k,
@@ -372,102 +379,21 @@ func ScaleInt(comp []byte, k int32) ([]byte, error) {
 
 // ScaleIntInto is the reusable-buffer form of ScaleInt: it scales comp by
 // k into dst — which must hold at least ScaleBound(comp) bytes — and
-// returns the container size. With a single chunk the steady state
-// performs zero heap allocations, in every layout.
+// returns the container size. Like AddInto, the steady state performs
+// zero heap allocations, in every layout and at any chunk count.
 func ScaleIntInto(dst, comp []byte, k int32) (int, error) {
 	h, err := fzlight.ParseHeader(comp)
 	if err != nil {
 		return 0, err
 	}
-	hdr := h.PayloadStart()
-	nc := h.NumChunks
-
-	if nc == 1 {
-		if len(dst) < hdr+worstChunkBytes(h.DataLen, h.BlockSize) {
-			return 0, fzlight.ErrShortOutput
-		}
-		n, err := scaleChunk(dst[hdr:], comp[hdr:], h.DataLen, h.BlockSize, k)
-		if err != nil {
-			if errors.Is(err, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, err
-		}
-		h.Marshal(dst)
-		h.PutChunkSize(dst, 0, n)
-		return hdr + n, nil
-	}
-
-	// Multi-chunk: scale in parallel at worst-case offsets, then compact —
-	// the same shape as addInto. The index/error scratch is pooled so the
-	// chunked steady state pays only the goroutine spawns.
-	sc := scaleScratchPool.Get().(*scaleScratch)
-	sc.grow(nc)
-	offs, offsIn, sizes, errs := sc.offs, sc.offsIn, sc.sizes, sc.errs
-	offs[0], offsIn[0] = hdr, hdr
-	for i := 0; i < nc; i++ {
-		s, e := h.ChunkRange(i)
-		offsIn[i+1] = offsIn[i] + h.ChunkSize(comp, i)
-		offs[i+1] = offs[i] + worstChunkBytes(e-s, h.BlockSize)
-	}
-	if len(dst) < offs[nc] {
-		scaleScratchPool.Put(sc)
+	if len(dst) < h.Bound() {
 		return 0, fzlight.ErrShortOutput
 	}
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for i := 0; i < nc; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, e := h.ChunkRange(i)
-			sizes[i], errs[i] = scaleChunk(dst[offs[i]:offs[i+1]], comp[offsIn[i]:offsIn[i+1]], e-s, h.BlockSize, k)
-		}(i)
-	}
-	wg.Wait()
-	h.Marshal(dst)
-	o := hdr
-	for i := 0; i < nc; i++ {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			err := errs[i]
-			scaleScratchPool.Put(sc)
-			return 0, err
-		}
-		copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-		h.PutChunkSize(dst, i, sizes[i])
-		o += sizes[i]
-	}
-	scaleScratchPool.Put(sc)
-	return o, nil
-}
-
-// scaleScratch holds the per-call index and error slices of the
-// multi-chunk ScaleIntInto path so repeated chunked scales reuse them
-// instead of re-allocating four slices per call.
-type scaleScratch struct {
-	offs, offsIn []int
-	sizes        []int
-	errs         []error
-}
-
-var scaleScratchPool = sync.Pool{New: func() any { return new(scaleScratch) }}
-
-func (s *scaleScratch) grow(nc int) {
-	if cap(s.offs) < nc+1 {
-		s.offs = make([]int, nc+1)
-		s.offsIn = make([]int, nc+1)
-		s.sizes = make([]int, nc)
-		s.errs = make([]error, nc)
-	}
-	s.offs = s.offs[:nc+1]
-	s.offsIn = s.offsIn[:nc+1]
-	s.sizes = s.sizes[:nc]
-	s.errs = s.errs[:nc]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
+	p := newPlan(h, dst, comp, nil)
+	p.k = k
+	n, err := p.run()
+	p.release()
+	return n, err
 }
 
 func scaleChunk(dst, src []byte, n, B int, k int32) (int, error) {

@@ -5,9 +5,10 @@
 # multiply and add there, an s390x cross vet/build (the big-endian side of
 # floatbytes, the one place byte order is compiled in), a 386 test run of
 # the codec packages and the conformance oracles (the portable pipeline ④,
-# natively), a race pass over the
-# concurrent packages (telemetry's lock-free counters and the cluster
-# runtime), and the nested benchmark module's own vet + tests (root
+# natively), the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
+# and a segmented encode), a race pass over the
+# concurrent packages (telemetry's lock-free counters, the cluster
+# runtime and the codecs' fanout runner), and the nested benchmark module's own vet + tests (root
 # `go vet/test ./...` does not descend into benchmark/go.mod, and the
 # benchmark compiles against internal/ packages). `make check` runs this.
 set -eu
@@ -54,8 +55,18 @@ echo "== 386: go test the portable codec and pipeline ④ =="
 # "Parked").
 GOARCH=386 go test ./internal/bitio/ ./internal/fzlight/ ./internal/hzdyn/ ./internal/conformance/
 
+echo "== GOMAXPROCS=1 and 4: go test the codecs and the schedules =="
+# A long chunk is encoded as up to GOMAXPROCS segments and chunks run on
+# the fanout runner's helpers: at 1 every part runs on its caller, at 4
+# the split and the helpers run whatever cores the runner has. These runs
+# are -short: what they add is the two paths, and the tests -short skips
+# (a timing test, a million-element row) run in `go test ./...` and above.
+for procs in 1 4; do
+    GOMAXPROCS=$procs go test -short -count=1 ./internal/fanout/ ./internal/fzlight/ ./internal/hzdyn/ ./internal/core/
+done
+
 echo "== go test -race (concurrent packages) =="
-go test -race . ./internal/telemetry ./internal/cluster ./internal/fzlight ./internal/hzdyn ./internal/core
+go test -race . ./internal/telemetry ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core
 
 echo "== bench-check (nested benchmark module: go vet + go test) =="
 make bench-check
