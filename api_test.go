@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hzccl"
+	"hzccl/internal/telemetry"
 )
 
 func sineField(n int, seed int64) []float32 {
@@ -152,6 +154,38 @@ func TestPublicClusterAllreduce(t *testing.T) {
 					t.Fatalf("%v rank %d: error %g at %d", backend, rk, d, i)
 				}
 			}
+		}
+	}
+}
+
+// A measured run charges each codec call's wall time as one rank's
+// single-thread time (divided by MTSpeedup in multi-thread mode), so at any
+// GOMAXPROCS no block it compresses is split into segments and no chunk
+// runs on a helper. A modelled run times nothing and uses every core.
+func TestPublicClusterMeasuresOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const nRanks, n = 2, 1 << 20 // ring blocks of 512 Ki elements
+	fields := [][]float32{sineField(n, 1), sineField(n, 2)}
+	// offCore runs an hZCCL Allreduce and reports the extra segments its
+	// compressions split into and the tasks the fanout runner's helpers
+	// took.
+	offCore := func(opt hzccl.CollectiveOptions) (split, helped int64) {
+		before := telemetry.Capture()
+		if _, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: nRanks}, func(r *hzccl.Rank) error {
+			_, err := r.Allreduce(fields[r.ID()], hzccl.BackendHZCCL, opt)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		d := telemetry.Capture().Delta(before).Counters
+		return d["fzlight.compress.segments"] - d["fzlight.compress.outliers"], d["fanout.helper_tasks"]
+	}
+	if split, _ := offCore(hzccl.CollectiveOptions{ErrorBound: 1e-3, Rates: &hzccl.ModelRates{CPR: 1e9, DPR: 1e9, CPT: 1e9, HPR: 1e9}}); split == 0 {
+		t.Fatal("a modelled run's blocks do not split at GOMAXPROCS 4; the test proves nothing")
+	}
+	for _, mt := range []bool{false, true} {
+		if split, helped := offCore(hzccl.CollectiveOptions{ErrorBound: 1e-3, MultiThread: mt}); split != 0 || helped != 0 {
+			t.Errorf("MultiThread %v: split %d extra segments and gave %d tasks to helpers, want every timed codec call on one core", mt, split, helped)
 		}
 	}
 }

@@ -73,7 +73,6 @@ import (
 	"hzccl/internal/cluster"
 	"hzccl/internal/core"
 	"hzccl/internal/datasets"
-	"hzccl/internal/fanout"
 	"hzccl/internal/floatbytes"
 	"hzccl/internal/harness"
 	"hzccl/internal/metrics"
@@ -424,7 +423,7 @@ func runTransport(kind string, rank int, peers, backendStr, algoStr, topoStr str
 
 	var mu sync.Mutex
 	digests := make(map[int]uint32, cfg.Ranks)
-	body := func(r *hzccl.Rank) error {
+	res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
 		id0 := r.ID() // pre-shrink identity: a kill run renumbers survivors
 		out, err := r.Allreduce(base, backend, opt)
 		if err != nil {
@@ -434,15 +433,7 @@ func runTransport(kind string, rank int, peers, backendStr, algoStr, topoStr str
 		digests[id0] = floatbytes.Checksum(out)
 		mu.Unlock()
 		return nil
-	}
-	var res *hzccl.RunResult
-	if kind == "inproc" {
-		// The in-process ranks charge their measured codec time as one
-		// rank's single-thread time, so it is measured on one core.
-		fanout.OneCore(func() { res, err = hzccl.RunCluster(cfg, body) })
-	} else {
-		res, err = hzccl.RunCluster(cfg, body)
-	}
+	})
 	if err != nil {
 		return err
 	}
@@ -518,22 +509,19 @@ func runChaosDemo(seed int64, rate float64, nodes, message int) error {
 	for _, name := range counters {
 		before[name] = telemetry.C(name).Value()
 	}
-	var res *hzccl.RunResult
-	fanout.OneCore(func() { // measured codec time, charged as one rank's
-		res, err = hzccl.RunCluster(hzccl.ClusterConfig{
-			Ranks:       nodes,
-			Latency:     2 * time.Microsecond,
-			Reliable:    true,
-			RecvTimeout: 500 * time.Millisecond,
-			Fault:       chaos.Fault(),
-			Corrupt:     &hzccl.CorruptPattern{Spray: true, Burst: 2},
-		}, func(r *hzccl.Rank) error {
-			_, err := r.Allreduce(base, hzccl.BackendHZCCL, hzccl.CollectiveOptions{
-				ErrorBound: eb,
-				Degrade:    &hzccl.DegradePolicy{},
-			})
-			return err
+	res, err := hzccl.RunCluster(hzccl.ClusterConfig{
+		Ranks:       nodes,
+		Latency:     2 * time.Microsecond,
+		Reliable:    true,
+		RecvTimeout: 500 * time.Millisecond,
+		Fault:       chaos.Fault(),
+		Corrupt:     &hzccl.CorruptPattern{Spray: true, Burst: 2},
+	}, func(r *hzccl.Rank) error {
+		_, err := r.Allreduce(base, hzccl.BackendHZCCL, hzccl.CollectiveOptions{
+			ErrorBound: eb,
+			Degrade:    &hzccl.DegradePolicy{},
 		})
+		return err
 	})
 	if err != nil {
 		return err
@@ -576,14 +564,10 @@ func writeTrace(path string, nodes, message int) error {
 	if err != nil {
 		return err
 	}
-	// Measured codec time, divided by MTSpeedup: measured on one core.
-	fanout.OneCore(func() {
-		_, err = cl.Run(func(r *cluster.Rank) error {
-			_, _, err := c.Allreduce(r, core.FlavorHZ, core.AlgoRing, base)
-			return err
-		})
-	})
-	if err != nil {
+	if _, err := cl.Run(func(r *cluster.Rank) error {
+		_, _, err := c.Allreduce(r, core.FlavorHZ, core.AlgoRing, base)
+		return err
+	}); err != nil {
 		return err
 	}
 	f, err := os.Create(path)

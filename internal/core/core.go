@@ -26,6 +26,7 @@ package core
 import (
 	"hzccl/internal/bufpool"
 	"hzccl/internal/cluster"
+	"hzccl/internal/fanout"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -114,7 +115,9 @@ func (o Options) scale() float64 {
 // work executes f (real work over rawBytes of raw-equivalent data) and
 // charges virtual time for it: measured wall time when no Rates are set,
 // or rawBytes/rate otherwise. Multi-thread mode divides either charge by
-// MTSpeedup. A replay charges the same and records no span.
+// MTSpeedup. Measured work runs inside fanout.Inline, so the wall time is
+// one core's: no codec call splits its chunks or segments across cores
+// while it is timed. A replay charges the same and records no span.
 func (c Collectives) work(g comm, cat cluster.Category, rawBytes int, f func()) {
 	h, _ := stageOf(cat, c.Opt.Rates)
 	timed := func() {
@@ -123,7 +126,7 @@ func (c Collectives) work(g comm, cat cluster.Category, rawBytes int, f func()) 
 		sp.End()
 	}
 	if c.Opt.Rates == nil { // never in a replay, which always models compute
-		g.r.(*cluster.Rank).TimeScaled(cat, c.Opt.scale(), timed)
+		g.r.(*cluster.Rank).TimeScaled(cat, c.Opt.scale(), func() { fanout.Inline(timed) })
 		return
 	}
 	g.quiesce(timed)

@@ -146,12 +146,12 @@ func (r Rates) Speedup(b Backend, n int, dataBytes float64) float64 {
 // should be at least a few hundred KB for stable numbers.
 //
 // The rates are single-thread rates: Measure runs on one core
-// (fanout.OneCore), however long the sample.
+// (fanout.Inline), however long the sample.
 func Measure(sample []float32, eb float64, alpha time.Duration, betaBytes float64) (r Rates, err error) {
 	if len(sample) == 0 {
 		return Rates{}, errors.New("costmodel: empty calibration sample")
 	}
-	fanout.OneCore(func() { r, err = measure(sample, eb, alpha, betaBytes) })
+	fanout.Inline(func() { r, err = measure(sample, eb, alpha, betaBytes) })
 	return r, err
 }
 

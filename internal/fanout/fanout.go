@@ -6,10 +6,10 @@
 // A call hands its job only to helpers that are idle at that moment and
 // then works through the tasks itself, so it never waits for a task nobody
 // has started: on a busy process (four ranks on two cores) the caller
-// simply runs every task, and at GOMAXPROCS(1) no helper is involved at
-// all. The steady state allocates nothing: jobs come from a free list and
-// a helper serves one call after another until it has been idle for a
-// while.
+// simply runs every task, and at GOMAXPROCS(1) or inside Inline no helper
+// is involved at all. The steady state allocates nothing: jobs come from a
+// free list and a helper serves one call after another until it has been
+// idle for a while.
 package fanout
 
 import (
@@ -51,42 +51,53 @@ var (
 	work    = make(chan *job)
 	helpers atomic.Int32
 	spawnMu sync.Mutex
-	jobs    = make(Free[job], FreeCap)
+	jobs    Free[job]
 )
 
-// FreeCap is the capacity of a free list: room for the jobs or plans of
+// freeCap is the capacity of a free list: room for the jobs or plans of
 // more codec calls than a process runs at once (one per rank sharing it).
 // A call past it allocates its own and drops it on return.
-const FreeCap = 16
+const freeCap = 16
 
-// Free is a free list for the per-call state of a fan-out. Unlike a
-// sync.Pool it is not per-core: what one call puts back the next takes,
+// Free is a free list for the per-call state of a fan-out: freeCap slots,
+// each emptied and filled by compare-and-swap, so it takes no lock. Unlike
+// a sync.Pool it is not per-core: what one call puts back the next takes,
 // whichever core either ran on, and a GC drops nothing, so a steady state
-// that moves between cores allocates nothing.
-type Free[T any] chan *T
+// that moves between cores allocates nothing. A nil *Free keeps nothing.
+type Free[T any] struct{ slots [freeCap]atomic.Pointer[T] }
 
 // Get returns a free *T, or nil when there is none.
-func (f Free[T]) Get() *T {
-	select {
-	case x := <-f:
-		return x
-	default:
+func (f *Free[T]) Get() *T {
+	if f == nil {
 		return nil
 	}
+	for i := range f.slots {
+		if x := f.slots[i].Load(); x != nil && f.slots[i].CompareAndSwap(x, nil) {
+			return x
+		}
+	}
+	return nil
 }
 
 // Put returns x to the list, or drops it when the list is full.
-func (f Free[T]) Put(x *T) {
-	select {
-	case f <- x:
-	default:
+func (f *Free[T]) Put(x *T) {
+	if f == nil {
+		return
+	}
+	for i := range f.slots {
+		if f.slots[i].Load() == nil && f.slots[i].CompareAndSwap(nil, x) {
+			return
+		}
 	}
 }
 
 // Run calls t.Do(i) for every i in [0, n) and returns when all calls have
-// returned. It uses up to GOMAXPROCS goroutines, the caller among them.
+// returned. It uses up to Cores() goroutines, the caller among them.
 func Run(n int, t Tasks) {
-	want := min(n, runtime.GOMAXPROCS(0), maxHelpers+1) - 1
+	want := 0
+	if n > 1 { // Cores reads GOMAXPROCS, which takes the scheduler's lock
+		want = min(n, Cores(), maxHelpers+1) - 1
+	}
 	if want <= 0 {
 		for i := 0; i < n; i++ {
 			t.Do(i)
@@ -165,12 +176,27 @@ func helper(t *time.Timer) {
 	}
 }
 
-// OneCore runs f at GOMAXPROCS(1) and then restores the setting, so every
-// Run inside f runs all its tasks on its caller. Code that turns a codec's
-// wall time into a single-thread figure, or scales it by a modelled
-// multi-thread speedup, times the codec inside OneCore. The setting is
-// process-wide: every other goroutine shares the one core meanwhile.
-func OneCore(f func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// inline counts the Inline calls in progress anywhere in the process.
+var inline atomic.Int32
+
+// Cores is how many goroutines a Run may use now: GOMAXPROCS, or 1 while
+// an Inline call is in progress.
+func Cores() int {
+	if inline.Load() > 0 {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// Inline runs f so that every Run that starts meanwhile, in f or in any
+// other goroutine, runs all its tasks on its caller. Code that turns a
+// codec's wall time into a single-thread figure, or scales it by a
+// modelled multi-thread speedup, times the codec inside Inline; holding
+// every other codec call to its own goroutine meanwhile also keeps helpers
+// off the cores the timed call runs on. Calls may nest and overlap, and
+// GOMAXPROCS is left alone.
+func Inline(f func()) {
+	inline.Add(1)
+	defer inline.Add(-1)
 	f()
 }

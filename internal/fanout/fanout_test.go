@@ -80,15 +80,41 @@ func TestRunZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestOneCoreRestores(t *testing.T) {
+// Inside Inline every Run, on any goroutine, runs its tasks on its caller;
+// overlapping calls leave GOMAXPROCS alone and the runner back at every
+// core only when the last of them returns.
+func TestInline(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	OneCore(func() {
-		if p := runtime.GOMAXPROCS(0); p != 1 {
-			t.Errorf("GOMAXPROCS %d inside OneCore, want 1", p)
+	c := &counts{n: make([]atomic.Int32, 64)}
+	inA, leaveA, doneA := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(doneA)
+		Inline(func() {
+			close(inA)
+			<-leaveA
+		})
+	}()
+	<-inA
+	Inline(func() {
+		close(leaveA)
+		<-doneA // the overlapping call returns first
+		if n := Cores(); n != 1 {
+			t.Errorf("Cores() = %d inside Inline, want 1", n)
+		}
+		before := mHelperTasks.Value()
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); Run(len(c.n)/2, &counts{n: c.n[g*len(c.n)/2:][:len(c.n)/2]}) }()
+		}
+		wg.Wait()
+		if n := mHelperTasks.Value() - before; n != 0 {
+			t.Errorf("helpers ran %d tasks inside Inline, want 0", n)
 		}
 	})
-	if p := runtime.GOMAXPROCS(0); p != 3 {
-		t.Errorf("GOMAXPROCS %d after OneCore, want 3", p)
+	checkOnce(t, c)
+	if n, p := Cores(), runtime.GOMAXPROCS(0); n != 3 || p != 3 {
+		t.Errorf("after Inline: Cores() = %d, GOMAXPROCS %d, want 3 and 3", n, p)
 	}
 }
 
@@ -107,5 +133,35 @@ func TestHelpersExitWhenIdle(t *testing.T) {
 	}
 	if n := helpers.Load(); n != 0 {
 		t.Fatalf("%d helpers still up %v after the last job", n, 10*idle)
+	}
+}
+
+// A free list hands back what was put, each item once, keeps at most
+// freeCap, and a nil one keeps nothing.
+func TestFree(t *testing.T) {
+	var f Free[int]
+	if f.Get() != nil {
+		t.Fatal("an empty list returned an item")
+	}
+	put := make(map[*int]bool)
+	for i := 0; i < freeCap+3; i++ {
+		x := new(int)
+		put[x] = true
+		f.Put(x)
+	}
+	got := make(map[*int]bool)
+	for x := f.Get(); x != nil; x = f.Get() {
+		if got[x] || !put[x] {
+			t.Fatalf("Get returned %p twice or never put", x)
+		}
+		got[x] = true
+	}
+	if len(got) != freeCap {
+		t.Fatalf("got %d items back, want freeCap = %d", len(got), freeCap)
+	}
+	var none *Free[int]
+	none.Put(new(int))
+	if none.Get() != nil {
+		t.Fatal("a nil list returned an item")
 	}
 }

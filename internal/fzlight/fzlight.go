@@ -30,9 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"hzccl/internal/bufpool"
+	"hzccl/internal/fanout"
 )
 
 // DefaultBlockSize is the small-block length used when Params.BlockSize is
@@ -224,7 +224,11 @@ func compressIntoAny[T Float](dst []byte, data []T, p Params, wide bool) (int, e
 
 // compressHeader writes the container h describes for data into dst.
 func compressHeader[T Float](dst []byte, data []T, h Header) (int, error) {
-	return compressSplit(dst, data, h, runtime.GOMAXPROCS(0), minSegment)
+	cores := 1
+	if len(data) >= 2*minSegment { // no shorter chunk splits
+		cores = fanout.Cores()
+	}
+	return compressSplit(dst, data, h, cores, minSegment)
 }
 
 // compressSplit is compressHeader on the given number of cores with

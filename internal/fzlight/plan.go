@@ -1,10 +1,6 @@
 package fzlight
 
-import (
-	"sync/atomic"
-
-	"hzccl/internal/fanout"
-)
+import "hzccl/internal/fanout"
 
 // Every container this package writes or reads is one plan of parts run on
 // the fanout runner: a part is a chunk, or a segment of a chunk, with its
@@ -83,23 +79,20 @@ type plan[T Float] struct {
 	scale  float64 // recip = 1/(2·eb) to encode, 2·eb to decode
 	decode bool
 	parts  []Part
-	// tails[i] is where part i's bytes end when they sit in their final
-	// place — part i−1 was in place and part i was written right behind it
-	// — and 0 otherwise. It lets a goroutine that runs consecutive parts
-	// write them in place, so a chunk no helper took part in is never
-	// copied.
-	tails []atomic.Int64
 }
 
 // plans keeps free plans of float32 and float64 values.
-var plans32, plans64 = make(fanout.Free[plan[float32]], fanout.FreeCap), make(fanout.Free[plan[float64]], fanout.FreeCap)
+var (
+	plans32 fanout.Free[plan[float32]]
+	plans64 fanout.Free[plan[float64]]
+)
 
 // free is the free list of plan[T]: nil for an element type that is
 // neither float32 nor float64 (a named one), whose plans are not kept.
-func free[T Float]() fanout.Free[plan[T]] {
-	f, _ := any(plans32).(fanout.Free[plan[T]])
+func free[T Float]() *fanout.Free[plan[T]] {
+	f, _ := any(&plans32).(*fanout.Free[plan[T]])
 	if f == nil {
-		f, _ = any(plans64).(fanout.Free[plan[T]])
+		f, _ = any(&plans64).(*fanout.Free[plan[T]])
 	}
 	return f
 }
@@ -145,13 +138,6 @@ func (p *plan[T]) planEncode(cores, minLen int) {
 			off += size
 		}
 	}
-	if cap(p.tails) < len(p.parts) {
-		p.tails = make([]atomic.Int64, len(p.parts))
-	}
-	p.tails = p.tails[:len(p.parts)]
-	for i := range p.tails {
-		p.tails[i].Store(0)
-	}
 }
 
 // planDecode lays out the parts of a decode of the container h heads: one
@@ -176,12 +162,6 @@ func (p *plan[T]) Do(i int) {
 		return
 	}
 	head := i == 0 || p.parts[i-1].Chunk != pt.Chunk
-	inPlace := i == 0
-	if i > 0 {
-		if t := p.tails[i-1].Load(); t > 0 {
-			pt.Off, inPlace = int(t), true
-		}
-	}
 	var qprev int32
 	if !head {
 		// The previous segment meets this value's error, if it has one,
@@ -193,9 +173,6 @@ func (p *plan[T]) Do(i int) {
 	sp := mChunkEncodeNS.Start()
 	pt.Size, pt.Err = encodeChunk(p.buf[pt.Off:pt.Limit], p.vals[pt.Start:pt.End], p.h, p.scale, qprev, head)
 	sp.End()
-	if inPlace && pt.Err == nil {
-		p.tails[i].Store(int64(pt.Off + pt.Size))
-	}
 }
 
 // run runs every part on the fanout runner.

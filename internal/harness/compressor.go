@@ -28,12 +28,12 @@ func init() {
 // bestOf runs f trials times and returns the shortest duration. It is the
 // one timer of every codec figure this package reports (Fig. 6, Tables
 // IV–VI, the rates the collective and stacking experiments calibrate), and
-// it times on one core (fanout.OneCore): those figures are single-thread
+// it times on one core (fanout.Inline): those figures are single-thread
 // ones, or scaled by the modelled MTSpeedup, and must not gain a core when
 // the codec splits a long chunk across cores.
 func bestOf(trials int, f func() error) (best time.Duration, err error) {
 	best = time.Duration(1 << 62)
-	fanout.OneCore(func() {
+	fanout.Inline(func() {
 		for i := 0; i < trials && err == nil; i++ {
 			t0 := time.Now()
 			if err = f(); err == nil {

@@ -202,8 +202,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 // bestOf times every codec figure of this package (Fig. 6, Tables IV–VI,
 // the calibrated rates of the collective and stacking experiments), which
 // are single-thread figures or scaled by MTSpeedup: at any GOMAXPROCS a
-// chunk long enough to split across cores runs inside it as one segment,
-// and GOMAXPROCS is restored after.
+// chunk long enough to split across cores runs inside it as one segment.
 func TestBestOfTimesOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	data, err := datasets.Field("CESM-ATM", 0, 1<<20)
@@ -229,8 +228,5 @@ func TestBestOfTimesOneCore(t *testing.T) {
 		}
 	}); split != 0 || helped != 0 {
 		t.Errorf("bestOf split %d extra segments and gave %d tasks to helpers, want one core", split, helped)
-	}
-	if p := runtime.GOMAXPROCS(0); p != 4 {
-		t.Errorf("GOMAXPROCS %d after bestOf, want 4 restored", p)
 	}
 }

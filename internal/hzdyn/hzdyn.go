@@ -183,7 +183,7 @@ type plan struct {
 	stats    []Stats
 }
 
-var plans = make(fanout.Free[plan], fanout.FreeCap)
+var plans fanout.Free[plan]
 
 func newPlan(h fzlight.Header, dst, a, b []byte) *plan {
 	p := plans.Get()
