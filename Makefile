@@ -73,9 +73,13 @@ chaos:
 # finish under the cooperative-abort deadline, and match a fresh
 # shrunken-world run bitwise. SOAK_SEED overrides the seed; a failure
 # message includes it for replay. The membership/shrink unit suites run
-# first under the race detector.
+# first under the race detector, then ten race-enabled rounds of the
+# regression tests of the TCP ordering bugs that each first showed up as
+# a flake (replay vs connection close, reset vs detector, bye vs
+# receiver, bye vs bind).
 soak:
 	$(GO) test -race -count=1 -run 'Agree|Shrink|Membership|ConnReset' ./internal/cluster ./internal/conformance
+	$(GO) test -race -count=10 -run 'TestTCPReliableDropRecovery|TestTCPConnResetFeedsDetector|TestTCPByeMidCollectiveIsTyped|TestTCPByeBeforeBindReachesDetector' ./internal/cluster
 	SOAK_ITERS=$${SOAK_ITERS:-25} $(GO) test -race -count=1 -run 'TestShrinkSoak' -v .
 
 # tcp-smoke runs a 4-rank hZCCL Allreduce as 4 real OS processes over

@@ -1,6 +1,9 @@
 package hzccl
 
 import (
+	"fmt"
+	"strings"
+
 	"hzccl/internal/cluster"
 	"hzccl/internal/core"
 	"hzccl/internal/costmodel"
@@ -35,6 +38,20 @@ const (
 // ParseAlgorithm parses the CLI spellings of an algorithm name
 // (ring | rd | rabenseifner | hierarchical | auto).
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
+
+// ParseBackend parses the CLI spellings of a backend name, case-blind:
+// mpi | ccoll (or c-coll) | hzccl, with the empty string meaning hzccl.
+func ParseBackend(s string) (Backend, error) {
+	switch strings.ToLower(s) {
+	case "mpi":
+		return BackendMPI, nil
+	case "ccoll", "c-coll":
+		return BackendCColl, nil
+	case "hzccl", "":
+		return BackendHZCCL, nil
+	}
+	return 0, fmt.Errorf("unknown backend %q (want mpi, ccoll or hzccl)", s)
+}
 
 // Topology groups ranks into "nodes" for AlgoHierarchical; set it as
 // ClusterConfig.Topology. Nil means one flat node holding every rank.

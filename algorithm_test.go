@@ -357,3 +357,33 @@ func TestAlgoChoicesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBackend pins the CLI and daemon spellings of every backend,
+// the empty default and the error text of an unknown name.
+func TestParseBackend(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want hzccl.Backend
+	}{
+		{"mpi", hzccl.BackendMPI},
+		{"MPI", hzccl.BackendMPI},
+		{"ccoll", hzccl.BackendCColl},
+		{"c-coll", hzccl.BackendCColl},
+		{"C-Coll", hzccl.BackendCColl},
+		{"hzccl", hzccl.BackendHZCCL},
+		{"hZCCL", hzccl.BackendHZCCL},
+		{"", hzccl.BackendHZCCL},
+	} {
+		got, err := hzccl.ParseBackend(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{"nccl", "hz", " mpi"} {
+		_, err := hzccl.ParseBackend(in)
+		want := fmt.Sprintf("unknown backend %q (want mpi, ccoll or hzccl)", in)
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseBackend(%q) error %v, want %q", in, err, want)
+		}
+	}
+}

@@ -279,7 +279,7 @@ func mergeTraces(out string, inputs []string) error {
 // digest lines in the exact format of a -transport run, so smoke scripts
 // compare daemon and standalone results with the same extraction.
 func runSubmit(addr, backendStr, algoStr, topoStr string, message int, rel float64, killRank, killStep int) error {
-	backend, err := parseBackend(backendStr)
+	backend, err := hzccl.ParseBackend(backendStr)
 	if err != nil {
 		return err
 	}
@@ -331,19 +331,6 @@ func runSubmit(addr, backendStr, algoStr, topoStr string, message int, rel float
 	return nil
 }
 
-// parseBackend maps a -backend flag value to a collective backend.
-func parseBackend(s string) (hzccl.Backend, error) {
-	switch strings.ToLower(s) {
-	case "mpi":
-		return hzccl.BackendMPI, nil
-	case "ccoll", "c-coll":
-		return hzccl.BackendCColl, nil
-	case "hzccl", "":
-		return hzccl.BackendHZCCL, nil
-	}
-	return 0, fmt.Errorf("unknown backend %q (want mpi, ccoll or hzccl)", s)
-}
-
 // runTransport runs one Allreduce on an explicitly selected fabric and
 // prints, per local rank, a digest of the reduced vector plus the virtual
 // (modeled) and wall-clock times. "tcp" makes this process rank `rank` of
@@ -352,7 +339,7 @@ func parseBackend(s string) (hzccl.Backend, error) {
 // With a trace attached the run is recorded and written to traceFile —
 // on TCP each process produces its own rank-local file for -trace-merge.
 func runTransport(kind string, rank int, peers, backendStr, algoStr, topoStr string, nodes, message int, rel float64, traceFile string, trace *hzccl.Trace, killRank, killStep int, recvTO time.Duration) error {
-	backend, err := parseBackend(backendStr)
+	backend, err := hzccl.ParseBackend(backendStr)
 	if err != nil {
 		return err
 	}

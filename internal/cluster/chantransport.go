@@ -19,18 +19,16 @@ import (
 type chanTransport struct {
 	cfg    Config
 	mailMu sync.Mutex
-	mail   map[[2]int]chan message
+	mail   map[[2]int]*chanLink
 	// done[i] is set once rank i's body has returned; its channels are
 	// closed so blocked receivers fail instead of hanging.
 	done []bool
 
 	barrierMu   sync.Mutex
 	barrierCond *sync.Cond
-	// live[i] is false once rank i was evicted by a membership shrink:
-	// consensus generations stop waiting on it. exitedRank[i] is set once
-	// rank i's body returned — a *live* rank exiting aborts the
-	// generations it never joined (it will never arrive).
-	live       []bool
+	// exitedRank[i] is set once rank i's body returned — a rank exiting
+	// aborts the generations whose members it belongs to and never joined
+	// (it will never arrive).
 	exitedRank []bool
 	// agreeSeq[i] is rank i's consensus-call ordinal. Every rank calls
 	// agree in identical program order, so rank r's k-th call joins
@@ -39,16 +37,25 @@ type chanTransport struct {
 	agreeSeq []int
 	gens     map[int]*chanGen
 
-	// retx holds the per-link sender-side retransmit windows of the
-	// reliable-delivery layer (reliable.go).
-	retx retxStore
+	// retx is the cluster's replay windows (every rank's, one address
+	// space), bound at bind.
+	retx *retxStore
 }
 
-// chanGen is one consensus generation: the contributions folded so far
-// and, once done, the latched results (late leavers must not be affected
-// by ranks already entering the next generation).
+// chanLink is one from→to link: its buffered channel and the receiver's
+// reusable deadline.
+type chanLink struct {
+	ch    chan message
+	timer linkTimer
+}
+
+// chanGen is one consensus generation: the members it waits on (the
+// creating caller's list), the contributions folded so far and, once
+// done, the latched results (late leavers must not be affected by ranks
+// already entering the next generation).
 type chanGen struct {
 	tolerant bool
+	live     []bool
 	joined   []bool
 	in       int
 	maxClk   float64
@@ -62,7 +69,7 @@ type chanGen struct {
 }
 
 func newChanTransport() *chanTransport {
-	t := &chanTransport{mail: make(map[[2]int]chan message)}
+	t := &chanTransport{mail: make(map[[2]int]*chanLink)}
 	t.barrierCond = sync.NewCond(&t.barrierMu)
 	return t
 }
@@ -75,40 +82,29 @@ func (t *chanTransport) epochHint() (time.Time, bool) { return time.Time{}, fals
 
 func (t *chanTransport) Close() error { return nil }
 
-func (t *chanTransport) bind(cfg Config) error {
-	t.cfg = cfg
+func (t *chanTransport) bind(cfg Config, retx *retxStore) error {
+	t.cfg, t.retx = cfg, retx
 	t.done = make([]bool, cfg.Ranks)
-	t.live = make([]bool, cfg.Ranks)
-	for i := range t.live {
-		t.live[i] = true
-	}
 	t.exitedRank = make([]bool, cfg.Ranks)
 	t.agreeSeq = make([]int, cfg.Ranks)
 	t.gens = make(map[int]*chanGen)
-	t.retx.window = cfg.RetxWindow
 	return nil
 }
 
-func (t *chanTransport) chanFor(from, to int) chan message {
+func (t *chanTransport) link(from, to int) *chanLink {
 	key := [2]int{from, to}
 	t.mailMu.Lock()
 	defer t.mailMu.Unlock()
-	if t.done[from] {
-		// The sender already exited; give the receiver a closed channel.
-		ch, ok := t.mail[key]
-		if !ok {
-			ch = make(chan message)
-			close(ch)
-			t.mail[key] = ch
-		}
-		return ch
-	}
-	ch, ok := t.mail[key]
+	l, ok := t.mail[key]
 	if !ok {
-		ch = make(chan message, LinkDepth)
-		t.mail[key] = ch
+		l = &chanLink{ch: make(chan message, LinkDepth)}
+		if t.done[from] {
+			// The sender already exited; give the receiver a closed channel.
+			close(l.ch)
+		}
+		t.mail[key] = l
 	}
-	return ch
+	return l
 }
 
 // send hands the receiver a pooled copy of the payload, one shared by every
@@ -118,40 +114,17 @@ func (t *chanTransport) send(r *Rank, to int, m message, copies int) error {
 	own := bufpool.Bytes(len(m.data))
 	r.Quiesce(func() { copy(own, m.data) })
 	m.data = own
-	ch := t.chanFor(m.from, to)
+	ch := t.link(m.from, to).ch
 	for i := 0; i < copies; i++ {
 		ch <- m
 	}
 	return nil
 }
 
-// recv pulls the next message from the link's channel, honouring the
-// wall-clock timeout and the cooperative-abort channel.
+// recv pulls the next message from the link's channel.
 func (t *chanTransport) recv(from, to int, timeout time.Duration, abort <-chan struct{}) (message, bool, error) {
-	ch := t.chanFor(from, to)
-	if timeout <= 0 && abort == nil {
-		m, ok := <-ch
-		return m, ok, nil
-	}
-	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
-	// A nil channel blocks forever, so absent cases simply never fire.
-	select {
-	case m, ok := <-ch:
-		return m, ok, nil
-	case <-timeoutC:
-		return message{}, false, ErrRecvTimeout
-	case <-abort:
-		return message{}, false, errAborted
-	}
-}
-
-func (t *chanTransport) recordRetx(from, to, seq, epoch int, data []byte, sum uint32) {
-	t.retx.record(from, to, seq, epoch, data, sum)
+	l := t.link(from, to)
+	return await(&l.timer, l.ch, timeout, abort)
 }
 
 // retransmit reads the sender's replay window directly: all ranks share
@@ -162,18 +135,16 @@ func (t *chanTransport) retransmit(from, to, seq, epoch int) ([]byte, uint32, er
 	return t.retx.lookup(from, to, seq, epoch)
 }
 
-func (t *chanTransport) clearRetx(rank int) { t.retx.clear(rank) }
-
 // closeRank marks rank as finished and closes every mailbox it feeds. It
-// also re-checks open consensus generations: a generation missing a live
-// exited rank can never complete, so its waiters abort (or, in a
+// also re-checks open consensus generations: a generation missing an
+// exited member can never complete, so its waiters abort (or, in a
 // tolerant membership round, complete without the dead member).
 func (t *chanTransport) closeRank(rank int) {
 	t.mailMu.Lock()
 	t.done[rank] = true
-	for key, ch := range t.mail {
+	for key, l := range t.mail {
 		if key[0] == rank {
-			close(ch)
+			close(l.ch)
 		}
 	}
 	t.mailMu.Unlock()
@@ -187,36 +158,16 @@ func (t *chanTransport) closeRank(rank int) {
 	t.barrierMu.Unlock()
 }
 
-// setMembers restricts the consensus plane to the surviving ranks after
-// a membership shrink. All survivors call it with the identical list, so
-// concurrent calls are idempotent.
-func (t *chanTransport) setMembers(members []int) {
-	t.barrierMu.Lock()
-	for i := range t.live {
-		t.live[i] = false
-	}
-	for _, m := range members {
-		if m >= 0 && m < len(t.live) {
-			t.live[m] = true
-		}
-	}
-	for _, g := range t.gens {
-		t.checkGen(g)
-	}
-	t.barrierCond.Broadcast()
-	t.barrierMu.Unlock()
-}
-
 // checkGen (caller holds barrierMu) decides whether a generation can
-// complete or must abort, given the current live/exited state.
+// complete or must abort, given its members and the exited ranks.
 func (t *chanTransport) checkGen(g *chanGen) {
 	if g.done {
 		return
 	}
 	liveN, missing := 0, 0
 	var missingBits uint64
-	for i := 0; i < t.cfg.Ranks; i++ {
-		if !t.live[i] {
+	for i, live := range g.live {
+		if !live {
 			continue
 		}
 		liveN++
@@ -264,10 +215,11 @@ func (t *chanTransport) completeGen(g *chanGen, n int) {
 }
 
 // agree is the shared-memory consensus plane: rank's k-th call joins
-// generation k (identical program order across ranks), contributions are
-// folded into the generation, and everyone still live leaves together
-// with the latched results.
-func (t *chanTransport) agree(rank int, clock float64, v int, propose uint64, tolerant bool) (float64, int, uint64, error) {
+// generation k (identical program order across ranks), whose first
+// caller records the members it waits on; contributions are folded into
+// the generation, and every member still live leaves together with the
+// latched results.
+func (t *chanTransport) agree(rank int, members []int, clock float64, v int, propose uint64, tolerant bool) (float64, int, uint64, error) {
 	var deadline time.Time
 	if d := t.cfg.agreeTimeout(); d > 0 {
 		deadline = time.Now().Add(d)
@@ -283,7 +235,13 @@ func (t *chanTransport) agree(rank int, clock float64, v int, propose uint64, to
 	t.agreeSeq[rank]++
 	g, ok := t.gens[genID]
 	if !ok {
-		g = &chanGen{tolerant: tolerant, joined: make([]bool, t.cfg.Ranks), maxClk: math.Inf(-1)}
+		g = &chanGen{tolerant: tolerant, live: make([]bool, t.cfg.Ranks), joined: make([]bool, t.cfg.Ranks), maxClk: math.Inf(-1)}
+		for i := range g.live {
+			g.live[i] = members == nil
+		}
+		for _, m := range members {
+			g.live[m] = true
+		}
 		t.gens[genID] = g
 	}
 	g.joined[rank] = true
@@ -312,84 +270,4 @@ func (t *chanTransport) agree(rank int, clock float64, v int, propose uint64, to
 		return 0, 0, dead, fmt.Errorf("%w: barrier aborted, a rank exited before reaching it", rankFailedFromBits(dead, nil))
 	}
 	return leave, agreed, dead, nil
-}
-
-// retxStore is the per-link sender-side replay buffer shared by both
-// transports: the in-process fabric keeps every rank's windows here, the
-// TCP fabric only its local rank's (peers are NACKed over the wire).
-type retxStore struct {
-	mu     sync.Mutex
-	window int
-	m      map[[2]int]*retxWindow
-}
-
-func (s *retxStore) windowFor(from, to int) *retxWindow {
-	key := [2]int{from, to}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[[2]int]*retxWindow)
-	}
-	w, ok := s.m[key]
-	if !ok {
-		w = &retxWindow{buf: make(map[int]retxEntry)}
-		s.m[key] = w
-	}
-	return w
-}
-
-// record stores a pristine copy of an outgoing message, evicting entries
-// older than the configured window.
-func (s *retxStore) record(from, to, seq, epoch int, data []byte, sum uint32) {
-	w := s.windowFor(from, to)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if epoch != w.epoch {
-		// First send of a new epoch: old-epoch entries are unreachable.
-		w.epoch = epoch
-		w.buf = make(map[int]retxEntry)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	w.buf[seq] = retxEntry{data: cp, sum: sum}
-	w.next = seq + 1
-	if old := seq - s.window; old >= 0 {
-		delete(w.buf, old)
-	}
-}
-
-// lookup fetches a fresh copy of a windowed message for replay.
-func (s *retxStore) lookup(from, to, seq, epoch int) (data []byte, sum uint32, err error) {
-	w := s.windowFor(from, to)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.epoch < epoch || seq >= w.next {
-		return nil, 0, errNotYetSent
-	}
-	if w.epoch > epoch {
-		// The sender already moved to a newer epoch; the old attempt's
-		// traffic is unrecoverable.
-		mRetxEvictions.Inc()
-		return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (sender in epoch %d, wanted %d)", ErrRetransmitGone, from, to, seq, w.epoch, epoch)
-	}
-	e, ok := w.buf[seq]
-	if !ok {
-		mRetxEvictions.Inc()
-		return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (window %d)", ErrRetransmitGone, from, to, seq, s.window)
-	}
-	cp := make([]byte, len(e.data))
-	copy(cp, e.data)
-	return cp, e.sum, nil
-}
-
-// clear drops every replay window fed by rank `from` (epoch change: the
-// retained traffic belongs to an abandoned attempt).
-func (s *retxStore) clear(from int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.m {
-		if key[0] == from {
-			delete(s.m, key)
-		}
-	}
 }

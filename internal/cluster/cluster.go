@@ -266,6 +266,11 @@ type Cluster struct {
 	tr      Transport
 	compute sync.Mutex
 
+	// retx is the senders' replay windows of reliable delivery. The
+	// transport answers NACKs from it (bound at bind), so it outlives a
+	// sender's exit exactly as long as the cluster hosting that sender.
+	retx retxStore
+
 	// det is the failure detector feeding cooperative abort and
 	// shrink-and-continue (membership.go).
 	det *detector
@@ -291,7 +296,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Topology.Validate(cfg.Ranks); err != nil {
 		return nil, err
 	}
-	c := &Cluster{epoch: time.Now(), det: newDetector(), evicted: make(map[int]bool)}
+	c := &Cluster{epoch: time.Now(), det: newDetector(), evicted: make(map[int]bool), retx: retxStore{window: cfg.RetxWindow}}
 	// Wire the transport's death evidence into the failure detector
 	// before the transport binds: a reader goroutine may observe a
 	// connection reset at any point after that.
@@ -300,7 +305,7 @@ func New(cfg Config) (*Cluster, error) {
 	if tr == nil {
 		tr = newChanTransport()
 	}
-	if err := tr.bind(cfg); err != nil {
+	if err := tr.bind(cfg, &c.retx); err != nil {
 		return nil, err
 	}
 	c.cfg, c.tr = cfg, tr
@@ -622,8 +627,8 @@ func (r *Rank) Elapse(cat Category, seconds float64) {
 }
 
 // Time runs f (real work), measures its wall-clock duration and charges it
-// to cat. f must not communicate: when SerializeCompute is active the
-// cluster-wide compute lock is held during f.
+// to cat. f must not communicate: unless Config.ParallelCompute is set,
+// the cluster-wide compute lock is held during f.
 func (r *Rank) Time(cat Category, f func()) {
 	r.TimeScaled(cat, 1, f)
 }
@@ -719,7 +724,7 @@ func (r *Rank) Send(to int, data []byte) error {
 	if r.c.cfg.Reliable {
 		// Record the pristine payload in the per-link replay window before
 		// the fault hook can damage or drop it.
-		r.c.tr.recordRetx(r.phys, pt, m.seq, m.epoch, data, m.sum)
+		r.c.retx.record(r.phys, pt, m.seq, m.epoch, data, m.sum)
 	}
 	copies, dropped, killed := r.c.applyFault(&m, pt, rankSeq)
 	if killed {
@@ -728,7 +733,7 @@ func (r *Rank) Send(to int, data []byte) error {
 		// salvage anything it "sent" after death), and every later
 		// Send/Recv fails immediately.
 		r.killed = true
-		r.c.tr.clearRetx(r.phys)
+		r.c.retx.clear(r.phys)
 		return fmt.Errorf("%w: rank %d at send #%d", ErrRankKilled, r.phys, rankSeq)
 	}
 	if dropped {
@@ -741,12 +746,13 @@ func (r *Rank) Send(to int, data []byte) error {
 // payload. The rank's clock advances to the modeled arrival time
 // max(now, sentAt + α + len/β), with the advance charged to MPI.
 //
-// In the default (strict) mode Recv verifies message integrity and
-// surfaces every violation: a checksum mismatch returns
-// ErrMessageCorrupt, a sequence gap ErrMessageLost (the later message is
-// retained and redelivered by the next Recv) and a replayed sequence
-// number ErrMessageDuplicate. With Config.RecvTimeout set, a message
-// that never arrives returns ErrRecvTimeout instead of blocking forever.
+// Recv verifies every message's epoch, sequence number and checksum.
+// In the default (strict) mode it surfaces every violation: a checksum
+// mismatch returns ErrMessageCorrupt, a sequence gap ErrMessageLost (the
+// later message is retained and redelivered by the next Recv) and a
+// replayed sequence number ErrMessageDuplicate. With Config.RecvTimeout
+// set, a message that never arrives returns ErrRecvTimeout instead of
+// blocking forever.
 //
 // With Config.Reliable set, Recv instead *recovers*: corrupted or lost
 // messages are NACKed and replayed from the sender's retransmit window
@@ -762,82 +768,109 @@ func (r *Rank) Recv(from int) ([]byte, error) {
 	if from == r.ID {
 		return nil, fmt.Errorf("%w: self-recv", ErrBadPeer)
 	}
-	pf := r.peerPhys(from)
-	if r.c.cfg.Reliable {
-		return r.recvReliable(pf)
-	}
-	return r.recvStrict(pf)
-}
-
-// recvStrict is the fail-fast receive path: every integrity violation is
-// reported to the caller. `from` is a physical rank id.
-func (r *Rank) recvStrict(from int) ([]byte, error) {
+	from = r.peerPhys(from)
+	timeout := r.c.cfg.RecvTimeout
 	waitStart := time.Now()
-	want := r.recvSeq[from]
-	if m, ok := r.takePending(from, want); ok {
-		r.recvSeq[from] = want + 1
-		data, err := r.verifyPayload(m, from)
-		if err == nil {
-			r.noteRecv(m, waitStart)
-		}
-		return data, err
-	}
+	waits := 0
 	for {
-		// Cooperative abort: fetch the watch channel BEFORE checking the
-		// confirmed set, so a confirmation landing in between still fires
-		// the channel during the wait.
-		abort := r.abortWatch()
-		if r.failFast {
-			if d := r.confirmedPeer(from); d >= 0 {
-				return nil, r.rankFailedErr(d)
+		want := r.recvSeq[from]
+		// fault is what met message `want`: a failed wait or an integrity
+		// violation. nil means m is that message, to be checksummed.
+		var fault error
+		m, held := r.takePending(from, want)
+		if !held {
+			// Cooperative abort: fetch the watch channel BEFORE checking the
+			// confirmed set, so a confirmation landing in between still fires
+			// the channel during the wait.
+			abort := r.abortWatch()
+			if r.failFast {
+				if d := r.confirmedPeer(from); d >= 0 {
+					return nil, r.rankFailedErr(d)
+				}
+			}
+			var ok bool
+			var err error
+			m, ok, err = r.c.tr.recv(from, r.phys, timeout, abort)
+			if errors.Is(err, errAborted) {
+				if d := r.confirmedPeer(from); d >= 0 {
+					return nil, r.rankFailedErr(d)
+				}
+				// The confirmed rank is `from` itself: treat it exactly like
+				// its exit.
+				ok, err = false, nil
+			}
+			switch {
+			case err != nil:
+				r.noteSuspect(from)
+				fault = fmt.Errorf("%w: from rank %d after %v", err, from, timeout)
+			case !ok:
+				r.c.det.confirm(from, nil)
+				fault = ErrPeerFailed
+			default:
+				r.unsuspect(from)
+				// The bytes moved (and were charged) regardless; integrity
+				// failures surface after the clock advance so timing stays
+				// physical.
+				r.chargeArrival(m)
+				if m.epoch > r.epoch {
+					return nil, fmt.Errorf("cluster: rank %d got epoch %d message from rank %d while in epoch %d (AdvanceEpoch must be globally synchronized)",
+						r.phys, m.epoch, from, r.epoch)
+				}
+				if m.epoch < r.epoch || (m.seq < want && r.c.cfg.Reliable) {
+					// Stale traffic from an abandoned attempt, or a duplicate
+					// reliable delivery drops.
+					mDedups.Inc()
+					flight.Record(r.phys, telemetry.FlightDedup, int64(m.from), int64(r.phys), int64(m.seq), int64(m.epoch))
+					continue
+				}
+				switch {
+				case m.seq < want:
+					return nil, fmt.Errorf("%w: from rank %d, seq %d already consumed", ErrMessageDuplicate, from, m.seq)
+				case m.seq > want:
+					// `want` was lost. Retain the later message: the next
+					// delivery of this link hands it out in order.
+					r.stashPending(from, m)
+					fault = fmt.Errorf("%w: from rank %d, expected seq %d got %d (later message retained)", ErrMessageLost, from, want, m.seq)
+				}
 			}
 		}
-		m, ok, err := r.c.tr.recv(from, r.phys, r.c.cfg.RecvTimeout, abort)
-		if errors.Is(err, errAborted) {
-			if d := r.confirmedPeer(from); d >= 0 {
-				return nil, r.rankFailedErr(d)
+		if fault == nil {
+			if r.intact(m) {
+				r.unsuspect(from)
+				r.recvSeq[from] = want + 1
+				r.noteRecv(m, waitStart)
+				return m.data, nil
 			}
-			// The confirmed rank is `from` itself: treat it exactly like
-			// its exit.
-			ok, err = false, nil
+			fault = fmt.Errorf("%w: from rank %d, seq %d, %d bytes", ErrMessageCorrupt, from, m.seq, len(m.data))
 		}
-		if err != nil {
-			r.noteSuspect(from)
-			return nil, fmt.Errorf("%w: from rank %d after %v", err, from, r.c.cfg.RecvTimeout)
+		exited := errors.Is(fault, ErrPeerFailed)
+		if !r.c.cfg.Reliable {
+			if exited {
+				return nil, r.peerFailedErr(from)
+			}
+			if !errors.Is(fault, ErrRecvTimeout) {
+				// A lost or corrupt message is spent: the next Recv expects
+				// the one after it.
+				r.recvSeq[from] = want + 1
+			}
+			return nil, fault
 		}
-		if !ok {
-			r.c.det.confirm(from, nil)
+		data, err := r.recover(from, want, fault)
+		switch {
+		case err == nil:
+			r.unsuspect(from)
+			r.recvSeq[from] = want + 1
+			return data, nil
+		case exited:
 			return nil, r.peerFailedErr(from)
-		}
-		r.unsuspect(from)
-		// The bytes moved (and were charged) regardless; integrity failures
-		// surface after the clock advance so timing stays physical.
-		r.chargeArrival(m)
-		if m.epoch != r.epoch {
-			if m.epoch < r.epoch {
-				mDedups.Inc() // stale traffic from an aborted attempt
-				flight.Record(r.phys, telemetry.FlightDedup, int64(m.from), int64(r.phys), int64(m.seq), int64(m.epoch))
+		case errors.Is(err, errNotYetSent):
+			// The sender is merely slow: wait again, within the budget.
+			if waits++; waits <= r.c.cfg.RetryBudget {
 				continue
 			}
-			return nil, fmt.Errorf("cluster: rank %d got epoch %d message from rank %d while in epoch %d (AdvanceEpoch must be globally synchronized)",
-				r.phys, m.epoch, from, r.epoch)
+			return nil, fmt.Errorf("%w: from rank %d after %d waits of %v", ErrRecvTimeout, from, waits, timeout)
 		}
-		switch {
-		case m.seq < want:
-			return nil, fmt.Errorf("%w: from rank %d, seq %d already consumed", ErrMessageDuplicate, from, m.seq)
-		case m.seq > want:
-			// Retain the later message: only the lost one is sacrificed,
-			// and the next Recv redelivers this payload in order.
-			r.stashPending(from, m)
-			r.recvSeq[from] = want + 1
-			return nil, fmt.Errorf("%w: from rank %d, expected seq %d got %d (later message retained)", ErrMessageLost, from, want, m.seq)
-		}
-		r.recvSeq[from] = want + 1
-		data, err := r.verifyPayload(m, from)
-		if err == nil {
-			r.noteRecv(m, waitStart)
-		}
-		return data, err
+		return nil, err
 	}
 }
 
@@ -867,14 +900,11 @@ func (r *Rank) chargeArrival(m message) {
 	}
 }
 
-// verifyPayload checks m's checksum and returns its payload.
-func (r *Rank) verifyPayload(m message, from int) ([]byte, error) {
+// intact reports whether m's payload still matches its checksum.
+func (r *Rank) intact(m message) bool {
 	var sum uint32
 	r.Quiesce(func() { sum = checksum(m.data) })
-	if sum != m.sum {
-		return nil, fmt.Errorf("%w: from rank %d, seq %d, %d bytes", ErrMessageCorrupt, from, m.seq, len(m.data))
-	}
-	return m.data, nil
+	return sum == m.sum
 }
 
 // stashPending retains an ahead-of-sequence message for in-order
@@ -915,7 +945,7 @@ func (r *Rank) AdvanceEpoch() {
 	for i := range r.pending {
 		r.pending[i] = nil
 	}
-	r.c.tr.clearRetx(r.phys)
+	r.c.retx.clear(r.phys)
 }
 
 // SendRecv posts a send to `to` and then receives from `from`, the
@@ -946,7 +976,7 @@ func (r *Rank) Barrier() error {
 // immune to injected fabric faults — the collectives use it as the
 // control plane for agreeing to retry or degrade after a failed attempt.
 func (r *Rank) AgreeMax(v int) (int, error) {
-	leave, agreed, _, err := r.c.tr.agree(r.phys, r.now, v, 0, false)
+	leave, agreed, _, err := r.c.tr.agree(r.phys, r.members, r.now, v, 0, false)
 	if err != nil {
 		return 0, err
 	}

@@ -389,7 +389,7 @@ func (r *Rank) AgreeDead(propose uint64) (uint64, error) {
 	if r.c.cfg.Ranks > 64 {
 		return 0, fmt.Errorf("%w: world has %d ranks", ErrWorldTooLarge, r.c.cfg.Ranks)
 	}
-	leave, _, dead, err := r.c.tr.agree(r.phys, r.now, 0, propose, true)
+	leave, _, dead, err := r.c.tr.agree(r.phys, r.members, r.now, 0, propose, true)
 	if err != nil {
 		return 0, err
 	}
@@ -406,8 +406,8 @@ func (r *Rank) AgreeDead(propose uint64) (uint64, error) {
 
 // ShrinkWorld removes the agreed-dead ranks from this rank's world view:
 // the survivors renumber densely (ID/N become the virtual view), the
-// Topology drops the dead slots (emptied nodes disappear), the transport
-// membership updates so consensus rounds stop waiting on the dead, the
+// Topology drops the dead slots (emptied nodes disappear), consensus
+// rounds stop waiting on the dead (they name the survivors only), the
 // failure detector forgets them, and the message epoch advances so stale
 // traffic from the abandoned attempt is discarded. A rank that finds
 // itself in the dead set returns ErrEvicted and must exit; everyone else
@@ -447,9 +447,8 @@ func (r *Rank) ShrinkWorld(dead uint64) error {
 		}
 		survivors = append(survivors, p)
 	}
-	// Update the transport membership first: the evicted ranks' exits
-	// must not abort a survivor's next consensus generation.
-	r.c.tr.setMembers(survivors)
+	// From here every consensus round names only the survivors, so the
+	// evicted ranks' exits cannot abort it.
 	r.members = survivors
 	r.memberMask &^= dead
 	r.N = len(survivors)

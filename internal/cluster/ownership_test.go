@@ -145,21 +145,15 @@ func TestSendLeavesTheCallersBufferAlone(t *testing.T) {
 	}
 }
 
-// TestTCPAllocsPerMessage pins the steady-state allocation cost of one data
-// frame, send side plus receive side, on a loopback ping-pong with a receive
-// timeout armed (as every benchmark and daemon mesh has): the frame scratch
-// lives on the peer, the timeout timer on the mailbox and the payload in
-// bufpool, so what is left is the runtime's own per-wakeup state. It read 10
-// before those moved.
-func TestTCPAllocsPerMessage(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
+// roundTripAllocs counts the allocations of one ping-pong round trip of
+// an 8-byte message between ranks 0 and 1 of the world run starts: rank 0
+// measures with testing.AllocsPerRun while rank 1 answers every pass, and
+// each receiver hands the payload back to bufpool as the collectives do.
+func roundTripAllocs(t *testing.T, run func(body func(*Rank) error) error) float64 {
+	t.Helper()
 	const runs = 400
-	trs := startMesh(t, 2)
-	cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: 5 * time.Second}
 	var perRoundTrip float64
-	_, err := runMesh(t, cfg, trs, func(r *Rank) error {
+	err := run(func(r *Rank) error {
 		ball := make([]byte, 8)
 		var err error
 		pass := func() {
@@ -169,7 +163,7 @@ func TestTCPAllocsPerMessage(t *testing.T) {
 			if err == nil {
 				var got []byte
 				got, err = r.Recv(1 - r.ID)
-				bufpool.PutBytes(got) // consumed, as the collectives do
+				bufpool.PutBytes(got)
 			}
 			if r.ID == 1 && err == nil {
 				err = r.Send(0, ball)
@@ -187,7 +181,46 @@ func TestTCPAllocsPerMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return perRoundTrip
+}
+
+// TestTCPAllocsPerMessage pins the steady-state allocation cost of one data
+// frame, send side plus receive side, on a loopback ping-pong with a receive
+// timeout armed (as every benchmark and daemon mesh has): the frame scratch
+// lives on the peer, the timeout timer on the mailbox and the payload in
+// bufpool, so what is left is the runtime's own per-wakeup state. It read 10
+// before those moved.
+func TestTCPAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	trs := startMesh(t, 2)
+	cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: 5 * time.Second}
+	perRoundTrip := roundTripAllocs(t, func(body func(*Rank) error) error {
+		_, err := runMesh(t, cfg, trs, body)
+		return err
+	})
 	if perRoundTrip > 2 {
 		t.Fatalf("%.1f allocations per message, want ≤ 1", perRoundTrip/2)
+	}
+}
+
+// TestChanAllocsPerMessage pins the same round trip on the in-process
+// fabric at zero allocations, with and without a receive deadline: the
+// payload copy comes from bufpool and the deadline is the link's reusable
+// timer. A timer made per wait read 5 per round trip with the deadline.
+func TestChanAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	for _, timeout := range []time.Duration{0, 5 * time.Second} {
+		cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: timeout}
+		perRoundTrip := roundTripAllocs(t, func(body func(*Rank) error) error {
+			_, err := Run(cfg, body)
+			return err
+		})
+		if perRoundTrip != 0 {
+			t.Errorf("RecvTimeout %v: %.1f allocations per round trip, want 0", timeout, perRoundTrip)
+		}
 	}
 }

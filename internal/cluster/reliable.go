@@ -2,17 +2,21 @@ package cluster
 
 // Reliable delivery: NACK-driven retransmission over the faulty fabric.
 //
-// With Config.Reliable set, every sender keeps a bounded per-link window
-// of recently sent messages (pristine copies, recorded before the fault
-// hook can damage them). When the receiver detects a damaged or missing
-// message — checksum mismatch, sequence gap, or receive timeout — it
-// issues a NACK and the sender replays the message from its window. On
-// the in-process fabric the NACK is a direct lookup into the sender's
-// shared-memory window; on the TCP fabric it is a control frame answered
-// with a replay frame (see tcptransport.go) — the recovery protocol
-// itself is transport-agnostic. A replay passes through the fault hook
-// again (with FaultContext.Attempt set), so recovery itself can fail;
-// each failed attempt charges an exponentially growing backoff, and after
+// Strict and reliable delivery share one receive loop, Rank.Recv: it
+// takes a held-back message or waits on the link, honours cooperative
+// abort, keeps the suspicion bookkeeping, and checks epoch, sequence and
+// checksum once for both modes. Config.Reliable decides only what a
+// violation does. Strict delivery returns it typed. Reliable delivery
+// recovers it: every sender's pristine copies (recorded by Send before
+// the fault hook can damage them) sit in the cluster's bounded per-link
+// replay window, and the receiver NACKs the damaged or missing message —
+// checksum mismatch, sequence gap, receive timeout or exited sender —
+// and takes the replay. On the in-process fabric the NACK is a direct
+// lookup in the window; on the TCP fabric it is a control frame the
+// sender's process answers from its own window with a replay frame (see
+// tcptransport.go). A replay passes through the fault hook again (with
+// FaultContext.Attempt set), so recovery itself can fail; each failed
+// attempt charges an exponentially growing backoff, and after
 // Config.RetryBudget attempts Recv gives up with
 // ErrRetryBudgetExhausted. Duplicate sequence numbers are silently
 // deduplicated instead of erroring.
@@ -35,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"hzccl/internal/telemetry"
 )
@@ -70,115 +73,6 @@ type retxWindow struct {
 	buf   map[int]retxEntry
 }
 
-// recvReliable is the recovering receive path (Config.Reliable).
-func (r *Rank) recvReliable(from int) ([]byte, error) {
-	waitStart := time.Now()
-	timeouts := 0
-	for {
-		want := r.recvSeq[from]
-		if m, ok := r.takePending(from, want); ok {
-			return r.deliverReliable(m, from, want, waitStart)
-		}
-		abort := r.abortWatch()
-		if r.failFast {
-			if d := r.confirmedPeer(from); d >= 0 {
-				return nil, r.rankFailedErr(d)
-			}
-		}
-		m, ok, err := r.c.tr.recv(from, r.phys, r.c.cfg.RecvTimeout, abort)
-		if errors.Is(err, errAborted) {
-			// Cooperative abort: a rank was confirmed dead while we waited.
-			// If it is another rank, bail out typed; if it is `from` itself,
-			// fall through to the sender-exited salvage path.
-			if d := r.confirmedPeer(from); d >= 0 {
-				return nil, r.rankFailedErr(d)
-			}
-			ok, err = false, nil
-		}
-		if err != nil {
-			// Timeout: the message was likely dropped in flight — recover
-			// from the sender's window. If it simply has not been sent yet
-			// the sender is slow, so wait again (bounded by the budget).
-			r.noteSuspect(from)
-			data, rerr := r.recover(from, want, err)
-			if rerr == nil {
-				r.unsuspect(from)
-				r.recvSeq[from] = want + 1
-				return data, nil
-			}
-			if errors.Is(rerr, errNotYetSent) {
-				timeouts++
-				if timeouts > r.c.cfg.RetryBudget {
-					return nil, fmt.Errorf("%w: from rank %d after %d waits of %v", ErrRecvTimeout, from, timeouts, r.c.cfg.RecvTimeout)
-				}
-				continue
-			}
-			return nil, rerr
-		}
-		if !ok {
-			// Sender exited; on the in-process fabric its replay window
-			// survives, so messages it sent before exiting can still be
-			// salvaged.
-			r.c.det.confirm(from, nil)
-			data, rerr := r.recover(from, want, ErrPeerFailed)
-			if rerr == nil {
-				r.recvSeq[from] = want + 1
-				return data, nil
-			}
-			return nil, r.peerFailedErr(from)
-		}
-		r.unsuspect(from)
-		r.chargeArrival(m)
-		if m.epoch != r.epoch {
-			if m.epoch < r.epoch {
-				mDedups.Inc() // stale traffic from an abandoned attempt
-				flight.Record(r.phys, telemetry.FlightDedup, int64(m.from), int64(r.phys), int64(m.seq), int64(m.epoch))
-				continue
-			}
-			return nil, fmt.Errorf("cluster: rank %d got epoch %d message from rank %d while in epoch %d (AdvanceEpoch must be globally synchronized)",
-				r.phys, m.epoch, from, r.epoch)
-		}
-		switch {
-		case m.seq < want:
-			mDedups.Inc() // duplicate delivery: silently dedup
-			flight.Record(r.phys, telemetry.FlightDedup, int64(m.from), int64(r.phys), int64(m.seq), int64(m.epoch))
-			continue
-		case m.seq > want:
-			// A gap means `want` was dropped: retain the later message for
-			// in-order delivery and recover the missing one right away.
-			r.stashPending(from, m)
-			data, rerr := r.recover(from, want, fmt.Errorf("%w: from rank %d, expected seq %d got %d", ErrMessageLost, from, want, m.seq))
-			if rerr != nil {
-				return nil, rerr
-			}
-			r.recvSeq[from] = want + 1
-			return data, nil
-		}
-		return r.deliverReliable(m, from, want, waitStart)
-	}
-}
-
-// deliverReliable verifies an in-sequence message and, on corruption,
-// drives the NACK/replay recovery.
-func (r *Rank) deliverReliable(m message, from, want int, waitStart time.Time) ([]byte, error) {
-	data, err := r.verifyPayload(m, from)
-	if err == nil {
-		r.unsuspect(from)
-		r.recvSeq[from] = want + 1
-		r.noteRecv(m, waitStart)
-		return data, nil
-	}
-	if !errors.Is(err, ErrMessageCorrupt) {
-		return nil, err
-	}
-	data, rerr := r.recover(from, want, err)
-	if rerr != nil {
-		return nil, rerr
-	}
-	r.recvSeq[from] = want + 1
-	return data, nil
-}
-
 // recover drives the NACK → replay → backoff loop for one damaged or
 // missing message and returns its recovered payload.
 func (r *Rank) recover(from, want int, cause error) ([]byte, error) {
@@ -209,9 +103,7 @@ func (r *Rank) recover(from, want int, cause error) ([]byte, error) {
 				})
 			}
 			r.chargeArrival(m) // α + bytes/β (+ injected delay)
-			var s uint32
-			r.Quiesce(func() { s = checksum(m.data) })
-			if s == m.sum {
+			if r.intact(m) {
 				return m.data, nil
 			}
 		}
@@ -220,4 +112,84 @@ func (r *Rank) recover(from, want int, cause error) ([]byte, error) {
 	}
 	return nil, fmt.Errorf("%w: link %d→%d seq %d after %d attempts (root cause: %w)",
 		ErrRetryBudgetExhausted, from, r.phys, want, cfg.RetryBudget, cause)
+}
+
+// retxStore is a cluster's per-link sender-side replay windows: every
+// rank's on the in-process fabric, the local rank's on the TCP fabric
+// (peers NACK it over the wire).
+type retxStore struct {
+	mu     sync.Mutex
+	window int
+	m      map[[2]int]*retxWindow
+}
+
+func (s *retxStore) windowFor(from, to int) *retxWindow {
+	key := [2]int{from, to}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = make(map[[2]int]*retxWindow)
+	}
+	w, ok := s.m[key]
+	if !ok {
+		w = &retxWindow{buf: make(map[int]retxEntry)}
+		s.m[key] = w
+	}
+	return w
+}
+
+// record stores a pristine copy of an outgoing message, evicting entries
+// older than the configured window.
+func (s *retxStore) record(from, to, seq, epoch int, data []byte, sum uint32) {
+	w := s.windowFor(from, to)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if epoch != w.epoch {
+		// First send of a new epoch: old-epoch entries are unreachable.
+		w.epoch = epoch
+		w.buf = make(map[int]retxEntry)
+	}
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	w.buf[seq] = retxEntry{data: cp, sum: sum}
+	w.next = seq + 1
+	if old := seq - s.window; old >= 0 {
+		delete(w.buf, old)
+	}
+}
+
+// lookup fetches a fresh copy of a windowed message for replay.
+func (s *retxStore) lookup(from, to, seq, epoch int) (data []byte, sum uint32, err error) {
+	w := s.windowFor(from, to)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.epoch < epoch || seq >= w.next {
+		return nil, 0, errNotYetSent
+	}
+	if w.epoch > epoch {
+		// The sender already moved to a newer epoch; the old attempt's
+		// traffic is unrecoverable.
+		mRetxEvictions.Inc()
+		return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (sender in epoch %d, wanted %d)", ErrRetransmitGone, from, to, seq, w.epoch, epoch)
+	}
+	e, ok := w.buf[seq]
+	if !ok {
+		mRetxEvictions.Inc()
+		return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (window %d)", ErrRetransmitGone, from, to, seq, s.window)
+	}
+	cp := make([]byte, len(e.data))
+	copy(cp, e.data)
+	return cp, e.sum, nil
+}
+
+// clear drops every replay window fed by rank `from` (epoch change: the
+// retained traffic belongs to an abandoned attempt).
+func (s *retxStore) clear(from int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for key := range s.m {
+		if key[0] == from {
+			delete(s.m, key)
+		}
+	}
 }

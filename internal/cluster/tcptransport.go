@@ -47,11 +47,10 @@ package cluster
 //
 // Version 4 multiplexes *jobs* over one mesh: every frame carries a u32
 // job ID, and each job runs on its own session (Session) with private
-// sequence/epoch space, replay windows, consensus generations and
-// membership — so a long-lived daemon executes many collectives, even
-// concurrently, over connections handshaked exactly once. Job 0 is the
-// transport's built-in session, which the Transport methods on
-// TCPTransport itself delegate to; single-job users never see the
+// sequence/epoch space, replay windows and consensus generations — so a
+// long-lived daemon executes many collectives, even concurrently, over
+// connections handshaked exactly once. Job 0 is the transport's built-in
+// session, which TCPTransport embeds; single-job users never see the
 // machinery. A new `job` frame kind carries daemon control traffic
 // (submit/start/done) outside any session, delivered to the handler
 // registered with SetJobHandler; its kind 0 is reserved for the internal
@@ -66,6 +65,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -173,10 +173,9 @@ type tcpMailbox struct {
 	retx  chan tcpRetx // replay answers (one outstanding NACK at a time)
 	ctl   chan tcpCtl  // agree/release frames
 
-	// timer bounds recv's wait on inbox: one per mailbox, re-armed per call
-	// by the session's rank, the inbox's only consumer, which stops and
-	// drains it before it returns.
-	timer *time.Timer
+	// timer bounds every wait on the three channels (await). The session's
+	// rank is their only consumer and waits on one at a time.
+	timer linkTimer
 
 	// bye closes when the job ended on the local side; the reader drops
 	// further frames instead of blocking on a consumer that will never
@@ -387,10 +386,13 @@ type JobHandler func(from int, job uint32, kind byte, payload []byte)
 
 // TCPTransport is the multi-process Transport. Create one per process
 // with NewTCPTransport, hand it to Config.Transport, and Run executes the
-// body for this process's rank only. The Transport methods on the
-// transport itself drive the built-in job-0 session; long-lived daemons
+// body for this process's rank only. The transport embeds its built-in
+// job-0 session, which such a run drives; only Close and closeRank are
+// its own, ending the whole mesh rather than one job. Long-lived daemons
 // carve additional isolated sessions out of the same mesh with Session.
 type TCPTransport struct {
+	*tcpSession
+
 	rank int
 	n    int
 
@@ -402,10 +404,6 @@ type TCPTransport struct {
 	// the slice is immutable and read lock-free.
 	peersMu sync.Mutex
 	peers   []*tcpPeer // indexed by rank; nil at self
-
-	// def is the built-in job-0 session every single-job user drives
-	// through the Transport methods on TCPTransport itself.
-	def *tcpSession
 
 	// sessions routes inbound NACK service and lifecycle by job ID.
 	// maxJob enforces monotonic job allocation: IDs are never reused, so
@@ -461,8 +459,8 @@ func NewTCPTransport(opt TCPOptions) (*TCPTransport, error) {
 		peers:  make([]*tcpPeer, n),
 		closed: make(chan struct{}),
 	}
-	t.def = newTCPSession(t, defaultJob)
-	t.sessions = map[uint32]*tcpSession{defaultJob: t.def}
+	t.tcpSession = &tcpSession{t: t, job: defaultJob}
+	t.sessions = map[uint32]*tcpSession{defaultJob: t.tcpSession}
 	t.ownEpochNanos = time.Now().UnixNano()
 	t.meshEpochNanos.Store(t.ownEpochNanos)
 	ln := opt.Listener
@@ -707,19 +705,9 @@ func (t *TCPTransport) handshake(conn net.Conn) (int, error) {
 	return rank, nil
 }
 
-// epochHint anchors trace wall clocks to the mesh epoch, the minimum
-// start time across all ranks — identical in every process once the mesh
-// is complete, so merged per-process traces share one time base.
-func (t *TCPTransport) epochHint() (time.Time, bool) {
-	return time.Unix(0, t.meshEpochNanos.Load()), true
-}
-
-// LocalRank reports that exactly one rank lives in this process.
-func (t *TCPTransport) LocalRank() (int, bool) { return t.rank, true }
-
 // Session claims an isolated job session on the mesh: a Transport whose
-// sequence numbers, epochs, replay windows, consensus generations and
-// membership are private to the job, so concurrent jobs on the same
+// sequence numbers, epochs, replay windows and consensus generations are
+// private to the job, so concurrent jobs on the same
 // connections cannot cross-deliver. Job IDs must be allocated
 // monotonically increasing (the daemon's scheduler does) and are never
 // reused — that is what makes a straggler frame of a finished job
@@ -744,7 +732,7 @@ func (t *TCPTransport) Session(job uint32) (Transport, error) {
 		return nil, fmt.Errorf("cluster: job IDs must be monotonically increasing (got %d after %d)", job, t.maxJob)
 	}
 	t.maxJob = job
-	s := newTCPSession(t, job)
+	s := &tcpSession{t: t, job: job}
 	t.sessions[job] = s
 	flight.Record(t.rank, telemetry.FlightJob, int64(job), flightJobOpen, 0, 0)
 	return s, nil
@@ -845,56 +833,29 @@ func (t *TCPTransport) peer(rank int) (*tcpPeer, error) {
 	return p, nil
 }
 
-// Transport methods on TCPTransport drive the built-in job-0 session, so
-// a transport handed directly to Config.Transport behaves exactly as the
-// single-job versions of this protocol did.
-func (t *TCPTransport) bind(cfg Config) error { return t.def.bind(cfg) }
-func (t *TCPTransport) send(r *Rank, to int, m message, copies int) error {
-	return t.def.send(r, to, m, copies)
-}
-func (t *TCPTransport) recv(from, to int, timeout time.Duration, abort <-chan struct{}) (message, bool, error) {
-	return t.def.recv(from, to, timeout, abort)
-}
-func (t *TCPTransport) recordRetx(from, to, seq, epoch int, data []byte, sum uint32) {
-	t.def.recordRetx(from, to, seq, epoch, data, sum)
-}
-func (t *TCPTransport) clearRetx(rank int) { t.def.clearRetx(rank) }
-func (t *TCPTransport) retransmit(from, to, seq, epoch int) ([]byte, uint32, error) {
-	return t.def.retransmit(from, to, seq, epoch)
-}
-func (t *TCPTransport) agree(rank int, clock float64, v int, propose uint64, tolerant bool) (float64, int, uint64, error) {
-	return t.def.agree(rank, clock, v, propose, tolerant)
-}
-func (t *TCPTransport) setMembers(members []int) { t.def.setMembers(members) }
-
 // tcpSession is one job's view of the mesh: a full Transport whose
-// per-run state (config, replay windows, consensus generations, live
-// membership, failure callback) is private to the job while the sockets
+// per-run state (config, consensus generations, the bound replay
+// windows, failure callback) is private to the job while the sockets
 // underneath are shared with every other session.
 type tcpSession struct {
 	t   *TCPTransport
 	job uint32
 
-	cfg   Config
-	bound bool
+	cfg Config
 
-	// retxW holds the local rank's sender-side replay windows for this
-	// job; peers reach them through job-tagged NACK frames serviced by
-	// the reader goroutines.
-	retxW retxStore
+	// retx is the bound cluster's replay windows, which peers reach
+	// through job-tagged NACK frames serviced by the reader goroutines —
+	// hence atomic: those run before bind does, and nil answers "not yet
+	// sent" like an empty window.
+	retx atomic.Pointer[retxStore]
 
 	// agreeGen numbers consensus rounds within the job. Collectives call
 	// AgreeMax in the same program order on every rank, so a plain
 	// counter matches generations across the mesh; the generation travels
 	// in the frame so a mismatch is detected as a protocol error instead
-	// of silently pairing different barriers. live[i] is false once rank
-	// i was evicted by a membership shrink of this job: consensus rounds
-	// skip it, and the round coordinator is the lowest live rank. Every
-	// surviving process applies the same shrink, so the coordinator is
-	// identical everywhere.
-	agreeMu  sync.Mutex
+	// of silently pairing different barriers. Only the local rank's
+	// goroutine touches it.
 	agreeGen uint32
-	live     []bool
 
 	// onDown, set at bind, reports a peer whose connection reset to the
 	// failure detector. Stored atomically because reader goroutines run
@@ -904,25 +865,22 @@ type tcpSession struct {
 	endOnce sync.Once
 }
 
-func newTCPSession(t *TCPTransport, job uint32) *tcpSession {
-	s := &tcpSession{t: t, job: job, live: make([]bool, t.n)}
-	for i := range s.live {
-		s.live[i] = true
-	}
-	return s
-}
-
 // LocalRank reports that exactly one rank lives in this process.
 func (s *tcpSession) LocalRank() (int, bool) { return s.t.rank, true }
 
-func (s *tcpSession) epochHint() (time.Time, bool) { return s.t.epochHint() }
+// epochHint anchors trace wall clocks to the mesh epoch, the minimum
+// start time across all ranks — identical in every process once the mesh
+// is complete, so merged per-process traces share one time base.
+func (s *tcpSession) epochHint() (time.Time, bool) {
+	return time.Unix(0, s.t.meshEpochNanos.Load()), true
+}
 
-func (s *tcpSession) bind(cfg Config) error {
+func (s *tcpSession) bind(cfg Config, retx *retxStore) error {
 	if cfg.Ranks != s.t.n {
 		return fmt.Errorf("cluster: Config.Ranks = %d but the tcp mesh has %d peers", cfg.Ranks, s.t.n)
 	}
 	s.cfg = cfg
-	s.retxW.window = cfg.RetxWindow
+	s.retx.Store(retx)
 	if cfg.onPeerDown != nil {
 		s.onDown.Store(cfg.onPeerDown)
 		// A peer's bye or reset that arrived before the store found no
@@ -937,18 +895,14 @@ func (s *tcpSession) bind(cfg Config) error {
 			}
 		}
 	}
-	s.bound = true
 	return nil
 }
 
 // Close ends the session: peers are told the job is over (so their
 // mailboxes for it close), local per-peer state is released, and the
 // job's NACK service starts answering retxGone. The built-in job-0
-// session is ended by closing the transport instead.
+// session is ended by closing the transport, whose Close shadows this.
 func (s *tcpSession) Close() error {
-	if s.job == defaultJob {
-		return s.t.Close()
-	}
 	s.end()
 	return nil
 }
@@ -957,11 +911,8 @@ func (s *tcpSession) Close() error {
 // is done with the job (each process hosts exactly one rank), so the
 // session ends.
 func (s *tcpSession) closeRank(rank int) {
-	if rank == s.t.rank && s.job != defaultJob {
+	if rank == s.t.rank {
 		s.end()
-	}
-	if s.job == defaultJob {
-		s.t.closeRank(rank)
 	}
 }
 
@@ -983,42 +934,23 @@ func (s *tcpSession) end() {
 	})
 }
 
-// setMembers restricts the consensus plane to the surviving ranks after
-// a membership shrink. Only the local process calls it (each process
-// hosts one rank), but every survivor applies the identical list, so the
-// lowest-live-rank coordinator stays consistent across the mesh.
-func (s *tcpSession) setMembers(members []int) {
-	s.agreeMu.Lock()
-	for i := range s.live {
-		s.live[i] = false
-	}
-	for _, m := range members {
-		if m >= 0 && m < s.t.n {
-			s.live[m] = true
+// view resolves a consensus round's members (nil: every rank) into the
+// coordinator — the lowest member — the member count and the remote
+// members' peers. Every survivor passes the identical list, so the
+// coordinator is the same everywhere.
+func (s *tcpSession) view(members []int) (coord, count int, peers []*tcpPeer) {
+	if members == nil {
+		members = make([]int, s.t.n)
+		for i := range members {
+			members[i] = i
 		}
 	}
-	s.agreeMu.Unlock()
-}
-
-// liveView snapshots the consensus membership: the coordinator (lowest
-// live rank), the live count, and the live remote peers.
-func (s *tcpSession) liveView() (coord, count int, peers []*tcpPeer) {
-	s.agreeMu.Lock()
-	defer s.agreeMu.Unlock()
-	coord = -1
-	for i := 0; i < s.t.n; i++ {
-		if !s.live[i] {
-			continue
-		}
-		count++
-		if coord < 0 {
-			coord = i
-		}
-		if i != s.t.rank && s.t.peers[i] != nil {
-			peers = append(peers, s.t.peers[i])
+	for _, i := range members {
+		if p := s.t.peers[i]; p != nil { // nil at the local rank
+			peers = append(peers, p)
 		}
 	}
-	return coord, count, peers
+	return slices.Min(members), len(members), peers
 }
 
 // writeFrame sends one length-prefixed frame: hdr is the body prefix
@@ -1077,53 +1009,15 @@ func (s *tcpSession) send(_ *Rank, to int, m message, copies int) error {
 	return nil
 }
 
-// recv waits for the next data frame the peer sent within this job,
-// honouring the wall-clock timeout and the cooperative-abort channel.
+// recv waits for the next data frame the peer sent within this job.
 func (s *tcpSession) recv(from, to int, timeout time.Duration, abort <-chan struct{}) (message, bool, error) {
 	p, err := s.t.peer(from)
 	if err != nil {
 		return message{}, false, err
 	}
 	mb := p.mailbox(s.job)
-	if timeout <= 0 && abort == nil {
-		m, ok := <-mb.inbox
-		return m, ok, nil
-	}
-	var timeoutC <-chan time.Time
-	if timeout > 0 {
-		if mb.timer == nil {
-			mb.timer = time.NewTimer(timeout)
-		} else {
-			mb.timer.Reset(timeout)
-		}
-		// Stop, and drain a tick that fired while another case won, so the
-		// next Reset starts clean whatever the toolchain's timer-channel
-		// semantics (GODEBUG=asynctimerchan=1, a go directive below 1.23).
-		defer func() {
-			if !mb.timer.Stop() {
-				select {
-				case <-mb.timer.C:
-				default:
-				}
-			}
-		}()
-		timeoutC = mb.timer.C
-	}
-	select {
-	case m, ok := <-mb.inbox:
-		return m, ok, nil
-	case <-timeoutC:
-		return message{}, false, ErrRecvTimeout
-	case <-abort:
-		return message{}, false, errAborted
-	}
+	return await(&mb.timer, mb.inbox, timeout, abort)
 }
-
-func (s *tcpSession) recordRetx(from, to, seq, epoch int, data []byte, sum uint32) {
-	s.retxW.record(from, to, seq, epoch, data, sum)
-}
-
-func (s *tcpSession) clearRetx(rank int) { s.retxW.clear(rank) }
 
 // retransmit NACKs the sending peer over the wire and waits for its
 // replay frame. The sender's reader goroutine services the NACK from its
@@ -1151,30 +1045,25 @@ func (s *tcpSession) retransmit(from, to, seq, epoch int) ([]byte, uint32, error
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case a, ok := <-mb.retx:
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: rank %d closed while replaying seq %d", ErrPeerFailed, from, seq)
-		}
-		if int(a.seq) != seq || int(a.epoch) != epoch {
-			return nil, 0, fmt.Errorf("cluster: tcp replay mismatch from rank %d: got seq %d epoch %d, want %d/%d", from, a.seq, a.epoch, seq, epoch)
-		}
-		switch a.status {
-		case retxOK:
-			return a.data, a.sum, nil
-		case retxNotYetSent:
-			return nil, 0, errNotYetSent
-		default:
-			mRetxEvictions.Inc()
-			return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (remote window)", ErrRetransmitGone, from, to, seq)
-		}
-	case <-timer.C:
+	a, ok, err := await(&mb.timer, mb.retx, timeout, nil)
+	switch {
+	case err != nil:
 		// The replay itself went missing; the caller's retry budget
 		// decides whether to NACK again.
 		return nil, 0, errNotYetSent
+	case !ok:
+		return nil, 0, fmt.Errorf("%w: rank %d closed while replaying seq %d", ErrPeerFailed, from, seq)
+	case int(a.seq) != seq || int(a.epoch) != epoch:
+		return nil, 0, fmt.Errorf("cluster: tcp replay mismatch from rank %d: got seq %d epoch %d, want %d/%d", from, a.seq, a.epoch, seq, epoch)
 	}
+	switch a.status {
+	case retxOK:
+		return a.data, a.sum, nil
+	case retxNotYetSent:
+		return nil, 0, errNotYetSent
+	}
+	mRetxEvictions.Inc()
+	return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (remote window)", ErrRetransmitGone, from, to, seq)
 }
 
 // agree is the TCP control plane: every live rank sends
@@ -1196,15 +1085,13 @@ func (s *tcpSession) retransmit(from, to, seq, epoch int) ([]byte, uint32, error
 // process dies, its peers cannot complete any further round, so a TCP
 // world only survives the death of non-coordinator ranks. The in-process
 // fabric has no such restriction.
-func (s *tcpSession) agree(rank int, clock float64, v int, propose uint64, tolerant bool) (float64, int, uint64, error) {
+func (s *tcpSession) agree(rank int, members []int, clock float64, v int, propose uint64, tolerant bool) (float64, int, uint64, error) {
 	if s.t.n == 1 {
 		return clock, v, propose, nil
 	}
-	s.agreeMu.Lock()
 	gen := s.agreeGen
 	s.agreeGen++
-	s.agreeMu.Unlock()
-	coord, liveN, livePeers := s.liveView()
+	coord, liveN, livePeers := s.view(members)
 	if liveN <= 1 {
 		return clock, v, propose, nil
 	}
@@ -1295,26 +1182,17 @@ func (p *tcpPeer) writeCtl(job uint32, kind byte, gen uint32, flags byte, clock 
 // job and verifies its kind and generation.
 func (s *tcpSession) waitCtl(p *tcpPeer, kind byte, gen uint32, timeout time.Duration) (tcpCtl, error) {
 	mb := p.mailbox(s.job)
-	var timer *time.Timer
-	var expired <-chan time.Time
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		expired = timer.C
+	c, ok, err := await(&mb.timer, mb.ctl, timeout, nil)
+	switch {
+	case err != nil:
+		return tcpCtl{}, fmt.Errorf("%w: barrier, rank %d missing after %v", err, p.rank, timeout)
+	case !ok:
+		return tcpCtl{}, fmt.Errorf("%w: barrier aborted, rank %d disconnected", ErrPeerFailed, p.rank)
+	case c.kind != kind || c.gen != gen:
+		return tcpCtl{}, fmt.Errorf("cluster: tcp barrier protocol error with rank %d: got kind %d gen %d, want %d/%d (AgreeMax must be called in the same order on every rank)",
+			p.rank, c.kind, c.gen, kind, gen)
 	}
-	select {
-	case c, ok := <-mb.ctl:
-		if !ok {
-			return tcpCtl{}, fmt.Errorf("%w: barrier aborted, rank %d disconnected", ErrPeerFailed, p.rank)
-		}
-		if c.kind != kind || c.gen != gen {
-			return tcpCtl{}, fmt.Errorf("cluster: tcp barrier protocol error with rank %d: got kind %d gen %d, want %d/%d (AgreeMax must be called in the same order on every rank)",
-				p.rank, c.kind, c.gen, kind, gen)
-		}
-		return c, nil
-	case <-expired:
-		return tcpCtl{}, fmt.Errorf("%w: barrier, rank %d missing after %v", ErrRecvTimeout, p.rank, timeout)
-	}
+	return c, nil
 }
 
 // errReadLoopStopped is the internal marker for a reader that stopped on
@@ -1555,27 +1433,26 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 	}
 }
 
-// serveNack answers a peer's replay request from the identified job's
-// local sender-side window. An unknown job — never opened here, or
-// already closed — answers retxGone: its window is unrecoverable.
+// serveNack answers a peer's replay request from the window the
+// identified job's session was bound to. A session not bound yet answers
+// retxNotYetSent, as an empty window does; an unknown job — never opened
+// here, or already closed — answers retxGone: its window is unrecoverable.
 func (t *TCPTransport) serveNack(p *tcpPeer, job uint32, seq, epoch int) error {
 	var data []byte
 	var sum uint32
-	status := byte(retxGone)
-	if s := t.sessionFor(job); s != nil {
-		var err error
-		data, sum, err = s.retxW.lookup(t.rank, p.rank, seq, epoch)
-		status = retxOK
-		if err != nil {
-			data, sum = nil, 0
-			if errors.Is(err, errNotYetSent) {
-				status = retxNotYetSent
-			} else {
-				status = retxGone
-			}
-		}
-	} else {
+	status := byte(retxNotYetSent)
+	if s := t.sessionFor(job); s == nil {
 		mRetxEvictions.Inc()
+		status = retxGone
+	} else if w := s.retx.Load(); w != nil {
+		var err error
+		data, sum, err = w.lookup(t.rank, p.rank, seq, epoch)
+		switch {
+		case err == nil:
+			status = retxOK
+		case !errors.Is(err, errNotYetSent):
+			status = retxGone
+		}
 	}
 	var hdr [18]byte
 	hdr[0] = frameRetx

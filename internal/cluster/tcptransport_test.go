@@ -906,3 +906,155 @@ func TestTCPByeMidCollectiveIsTyped(t *testing.T) {
 		}
 	}
 }
+
+// faultClasses names the error classes a receive can end in, so a
+// delivery compares across fabrics by class rather than by message text.
+var faultClasses = []struct {
+	err  error
+	name string
+}{
+	{ErrMessageCorrupt, "corrupt"},
+	{ErrMessageLost, "lost"},
+	{ErrMessageDuplicate, "duplicate"},
+	{ErrRecvTimeout, "timeout"},
+	{ErrRetryBudgetExhausted, "budget"},
+	{ErrRetransmitGone, "gone"},
+	{ErrPeerFailed, "peer-failed"},
+}
+
+// delivery is one Recv's outcome: its error class, or its payload and
+// the receiver's virtual clock after it.
+type delivery struct {
+	got   string
+	clock float64
+}
+
+func deliveryOf(data []byte, err error, clock float64) delivery {
+	if err == nil {
+		return delivery{got: string(data), clock: clock}
+	}
+	for _, c := range faultClasses {
+		if errors.Is(err, c.err) {
+			return delivery{got: c.name}
+		}
+	}
+	return delivery{got: err.Error()}
+}
+
+// TestTCPFaultsMatchInProcess injects the same fault into the same
+// two-rank exchange on the in-process fabric and on a loopback TCP mesh,
+// under strict and reliable delivery, and requires the same outcome on
+// both: every Recv ends in the same error class, or delivers the same
+// payload at the same receiver virtual clock. The one documented
+// difference is asserted as such: the in-process replay window outlives
+// its sender, so reliable delivery salvages a message from an exited
+// sender there, while over TCP the window died with the sender's process
+// and the receive fails typed.
+func TestTCPFaultsMatchInProcess(t *testing.T) {
+	onSeq0 := func(action FaultAction, delay float64) Fault {
+		return FaultOn(func(fc FaultContext) bool {
+			return fc.From == 0 && fc.To == 1 && fc.Seq == 0 && fc.Attempt == 0
+		}, action, delay)
+	}
+	cases := []struct {
+		name  string
+		fault Fault
+		sends []string
+		// stale: both ranks leave epoch 0 between the first send and the
+		// receives. exit: the sender returns right after its sends.
+		stale, exit bool
+		// strict and reliable are the expected outcomes, in order.
+		strict, reliable []string
+	}{
+		{name: "drop", fault: onSeq0(FaultDrop, 0), sends: []string{"a", "b"},
+			strict: []string{"lost", "b"}, reliable: []string{"a", "b"}},
+		{name: "duplicate", fault: onSeq0(FaultDuplicate, 0), sends: []string{"a", "b"},
+			strict: []string{"a", "duplicate", "b"}, reliable: []string{"a", "b"}},
+		{name: "corrupt", fault: onSeq0(FaultCorrupt, 0), sends: []string{"a", "b"},
+			strict: []string{"corrupt", "b"}, reliable: []string{"a", "b"}},
+		{name: "delay", fault: onSeq0(FaultDelay, 0.25), sends: []string{"a", "b"},
+			strict: []string{"a", "b"}, reliable: []string{"a", "b"}},
+		{name: "stale-epoch", sends: []string{"a", "b"}, stale: true,
+			strict: []string{"b"}, reliable: []string{"b"}},
+		{name: "sender-exit", fault: onSeq0(FaultDrop, 0), sends: []string{"a"}, exit: true,
+			strict: []string{"peer-failed"}, reliable: []string{"a"}},
+	}
+	for _, c := range cases {
+		for _, reliable := range []bool{false, true} {
+			mode, want := "strict", c.strict
+			if reliable {
+				mode, want = "reliable", c.reliable
+			}
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				cfg := Config{Ranks: 2, ParallelCompute: true, Reliable: reliable, RecvTimeout: 2 * time.Second, Fault: c.fault}
+				body := func(got *[]delivery) func(*Rank) error {
+					return func(r *Rank) error {
+						if r.ID == 0 {
+							for i, p := range c.sends {
+								if c.stale && i == 1 {
+									if err := r.Barrier(); err != nil {
+										return err
+									}
+									r.AdvanceEpoch()
+								}
+								if err := r.Send(1, []byte(p)); err != nil {
+									return err
+								}
+							}
+							if c.exit {
+								return nil
+							}
+							return r.Barrier()
+						}
+						if c.stale {
+							if err := r.Barrier(); err != nil {
+								return err
+							}
+							r.AdvanceEpoch()
+						}
+						last := c.sends[len(c.sends)-1]
+						for i := 0; i <= len(c.sends); i++ {
+							data, err := r.Recv(0)
+							*got = append(*got, deliveryOf(data, err, r.Now()))
+							if string(data) == last || errors.Is(err, ErrPeerFailed) {
+								break
+							}
+						}
+						if c.exit {
+							return nil
+						}
+						return r.Barrier()
+					}
+				}
+				var inproc, tcp []delivery
+				if _, err := Run(cfg, body(&inproc)); err != nil {
+					t.Fatalf("in-process run: %v", err)
+				}
+				if _, err := runMesh(t, cfg, startMesh(t, 2), body(&tcp)); err != nil {
+					t.Fatalf("tcp run: %v", err)
+				}
+				names := func(ds []delivery) []string {
+					out := make([]string, len(ds))
+					for i, d := range ds {
+						out[i] = d.got
+					}
+					return out
+				}
+				if fmt.Sprint(names(inproc)) != fmt.Sprint(want) {
+					t.Fatalf("in-process outcome %v, want %v", names(inproc), want)
+				}
+				if c.exit && reliable {
+					// The documented difference: no window survives a TCP
+					// sender's exit.
+					if fmt.Sprint(names(tcp)) != "[peer-failed]" {
+						t.Fatalf("tcp outcome %v, want [peer-failed] (the window died with the sender)", names(tcp))
+					}
+					return
+				}
+				if fmt.Sprint(inproc) != fmt.Sprint(tcp) {
+					t.Fatalf("fabrics disagree:\n in-process %v\n tcp        %v", inproc, tcp)
+				}
+			})
+		}
+	}
+}

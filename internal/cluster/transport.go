@@ -1,9 +1,11 @@
 package cluster
 
 // Transport abstraction. A Cluster charges time through the (α, β) model
-// and enforces message integrity (checksums, sequence numbers, epochs) —
-// but the bytes themselves move through a Transport. Two implementations
-// exist:
+// and owns everything that outlives one message: the integrity checks
+// (checksums, sequence numbers, epochs), the one receive loop that
+// reports or recovers their violations (Rank.Recv), the senders' replay
+// windows and the membership list. The bytes themselves move through a
+// Transport. Two implementations exist:
 //
 //   - chanTransport (chantransport.go): the original in-process fabric.
 //     Every rank is a goroutine of one process and messages move through
@@ -17,14 +19,31 @@ package cluster
 // The interface is sealed (its methods are unexported): both backends
 // live in this package, and the integrity/reliability layers sit above
 // the interface so every Transport gets checksums, NACK-driven
-// retransmission and chaos injection for free.
+// retransmission and chaos injection for free. Above the wire the two
+// fabrics differ in three places only:
+//
+//   - the agreement shape: the in-process control plane is a shared
+//     condition variable every member joins; TCP's is a star through the
+//     lowest member, so it cannot outlive that member;
+//   - how a NACK travels: in-process it is a lookup in the cluster's
+//     replay window; over TCP it is a control frame the sender's reader
+//     goroutine answers from its own process's window;
+//   - the window outliving its sender: the in-process window belongs to
+//     the one cluster every rank shares, so a receiver can still salvage
+//     what an exited rank sent; a TCP window dies with its process, and
+//     the same receive fails typed.
+//
+// Every wait on a channel that has a deadline or an abort goes through
+// await, on the link's reusable timer.
 
 import "time"
 
-// Transport moves framed messages between ranks. Implementations are
-// provided by this package (the interface is sealed); callers select one
-// via Config.Transport and may hand it to multiple API layers, but only
-// the Cluster drives it.
+// Transport moves framed messages between ranks. It keeps no state of a
+// run beyond its links and agreement rounds: the replay windows are the
+// Cluster's (handed over at bind) and the member list comes with every
+// agree. Implementations are provided by this package (the interface is
+// sealed); callers select one via Config.Transport and may hand it to
+// multiple API layers, but only the Cluster drives it.
 type Transport interface {
 	// LocalRank returns (rank, true) when this transport hosts exactly one
 	// rank of a multi-process cluster (each peer runs in its own OS
@@ -36,9 +55,10 @@ type Transport interface {
 	Close() error
 
 	// bind hands the transport the cluster configuration (with defaults
-	// applied) before the run starts. Implementations validate that the
-	// configured world size matches their own.
-	bind(cfg Config) error
+	// applied) and the cluster's replay windows before the run starts.
+	// Implementations validate that the configured world size matches
+	// their own; retransmit answers from retx.
+	bind(cfg Config, retx *retxStore) error
 
 	// send delivers `copies` copies of m, which rank r (m.from) is
 	// sending, on the link to `to`. m.data is r's caller's buffer, lent
@@ -57,26 +77,21 @@ type Transport interface {
 	// and surfaces as errAborted; nil means no cancellation.
 	recv(from, to int, timeout time.Duration, abort <-chan struct{}) (m message, ok bool, err error)
 
-	// recordRetx stores a pristine copy of an outgoing message in the
-	// sender-side replay window of the from→to link (reliable delivery).
-	recordRetx(from, to, seq, epoch int, data []byte, sum uint32)
-
 	// retransmit fetches a replay of the identified message from the
-	// sender's replay window: the in-process fabric reads the shared
+	// sender's replay window: the in-process fabric reads the bound
 	// window directly, the TCP fabric NACKs the peer over the wire and
 	// waits for its replay frame. It returns errNotYetSent when the
 	// sender simply has not sent that sequence number yet, or an
 	// ErrRetransmitGone-wrapped error when the window no longer holds it.
 	retransmit(from, to, seq, epoch int) (data []byte, sum uint32, err error)
 
-	// clearRetx drops every replay window fed by the given rank (epoch
-	// advance: the retained traffic belongs to an abandoned attempt).
-	clearRetx(rank int)
-
 	// agree is the control plane: every live member contributes
 	// (clock, v, propose) and all participants leave together at the
-	// returned clock (max over contributions plus the α·ceil(log2 n)
-	// tree cost) with the maximum contributed v. It must be immune to
+	// returned clock (max over contributions plus the α·ceil(log2 n) tree
+	// cost) with the maximum contributed v. members lists the physical
+	// ranks of the caller's current world (nil means every rank); every
+	// participant passes the identical list, so evicted ranks are neither
+	// waited on nor able to abort the round. It must be immune to
 	// injected point-to-point faults.
 	//
 	// With tolerant == false this is the classic AgreeMax round: a member
@@ -86,13 +101,7 @@ type Transport interface {
 	// membership consensus: it completes without the dead members, and
 	// dead returns the union of every participant's propose bitmap plus
 	// the members the transport itself observed exited or disconnected.
-	agree(rank int, clock float64, v int, propose uint64, tolerant bool) (leave float64, agreed int, dead uint64, err error)
-
-	// setMembers restricts the control plane to the given live physical
-	// ranks after a membership shrink: subsequent agree rounds wait only
-	// on these members, and the exits of evicted ranks no longer abort
-	// rounds. Every surviving rank calls it with the identical list.
-	setMembers(members []int)
+	agree(rank int, members []int, clock float64, v int, propose uint64, tolerant bool) (leave float64, agreed int, dead uint64, err error)
 
 	// closeRank marks a local rank's body as returned so peers blocked on
 	// recv or agree fail fast instead of hanging.
@@ -104,4 +113,51 @@ type Transport interface {
 	// ranks' start times). ok == false means the transport has no shared
 	// epoch and the cluster anchors to its own creation time.
 	epochHint() (time.Time, bool)
+}
+
+// linkTimer is the reusable deadline of one link's receiving side. Only
+// the link's consumer — the one rank goroutine receiving on it — arms it,
+// and every await leaves it stopped and drained, so the next wait re-arms
+// it without allocating.
+type linkTimer struct{ t *time.Timer }
+
+// await receives the next value from ch. timeout > 0 bounds the wait on
+// the link's timer (ErrRecvTimeout); a non-nil abort cancels it when
+// closed (errAborted). ok == false means ch is closed and drained.
+func await[T any](lt *linkTimer, ch <-chan T, timeout time.Duration, abort <-chan struct{}) (v T, ok bool, err error) {
+	if timeout <= 0 && abort == nil {
+		v, ok = <-ch
+		return v, ok, nil
+	}
+	// A nil channel blocks forever, so absent cases simply never fire.
+	var expired <-chan time.Time
+	if timeout > 0 {
+		if lt.t == nil {
+			lt.t = time.NewTimer(timeout)
+		} else {
+			lt.t.Reset(timeout)
+		}
+		defer lt.stop()
+		expired = lt.t.C
+	}
+	select {
+	case v, ok = <-ch:
+		return v, ok, nil
+	case <-expired:
+		return v, false, ErrRecvTimeout
+	case <-abort:
+		return v, false, errAborted
+	}
+}
+
+// stop disarms the timer and drains a tick that fired while another case
+// won, so the next Reset starts clean whatever the toolchain's
+// timer-channel semantics (GODEBUG=asynctimerchan=1).
+func (lt *linkTimer) stop() {
+	if !lt.t.Stop() {
+		select {
+		case <-lt.t.C:
+		default:
+		}
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -350,7 +349,7 @@ func (d *Daemon) validate(s JobSpec) error {
 	if s.Op != "allreduce" && s.Op != "reduce_scatter" {
 		return fmt.Errorf("unknown op %q (want allreduce or reduce_scatter)", s.Op)
 	}
-	if _, err := parseBackend(s.Backend); err != nil {
+	if _, err := hzccl.ParseBackend(s.Backend); err != nil {
 		return err
 	}
 	if _, err := hzccl.ParseAlgorithm(s.Algorithm); err != nil {
@@ -662,7 +661,7 @@ func (d *Daemon) runWorker(sess hzccl.Transport, job uint32, spec JobSpec, js *j
 // model — so digests are comparable bit-for-bit to standalone runs.
 func (d *Daemon) runJob(sess hzccl.Transport, spec JobSpec) rankReport {
 	rep := rankReport{Rank: d.opt.Rank}
-	backend, err := parseBackend(spec.Backend)
+	backend, err := hzccl.ParseBackend(spec.Backend)
 	if err != nil {
 		rep.Err = err.Error()
 		return rep
@@ -738,16 +737,4 @@ func (d *Daemon) runJob(sess hzccl.Transport, spec JobSpec) rankReport {
 	rep.Virtual, rep.Wall = res.Seconds, res.WallSeconds
 	rep.Evicted = res.Evicted
 	return rep
-}
-
-func parseBackend(s string) (hzccl.Backend, error) {
-	switch strings.ToLower(s) {
-	case "mpi":
-		return hzccl.BackendMPI, nil
-	case "ccoll", "c-coll":
-		return hzccl.BackendCColl, nil
-	case "hzccl", "":
-		return hzccl.BackendHZCCL, nil
-	}
-	return 0, fmt.Errorf("unknown backend %q (want mpi, ccoll or hzccl)", s)
 }

@@ -80,7 +80,7 @@ func startService(t *testing.T, n int, tweak func(*Options)) []*Daemon {
 func refDigests(t *testing.T, world int, spec JobSpec) map[string]string {
 	t.Helper()
 	spec = spec.withDefaults()
-	backend, err := parseBackend(spec.Backend)
+	backend, err := hzccl.ParseBackend(spec.Backend)
 	if err != nil {
 		t.Fatal(err)
 	}
