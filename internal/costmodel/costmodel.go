@@ -159,16 +159,21 @@ func measure(sample []float32, eb float64, alpha time.Duration, betaBytes float6
 	p := fzlight.Params{ErrorBound: eb}
 	rawBytes := 4 * len(sample)
 
+	// best is the fastest of three timed passes of f, in seconds per call.
+	// A pass repeats f until it covers at least a millisecond: one call
+	// can be tens of µs, which one preemption or timer tick would swamp.
 	best := func(f func() error) (float64, error) {
 		bt := math.Inf(1)
 		for i := 0; i < 3; i++ {
 			t0 := time.Now()
-			if err := f(); err != nil {
-				return 0, err
+			calls, dt := 0, time.Duration(0)
+			for ; dt < time.Millisecond; dt = time.Since(t0) {
+				if err := f(); err != nil {
+					return 0, err
+				}
+				calls++
 			}
-			if dt := time.Since(t0).Seconds(); dt < bt {
-				bt = dt
-			}
+			bt = min(bt, dt.Seconds()/float64(calls))
 		}
 		return bt, nil
 	}

@@ -52,20 +52,20 @@ func addPathsIdentical(t *testing.T, name string, n, threads int) {
 	}
 	var sums [2][]byte
 	var stats [2]hzdyn.Stats
-	for k, kernels := range []bool{false, true} {
-		fzlight.WithPath(kernels, func() {
+	for k, l := range []fzlight.Level{fzlight.Portable, fzlight.Dispatched()} {
+		fzlight.WithPath(l, func() {
 			sum, st, err := hzdyn.Add(ca, cb)
 			if err != nil {
-				t.Fatalf("kernels=%v: Add: %v", kernels, err)
+				t.Fatalf("%v: Add: %v", l, err)
 			}
 			static, err := hzdyn.StaticAdd(ca, cb)
 			if err != nil || !bytes.Equal(static, sum) {
-				t.Fatalf("kernels=%v: StaticAdd differs from Add (err %v)", kernels, err)
+				t.Fatalf("%v: StaticAdd differs from Add (err %v)", l, err)
 			}
 			for fold := 0; fold < 3; fold++ {
 				next, fst, err := hzdyn.Add(sum, sum)
 				if err != nil {
-					t.Fatalf("kernels=%v: fold %d: %v", kernels, fold, err)
+					t.Fatalf("%v: fold %d: %v", l, fold, err)
 				}
 				st.Accumulate(fst)
 				sum = next
@@ -74,8 +74,8 @@ func addPathsIdentical(t *testing.T, name string, n, threads int) {
 		})
 	}
 	if !bytes.Equal(sums[0], sums[1]) || stats[0] != stats[1] {
-		t.Fatalf("kernels %+v (%d bytes), portable %+v (%d bytes)",
-			stats[1], len(sums[1]), stats[0], len(sums[0]))
+		t.Fatalf("%v %+v (%d bytes), portable %+v (%d bytes)",
+			fzlight.Dispatched(), stats[1], len(sums[1]), stats[0], len(sums[0]))
 	}
 }
 
@@ -83,9 +83,9 @@ func addPathsIdentical(t *testing.T, name string, n, threads int) {
 // the reconstructions, the overflow fold takes the DOC fallback — on both
 // pipeline-④ paths: the four-case vectors and every dataset, one subtest each.
 func TestHomomorphicOracleBothPaths(t *testing.T) {
-	for _, kernels := range []bool{true, false} {
-		t.Run(map[bool]string{true: "kernels", false: "portable"}[kernels], func(t *testing.T) {
-			fzlight.WithPath(kernels, func() {
+	for _, l := range []fzlight.Level{fzlight.Dispatched(), fzlight.Portable} {
+		t.Run(map[bool]string{true: "kernels", false: "portable"}[l > fzlight.Portable], func(t *testing.T) {
+			fzlight.WithPath(l, func() {
 				t.Run("four-cases", func(t *testing.T) {
 					o := conformance.HomomorphicOracle{Params: fzlight.Params{ErrorBound: 1e-3}}
 					rep, err := o.CheckAllCases(4096)

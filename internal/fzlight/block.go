@@ -21,10 +21,19 @@ type Float interface {
 	~float32 | ~float64
 }
 
-// useKernels selects the SIMD block kernels (block_amd64.s) over the
-// portable codecs in this file for full float32 blocks. It is decided once,
-// from the CPU, and only the package's tests ever change it.
-var useKernels = haveKernels()
+// kernelLevel names the block codecs that run full float32 blocks.
+type kernelLevel int
+
+const (
+	levelPortable kernelLevel = iota // the Go codecs in this file
+	levelAVX2                        // the AVX2+BMI2 kernels of block_amd64.s
+	levelAVX512                      // the same, with 16-lane quantise and dequantise
+)
+
+// level selects the block codecs for full float32 blocks: the highest the
+// CPU has, decided once, and only the package's tests ever lower it. The
+// add kernel is the AVX2 one at either SIMD level.
+var level = cpuLevel()
 
 // kernelDst is what the encode kernel may touch: the largest block
 // (1 marker + 4 sign + 128 magnitude bytes) plus the 8 bytes of slack that
@@ -35,20 +44,26 @@ const kernelDst = 1 + 4 + 128 + 8
 // preempted, and 1024 blocks keep a call near 30 µs.
 const kernelRun = 1024
 
-// The three wrappers below run a kernel (block_amd64.s) over the full
-// blocks at the head of their buffers, kernelRun at a time, where the CPU
-// has the kernels, and return in front of the first block it does not
-// take, or at the end: the bytes used and written, the blocks done, and
-// the state carried out of the last one. The caller's portable codec then
-// takes that one block — and names its error, if it has one — and calls
-// the wrapper again. On a CPU without the kernels they do nothing.
+// The three wrappers below run a kernel (block_amd64.s) of the selected
+// level over the full blocks at the head of their buffers, kernelRun at a
+// time, and return in front of the first block it does not take, or at the
+// end: the bytes used and written, the blocks done, and the state carried
+// out of the last one. The caller's portable codec then takes that one
+// block — and names its error, if it has one — and calls the wrapper
+// again. At levelPortable they do nothing.
 
 // encodeRun32 stops in front of a value out of range or not finite, a code
 // length of 32, or fewer than kernelDst bytes left of dst.
 func encodeRun32(dst []byte, src []float32, recip float64, q int32) (wrote, done int, _ int32) {
-	for useKernels && len(src)-32*done >= 32 && len(dst)-wrote >= kernelDst {
+	for level >= levelAVX2 && len(src)-32*done >= 32 && len(dst)-wrote >= kernelDst {
 		run := min((len(src)-32*done)/32, kernelRun)
-		w, k, nq := encodeRun32K(&dst[wrote], &src[32*done], len(dst)-wrote, run, recip, q)
+		var w, k int
+		var nq int32
+		if level == levelAVX512 {
+			w, k, nq = encodeRun32K512(&dst[wrote], &src[32*done], len(dst)-wrote, run, recip, q)
+		} else {
+			w, k, nq = encodeRun32K(&dst[wrote], &src[32*done], len(dst)-wrote, run, recip, q)
+		}
 		wrote, done, q = wrote+w, done+k, nq
 		if k < run {
 			break
@@ -60,9 +75,15 @@ func encodeRun32(dst []byte, src []float32, recip float64, q int32) (wrote, done
 // decodeRun32 stops in front of a marker above 30 or a non-constant block
 // without 8 bytes of src behind it — the stream's last, or a truncated one.
 func decodeRun32(src []byte, out []float32, acc int32, eb2 float64) (used, done int, _ int32) {
-	for useKernels && len(out)-32*done >= 32 && used < len(src) {
+	for level >= levelAVX2 && len(out)-32*done >= 32 && used < len(src) {
 		run := min((len(out)-32*done)/32, kernelRun)
-		u, k, a := decodeRun32K(&out[32*done], &src[used], len(src)-used, run, acc, eb2)
+		var u, k int
+		var a int32
+		if level == levelAVX512 {
+			u, k, a = decodeRun32K512(&out[32*done], &src[used], len(src)-used, run, acc, eb2)
+		} else {
+			u, k, a = decodeRun32K(&out[32*done], &src[used], len(src)-used, run, acc, eb2)
+		}
 		used, done, acc = used+u, done+k, a
 		if k < run {
 			break
@@ -84,7 +105,7 @@ func decodeRun32(src []byte, out []float32, acc int32, eb2 float64) (used, done 
 func SumRun32(dst, a, b []byte, pairs int, dynamic bool, tally *[5]int64) (wrote, usedA, usedB, done int) {
 	// A pair the kernel took left 8 bytes behind it on all three sides, so
 	// the slices below are never empty after the first call.
-	for useKernels && done < pairs && wrote < len(dst) && usedA < len(a) && usedB < len(b) {
+	for level >= levelAVX2 && done < pairs && wrote < len(dst) && usedA < len(a) && usedB < len(b) {
 		run := min(pairs-done, kernelRun)
 		w, ua, ub, k := sumRun32K(&dst[wrote], &a[usedA], &b[usedB], len(dst)-wrote, len(a)-usedA, len(b)-usedB, run, dynamic, tally)
 		wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k

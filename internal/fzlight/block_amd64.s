@@ -4,7 +4,8 @@
 // full 32-value blocks. Each kernel does a whole block in registers, all
 // code lengths in one body: encodeRun32K (floats → blocks), decodeRun32K
 // (blocks → floats) and sumRun32K (blocks + blocks → blocks, the
-// homomorphic add). The portable Go codecs in block.go are the definition;
+// homomorphic add); encodeRun32K512 and decodeRun32K512 are the first two
+// with AVX-512 quantise and dequantise. The portable Go codecs in block.go are the definition;
 // these must agree with them byte for byte and bit for bit.
 //
 // One calling convention for all three: a kernel takes a run — pointers to
@@ -490,6 +491,200 @@ decConst:
 	JMP decLoop
 
 decDone:
+	SUBQ src+8(FP), SI
+	MOVQ SI, used+48(FP)
+	SUBQ out+0(FP), DI
+	SHRQ $7, DI
+	MOVQ DI, done+56(FP)
+	VMOVD X9, AX
+	MOVL AX, newAcc+64(FP)
+	VZEROUPPER
+	RET
+
+// The AVX-512 kernels, encodeRun32K512 and decodeRun32K512, are the two
+// above with their float-facing halves on 16 lanes: QUANT16 and DEQUANT16
+// replace QUANT and DEQUANT, and everything that touches the block's bytes
+// — LOADPLANES, UNPACK, ORWIDTH, TRANSPOSE, STOREPLANES — is the same
+// macro, so the bytes they write and read, the blocks they take and the
+// reasons they stop are those of the AVX2 kernels. They use Z0–Z15 and
+// K1–K4 only: VZEROUPPER then leaves no upper state behind.
+
+// QUANT16 quantises blk[off/4 : off/4+16] into Q and leaves their Lorenzo
+// deltas in D. PREV holds, in lane 15, the quantised value before them.
+// KA and KB receive the lanes that fail the range test. The floor is the
+// convert's {rd-sae}: exact for x + ½ below 2^29 + ½, and a lane outside
+// that stops the run before anything is stored.
+#define QUANT16(off, PREV, Q, D, KA, KB) \
+	VCVTPS2PD off(SI), Z4; \
+	VCVTPS2PD off+32(SI), Z5; \
+	VMULPD Z15, Z4, Z4; \
+	VMULPD Z15, Z5, Z5; \
+	VANDPD Z14, Z4, Z6; \
+	VANDPD Z14, Z5, Z7; \
+	VCMPPD $5, Z13, Z6, KA; /* !(|x| < 2^29): out of range, NaN or Inf */ \
+	VCMPPD $5, Z13, Z7, KB; \
+	VADDPD Z12, Z4, Z4; \
+	VADDPD Z12, Z5, Z5; \
+	VCVTPD2DQ.RD_SAE Z4, Y4; /* floor */ \
+	VCVTPD2DQ.RD_SAE Z5, Y5; \
+	VINSERTI64X4 $1, Y5, Z4, Q; /* q0 … q15 */ \
+	VALIGND $15, PREV, Q, D; /* q(−1) q0 … q14 */ \
+	VPSUBD D, Q, D
+
+// func encodeRun32K512(dst *byte, src *float32, dstLen, blocks int, recip float64, qprev int32) (wrote, done int, q int32)
+//
+// encodeRun32K on 16 lanes: the same run, bytes and stop reasons.
+TEXT ·encodeRun32K512(SB), NOSPLIT, $0-68
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ dstLen+16(FP), R14
+	LEAQ -141(DI)(R14*1), R14 // a block may start at any DI ≤ R14
+	MOVQ blocks+24(FP), R15
+	SHLQ $7, R15
+	ADDQ SI, R15 // the end of the run's floats
+	VBROADCASTSD recip+32(FP), Z15
+	MOVL qprev+40(FP), AX
+	VPBROADCASTD AX, Z9 // lane 15: the last quantised value taken
+	VBROADCASTSD f64abs<>(SB), Z14
+	VBROADCASTSD f64lim<>(SB), Z13
+	VBROADCASTSD f64half<>(SB), Z12
+
+enc512Loop:
+	CMPQ SI, R15
+	JAE enc512Done
+	CMPQ DI, R14
+	JA enc512Done
+	QUANT16(0, Z9, Z10, Z0, K1, K2)
+	QUANT16(64, Z10, Z11, Z2, K3, K4)
+	KORW K1, K2, K1
+	KORW K3, K4, K3
+	KORTESTW K1, K3
+	JNZ enc512Done
+	VPMOVD2M Z0, K1
+	VPMOVD2M Z2, K2
+	KUNPCKWD K1, K2, K1 // the sign word: values 0–15 low, 16–31 high
+	KMOVD K1, AX
+	VPABSD Z0, Z0
+	VPABSD Z2, Z2
+	VEXTRACTI64X4 $1, Z0, Y1
+	VEXTRACTI64X4 $1, Z2, Y3
+	ORWIDTH
+	JZ enc512Const
+	BSRL CX, CX
+	INCL CX
+	CMPL CX, $32
+	JE enc512Done
+	MOVB CX, (DI)
+	MOVL AX, 1(DI)
+	TRANSPOSE
+	STOREPLANES(DI, enc512Planes1, enc512Planes23, enc512Planes3, enc512Residual)
+	ADDQ AX, DI
+	JMP enc512Next
+
+enc512Const:
+	MOVB $0, (DI)
+	INCQ DI
+
+enc512Next:
+	VMOVDQA64 Z11, Z9
+	ADDQ $128, SI
+	JMP enc512Loop
+
+enc512Done:
+	SUBQ dst+0(FP), DI
+	MOVQ DI, wrote+48(FP)
+	SUBQ src+8(FP), SI
+	SHRQ $7, SI
+	MOVQ SI, done+56(FP)
+	VEXTRACTI32X4 $3, Z9, X9
+	VPEXTRD $3, X9, AX
+	MOVL AX, q+64(FP)
+	VZEROUPPER
+	RET
+
+// DEQUANT16 negates the 16 magnitudes in M (MY its low half) where the
+// mask SIGN is set, prefix-sums the deltas onto the accumulator broadcast
+// in Z9, leaves the new accumulator there, and stores
+// float32(eb2·float64(q)) to out[off/4 : off/4+16]. Z8 is zero, Z10 holds
+// dwords 15,15,…,15.
+#define DEQUANT16(off, M, MY, SIGN) \
+	VPSUBD M, Z8, SIGN, M; /* (m ^ s) − s */ \
+	VALIGND $15, Z8, M, Z12; /* shifted up a lane, zero in */ \
+	VPADDD Z12, M, M; \
+	VALIGND $14, Z8, M, Z12; \
+	VPADDD Z12, M, M; \
+	VALIGND $12, Z8, M, Z12; \
+	VPADDD Z12, M, M; \
+	VALIGND $8, Z8, M, Z12; \
+	VPADDD Z12, M, M; /* prefix sums */ \
+	VPADDD Z9, M, M; \
+	VPERMD M, Z10, Z9; /* broadcast lane 15 */ \
+	VCVTDQ2PD MY, Z12; \
+	VEXTRACTI64X4 $1, M, Y13; \
+	VCVTDQ2PD Y13, Z13; \
+	VMULPD Z15, Z12, Z12; \
+	VMULPD Z15, Z13, Z13; \
+	VCVTPD2PS Z12, Y12; \
+	VCVTPD2PS Z13, Y13; \
+	VMOVUPS Y12, off(DI); \
+	VMOVUPS Y13, off+32(DI)
+
+// func decodeRun32K512(out *float32, src *byte, srcLen, blocks int, acc int32, eb2 float64) (used, done int, newAcc int32)
+//
+// decodeRun32K on 16 lanes: the same run, floats and stop reasons.
+TEXT ·decodeRun32K512(SB), NOSPLIT, $0-68
+	MOVQ out+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ srcLen+16(FP), R14
+	ADDQ SI, R14 // the end of src
+	MOVQ blocks+24(FP), R15
+	SHLQ $7, R15
+	ADDQ DI, R15 // the end of the run's floats
+	MOVL acc+32(FP), AX
+	VPBROADCASTD AX, Z9
+	VBROADCASTSD eb2+40(FP), Z15
+	VPXORD Z8, Z8, Z8
+	VPTERNLOGD $0xFF, Z10, Z10, Z10
+	VPSRLD $28, Z10, Z10 // dwords 15,15,…,15
+
+dec512Loop:
+	CMPQ DI, R15
+	JAE dec512Done
+	CMPQ SI, R14
+	JAE dec512Done
+	MOVBLZX (SI), CX
+	TESTL CX, CX
+	JZ dec512Const
+	CMPL CX, $30
+	JA dec512Done
+	BLOCKLEN(CX, BX, DX)
+	LEAQ 8(SI)(BX*1), DX
+	CMPQ DX, R14
+	JA dec512Done
+	KMOVD 1(SI), K1 // the sign word
+	KSHIFTRD $16, K1, K2
+	LOADPLANES(SI, dec512Planes1, dec512Planes23, dec512Planes3, dec512Unpack)
+	UNPACK(Y4, Y5, Y6, Y7)
+	VINSERTI64X4 $1, Y5, Z4, Z4
+	VINSERTI64X4 $1, Y7, Z6, Z6
+	DEQUANT16(0, Z4, Y4, K1)
+	DEQUANT16(64, Z6, Y6, K2)
+	ADDQ BX, SI
+	ADDQ $128, DI
+	JMP dec512Loop
+
+dec512Const:
+	VCVTDQ2PD Y9, Z12
+	VMULPD Z15, Z12, Z12
+	VCVTPD2PS Z12, Y12
+	VINSERTF64X4 $1, Y12, Z12, Z12
+	VMOVUPS Z12, (DI)
+	VMOVUPS Z12, 64(DI)
+	INCQ SI
+	ADDQ $128, DI
+	JMP dec512Loop
+
+dec512Done:
 	SUBQ src+8(FP), SI
 	MOVQ SI, used+48(FP)
 	SUBQ out+0(FP), DI

@@ -1,6 +1,13 @@
 package fzlight
 
-// WithPath lets the external tests of this directory run f on one
-// pipeline-④ path: the SIMD kernels where the CPU has them (true) or the
-// portable Go body (false).
-func WithPath(kernels bool, f func()) { withPath(kernels, f) }
+// Level is a kernel level, for the external tests of this directory:
+// Portable, or the level the suite is running at (Dispatched).
+type Level = kernelLevel
+
+const Portable = levelPortable
+
+func Dispatched() Level { return level }
+
+// WithPath lets the external tests of this directory run f at kernel
+// level l, or at the CPU's highest if that is lower.
+func WithPath(l Level, f func()) { withPath(l, f) }

@@ -39,8 +39,8 @@ func FuzzDecompress(f *testing.F) {
 		if h, _ := ParseHeader(b); err == nil && len(out) > len(b)*h.BlockSize {
 			t.Fatalf("implausible expansion: %d values from %d bytes", len(out), len(b))
 		}
-		if useKernels { // the portable decoder must agree, bit for bit
-			withPath(false, func() {
+		if level > levelPortable { // the portable decoder must agree, bit for bit
+			withPath(levelPortable, func() {
 				ref, rerr := Decompress(b)
 				if (err == nil) != (rerr == nil) || !sameBits(out, ref) {
 					t.Fatalf("kernels: %d values, err %v; portable: %d values, err %v", len(out), err, len(ref), rerr)
@@ -86,8 +86,8 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if useKernels { // the portable codec must produce the same container
-			withPath(false, func() {
+		if level > levelPortable { // the portable codec must produce the same container
+			withPath(levelPortable, func() {
 				ref, err := Compress(clean, Params{ErrorBound: eb, Threads: 1 + int(threads%5)})
 				if err != nil || !bytes.Equal(ref, comp) {
 					t.Fatalf("portable container differs from the kernels' (err %v)", err)

@@ -66,7 +66,7 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 		}
 		for _, c := range []struct{ room, blocks int }{{kernelDst, 3}, {kernelDst - 1, 2}} {
 			dst := guarded(t, off[2]+c.room)
-			if wr, k, _ := encodeKernel(dst, blk, recip, 0); k != c.blocks || wr != off[k] || !bytes.Equal(dst[:wr], want[:wr]) {
+			if wr, k, _ := encodeRun32(dst, blk, recip, 0); k != c.blocks || wr != off[k] || !bytes.Equal(dst[:wr], want[:wr]) {
 				t.Fatalf("width %d, %d bytes for the last block: kernel encoded %d blocks (%d bytes), want %d", w, c.room, k, wr, c.blocks)
 			}
 		}
@@ -80,7 +80,7 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			if w == 0 {
 				c.blocks = 3 // a constant block is its marker byte
 			}
-			if u, k, _ := decodeKernel(src, out, 2/recip, 0); k != c.blocks || u != off[k] {
+			if u, k, _ := decodeRun32(src, out, 0, 2/recip); k != c.blocks || u != off[k] {
 				t.Fatalf("width %d, %d bytes of slack: kernel decoded %d blocks (used %d), want %d", w, c.slack, k, u, c.blocks)
 			}
 		}
@@ -109,15 +109,15 @@ func TestSumKernelStaysInsideItsSlices(t *testing.T) {
 		for _, cb := range cbs {
 			a := blockStream(widthDeltas(rng, ca), widthDeltas(rng, cb), widthDeltas(rng, ca))
 			b := blockStream(widthDeltas(rng, cb), widthDeltas(rng, ca), widthDeltas(rng, ca))
-			want := sumRun(false, a, b, 3, true)
+			want := sumRun(levelPortable, a, b, 3, true)
 			if want.err != nil || want.done != 3 {
 				t.Fatalf("widths %d,%d: portable run: %v", ca, cb, want)
 			}
 			for _, c := range []struct{ sa, sb, sd int }{{8, 8, 8}, {0, 8, 8}, {8, 0, 8}, {8, 8, 7}, {0, 0, 0}, {7, 7, 7}} {
 				ga, gb, dst := place(a, c.sa), place(b, c.sb), guarded(t, want.wrote+c.sd)
 				k := contractPairs(ga, gb, len(dst), 3, true)
-				if r := sumRun(false, a, b, k, true); c.sa+c.sb+c.sd == 24 && k < 3 &&
-					(a[r.usedA] == 0 || b[r.usedB] == 0 || sumRun(false, a[r.usedA:], b[r.usedB:], 1, false).out[0] != 31) {
+				if r := sumRun(levelPortable, a, b, k, true); c.sa+c.sb+c.sd == 24 && k < 3 &&
+					(a[r.usedA] == 0 || b[r.usedB] == 0 || sumRun(levelPortable, a[r.usedA:], b[r.usedB:], 1, false).out[0] != 31) {
 					t.Fatalf("widths %d,%d: with 8 bytes of slack only a 31-bit sum may stop the kernel, not pair %d", ca, cb, k)
 				}
 				if r := kernelSum(dst, ga, gb, 3, true); r.done != k || !bytes.Equal(r.out, want.out[:r.wrote]) || (k == 3 && (r.wrote != want.wrote || r.usedA != len(a) || r.usedB != len(b))) {
@@ -148,19 +148,19 @@ func TestKernelLongRunsStayInsideTheirSlices(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := guarded(t, off[n-1]+kernelDst)
-		if w, k, q := encodeKernel(dst, blk, 1.25, 0); k != n || w != off[n] || q != qs[n] || !bytes.Equal(dst[:w], want[:w]) {
+		if w, k, q := encodeRun32(dst, blk, 1.25, 0); k != n || w != off[n] || q != qs[n] || !bytes.Equal(dst[:w], want[:w]) {
 			t.Fatalf("encode: kernel did %d blocks of %d (%d bytes of %d)", k, n, w, off[n])
 		}
 		src := guarded(t, off[n]+8)
 		copy(src, want[:off[n]])
 		ref, doff, accs := decodeChain(src, n, 0.8, 0)
 		out := guardedFloats(t, 32*n)
-		if u, k, a := decodeKernel(src, out, 0.8, 0); k != n || u != doff[n] || a != accs[n] || !sameBits(out, ref) {
+		if u, k, a := decodeRun32(src, out, 0, 0.8); k != n || u != doff[n] || a != accs[n] || !sameBits(out, ref) {
 			t.Fatalf("decode: kernel did %d blocks of %d (used %d of %d)", k, n, u, doff[n])
 		}
 		enc[side] = src
 	}
-	want := sumRun(false, enc[0], enc[1], n, true)
+	want := sumRun(levelPortable, enc[0], enc[1], n, true)
 	if want.err != nil || want.done != n {
 		t.Fatalf("portable add: %v", want.err)
 	}

@@ -14,33 +14,38 @@ import (
 	"os"
 	"testing"
 
+	"hzccl/internal/datasets"
+	"hzccl/internal/metrics"
 	"hzccl/internal/telemetry"
 )
 
-// TestMain runs the package's tests as dispatched and, where that selected
-// the SIMD kernels, once more with the dispatch variable forced to the
-// portable path, so every test in the package pins both. Benchmarks and
-// fuzzing sessions run once, as dispatched.
+// TestMain runs the package's tests once at each kernel level the CPU has,
+// from the highest down to the portable codecs, so every test in the
+// package pins each. Benchmarks and fuzzing sessions run once, as
+// dispatched.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if code == 0 && useKernels && flagUnset("test.bench") && flagUnset("test.fuzz") && flagUnset("test.fuzzworker") && flagUnset("test.list") {
-		fmt.Println("fzlight: SIMD kernels passed; running the suite again on the portable path")
-		useKernels = false
+	once := !flagUnset("test.bench") || !flagUnset("test.fuzz") || !flagUnset("test.fuzzworker") || !flagUnset("test.list")
+	for code == 0 && !once && level > levelPortable {
+		level--
+		fmt.Printf("fzlight: the suite passed at level %v; running it again at %v\n", level+1, level)
 		code = m.Run()
 	}
 	os.Exit(code)
 }
+
+func (l kernelLevel) String() string { return [...]string{"portable", "AVX2", "AVX-512"}[l] }
 
 func flagUnset(name string) bool {
 	f := flag.Lookup(name)
 	return f == nil || f.Value.String() == "" || f.Value.String() == "false"
 }
 
-// withPath runs f with the dispatch variable set to kernels, which a CPU
-// without the kernels cannot select.
-func withPath(kernels bool, f func()) {
-	defer func(old bool) { useKernels = old }(useKernels)
-	useKernels = kernels && haveKernels()
+// withPath runs f at kernel level l, or at the CPU's highest if that is
+// lower: a test cannot select kernels the CPU lacks.
+func withPath(l kernelLevel, f func()) {
+	defer func(old kernelLevel) { level = old }(level)
+	level = min(l, cpuLevel())
 	f()
 }
 
@@ -220,8 +225,9 @@ func kernelSeeds() [][]byte {
 	return seeds
 }
 
-// diffKernels runs one case through the run kernels, the portable block
-// codecs and both chunk codecs and fails on any difference.
+// diffKernels runs one case through the run kernels of the suite's level,
+// the portable block codecs and both chunk codecs and fails on any
+// difference.
 func diffKernels(t *testing.T, b []byte) {
 	t.Helper()
 	scale, carry, blk, stream := parseKernelCase(b)
@@ -231,21 +237,17 @@ func diffKernels(t *testing.T, b []byte) {
 	// Chunk encoder: the run twice, behind a first block (which hosts the
 	// outlier and is portable on both paths).
 	data := append(append(make([]float32, 32), blk...), blk...)
-	var chunkP, chunkK []byte
-	var cerrP, cerrK error
-	for _, kernels := range []bool{false, true} {
-		withPath(kernels, func() {
+	var chunk [2][]byte
+	var cerr [2]error
+	for k, l := range []kernelLevel{levelPortable, level} {
+		withPath(l, func() {
 			dst := make([]byte, worstChunkBytes(len(data), 32))
 			n, err := compressChunk(dst, data, scale, 32, 0, true)
-			if kernels {
-				chunkK, cerrK = dst[:n], err
-			} else {
-				chunkP, cerrP = dst[:n], err
-			}
+			chunk[k], cerr[k] = dst[:n], err
 		})
 	}
-	if cerrP != cerrK || !bytes.Equal(chunkP, chunkK) {
-		t.Fatalf("compressChunk: kernel (%d bytes, %v) != portable (%d bytes, %v)", len(chunkK), cerrK, len(chunkP), cerrP)
+	if cerr[0] != cerr[1] || !bytes.Equal(chunk[0], chunk[1]) {
+		t.Fatalf("compressChunk: %v (%d bytes, %v) != portable (%d bytes, %v)", level, len(chunk[1]), cerr[1], len(chunk[0]), cerr[0])
 	}
 
 	// Chunk decoder on as many whole blocks as the stream holds.
@@ -261,24 +263,19 @@ func diffKernels(t *testing.T, b []byte) {
 	src := make([]byte, 4+end)
 	putInt32(src, carry)
 	copy(src[4:], stream[:end])
-	var decP, decK []float32
-	var xerrP, xerrK error
-	for _, kernels := range []bool{false, true} {
-		withPath(kernels, func() {
-			dst := make([]float32, 32*blocks)
-			err := decompressChunk(src, dst, scale, 32)
-			if kernels {
-				decK, xerrK = dst, err
-			} else {
-				decP, xerrP = dst, err
-			}
+	var dec [2][]float32
+	var xerr [2]error
+	for k, l := range []kernelLevel{levelPortable, level} {
+		withPath(l, func() {
+			dec[k] = make([]float32, 32*blocks)
+			xerr[k] = decompressChunk(src, dec[k], scale, 32)
 		})
 	}
-	if (xerrP == nil) != (xerrK == nil) || errors.Is(xerrP, ErrCorrupt) != errors.Is(xerrK, ErrCorrupt) {
-		t.Fatalf("decompressChunk: kernel err %v, portable err %v", xerrK, xerrP)
+	if (xerr[0] == nil) != (xerr[1] == nil) || errors.Is(xerr[0], ErrCorrupt) != errors.Is(xerr[1], ErrCorrupt) {
+		t.Fatalf("decompressChunk: %v err %v, portable err %v", level, xerr[1], xerr[0])
 	}
-	if xerrP == nil && !sameBits(decK, decP) {
-		t.Fatalf("decompressChunk: kernel %v\n      portable %v", decK, decP)
+	if xerr[0] == nil && !sameBits(dec[1], dec[0]) {
+		t.Fatalf("decompressChunk: %v %v\n      portable %v", level, dec[1], dec[0])
 	}
 }
 
@@ -316,17 +313,6 @@ func decodeChain(src []byte, n int, eb2 float64, acc int32) (out []float32, off 
 	return out, off, accs
 }
 
-// encodeKernel and decodeKernel are the run wrappers with the kernels on.
-func encodeKernel(dst []byte, blk []float32, recip float64, qprev int32) (wrote, done int, q int32) {
-	withPath(true, func() { wrote, done, q = encodeRun32(dst, blk, recip, qprev) })
-	return wrote, done, q
-}
-
-func decodeKernel(src []byte, out []float32, eb2 float64, acc int32) (used, done int, a int32) {
-	withPath(true, func() { used, done, a = decodeRun32(src, out, acc, eb2) })
-	return used, done, a
-}
-
 // diffEncodeRun checks the encode kernel on a run against encodeChain: the
 // blocks it takes are a prefix of the portable chain, byte for byte with
 // the same carried value; it stops only at a block the portable encoder
@@ -338,7 +324,7 @@ func diffEncodeRun(t *testing.T, blk []float32, recip float64, qprev int32) {
 	took := len(off) - 1
 	check := func(what string, dst []byte, wantK int) {
 		t.Helper()
-		w, k, q := encodeKernel(dst, blk, recip, qprev)
+		w, k, q := encodeRun32(dst, blk, recip, qprev)
 		if k > took {
 			t.Fatalf("encode %s: kernel took block %d, which the portable encoder rejects (%v)", what, took, err)
 		}
@@ -348,7 +334,7 @@ func diffEncodeRun(t *testing.T, blk []float32, recip float64, qprev int32) {
 		}
 	}
 	dst := make([]byte, len(want)+kernelDst)
-	_, k, _ := encodeKernel(dst, blk, recip, qprev)
+	_, k, _ := encodeRun32(dst, blk, recip, qprev)
 	if k < took && want[off[k]] != 32 {
 		t.Fatalf("encode: kernel refused block %d (c=%d), which the portable encoder takes", k, want[off[k]])
 	}
@@ -371,7 +357,7 @@ func diffDecodeRun(t *testing.T, stream []byte, eb2 float64, acc int32) {
 	check := func(what string, src []byte, wantK int) {
 		t.Helper()
 		out := make([]float32, 32*maxCaseBlocks)
-		u, k, a := decodeKernel(src, out, eb2, acc)
+		u, k, a := decodeRun32(src, out, acc, eb2)
 		if k > took {
 			t.Fatalf("decode %s: kernel took block %d, which the portable decoder rejects", what, took)
 		}
@@ -380,7 +366,7 @@ func diffDecodeRun(t *testing.T, stream []byte, eb2 float64, acc int32) {
 				what, k, u, a, wantK, k, off[k], accs[k])
 		}
 	}
-	_, k, _ := decodeKernel(stream, make([]float32, 32*maxCaseBlocks), eb2, acc)
+	_, k, _ := decodeRun32(stream, make([]float32, 32*maxCaseBlocks), acc, eb2)
 	if rest := stream[off[min(k, took)]:]; k < maxCaseBlocks && len(rest) > 0 && rest[0] <= 30 &&
 		(rest[0] == 0 || len(rest) >= 5+32*int(rest[0]>>3)+4*int(rest[0]&7)+8) {
 		t.Fatalf("decode: kernel refused block %d inside its contract (c=%d, %d bytes left)", k, rest[0], len(rest))
@@ -405,9 +391,11 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
+// needKernels skips a test of the kernels in the suite's portable pass;
+// the passes above it run the kernels of their own level.
 func needKernels(t testing.TB) {
-	if !haveKernels() {
-		t.Skip("no SIMD block kernels on this CPU")
+	if level == levelPortable {
+		t.Skip("no SIMD block kernels at this level")
 	}
 }
 
@@ -430,11 +418,11 @@ func TestKernelSeedsCoverWidths(t *testing.T) {
 	v, _ := widthBlock(9, rand.New(rand.NewSource(19)))
 	v[3], v[2] = float32(math.NaN()), 3e30
 	data := append(make([]float32, 32), v[:]...)
-	for _, kernels := range []bool{false, true} {
-		withPath(kernels, func() {
+	for _, l := range []kernelLevel{levelPortable, level} {
+		withPath(l, func() {
 			dst := make([]byte, worstChunkBytes(len(data), 32))
 			if _, err := compressChunk(dst, data, 1.25, 32, 0, true); err != ErrRange {
-				t.Errorf("kernels=%v: range error in lane 2 before a NaN in lane 3: got %v, want ErrRange", kernels, err)
+				t.Errorf("%v: range error in lane 2 before a NaN in lane 3: got %v, want ErrRange", l, err)
 			}
 		})
 	}
@@ -501,7 +489,7 @@ func TestKernelRunsStopInTheMiddle(t *testing.T) {
 		blk := flat(r...)
 		want, off, qs, _ := encodeChain(blk, 1.25, 7)
 		dst := make([]byte, room(off))
-		if w, k, q := encodeKernel(dst, blk, 1.25, 7); k != 5 || w != off[5] || q != qs[5] || !bytes.Equal(dst[:w], want[:w]) {
+		if w, k, q := encodeRun32(dst, blk, 1.25, 7); k != 5 || w != off[5] || q != qs[5] || !bytes.Equal(dst[:w], want[:w]) {
 			t.Fatalf("encode, %s at block 5: kernel did %d blocks, %d bytes, q=%d; portable after 5: %d bytes, q=%d", what, k, w, q, off[5], qs[5])
 		}
 	}
@@ -514,7 +502,7 @@ func TestKernelRunsStopInTheMiddle(t *testing.T) {
 	encodes("dst short of kernelDst", run, func(off []int) int { return off[5] + kernelDst - 1 })
 	// A code length of 32 needs a carried value outside the chain
 	// invariant, so it can only stop a run at its first block.
-	if _, k, q := encodeKernel(make([]byte, 2*kernelDst), make([]float32, 64), 1, math.MinInt32); k != 0 || q != math.MinInt32 {
+	if _, k, q := encodeRun32(make([]byte, 2*kernelDst), make([]float32, 64), 1, math.MinInt32); k != 0 || q != math.MinInt32 {
 		t.Fatalf("encode, code length 32: kernel did %d blocks, q=%d", k, q)
 	}
 
@@ -533,7 +521,7 @@ func TestKernelRunsStopInTheMiddle(t *testing.T) {
 	} {
 		want, off, accs := decodeChain(s, 8, 0.002, 5)
 		out := make([]float32, 32*8)
-		if u, k, a := decodeKernel(s, out, 0.002, 5); k != 5 || u != off[5] || a != accs[5] || !sameBits(out[:160], want[:160]) {
+		if u, k, a := decodeRun32(s, out, 5, 0.002); k != 5 || u != off[5] || a != accs[5] || !sameBits(out[:160], want[:160]) {
 			t.Fatalf("decode, %s at block 5: kernel did %d blocks, used %d, acc=%d; portable after 5: used %d, acc=%d", what, k, u, a, off[5], accs[5])
 		}
 	}
@@ -562,8 +550,8 @@ func TestKernelContainersMatchPortable(t *testing.T) {
 				p := Params{ErrorBound: eb, Threads: threads}
 				var comp [2][]byte
 				var dec [2][]float32
-				for k, kernels := range []bool{false, true} {
-					withPath(kernels, func() {
+				for k, l := range []kernelLevel{levelPortable, level} {
+					withPath(l, func() {
 						c, err := Compress(data, p)
 						if err != nil {
 							t.Fatal(err)
@@ -586,14 +574,101 @@ func TestKernelContainersMatchPortable(t *testing.T) {
 	}
 }
 
-// The telemetry snapshot says which path the process is on.
+// The telemetry snapshot says which kernel level the process runs at. A
+// -v run of this test logs the level the CPU selected, so a green run on a
+// CPU without AVX-512 visibly did not run those kernels.
 func TestSIMDGaugeReportsThePath(t *testing.T) {
-	for _, kernels := range []bool{false, haveKernels()} {
-		withPath(kernels, func() {
-			want := map[bool]float64{false: 0, true: 1}[kernels]
-			if got := telemetry.Capture().Gauges["fzlight.simd_kernels"]; got != want {
-				t.Errorf("useKernels=%v: fzlight.simd_kernels = %g, want %g", kernels, got, want)
+	t.Logf("this CPU selects kernel level %d (%v); the suite is running at %v", cpuLevel(), cpuLevel(), level)
+	for l := levelPortable; l <= cpuLevel(); l++ {
+		withPath(l, func() {
+			if got := telemetry.Capture().Gauges["fzlight.simd_kernels"]; got != float64(l) {
+				t.Errorf("level %v: fzlight.simd_kernels = %g, want %d", l, got, l)
 			}
 		})
+	}
+}
+
+// The AVX-512 kernels against the AVX2 ones on real fields: every dataset,
+// at lengths off the block and segment boundaries and at two error bounds,
+// split into 1–8 segments per chunk, gives the same container and decodes
+// to the same bits at both levels.
+func TestAVX512MatchesAVX2(t *testing.T) {
+	if cpuLevel() < levelAVX512 {
+		t.Skip("no AVX-512 on this CPU")
+	}
+	if level != levelAVX512 {
+		t.Skip("runs once, in the AVX-512 pass")
+	}
+	const n = 3*4096 + 32*5 + 7
+	for _, name := range datasets.Names() {
+		field, err := datasets.Field(name, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, length := range []int{33, 32*97 + 31, n} {
+			for _, rel := range []float64{1e-2, 1e-5} {
+				p := Params{ErrorBound: rel * maxAbs(field), Threads: 2}
+				for segs := 1; segs <= 8; segs++ {
+					var comp [2][]byte
+					var dec [2][]float32
+					for k, l := range []kernelLevel{levelAVX2, levelAVX512} {
+						withPath(l, func() {
+							if comp[k], err = compressSegments(field[:length], p, segs); err == nil {
+								dec[k], err = Decompress(comp[k])
+							}
+						})
+						if err != nil {
+							t.Fatalf("%s n=%d rel=%g segs=%d, %v: %v", name, length, rel, segs, l, err)
+						}
+					}
+					if !bytes.Equal(comp[0], comp[1]) || !sameBits(dec[0], dec[1]) {
+						t.Fatalf("%s n=%d rel=%g segs=%d: AVX-512 and AVX2 differ", name, length, rel, segs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernelLevels times encode (a one-chunk container on one core)
+// and decode of each dataset at 1 Mi elements, at the benchmark's error
+// bound (1e-4 of the field's range) and every kernel level the CPU has, in
+// MB/s of float32 input:
+//
+//	go test -run '^$' -bench KernelLevels -benchtime 50x ./internal/fzlight
+func BenchmarkKernelLevels(b *testing.B) {
+	const n = 1 << 20
+	for _, name := range datasets.Names() {
+		field, err := datasets.Field(name, 0, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := Header{Version: 1}.shape(n, Params{ErrorBound: metrics.AbsBound(1e-4, field)}.withDefaults())
+		comp := make([]byte, h.Bound())
+		size, err := compressSplit(comp, field, h, 1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst, out := make([]byte, h.Bound()), make([]float32, n)
+		for l := cpuLevel(); l >= levelPortable; l-- {
+			withPath(l, func() {
+				b.Run(fmt.Sprintf("%s/%v/encode", name, l), func(b *testing.B) {
+					b.SetBytes(4 * n)
+					for i := 0; i < b.N; i++ {
+						if _, err := compressSplit(dst, field, h, 1, 1); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run(fmt.Sprintf("%s/%v/decode", name, l), func(b *testing.B) {
+					b.SetBytes(4 * n)
+					for i := 0; i < b.N; i++ {
+						if err := DecompressInto(comp[:size], out); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
 	}
 }

@@ -193,16 +193,16 @@ func addPairs(dst, a, b []byte, pairs int, dynamic bool) (r sumResult) {
 	return r
 }
 
-// sumRun is addPairs with the kernels or on the portable path alone, into a
-// fresh dst with room to spare.
-func sumRun(kernels bool, a, b []byte, pairs int, dynamic bool) (r sumResult) {
-	withPath(kernels, func() { r = addPairs(make([]byte, len(a)+len(b)+16), a, b, pairs, dynamic) })
+// sumRun is addPairs at kernel level l, into a fresh dst with room to
+// spare.
+func sumRun(l kernelLevel, a, b []byte, pairs int, dynamic bool) (r sumResult) {
+	withPath(l, func() { r = addPairs(make([]byte, len(a)+len(b)+16), a, b, pairs, dynamic) })
 	return r
 }
 
 // kernelSum is the kernel alone on dst.
 func kernelSum(dst, a, b []byte, pairs int, dynamic bool) (r sumResult) {
-	withPath(true, func() { r.wrote, r.usedA, r.usedB, r.done = SumRun32(dst, a, b, pairs, dynamic, &r.tally) })
+	r.wrote, r.usedA, r.usedB, r.done = SumRun32(dst, a, b, pairs, dynamic, &r.tally)
 	r.out = dst[:r.wrote]
 	return r
 }
@@ -252,7 +252,7 @@ func kernelTakes(a, b []byte, room int, dynamic bool) bool {
 		if a[0] > 30 || b[0] > 30 {
 			return false
 		}
-		next := sumRun(false, a, b, 1, false)
+		next := sumRun(levelPortable, a, b, 1, false)
 		if next.err != nil || next.out[0] == 31 {
 			return false
 		}
@@ -265,7 +265,7 @@ func kernelTakes(a, b []byte, room int, dynamic bool) bool {
 // into room bytes of dst that are inside the add kernel's contract.
 func contractPairs(a, b []byte, room, pairs int, dynamic bool) (k int) {
 	for ; k < pairs; k++ {
-		r := sumRun(false, a, b, k, dynamic)
+		r := sumRun(levelPortable, a, b, k, dynamic)
 		if r.err != nil || !kernelTakes(a[r.usedA:], b[r.usedB:], room-r.wrote, dynamic) {
 			break
 		}
@@ -284,14 +284,14 @@ func diffSum(t *testing.T, a, b []byte) {
 	whole := max(1, min(wholeBlocks(a), wholeBlocks(b)))
 	for _, pairs := range []int{whole, whole + 1} {
 		for _, dynamic := range []bool{true, false} {
-			want := sumRun(false, a, b, pairs, dynamic)
+			want := sumRun(levelPortable, a, b, pairs, dynamic)
 			if want.err != nil && !errors.Is(want.err, ErrCorrupt) {
 				t.Fatalf("portable: untyped error %v", want.err)
 			}
-			if !haveKernels() {
+			if level == levelPortable {
 				continue
 			}
-			if got := sumRun(true, a, b, pairs, dynamic); !got.same(want) {
+			if got := sumRun(level, a, b, pairs, dynamic); !got.same(want) {
 				t.Fatalf("%d pairs, dynamic=%v\nkernels:  %v\nportable: %v", pairs, dynamic, got, want)
 			}
 			diffSumKernel(t, a, b, pairs, dynamic)
@@ -305,7 +305,7 @@ func diffSum(t *testing.T, a, b []byte) {
 func diffSumKernel(t *testing.T, a, b []byte, pairs int, dynamic bool) {
 	t.Helper()
 	prefixOK := func(r sumResult) bool {
-		ref := sumRun(false, a, b, r.done, dynamic)
+		ref := sumRun(levelPortable, a, b, r.done, dynamic)
 		return ref.err == nil && r.same(ref)
 	}
 	dst, intact := canary(len(a) + len(b) + 16)
@@ -317,7 +317,7 @@ func diffSumKernel(t *testing.T, a, b []byte, pairs int, dynamic bool) {
 		t.Fatalf("dynamic=%v: kernel did %d pairs of %d", dynamic, got.done, pairs)
 	}
 	if !prefixOK(got) {
-		t.Fatalf("dynamic=%v: kernel alone: %v\nportable: %v", dynamic, got, sumRun(false, a, b, got.done, dynamic))
+		t.Fatalf("dynamic=%v: kernel alone: %v\nportable: %v", dynamic, got, sumRun(levelPortable, a, b, got.done, dynamic))
 	}
 	if got.done < pairs && kernelTakes(a[got.usedA:], b[got.usedB:], len(dst)-got.wrote, dynamic) {
 		t.Fatalf("dynamic=%v: kernel refused pair %d inside its contract (markers %d, %d)", dynamic, got.done, a[got.usedA], b[got.usedB])
@@ -406,11 +406,11 @@ func TestSumKernelLongRun(t *testing.T) {
 		pb = append(pb, widthDeltas(rng, (4+rng.Intn(6))*min(1, rng.Intn(5))))
 	}
 	a, b := append(blockStream(pa...), make([]byte, 8)...), append(blockStream(pb...), make([]byte, 8)...)
-	want, got := sumRun(false, a, b, pairs, true), sumRun(true, a, b, pairs, true)
+	want, got := sumRun(levelPortable, a, b, pairs, true), sumRun(level, a, b, pairs, true)
 	if want.err != nil || want.done != pairs || !got.same(want) || want.tally[1] == 0 || want.tally[4] == 0 {
 		t.Fatalf("portable: done=%d err=%v tally %v; dispatched: done=%d err=%v tally %v", want.done, want.err, want.tally[1:], got.done, got.err, got.tally[1:])
 	}
-	if haveKernels() {
+	if level > levelPortable {
 		if r := kernelSum(make([]byte, len(a)+len(b)), a, b, pairs, true); r.done != pairs {
 			t.Fatalf("kernel did %d pairs of %d", r.done, pairs)
 		}
@@ -456,10 +456,10 @@ func BenchmarkSumRun(b *testing.B) {
 		if w.konst {
 			name += "-const"
 		}
-		for _, kernels := range []bool{true, false} {
-			path := map[bool]string{true: "dispatched", false: "portable"}[kernels]
+		for _, l := range []kernelLevel{level, levelPortable} {
+			path := map[bool]string{true: "dispatched", false: "portable"}[l > levelPortable]
 			b.Run(name+"/"+path, func(b *testing.B) {
-				withPath(kernels, func() {
+				withPath(l, func() {
 					b.SetBytes(pairs * 128)
 					for i := 0; i < b.N; i++ {
 						if r := addPairs(dst, sa, sb, pairs, true); r.err != nil || r.done != pairs {

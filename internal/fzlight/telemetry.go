@@ -35,14 +35,10 @@ func init() {
 		}
 		return float64(mCompressRaw.Value()) / float64(out)
 	})
-	// Which block codecs this process runs: 1 = the AVX2+BMI2 kernels of
-	// block_amd64.s (encode, decode and homomorphic add), 0 = portable Go.
-	telemetry.Gauge("fzlight.simd_kernels", func() float64 {
-		if useKernels {
-			return 1
-		}
-		return 0
-	})
+	// Which block codecs this process runs, its kernel level: 0 = portable
+	// Go, 1 = the AVX2+BMI2 kernels of block_amd64.s (encode, decode and
+	// homomorphic add), 2 = the same with AVX-512 quantise and dequantise.
+	telemetry.Gauge("fzlight.simd_kernels", func() float64 { return float64(level) })
 }
 
 // elemBytes returns the raw byte width of the container's element type.

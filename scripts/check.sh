@@ -2,7 +2,8 @@
 # check.sh — the repo's fast hygiene gate: formatting, vet (asmdecl covers
 # the fzlight block kernels), an arm64 cross vet/build (the non-amd64 stub
 # and the portable codec path) with a check that no quantiser fused its
-# multiply and add there, an s390x cross vet/build (the big-endian side of
+# multiply and add there, the same check by grep on the amd64 kernels, an
+# s390x cross vet/build (the big-endian side of
 # floatbytes, the one place byte order is compiled in), a 386 test run of
 # the codec packages and the conformance oracles (the portable pipeline ④,
 # natively), the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
@@ -40,6 +41,19 @@ fused=$(go tool objdump -s 'internal/(fzlight|ompszp)\.' "$tmp/compressor" | gre
 if [ -n "$fused" ]; then
     echo "fused multiply-add in a codec package (arm64):" >&2
     echo "$fused" >&2
+    exit 1
+fi
+
+echo "== amd64 kernels: two roundings by hand =="
+# The same rule in the hand-written kernels: no fused multiply-add opcode,
+# and no embedded rounding but the AVX-512 quantiser's convert
+# (VCVTPD2DQ.RD_SAE, the floor of x + ½ after the round-to-nearest sum).
+asm=internal/fzlight/block_amd64.s
+fused=$(grep -nE 'VFN?M(ADD|SUB)' "$asm" || true)
+rounded=$(grep -nE '\.R[NDUZ]_SAE' "$asm" | grep -v 'VCVTPD2DQ\.RD_SAE' || true)
+if [ -n "$fused$rounded" ]; then
+    echo "fused multiply-add or embedded rounding in $asm:" >&2
+    printf '%s\n' "$fused" "$rounded" | grep . >&2
     exit 1
 fi
 
