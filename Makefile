@@ -76,17 +76,19 @@ chaos:
 # first under the race detector, then ten race-enabled rounds of the
 # regression tests of the TCP ordering bugs that each first showed up as
 # a flake (replay vs connection close, reset vs detector, bye vs
-# receiver, bye vs bind).
+# receiver, bye vs bind), of the agreement table run on both fabrics and
+# of rank 0's death on a loopback TCP mesh.
 soak:
 	$(GO) test -race -count=1 -run 'Agree|Shrink|Membership|ConnReset' ./internal/cluster ./internal/conformance
-	$(GO) test -race -count=10 -run 'TestTCPReliableDropRecovery|TestTCPConnResetFeedsDetector|TestTCPByeMidCollectiveIsTyped|TestTCPByeBeforeBindReachesDetector' ./internal/cluster
+	$(GO) test -race -count=10 -run 'TestTCPReliableDropRecovery|TestTCPConnResetFeedsDetector|TestTCPByeMidCollectiveIsTyped|TestTCPByeBeforeBindReachesDetector|TestAgreementMatchesAcrossFabrics|TestRankZeroDiesOnRealSockets' ./internal/cluster .
 	SOAK_ITERS=$${SOAK_ITERS:-25} $(GO) test -race -count=1 -run 'TestShrinkSoak' -v .
 
 # tcp-smoke runs a 4-rank hZCCL Allreduce as 4 real OS processes over
 # loopback TCP and verifies the result digest is bitwise identical to the
 # in-process fabric, plus the transport and daemon unit tests under the
-# race detector. Each script run also boots the hzccl-serve daemon and
-# submits concurrent jobs over one mesh handshake.
+# race detector. Each script run also kills rank 3 and then rank 0 (the
+# first agreement coordinator) mid-collective, boots the hzccl-serve
+# daemon and submits concurrent jobs over one mesh handshake.
 tcp-smoke:
 	$(GO) test -race -count=1 -run 'TestTCP' ./internal/cluster
 	$(GO) test -race -count=1 ./serve

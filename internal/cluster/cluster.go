@@ -137,10 +137,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// agreeTimeout bounds Barrier/AgreeMax waits: a peer may legitimately
-// spend up to RetryBudget receive timeouts in recovery before arriving,
-// so the deadline scales with the budget. 0 (no RecvTimeout) waits until
-// a rank exits.
+// agreeTimeout bounds each wait of an agreement round (agree.go): a peer
+// may legitimately spend up to RetryBudget receive timeouts in recovery
+// before arriving, so the deadline scales with the budget. 0 (no
+// RecvTimeout) waits until the awaited rank's link closes.
 func (c Config) agreeTimeout() time.Duration {
 	if c.RecvTimeout <= 0 {
 		return 0
@@ -347,7 +347,7 @@ func (c *Cluster) newRank(id int) *Rank {
 	r := &Rank{
 		ID: id, N: c.cfg.Ranks, phys: id, c: c, breakdown: make(map[Category]float64),
 		sendSeq: make([]int, c.cfg.Ranks), recvSeq: make([]int, c.cfg.Ranks),
-		pending: make([]map[int]message, c.cfg.Ranks),
+		pending: make([]map[int]message, c.cfg.Ranks), ctlGone: make([]bool, c.cfg.Ranks),
 	}
 	if n := c.cfg.Ranks; n <= 64 {
 		r.memberMask = ^uint64(0) >> (64 - uint(n))
@@ -520,10 +520,13 @@ type Rank struct {
 	// opTrace is the current operation's trace ID, stamped on every
 	// outgoing message. Collectives execute in the same program order on
 	// every rank, so the per-rank ordinal is a cluster-wide consistent ID
-	// with no coordination — the same invariant the AgreeMax generation
-	// counter relies on.
+	// with no coordination — the same invariant agreeGen relies on.
 	opCount uint64
 	opTrace uint64
+	// agreeGen numbers this rank's agreement rounds; ctlGone[p] is set once
+	// physical rank p's control link was seen closed (agree.go).
+	agreeGen uint32
+	ctlGone  []bool
 }
 
 // BeginOp marks the start of a collective operation on this rank and
@@ -971,22 +974,11 @@ func (r *Rank) Barrier() error {
 // AgreeMax is a Barrier that additionally agrees on a value: every rank
 // contributes v, all ranks leave together (clocks synchronized exactly
 // like Barrier, with the same α·ceil(log2 N) tree cost), and each
-// receives the maximum contributed value. Because it runs over the
-// transport's control plane rather than point-to-point messages, it is
-// immune to injected fabric faults — the collectives use it as the
-// control plane for agreeing to retry or degrade after a failed attempt.
+// receives the maximum contributed value. Because it runs on control
+// records (agree.go) rather than point-to-point messages, it is immune
+// to injected fabric faults — the collectives use it as the control
+// plane for agreeing to retry or degrade after a failed attempt.
 func (r *Rank) AgreeMax(v int) (int, error) {
-	leave, agreed, _, err := r.c.tr.agree(r.phys, r.members, r.now, v, 0, false)
-	if err != nil {
-		return 0, err
-	}
-	flight.Record(r.phys, telemetry.FlightAgree, int64(v), int64(agreed), 0, 0)
-	if leave > r.now {
-		if tr := r.c.trace; tr != nil {
-			tr.record(TraceEvent{Rank: r.phys, Category: CatMPI, Start: r.now, Dur: leave - r.now})
-		}
-		r.breakdown[CatMPI] += leave - r.now
-		r.now = leave
-	}
-	return agreed, nil
+	agreed, _, err := r.agree(v, 0, false)
+	return agreed, err
 }

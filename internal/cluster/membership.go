@@ -379,9 +379,9 @@ func (r *Rank) unsuspect(from int) {
 // *live* member contributes a proposed dead-set bitmap (physical ranks,
 // from SuspectedDead), the round completes without waiting on members
 // that died or exited, and every survivor receives the identical union
-// of all proposals plus the members the transport itself observed dead.
-// Like AgreeMax it synchronizes the survivors' clocks (tree cost over
-// the participants) and runs on the transport control plane, immune to
+// of all proposals plus the members whose control links were seen closed.
+// It is the same round as AgreeMax (agree.go): it synchronizes the
+// survivors' clocks (tree cost over the participants) and is immune to
 // injected point-to-point faults. The result is what survivors hand to
 // ShrinkWorld — all of them receive the same bitmap, so all of them
 // shrink to the same world.
@@ -389,19 +389,8 @@ func (r *Rank) AgreeDead(propose uint64) (uint64, error) {
 	if r.c.cfg.Ranks > 64 {
 		return 0, fmt.Errorf("%w: world has %d ranks", ErrWorldTooLarge, r.c.cfg.Ranks)
 	}
-	leave, _, dead, err := r.c.tr.agree(r.phys, r.members, r.now, 0, propose, true)
-	if err != nil {
-		return 0, err
-	}
-	flight.Record(r.phys, telemetry.FlightAgree, int64(propose), int64(dead), 1, 0)
-	if leave > r.now {
-		if tr := r.c.trace; tr != nil {
-			tr.record(TraceEvent{Rank: r.phys, Category: CatMPI, Start: r.now, Dur: leave - r.now})
-		}
-		r.breakdown[CatMPI] += leave - r.now
-		r.now = leave
-	}
-	return dead, nil
+	_, dead, err := r.agree(0, propose, true)
+	return dead, err
 }
 
 // ShrinkWorld removes the agreed-dead ranks from this rank's world view:

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -38,38 +37,6 @@ func TestAgreeMaxConcurrentEpochStraggler(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAgreeDeadToleratesExitedRank verifies the membership round
-// completes without a dead member: the victim exits immediately, the
-// survivors' AgreeDead still terminates and reports the exited rank in
-// the agreed dead set (transport-observed, beyond what anyone proposed).
-func TestAgreeDeadToleratesExitedRank(t *testing.T) {
-	const n = 4
-	cfg := Config{Ranks: n, RecvTimeout: 2 * time.Second}
-	var agreedDead atomic.Uint64
-	_, err := Run(cfg, func(r *Rank) error {
-		if r.ID == 2 {
-			return nil // dies before contributing
-		}
-		// Give the victim time to exit so the round observes it missing.
-		time.Sleep(10 * time.Millisecond)
-		dead, err := r.AgreeDead(0)
-		if err != nil {
-			return err
-		}
-		agreedDead.Store(dead)
-		if dead&rankBit(2) == 0 {
-			return fmt.Errorf("rank %d: agreed dead %b does not include exited rank 2", r.ID, dead)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agreedDead.Load()&rankBit(2) == 0 {
-		t.Fatalf("agreed dead set %b missing rank 2", agreedDead.Load())
 	}
 }
 

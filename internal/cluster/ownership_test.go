@@ -145,43 +145,58 @@ func TestSendLeavesTheCallersBufferAlone(t *testing.T) {
 	}
 }
 
-// roundTripAllocs counts the allocations of one ping-pong round trip of
-// an 8-byte message between ranks 0 and 1 of the world run starts: rank 0
-// measures with testing.AllocsPerRun while rank 1 answers every pass, and
-// each receiver hands the payload back to bufpool as the collectives do.
-func roundTripAllocs(t *testing.T, run func(body func(*Rank) error) error) float64 {
+// allocsPerPass counts the allocations of one pass of a lockstep exchange
+// on the world run starts: rank 0 measures with testing.AllocsPerRun while
+// every other rank runs as many passes, and a pass that fails stops that
+// rank's passes and fails the test.
+func allocsPerPass(t *testing.T, run func(body func(*Rank) error) error, pass func(*Rank) error) float64 {
 	t.Helper()
 	const runs = 400
-	var perRoundTrip float64
+	var perPass float64
 	err := run(func(r *Rank) error {
-		ball := make([]byte, 8)
 		var err error
-		pass := func() {
-			if r.ID == 0 && err == nil {
-				err = r.Send(1, ball)
-			}
+		step := func() {
 			if err == nil {
-				var got []byte
-				got, err = r.Recv(1 - r.ID)
-				bufpool.PutBytes(got)
-			}
-			if r.ID == 1 && err == nil {
-				err = r.Send(0, ball)
+				err = pass(r)
 			}
 		}
-		if r.ID == 1 {
+		if r.ID != 0 {
 			for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
-				pass()
+				step()
 			}
 			return err
 		}
-		perRoundTrip = testing.AllocsPerRun(runs, pass)
+		perPass = testing.AllocsPerRun(runs, step)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return perRoundTrip
+	return perPass
+}
+
+// roundTripAllocs counts the allocations of one ping-pong round trip of
+// an 8-byte message between ranks 0 and 1 of the world run starts, each
+// receiver handing the payload back to bufpool as the collectives do.
+func roundTripAllocs(t *testing.T, run func(body func(*Rank) error) error) float64 {
+	t.Helper()
+	ball := make([]byte, 8)
+	return allocsPerPass(t, run, func(r *Rank) error {
+		if r.ID == 0 {
+			if err := r.Send(1, ball); err != nil {
+				return err
+			}
+		}
+		got, err := r.Recv(1 - r.ID)
+		if err != nil {
+			return err
+		}
+		bufpool.PutBytes(got)
+		if r.ID == 1 {
+			return r.Send(0, ball)
+		}
+		return nil
+	})
 }
 
 // TestTCPAllocsPerMessage pins the steady-state allocation cost of one data
@@ -221,6 +236,27 @@ func TestChanAllocsPerMessage(t *testing.T) {
 		})
 		if perRoundTrip != 0 {
 			t.Errorf("RecvTimeout %v: %.1f allocations per round trip, want 0", timeout, perRoundTrip)
+		}
+	}
+}
+
+// TestBarrierAllocs pins an agreement round at zero allocations on both
+// fabrics, with and without a receive deadline: control records travel by
+// value and every wait runs on its link's reusable timer. On 4 ranks it
+// read 2 in-process (10 with the deadline) and 16 over TCP when each
+// fabric had its own round.
+func TestBarrierAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	for _, fabric := range []string{"chan", "tcp"} {
+		for _, timeout := range []time.Duration{0, 5 * time.Second} {
+			perRound := allocsPerPass(t, func(body func(*Rank) error) error {
+				return onFabric(t, fabric, 4, Config{RecvTimeout: timeout}, body)
+			}, (*Rank).Barrier)
+			if perRound != 0 {
+				t.Errorf("%s, RecvTimeout %v: %.1f allocations per Barrier round, want 0", fabric, timeout, perRound)
+			}
 		}
 	}
 }

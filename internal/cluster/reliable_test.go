@@ -336,23 +336,26 @@ func TestOutOfOrderRetainsLaterMessage(t *testing.T) {
 }
 
 func TestBarrierAbortsWhenPeerExits(t *testing.T) {
-	// Rank 2 exits before reaching the barrier; the others must abort with
-	// ErrPeerFailed instead of deadlocking.
-	barrierErrs := make([]error, 3)
-	deserter := errors.New("rank 2 deserts")
-	_, err := Run(Config{Ranks: 3}, func(r *Rank) error {
-		if r.ID == 2 {
-			return deserter
+	// The last rank exits before reaching the barrier; the others must
+	// abort with ErrPeerFailed instead of deadlocking — also on a world
+	// whose deserter lies beyond the 64-rank dead-set bitmap.
+	for _, n := range []int{3, 66} {
+		barrierErrs := make([]error, n)
+		deserter := errors.New("the last rank deserts")
+		_, err := Run(Config{Ranks: n}, func(r *Rank) error {
+			if r.ID == n-1 {
+				return deserter
+			}
+			barrierErrs[r.ID] = r.Barrier()
+			return barrierErrs[r.ID]
+		})
+		if !errors.Is(err, deserter) {
+			t.Fatalf("%d ranks: root-cause error masked: %v", n, err)
 		}
-		barrierErrs[r.ID] = r.Barrier()
-		return barrierErrs[r.ID]
-	})
-	if !errors.Is(err, deserter) {
-		t.Fatalf("root-cause error masked: %v", err)
-	}
-	for _, id := range []int{0, 1} {
-		if !errors.Is(barrierErrs[id], ErrPeerFailed) {
-			t.Fatalf("rank %d barrier did not abort: %v", id, barrierErrs[id])
+		for id := 0; id < n-1; id++ {
+			if !errors.Is(barrierErrs[id], ErrPeerFailed) {
+				t.Fatalf("%d ranks: rank %d barrier did not abort: %v", n, id, barrierErrs[id])
+			}
 		}
 	}
 }

@@ -9,8 +9,8 @@ package cluster
 // the frame, so integrity checking, the (α, β) clock model, fault
 // injection and NACK-driven recovery behave identically — except that a
 // NACK here is an actual control frame answered by the sender's process
-// with a replay frame, and the barrier control plane is a gather/release
-// exchange through rank 0 instead of a shared condition variable.
+// with a replay frame. The agreement round (agree.go) is the same on both
+// fabrics; here its control records travel as agree and release frames.
 //
 // Wire protocol (all integers little-endian):
 //
@@ -36,11 +36,10 @@ package cluster
 //
 // Version 3 made the control plane failure-aware for elastic
 // membership: agree/release frames carry a flags byte (bit 0 = tolerant
-// membership round) and a u64 dead-set bitmap of physical ranks. The
-// coordinator — the lowest *live* rank, no longer hardwired to rank 0 —
-// marks peers whose connections closed mid-round as dead instead of
-// failing the gather, and always releases the survivors with the dead
-// set so everyone observes the same failure. A reader goroutine that
+// membership round; bit 1, on a release only, = a classic round that lost
+// a member, which the bitmap cannot name beyond rank 63) and a u64
+// dead-set bitmap of physical ranks; the coordinator is re-elected when
+// its connection closes (agree.go). A reader goroutine that
 // observes its connection reset reports the peer to the failure detector
 // (Config.onPeerDown), which is how a remote process crash feeds
 // cooperative abort and shrink-and-continue.
@@ -65,7 +64,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -141,17 +139,6 @@ type TCPOptions struct {
 	Listener net.Listener
 }
 
-// tcpCtl is one control-plane event (agree or release frame) delivered to
-// a waiting consensus round.
-type tcpCtl struct {
-	kind  byte
-	gen   uint32
-	flags byte
-	clock float64
-	val   int64
-	dead  uint64
-}
-
 // tcpCtlBodyLen is the control-frame body after the type byte: job, gen,
 // flags, clock, value, dead bitmap.
 const tcpCtlBodyLen = 4 + 4 + 1 + 8 + 8 + 8
@@ -169,9 +156,9 @@ type tcpRetx struct {
 // channels a session's consumers block on, plus the bye fence that frees
 // the reader goroutine from delivering into a job that ended locally.
 type tcpMailbox struct {
-	inbox chan message // data frames, in arrival order
-	retx  chan tcpRetx // replay answers (one outstanding NACK at a time)
-	ctl   chan tcpCtl  // agree/release frames
+	inbox chan message   // data frames, in arrival order
+	retx  chan tcpRetx   // replay answers (one outstanding NACK at a time)
+	ctl   chan ctlRecord // agree/release frames
 
 	// timer bounds every wait on the three channels (await). The session's
 	// rank is their only consumer and waits on one at a time.
@@ -193,7 +180,7 @@ func newMailbox(dead bool) *tcpMailbox {
 	mb := &tcpMailbox{
 		inbox: make(chan message, 64),
 		retx:  make(chan tcpRetx, 1),
-		ctl:   make(chan tcpCtl, 4),
+		ctl:   make(chan ctlRecord, 4),
 		bye:   make(chan struct{}),
 	}
 	if dead {
@@ -706,7 +693,7 @@ func (t *TCPTransport) handshake(conn net.Conn) (int, error) {
 }
 
 // Session claims an isolated job session on the mesh: a Transport whose
-// sequence numbers, epochs, replay windows and consensus generations are
+// sequence numbers, epochs, replay windows and control records are
 // private to the job, so concurrent jobs on the same
 // connections cannot cross-deliver. Job IDs must be allocated
 // monotonically increasing (the daemon's scheduler does) and are never
@@ -834,9 +821,9 @@ func (t *TCPTransport) peer(rank int) (*tcpPeer, error) {
 }
 
 // tcpSession is one job's view of the mesh: a full Transport whose
-// per-run state (config, consensus generations, the bound replay
-// windows, failure callback) is private to the job while the sockets
-// underneath are shared with every other session.
+// per-run state (config, the bound replay windows, failure callback) is
+// private to the job while the sockets underneath are shared with every
+// other session.
 type tcpSession struct {
 	t   *TCPTransport
 	job uint32
@@ -848,14 +835,6 @@ type tcpSession struct {
 	// hence atomic: those run before bind does, and nil answers "not yet
 	// sent" like an empty window.
 	retx atomic.Pointer[retxStore]
-
-	// agreeGen numbers consensus rounds within the job. Collectives call
-	// AgreeMax in the same program order on every rank, so a plain
-	// counter matches generations across the mesh; the generation travels
-	// in the frame so a mismatch is detected as a protocol error instead
-	// of silently pairing different barriers. Only the local rank's
-	// goroutine touches it.
-	agreeGen uint32
 
 	// onDown, set at bind, reports a peer whose connection reset to the
 	// failure detector. Stored atomically because reader goroutines run
@@ -932,25 +911,6 @@ func (s *tcpSession) end() {
 		}
 		flight.Record(s.t.rank, telemetry.FlightJob, int64(s.job), flightJobClose, 0, 0)
 	})
-}
-
-// view resolves a consensus round's members (nil: every rank) into the
-// coordinator — the lowest member — the member count and the remote
-// members' peers. Every survivor passes the identical list, so the
-// coordinator is the same everywhere.
-func (s *tcpSession) view(members []int) (coord, count int, peers []*tcpPeer) {
-	if members == nil {
-		members = make([]int, s.t.n)
-		for i := range members {
-			members[i] = i
-		}
-	}
-	for _, i := range members {
-		if p := s.t.peers[i]; p != nil { // nil at the local rank
-			peers = append(peers, p)
-		}
-	}
-	return slices.Min(members), len(members), peers
 }
 
 // writeFrame sends one length-prefixed frame: hdr is the body prefix
@@ -1066,133 +1026,33 @@ func (s *tcpSession) retransmit(from, to, seq, epoch int) ([]byte, uint32, error
 	return nil, 0, fmt.Errorf("%w: link %d→%d seq %d (remote window)", ErrRetransmitGone, from, to, seq)
 }
 
-// agree is the TCP control plane: every live rank sends
-// (clock, value, propose) to the coordinator — the lowest live rank —
-// which answers with the maximum clock (plus the α·ceil(log2 n) tree
-// cost over the actual participants, matching the in-process barrier),
-// the maximum value, and the dead-set bitmap. Rounds are scoped to the
-// session: concurrent jobs run their own generations over their own
-// mailboxes and never pair up.
-//
-// Failure handling differs by round kind. In a classic round
-// (tolerant == false) a peer observed dead fails the round for everyone:
-// the coordinator still releases the survivors, carrying the dead set,
-// so they all abort promptly with the same *RankFailedError instead of
-// burning their own timeouts. In a tolerant membership round the dead
-// peers simply join the released dead set and the round succeeds.
-//
-// One limitation is inherent to the star shape: if the *coordinator*
-// process dies, its peers cannot complete any further round, so a TCP
-// world only survives the death of non-coordinator ranks. The in-process
-// fabric has no such restriction.
-func (s *tcpSession) agree(rank int, members []int, clock float64, v int, propose uint64, tolerant bool) (float64, int, uint64, error) {
-	if s.t.n == 1 {
-		return clock, v, propose, nil
+// sendCtl writes a control record as an agree or release frame of the
+// job. A write that fails means the connection is gone.
+func (s *tcpSession) sendCtl(_, to int, c ctlRecord) error {
+	p, err := s.t.peer(to)
+	if err != nil {
+		return err
 	}
-	gen := s.agreeGen
-	s.agreeGen++
-	coord, liveN, livePeers := s.view(members)
-	if liveN <= 1 {
-		return clock, v, propose, nil
-	}
-	timeout := s.cfg.agreeTimeout()
-	var flags byte
-	if tolerant {
-		flags = 1
-	}
-
-	if rank != coord {
-		p, err := s.t.peer(coord)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := p.writeCtl(s.job, frameAgree, gen, flags, clock, int64(v), propose); err != nil {
-			return 0, 0, 0, &RankFailedError{Rank: coord, Cause: fmt.Errorf("barrier proposal undeliverable: %w", err)}
-		}
-		rel, err := s.waitCtl(p, frameRelease, gen, timeout)
-		if err != nil {
-			if errors.Is(err, ErrPeerFailed) {
-				return 0, 0, 0, &RankFailedError{Rank: coord, Cause: err}
-			}
-			return 0, 0, 0, err
-		}
-		if !tolerant && rel.dead != 0 {
-			return 0, 0, rel.dead, fmt.Errorf("%w: barrier aborted", rankFailedFromBits(rel.dead, nil))
-		}
-		return rel.clock, int(rel.val), rel.dead, nil
-	}
-
-	// Coordinator: gather every live peer's proposal. A peer whose
-	// connection closed mid-round is marked dead instead of failing the
-	// gather; only a protocol error or a full timeout aborts.
-	maxClock, maxVal, dead := clock, int64(v), propose
-	participants := 1
-	for _, p := range livePeers {
-		a, err := s.waitCtl(p, frameAgree, gen, timeout)
-		if err != nil {
-			if errors.Is(err, ErrPeerFailed) {
-				dead |= rankBit(p.rank)
-				continue
-			}
-			return 0, 0, 0, err
-		}
-		participants++
-		if a.clock > maxClock {
-			maxClock = a.clock
-		}
-		if a.val > maxVal {
-			maxVal = a.val
-		}
-		dead |= a.dead
-	}
-	leave := maxClock
-	if participants > 1 {
-		leave += s.cfg.Latency.Seconds() * math.Ceil(math.Log2(float64(participants)))
-	}
-	// Always release the survivors, carrying the dead set: in a failed
-	// classic round this is what lets them abort promptly. A release that
-	// cannot be written means the peer died after its proposal — the next
-	// round will observe the closed connection; this round's dead set is
-	// already fixed (other peers may have read it).
-	for _, p := range livePeers {
-		if dead&rankBit(p.rank) != 0 {
-			continue
-		}
-		_ = p.writeCtl(s.job, frameRelease, gen, flags, leave, maxVal, dead)
-	}
-	if !tolerant && dead != 0 {
-		return 0, 0, dead, fmt.Errorf("%w: barrier aborted", rankFailedFromBits(dead, nil))
-	}
-	return leave, int(maxVal), dead, nil
-}
-
-func (p *tcpPeer) writeCtl(job uint32, kind byte, gen uint32, flags byte, clock float64, val int64, dead uint64) error {
 	var hdr [1 + tcpCtlBodyLen]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], job)
-	binary.LittleEndian.PutUint32(hdr[5:9], gen)
-	hdr[9] = flags
-	binary.LittleEndian.PutUint64(hdr[10:18], math.Float64bits(clock))
-	binary.LittleEndian.PutUint64(hdr[18:26], uint64(val))
-	binary.LittleEndian.PutUint64(hdr[26:34], dead)
+	hdr[0] = c.kind
+	binary.LittleEndian.PutUint32(hdr[1:5], s.job)
+	binary.LittleEndian.PutUint32(hdr[5:9], c.gen)
+	hdr[9] = c.flags
+	binary.LittleEndian.PutUint64(hdr[10:18], math.Float64bits(c.clock))
+	binary.LittleEndian.PutUint64(hdr[18:26], uint64(c.val))
+	binary.LittleEndian.PutUint64(hdr[26:34], c.dead)
 	return p.writeFrame(hdr[:], nil)
 }
 
-// waitCtl blocks for the next control frame the peer sent within this
-// job and verifies its kind and generation.
-func (s *tcpSession) waitCtl(p *tcpPeer, kind byte, gen uint32, timeout time.Duration) (tcpCtl, error) {
-	mb := p.mailbox(s.job)
-	c, ok, err := await(&mb.timer, mb.ctl, timeout, nil)
-	switch {
-	case err != nil:
-		return tcpCtl{}, fmt.Errorf("%w: barrier, rank %d missing after %v", err, p.rank, timeout)
-	case !ok:
-		return tcpCtl{}, fmt.Errorf("%w: barrier aborted, rank %d disconnected", ErrPeerFailed, p.rank)
-	case c.kind != kind || c.gen != gen:
-		return tcpCtl{}, fmt.Errorf("cluster: tcp barrier protocol error with rank %d: got kind %d gen %d, want %d/%d (AgreeMax must be called in the same order on every rank)",
-			p.rank, c.kind, c.gen, kind, gen)
+// recvCtl waits for the next control frame the peer sent within this job.
+// The mailbox closes on the peer's bye or when its connection dies.
+func (s *tcpSession) recvCtl(from, _ int, timeout time.Duration) (ctlRecord, bool, error) {
+	p, err := s.t.peer(from)
+	if err != nil {
+		return ctlRecord{}, false, err
 	}
-	return c, nil
+	mb := p.mailbox(s.job)
+	return await(&mb.timer, mb.ctl, timeout, nil)
 }
 
 // errReadLoopStopped is the internal marker for a reader that stopped on
@@ -1372,7 +1232,7 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 				return err
 			}
 			job := binary.LittleEndian.Uint32(hdr[0:4])
-			c := tcpCtl{
+			c := ctlRecord{
 				kind:  kind,
 				gen:   binary.LittleEndian.Uint32(hdr[4:8]),
 				flags: hdr[8],

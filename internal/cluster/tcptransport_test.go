@@ -282,38 +282,6 @@ func TestTCPReliableDropRecovery(t *testing.T) {
 	}
 }
 
-func TestTCPAgreeMax(t *testing.T) {
-	const n = 3
-	trs := startMesh(t, n)
-	cfg := Config{Ranks: n, ParallelCompute: true}
-	var mu sync.Mutex
-	agreed := make([]int, n)
-	results, err := runMesh(t, cfg, trs, func(r *Rank) error {
-		r.Elapse(CatOther, float64(r.ID)*1e-3) // skewed clocks
-		v, err := r.AgreeMax(10 * (r.ID + 1))
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		agreed[r.ID] = v
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("agree over tcp: %v", err)
-	}
-	c := cfg.withDefaults()
-	want := float64(n-1)*1e-3 + c.Latency.Seconds()*math.Ceil(math.Log2(n))
-	for i := 0; i < n; i++ {
-		if agreed[i] != 10*n {
-			t.Fatalf("rank %d agreed on %d, want %d", i, agreed[i], 10*n)
-		}
-		if math.Abs(results[i].Time-want) > 1e-12 {
-			t.Fatalf("rank %d left barrier at %v, want %v", i, results[i].Time, want)
-		}
-	}
-}
-
 func TestTCPWorldSizeMismatch(t *testing.T) {
 	ln0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

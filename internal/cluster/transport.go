@@ -4,8 +4,8 @@ package cluster
 // and owns everything that outlives one message: the integrity checks
 // (checksums, sequence numbers, epochs), the one receive loop that
 // reports or recovers their violations (Rank.Recv), the senders' replay
-// windows and the membership list. The bytes themselves move through a
-// Transport. Two implementations exist:
+// windows, the membership list and the agreement round (Rank.agree). The
+// bytes and control records themselves move through a Transport. Two implementations exist:
 //
 //   - chanTransport (chantransport.go): the original in-process fabric.
 //     Every rank is a goroutine of one process and messages move through
@@ -19,12 +19,11 @@ package cluster
 // The interface is sealed (its methods are unexported): both backends
 // live in this package, and the integrity/reliability layers sit above
 // the interface so every Transport gets checksums, NACK-driven
-// retransmission and chaos injection for free. Above the wire the two
-// fabrics differ in three places only:
+// retransmission and chaos injection for free. So does agreement: the
+// round behind Barrier, AgreeMax and AgreeDead is written once (agree.go)
+// and a fabric only carries its control records. Above the wire the two
+// fabrics differ in two places only:
 //
-//   - the agreement shape: the in-process control plane is a shared
-//     condition variable every member joins; TCP's is a star through the
-//     lowest member, so it cannot outlive that member;
 //   - how a NACK travels: in-process it is a lookup in the cluster's
 //     replay window; over TCP it is a control frame the sender's reader
 //     goroutine answers from its own process's window;
@@ -38,10 +37,10 @@ package cluster
 
 import "time"
 
-// Transport moves framed messages between ranks. It keeps no state of a
-// run beyond its links and agreement rounds: the replay windows are the
-// Cluster's (handed over at bind) and the member list comes with every
-// agree. Implementations are provided by this package (the interface is
+// Transport moves framed messages and control records between ranks. It
+// keeps no state of a run beyond its links: the replay windows are the
+// Cluster's (handed over at bind), and the agreement round, with its
+// member list, generations and coordinator, is the Rank's. Implementations are provided by this package (the interface is
 // sealed); callers select one via Config.Transport and may hand it to
 // multiple API layers, but only the Cluster drives it.
 type Transport interface {
@@ -85,26 +84,19 @@ type Transport interface {
 	// ErrRetransmitGone-wrapped error when the window no longer holds it.
 	retransmit(from, to, seq, epoch int) (data []byte, sum uint32, err error)
 
-	// agree is the control plane: every live member contributes
-	// (clock, v, propose) and all participants leave together at the
-	// returned clock (max over contributions plus the α·ceil(log2 n) tree
-	// cost) with the maximum contributed v. members lists the physical
-	// ranks of the caller's current world (nil means every rank); every
-	// participant passes the identical list, so evicted ranks are neither
-	// waited on nor able to abort the round. It must be immune to
-	// injected point-to-point faults.
-	//
-	// With tolerant == false this is the classic AgreeMax round: a member
-	// that exits or disconnects instead of contributing aborts the round
-	// for everyone with a *RankFailedError, and dead returns the bitmap
-	// of members observed dead. With tolerant == true the round is a
-	// membership consensus: it completes without the dead members, and
-	// dead returns the union of every participant's propose bitmap plus
-	// the members the transport itself observed exited or disconnected.
-	agree(rank int, members []int, clock float64, v int, propose uint64, tolerant bool) (leave float64, agreed int, dead uint64, err error)
+	// sendCtl delivers control record c on the from→to control link. It is
+	// immune to injected faults. An error means the link is closed: the
+	// peer is gone.
+	sendCtl(from, to int, c ctlRecord) error
+
+	// recvCtl returns the next control record on the from→to link. ok ==
+	// false means the link closed (the sending rank exited, its connection
+	// closed or its side of the job ended) and no record will come; a
+	// timeout > 0 bounds the wait and surfaces as ErrRecvTimeout.
+	recvCtl(from, to int, timeout time.Duration) (c ctlRecord, ok bool, err error)
 
 	// closeRank marks a local rank's body as returned so peers blocked on
-	// recv or agree fail fast instead of hanging.
+	// recv or recvCtl fail fast instead of hanging.
 	closeRank(rank int)
 
 	// epochHint returns the wall-clock instant trace timestamps should be

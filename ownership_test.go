@@ -214,3 +214,63 @@ func TestTCPBackToBackJobsNeverShipAStaleChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRankZeroDiesOnRealSockets kills rank 0 — the first coordinator of
+// every agreement round — mid-Allreduce on a loopback TCP mesh under
+// DegradePolicy{Shrink: true}. The survivors must elect rank 1, evict
+// rank 0 and finish on the 3-rank world with results bitwise equal to a
+// fresh 3-rank run, for hZCCL and MPI on the ring and the hierarchical
+// schedule.
+func TestRankZeroDiesOnRealSockets(t *testing.T) {
+	const world, n = 4, 4096
+	m := newLoopbackMesh(t, world)
+	topo := hzccl.UniformTopology(2, 2)
+	fields := make([][]float32, world)
+	for r := range fields {
+		fields[r] = sineField(n, 70+int64(r))
+	}
+	for _, backend := range []hzccl.Backend{hzccl.BackendHZCCL, hzccl.BackendMPI} {
+		for _, algo := range []hzccl.Algorithm{hzccl.AlgoRing, hzccl.AlgoHierarchical} {
+			t.Run(fmt.Sprintf("%v/%v", backend, algo), func(t *testing.T) {
+				opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: algo}
+				cfg := hzccl.ClusterConfig{Ranks: world, Topology: topo, Reliable: true, RecvTimeout: 500 * time.Millisecond}
+				got := make([][]float32, world)
+				chaos, fresh := cfg, cfg
+				chaos.Fault = hzccl.KillRank{Rank: 0, AtStep: 1}.Fault()
+				chaosOpt := opt
+				chaosOpt.Degrade = &hzccl.DegradePolicy{Shrink: true}
+				res, err := m.results(chaos, func(r *hzccl.Rank) error {
+					id := r.ID()
+					out, err := r.Allreduce(fields[id], backend, chaosOpt)
+					if id == 0 && errors.Is(err, hzccl.ErrRankKilled) {
+						return nil
+					}
+					got[id] = out
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := 1; id < world; id++ {
+					if ev := res[id].Evicted; len(ev) != 1 || ev[0] != 0 {
+						t.Fatalf("rank %d: Evicted = %v, want [0]", id, ev)
+					}
+				}
+				fresh.Ranks, fresh.Topology = world-1, topo.WithoutRanks(world, func(v int) bool { return v == 0 })
+				want := make([][]float32, world-1)
+				if err := (*loopbackMesh)(nil).run(fresh, func(r *hzccl.Rank) error {
+					out, err := r.Allreduce(fields[r.ID()+1], backend, opt)
+					want[r.ID()] = out
+					return err
+				}); err != nil {
+					t.Fatalf("3-rank reference: %v", err)
+				}
+				for id := 1; id < world; id++ {
+					if a, b := floatbytes.Checksum(got[id]), floatbytes.Checksum(want[id-1]); a != b {
+						t.Errorf("survivor %d: digest %08x, fresh 3-rank run %08x", id, a, b)
+					}
+				}
+			})
+		}
+	}
+}

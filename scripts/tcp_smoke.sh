@@ -8,7 +8,8 @@
 # answers /healthz, serves a parseable Prometheus /metrics scrape and a
 # 1-second CPU profile, and (d) the four per-process trace files merge
 # into one multi-rank timeline with cross-process flow events. It then
-# re-runs the mesh with an injected kill (elastic membership), and
+# re-runs the mesh with an injected kill of rank 3 and then of rank 0
+# (elastic membership), and
 # finally boots the hzccl-serve daemon on the same 4-rank shape: two
 # client processes submit concurrent jobs against one mesh handshake,
 # /jobs lists them, and SIGTERM shuts every rank down cleanly. Exit code
@@ -134,31 +135,15 @@ echo "tcp_smoke: OK: obs endpoint served healthz, metrics and a CPU profile; tra
 grep -h 'rank\|transport' "$OUT"/rank*.out
 
 # --- Elastic membership: kill one process mid-collective ---------------
-# Relaunch the 4-rank mesh with an injected kill of rank 3 (rank 0 is the
-# control-plane coordinator, so the victim must be a higher rank). The
-# victim process must exit 0 reporting its injected death; the survivors
-# must evict it, finish on the 3-rank world, and their digests must be
-# bitwise identical to the same collective run in-process on 3 ranks.
-# The kill case runs the flat topology: a 4-rank node grouping does not
-# describe the 3-rank reference world.
-KBASE=$((BASE_PORT+20))
-KPEERS="127.0.0.1:$KBASE,127.0.0.1:$((KBASE+1)),127.0.0.1:$((KBASE+2)),127.0.0.1:$((KBASE+3))"
-for r in 1 2 3; do
-    "$OUT/hzccl-collective" -transport=tcp -rank "$r" -peers "$KPEERS" \
-        -backend "$BACKEND" -algorithm "$ALGO" -message "$MESSAGE" \
-        -kill-rank 3 -kill-step 1 > "$OUT/kill$r.out" 2>&1 &
-done
-"$OUT/hzccl-collective" -transport=tcp -rank 0 -peers "$KPEERS" \
-    -backend "$BACKEND" -algorithm "$ALGO" -message "$MESSAGE" \
-    -kill-rank 3 -kill-step 1 > "$OUT/kill0.out" 2>&1
-wait
-
-grep -q 'killed by injected fault' "$OUT/kill3.out" || {
-    echo "tcp_smoke: FAIL: victim rank 3 did not report its injected death" >&2
-    cat "$OUT/kill3.out" >&2
-    exit 1
-}
-
+# Relaunch the 4-rank mesh twice with an injected kill: of rank 3, and of
+# rank 0, the first coordinator of every agreement round, whose death the
+# survivors outlive by electing rank 1. The victim process must exit 0
+# reporting its injected death; the survivors must evict it, finish on
+# the 3-rank world, and their digests must be bitwise identical to the
+# same collective run in-process on 3 ranks (every rank reduces the same
+# field, so one reference serves both victims). The kill case runs the
+# flat topology: a 4-rank node grouping does not describe the 3-rank
+# reference world.
 "$OUT/hzccl-collective" -transport=inproc -nodes 3 \
     -backend "$BACKEND" -algorithm "$ALGO" -message "$MESSAGE" \
     > "$OUT/inproc3.out" 2>&1
@@ -169,23 +154,42 @@ if [ -z "$KREF" ] || [ "$(printf '%s\n' "$KREF" | wc -l)" -ne 1 ]; then
     exit 1
 fi
 
-FAIL=0
-for r in 0 1 2; do
-    grep -q 'evicted ranks \[3\]' "$OUT/kill$r.out" || {
-        echo "tcp_smoke: FAIL: survivor rank $r did not report the eviction" >&2
-        cat "$OUT/kill$r.out" >&2
-        FAIL=1
-    }
-    D="$(digest_of "$OUT/kill$r.out")"
-    if [ "$D" != "$KREF" ]; then
-        echo "tcp_smoke: FAIL: survivor rank $r digest '$D' != 3-rank in-process '$KREF'" >&2
-        cat "$OUT/kill$r.out" >&2
-        FAIL=1
-    fi
-done
-[ "$FAIL" -eq 0 ] || exit 1
+for VICTIM in 3 0; do
+    KBASE=$((BASE_PORT+20+VICTIM*2))
+    KPEERS="127.0.0.1:$KBASE,127.0.0.1:$((KBASE+1)),127.0.0.1:$((KBASE+2)),127.0.0.1:$((KBASE+3))"
+    for r in 1 2 3; do
+        "$OUT/hzccl-collective" -transport=tcp -rank "$r" -peers "$KPEERS" \
+            -backend "$BACKEND" -algorithm "$ALGO" -message "$MESSAGE" \
+            -kill-rank "$VICTIM" -kill-step 1 > "$OUT/kill$r.out" 2>&1 &
+    done
+    "$OUT/hzccl-collective" -transport=tcp -rank 0 -peers "$KPEERS" \
+        -backend "$BACKEND" -algorithm "$ALGO" -message "$MESSAGE" \
+        -kill-rank "$VICTIM" -kill-step 1 > "$OUT/kill0.out" 2>&1
+    wait
 
-echo "tcp_smoke: OK: killed rank 3 mid-collective; survivors evicted it and match the 3-rank in-process digest ($KREF)"
+    grep -q 'killed by injected fault' "$OUT/kill$VICTIM.out" || {
+        echo "tcp_smoke: FAIL: victim rank $VICTIM did not report its injected death" >&2
+        cat "$OUT/kill$VICTIM.out" >&2
+        exit 1
+    }
+    FAIL=0
+    for r in 0 1 2 3; do
+        [ "$r" -eq "$VICTIM" ] && continue
+        grep -q "evicted ranks \[$VICTIM\]" "$OUT/kill$r.out" || {
+            echo "tcp_smoke: FAIL: survivor rank $r did not report the eviction of rank $VICTIM" >&2
+            cat "$OUT/kill$r.out" >&2
+            FAIL=1
+        }
+        D="$(digest_of "$OUT/kill$r.out")"
+        if [ "$D" != "$KREF" ]; then
+            echo "tcp_smoke: FAIL: survivor rank $r digest '$D' != 3-rank in-process '$KREF' (victim $VICTIM)" >&2
+            cat "$OUT/kill$r.out" >&2
+            FAIL=1
+        fi
+    done
+    [ "$FAIL" -eq 0 ] || exit 1
+    echo "tcp_smoke: OK: killed rank $VICTIM mid-collective; survivors evicted it and match the 3-rank in-process digest ($KREF)"
+done
 
 # --- Collective as a service: the hzccl-serve daemon -------------------
 # Boot a 4-rank daemon mesh (one handshake), submit two jobs from two
