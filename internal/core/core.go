@@ -5,7 +5,8 @@
 //   - Plain: no compression, the original MPI baseline.
 //   - CColl: the C-Coll baseline, compression-accelerated collectives with
 //     the traditional decompress-operate-compress (DOC) workflow. Every
-//     round pays CPR + DPR + CPT.
+//     round pays CPR + DPR + CPT; the decode adds onto the partial sum as
+//     it stores (fzlight.DecompressAddInto), so DPR and CPT are one pass.
 //   - HZ: the hZCCL co-design. Each rank compresses its N blocks once,
 //     every subsequent round reduces *compressed* blocks homomorphically
 //     (HPR), and Allreduce additionally skips the decompression at the end
@@ -204,25 +205,23 @@ func (c Collectives) decompressInto(g comm, blob []byte, dst []float32) (err err
 	return err
 }
 
-// reduceDOC is one decompress-operate step: decode got (DPR), set acc to
-// sums + got element-wise (CPT; sums may be acc itself) and recycle got,
-// which the caller must own whole.
-func (c Collectives) reduceDOC(g comm, acc, sums []float32, got []byte) error {
+// reduceDOC is one decompress-operate step: acc = sums + dec(got)
+// element-wise (sums may be acc itself) in one fused decode, then got, which
+// the caller must own whole, is recycled. A replay and a modelled run
+// charge it as the two stages it fuses, DPR then CPT at their rates; a
+// measured run times the one call and charges it to DPR, the operate living
+// inside the decode as hZ's add lives inside HPR.
+func (c Collectives) reduceDOC(g comm, acc, sums []float32, got []byte) (err error) {
 	if g.replay != nil {
 		c.charge(g, cluster.CatDPR, 4*len(acc))
 		c.charge(g, cluster.CatCPT, 4*len(acc))
 		return nil
 	}
-	vals := bufpool.Float32s(len(acc))
-	defer bufpool.PutFloat32s(vals)
-	if err := c.decompressInto(g, got, vals); err != nil {
+	c.work(g, cluster.CatDPR, 4*len(acc), func() { err = fzlight.DecompressAddInto(got, sums, acc) })
+	if err != nil {
 		return err
 	}
-	c.work(g, cluster.CatCPT, 4*len(acc), func() {
-		for i, v := range vals {
-			acc[i] = sums[i] + v
-		}
-	})
+	c.charge(g, cluster.CatCPT, 4*len(acc))
 	bufpool.PutBytes(got)
 	return nil
 }

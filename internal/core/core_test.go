@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -264,32 +265,41 @@ func TestRelativePerformanceShape(t *testing.T) {
 	}
 }
 
-// Breakdown sanity: C-Coll charges CPR/DPR/CPT and no HPR; hZCCL charges
-// HPR and never CPT.
+// Breakdown sanity in both time domains. Modelled (Rates set), C-Coll
+// charges CPR, DPR and CPT — its fused decode-and-add is still priced as the
+// paper's two stages — and no HPR. Measured, the one timed decode-and-add
+// call is DPR, so C-Coll charges CPR and DPR and neither CPT nor HPR.
+// hZCCL charges HPR and never CPT in either.
 func TestBreakdownCategories(t *testing.T) {
 	const nRanks, n = 4, 1 << 14
-	c := New(Options{ErrorBound: testEB})
-	res := runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, rankField(r.ID, n))
-		return err
-	})
-	if res.Breakdown[cluster.CatHPR] != 0 {
-		t.Errorf("C-Coll charged HPR: %v", res.Breakdown)
-	}
-	for _, cat := range []cluster.Category{cluster.CatCPR, cluster.CatDPR, cluster.CatCPT} {
-		if res.Breakdown[cat] == 0 {
-			t.Errorf("C-Coll missing %s: %v", cat, res.Breakdown)
+	for _, tc := range []struct {
+		domain string
+		rates  *Rates
+		ccoll  []cluster.Category // the stages C-Coll charges; the others stay 0
+	}{
+		{"modelled", &Rates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}, []cluster.Category{cluster.CatCPR, cluster.CatDPR, cluster.CatCPT}},
+		{"measured", nil, []cluster.Category{cluster.CatCPR, cluster.CatDPR}},
+	} {
+		c := New(Options{ErrorBound: testEB, Rates: tc.rates})
+		res := runCluster(t, nRanks, func(r *cluster.Rank) error {
+			_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, rankField(r.ID, n))
+			return err
+		})
+		for _, cat := range []cluster.Category{cluster.CatCPR, cluster.CatDPR, cluster.CatCPT, cluster.CatHPR} {
+			if want := slices.Contains(tc.ccoll, cat); (res.Breakdown[cat] != 0) != want {
+				t.Errorf("%s: C-Coll charges %s: %v, want %v (%v)", tc.domain, cat, res.Breakdown[cat] != 0, want, res.Breakdown)
+			}
 		}
-	}
-	res = runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, rankField(r.ID, n))
-		return err
-	})
-	if res.Breakdown[cluster.CatCPT] != 0 {
-		t.Errorf("hZCCL charged CPT: %v", res.Breakdown)
-	}
-	if res.Breakdown[cluster.CatHPR] == 0 {
-		t.Errorf("hZCCL missing HPR: %v", res.Breakdown)
+		res = runCluster(t, nRanks, func(r *cluster.Rank) error {
+			_, _, err := c.Allreduce(r, FlavorHZ, AlgoRing, rankField(r.ID, n))
+			return err
+		})
+		if res.Breakdown[cluster.CatCPT] != 0 {
+			t.Errorf("%s: hZCCL charged CPT: %v", tc.domain, res.Breakdown)
+		}
+		if res.Breakdown[cluster.CatHPR] == 0 {
+			t.Errorf("%s: hZCCL missing HPR: %v", tc.domain, res.Breakdown)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"hzccl/internal/core"
 	"hzccl/internal/fanout"
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
@@ -190,12 +191,13 @@ func measure(sample []float32, eb float64, alpha time.Duration, betaBytes float6
 	if err != nil {
 		return Rates{}, err
 	}
+	// CPT is MPI's reduction itself: the wire bytes of a block added into
+	// the partial sum.
 	other := make([]float32, len(sample))
 	copy(other, sample)
+	wire := floatbytes.Wire(sample)
 	tCPT, err := best(func() error {
-		for i := range other {
-			other[i] += sample[i]
-		}
+		floatbytes.AddInto(other, wire)
 		return nil
 	})
 	if err != nil {

@@ -7,18 +7,25 @@
 // view_le.go; everywhere else the same three calls go through the portable
 // loops below (portable.go). Either way an incoming block is reduced
 // straight from its wire bytes with AddInto, so that path never builds an
-// intermediate []float32 or []byte. The three bulk loops are word-wise — two
-// floats per 8-byte load or store, four words per iteration, bounds checked
-// once per iteration by re-slicing — which measures ≈2.5× the
-// one-float-at-a-time loop they replace. Bytes and Floats are the
-// allocating conveniences for file I/O and tests.
+// intermediate []float32 or []byte; on amd64 AddInto adds with the vector
+// kernels of add_amd64.s at the level package simd probes. The three bulk
+// loops are word-wise — two floats per 8-byte load or store, four words per
+// iteration, bounds checked once per iteration by re-slicing — which
+// measures ≈2.5× the one-float-at-a-time loop they replace. Bytes and
+// Floats are the allocating conveniences for file I/O and tests.
 package floatbytes
 
 import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+
+	"hzccl/internal/simd"
 )
+
+// level selects AddInto's kernel: the CPU's, and only the package's tests
+// ever lower it.
+var level = simd.CPU
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -90,10 +97,14 @@ func ToFloat32(dst []float32, src []byte) int {
 // values — the same float32 additions, in the same order, as decoding src
 // with ToFloat32 and then summing element-wise, so results are
 // bit-identical to that two-pass form. dst must hold at least len(src)/4
-// elements; trailing bytes that do not fill a float are ignored.
+// elements; trailing bytes that do not fill a float are ignored. The vector
+// kernel takes the leading multiple of 32 values where the CPU has one, and
+// the word-wise loop the rest.
 func AddInto(dst []float32, src []byte) {
 	n := len(src) / 4
 	dst, src = dst[:n], src[:4*n]
+	k := addVector(dst, src)
+	dst, src = dst[k:], src[4*k:]
 	for len(dst) >= 8 && len(src) >= 32 {
 		d, s := dst[:8], src[:32]
 		w0, w1 := binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:])

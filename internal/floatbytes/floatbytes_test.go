@@ -188,13 +188,14 @@ func checkAgainstRef(t *testing.T, src []byte, acc []float32, srcOff, dstOff int
 	}
 }
 
-// TestWordwiseMatchesScalar sweeps element counts around the 2-float word
-// and 8-float iteration boundaries (odd counts and empty included) × every
-// source byte offset and destination float offset 0–7, on inputs that
-// cycle through the special bit patterns on both sides of the add.
+// TestWordwiseMatchesScalar sweeps element counts around the 2-float word,
+// 8-float iteration and 32-float kernel boundaries (odd counts and empty
+// included), and one count that takes three kernel calls, × every source
+// byte offset and destination float offset 0–7, on inputs that cycle
+// through the special bit patterns on both sides of the add.
 func TestWordwiseMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 257} {
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 257, 1<<14 + 45} {
 		src := make([]byte, 4*n)
 		acc := make([]float32, n)
 		for i := 0; i < n; i++ {

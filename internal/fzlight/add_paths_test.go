@@ -15,6 +15,7 @@ import (
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 	"hzccl/internal/metrics"
+	"hzccl/internal/simd"
 )
 
 // Every dataset, at sizes with and without a tail block, single- and
@@ -52,7 +53,7 @@ func addPathsIdentical(t *testing.T, name string, n, threads int) {
 	}
 	var sums [2][]byte
 	var stats [2]hzdyn.Stats
-	for k, l := range []fzlight.Level{fzlight.Portable, fzlight.Dispatched()} {
+	for k, l := range []simd.Level{simd.Portable, fzlight.Dispatched()} {
 		fzlight.WithPath(l, func() {
 			sum, st, err := hzdyn.Add(ca, cb)
 			if err != nil {
@@ -83,8 +84,8 @@ func addPathsIdentical(t *testing.T, name string, n, threads int) {
 // the reconstructions, the overflow fold takes the DOC fallback — on both
 // pipeline-④ paths: the four-case vectors and every dataset, one subtest each.
 func TestHomomorphicOracleBothPaths(t *testing.T) {
-	for _, l := range []fzlight.Level{fzlight.Dispatched(), fzlight.Portable} {
-		t.Run(map[bool]string{true: "kernels", false: "portable"}[l > fzlight.Portable], func(t *testing.T) {
+	for _, l := range []simd.Level{fzlight.Dispatched(), simd.Portable} {
+		t.Run(map[bool]string{true: "kernels", false: "portable"}[l > simd.Portable], func(t *testing.T) {
 			fzlight.WithPath(l, func() {
 				t.Run("four-cases", func(t *testing.T) {
 					o := conformance.HomomorphicOracle{Params: fzlight.Params{ErrorBound: 1e-3}}

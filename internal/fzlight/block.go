@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"hzccl/internal/bitio"
+	"hzccl/internal/simd"
 )
 
 // This file holds the per-block codecs. Full 32-element blocks — the
@@ -21,19 +22,12 @@ type Float interface {
 	~float32 | ~float64
 }
 
-// kernelLevel names the block codecs that run full float32 blocks.
-type kernelLevel int
-
-const (
-	levelPortable kernelLevel = iota // the Go codecs in this file
-	levelAVX2                        // the AVX2+BMI2 kernels of block_amd64.s
-	levelAVX512                      // the same, with 16-lane quantise and dequantise
-)
-
-// level selects the block codecs for full float32 blocks: the highest the
-// CPU has, decided once, and only the package's tests ever lower it. The
-// add kernel is the AVX2 one at either SIMD level.
-var level = cpuLevel()
+// level selects the block codecs for full float32 blocks: the Go codecs in
+// this file (simd.Portable), the AVX2+BMI2 kernels of block_amd64.s
+// (simd.AVX2), or the same with 16-lane quantise and dequantise
+// (simd.AVX512). It is the highest the CPU has, and only the package's
+// tests ever lower it. The add kernel is the AVX2 one at either SIMD level.
+var level = simd.CPU
 
 // kernelDst is what the encode kernel may touch: the largest block
 // (1 marker + 4 sign + 128 magnitude bytes) plus the 8 bytes of slack that
@@ -50,16 +44,16 @@ const kernelRun = 1024
 // end: the bytes used and written, the blocks done, and the state carried
 // out of the last one. The caller's portable codec then takes that one
 // block — and names its error, if it has one — and calls the wrapper
-// again. At levelPortable they do nothing.
+// again. At simd.Portable they do nothing.
 
 // encodeRun32 stops in front of a value out of range or not finite, a code
 // length of 32, or fewer than kernelDst bytes left of dst.
 func encodeRun32(dst []byte, src []float32, recip float64, q int32) (wrote, done int, _ int32) {
-	for level >= levelAVX2 && len(src)-32*done >= 32 && len(dst)-wrote >= kernelDst {
+	for level >= simd.AVX2 && len(src)-32*done >= 32 && len(dst)-wrote >= kernelDst {
 		run := min((len(src)-32*done)/32, kernelRun)
 		var w, k int
 		var nq int32
-		if level == levelAVX512 {
+		if level == simd.AVX512 {
 			w, k, nq = encodeRun32K512(&dst[wrote], &src[32*done], len(dst)-wrote, run, recip, q)
 		} else {
 			w, k, nq = encodeRun32K(&dst[wrote], &src[32*done], len(dst)-wrote, run, recip, q)
@@ -74,15 +68,21 @@ func encodeRun32(dst []byte, src []float32, recip float64, q int32) (wrote, done
 
 // decodeRun32 stops in front of a marker above 30 or a non-constant block
 // without 8 bytes of src behind it — the stream's last, or a truncated one.
-func decodeRun32(src []byte, out []float32, acc int32, eb2 float64) (used, done int, _ int32) {
-	for level >= levelAVX2 && len(out)-32*done >= 32 && used < len(src) {
+// With sums set (out itself, or as long as out and disjoint from it) it
+// stores sums[i] + v in place of each decoded value v: the add on store.
+func decodeRun32(src []byte, out, sums []float32, acc int32, eb2 float64) (used, done int, _ int32) {
+	for level >= simd.AVX2 && len(out)-32*done >= 32 && used < len(src) {
 		run := min((len(out)-32*done)/32, kernelRun)
+		var s *float32
+		if sums != nil {
+			s = &sums[32*done]
+		}
 		var u, k int
 		var a int32
-		if level == levelAVX512 {
-			u, k, a = decodeRun32K512(&out[32*done], &src[used], len(src)-used, run, acc, eb2)
+		if level == simd.AVX512 {
+			u, k, a = decodeRun32K512(&out[32*done], s, &src[used], len(src)-used, run, acc, eb2)
 		} else {
-			u, k, a = decodeRun32K(&out[32*done], &src[used], len(src)-used, run, acc, eb2)
+			u, k, a = decodeRun32K(&out[32*done], s, &src[used], len(src)-used, run, acc, eb2)
 		}
 		used, done, acc = used+u, done+k, a
 		if k < run {
@@ -105,7 +105,7 @@ func decodeRun32(src []byte, out []float32, acc int32, eb2 float64) (used, done 
 func SumRun32(dst, a, b []byte, pairs int, dynamic bool, tally *[5]int64) (wrote, usedA, usedB, done int) {
 	// A pair the kernel took left 8 bytes behind it on all three sides, so
 	// the slices below are never empty after the first call.
-	for level >= levelAVX2 && done < pairs && wrote < len(dst) && usedA < len(a) && usedB < len(b) {
+	for level >= simd.AVX2 && done < pairs && wrote < len(dst) && usedA < len(a) && usedB < len(b) {
 		run := min(pairs-done, kernelRun)
 		w, ua, ub, k := sumRun32K(&dst[wrote], &a[usedA], &b[usedB], len(dst)-wrote, len(a)-usedA, len(b)-usedB, run, dynamic, tally)
 		wrote, usedA, usedB, done = wrote+w, usedA+ua, usedB+ub, done+k
@@ -213,8 +213,20 @@ func encodeBlockGeneric[T Float](dst []byte, blk []T, recip float64, qprev *int3
 }
 
 // decodeBlock32 decodes one full 32-element block directly into
-// reconstructed float32 values, carrying the quantized accumulator.
-func decodeBlock32[T Float](src []byte, out []T, acc *int32, eb2 float64, mscratch *[32]uint32) (int, error) {
+// reconstructed float32 values, carrying the quantized accumulator. With
+// sums set it stores sums[i] + v in place of each value v: it decodes into
+// a scratch block first, since out may be sums.
+func decodeBlock32[T Float](src []byte, out, sums []T, acc *int32, eb2 float64, mscratch *[32]uint32) (int, error) {
+	if sums != nil {
+		var vals [32]T
+		n, err := decodeBlock32(src, vals[:], nil, acc, eb2, mscratch)
+		if err == nil {
+			for i, v := range vals {
+				out[i] = sums[i] + v
+			}
+		}
+		return n, err
+	}
 	if len(src) < 1 {
 		return 0, ErrCorrupt
 	}

@@ -3,13 +3,15 @@
 // AVX2+BMI2 block kernels for the one shape the collectives use: float32,
 // full 32-value blocks. Each kernel does a whole block in registers, all
 // code lengths in one body: encodeRun32K (floats → blocks), decodeRun32K
-// (blocks → floats) and sumRun32K (blocks + blocks → blocks, the
-// homomorphic add); encodeRun32K512 and decodeRun32K512 are the first two
+// (blocks → floats, or blocks + floats → floats: C-Coll's decode and
+// operate in one pass, an add on each store) and sumRun32K (blocks +
+// blocks → blocks, the homomorphic add); encodeRun32K512 and decodeRun32K512 are the first two
 // with AVX-512 quantise and dequantise. The portable Go codecs in block.go are the definition;
 // these must agree with them byte for byte and bit for bit.
 //
 // One calling convention for all three: a kernel takes a run — pointers to
-// the first block of each buffer, the bytes left in each byte buffer and a
+// the first block of each buffer (the decoders also take the sums they add
+// onto, or nil), the bytes left in each byte buffer and a
 // block count — loads its constants once, loops over the run, and returns
 // in front of the first block outside its contract, having written nothing
 // for it, with the bytes it used and wrote, the blocks it did, and the
@@ -395,9 +397,10 @@ LDONE:
 
 // DEQUANT signs the eight magnitudes in M (MX its low half), prefix-sums
 // the deltas onto the accumulator broadcast in Y9, leaves the new
-// accumulator there, and stores float32(eb2·float64(q)) to
-// out[off/4 : off/4+8].
-#define DEQUANT(off, M, MX) \
+// accumulator there, and leaves float32(eb2·float64(q)) of the eight
+// values in LO (the first four) and HI (the last four), for the block's
+// stores. LO and HI may be M's own register or any dead one but Y12, Y13.
+#define DEQUANT(M, MX, LO, HI) \
 	SIGNED(M, Y12); \
 	VPSLLDQ $4, M, Y12; \
 	VPADDD Y12, M, M; \
@@ -413,10 +416,17 @@ LDONE:
 	VCVTDQ2PD X13, Y13; \
 	VMULPD Y15, Y12, Y12; \
 	VMULPD Y15, Y13, Y13; \
-	VCVTPD2PSY Y12, X12; \
-	VCVTPD2PSY Y13, X13; \
-	VMOVUPS X12, off(DI); \
-	VMOVUPS X13, off+16(DI)
+	VCVTPD2PSY Y12, LO; \
+	VCVTPD2PSY Y13, HI
+
+// ADDSTORE is the store of a decode with sums: out[off/4 : …] = sums + V,
+// sums taken from AX bytes past out. A decoded V is never NaN (the header
+// admits no infinite 2·eb), so the lanes are the portable decoder's sums
+// bit for bit whatever their NaN payloads. T is scratch of V's width.
+#define ADDSTORE(off, V, T) \
+	VMOVUPS off(DI)(AX*1), T; \
+	VADDPS V, T, T; \
+	VMOVUPS T, off(DI)
 
 // BLOCKLEN sets N to the size of a block of code length C ≥ 1:
 // 5 + 32⌊c/8⌋ + 4(c mod 8). T is scratch.
@@ -428,26 +438,30 @@ LDONE:
 	ANDL $7, T; \
 	LEAQ 5(N)(T*4), N
 
-// func decodeRun32K(out *float32, src *byte, srcLen, blocks int, acc int32, eb2 float64) (used, done int, newAcc int32)
+// func decodeRun32K(out, sums *float32, src *byte, srcLen, blocks int, acc int32, eb2 float64) (used, done int, newAcc int32)
 //
 // Decodes up to blocks consecutive full blocks at src onto acc into
 // consecutive blocks of out. The run stops in front of the first block the
 // kernel does not take — no marker byte left, a marker above 30, or fewer
 // than need+8 bytes left of src (the stream's last block) — and newAcc is
 // the accumulator after the last block taken. A constant block is 32
-// copies of float32(eb2·float64(acc)), four stores.
-TEXT ·decodeRun32K(SB), NOSPLIT, $0-68
-	MOVQ out+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ srcLen+16(FP), R14
-	ADDQ SI, R14 // the end of src
-	MOVQ blocks+24(FP), R15
-	SHLQ $7, R15
-	ADDQ DI, R15 // the end of the run's floats
-	MOVL acc+32(FP), AX
+// copies of float32(eb2·float64(acc)). With sums non-nil each value v is
+// stored as sums[i] + v, one VADDPS before each store (ADDSTORE); sums is
+// out itself or as long as the run and disjoint from it.
+TEXT ·decodeRun32K(SB), NOSPLIT, $0-76
+	MOVL acc+40(FP), AX
 	VMOVD AX, X9
 	VPBROADCASTD X9, Y9
-	VBROADCASTSD eb2+40(FP), Y15
+	MOVQ out+0(FP), DI
+	MOVQ sums+8(FP), AX
+	SUBQ DI, AX // sums − out, for ADDSTORE
+	MOVQ src+16(FP), SI
+	MOVQ srcLen+24(FP), R14
+	ADDQ SI, R14 // the end of src
+	MOVQ blocks+32(FP), R15
+	SHLQ $7, R15
+	ADDQ DI, R15 // the end of the run's floats
+	VBROADCASTSD eb2+48(FP), Y15
 	VMOVDQU laneBit<>(SB), Y11
 	VPCMPEQD Y10, Y10, Y10
 	VPSRLD $29, Y10, Y10 // dwords 7,7,…,7
@@ -469,11 +483,33 @@ decLoop:
 	VPBROADCASTD 1(SI), Y8 // sign word
 	LOADPLANES(SI, decPlanes1, decPlanes23, decPlanes3, decUnpack)
 	UNPACK(Y4, Y5, Y6, Y7)
-	DEQUANT(0, Y4, X4)
-	DEQUANT(32, Y5, X5)
-	DEQUANT(64, Y6, X6)
-	DEQUANT(96, Y7, X7)
+	DEQUANT(Y4, X4, X0, X1)
+	DEQUANT(Y5, X5, X2, X3)
+	DEQUANT(Y6, X6, X4, X5)
+	DEQUANT(Y7, X7, X6, X7)
 	ADDQ BX, SI
+	CMPQ sums+8(FP), $0
+	JNE decAdd
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, 16(DI)
+	VMOVUPS X2, 32(DI)
+	VMOVUPS X3, 48(DI)
+	VMOVUPS X4, 64(DI)
+	VMOVUPS X5, 80(DI)
+	VMOVUPS X6, 96(DI)
+	VMOVUPS X7, 112(DI)
+	ADDQ $128, DI
+	JMP decLoop
+
+decAdd:
+	ADDSTORE(0, X0, X12)
+	ADDSTORE(16, X1, X12)
+	ADDSTORE(32, X2, X12)
+	ADDSTORE(48, X3, X12)
+	ADDSTORE(64, X4, X12)
+	ADDSTORE(80, X5, X12)
+	ADDSTORE(96, X6, X12)
+	ADDSTORE(112, X7, X12)
 	ADDQ $128, DI
 	JMP decLoop
 
@@ -482,22 +518,32 @@ decConst:
 	VMULPD Y15, Y12, Y12
 	VCVTPD2PSY Y12, X12
 	VINSERTF128 $1, X12, Y12, Y12
+	INCQ SI
+	CMPQ sums+8(FP), $0
+	JNE decConstAdd
 	VMOVUPS Y12, (DI)
 	VMOVUPS Y12, 32(DI)
 	VMOVUPS Y12, 64(DI)
 	VMOVUPS Y12, 96(DI)
-	INCQ SI
+	ADDQ $128, DI
+	JMP decLoop
+
+decConstAdd:
+	ADDSTORE(0, Y12, Y13)
+	ADDSTORE(32, Y12, Y13)
+	ADDSTORE(64, Y12, Y13)
+	ADDSTORE(96, Y12, Y13)
 	ADDQ $128, DI
 	JMP decLoop
 
 decDone:
-	SUBQ src+8(FP), SI
-	MOVQ SI, used+48(FP)
+	SUBQ src+16(FP), SI
+	MOVQ SI, used+56(FP)
 	SUBQ out+0(FP), DI
 	SHRQ $7, DI
-	MOVQ DI, done+56(FP)
+	MOVQ DI, done+64(FP)
 	VMOVD X9, AX
-	MOVL AX, newAcc+64(FP)
+	MOVL AX, newAcc+72(FP)
 	VZEROUPPER
 	RET
 
@@ -604,10 +650,11 @@ enc512Done:
 
 // DEQUANT16 negates the 16 magnitudes in M (MY its low half) where the
 // mask SIGN is set, prefix-sums the deltas onto the accumulator broadcast
-// in Z9, leaves the new accumulator there, and stores
-// float32(eb2·float64(q)) to out[off/4 : off/4+16]. Z8 is zero, Z10 holds
-// dwords 15,15,…,15.
-#define DEQUANT16(off, M, MY, SIGN) \
+// in Z9, leaves the new accumulator there, and leaves
+// float32(eb2·float64(q)) of the 16 values in LO (the first eight) and HI
+// (the last eight), for the block's stores. Z8 is zero, Z10 holds dwords
+// 15,15,…,15; LO and HI are dead registers but Y12, Y13.
+#define DEQUANT16(M, MY, SIGN, LO, HI) \
 	VPSUBD M, Z8, SIGN, M; /* (m ^ s) − s */ \
 	VALIGND $15, Z8, M, Z12; /* shifted up a lane, zero in */ \
 	VPADDD Z12, M, M; \
@@ -624,25 +671,26 @@ enc512Done:
 	VCVTDQ2PD Y13, Z13; \
 	VMULPD Z15, Z12, Z12; \
 	VMULPD Z15, Z13, Z13; \
-	VCVTPD2PS Z12, Y12; \
-	VCVTPD2PS Z13, Y13; \
-	VMOVUPS Y12, off(DI); \
-	VMOVUPS Y13, off+32(DI)
+	VCVTPD2PS Z12, LO; \
+	VCVTPD2PS Z13, HI
 
-// func decodeRun32K512(out *float32, src *byte, srcLen, blocks int, acc int32, eb2 float64) (used, done int, newAcc int32)
+// func decodeRun32K512(out, sums *float32, src *byte, srcLen, blocks int, acc int32, eb2 float64) (used, done int, newAcc int32)
 //
-// decodeRun32K on 16 lanes: the same run, floats and stop reasons.
-TEXT ·decodeRun32K512(SB), NOSPLIT, $0-68
+// decodeRun32K on 16 lanes: the same run, floats, stop reasons and add on
+// store.
+TEXT ·decodeRun32K512(SB), NOSPLIT, $0-76
+	MOVL acc+40(FP), AX
+	VPBROADCASTD AX, Z9
 	MOVQ out+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ srcLen+16(FP), R14
+	MOVQ sums+8(FP), AX
+	SUBQ DI, AX // sums − out, for ADDSTORE
+	MOVQ src+16(FP), SI
+	MOVQ srcLen+24(FP), R14
 	ADDQ SI, R14 // the end of src
-	MOVQ blocks+24(FP), R15
+	MOVQ blocks+32(FP), R15
 	SHLQ $7, R15
 	ADDQ DI, R15 // the end of the run's floats
-	MOVL acc+32(FP), AX
-	VPBROADCASTD AX, Z9
-	VBROADCASTSD eb2+40(FP), Z15
+	VBROADCASTSD eb2+48(FP), Z15
 	VPXORD Z8, Z8, Z8
 	VPTERNLOGD $0xFF, Z10, Z10, Z10
 	VPSRLD $28, Z10, Z10 // dwords 15,15,…,15
@@ -667,9 +715,23 @@ dec512Loop:
 	UNPACK(Y4, Y5, Y6, Y7)
 	VINSERTI64X4 $1, Y5, Z4, Z4
 	VINSERTI64X4 $1, Y7, Z6, Z6
-	DEQUANT16(0, Z4, Y4, K1)
-	DEQUANT16(64, Z6, Y6, K2)
+	DEQUANT16(Z4, Y4, K1, Y0, Y1)
+	DEQUANT16(Z6, Y6, K2, Y2, Y3)
 	ADDQ BX, SI
+	CMPQ sums+8(FP), $0
+	JNE dec512Add
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	JMP dec512Loop
+
+dec512Add:
+	ADDSTORE(0, Y0, Y12)
+	ADDSTORE(32, Y1, Y12)
+	ADDSTORE(64, Y2, Y12)
+	ADDSTORE(96, Y3, Y12)
 	ADDQ $128, DI
 	JMP dec512Loop
 
@@ -678,20 +740,28 @@ dec512Const:
 	VMULPD Z15, Z12, Z12
 	VCVTPD2PS Z12, Y12
 	VINSERTF64X4 $1, Y12, Z12, Z12
+	INCQ SI
+	CMPQ sums+8(FP), $0
+	JNE dec512ConstAdd
 	VMOVUPS Z12, (DI)
 	VMOVUPS Z12, 64(DI)
-	INCQ SI
+	ADDQ $128, DI
+	JMP dec512Loop
+
+dec512ConstAdd:
+	ADDSTORE(0, Z12, Z13)
+	ADDSTORE(64, Z12, Z13)
 	ADDQ $128, DI
 	JMP dec512Loop
 
 dec512Done:
-	SUBQ src+8(FP), SI
-	MOVQ SI, used+48(FP)
+	SUBQ src+16(FP), SI
+	MOVQ SI, used+56(FP)
 	SUBQ out+0(FP), DI
 	SHRQ $7, DI
-	MOVQ DI, done+56(FP)
+	MOVQ DI, done+64(FP)
 	VMOVD X9, AX
-	MOVL AX, newAcc+64(FP)
+	MOVL AX, newAcc+72(FP)
 	VZEROUPPER
 	RET
 
@@ -944,21 +1014,3 @@ sumCopyWord:
 	ADDQ R9, DI
 	MOVL R10, DX
 	JMP sumNext
-
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() uint32 — the low half of XCR0
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET

@@ -135,7 +135,9 @@ func ParseHeader(comp []byte) (Header, error) {
 	h.ErrorBound = math.Float64frombits(binary.LittleEndian.Uint64(comp[8:]))
 	h.NumChunks = int(binary.LittleEndian.Uint32(comp[16:]))
 	rawLen := binary.LittleEndian.Uint64(comp[20:])
-	if h.BlockSize < 1 || h.NumChunks < 1 || !(h.ErrorBound > 0) {
+	// The decoder scales by 2·eb: an infinite one would turn a zero
+	// quantum into NaN, a value no encoder writes.
+	if h.BlockSize < 1 || h.NumChunks < 1 || !(h.ErrorBound > 0) || math.IsInf(2*h.ErrorBound, 1) {
 		return Header{}, ErrCorrupt
 	}
 	// Containers arrive from the network: every size field is untrusted.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hzccl/internal/floatbytes"
+	"hzccl/internal/simd"
 )
 
 // Native fuzz targets. `go test` runs the seed corpus on every test run;
@@ -39,8 +40,8 @@ func FuzzDecompress(f *testing.F) {
 		if h, _ := ParseHeader(b); err == nil && len(out) > len(b)*h.BlockSize {
 			t.Fatalf("implausible expansion: %d values from %d bytes", len(out), len(b))
 		}
-		if level > levelPortable { // the portable decoder must agree, bit for bit
-			withPath(levelPortable, func() {
+		if level > simd.Portable { // the portable decoder must agree, bit for bit
+			withPath(simd.Portable, func() {
 				ref, rerr := Decompress(b)
 				if (err == nil) != (rerr == nil) || !sameBits(out, ref) {
 					t.Fatalf("kernels: %d values, err %v; portable: %d values, err %v", len(out), err, len(ref), rerr)
@@ -86,8 +87,8 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if level > levelPortable { // the portable codec must produce the same container
-			withPath(levelPortable, func() {
+		if level > simd.Portable { // the portable codec must produce the same container
+			withPath(simd.Portable, func() {
 				ref, err := Compress(clean, Params{ErrorBound: eb, Threads: 1 + int(threads%5)})
 				if err != nil || !bytes.Equal(ref, comp) {
 					t.Fatalf("portable container differs from the kernels' (err %v)", err)

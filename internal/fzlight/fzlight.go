@@ -59,7 +59,8 @@ var (
 // Params configures compression.
 type Params struct {
 	// ErrorBound is the absolute error bound eb: every reconstructed value
-	// differs from the original by at most eb. Must be > 0.
+	// differs from the original by at most eb. Must be > 0, and 2·eb
+	// finite.
 	ErrorBound float64
 	// BlockSize is the small-block length. 0 selects DefaultBlockSize.
 	// Multiples of 8 use the fast packing paths.
@@ -83,8 +84,8 @@ func (p Params) withDefaults() Params {
 }
 
 func (p Params) validate() error {
-	if !(p.ErrorBound > 0) || math.IsInf(p.ErrorBound, 0) {
-		return fmt.Errorf("%w: ErrorBound must be a positive finite number, got %v", ErrBadParams, p.ErrorBound)
+	if !(p.ErrorBound > 0) || math.IsInf(2*p.ErrorBound, 0) {
+		return fmt.Errorf("%w: ErrorBound must be a positive number with 2·ErrorBound finite, got %v", ErrBadParams, p.ErrorBound)
 	}
 	if p.BlockSize < 1 {
 		return fmt.Errorf("%w: BlockSize must be >= 1, got %d", ErrBadParams, p.BlockSize)
@@ -358,6 +359,20 @@ var ErrWrongPrecision = errors.New("fzlight: container precision does not match 
 // allocations: the header is parsed on the stack and each chunk decodes
 // straight into dst, one core per chunk.
 func DecompressInto(comp []byte, dst []float32) error {
+	return DecompressAddInto(comp, nil, dst)
+}
+
+// DecompressAddInto decodes comp and adds it onto sums in the same pass:
+// dst[i] = sums[i] + v[i] for the container's values v, one float32 add
+// each — bit for bit DecompressInto into a scratch vector followed by that
+// loop, without the scratch vector's write and read. This is C-Coll's
+// decompress-operate step. sums is dst itself (an in-place
+// accumulation) or disjoint from it, and both hold at least
+// Header.DataLen elements; a nil sums makes this DecompressInto. On an
+// error dst holds a partial result. A decoded v is never NaN (ParseHeader
+// admits no infinite 2·eb), so no NaN payload depends on which operand of
+// the add comes first.
+func DecompressAddInto(comp []byte, sums, dst []float32) error {
 	h, err := ParseHeader(comp)
 	if err != nil {
 		return err
@@ -365,7 +380,13 @@ func DecompressInto(comp []byte, dst []float32) error {
 	if h.Float64 {
 		return ErrWrongPrecision
 	}
-	return decompressIntoAny(comp, h, dst)
+	if sums != nil {
+		if len(sums) < h.DataLen {
+			return ErrShortOutput
+		}
+		sums = sums[:h.DataLen]
+	}
+	return decompressIntoAny(comp, h, dst, sums)
 }
 
 // DecompressInto64 decodes a float64 container into dst.
@@ -377,14 +398,17 @@ func DecompressInto64(comp []byte, dst []float64) error {
 	if !h.Float64 {
 		return ErrWrongPrecision
 	}
-	return decompressIntoAny(comp, h, dst)
+	return decompressIntoAny(comp, h, dst, nil)
 }
 
-func decompressIntoAny[T Float](comp []byte, h Header, dst []T) error {
+// decompressIntoAny decodes the container h heads into dst, adding it onto
+// sums when sums is set.
+func decompressIntoAny[T Float](comp []byte, h Header, dst, sums []T) error {
 	if len(dst) < h.DataLen {
 		return ErrShortOutput
 	}
 	p := newPlan(h, comp, dst, 2*h.ErrorBound, true)
+	p.sums = sums
 	p.planDecode()
 	p.run()
 	err := firstErr(p.parts)
@@ -399,15 +423,21 @@ func decompressIntoAny[T Float](comp []byte, h Header, dst []T) error {
 	return nil
 }
 
-// decodeChunk decodes one chunk of h's layout into dst.
-func decodeChunk[T Float](src []byte, dst []T, h Header, eb2 float64) error {
+// decodeChunk decodes one chunk of h's layout into dst, adding it onto
+// sums when sums is set.
+func decodeChunk[T Float](src []byte, dst, sums []T, h Header, eb2 float64) error {
 	if h.Version == 1 {
-		return decompressChunk(src, dst, eb2, h.BlockSize)
+		return decompressChunk(src, dst, sums, eb2, h.BlockSize)
 	}
-	return decompressChunkLorenzo(src, dst, h.Width, h.unit(), eb2, h.BlockSize)
+	return decompressChunkLorenzo(src, dst, sums, h.Width, h.unit(), eb2, h.BlockSize)
 }
 
-func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
+// decompressChunk is the one decoder of a version-1 chunk: runs of full
+// 32-element float32 blocks go through the SIMD kernel where the CPU has
+// one, a full block it declines through decodeBlock32, and tail or
+// odd-sized blocks through DecodeBlock. With sums set every path stores
+// sums[i] + v instead of the decoded value v.
+func decompressChunk[T Float](src []byte, dst, sums []T, eb2 float64, B int) error {
 	if len(src) < 4 {
 		return ErrCorrupt
 	}
@@ -419,9 +449,14 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 	defer bufpool.PutUint32s(mbuf)
 	var mscratch [32]uint32
 	out32, _ := any(dst).([]float32) // nil for every other element type
+	sums32, _ := any(sums).([]float32)
 	for base := 0; base < len(dst); {
 		if B == 32 && out32 != nil {
-			used, k, a := decodeRun32(src[o:], out32[base:], acc, eb2)
+			var s []float32
+			if sums32 != nil {
+				s = sums32[base:]
+			}
+			used, k, a := decodeRun32(src[o:], out32[base:], s, acc, eb2)
 			o, base, acc = o+used, base+32*k, a
 			if base == len(dst) {
 				break
@@ -429,8 +464,12 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 		}
 		end := min(base+B, len(dst))
 		n := end - base
+		var s []T
+		if sums != nil {
+			s = sums[base:end]
+		}
 		if n == 32 {
-			used, err := decodeBlock32(src[o:], dst[base:end], &acc, eb2, &mscratch)
+			used, err := decodeBlock32(src[o:], dst[base:end], s, &acc, eb2, &mscratch)
 			if err != nil {
 				return err
 			}
@@ -443,9 +482,16 @@ func decompressChunk[T Float](src []byte, dst []T, eb2 float64, B int) error {
 		}
 		o += used
 		blk := dst[base:end]
-		for i := 0; i < n; i++ {
-			acc += pbuf[i]
-			blk[i] = T(eb2 * float64(acc))
+		if s == nil {
+			for i := 0; i < n; i++ {
+				acc += pbuf[i]
+				blk[i] = T(eb2 * float64(acc))
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				acc += pbuf[i]
+				blk[i] = s[i] + T(eb2*float64(acc))
+			}
 		}
 		base = end
 	}

@@ -7,6 +7,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"hzccl/internal/simd"
 )
 
 // guarded returns n writable bytes that end flush against an inaccessible
@@ -45,10 +47,11 @@ func faultFails(t *testing.T) func() {
 }
 
 // The encode and decode kernels check, per block of a run, 141 bytes of
-// dst and need+8 bytes of src; they read and write 32 floats a block. With
-// every buffer ending against a guard page and the run's last block at
-// every code length, a kernel that strays faults: one byte short of its
-// contract it must stop in front of the last block, inside it take it.
+// dst and need+8 bytes of src; they read and write 32 floats a block, and
+// the decoder reads 32 sums a block when it adds. With every buffer ending
+// against a guard page and the run's last block at every code length, a
+// kernel that strays faults: one byte short of its contract it must stop
+// in front of the last block, inside it take it.
 func TestKernelsStayInsideTheirSlices(t *testing.T) {
 	needKernels(t)
 	defer faultFails(t)()
@@ -73,15 +76,19 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 		if w == 31 {
 			continue // the decode kernel stops at 30
 		}
+		// The decoder reads as many sums as it writes floats: none, its
+		// own, or a vector of 96 ending against the page.
 		out := guardedFloats(t, 96)
-		for _, c := range []struct{ slack, blocks int }{{8, 3}, {7, 2}, {0, 2}} {
-			src := guarded(t, off[3]+c.slack)
-			copy(src, want[:off[3]])
-			if w == 0 {
-				c.blocks = 3 // a constant block is its marker byte
-			}
-			if u, k, _ := decodeRun32(src, out, 0, 2/recip); k != c.blocks || u != off[k] {
-				t.Fatalf("width %d, %d bytes of slack: kernel decoded %d blocks (used %d), want %d", w, c.slack, k, u, c.blocks)
+		for _, sums := range [][]float32{nil, out, guardedFloats(t, 96)} {
+			for _, c := range []struct{ slack, blocks int }{{8, 3}, {7, 2}, {0, 2}} {
+				src := guarded(t, off[3]+c.slack)
+				copy(src, want[:off[3]])
+				if w == 0 {
+					c.blocks = 3 // a constant block is its marker byte
+				}
+				if u, k, _ := decodeRun32(src, out, sums, 0, 2/recip); k != c.blocks || u != off[k] {
+					t.Fatalf("width %d, %d bytes of slack: kernel decoded %d blocks (used %d), want %d", w, c.slack, k, u, c.blocks)
+				}
 			}
 		}
 	}
@@ -109,15 +116,15 @@ func TestSumKernelStaysInsideItsSlices(t *testing.T) {
 		for _, cb := range cbs {
 			a := blockStream(widthDeltas(rng, ca), widthDeltas(rng, cb), widthDeltas(rng, ca))
 			b := blockStream(widthDeltas(rng, cb), widthDeltas(rng, ca), widthDeltas(rng, ca))
-			want := sumRun(levelPortable, a, b, 3, true)
+			want := sumRun(simd.Portable, a, b, 3, true)
 			if want.err != nil || want.done != 3 {
 				t.Fatalf("widths %d,%d: portable run: %v", ca, cb, want)
 			}
 			for _, c := range []struct{ sa, sb, sd int }{{8, 8, 8}, {0, 8, 8}, {8, 0, 8}, {8, 8, 7}, {0, 0, 0}, {7, 7, 7}} {
 				ga, gb, dst := place(a, c.sa), place(b, c.sb), guarded(t, want.wrote+c.sd)
 				k := contractPairs(ga, gb, len(dst), 3, true)
-				if r := sumRun(levelPortable, a, b, k, true); c.sa+c.sb+c.sd == 24 && k < 3 &&
-					(a[r.usedA] == 0 || b[r.usedB] == 0 || sumRun(levelPortable, a[r.usedA:], b[r.usedB:], 1, false).out[0] != 31) {
+				if r := sumRun(simd.Portable, a, b, k, true); c.sa+c.sb+c.sd == 24 && k < 3 &&
+					(a[r.usedA] == 0 || b[r.usedB] == 0 || sumRun(simd.Portable, a[r.usedA:], b[r.usedB:], 1, false).out[0] != 31) {
 					t.Fatalf("widths %d,%d: with 8 bytes of slack only a 31-bit sum may stop the kernel, not pair %d", ca, cb, k)
 				}
 				if r := kernelSum(dst, ga, gb, 3, true); r.done != k || !bytes.Equal(r.out, want.out[:r.wrote]) || (k == 3 && (r.wrote != want.wrote || r.usedA != len(a) || r.usedB != len(b))) {
@@ -155,12 +162,12 @@ func TestKernelLongRunsStayInsideTheirSlices(t *testing.T) {
 		copy(src, want[:off[n]])
 		ref, doff, accs := decodeChain(src, n, 0.8, 0)
 		out := guardedFloats(t, 32*n)
-		if u, k, a := decodeRun32(src, out, 0, 0.8); k != n || u != doff[n] || a != accs[n] || !sameBits(out, ref) {
+		if u, k, a := decodeRun32(src, out, nil, 0, 0.8); k != n || u != doff[n] || a != accs[n] || !sameBits(out, ref) {
 			t.Fatalf("decode: kernel did %d blocks of %d (used %d of %d)", k, n, u, doff[n])
 		}
 		enc[side] = src
 	}
-	want := sumRun(levelPortable, enc[0], enc[1], n, true)
+	want := sumRun(simd.Portable, enc[0], enc[1], n, true)
 	if want.err != nil || want.done != n {
 		t.Fatalf("portable add: %v", want.err)
 	}

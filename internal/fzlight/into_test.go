@@ -192,6 +192,14 @@ func TestDecompressIntoZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: steady-state DecompressInto allocates %v objects/op, want 0", tc.name, allocs)
 		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if err := DecompressAddInto(comp, out, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state DecompressAddInto allocates %v objects/op, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +15,8 @@ import (
 
 	"hzccl/internal/datasets"
 	"hzccl/internal/metrics"
+	"hzccl/internal/simd"
+	"hzccl/internal/simd/simdtest"
 	"hzccl/internal/telemetry"
 )
 
@@ -24,28 +25,14 @@ import (
 // package pins each. Benchmarks and fuzzing sessions run once, as
 // dispatched.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	once := !flagUnset("test.bench") || !flagUnset("test.fuzz") || !flagUnset("test.fuzzworker") || !flagUnset("test.list")
-	for code == 0 && !once && level > levelPortable {
-		level--
-		fmt.Printf("fzlight: the suite passed at level %v; running it again at %v\n", level+1, level)
-		code = m.Run()
-	}
-	os.Exit(code)
-}
-
-func (l kernelLevel) String() string { return [...]string{"portable", "AVX2", "AVX-512"}[l] }
-
-func flagUnset(name string) bool {
-	f := flag.Lookup(name)
-	return f == nil || f.Value.String() == "" || f.Value.String() == "false"
+	os.Exit(simdtest.Main(m, "fzlight", &level, simd.AVX512, simd.AVX2, simd.Portable))
 }
 
 // withPath runs f at kernel level l, or at the CPU's highest if that is
 // lower: a test cannot select kernels the CPU lacks.
-func withPath(l kernelLevel, f func()) {
-	defer func(old kernelLevel) { level = old }(level)
-	level = min(l, cpuLevel())
+func withPath(l simd.Level, f func()) {
+	defer func(old simd.Level) { level = old }(level)
+	level = min(l, simd.CPU)
 	f()
 }
 
@@ -239,7 +226,7 @@ func diffKernels(t *testing.T, b []byte) {
 	data := append(append(make([]float32, 32), blk...), blk...)
 	var chunk [2][]byte
 	var cerr [2]error
-	for k, l := range []kernelLevel{levelPortable, level} {
+	for k, l := range []simd.Level{simd.Portable, level} {
 		withPath(l, func() {
 			dst := make([]byte, worstChunkBytes(len(data), 32))
 			n, err := compressChunk(dst, data, scale, 32, 0, true)
@@ -265,10 +252,10 @@ func diffKernels(t *testing.T, b []byte) {
 	copy(src[4:], stream[:end])
 	var dec [2][]float32
 	var xerr [2]error
-	for k, l := range []kernelLevel{levelPortable, level} {
+	for k, l := range []simd.Level{simd.Portable, level} {
 		withPath(l, func() {
 			dec[k] = make([]float32, 32*blocks)
-			xerr[k] = decompressChunk(src, dec[k], scale, 32)
+			xerr[k] = decompressChunk(src, dec[k], nil, scale, 32)
 		})
 	}
 	if (xerr[0] == nil) != (xerr[1] == nil) || errors.Is(xerr[0], ErrCorrupt) != errors.Is(xerr[1], ErrCorrupt) {
@@ -276,6 +263,30 @@ func diffKernels(t *testing.T, b []byte) {
 	}
 	if xerr[0] == nil && !sameBits(dec[1], dec[0]) {
 		t.Fatalf("decompressChunk: %v %v\n      portable %v", level, dec[1], dec[0])
+	}
+	if xerr[0] != nil {
+		return
+	}
+
+	// The same decoder adding onto sums (the case's bytes as floats, NaN
+	// payloads and all), into a disjoint vector and in place: the plain
+	// decode followed by the float32 add, bit for bit, at both levels.
+	sums := sumsFrom(b, 32*blocks)
+	want := make([]float32, len(sums))
+	for i := range want {
+		want[i] = sums[i] + dec[0][i]
+	}
+	for _, l := range []simd.Level{simd.Portable, level} {
+		withPath(l, func() {
+			dst := make([]float32, len(sums))
+			acc := append([]float32(nil), sums...)
+			if err := decompressChunk(src, dst, sums, scale, 32); err != nil || !sameBits(dst, want) {
+				t.Fatalf("decompressChunk onto sums at %v: err %v, bits differ from decode + add", l, err)
+			}
+			if err := decompressChunk(src, acc, acc, scale, 32); err != nil || !sameBits(acc, want) {
+				t.Fatalf("decompressChunk onto sums in place at %v: err %v, bits differ from decode + add", l, err)
+			}
+		})
 	}
 }
 
@@ -304,7 +315,7 @@ func decodeChain(src []byte, n int, eb2 float64, acc int32) (out []float32, off 
 	off, accs = []int{0}, []int32{acc}
 	var scratch [32]uint32
 	for i := 0; i < n; i++ {
-		u, err := decodeBlock32(src[off[i]:], out[32*i:32*i+32], &acc, eb2, &scratch)
+		u, err := decodeBlock32(src[off[i]:], out[32*i:32*i+32], nil, &acc, eb2, &scratch)
 		if err != nil {
 			break
 		}
@@ -357,7 +368,7 @@ func diffDecodeRun(t *testing.T, stream []byte, eb2 float64, acc int32) {
 	check := func(what string, src []byte, wantK int) {
 		t.Helper()
 		out := make([]float32, 32*maxCaseBlocks)
-		u, k, a := decodeRun32(src, out, acc, eb2)
+		u, k, a := decodeRun32(src, out, nil, acc, eb2)
 		if k > took {
 			t.Fatalf("decode %s: kernel took block %d, which the portable decoder rejects", what, took)
 		}
@@ -366,7 +377,7 @@ func diffDecodeRun(t *testing.T, stream []byte, eb2 float64, acc int32) {
 				what, k, u, a, wantK, k, off[k], accs[k])
 		}
 	}
-	_, k, _ := decodeRun32(stream, make([]float32, 32*maxCaseBlocks), acc, eb2)
+	_, k, _ := decodeRun32(stream, make([]float32, 32*maxCaseBlocks), nil, acc, eb2)
 	if rest := stream[off[min(k, took)]:]; k < maxCaseBlocks && len(rest) > 0 && rest[0] <= 30 &&
 		(rest[0] == 0 || len(rest) >= 5+32*int(rest[0]>>3)+4*int(rest[0]&7)+8) {
 		t.Fatalf("decode: kernel refused block %d inside its contract (c=%d, %d bytes left)", k, rest[0], len(rest))
@@ -394,7 +405,7 @@ func sameBits(a, b []float32) bool {
 // needKernels skips a test of the kernels in the suite's portable pass;
 // the passes above it run the kernels of their own level.
 func needKernels(t testing.TB) {
-	if level == levelPortable {
+	if level == simd.Portable {
 		t.Skip("no SIMD block kernels at this level")
 	}
 }
@@ -418,7 +429,7 @@ func TestKernelSeedsCoverWidths(t *testing.T) {
 	v, _ := widthBlock(9, rand.New(rand.NewSource(19)))
 	v[3], v[2] = float32(math.NaN()), 3e30
 	data := append(make([]float32, 32), v[:]...)
-	for _, l := range []kernelLevel{levelPortable, level} {
+	for _, l := range []simd.Level{simd.Portable, level} {
 		withPath(l, func() {
 			dst := make([]byte, worstChunkBytes(len(data), 32))
 			if _, err := compressChunk(dst, data, 1.25, 32, 0, true); err != ErrRange {
@@ -521,7 +532,7 @@ func TestKernelRunsStopInTheMiddle(t *testing.T) {
 	} {
 		want, off, accs := decodeChain(s, 8, 0.002, 5)
 		out := make([]float32, 32*8)
-		if u, k, a := decodeRun32(s, out, 5, 0.002); k != 5 || u != off[5] || a != accs[5] || !sameBits(out[:160], want[:160]) {
+		if u, k, a := decodeRun32(s, out, nil, 5, 0.002); k != 5 || u != off[5] || a != accs[5] || !sameBits(out[:160], want[:160]) {
 			t.Fatalf("decode, %s at block 5: kernel did %d blocks, used %d, acc=%d; portable after 5: used %d, acc=%d", what, k, u, a, off[5], accs[5])
 		}
 	}
@@ -550,7 +561,7 @@ func TestKernelContainersMatchPortable(t *testing.T) {
 				p := Params{ErrorBound: eb, Threads: threads}
 				var comp [2][]byte
 				var dec [2][]float32
-				for k, l := range []kernelLevel{levelPortable, level} {
+				for k, l := range []simd.Level{simd.Portable, level} {
 					withPath(l, func() {
 						c, err := Compress(data, p)
 						if err != nil {
@@ -578,8 +589,8 @@ func TestKernelContainersMatchPortable(t *testing.T) {
 // -v run of this test logs the level the CPU selected, so a green run on a
 // CPU without AVX-512 visibly did not run those kernels.
 func TestSIMDGaugeReportsThePath(t *testing.T) {
-	t.Logf("this CPU selects kernel level %d (%v); the suite is running at %v", cpuLevel(), cpuLevel(), level)
-	for l := levelPortable; l <= cpuLevel(); l++ {
+	t.Logf("this CPU selects kernel level %d (%v); the suite is running at %v", simd.CPU, simd.CPU, level)
+	for l := simd.Portable; l <= simd.CPU; l++ {
 		withPath(l, func() {
 			if got := telemetry.Capture().Gauges["fzlight.simd_kernels"]; got != float64(l) {
 				t.Errorf("level %v: fzlight.simd_kernels = %g, want %d", l, got, l)
@@ -593,10 +604,10 @@ func TestSIMDGaugeReportsThePath(t *testing.T) {
 // split into 1–8 segments per chunk, gives the same container and decodes
 // to the same bits at both levels.
 func TestAVX512MatchesAVX2(t *testing.T) {
-	if cpuLevel() < levelAVX512 {
+	if simd.CPU < simd.AVX512 {
 		t.Skip("no AVX-512 on this CPU")
 	}
-	if level != levelAVX512 {
+	if level != simd.AVX512 {
 		t.Skip("runs once, in the AVX-512 pass")
 	}
 	const n = 3*4096 + 32*5 + 7
@@ -611,7 +622,7 @@ func TestAVX512MatchesAVX2(t *testing.T) {
 				for segs := 1; segs <= 8; segs++ {
 					var comp [2][]byte
 					var dec [2][]float32
-					for k, l := range []kernelLevel{levelAVX2, levelAVX512} {
+					for k, l := range []simd.Level{simd.AVX2, simd.AVX512} {
 						withPath(l, func() {
 							if comp[k], err = compressSegments(field[:length], p, segs); err == nil {
 								dec[k], err = Decompress(comp[k])
@@ -630,8 +641,8 @@ func TestAVX512MatchesAVX2(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelLevels times encode (a one-chunk container on one core)
-// and decode of each dataset at 1 Mi elements, at the benchmark's error
+// BenchmarkKernelLevels times encode (a one-chunk container on one core),
+// decode and decode-and-add in place of each dataset at 1 Mi elements, at the benchmark's error
 // bound (1e-4 of the field's range) and every kernel level the CPU has, in
 // MB/s of float32 input:
 //
@@ -650,7 +661,7 @@ func BenchmarkKernelLevels(b *testing.B) {
 			b.Fatal(err)
 		}
 		dst, out := make([]byte, h.Bound()), make([]float32, n)
-		for l := cpuLevel(); l >= levelPortable; l-- {
+		for l := simd.CPU; l >= simd.Portable; l-- {
 			withPath(l, func() {
 				b.Run(fmt.Sprintf("%s/%v/encode", name, l), func(b *testing.B) {
 					b.SetBytes(4 * n)
@@ -664,6 +675,14 @@ func BenchmarkKernelLevels(b *testing.B) {
 					b.SetBytes(4 * n)
 					for i := 0; i < b.N; i++ {
 						if err := DecompressInto(comp[:size], out); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run(fmt.Sprintf("%s/%v/decode-add", name, l), func(b *testing.B) {
+					b.SetBytes(4 * n)
+					for i := 0; i < b.N; i++ {
+						if err := DecompressAddInto(comp[:size], out, out); err != nil {
 							b.Fatal(err)
 						}
 					}

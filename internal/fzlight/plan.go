@@ -71,11 +71,13 @@ func firstErr(parts []Part) error {
 }
 
 // plan is one compress or decompress call: the container buf, the values
-// vals, and the parts that cover both.
+// vals, and the parts that cover both. A decode with sums set adds the
+// container onto sums (DecompressAddInto).
 type plan[T Float] struct {
 	h      Header
 	buf    []byte
 	vals   []T
+	sums   []T
 	scale  float64 // recip = 1/(2·eb) to encode, 2·eb to decode
 	decode bool
 	parts  []Part
@@ -108,7 +110,7 @@ func newPlan[T Float](h Header, buf []byte, vals []T, scale float64, decode bool
 }
 
 func (p *plan[T]) release() {
-	p.buf, p.vals = nil, nil
+	p.buf, p.vals, p.sums = nil, nil, nil
 	free[T]().Put(p)
 }
 
@@ -156,8 +158,12 @@ func (p *plan[T]) planDecode() {
 func (p *plan[T]) Do(i int) {
 	pt := &p.parts[i]
 	if p.decode {
+		var sums []T
+		if p.sums != nil {
+			sums = p.sums[pt.Start:pt.End]
+		}
 		sp := mChunkDecodeNS.Start()
-		pt.Err = decodeChunk(p.buf[pt.Off:pt.Limit], p.vals[pt.Start:pt.End], p.h, p.scale)
+		pt.Err = decodeChunk(p.buf[pt.Off:pt.Limit], p.vals[pt.Start:pt.End], sums, p.h, p.scale)
 		sp.End()
 		return
 	}

@@ -11,6 +11,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hzccl/internal/simd"
 )
 
 // widthDeltas returns 32 deltas whose code length is exactly c.
@@ -195,7 +197,7 @@ func addPairs(dst, a, b []byte, pairs int, dynamic bool) (r sumResult) {
 
 // sumRun is addPairs at kernel level l, into a fresh dst with room to
 // spare.
-func sumRun(l kernelLevel, a, b []byte, pairs int, dynamic bool) (r sumResult) {
+func sumRun(l simd.Level, a, b []byte, pairs int, dynamic bool) (r sumResult) {
 	withPath(l, func() { r = addPairs(make([]byte, len(a)+len(b)+16), a, b, pairs, dynamic) })
 	return r
 }
@@ -252,7 +254,7 @@ func kernelTakes(a, b []byte, room int, dynamic bool) bool {
 		if a[0] > 30 || b[0] > 30 {
 			return false
 		}
-		next := sumRun(levelPortable, a, b, 1, false)
+		next := sumRun(simd.Portable, a, b, 1, false)
 		if next.err != nil || next.out[0] == 31 {
 			return false
 		}
@@ -265,7 +267,7 @@ func kernelTakes(a, b []byte, room int, dynamic bool) bool {
 // into room bytes of dst that are inside the add kernel's contract.
 func contractPairs(a, b []byte, room, pairs int, dynamic bool) (k int) {
 	for ; k < pairs; k++ {
-		r := sumRun(levelPortable, a, b, k, dynamic)
+		r := sumRun(simd.Portable, a, b, k, dynamic)
 		if r.err != nil || !kernelTakes(a[r.usedA:], b[r.usedB:], room-r.wrote, dynamic) {
 			break
 		}
@@ -284,11 +286,11 @@ func diffSum(t *testing.T, a, b []byte) {
 	whole := max(1, min(wholeBlocks(a), wholeBlocks(b)))
 	for _, pairs := range []int{whole, whole + 1} {
 		for _, dynamic := range []bool{true, false} {
-			want := sumRun(levelPortable, a, b, pairs, dynamic)
+			want := sumRun(simd.Portable, a, b, pairs, dynamic)
 			if want.err != nil && !errors.Is(want.err, ErrCorrupt) {
 				t.Fatalf("portable: untyped error %v", want.err)
 			}
-			if level == levelPortable {
+			if level == simd.Portable {
 				continue
 			}
 			if got := sumRun(level, a, b, pairs, dynamic); !got.same(want) {
@@ -305,7 +307,7 @@ func diffSum(t *testing.T, a, b []byte) {
 func diffSumKernel(t *testing.T, a, b []byte, pairs int, dynamic bool) {
 	t.Helper()
 	prefixOK := func(r sumResult) bool {
-		ref := sumRun(levelPortable, a, b, r.done, dynamic)
+		ref := sumRun(simd.Portable, a, b, r.done, dynamic)
 		return ref.err == nil && r.same(ref)
 	}
 	dst, intact := canary(len(a) + len(b) + 16)
@@ -317,7 +319,7 @@ func diffSumKernel(t *testing.T, a, b []byte, pairs int, dynamic bool) {
 		t.Fatalf("dynamic=%v: kernel did %d pairs of %d", dynamic, got.done, pairs)
 	}
 	if !prefixOK(got) {
-		t.Fatalf("dynamic=%v: kernel alone: %v\nportable: %v", dynamic, got, sumRun(levelPortable, a, b, got.done, dynamic))
+		t.Fatalf("dynamic=%v: kernel alone: %v\nportable: %v", dynamic, got, sumRun(simd.Portable, a, b, got.done, dynamic))
 	}
 	if got.done < pairs && kernelTakes(a[got.usedA:], b[got.usedB:], len(dst)-got.wrote, dynamic) {
 		t.Fatalf("dynamic=%v: kernel refused pair %d inside its contract (markers %d, %d)", dynamic, got.done, a[got.usedA], b[got.usedB])
@@ -406,11 +408,11 @@ func TestSumKernelLongRun(t *testing.T) {
 		pb = append(pb, widthDeltas(rng, (4+rng.Intn(6))*min(1, rng.Intn(5))))
 	}
 	a, b := append(blockStream(pa...), make([]byte, 8)...), append(blockStream(pb...), make([]byte, 8)...)
-	want, got := sumRun(levelPortable, a, b, pairs, true), sumRun(level, a, b, pairs, true)
+	want, got := sumRun(simd.Portable, a, b, pairs, true), sumRun(level, a, b, pairs, true)
 	if want.err != nil || want.done != pairs || !got.same(want) || want.tally[1] == 0 || want.tally[4] == 0 {
 		t.Fatalf("portable: done=%d err=%v tally %v; dispatched: done=%d err=%v tally %v", want.done, want.err, want.tally[1:], got.done, got.err, got.tally[1:])
 	}
-	if level > levelPortable {
+	if level > simd.Portable {
 		if r := kernelSum(make([]byte, len(a)+len(b)), a, b, pairs, true); r.done != pairs {
 			t.Fatalf("kernel did %d pairs of %d", r.done, pairs)
 		}
@@ -456,8 +458,8 @@ func BenchmarkSumRun(b *testing.B) {
 		if w.konst {
 			name += "-const"
 		}
-		for _, l := range []kernelLevel{level, levelPortable} {
-			path := map[bool]string{true: "dispatched", false: "portable"}[l > levelPortable]
+		for _, l := range []simd.Level{level, simd.Portable} {
+			path := map[bool]string{true: "dispatched", false: "portable"}[l > simd.Portable]
 			b.Run(name+"/"+path, func(b *testing.B) {
 				withPath(l, func() {
 					b.SetBytes(pairs * 128)

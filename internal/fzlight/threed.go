@@ -142,7 +142,7 @@ func compressChunkLorenzo[T Float](dst []byte, band []T, width, plane int, recip
 }
 
 // decompressChunkLorenzo reverses compressChunkLorenzo.
-func decompressChunkLorenzo[T Float](src []byte, dst []T, width, plane int, eb2 float64, B int) error {
+func decompressChunkLorenzo[T Float](src []byte, dst, sums []T, width, plane int, eb2 float64, B int) error {
 	if len(src) < 4 {
 		return ErrCorrupt
 	}
@@ -165,8 +165,14 @@ func decompressChunkLorenzo[T Float](src []byte, dst []T, width, plane int, eb2 
 		return nil
 	}
 	lorenzoInvert(v, getInt32(src), width, plane)
+	if sums == nil {
+		for i, q := range v {
+			dst[i] = T(eb2 * float64(q))
+		}
+		return nil
+	}
 	for i, q := range v {
-		dst[i] = T(eb2 * float64(q))
+		dst[i] = sums[i] + T(eb2*float64(q))
 	}
 	return nil
 }

@@ -2,7 +2,7 @@
 # check.sh — the repo's fast hygiene gate: formatting, vet (asmdecl covers
 # the fzlight block kernels), an arm64 cross vet/build (the non-amd64 stub
 # and the portable codec path) with a check that no quantiser fused its
-# multiply and add there, the same check by grep on the amd64 kernels, an
+# multiply and add there, the same check by grep on every amd64 kernel, an
 # s390x cross vet/build (the big-endian side of
 # floatbytes, the one place byte order is compiled in), a 386 test run of
 # the codec packages and the conformance oracles (the portable pipeline ④,
@@ -45,14 +45,15 @@ if [ -n "$fused" ]; then
 fi
 
 echo "== amd64 kernels: two roundings by hand =="
-# The same rule in the hand-written kernels: no fused multiply-add opcode,
+# The same rule in every hand-written kernel (the fZ-light block codecs,
+# floatbytes' add, any *_amd64.s to come): no fused multiply-add opcode,
 # and no embedded rounding but the AVX-512 quantiser's convert
 # (VCVTPD2DQ.RD_SAE, the floor of x + ½ after the round-to-nearest sum).
-asm=internal/fzlight/block_amd64.s
-fused=$(grep -nE 'VFN?M(ADD|SUB)' "$asm" || true)
-rounded=$(grep -nE '\.R[NDUZ]_SAE' "$asm" | grep -v 'VCVTPD2DQ\.RD_SAE' || true)
+asm=$(find . -name '*_amd64.s' -not -path './.bench_build/*' | sort)
+fused=$(grep -nHE 'VFN?M(ADD|SUB)' $asm || true)
+rounded=$(grep -nHE '\.R[NDUZ]_SAE' $asm | grep -v 'VCVTPD2DQ\.RD_SAE' || true)
 if [ -n "$fused$rounded" ]; then
-    echo "fused multiply-add or embedded rounding in $asm:" >&2
+    echo "fused multiply-add or embedded rounding in an amd64 kernel:" >&2
     printf '%s\n' "$fused" "$rounded" | grep . >&2
     exit 1
 fi
