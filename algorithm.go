@@ -64,24 +64,25 @@ func UniformTopology(nodes, perNode int) *Topology { return cluster.UniformTopol
 func ParseTopology(s string) (*Topology, error) { return cluster.ParseTopology(s) }
 
 // ModelRates holds calibrated component throughputs in raw bytes/second,
-// used both to charge modeled virtual time for compute
-// (CollectiveOptions.Rates) and to drive AlgoAuto's selection.
+// used both to charge virtual time for compute (CollectiveOptions.Rates)
+// and to drive AlgoAuto's selection.
 type ModelRates = core.Rates
 
-// DefaultAutoRates are the component throughputs AlgoAuto prices with
-// when CollectiveOptions.Rates is nil, and the model rates the paper-scale
-// sweep charges (BENCH_scaling.json): 1 / 2 / 8 / 6 GB/s compress,
-// decompress, raw sum, homomorphic add. Pinned, so every rank on either
-// fabric prices a shape alike; being below the AVX2 kernels' ≈ 5.5 / 6.9
-// / 12 GB/s on CESM-ATM, they are why auto can miss for large messages.
-var DefaultAutoRates = ModelRates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}
+// DefaultAutoRates are the component throughputs a collective charges and
+// AlgoAuto prices with when CollectiveOptions.Rates is nil, and the model
+// rates the paper-scale sweep charges (BENCH_scaling.json): 1 / 2 / 8 /
+// 6 GB/s compress, decompress, raw sum, homomorphic add (core.DefaultRates).
+// Pinned, so every rank on either fabric clocks and prices a shape alike;
+// being below the SIMD kernels' ≈ 7 GB/s on CESM-ATM, they are why auto can
+// miss for large messages.
+var DefaultAutoRates = core.DefaultRates
 
 // defaultAutoRatio is the compression ratio AlgoAuto's replays assume for
 // the compressed backends' payloads.
 const defaultAutoRatio = 4.0
 
 // autoOverhead is LogP's per-message software overhead o that AlgoAuto adds
-// to ClusterConfig.Latency when compute is wall-clock timed (Rates nil):
+// to ClusterConfig.Latency when CollectiveOptions.Rates is nil:
 // 8 µs, the low end of one message's one-way cost on loopback TCP (15–28 µs
 // round trips, 2-vCPU x86-64). It is a constant, not a measurement, because
 // the schedule decides the result bits, so every rank must pick alike; the

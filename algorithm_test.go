@@ -196,10 +196,12 @@ func TestAutoPicksAgreeAcrossFabrics(t *testing.T) {
 // TestReplayMatchesSimulator pins AlgoAuto's price to the program: for
 // every flavor × fixed schedule × op on flat and grouped worlds, the
 // replay's price of a shape (core.Price, which the cost model memoises)
-// equals the simulator's RunResult.Seconds for it exactly, at the modeled rates and α. With β = 1e30 payload sizes drop
-// out, so the compressed flavors' stand-in containers price the same as
-// real ones; the plain flavor moves the same bytes either way and is held
-// to it at a finite β too.
+// equals the simulator's RunResult.Seconds for it exactly, at the default
+// rates and α, whether the run is given them as CollectiveOptions.Rates or
+// leaves Rates nil. With β = 1e30 payload sizes drop out, so the
+// compressed flavors' stand-in containers price the same as real ones; the
+// plain flavor moves the same bytes either way and is held to it at a
+// finite β too.
 func TestReplayMatchesSimulator(t *testing.T) {
 	const alpha, elems = 10 * time.Microsecond, 1027
 	rates := hzccl.DefaultAutoRates
@@ -222,27 +224,29 @@ func TestReplayMatchesSimulator(t *testing.T) {
 			}
 			for _, b := range backends {
 				for _, a := range fixedAlgos {
-					opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: a, Rates: &rates}
-					for _, op := range []string{"allreduce", "reduce_scatter"} {
-						res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
-							var err error
-							if op == "allreduce" {
-								_, err = r.Allreduce(rankedField(r.ID(), elems), b, opt)
-							} else {
-								_, err = r.ReduceScatter(rankedField(r.ID(), elems), b, opt)
+					for _, given := range []*hzccl.ModelRates{&rates, nil} {
+						opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, Algorithm: a, Rates: given}
+						for _, op := range []string{"allreduce", "reduce_scatter"} {
+							res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
+								var err error
+								if op == "allreduce" {
+									_, err = r.Allreduce(rankedField(r.ID(), elems), b, opt)
+								} else {
+									_, err = r.ReduceScatter(rankedField(r.ID(), elems), b, opt)
+								}
+								return err
+							})
+							if err != nil {
+								t.Fatalf("%s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
 							}
-							return err
-						})
-						if err != nil {
-							t.Fatalf("%s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
-						}
-						price, err := core.Price(op, b, a, s.n, cfg.Topology, elems, rates, 4, alpha.Seconds(), beta)
-						if err != nil {
-							t.Fatalf("pricing %s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
-						}
-						if price != res.Seconds {
-							t.Errorf("%s %v/%v n=%d %q β=%g: priced %.6g s, simulator charged %.6g s",
-								op, b, a, s.n, s.topo, beta, price, res.Seconds)
+							price, err := core.Price(op, b, a, s.n, cfg.Topology, elems, rates, 4, alpha.Seconds(), beta)
+							if err != nil {
+								t.Fatalf("pricing %s %v/%v n=%d %q: %v", op, b, a, s.n, s.topo, err)
+							}
+							if price != res.Seconds {
+								t.Errorf("%s %v/%v n=%d %q β=%g rates given %v: priced %.6g s, simulator charged %.6g s",
+									op, b, a, s.n, s.topo, beta, given != nil, price, res.Seconds)
+							}
 						}
 					}
 				}

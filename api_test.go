@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -158,34 +159,74 @@ func TestPublicClusterAllreduce(t *testing.T) {
 	}
 }
 
-// A measured run charges each codec call's wall time as one rank's
-// single-thread time (divided by MTSpeedup in multi-thread mode), so at any
-// GOMAXPROCS no block it compresses is split into segments and no chunk
-// runs on a helper. A modelled run times nothing and uses every core.
-func TestPublicClusterMeasuresOneCore(t *testing.T) {
+// A collective's codec calls run on one core (core's work runs them inside
+// fanout.Inline): at any GOMAXPROCS no block a collective compresses is
+// split into segments and no chunk runs on a helper, single- or
+// multi-thread, though the same block compressed on its own splits. The
+// other ranks of a run already occupy the cores.
+func TestPublicClusterCodecCallsStayOnOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const nRanks, n = 2, 1 << 20 // ring blocks of 512 Ki elements
 	fields := [][]float32{sineField(n, 1), sineField(n, 2)}
-	// offCore runs an hZCCL Allreduce and reports the extra segments its
-	// compressions split into and the tasks the fanout runner's helpers
-	// took.
-	offCore := func(opt hzccl.CollectiveOptions) (split, helped int64) {
+	// offCore runs f and reports the extra segments its compressions split
+	// into and the tasks the fanout runner's helpers took.
+	offCore := func(f func() error) (split, helped int64) {
 		before := telemetry.Capture()
-		if _, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: nRanks}, func(r *hzccl.Rank) error {
-			_, err := r.Allreduce(fields[r.ID()], hzccl.BackendHZCCL, opt)
-			return err
-		}); err != nil {
+		if err := f(); err != nil {
 			t.Fatal(err)
 		}
 		d := telemetry.Capture().Delta(before).Counters
 		return d["fzlight.compress.segments"] - d["fzlight.compress.outliers"], d["fanout.helper_tasks"]
 	}
-	if split, _ := offCore(hzccl.CollectiveOptions{ErrorBound: 1e-3, Rates: &hzccl.ModelRates{CPR: 1e9, DPR: 1e9, CPT: 1e9, HPR: 1e9}}); split == 0 {
-		t.Fatal("a modelled run's blocks do not split at GOMAXPROCS 4; the test proves nothing")
+	if split, _ := offCore(func() error {
+		_, err := hzccl.Compress(fields[0][:n/nRanks], hzccl.Params{ErrorBound: 1e-3})
+		return err
+	}); split == 0 {
+		t.Fatal("a ring block does not split at GOMAXPROCS 4; the test proves nothing")
 	}
 	for _, mt := range []bool{false, true} {
-		if split, helped := offCore(hzccl.CollectiveOptions{ErrorBound: 1e-3, MultiThread: mt}); split != 0 || helped != 0 {
-			t.Errorf("MultiThread %v: split %d extra segments and gave %d tasks to helpers, want every timed codec call on one core", mt, split, helped)
+		if split, helped := offCore(func() error {
+			_, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: nRanks}, func(r *hzccl.Rank) error {
+				_, err := r.Allreduce(fields[r.ID()], hzccl.BackendHZCCL, hzccl.CollectiveOptions{ErrorBound: 1e-3, MultiThread: mt})
+				return err
+			})
+			return err
+		}); split != 0 || helped != 0 {
+			t.Errorf("MultiThread %v: split %d extra segments and gave %d tasks to helpers, want every codec call on one core", mt, split, helped)
+		}
+	}
+}
+
+// With default options a run's virtual time is charged at the pinned
+// default rates, never at the wall time of its calls: two runs of the same
+// collective report identical clocks and breakdowns, in multi-thread mode
+// too.
+func TestDefaultVirtualTimeIsReproducible(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const nRanks, n = 4, 1 << 18
+	fields := make([][]float32, nRanks)
+	for r := range fields {
+		fields[r] = sineField(n, int64(r+1))
+	}
+	for _, b := range []hzccl.Backend{hzccl.BackendMPI, hzccl.BackendCColl, hzccl.BackendHZCCL} {
+		for _, mt := range []bool{false, true} {
+			opt := hzccl.CollectiveOptions{ErrorBound: 1e-3, MultiThread: mt}
+			var runs [2]*hzccl.RunResult
+			for i := range runs {
+				res, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: nRanks}, func(r *hzccl.Rank) error {
+					_, err := r.Allreduce(fields[r.ID()], b, opt)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = res
+			}
+			if runs[0].Seconds != runs[1].Seconds || !reflect.DeepEqual(runs[0].RankSeconds, runs[1].RankSeconds) ||
+				!reflect.DeepEqual(runs[0].Breakdown, runs[1].Breakdown) {
+				t.Errorf("%v MultiThread %v: runs differ: %g s %v vs %g s %v",
+					b, mt, runs[0].Seconds, runs[0].Breakdown, runs[1].Seconds, runs[1].Breakdown)
+			}
 		}
 	}
 }

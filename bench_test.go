@@ -284,7 +284,7 @@ var benchFlavors = map[string]core.Flavor{"mpi": core.FlavorPlain, "ccoll": core
 func (cb *collectiveBench) run(b *testing.B, kernel string, mode core.Mode) float64 {
 	b.Helper()
 	b.ReportAllocs()
-	c := core.New(core.Options{ErrorBound: cb.eb, Mode: mode, Rates: cb.rates, MTSpeedup: 6})
+	c := core.New(core.Options{ErrorBound: cb.eb, Mode: mode, Rates: cb.rates})
 	cfg := cluster.Config{Ranks: cb.nodes, BandwidthBytes: 0.4e9}
 	var last, lastWall float64
 	for i := 0; i < b.N; i++ {

@@ -131,10 +131,11 @@ type CollectiveOptions struct {
 	// BackendCColl and BackendHZCCL.
 	ErrorBound float64
 	// MultiThread selects the multi-thread compression mode (the paper's
-	// MT kernels); MTThreads and MTSpeedup tune it (defaults 18 and 12).
+	// MT kernels): the compressor writes MTThreads chunks (default 18),
+	// and every compute charge is divided by the constant speedup 6
+	// (core.MTSpeedup, the paper's 18 threads at its Fig. 2 scaling).
 	MultiThread bool
 	MTThreads   int
-	MTSpeedup   float64
 	// Algorithm selects the collective schedule for Allreduce and
 	// ReduceScatter: AlgoRing (the zero value, the historical behavior),
 	// AlgoRecursiveDoubling, AlgoRabenseifner, AlgoHierarchical, or
@@ -142,13 +143,11 @@ type CollectiveOptions struct {
 	// implemented for every backend. An out-of-range value is rejected
 	// with ErrBadAlgorithm.
 	Algorithm Algorithm
-	// Rates, when non-nil, switches compute-time charging from measured
-	// wall time to the calibrated model (rawBytes/rate); required for
-	// paper-scale rank counts where measuring each tiny block would
-	// dominate. AlgoAuto prices its candidates at the same throughputs
-	// (DefaultAutoRates when nil, and only then with a per-message
-	// software overhead added to the latency: set, the virtual clock
-	// charges α alone, and so does the replay).
+	// Rates are the throughputs compute is charged at (rawBytes/rate);
+	// nil selects DefaultAutoRates, so a run's virtual time is the same on
+	// any machine. AlgoAuto prices its candidates at the same throughputs,
+	// and with Rates nil only, adds a per-message software overhead to the
+	// latency (the virtual clock charges α alone, and so does a replay).
 	Rates *ModelRates
 	// Degrade, when non-nil, enables graceful backend degradation: if the
 	// collective fails (retry budget exhausted, receive timeout), all
@@ -169,7 +168,6 @@ func (o CollectiveOptions) core() core.Options {
 		ErrorBound: o.ErrorBound,
 		Mode:       mode,
 		MTThreads:  o.MTThreads,
-		MTSpeedup:  o.MTSpeedup,
 		Rates:      o.Rates,
 	}
 }
@@ -196,9 +194,9 @@ type RunResult struct {
 	// collective.algo.* counters count them all.
 	AlgoChoices []AlgoChoice
 	// WallSeconds is the real elapsed time of the run, reported next to
-	// the virtual model. On the default in-process fabric it includes all
-	// ranks' serialized compute; on a TCP transport it is this process's
-	// end-to-end wall time.
+	// the virtual model. On the default in-process fabric it covers every
+	// rank's goroutine, whose compute runs concurrently; on a TCP
+	// transport it is this process's end-to-end wall time.
 	WallSeconds float64
 	// Evicted lists the physical ranks removed from the world by a
 	// membership shrink (DegradePolicy.Shrink) during the run, in
@@ -261,12 +259,6 @@ func (r *Rank) Recv(from int) ([]byte, error) { return r.r.Recv(from) }
 // an error (wrapping ErrPeerFailed) instead of waiting forever; with
 // RecvTimeout set the wait is additionally deadline-bounded.
 func (r *Rank) Barrier() error { return r.r.Barrier() }
-
-// Quiesce runs f without charging virtual time, serialized against other
-// ranks' measured compute. Stage inputs and post-process outputs inside
-// Quiesce so they neither pollute other ranks' measurements nor count as
-// collective time.
-func (r *Rank) Quiesce(f func()) { r.r.Quiesce(f) }
 
 // Allreduce sums data element-wise across all ranks and returns the full
 // reduced vector, using the selected backend. All ranks must call it with

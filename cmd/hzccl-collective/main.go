@@ -7,7 +7,7 @@
 //
 //	hzccl-collective -experiment fig2|fig7|fig8|fig9|fig10|fig11|fig12|all \
 //	    [-nodes N] [-maxnodes N] [-message BYTES] [-rel BOUND] \
-//	    [-latency DUR] [-bandwidth GBPS] [-quick] [-trials K] \
+//	    [-latency DUR] [-bandwidth GBPS] [-quick] \
 //	    [-metrics FILE|-]
 //
 // -metrics dumps the accumulated runtime telemetry (compressor byte
@@ -91,7 +91,6 @@ func main() {
 		latency    = flag.Duration("latency", 0, "modeled per-message latency (0 = default 2us)")
 		bandwidth  = flag.Float64("bandwidth", 0, "modeled effective link bandwidth in GB/s (0 = default 0.4)")
 		quick      = flag.Bool("quick", false, "shrink scales for a fast smoke run")
-		trials     = flag.Int("trials", 0, "timing trials per kernel (0 = default)")
 		traceFile  = flag.String("trace", "", "write a Chrome trace of one hZCCL Allreduce to this file and exit")
 		metricsOut = flag.String("metrics", "", "dump the telemetry snapshot at exit: '-' = JSON to stdout, FILE = JSON, FILE.prom = Prometheus text format")
 		chaosSeed  = flag.Int64("chaos", 0, "run a self-healing demo: one Allreduce over a faulty fabric seeded with this value, then exit (0 = off)")
@@ -204,7 +203,6 @@ func main() {
 		Latency:      *latency,
 		Bandwidth:    *bandwidth * 1e9,
 		Quick:        *quick,
-		Trials:       *trials,
 	}
 	ids := []string{"fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
 	if *experiment != "all" {

@@ -79,9 +79,9 @@ func (l *chanLink) close() {
 // send hands the receiver a pooled copy of the payload, one shared by every
 // delivery of a duplicated message: the receiver ends up owning what it is
 // handed, and the sender keeps its buffer.
-func (t *chanTransport) send(r *Rank, to int, m message, copies int) error {
+func (t *chanTransport) send(to int, m message, copies int) error {
 	own := bufpool.Bytes(len(m.data))
-	r.Quiesce(func() { copy(own, m.data) })
+	copy(own, m.data)
 	m.data = own
 	ch := t.link(m.from, to).ch
 	for i := 0; i < copies; i++ {

@@ -11,9 +11,10 @@
 //	max(receiver clock, sender clock at send + α + bytes/β)
 //
 // which is the same analytic model the paper's Section III-C cost
-// equations use. Compute is charged either as measured wall time of the
-// actual work (optionally scaled, to model multi-threaded compression on
-// this single-core build machine) or as an explicit duration.
+// equations use. Compute is charged as an explicit duration (Elapse): the
+// collectives price each codec call at modelled rates, so a run's virtual
+// time is the same on any machine and at any load. Wall spans of the real
+// work (Wall) go to the trace's wall timeline only.
 //
 // The per-rank clock advance is tracked per category (CPR, DPR, CPT, HPR,
 // MPI, OTHER) so the Figure 2 / Table VII runtime breakdowns fall out of
@@ -57,12 +58,6 @@ type Config struct {
 	// BandwidthBytes is the link bandwidth β in bytes/second. Defaults to
 	// 12.5e9 (100 Gbps).
 	BandwidthBytes float64
-	// ParallelCompute lets Time closures of different ranks run
-	// concurrently. By default they are serialized under a cluster-wide
-	// lock so that measured durations are not polluted by other ranks'
-	// goroutines — on a single-core machine the work is serialized anyway
-	// and this makes measurements clean.
-	ParallelCompute bool
 	// Fault, when non-nil, is consulted for every point-to-point message
 	// and may drop, duplicate, corrupt or delay it (see fault.go). Leave
 	// nil for a healthy fabric.
@@ -160,9 +155,9 @@ type Result struct {
 	// Breakdown sums each category's virtual time across the local ranks.
 	Breakdown map[Category]float64
 	// WallSeconds is the real elapsed time of the run, reported next to
-	// the virtual model. On the in-process fabric it includes all ranks'
-	// serialized compute; on a real-socket transport it is the local
-	// process's end-to-end wall time.
+	// the virtual model. On the in-process fabric it covers every rank's
+	// goroutine, whose compute runs concurrently; on a real-socket
+	// transport it is the local process's end-to-end wall time.
 	WallSeconds float64
 	// Evicted lists the physical ranks removed from the world by a
 	// membership-shrink consensus during the run, ascending. Empty on a
@@ -262,9 +257,8 @@ type message struct {
 
 // Cluster owns the transport and timing state for one run.
 type Cluster struct {
-	cfg     Config
-	tr      Transport
-	compute sync.Mutex
+	cfg Config
+	tr  Transport
 
 	// retx is the senders' replay windows of reliable delivery. The
 	// transport answers NACKs from it (bound at bind), so it outlives a
@@ -629,49 +623,20 @@ func (r *Rank) Elapse(cat Category, seconds float64) {
 	r.breakdown[cat] += seconds
 }
 
-// Time runs f (real work), measures its wall-clock duration and charges it
-// to cat. f must not communicate: unless Config.ParallelCompute is set,
-// the cluster-wide compute lock is held during f.
-func (r *Rank) Time(cat Category, f func()) {
-	r.TimeScaled(cat, 1, f)
-}
-
-// TimeScaled is Time with the measured duration multiplied by scale before
-// being charged. The collectives use scale = 1/speedup to model
-// multi-threaded compression whose wall time cannot be observed on a
-// single-core build machine.
-func (r *Rank) TimeScaled(cat Category, scale float64, f func()) {
-	serialize := !r.c.cfg.ParallelCompute
-	if serialize {
-		r.c.compute.Lock()
-	}
-	t0 := time.Now()
-	f()
-	dt := time.Since(t0).Seconds()
-	if serialize {
-		r.c.compute.Unlock()
-	}
-	// Bridge the real measurement into the trace: the wall timeline shows
-	// where the work actually ran, alongside the virtual schedule it is
-	// charged into.
-	if tr := r.c.trace; tr != nil && dt > 0 {
-		tr.recordWall(TraceEvent{Rank: r.phys, Category: cat, Start: t0.Sub(r.c.epoch).Seconds(), Dur: dt})
-	}
-	r.Elapse(cat, dt*scale)
-}
-
-// Quiesce runs f under the cluster-wide compute lock without charging any
-// virtual time. Use it for real work that has no modeled cost (input
-// staging, result assembly) so it cannot preempt — and pollute — another
-// rank's measured Time section.
-func (r *Rank) Quiesce(f func()) {
-	if r.c.cfg.ParallelCompute {
+// Wall runs f (real work that does not communicate) and records its
+// wall-clock span into the trace's wall timeline, beside the virtual
+// schedule it is charged into. It charges no virtual time.
+func (r *Rank) Wall(cat Category, f func()) {
+	tr := r.c.trace
+	if tr == nil {
 		f()
 		return
 	}
-	r.c.compute.Lock()
+	t0 := time.Now()
 	f()
-	r.c.compute.Unlock()
+	if dt := time.Since(t0).Seconds(); dt > 0 {
+		tr.recordWall(TraceEvent{Rank: r.phys, Category: cat, Start: t0.Sub(r.c.epoch).Seconds(), Dur: dt})
+	}
 }
 
 // Send transmits data to peer `to`. The caller keeps its buffer: Send is
@@ -710,7 +675,7 @@ func (r *Rank) Send(to int, data []byte) error {
 	if tr != nil {
 		wallStart = time.Now()
 	}
-	r.Quiesce(func() { m.sum = checksum(data) })
+	m.sum = checksum(data)
 	flight.Record(r.phys, telemetry.FlightSend, int64(r.phys), int64(pt), int64(m.seq), int64(len(data)))
 	if tr != nil {
 		// The send half of the flow edge, anchored to the checksum work
@@ -742,7 +707,7 @@ func (r *Rank) Send(to int, data []byte) error {
 	if dropped {
 		return nil
 	}
-	return r.c.tr.send(r, pt, m, copies)
+	return r.c.tr.send(pt, m, copies)
 }
 
 // Recv blocks until a message from peer `from` arrives and returns its
@@ -905,9 +870,7 @@ func (r *Rank) chargeArrival(m message) {
 
 // intact reports whether m's payload still matches its checksum.
 func (r *Rank) intact(m message) bool {
-	var sum uint32
-	r.Quiesce(func() { sum = checksum(m.data) })
-	return sum == m.sum
+	return checksum(m.data) == m.sum
 }
 
 // stashPending retains an ahead-of-sequence message for in-order

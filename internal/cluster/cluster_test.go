@@ -134,30 +134,19 @@ func TestElapseAndBreakdown(t *testing.T) {
 	}
 }
 
-func TestTimeMeasuresWork(t *testing.T) {
-	res, err := Run(Config{Ranks: 1}, func(r *Rank) error {
-		r.Time(CatCPT, func() { time.Sleep(5 * time.Millisecond) })
+// Wall runs real work and charges none of it: virtual time moves only by
+// Elapse, so a run's clock does not depend on how long its work took.
+func TestWallChargesNothing(t *testing.T) {
+	res, err := Run(Config{Ranks: 2}, func(r *Rank) error {
+		r.Wall(CatCPR, func() { time.Sleep(2 * time.Millisecond) })
+		r.Elapse(CatCPR, 1e-3)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Breakdown[CatCPT] < 0.004 {
-		t.Fatalf("measured %g, want >= 4ms", res.Breakdown[CatCPT])
-	}
-}
-
-func TestTimeScaled(t *testing.T) {
-	res, err := Run(Config{Ranks: 1}, func(r *Rank) error {
-		r.TimeScaled(CatCPR, 0.1, func() { time.Sleep(10 * time.Millisecond) })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Breakdown[CatCPR]
-	if got < 0.0009 || got > 0.01 {
-		t.Fatalf("scaled measurement %g, want ~1ms", got)
+	if res.Time != 1e-3 || res.Breakdown[CatCPR] != 2e-3 {
+		t.Fatalf("time %g, breakdown %v: want only the two Elapse charges", res.Time, res.Breakdown)
 	}
 }
 
@@ -371,16 +360,18 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	}
 }
 
-// Time/TimeScaled must bridge the real measurement into the trace's
-// wall-clock timeline, in parallel with the virtual-time events.
+// Wall must bridge the real work into the trace's wall-clock timeline, in
+// parallel with the virtual-time events, and the virtual timeline must hold
+// only what Elapse charged.
 func TestTraceRecordsWallSpans(t *testing.T) {
 	c, tr, err := NewTraced(Config{Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Run(func(r *Rank) error {
-		r.Time(CatCPR, func() { time.Sleep(2 * time.Millisecond) })
-		r.TimeScaled(CatHPR, 0.5, func() { time.Sleep(time.Millisecond) })
+		r.Wall(CatCPR, func() { time.Sleep(2 * time.Millisecond) })
+		r.Elapse(CatCPR, 1e-6)
+		r.Wall(CatHPR, func() { time.Sleep(time.Millisecond) })
 		return nil
 	})
 	if err != nil {
@@ -398,22 +389,8 @@ func TestTraceRecordsWallSpans(t *testing.T) {
 			t.Fatalf("wall span before epoch: %+v", ev)
 		}
 	}
-	// TimeScaled charges scaled virtual time but records unscaled wall time:
-	// the HPR wall span must be >= its virtual charge.
-	evs := tr.Events()
-	var virtHPR, wallHPR float64
-	for _, ev := range evs {
-		if ev.Category == CatHPR {
-			virtHPR = ev.Dur
-		}
-	}
-	for _, ev := range wall {
-		if ev.Category == CatHPR {
-			wallHPR = ev.Dur
-		}
-	}
-	if wallHPR <= virtHPR {
-		t.Fatalf("wall HPR %.3g should exceed scaled virtual HPR %.3g", wallHPR, virtHPR)
+	if evs := tr.Events(); len(evs) != 1 || evs[0].Category != CatCPR || evs[0].Dur != 1e-6 {
+		t.Fatalf("virtual events %+v, want the one CPR Elapse", evs)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {

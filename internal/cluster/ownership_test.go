@@ -13,7 +13,7 @@ import (
 // onFabric runs body on a fresh n-rank world of the named fabric.
 func onFabric(t *testing.T, fabric string, n int, cfg Config, body func(*Rank) error) error {
 	t.Helper()
-	cfg.Ranks, cfg.ParallelCompute = n, true
+	cfg.Ranks = n
 	if fabric == "chan" {
 		_, err := Run(cfg, body)
 		return err
@@ -210,7 +210,7 @@ func TestTCPAllocsPerMessage(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	trs := startMesh(t, 2)
-	cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: 5 * time.Second}
+	cfg := Config{Ranks: 2, RecvTimeout: 5 * time.Second}
 	perRoundTrip := roundTripAllocs(t, func(body func(*Rank) error) error {
 		_, err := runMesh(t, cfg, trs, body)
 		return err
@@ -229,7 +229,7 @@ func TestChanAllocsPerMessage(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	for _, timeout := range []time.Duration{0, 5 * time.Second} {
-		cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: timeout}
+		cfg := Config{Ranks: 2, RecvTimeout: timeout}
 		perRoundTrip := roundTripAllocs(t, func(body func(*Rank) error) error {
 			_, err := Run(cfg, body)
 			return err

@@ -947,7 +947,7 @@ func (p *tcpPeer) writeJob(job uint32, kind byte, payload []byte) error {
 // send frames a data message onto the wire, straight from the sender's
 // buffer: the write is synchronous, so the bytes are the caller's again
 // when it returns and nothing here owns — or recycles — them.
-func (s *tcpSession) send(_ *Rank, to int, m message, copies int) error {
+func (s *tcpSession) send(to int, m message, copies int) error {
 	p, err := s.t.peer(to)
 	if err != nil {
 		return err

@@ -85,7 +85,7 @@ func runMesh(t *testing.T, cfg Config, trs []*TCPTransport, body func(*Rank) err
 
 func TestTCPMeshExchange(t *testing.T) {
 	trs := startMesh(t, 2)
-	cfg := Config{Ranks: 2, ParallelCompute: true}
+	cfg := Config{Ranks: 2}
 	results, err := runMesh(t, cfg, trs, func(r *Rank) error {
 		if r.ID == 0 {
 			return r.Send(1, []byte("over the wire"))
@@ -150,7 +150,7 @@ func ringBody(acc *[]uint32) func(*Rank) error {
 
 func TestTCPRingMatchesInProcess(t *testing.T) {
 	const n = 4
-	cfg := Config{Ranks: n, ParallelCompute: true}
+	cfg := Config{Ranks: n}
 
 	// Reference run on the default in-process fabric.
 	refVals := make([][]uint32, n)
@@ -205,7 +205,7 @@ func TestTCPRingMatchesInProcess(t *testing.T) {
 func TestTCPReliableCorruptRecovery(t *testing.T) {
 	trs := startMesh(t, 2)
 	cfg := Config{
-		Ranks: 2, ParallelCompute: true, Reliable: true,
+		Ranks: 2, Reliable: true,
 		RecvTimeout: 2 * time.Second,
 		Fault: FaultOn(func(fc FaultContext) bool {
 			return fc.From == 0 && fc.To == 1 && fc.Seq == 1 && fc.Attempt == 0
@@ -242,7 +242,7 @@ func TestTCPReliableCorruptRecovery(t *testing.T) {
 func TestTCPReliableDropRecovery(t *testing.T) {
 	trs := startMesh(t, 2)
 	cfg := Config{
-		Ranks: 2, ParallelCompute: true, Reliable: true,
+		Ranks: 2, Reliable: true,
 		RecvTimeout:  200 * time.Millisecond,
 		RetryBackoff: time.Microsecond,
 		Fault: FaultOn(func(fc FaultContext) bool {
@@ -336,7 +336,7 @@ func TestTCPOptionValidation(t *testing.T) {
 
 func TestTCPPeerFailureSurfaces(t *testing.T) {
 	trs := startMesh(t, 2)
-	cfg := Config{Ranks: 2, ParallelCompute: true}
+	cfg := Config{Ranks: 2}
 	var recvErr error
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -378,7 +378,7 @@ func TestTCPConnResetFeedsDetector(t *testing.T) {
 			t.Errorf("drop conn: %v", err)
 		}
 	}()
-	cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: 30 * time.Second, Transport: trs[1]}
+	cfg := Config{Ranks: 2, RecvTimeout: 30 * time.Second, Transport: trs[1]}
 	start := time.Now()
 	var recvErr error
 	_, err := Run(cfg, func(r *Rank) error {
@@ -440,7 +440,7 @@ func runSessions(t *testing.T, cfg Config, sess []Transport, body func(*Rank) er
 // traffic between jobs sharing the connections.
 func TestTCPSessionsConcurrentJobs(t *testing.T) {
 	const n = 4
-	cfg := Config{Ranks: n, ParallelCompute: true}
+	cfg := Config{Ranks: n}
 
 	// Reference: the same program on the in-process fabric.
 	refVals := make([][]uint32, n)
@@ -554,7 +554,7 @@ func TestTCPSessionEndUnblocksPeerJob(t *testing.T) {
 		}
 		sa[i], sb[i] = a, b
 	}
-	cfg := Config{Ranks: 2, ParallelCompute: true, RecvTimeout: 30 * time.Second}
+	cfg := Config{Ranks: 2, RecvTimeout: 30 * time.Second}
 	var wg sync.WaitGroup
 	var recvErr error
 	start := time.Now()
@@ -582,7 +582,7 @@ func TestTCPSessionEndUnblocksPeerJob(t *testing.T) {
 		t.Fatalf("job end took %v to unblock the peer", elapsed)
 	}
 	// Job 2 is untouched: a normal exchange still works on the same mesh.
-	_, err := runSessions(t, Config{Ranks: 2, ParallelCompute: true}, sb, func(r *Rank) error {
+	_, err := runSessions(t, Config{Ranks: 2}, sb, func(r *Rank) error {
 		if r.ID == 0 {
 			return r.Send(1, []byte("job 2 lives"))
 		}
@@ -789,7 +789,7 @@ func TestTCPByeBeforeBindReachesDetector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Ranks: 3, ParallelCompute: true, RecvTimeout: 30 * time.Second}
+			cfg := Config{Ranks: 3, RecvTimeout: 30 * time.Second}
 			c0 := cfg
 			c0.Transport = s0
 			if _, err := Run(c0, func(r *Rank) error { return nil }); err != nil {
@@ -838,7 +838,7 @@ func TestTCPByeMidCollectiveIsTyped(t *testing.T) {
 		runs = 20
 	}
 	trs := startMesh(t, 3)
-	cfg := Config{Ranks: 3, ParallelCompute: true, RecvTimeout: 30 * time.Second}
+	cfg := Config{Ranks: 3, RecvTimeout: 30 * time.Second}
 	for i := 0; i < runs; i++ {
 		job := uint32(100 + i)
 		sess := make([]Transport, 3)
@@ -954,7 +954,7 @@ func TestTCPFaultsMatchInProcess(t *testing.T) {
 				mode, want = "reliable", c.reliable
 			}
 			t.Run(c.name+"/"+mode, func(t *testing.T) {
-				cfg := Config{Ranks: 2, ParallelCompute: true, Reliable: reliable, RecvTimeout: 2 * time.Second, Fault: c.fault}
+				cfg := Config{Ranks: 2, Reliable: reliable, RecvTimeout: 2 * time.Second, Fault: c.fault}
 				body := func(got *[]delivery) func(*Rank) error {
 					return func(r *Rank) error {
 						if r.ID == 0 {

@@ -65,9 +65,9 @@ type Instant struct {
 // Trace accumulates events from all ranks of one run. Virtual-time and
 // wall-clock intervals are kept on separate timelines: virtual events
 // carry modeled seconds, wall events carry real measured seconds since
-// the cluster was created (recorded by Time/TimeScaled around the actual
-// work). The Chrome export shows them as two processes so modeled and
-// measured schedules can be compared side by side.
+// the cluster was created (recorded by Wall around the actual work). The
+// Chrome export shows them as two processes so modeled and measured
+// schedules can be compared side by side.
 type Trace struct {
 	mu       sync.Mutex
 	events   []TraceEvent
@@ -172,7 +172,7 @@ func (t *Trace) Events() []TraceEvent {
 
 // WallEvents returns the recorded wall-clock intervals sorted by
 // (rank, start). Start is real seconds since cluster creation; Dur is the
-// measured duration of the work (unscaled).
+// measured duration of the work.
 func (t *Trace) WallEvents() []TraceEvent {
 	t.mu.Lock()
 	out := make([]TraceEvent, len(t.wall))

@@ -59,14 +59,14 @@ type Transport interface {
 	// their own; retransmit answers from retx.
 	bind(cfg Config, retx *retxStore) error
 
-	// send delivers `copies` copies of m, which rank r (m.from) is
-	// sending, on the link to `to`. m.data is r's caller's buffer, lent
-	// for the duration of the call: the transport neither modifies, keeps
-	// nor recycles it. A fabric that hands the bytes to another owner (the
-	// in-process one, to the receiver) copies them, under r.Quiesce; one
-	// that is done with them when the call returns (TCP, a synchronous
-	// write) sends them in place.
-	send(r *Rank, to int, m message, copies int) error
+	// send delivers `copies` copies of m, which rank m.from is sending, on
+	// the link to `to`. m.data is the sender's caller's buffer, lent for
+	// the duration of the call: the transport neither modifies, keeps nor
+	// recycles it. A fabric that hands the bytes to another owner (the
+	// in-process one, to the receiver) copies them; one that is done with
+	// them when the call returns (TCP, a synchronous write) sends them in
+	// place.
+	send(to int, m message, copies int) error
 
 	// recv returns the next message on the from→to link. ok == false
 	// means the sending rank exited (or its connection closed) and the

@@ -100,17 +100,6 @@ func (g comm) span(h *telemetry.Histogram) telemetry.Span {
 	return h.Start()
 }
 
-// quiesce runs f with the rank's clock stopped. It reaches the real rank by
-// its type, whose Quiesce keeps f, so that callers' closures stay on the
-// stack; a replay's clock moves only by Elapse.
-func (g comm) quiesce(f func()) {
-	if r, ok := g.r.(*cluster.Rank); ok {
-		r.Quiesce(f)
-		return
-	}
-	f()
-}
-
 // sendRecv is send then recv: one ring step with nothing to do in between.
 func (g comm) sendRecv(to int, payload []byte, from int, compressed bool) ([]byte, error) {
 	if err := g.send(to, payload, compressed); err != nil {
@@ -138,7 +127,7 @@ var ErrSizeMismatch = errors.New("core: payload size mismatch")
 func (g comm) staged(vals []float32) []byte {
 	p := g.bytes(4 * len(vals))
 	if g.replay == nil {
-		g.quiesce(func() { floatbytes.FromFloat32(p, vals) })
+		floatbytes.FromFloat32(p, vals)
 	}
 	return p
 }
@@ -159,7 +148,7 @@ func (g comm) decodeInto(dst []float32, got []byte, phase string, step int) erro
 		return err
 	}
 	if g.replay == nil {
-		g.quiesce(func() { floatbytes.Load(dst, got) })
+		floatbytes.Load(dst, got)
 	}
 	return nil
 }

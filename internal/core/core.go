@@ -16,6 +16,9 @@
 // All three run on the cluster substrate, move real data and charge
 // virtual time per category, so collective times, speedups and runtime
 // breakdowns (Figures 2, 7–12; Table VII) come from the same code paths.
+// Compute is charged at modelled rates (the paper's §III-C cost terms,
+// rawBytes/rate), never at the wall time of the call: a run's virtual time
+// is a function of its schedule, sizes and rates alone.
 //
 // The co-design changes what a partial result is, not the schedule that
 // moves it, and the package is cut the same way: schedule.go and hier.go
@@ -59,24 +62,24 @@ type Options struct {
 	// MTThreads is the compressor chunk count in multi-thread mode
 	// (paper: 18 threads, one socket). Default 18.
 	MTThreads int
-	// MTSpeedup models the parallel speedup of compression-class work in
-	// multi-thread mode. Measured single-core wall time is divided by it.
-	// Default 12 (18 threads at ~2/3 efficiency, the memory-bound scaling
-	// Broadwell STREAM shows). Only used when Mode == MultiThread.
-	MTSpeedup float64
 	// Segments splits each C-Coll round's block into this many pieces so
 	// compression, transfer and decompression pipeline against each other
 	// (the overlap §III-A attributes to C-Coll). ≤ 1 disables
 	// segmentation. Used by the *Segmented collective variants.
 	Segments int
-	// Rates, when non-nil, switches compute charging from measured wall
-	// time to a calibrated model: each operation costs rawBytes/rate
-	// seconds (divided by MTSpeedup in multi-thread mode). The real work
-	// still executes — only its virtual-time charge is modeled. Use this
-	// for large rank counts, where per-call measurement overhead on tiny
-	// blocks would otherwise dominate the single-thread-measured times.
+	// Rates are the single-thread component throughputs compute is
+	// charged at: each operation costs rawBytes/rate seconds (divided by
+	// MTSpeedup in multi-thread mode). The real work still executes; only
+	// its virtual-time charge is modelled. Nil selects DefaultRates.
 	Rates *Rates
 }
+
+// MTSpeedup is the parallel speedup multi-thread mode divides every
+// compute charge by: 6, for the paper's 18 threads per socket. The paper's
+// own Fig. 2 multi-thread breakdown (DOC 52 % vs MPI 47 %) implies an
+// in-collective thread scaling well below the 18-thread ideal, and every
+// multi-thread figure (Figs. 2, 7–12, Table VII) rests on this one constant.
+const MTSpeedup = 6
 
 // Rates holds calibrated component throughputs in raw bytes per second
 // (single-thread). See costmodel.Measure for one way to obtain them.
@@ -87,12 +90,15 @@ type Rates struct {
 	HPR float64 // homomorphic reduction
 }
 
+// DefaultRates are the rates a nil Options.Rates charges at, and the ones
+// AlgoAuto prices with then: 1 / 2 / 8 / 6 GB/s compress, decompress, raw
+// sum, homomorphic add. Pinned, so every rank on either fabric clocks and
+// prices a shape alike, on any machine and at any load.
+var DefaultRates = Rates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}
+
 func (o Options) withDefaults() Options {
 	if o.MTThreads == 0 {
 		o.MTThreads = 18
-	}
-	if o.MTSpeedup == 0 {
-		o.MTSpeedup = 12
 	}
 	return o
 }
@@ -104,33 +110,34 @@ func (o Options) threads() int {
 	return 1
 }
 
-// scale converts measured wall time into charged virtual time for
-// compression-class work.
+// scale is the share of a single-thread charge that compute costs in o's
+// mode.
 func (o Options) scale() float64 {
 	if o.Mode == MultiThread {
-		return 1 / o.MTSpeedup
+		return 1.0 / MTSpeedup
 	}
 	return 1
 }
 
 // work executes f (real work over rawBytes of raw-equivalent data) and
-// charges virtual time for it: measured wall time when no Rates are set,
-// or rawBytes/rate otherwise. Multi-thread mode divides either charge by
-// MTSpeedup. Measured work runs inside fanout.Inline, so the wall time is
-// one core's: no codec call splits its chunks or segments across cores
-// while it is timed. A replay charges the same and records no span.
+// charges rawBytes/rate for it. The call's wall time goes to the stage's
+// span histogram and the trace's wall timeline, never to the clock; in a
+// replay, whose rank has neither, f only runs.
+//
+// f runs inside fanout.Inline, so a collective's codec call does not split
+// across cores: the other ranks of the run already occupy them. On 4 ranks
+// over 2 vCPUs, letting the calls split cost allreduce-hz-large and
+// allreduce-ccoll-large 4–8 % of their goodput (EXPERIMENTS.md, "One
+// clock").
 func (c Collectives) work(g comm, cat cluster.Category, rawBytes int, f func()) {
 	h, _ := stageOf(cat, c.Opt.Rates)
-	timed := func() {
-		sp := g.span(h)
+	sp := g.span(h)
+	if r, ok := g.r.(*cluster.Rank); ok {
+		r.Wall(cat, func() { fanout.Inline(f) })
+	} else {
 		f()
-		sp.End()
 	}
-	if c.Opt.Rates == nil { // never in a replay, which always models compute
-		g.r.(*cluster.Rank).TimeScaled(cat, c.Opt.scale(), func() { fanout.Inline(timed) })
-		return
-	}
-	g.quiesce(timed)
+	sp.End()
 	c.charge(g, cat, rawBytes)
 }
 
@@ -207,10 +214,8 @@ func (c Collectives) decompressInto(g comm, blob []byte, dst []float32) (err err
 
 // reduceDOC is one decompress-operate step: acc = sums + dec(got)
 // element-wise (sums may be acc itself) in one fused decode, then got, which
-// the caller must own whole, is recycled. A replay and a modelled run
-// charge it as the two stages it fuses, DPR then CPT at their rates; a
-// measured run times the one call and charges it to DPR, the operate living
-// inside the decode as hZ's add lives inside HPR.
+// the caller must own whole, is recycled. It is charged as the two stages it
+// fuses, DPR then CPT at their rates.
 func (c Collectives) reduceDOC(g comm, acc, sums []float32, got []byte) (err error) {
 	if g.replay != nil {
 		c.charge(g, cluster.CatDPR, 4*len(acc))

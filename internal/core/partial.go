@@ -178,21 +178,19 @@ type plainPartial struct {
 
 func newPlain(b blocks, data []float32) *plainPartial {
 	p := &plainPartial{blocks: b}
-	b.g.quiesce(func() {
-		switch {
-		case !b.full:
-			p.acc = b.g.floats(len(data))
+	switch {
+	case !b.full:
+		p.acc = b.g.floats(len(data))
+		b.g.copy(p.acc, data)
+	case b.into == nil:
+		p.into = b.g.clone(data) // allocated and filled in one step: nothing is cleared first
+		p.acc = p.into
+	default:
+		p.acc = b.into
+		if !sameVector(p.acc, data) {
 			b.g.copy(p.acc, data)
-		case b.into == nil:
-			p.into = b.g.clone(data) // allocated and filled in one step: nothing is cleared first
-			p.acc = p.into
-		default:
-			p.acc = b.into
-			if !sameVector(p.acc, data) {
-				b.g.copy(p.acc, data)
-			}
 		}
-	})
+	}
 	return p
 }
 

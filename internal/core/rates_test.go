@@ -61,7 +61,7 @@ func TestModeledMTScaling(t *testing.T) {
 	const nRanks, n = 4, 1 << 12
 	rates := &Rates{CPR: 1e9, DPR: 2e9, CPT: 4e9, HPR: 8e9}
 	run := func(mode Mode) *cluster.Result {
-		c := New(Options{ErrorBound: 1e-3, Mode: mode, Rates: rates, MTSpeedup: 8})
+		c := New(Options{ErrorBound: 1e-3, Mode: mode, Rates: rates})
 		res, err := cluster.Run(cluster.Config{Ranks: nRanks}, func(r *cluster.Rank) error {
 			_, _, err := c.Allreduce(r, FlavorCColl, AlgoRing, smoothRankField(r.ID, n))
 			return err
@@ -75,22 +75,8 @@ func TestModeledMTScaling(t *testing.T) {
 	mt := run(MultiThread)
 	for _, cat := range []cluster.Category{cluster.CatCPR, cluster.CatDPR, cluster.CatCPT} {
 		ratio := st.Breakdown[cat] / mt.Breakdown[cat]
-		if math.Abs(ratio-8) > 1e-6 {
-			t.Errorf("%s ST/MT charge ratio %g, want 8", cat, ratio)
+		if math.Abs(ratio-MTSpeedup) > 1e-6 {
+			t.Errorf("%s ST/MT charge ratio %g, want %d", cat, ratio, MTSpeedup)
 		}
-	}
-}
-
-// Quiesce must serialize with Time sections but charge nothing.
-func TestQuiesceChargesNothing(t *testing.T) {
-	res, err := cluster.Run(cluster.Config{Ranks: 2}, func(r *cluster.Rank) error {
-		r.Quiesce(func() { time.Sleep(2 * time.Millisecond) })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time != 0 {
-		t.Fatalf("Quiesce charged %g seconds", res.Time)
 	}
 }

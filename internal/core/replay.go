@@ -17,7 +17,7 @@ import (
 // RunResult.Seconds reports it. The replay runs the real schedule over the
 // real partials on a private in-process machine: the codec primitives code
 // nothing (compressed payloads are raw/ratio-byte stand-ins) but charge
-// rawBytes/rate as modeled mode does, and a message arrives by the
+// rawBytes/rate as a run does, and a message arrives by the
 // fabric's own rule, cluster.Arrival. It touches no telemetry, flight
 // recorder, trace, bufpool or caller clock. Every vector, scratch buffer
 // and payload of every rank is a slice of one zero arena that nothing

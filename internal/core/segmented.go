@@ -55,7 +55,7 @@ func (c Collectives) ReduceScatterCCollSegmented(r *cluster.Rank, data []float32
 	g := world(r)
 	acc := bufpool.Float32s(len(data))
 	defer bufpool.PutFloat32s(acc)
-	r.Quiesce(func() { copy(acc, data) })
+	copy(acc, data)
 	next, prev := (r.ID+1)%n, (r.ID-1+n)%n
 	for step := 0; step < n-1; step++ {
 		s, e := BlockBounds(len(data), n, (r.ID-step+n)%n)

@@ -8,7 +8,7 @@ import (
 // Telemetry for the collective hot paths. Every compute stage routed
 // through Collectives.work records a real wall-clock span into the
 // histogram of its breakdown category (independently of the virtual-time
-// charge, which may be modeled via Rates), and every ring exchange counts
+// charge, which is modelled at Rates), and every ring exchange counts
 // the bytes it put on the wire, split into compressed and raw so the
 // bytes-saved-on-the-ring figure falls out of two counters.
 var (
@@ -24,11 +24,11 @@ var (
 	mRingRawBytes        = telemetry.C("core.ring.raw_bytes")
 )
 
-// stageOf maps a breakdown category to its span histogram and, when compute
-// is modeled, its calibrated rate.
+// stageOf maps a breakdown category to its span histogram and the rate it
+// is charged at (DefaultRates when rates is nil).
 func stageOf(cat cluster.Category, rates *Rates) (*telemetry.Histogram, float64) {
 	if rates == nil {
-		rates = &Rates{}
+		rates = &DefaultRates
 	}
 	switch cat {
 	case cluster.CatCPR:

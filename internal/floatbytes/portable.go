@@ -6,8 +6,7 @@ package floatbytes
 // its wire format: Wire encodes into a fresh buffer, which no caller may
 // tell from a view — it is for reading, and never anyone's to recycle.
 // These targets are built for correctness only: an unpooled buffer per
-// block, encoded outside Rank.Quiesce, is accepted; throughput here is not
-// a goal (DESIGN.md §11).
+// block is accepted; throughput here is not a goal (DESIGN.md §11).
 
 func Wire(vals []float32) []byte { return Bytes(vals) }
 

@@ -2,53 +2,66 @@ package harness
 
 import (
 	"hzccl/internal/core"
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 )
 
-// calibrateOnSample measures single-thread component rates on a concrete
-// workload pair: compression, decompression and raw summation on a, and
-// homomorphic reduction of C(a) with C(b). Used by experiments whose
-// operand profile is defined by application data (image stacking) rather
-// than generated snapshots.
-func calibrateOnSample(a, b []float32, eb float64) (*core.Rates, error) {
+// calibrate measures single-thread component rates on a workload's own
+// fields: compression, decompression and MPI's raw sum (floatbytes.AddInto
+// of wire bytes into a partial sum, the plain flavor's reduction) on
+// fields[0], and homomorphic reduction of C(fields[0]) folded with each
+// later field's container in turn, as a ring folds its partial sums. It
+// needs at least two fields.
+func calibrate(eb float64, fields ...[]float32) (*core.Rates, error) {
+	base, folds := fields[0], fields[1:]
 	p := fzlight.Params{ErrorBound: eb}
-	raw := 4 * len(a)
+	raw := 4 * len(base)
 
-	ca, err := fzlight.Compress(a, p)
+	c0, err := fzlight.Compress(base, p)
 	if err != nil {
 		return nil, err
 	}
-	cb, err := fzlight.Compress(b, p)
+	tCPR, err := bestOf(2, func() error { _, err := fzlight.Compress(base, p); return err })
 	if err != nil {
 		return nil, err
 	}
-	tCPR, err := bestOf(2, func() error { _, err := fzlight.Compress(a, p); return err })
+	out := make([]float32, len(base))
+	tDPR, err := bestOf(2, func() error { return fzlight.DecompressInto(c0, out) })
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float32, len(a))
-	tDPR, err := bestOf(2, func() error { return fzlight.DecompressInto(ca, out) })
+	wire := floatbytes.Wire(base)
+	tCPT, err := bestOf(2, func() error { floatbytes.AddInto(out, wire); return nil })
 	if err != nil {
 		return nil, err
 	}
-	tCPT, err := bestOf(2, func() error {
-		for i := range out {
-			out[i] += a[i]
+
+	operands := make([][]byte, len(folds))
+	for k, f := range folds {
+		if operands[k], err = fzlight.Compress(f, p); err != nil {
+			return nil, err
+		}
+	}
+	tHPR, err := bestOf(2, func() error {
+		acc := c0
+		for _, next := range operands {
+			sum, _, err := hzdyn.Add(acc, next)
+			if err != nil {
+				return err
+			}
+			acc = sum
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	tHPR, err := bestOf(2, func() error { _, _, err := hzdyn.Add(ca, cb); return err })
-	if err != nil {
-		return nil, err
-	}
+
 	return &core.Rates{
 		CPR: float64(raw) / tCPR.Seconds(),
 		DPR: float64(raw) / tDPR.Seconds(),
 		CPT: float64(raw) / tCPT.Seconds(),
-		HPR: float64(raw) / tHPR.Seconds(),
+		HPR: float64(raw) * float64(len(folds)) / tHPR.Seconds(),
 	}, nil
 }

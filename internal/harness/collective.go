@@ -7,8 +7,6 @@ import (
 
 	"hzccl/internal/cluster"
 	"hzccl/internal/core"
-	"hzccl/internal/fzlight"
-	"hzccl/internal/hzdyn"
 	"hzccl/internal/metrics"
 	"hzccl/internal/telemetry"
 )
@@ -83,7 +81,6 @@ func (o Options) coreOptions(mode core.Mode, eb float64, rates *core.Rates) core
 		ErrorBound: eb,
 		Mode:       mode,
 		MTThreads:  o.MTThreads,
-		MTSpeedup:  o.MTSpeedup,
 		Rates:      rates,
 	}
 }
@@ -148,74 +145,14 @@ func collectiveField(kind fieldKind, n, rank, nRanks int) []float32 {
 	return out
 }
 
-// calibrate measures single-thread component rates on representative rank
-// fields: compression/decompression of rank 0's snapshot and homomorphic
-// folding of the first few snapshots (the ring's operand profile).
-func calibrate(kind fieldKind, n, nRanks int, eb float64) (*core.Rates, error) {
-	base := collectiveField(kind, n, 0, nRanks)
-	p := fzlight.Params{ErrorBound: eb}
-	raw := 4 * n
-
-	c0, err := fzlight.Compress(base, p)
-	if err != nil {
-		return nil, err
+// rtmSnapshots returns rank 0's snapshot and the next few, up to three (the
+// ring's first folds): the fields calibrate measures the collectives on.
+func rtmSnapshots(kind fieldKind, n, nRanks int) [][]float32 {
+	snaps := make([][]float32, 1+min(max(nRanks-1, 1), 3))
+	for k := range snaps {
+		snaps[k] = collectiveField(kind, n, k, nRanks)
 	}
-	tCPR, err := bestOf(2, func() error { _, err := fzlight.Compress(base, p); return err })
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	tDPR, err := bestOf(2, func() error { return fzlight.DecompressInto(c0, out) })
-	if err != nil {
-		return nil, err
-	}
-	tCPT, err := bestOf(2, func() error {
-		for i := range out {
-			out[i] += base[i]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Fold a few snapshots homomorphically, as the ring does, isolating
-	// the Add time from the compression of the folded operands.
-	folds := 3
-	if nRanks-1 < folds {
-		folds = nRanks - 1
-	}
-	if folds < 1 {
-		folds = 1
-	}
-	operands := make([][]byte, folds)
-	for k := 1; k <= folds; k++ {
-		operands[k-1], err = fzlight.Compress(collectiveField(kind, n, k, nRanks), p)
-		if err != nil {
-			return nil, err
-		}
-	}
-	tHPR, err := bestOf(2, func() error {
-		acc := c0
-		for _, next := range operands {
-			sum, _, err := hzdyn.Add(acc, next)
-			if err != nil {
-				return err
-			}
-			acc = sum
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	return &core.Rates{
-		CPR: float64(raw) / tCPR.Seconds(),
-		DPR: float64(raw) / tDPR.Seconds(),
-		CPT: float64(raw) / tCPT.Seconds(),
-		HPR: float64(raw) * float64(folds) / tHPR.Seconds(),
-	}, nil
+	return snaps
 }
 
 // collectiveOp distinguishes the two measured collectives.
@@ -226,46 +163,35 @@ const (
 	opAllreduce
 )
 
-// KernelRun is the outcome of one timed collective: the virtual-time
-// result plus the run's telemetry delta (counters, spans and pipeline
-// histograms attributable to the kept trial).
+// KernelRun is the outcome of one collective: the virtual-time result plus
+// the run's telemetry delta (counters, spans and pipeline histograms).
 type KernelRun struct {
 	*cluster.Result
 	// Telemetry holds the growth of the process-global telemetry registry
-	// over the kept (fastest) trial.
+	// over the run.
 	Telemetry telemetry.Snapshot
 }
 
 // runKernel executes one (kernel, op) on `nodes` ranks, each contributing
-// its own snapshot, and returns the virtual-time result with the per-run
-// telemetry delta.
+// its own snapshot, and returns the virtual-time result with the run's
+// telemetry delta. Compute is charged at rates, so one run is the answer.
 func runKernel(opt Options, op collectiveOp, kernel, nodes int, kind fieldKind, n int, eb float64, rates *core.Rates) (*KernelRun, error) {
 	mode, flavor := kernelFlavor(kernel)
 	c := core.New(opt.coreOptions(mode, eb, rates))
-
-	body := func(r *cluster.Rank) (err error) {
-		var data []float32
-		r.Quiesce(func() { data = collectiveField(kind, n, r.ID, nodes) })
+	before := telemetry.Capture()
+	res, err := cluster.Run(opt.clusterConfig(nodes), func(r *cluster.Rank) (err error) {
+		data := collectiveField(kind, n, r.ID, nodes)
 		if op == opReduceScatter {
 			_, _, err = c.ReduceScatter(r, flavor, core.AlgoRing, data)
 		} else {
 			_, _, err = c.Allreduce(r, flavor, core.AlgoRing, data)
 		}
 		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var best *KernelRun
-	for trial := 0; trial < opt.Trials; trial++ {
-		before := telemetry.Capture()
-		res, err := cluster.Run(opt.clusterConfig(nodes), body)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Time < best.Time {
-			best = &KernelRun{Result: res, Telemetry: telemetry.Capture().Delta(before)}
-		}
-	}
-	return best, nil
+	return &KernelRun{Result: res, Telemetry: telemetry.Capture().Delta(before)}, nil
 }
 
 // collectiveBound derives the absolute error bound for a collective
@@ -279,7 +205,7 @@ func runFig2(w io.Writer, opt Options) error {
 	opt = opt.WithDefaults()
 	n := opt.MessageBytes / 4
 	eb := collectiveBound(opt, sparseRTM, n, opt.Nodes)
-	rates, err := calibrate(sparseRTM, n, opt.Nodes, eb)
+	rates, err := calibrate(eb, rtmSnapshots(sparseRTM, n, opt.Nodes)...)
 	if err != nil {
 		return err
 	}
@@ -311,7 +237,7 @@ func runVsCColl(w io.Writer, opt Options, op collectiveOp) error {
 		for _, size := range opt.SweepBytes {
 			n := size / 4
 			eb := collectiveBound(opt, ds.kind, n, opt.Nodes)
-			rates, err := calibrate(ds.kind, n, opt.Nodes, eb)
+			rates, err := calibrate(eb, rtmSnapshots(ds.kind, n, opt.Nodes)...)
 			if err != nil {
 				return err
 			}
@@ -363,7 +289,7 @@ func runSizeSweep(w io.Writer, opt Options, op collectiveOp) error {
 	for _, size := range opt.SweepBytes {
 		n := size / 4
 		eb := collectiveBound(opt, sparseRTM, n, opt.Nodes)
-		rates, err := calibrate(sparseRTM, n, opt.Nodes, eb)
+		rates, err := calibrate(eb, rtmSnapshots(sparseRTM, n, opt.Nodes)...)
 		if err != nil {
 			return err
 		}
@@ -394,7 +320,7 @@ func runNodeSweep(w io.Writer, opt Options, op collectiveOp) error {
 	t := fiveKernelHeader("Nodes")
 	for nodes := 2; nodes <= opt.MaxNodes; nodes *= 2 {
 		eb := collectiveBound(opt, sparseRTM, n, nodes)
-		rates, err := calibrate(sparseRTM, n, nodes, eb)
+		rates, err := calibrate(eb, rtmSnapshots(sparseRTM, n, nodes)...)
 		if err != nil {
 			return err
 		}

@@ -49,15 +49,12 @@ type Options struct {
 	// effective figure in that band reproduces the paper's
 	// compute/communication balance on this machine.
 	Bandwidth float64
-	// MTThreads and MTSpeedup configure the multi-thread compression mode.
-	// Defaults: 18 threads, 6× modeled speedup — the paper's own Fig. 2
-	// multi-thread breakdown (DOC 52% vs MPI 47%) implies an effective
-	// in-collective thread scaling well below the 18-thread ideal.
+	// MTThreads is the compressor chunk count of the multi-thread mode
+	// (default 18), whose compute charges core.MTSpeedup divides.
 	MTThreads int
-	MTSpeedup float64
-	// Trials repeats each timed collective and keeps the fastest run
-	// (default 1 — with calibrated rates the virtual time is already
-	// deterministic; raise it when measuring on a loaded machine).
+	// Trials repeats each codec timing and keeps the fastest (default 1;
+	// raise it when measuring on a loaded machine). Collective virtual
+	// times are charged at calibrated rates and need one run.
 	Trials int
 	// Quick shrinks all scales for fast smoke runs.
 	Quick bool
@@ -98,9 +95,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MTThreads == 0 {
 		o.MTThreads = 18
-	}
-	if o.MTSpeedup == 0 {
-		o.MTSpeedup = 6
 	}
 	if o.Trials == 0 {
 		o.Trials = 1

@@ -19,7 +19,7 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
 	if o.Len == 0 || o.Nodes == 0 || o.MaxNodes == 0 || o.MessageBytes == 0 ||
 		len(o.SweepBytes) == 0 || o.RelBound == 0 || o.Latency == 0 ||
-		o.Bandwidth == 0 || o.MTThreads == 0 || o.MTSpeedup == 0 || o.Trials == 0 {
+		o.Bandwidth == 0 || o.MTThreads == 0 || o.Trials == 0 {
 		t.Fatalf("unfilled defaults: %+v", o)
 	}
 	q := Options{Quick: true}.WithDefaults()
@@ -155,7 +155,7 @@ func TestCollectiveFieldProfiles(t *testing.T) {
 }
 
 func TestCalibrateProducesRates(t *testing.T) {
-	r, err := calibrate(sparseRTM, 1<<14, 8, 1e-3)
+	r, err := calibrate(1e-3, rtmSnapshots(sparseRTM, 1<<14, 8)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,33 +38,19 @@ func stackDims(opt Options) (int, int) {
 func runStack(opt Options, kernel int, scene *imagestack.Image, eb float64, rates *core.Rates) (*cluster.Result, *imagestack.Image, error) {
 	mode, flavor := kernelFlavor(kernel)
 	c := core.New(opt.coreOptions(mode, eb, rates))
-
-	var out0 *imagestack.Image
-	body := func(r *cluster.Rank) error {
-		var exp *imagestack.Image
-		r.Quiesce(func() { exp = imagestack.Exposure(scene, r.ID, stackNoiseSigma) })
-		stacked, _, err := c.Allreduce(r, flavor, core.AlgoRing, exp.Pix)
-		if err != nil {
-			return err
-		}
-		if r.ID == 0 {
-			out0 = &imagestack.Image{W: scene.W, H: scene.H, Pix: stacked}
-		}
-		return nil
-	}
-	var best *cluster.Result
 	var img *imagestack.Image
-	for trial := 0; trial < opt.Trials; trial++ {
-		res, err := cluster.Run(opt.clusterConfig(opt.Nodes), body)
-		if err != nil {
-			return nil, nil, err
+	res, err := cluster.Run(opt.clusterConfig(opt.Nodes), func(r *cluster.Rank) error {
+		exp := imagestack.Exposure(scene, r.ID, stackNoiseSigma)
+		stacked, _, err := c.Allreduce(r, flavor, core.AlgoRing, exp.Pix)
+		if err == nil && r.ID == 0 {
+			img = &imagestack.Image{W: scene.W, H: scene.H, Pix: stacked}
 		}
-		if best == nil || res.Time < best.Time {
-			best = res
-			img = out0
-		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return best, img, nil
+	return res, img, nil
 }
 
 // stackSetup builds the scene, exact stack, error bound and calibrated
@@ -83,7 +69,7 @@ func stackSetup(opt Options) (*imagestack.Image, *imagestack.Image, float64, *co
 	// The paper uses an absolute bound of 1e-4 on image data; we scale it
 	// to our synthetic dynamic range via the relative bound option.
 	eb := metrics.AbsBound(opt.RelBound, exposures[0].Pix)
-	rates, err := calibrateOnSample(exposures[0].Pix, exposures[1%len(exposures)].Pix, eb)
+	rates, err := calibrate(eb, exposures[0].Pix, exposures[1%len(exposures)].Pix)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}

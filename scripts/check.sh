@@ -9,7 +9,8 @@
 # natively), the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
 # and a segmented encode), a race pass over the
 # concurrent packages (telemetry's lock-free counters, the cluster
-# runtime and the codecs' fanout runner), and the nested benchmark module's own vet + tests (root
+# runtime, the codecs' fanout runner and an in-process run of every
+# experiment), and the nested benchmark module's own vet + tests (root
 # `go vet/test ./...` does not descend into benchmark/go.mod, and the
 # benchmark compiles against internal/ packages). `make check` runs this.
 set -eu
@@ -82,6 +83,10 @@ done
 
 echo "== go test -race (concurrent packages) =="
 go test -race . ./internal/telemetry ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core
+# Every experiment at smoke scale: in-process ranks run their codec calls
+# concurrently (no lock serialises them), over the shared bufpool, fanout
+# helpers and telemetry.
+go test -race -run TestAllExperimentsSmoke ./internal/harness
 
 echo "== bench-check (nested benchmark module: go vet + go test) =="
 make bench-check
