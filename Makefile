@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-check benchmark benchmark-compare bench bench-all fuzz conformance chaos soak tcp-smoke scaling
+.PHONY: build test check bench-check benchmark benchmark-compare bench bench-all fuzz conformance chaos soak tcp-smoke scaling paper
 
 build:
 	$(GO) build ./...
@@ -107,3 +107,11 @@ tcp-smoke:
 scaling:
 	SCALING_WORLDS=$${SCALING_WORLDS:-8,64,128,512} $(GO) test -count=1 -run 'TestScalingSweep' -v .
 	$(GO) test -count=1 -run 'TestReplayMatchesSimulator|TestRingReplayMatchesClosedForms|TestPriceHoldsOneVector' -v . ./internal/costmodel ./internal/core
+
+# paper regenerates the paper's evaluation into results/ with one
+# command, cmd/hzccl-paper: the compressor tables and Fig. 6, the collective
+# figures, and image stacking (Table VII, Fig. 13 with its PGM images).
+paper:
+	$(GO) run ./cmd/hzccl-paper -experiment table3,fig6,table4,table5,table6,szx-quality,predictors > results/compressor.txt
+	$(GO) run ./cmd/hzccl-paper -experiment fig2,fig7,fig8,fig9,fig10,fig11,fig12 > results/collective.txt
+	$(GO) run ./cmd/hzccl-paper -experiment table7,fig13 -out results > results/stacking.txt

@@ -131,11 +131,10 @@ type CollectiveOptions struct {
 	// BackendCColl and BackendHZCCL.
 	ErrorBound float64
 	// MultiThread selects the multi-thread compression mode (the paper's
-	// MT kernels): the compressor writes MTThreads chunks (default 18),
-	// and every compute charge is divided by the constant speedup 6
+	// MT kernels): the compressor writes 18 chunks (core.MTThreads), and
+	// every compute charge is divided by the constant speedup 6
 	// (core.MTSpeedup, the paper's 18 threads at its Fig. 2 scaling).
 	MultiThread bool
-	MTThreads   int
 	// Algorithm selects the collective schedule for Allreduce and
 	// ReduceScatter: AlgoRing (the zero value, the historical behavior),
 	// AlgoRecursiveDoubling, AlgoRabenseifner, AlgoHierarchical, or
@@ -167,7 +166,6 @@ func (o CollectiveOptions) core() core.Options {
 	return core.Options{
 		ErrorBound: o.ErrorBound,
 		Mode:       mode,
-		MTThreads:  o.MTThreads,
 		Rates:      o.Rates,
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"testing"
 
+	"hzccl"
 	"hzccl/internal/datasets"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/telemetry"
+	"hzccl/serve"
 )
 
 // The in-process runs charge codec calls at modelled rates and run them
@@ -39,11 +41,12 @@ func TestInprocRunsTimeOneCore(t *testing.T) {
 	if split, _ := offCore(func() error { _, err := fzlight.Compress(block, fzlight.Params{ErrorBound: 1e-3}); return err }); split == 0 {
 		t.Fatal("a ring block does not split at GOMAXPROCS 4; the test proves nothing")
 	}
+	spec := serve.JobSpec{Backend: "hzccl", Algorithm: "ring", MessageBytes: message}
 	for name, run := range map[string]func() error{
-		"inproc": func() error {
-			return runTransport("inproc", 0, "", "hzccl", "ring", "", nodes, message, 1e-4, "", nil, -1, 0, 0)
+		"inproc": func() error { return runJob(spec, "inproc", 0, "", nodes, 0, nil, "") },
+		"trace": func() error {
+			return runJob(spec, "inproc", 0, "", nodes, 0, &hzccl.Trace{}, filepath.Join(t.TempDir(), "t.json"))
 		},
-		"trace": func() error { return writeTrace(filepath.Join(t.TempDir(), "t.json"), nodes, message) },
 		"chaos": func() error { return runChaosDemo(1, 0, nodes, message) },
 	} {
 		if split, helped := offCore(run); split != 0 || helped != 0 {
@@ -52,12 +55,13 @@ func TestInprocRunsTimeOneCore(t *testing.T) {
 	}
 }
 
-// -trace's Allreduce charges its codec calls at modelled rates and records
-// each call's wall span beside them: the Chrome trace holds every compute
-// stage on both the virtual (pid 0) and the wall (pid 1) timeline.
+// -trace's in-process job charges its codec calls at modelled rates and
+// records each call's wall span beside them: the Chrome trace holds every
+// compute stage on both the virtual (pid 0) and the wall (pid 1) timeline.
 func TestTraceHasVirtualAndWallCompute(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.json")
-	if err := writeTrace(path, 2, 1<<18); err != nil {
+	spec := serve.JobSpec{Backend: "hzccl", Algorithm: "ring", MessageBytes: 1 << 18}
+	if err := runJob(spec, "inproc", 0, "", 2, 0, &hzccl.Trace{}, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -27,6 +27,6 @@
 //	sum, _ := hzccl.HomomorphicAdd(comp, comp)
 //
 // The reproduction experiments for every table and figure of the paper are
-// exposed by the cmd/hzccl-compressor, cmd/hzccl-collective and
-// cmd/hzccl-stacking tools and by the benchmarks in bench_test.go.
+// exposed by the cmd/hzccl-paper command and by the benchmarks in
+// bench_test.go.
 package hzccl

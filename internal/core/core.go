@@ -55,13 +55,8 @@ func (m Mode) String() string {
 type Options struct {
 	// ErrorBound is the absolute error bound handed to fZ-light.
 	ErrorBound float64
-	// BlockSize is the fZ-light small-block length (0 = default 32).
-	BlockSize int
 	// Mode selects single- or multi-thread compression.
 	Mode Mode
-	// MTThreads is the compressor chunk count in multi-thread mode
-	// (paper: 18 threads, one socket). Default 18.
-	MTThreads int
 	// Segments splits each C-Coll round's block into this many pieces so
 	// compression, transfer and decompression pipeline against each other
 	// (the overlap §III-A attributes to C-Coll). ≤ 1 disables
@@ -73,6 +68,10 @@ type Options struct {
 	// its virtual-time charge is modelled. Nil selects DefaultRates.
 	Rates *Rates
 }
+
+// MTThreads is the compressor chunk count of multi-thread mode: the
+// paper's 18 threads, one socket.
+const MTThreads = 18
 
 // MTSpeedup is the parallel speedup multi-thread mode divides every
 // compute charge by: 6, for the paper's 18 threads per socket. The paper's
@@ -96,16 +95,9 @@ type Rates struct {
 // prices a shape alike, on any machine and at any load.
 var DefaultRates = Rates{CPR: 1e9, DPR: 2e9, CPT: 8e9, HPR: 6e9}
 
-func (o Options) withDefaults() Options {
-	if o.MTThreads == 0 {
-		o.MTThreads = 18
-	}
-	return o
-}
-
 func (o Options) threads() int {
 	if o.Mode == MultiThread {
-		return o.MTThreads
+		return MTThreads
 	}
 	return 1
 }
@@ -150,7 +142,7 @@ func (c Collectives) charge(g comm, cat cluster.Category, rawBytes int) {
 }
 
 func (o Options) params() fzlight.Params {
-	return fzlight.Params{ErrorBound: o.ErrorBound, BlockSize: o.BlockSize, Threads: o.threads()}
+	return fzlight.Params{ErrorBound: o.ErrorBound, Threads: o.threads()}
 }
 
 // Collectives bundles Options; its methods are the collective operations.
@@ -160,8 +152,8 @@ type Collectives struct {
 	Opt Options
 }
 
-// New returns a Collectives with defaulted options.
-func New(opt Options) Collectives { return Collectives{Opt: opt.withDefaults()} }
+// New returns a Collectives with options opt.
+func New(opt Options) Collectives { return Collectives{Opt: opt} }
 
 // BlockOwned returns the index of the reduced block rank `rank` holds
 // after a ring Reduce_scatter over n ranks.

@@ -99,7 +99,7 @@ func TestAllreduceBackendsMatchExactSum(t *testing.T) {
 		for _, n := range []int{256, 1000, 4096} {
 			exact := exactSum(nRanks, n)
 			for _, mode := range []Mode{SingleThread, MultiThread} {
-				c := New(Options{ErrorBound: testEB, Mode: mode, MTThreads: 4})
+				c := New(Options{ErrorBound: testEB, Mode: mode})
 				for _, f := range Flavors() {
 					label := fmt.Sprintf("%s n=%d mode=%v", flavorName(f), n, mode)
 					for rk, out := range allreduceAll(t, c, f, AlgoRing, nRanks, nil, n) {

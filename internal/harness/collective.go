@@ -68,21 +68,8 @@ func init() {
 	register(Experiment{ID: "fig12", Title: "Allreduce vs node count (5 kernels)", Run: runFig12})
 }
 
-func (o Options) clusterConfig(nodes int) cluster.Config {
-	return cluster.Config{
-		Ranks:          nodes,
-		Latency:        o.Latency,
-		BandwidthBytes: o.Bandwidth,
-	}
-}
-
-func (o Options) coreOptions(mode core.Mode, eb float64, rates *core.Rates) core.Options {
-	return core.Options{
-		ErrorBound: eb,
-		Mode:       mode,
-		MTThreads:  o.MTThreads,
-		Rates:      rates,
-	}
+func clusterConfig(nodes int) cluster.Config {
+	return cluster.Config{Ranks: nodes, Latency: latency, BandwidthBytes: bandwidth}
 }
 
 // fieldKind selects the RTM-like profile of per-rank collective inputs.
@@ -175,11 +162,11 @@ type KernelRun struct {
 // runKernel executes one (kernel, op) on `nodes` ranks, each contributing
 // its own snapshot, and returns the virtual-time result with the run's
 // telemetry delta. Compute is charged at rates, so one run is the answer.
-func runKernel(opt Options, op collectiveOp, kernel, nodes int, kind fieldKind, n int, eb float64, rates *core.Rates) (*KernelRun, error) {
+func runKernel(op collectiveOp, kernel, nodes int, kind fieldKind, n int, eb float64, rates *core.Rates) (*KernelRun, error) {
 	mode, flavor := kernelFlavor(kernel)
-	c := core.New(opt.coreOptions(mode, eb, rates))
+	c := core.New(core.Options{ErrorBound: eb, Mode: mode, Rates: rates})
 	before := telemetry.Capture()
-	res, err := cluster.Run(opt.clusterConfig(nodes), func(r *cluster.Rank) (err error) {
+	res, err := cluster.Run(clusterConfig(nodes), func(r *cluster.Rank) (err error) {
 		data := collectiveField(kind, n, r.ID, nodes)
 		if op == opReduceScatter {
 			_, _, err = c.ReduceScatter(r, flavor, core.AlgoRing, data)
@@ -197,14 +184,14 @@ func runKernel(opt Options, op collectiveOp, kernel, nodes int, kind fieldKind, 
 // collectiveBound derives the absolute error bound for a collective
 // experiment from rank 0's snapshot, as the paper derives its default
 // bound from the RTM data.
-func collectiveBound(opt Options, kind fieldKind, n, nodes int) float64 {
-	return metrics.AbsBound(opt.RelBound, collectiveField(kind, n, 0, nodes))
+func collectiveBound(kind fieldKind, n, nodes int) float64 {
+	return metrics.AbsBound(relBound, collectiveField(kind, n, 0, nodes))
 }
 
 func runFig2(w io.Writer, opt Options) error {
 	opt = opt.WithDefaults()
 	n := opt.MessageBytes / 4
-	eb := collectiveBound(opt, sparseRTM, n, opt.Nodes)
+	eb := collectiveBound(sparseRTM, n, opt.Nodes)
 	rates, err := calibrate(eb, rtmSnapshots(sparseRTM, n, opt.Nodes)...)
 	if err != nil {
 		return err
@@ -213,7 +200,7 @@ func runFig2(w io.Writer, opt Options) error {
 	fmt.Fprintf(w, "paper reference — ST: 78.18/21.56/0.26, MT: 52.26/47.02/0.72\n\n")
 	t := NewTable("Mode", "DPR+CPT+CPR", "MPI", "OTHER")
 	for _, kernel := range []int{KernelCCollST, KernelCCollMT} {
-		res, err := runKernel(opt, opAllreduce, kernel, opt.Nodes, sparseRTM, n, eb, rates)
+		res, err := runKernel(opAllreduce, kernel, opt.Nodes, sparseRTM, n, eb, rates)
 		if err != nil {
 			return err
 		}
@@ -236,14 +223,14 @@ func runVsCColl(w io.Writer, opt Options, op collectiveOp) error {
 	}{{"SimSet1", sparseRTM}, {"SimSet2", smoothRTM}} {
 		for _, size := range opt.SweepBytes {
 			n := size / 4
-			eb := collectiveBound(opt, ds.kind, n, opt.Nodes)
+			eb := collectiveBound(ds.kind, n, opt.Nodes)
 			rates, err := calibrate(eb, rtmSnapshots(ds.kind, n, opt.Nodes)...)
 			if err != nil {
 				return err
 			}
 			times := map[int]float64{}
 			for _, kernel := range []int{KernelCCollST, KernelHZST, KernelCCollMT, KernelHZMT} {
-				res, err := runKernel(opt, op, kernel, opt.Nodes, ds.kind, n, eb, rates)
+				res, err := runKernel(op, kernel, opt.Nodes, ds.kind, n, eb, rates)
 				if err != nil {
 					return err
 				}
@@ -284,18 +271,18 @@ func fiveKernelRow(t *Table, label string, times map[int]float64) {
 func runSizeSweep(w io.Writer, opt Options, op collectiveOp) error {
 	opt = opt.WithDefaults()
 	fmt.Fprintf(w, "%d nodes, RTM-like snapshots, REL bound %.0e, α=%v, effective β=%.2g GB/s\n\n",
-		opt.Nodes, opt.RelBound, opt.Latency, opt.Bandwidth/1e9)
+		opt.Nodes, relBound, latency, bandwidth/1e9)
 	t := fiveKernelHeader("Size")
 	for _, size := range opt.SweepBytes {
 		n := size / 4
-		eb := collectiveBound(opt, sparseRTM, n, opt.Nodes)
+		eb := collectiveBound(sparseRTM, n, opt.Nodes)
 		rates, err := calibrate(eb, rtmSnapshots(sparseRTM, n, opt.Nodes)...)
 		if err != nil {
 			return err
 		}
 		times := map[int]float64{}
 		for _, kernel := range Kernels {
-			res, err := runKernel(opt, op, kernel, opt.Nodes, sparseRTM, n, eb, rates)
+			res, err := runKernel(op, kernel, opt.Nodes, sparseRTM, n, eb, rates)
 			if err != nil {
 				return err
 			}
@@ -316,17 +303,17 @@ func runNodeSweep(w io.Writer, opt Options, op collectiveOp) error {
 	opt = opt.WithDefaults()
 	n := opt.MessageBytes / 4
 	fmt.Fprintf(w, "%s per rank, RTM-like snapshots, REL bound %.0e, α=%v, effective β=%.2g GB/s\n\n",
-		Bytes(opt.MessageBytes), opt.RelBound, opt.Latency, opt.Bandwidth/1e9)
+		Bytes(opt.MessageBytes), relBound, latency, bandwidth/1e9)
 	t := fiveKernelHeader("Nodes")
 	for nodes := 2; nodes <= opt.MaxNodes; nodes *= 2 {
-		eb := collectiveBound(opt, sparseRTM, n, nodes)
+		eb := collectiveBound(sparseRTM, n, nodes)
 		rates, err := calibrate(eb, rtmSnapshots(sparseRTM, n, nodes)...)
 		if err != nil {
 			return err
 		}
 		times := map[int]float64{}
 		for _, kernel := range Kernels {
-			res, err := runKernel(opt, op, kernel, nodes, sparseRTM, n, eb, rates)
+			res, err := runKernel(op, kernel, nodes, sparseRTM, n, eb, rates)
 			if err != nil {
 				return err
 			}

@@ -27,10 +27,11 @@ func init() {
 
 // bestOf runs f trials times and returns the shortest duration. It is the
 // one timer of every codec figure this package reports (Fig. 6, Tables
-// IV–VI, the rates the collective and stacking experiments calibrate), and
-// it times on one core (fanout.Inline): those figures are single-thread
-// ones, or scaled by the modelled MTSpeedup, and must not gain a core when
-// the codec splits a long chunk across cores.
+// IV–VI, each timed once, and the rates the collective and stacking
+// experiments calibrate as the best of two), and it times on one core
+// (fanout.Inline): those figures are single-thread ones, or scaled by the
+// modelled MTSpeedup, and must not gain a core when the codec splits a
+// long chunk across cores.
 func bestOf(trials int, f func() error) (best time.Duration, err error) {
 	best = time.Duration(1 << 62)
 	fanout.Inline(func() {
@@ -103,11 +104,11 @@ func runFig6(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			tFC, err := bestOf(opt.Trials, func() error { _, err := fzlight.Compress(data, fp); return err })
+			tFC, err := bestOf(1, func() error { _, err := fzlight.Compress(data, fp); return err })
 			if err != nil {
 				return err
 			}
-			tFD, err := bestOf(opt.Trials, func() error { return fzlight.DecompressInto(fc, out) })
+			tFD, err := bestOf(1, func() error { return fzlight.DecompressInto(fc, out) })
 			if err != nil {
 				return err
 			}
@@ -121,11 +122,11 @@ func runFig6(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			tOC, err := bestOf(opt.Trials, func() error { _, err := ompszp.Compress(data, op); return err })
+			tOC, err := bestOf(1, func() error { _, err := ompszp.Compress(data, op); return err })
 			if err != nil {
 				return err
 			}
-			tOD, err := bestOf(opt.Trials, func() error { _, err := ompszp.DecompressThreads(oc, oh, 1); return err })
+			tOD, err := bestOf(1, func() error { _, err := ompszp.DecompressThreads(oc, oh, 1); return err })
 			if err != nil {
 				return err
 			}
@@ -167,22 +168,22 @@ func runTable4(w io.Writer, opt Options) error {
 			eb := metrics.AbsBound(rel, data)
 			fp := fzlight.Params{ErrorBound: eb}
 			fc, _ := fzlight.Compress(data, fp)
-			tFC, err := bestOf(opt.Trials, func() error { _, err := fzlight.Compress(data, fp); return err })
+			tFC, err := bestOf(1, func() error { _, err := fzlight.Compress(data, fp); return err })
 			if err != nil {
 				return err
 			}
-			tFD, err := bestOf(opt.Trials, func() error { return fzlight.DecompressInto(fc, out) })
+			tFD, err := bestOf(1, func() error { return fzlight.DecompressInto(fc, out) })
 			if err != nil {
 				return err
 			}
 			op := ompszp.Params{ErrorBound: eb}
 			oc, _ := ompszp.Compress(data, op)
 			oh, _ := ompszp.ParseHeader(oc)
-			tOC, err := bestOf(opt.Trials, func() error { _, err := ompszp.Compress(data, op); return err })
+			tOC, err := bestOf(1, func() error { _, err := ompszp.Compress(data, op); return err })
 			if err != nil {
 				return err
 			}
-			tOD, err := bestOf(opt.Trials, func() error { _, err := ompszp.DecompressThreads(oc, oh, 1); return err })
+			tOD, err := bestOf(1, func() error { _, err := ompszp.DecompressThreads(oc, oh, 1); return err })
 			if err != nil {
 				return err
 			}
@@ -220,7 +221,7 @@ func runTable5(w io.Writer, opt Options) error {
 		raw := 4 * len(a)
 
 		var stats hzdyn.Stats
-		tHZ, err := bestOf(opt.Trials, func() error {
+		tHZ, err := bestOf(1, func() error {
 			_, st, err := hzdyn.Add(ca, cb)
 			stats = st
 			return err
@@ -228,7 +229,7 @@ func runTable5(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		tDOC, err := bestOf(opt.Trials, func() error { return docReduce(ca, cb, p) })
+		tDOC, err := bestOf(1, func() error { return docReduce(ca, cb, p) })
 		if err != nil {
 			return err
 		}
@@ -297,7 +298,7 @@ func runTable6(w io.Writer, opt Options) error {
 
 			// hZ-dynamic: direct homomorphic reduce.
 			var hsum []byte
-			tHZ, err := bestOf(opt.Trials, func() error {
+			tHZ, err := bestOf(1, func() error {
 				s, _, err := hzdyn.Add(ca, cb)
 				hsum = s
 				return err
@@ -313,7 +314,7 @@ func runTable6(w io.Writer, opt Options) error {
 
 			// DOC: decompress both, add, recompress.
 			var dsum []byte
-			tDOC, err := bestOf(opt.Trials, func() error {
+			tDOC, err := bestOf(1, func() error {
 				da, err := fzlight.Decompress(ca)
 				if err != nil {
 					return err

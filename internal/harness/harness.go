@@ -2,9 +2,9 @@
 // experiment per table and figure of the hZCCL paper's evaluation section,
 // each printing the same rows or series the paper reports.
 //
-// Experiments are self-contained functions over Options so the CLI tools
-// (cmd/hzccl-compressor, cmd/hzccl-collective, cmd/hzccl-stacking), the
-// root-level benchmarks and EXPERIMENTS.md all drive the same code.
+// Experiments are self-contained functions over Options so the paper
+// command (cmd/hzccl-paper), the root-level benchmarks and EXPERIMENTS.md
+// all drive the same code.
 package harness
 
 import (
@@ -34,28 +34,6 @@ type Options struct {
 	// SweepBytes are the per-rank message sizes for the message-size
 	// sweeps (Figures 9 and 11).
 	SweepBytes []int
-	// RelBound is the relative error bound used to derive the absolute
-	// bound for collective experiments (default 1e-4, the paper's
-	// default bound).
-	RelBound float64
-	// Latency is the modeled per-message latency α (default 2 µs).
-	Latency time.Duration
-	// Bandwidth is the modeled *effective* per-link bandwidth in
-	// bytes/second (default 0.4e9). The paper's fabric is 100 Gbps line
-	// rate, but its own Figure 2 / Table VII breakdowns imply an
-	// effective per-hop MPI bandwidth well under 1 GB/s for
-	// large-message ring collectives (DOC at ~1 GB/s accounts for
-	// 78%/52% of C-Coll runtime while C-Coll still beats MPI); using an
-	// effective figure in that band reproduces the paper's
-	// compute/communication balance on this machine.
-	Bandwidth float64
-	// MTThreads is the compressor chunk count of the multi-thread mode
-	// (default 18), whose compute charges core.MTSpeedup divides.
-	MTThreads int
-	// Trials repeats each codec timing and keeps the fastest (default 1;
-	// raise it when measuring on a loaded machine). Collective virtual
-	// times are charged at calibrated rates and need one run.
-	Trials int
 	// Quick shrinks all scales for fast smoke runs.
 	Quick bool
 	// OutDir receives image artifacts (Figure 13); empty disables writes.
@@ -84,23 +62,25 @@ func (o Options) WithDefaults() Options {
 			o.SweepBytes = []int{256 << 10, 1 << 20, 4 << 20, 16 << 20}
 		}
 	}
-	if o.RelBound == 0 {
-		o.RelBound = 1e-4
-	}
-	if o.Latency == 0 {
-		o.Latency = 2 * time.Microsecond
-	}
-	if o.Bandwidth == 0 {
-		o.Bandwidth = 0.4e9
-	}
-	if o.MTThreads == 0 {
-		o.MTThreads = 18
-	}
-	if o.Trials == 0 {
-		o.Trials = 1
-	}
 	return o
 }
+
+// The fixed setting of the collective and stacking experiments.
+const (
+	// relBound is the relative error bound the absolute bound is derived
+	// from: the paper's default bound.
+	relBound = 1e-4
+	// latency is the modeled per-message latency α.
+	latency = 2 * time.Microsecond
+	// bandwidth is the modeled *effective* per-link bandwidth in
+	// bytes/second. The paper's fabric is 100 Gbps line rate, but its own
+	// Figure 2 / Table VII breakdowns imply an effective per-hop MPI
+	// bandwidth well under 1 GB/s for large-message ring collectives (DOC
+	// at ~1 GB/s accounts for 78%/52% of C-Coll runtime while C-Coll still
+	// beats MPI); using an effective figure in that band reproduces the
+	// paper's compute/communication balance on this machine.
+	bandwidth = 0.4e9
+)
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
@@ -145,17 +125,6 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAll executes every registered experiment in order.
-func RunAll(w io.Writer, opt Options) error {
-	for _, e := range Experiments() {
-		fmt.Fprintf(w, "\n===== %s: %s =====\n", e.ID, e.Title)
-		if err := e.Run(w, opt); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
 }
 
 // Table accumulates rows and prints them with aligned columns.

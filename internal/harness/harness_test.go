@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"hzccl/internal/datasets"
 	"hzccl/internal/fzlight"
@@ -18,8 +17,7 @@ import (
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
 	if o.Len == 0 || o.Nodes == 0 || o.MaxNodes == 0 || o.MessageBytes == 0 ||
-		len(o.SweepBytes) == 0 || o.RelBound == 0 || o.Latency == 0 ||
-		o.Bandwidth == 0 || o.MTThreads == 0 || o.Trials == 0 {
+		len(o.SweepBytes) == 0 {
 		t.Fatalf("unfilled defaults: %+v", o)
 	}
 	q := Options{Quick: true}.WithDefaults()
@@ -27,8 +25,8 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("quick options not smaller: %+v vs %+v", q, o)
 	}
 	// explicit values survive
-	e := Options{Nodes: 3, Latency: time.Second}.WithDefaults()
-	if e.Nodes != 3 || e.Latency != time.Second {
+	e := Options{Nodes: 3, MessageBytes: 12}.WithDefaults()
+	if e.Nodes != 3 || e.MessageBytes != 12 {
 		t.Fatalf("explicit values overwritten: %+v", e)
 	}
 }
@@ -179,7 +177,6 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		MaxNodes:     8,
 		MessageBytes: 1 << 16,
 		SweepBytes:   []int{1 << 15, 1 << 16},
-		Trials:       1,
 		OutDir:       t.TempDir(),
 	}
 	for _, e := range Experiments() {

@@ -52,14 +52,14 @@ func runPredictors(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		t1, err := bestOf(opt.Trials, func() error {
+		t1, err := bestOf(1, func() error {
 			_, err := fzlight.Compress(vol, p)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		t3, err := bestOf(opt.Trials, func() error {
+		t3, err := bestOf(1, func() error {
 			_, err := fzlight.Compress3D(vol, depth, side, side, p)
 			return err
 		})

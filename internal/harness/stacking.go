@@ -37,9 +37,9 @@ func stackDims(opt Options) (int, int) {
 // returns the cluster result plus rank 0's stacked image.
 func runStack(opt Options, kernel int, scene *imagestack.Image, eb float64, rates *core.Rates) (*cluster.Result, *imagestack.Image, error) {
 	mode, flavor := kernelFlavor(kernel)
-	c := core.New(opt.coreOptions(mode, eb, rates))
+	c := core.New(core.Options{ErrorBound: eb, Mode: mode, Rates: rates})
 	var img *imagestack.Image
-	res, err := cluster.Run(opt.clusterConfig(opt.Nodes), func(r *cluster.Rank) error {
+	res, err := cluster.Run(clusterConfig(opt.Nodes), func(r *cluster.Rank) error {
 		exp := imagestack.Exposure(scene, r.ID, stackNoiseSigma)
 		stacked, _, err := c.Allreduce(r, flavor, core.AlgoRing, exp.Pix)
 		if err == nil && r.ID == 0 {
@@ -67,8 +67,8 @@ func stackSetup(opt Options) (*imagestack.Image, *imagestack.Image, float64, *co
 		return nil, nil, 0, nil, err
 	}
 	// The paper uses an absolute bound of 1e-4 on image data; we scale it
-	// to our synthetic dynamic range via the relative bound option.
-	eb := metrics.AbsBound(opt.RelBound, exposures[0].Pix)
+	// to our synthetic dynamic range via the relative bound.
+	eb := metrics.AbsBound(relBound, exposures[0].Pix)
 	rates, err := calibrate(eb, exposures[0].Pix, exposures[1%len(exposures)].Pix)
 	if err != nil {
 		return nil, nil, 0, nil, err

@@ -47,7 +47,7 @@ func runSZxQuality(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			tS, err := bestOf(opt.Trials, func() error {
+			tS, err := bestOf(1, func() error {
 				_, err := szx.Compress(data, szx.Params{ErrorBound: eb})
 				return err
 			})
@@ -64,7 +64,7 @@ func runSZxQuality(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			tF, err := bestOf(opt.Trials, func() error {
+			tF, err := bestOf(1, func() error {
 				_, err := fzlight.Compress(data, fzlight.Params{ErrorBound: eb})
 				return err
 			})

@@ -37,8 +37,8 @@ GOARCH=arm64 go build ./...
 # packages is searched; neither has a legitimate fused operation today.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-GOARCH=arm64 go build -o "$tmp/compressor" ./cmd/hzccl-compressor
-fused=$(go tool objdump -s 'internal/(fzlight|ompszp)\.' "$tmp/compressor" | grep -E 'FN?M(ADD|SUB)[SD]' || true)
+GOARCH=arm64 go build -o "$tmp/paper" ./cmd/hzccl-paper
+fused=$(go tool objdump -s 'internal/(fzlight|ompszp)\.' "$tmp/paper" | grep -E 'FN?M(ADD|SUB)[SD]' || true)
 if [ -n "$fused" ]; then
     echo "fused multiply-add in a codec package (arm64):" >&2
     echo "$fused" >&2

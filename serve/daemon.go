@@ -11,9 +11,6 @@ import (
 	"time"
 
 	"hzccl"
-	"hzccl/internal/datasets"
-	"hzccl/internal/floatbytes"
-	"hzccl/internal/metrics"
 	"hzccl/internal/telemetry"
 )
 
@@ -65,8 +62,7 @@ type Options struct {
 	// collection (not the collective itself, which is bounded by its own
 	// receive deadline and retry budget). 0 selects 60s.
 	JobTimeout time.Duration
-	// RecvTimeout is the per-job receive deadline (0 = 2s, matching
-	// `hzccl-collective -transport`).
+	// RecvTimeout is the per-job receive deadline (0 = Run's 2s).
 	RecvTimeout time.Duration
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
@@ -81,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobTimeout == 0 {
 		o.JobTimeout = 60 * time.Second
-	}
-	if o.RecvTimeout == 0 {
-		o.RecvTimeout = 2 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -303,11 +296,11 @@ func (d *Daemon) submit(spec *JobSpec) response {
 	if spec == nil {
 		return response{Error: "submit without a spec", Code: codeBadSpec}
 	}
-	s := spec.withDefaults()
-	if err := d.validate(s); err != nil {
+	j, err := spec.parse(d.tr.World())
+	if err != nil {
 		return response{Error: err.Error(), Code: codeBadSpec}
 	}
-	pj := &pendingJob{spec: s, resp: make(chan response, 1)}
+	pj := &pendingJob{spec: j.JobSpec, resp: make(chan response, 1)}
 	select {
 	case d.pending <- pj:
 		mJobsSubmitted.Inc()
@@ -321,54 +314,6 @@ func (d *Daemon) submit(spec *JobSpec) response {
 	case <-d.closed:
 		return response{Error: "daemon shutting down", Code: codeFailed}
 	}
-}
-
-func (s JobSpec) withDefaults() JobSpec {
-	if s.Op == "" {
-		s.Op = "allreduce"
-	}
-	if s.Backend == "" {
-		s.Backend = "hzccl"
-	}
-	if s.Algorithm == "" {
-		s.Algorithm = "ring"
-	}
-	if s.MessageBytes == 0 {
-		s.MessageBytes = 1 << 18
-	}
-	if s.RelBound == 0 {
-		s.RelBound = 1e-4
-	}
-	if s.Dataset == "" {
-		s.Dataset = "SimSet1"
-	}
-	return s
-}
-
-func (d *Daemon) validate(s JobSpec) error {
-	if s.Op != "allreduce" && s.Op != "reduce_scatter" {
-		return fmt.Errorf("unknown op %q (want allreduce or reduce_scatter)", s.Op)
-	}
-	if _, err := hzccl.ParseBackend(s.Backend); err != nil {
-		return err
-	}
-	if _, err := hzccl.ParseAlgorithm(s.Algorithm); err != nil {
-		return err
-	}
-	if s.Topology != "" {
-		if _, err := hzccl.ParseTopology(s.Topology); err != nil {
-			return err
-		}
-	}
-	if s.MessageBytes < 4 {
-		return fmt.Errorf("message_bytes %d too small", s.MessageBytes)
-	}
-	if s.KillRank != 0 {
-		if s.KillRank < 0 || s.KillRank >= d.tr.World() {
-			return fmt.Errorf("kill_rank %d out of range [1, %d)", s.KillRank, d.tr.World())
-		}
-	}
-	return nil
 }
 
 // schedule is rank 0's job loop: admit one queued job at a time, claim
@@ -495,8 +440,14 @@ func (d *Daemon) coordinate(pj *pendingJob, id uint32, sess hzccl.Transport, js 
 		}
 	}
 	sort.Ints(result.Killed)
-	r0 := reports[0]
-	result.VirtualSeconds, result.WallSeconds = r0.Virtual, r0.Wall
+	// The times are rank 0's, or the lowest survivor's when rank 0's job
+	// body was the victim.
+	for rank := 0; rank < n; rank++ {
+		if rep := reports[rank]; !rep.Killed {
+			result.VirtualSeconds, result.WallSeconds = rep.Virtual, rep.Wall
+			break
+		}
+	}
 	if jobErr != nil {
 		d.finishJob(id, nil, jobErr)
 		pj.resp <- response{Error: fmt.Sprintf("job %d: %v", id, jobErr), Code: codeFailed}
@@ -655,86 +606,21 @@ func (d *Daemon) runWorker(sess hzccl.Transport, job uint32, spec JobSpec, js *j
 // ---------------------------------------------------------------------
 // The collective itself.
 
-// runJob executes the spec's collective for this rank on the given job
-// session, with exactly the configuration `hzccl-collective -transport`
-// uses — same deterministic inputs, error-bound derivation and network
-// model — so digests are comparable bit-for-bit to standalone runs.
+// runJob runs the spec's collective for this rank on the given job
+// session (Run, the one definition of a job) and reports its outcome.
 func (d *Daemon) runJob(sess hzccl.Transport, spec JobSpec) rankReport {
 	rep := rankReport{Rank: d.opt.Rank}
-	backend, err := hzccl.ParseBackend(spec.Backend)
-	if err != nil {
+	digests, res, err := Run(spec, d.tr.World(), sess, d.opt.RecvTimeout, nil)
+	switch {
+	case errors.Is(err, hzccl.ErrRankKilled):
+		// The injected crash: dying is this rank's expected outcome; the
+		// survivors carry the collective.
+		rep.Killed = true
+	case err != nil:
 		rep.Err = err.Error()
-		return rep
+	default:
+		rep.Digest = digests[d.opt.Rank]
+		rep.Virtual, rep.Wall, rep.Evicted = res.Seconds, res.WallSeconds, res.Evicted
 	}
-	algo, err := hzccl.ParseAlgorithm(spec.Algorithm)
-	if err != nil {
-		rep.Err = err.Error()
-		return rep
-	}
-	var topo *hzccl.Topology
-	if spec.Topology != "" {
-		if topo, err = hzccl.ParseTopology(spec.Topology); err != nil {
-			rep.Err = err.Error()
-			return rep
-		}
-	}
-	sp := mJobInputNS.Start()
-	base, err := datasets.Field(spec.Dataset, spec.Offset, spec.MessageBytes/4)
-	if err != nil {
-		sp.End()
-		rep.Err = err.Error()
-		return rep
-	}
-	opt := hzccl.CollectiveOptions{
-		ErrorBound: metrics.AbsBound(spec.RelBound, base),
-		Algorithm:  algo,
-	}
-	sp.End()
-	cfg := hzccl.ClusterConfig{
-		Ranks:          d.tr.World(),
-		Latency:        2 * time.Microsecond,
-		BandwidthBytes: 0.4e9,
-		Topology:       topo,
-		RecvTimeout:    d.opt.RecvTimeout,
-		Transport:      sess,
-	}
-	if spec.KillRank > 0 {
-		cfg.Fault = hzccl.KillRank{Rank: spec.KillRank, AtStep: spec.KillStep}.Fault()
-		cfg.Reliable = true
-		opt.Degrade = &hzccl.DegradePolicy{Shrink: true}
-	}
-	var digest uint32
-	var have bool
-	res, err := hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
-		var out []float32
-		var err error
-		switch spec.Op {
-		case "reduce_scatter":
-			out, err = r.ReduceScatter(base, backend, opt)
-		default:
-			out, err = r.Allreduce(base, backend, opt)
-		}
-		if err != nil {
-			return err
-		}
-		digest = floatbytes.Checksum(out)
-		have = true
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, hzccl.ErrRankKilled) {
-			// The injected crash: dying is this rank's expected outcome;
-			// the survivors carry the collective.
-			rep.Killed = true
-			return rep
-		}
-		rep.Err = err.Error()
-		return rep
-	}
-	if have {
-		rep.Digest = fmt.Sprintf("%08x", digest)
-	}
-	rep.Virtual, rep.Wall = res.Seconds, res.WallSeconds
-	rep.Evicted = res.Evicted
 	return rep
 }

@@ -6,20 +6,20 @@
 // connections), so many jobs — including concurrent ones — execute
 // without re-forming the mesh and without cross-delivering traffic.
 //
-// The package has three faces:
+// The package has four faces:
 //
 //   - Daemon (Start): the per-rank server. Rank 0 is the scheduler and
 //     client front door; every other rank is a worker driven by job
 //     control frames on the mesh itself.
 //   - Client (Dial): the thin submission API clients and the
 //     hzccl-collective -submit mode use.
-//   - The wire types below, shared by both.
+//   - Run: one job, on one rank of a mesh or on every rank in process.
+//   - The wire types below, shared by the daemon and its clients.
 //
-// A submitted job runs the exact collective configuration of
-// `hzccl-collective -transport` (same dataset, error-bound derivation
-// and network model), so a daemon job's per-rank digests are
-// bit-identical to a standalone run with the same spec — the property
-// scripts/tcp_smoke.sh verifies.
+// Run is the one definition of a job: the daemon runs every job through
+// it, and so does `hzccl-collective` on its own fabrics, so a daemon
+// job's per-rank digests are bit-identical to a standalone run of the
+// same spec — the property scripts/tcp_smoke.sh verifies.
 package serve
 
 import "errors"
@@ -51,9 +51,9 @@ const (
 	StateFailed  = "failed"
 )
 
-// JobSpec describes one collective job. The zero value of every field
-// selects the defaults of `hzccl-collective -transport`, which keeps
-// daemon digests comparable to standalone runs out of the box.
+// JobSpec describes one collective job, the only description of one:
+// Run runs it, on the daemon's mesh or standalone. The zero value of
+// every field selects Run's default.
 type JobSpec struct {
 	// Op is the collective: "allreduce" (default) or "reduce_scatter".
 	Op string `json:"op,omitempty"`
@@ -69,27 +69,28 @@ type JobSpec struct {
 	// RelBound is the relative error bound (default 1e-4).
 	RelBound float64 `json:"rel_bound,omitempty"`
 	// Dataset and Offset select the synthetic input field every rank
-	// loads (default "SimSet1" at offset 0) — the same deterministic
-	// inputs standalone transport runs use.
+	// loads (default "SimSet1" at offset 0).
 	Dataset string `json:"dataset,omitempty"`
 	Offset  int    `json:"offset,omitempty"`
-	// KillRank, when > 0, crashes that rank's job body mid-collective as
-	// an elastic-membership exercise: the survivors evict it and finish
-	// on the shrunken world. Rank 0 (the barrier coordinator) cannot be
-	// the victim. KillStep is the program-order send step of the crash.
-	KillRank int `json:"kill_rank,omitempty"`
-	KillStep int `json:"kill_step,omitempty"`
+	// KillRank, when non-nil, names the rank whose job body crashes
+	// mid-collective as an elastic-membership exercise: the survivors
+	// evict it and finish on the shrunken world. Any rank of the world may
+	// be the victim, rank 0 too. KillStep is the program-order send step
+	// of the crash.
+	KillRank *int `json:"kill_rank,omitempty"`
+	KillStep int  `json:"kill_step,omitempty"`
 }
 
 // JobResult is what a successful Submit returns: the job's identity and
 // the per-rank outcome. Digest keys are decimal rank numbers, values
 // the 8-hex-digit crc32c fingerprint of that rank's reduced vector —
-// the same fingerprint `hzccl-collective -transport` prints.
+// the digest Run returns and `hzccl-collective` prints.
 type JobResult struct {
 	ID      uint32            `json:"id"`
 	Digests map[string]string `json:"digests"`
-	// VirtualSeconds is the modeled collective time, WallSeconds the
-	// coordinator's real elapsed time.
+	// VirtualSeconds is the modeled collective time, WallSeconds the real
+	// elapsed time, both of rank 0 (of the lowest surviving rank when
+	// rank 0 was the victim of a kill).
 	VirtualSeconds float64 `json:"virtual_seconds"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	// Evicted lists ranks removed by a membership shrink; Killed lists

@@ -7,17 +7,15 @@ package serve
 
 import (
 	"errors"
-	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"hzccl"
-	"hzccl/internal/datasets"
-	"hzccl/internal/floatbytes"
-	"hzccl/internal/metrics"
 	"hzccl/internal/telemetry"
 )
 
@@ -73,59 +71,25 @@ func startService(t *testing.T, n int, tweak func(*Options)) []*Daemon {
 	return ds
 }
 
-// refDigests runs the spec's collective on the default in-process
-// fabric with exactly the daemon's configuration and returns per-rank
-// digests keyed like JobResult.Digests — the standalone reference a
-// daemon job must match bit-for-bit.
+// refDigests runs the spec on the default in-process fabric through Run,
+// the function every daemon rank runs its part of a job with, and returns
+// per-rank digests keyed like JobResult.Digests — the standalone reference
+// a daemon job must match bit-for-bit.
 func refDigests(t *testing.T, world int, spec JobSpec) map[string]string {
 	t.Helper()
-	spec = spec.withDefaults()
-	backend, err := hzccl.ParseBackend(spec.Backend)
+	digests, _, err := Run(spec, world, nil, 0, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	algo, err := hzccl.ParseAlgorithm(spec.Algorithm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := datasets.Field(spec.Dataset, spec.Offset, spec.MessageBytes/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := hzccl.CollectiveOptions{ErrorBound: metrics.AbsBound(spec.RelBound, base), Algorithm: algo}
-	cfg := hzccl.ClusterConfig{
-		Ranks: world, Latency: 2 * time.Microsecond, BandwidthBytes: 0.4e9,
-		RecvTimeout: 2 * time.Second,
-	}
-	if spec.KillRank > 0 {
-		cfg.Fault = hzccl.KillRank{Rank: spec.KillRank, AtStep: spec.KillStep}.Fault()
-		cfg.Reliable = true
-		opt.Degrade = &hzccl.DegradePolicy{Shrink: true}
-	}
-	var mu sync.Mutex
-	digests := make(map[string]string)
-	_, err = hzccl.RunCluster(cfg, func(r *hzccl.Rank) error {
-		id0 := r.ID()
-		var out []float32
-		var err error
-		if spec.Op == "reduce_scatter" {
-			out, err = r.ReduceScatter(base, backend, opt)
-		} else {
-			out, err = r.Allreduce(base, backend, opt)
-		}
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		digests[strconv.Itoa(id0)] = fmt.Sprintf("%08x", floatbytes.Checksum(out))
-		mu.Unlock()
-		return nil
-	})
-	if err != nil && !errors.Is(err, hzccl.ErrRankKilled) {
 		t.Fatalf("reference run: %v", err)
 	}
-	return digests
+	out := make(map[string]string, len(digests))
+	for rank, d := range digests {
+		out[strconv.Itoa(rank)] = d
+	}
+	return out
 }
+
+// rank names a kill victim in a JobSpec.
+func rank(r int) *int { return &r }
 
 // The acceptance property: one 4-rank service, handshaked once, runs
 // two jobs CONCURRENTLY (different backends and algorithms), and every
@@ -230,7 +194,7 @@ func transportConnCount() int64 {
 func TestDaemonJobSurvivesKillRankShrink(t *testing.T) {
 	const n = 4
 	ds := startService(t, n, nil)
-	spec := JobSpec{Backend: "hzccl", Algorithm: "ring", MessageBytes: 1 << 16, KillRank: 3, KillStep: 1}
+	spec := JobSpec{Backend: "hzccl", Algorithm: "ring", MessageBytes: 1 << 16, KillRank: rank(3), KillStep: 1}
 	ref := refDigests(t, n, spec)
 	c, err := Dial(ds[0].ClientAddr())
 	if err != nil {
@@ -264,6 +228,119 @@ func TestDaemonJobSurvivesKillRankShrink(t *testing.T) {
 	if len(after.Digests) != n {
 		t.Fatalf("post-shrink job got %d digests, want %d (shrink leaked across jobs)", len(after.Digests), n)
 	}
+}
+
+// Rank 0 schedules the jobs, and its job body may still be the victim: its
+// own rank of the job dies, the three workers evict it and finish, and
+// their digests equal a 3-rank in-process run of the same job.
+func TestDaemonJobSurvivesKillOfRankZero(t *testing.T) {
+	const n = 4
+	ds := startService(t, n, nil)
+	spec := JobSpec{Backend: "hzccl", MessageBytes: 1 << 16}
+	want := refDigests(t, n-1, spec)["0"]
+	c, err := Dial(ds[0].ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec.KillRank, spec.KillStep = rank(0), 1
+	res, err := c.Submit(spec)
+	if err != nil {
+		t.Fatalf("kill job: %v", err)
+	}
+	if !slices.Equal(res.Killed, []int{0}) || !slices.Equal(res.Evicted, []int{0}) {
+		t.Fatalf("killed %v, evicted %v, want [0] and [0]", res.Killed, res.Evicted)
+	}
+	if len(res.Digests) != n-1 || res.VirtualSeconds <= 0 {
+		t.Fatalf("%d survivor digests and %g s virtual time, want %d digests and the survivors' time", len(res.Digests), res.VirtualSeconds, n-1)
+	}
+	for r, got := range res.Digests {
+		if got != want {
+			t.Errorf("survivor rank %s: daemon digest %s, 3-rank in-process %s", r, got, want)
+		}
+	}
+}
+
+// Run gives the same digests on the in-process fabric and on a 4-rank
+// loopback TCP mesh (one job session per run, as a daemon job has), for
+// each collective, a schedule that adapts to the topology and a kill.
+func TestRunAgreesAcrossFabrics(t *testing.T) {
+	const n = 4
+	trs := loopbackMesh(t, n)
+	for i, spec := range []JobSpec{
+		{Backend: "hzccl", MessageBytes: 1 << 16},
+		{Op: "reduce_scatter", Backend: "ccoll", Algorithm: "rabenseifner", MessageBytes: 1 << 16},
+		{Backend: "mpi", Algorithm: "auto", Topology: "2x2", MessageBytes: 16 << 10},
+		{Backend: "hzccl", MessageBytes: 1 << 16, KillRank: rank(2), KillStep: 1},
+	} {
+		want, _, err := Run(spec, n, nil, 0, nil)
+		if err != nil {
+			t.Fatalf("spec %d in-process: %v", i, err)
+		}
+		got := make(map[int]string)
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		errs := make([]error, n)
+		for r, tr := range trs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sess, err := tr.Session(uint32(i + 1))
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				digests, _, err := Run(spec, n, sess, 0, nil)
+				if err != nil && !(spec.KillRank != nil && r == *spec.KillRank && errors.Is(err, hzccl.ErrRankKilled)) {
+					errs[r] = err
+				}
+				mu.Lock()
+				maps.Copy(got, digests)
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("spec %d on TCP: %v", i, err)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("spec %d: TCP digests %v, in-process %v", i, got, want)
+		}
+	}
+}
+
+// loopbackMesh forms an n-rank TCP mesh on loopback ephemeral ports.
+func loopbackMesh(t *testing.T, n int) []*hzccl.TCPTransport {
+	t.Helper()
+	lns, peers := make([]net.Listener, n), make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], peers[i] = ln, ln.Addr().String()
+	}
+	trs, errs := make([]*hzccl.TCPTransport, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := range lns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trs[i], errs[i] = hzccl.NewTCPTransport(hzccl.TCPOptions{Rank: i, Peers: peers, Listener: lns[i], DialTimeout: 10 * time.Second})
+		}()
+	}
+	wg.Wait()
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return trs
 }
 
 // The submission queue is bounded: with the only concurrency slot
@@ -357,7 +434,8 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 		{Backend: "turbo"},
 		{Algorithm: "psychic"},
 		{Op: "allgather"},
-		{KillRank: 7},                  // out of the 2-rank world
+		{KillRank: rank(7)},            // out of the 2-rank world
+		{KillRank: rank(-1)},           // no rank
 		{MessageBytes: 2},              // below one element
 		{Topology: "not-a-topology-#"}, // unparseable
 	} {
