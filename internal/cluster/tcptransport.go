@@ -174,6 +174,9 @@ type tcpMailbox struct {
 	// Only the peer's reader goroutine — the sole writer — closes them
 	// (or the creation path, for mailboxes born after the job/conn died).
 	chansClosed bool
+	// ended records that the job's local session ended: no consumer of
+	// this mailbox is left.
+	ended bool
 }
 
 func newMailbox(dead bool) *tcpMailbox {
@@ -287,11 +290,14 @@ func (p *tcpPeer) deliverable(job uint32) *tcpMailbox {
 // only when called from the peer's reader goroutine (the job-bye frame
 // arrived, so the remote side is done writing) or after the reader
 // exited; a local session end passes false and relies on the bye fence.
-// The mailbox itself stays in the map: frames the peer sent before its
-// bye remain buffered in the (closed) channels, and a consumer that
-// looks the job up late must still drain them — receiving from a closed
-// channel yields the buffered values first. The tombstone FIFO evicts
-// the oldest ended jobs' state once the cap recycles.
+// The mailbox leaves the map once both have happened — the local session
+// ended and its channels closed — and not before: until the local end,
+// frames the peer sent before its bye stay buffered in the closed
+// channels for the session's consumer to drain (receiving from a closed
+// channel yields the buffered values first), and until the close the
+// reader may still hold it. A lookup after that finds the tombstone and
+// gets a pre-closed mailbox. The tombstone FIFO evicts the oldest ended
+// jobs' state once the cap recycles.
 func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -316,6 +322,11 @@ func (p *tcpPeer) endJob(job uint32, closeChannels bool) {
 	mb.markBye()
 	if closeChannels {
 		mb.closeChans()
+	} else {
+		mb.ended = true
+	}
+	if mb.ended && mb.chansClosed {
+		delete(p.mail, job)
 	}
 }
 
@@ -352,14 +363,18 @@ func (p *tcpPeer) markDown() {
 }
 
 // markDead closes every mailbox after the reader goroutine exited: no
-// writer remains, and consumers of any job must fail fast.
+// writer remains, and consumers of any job must fail fast. Mailboxes of
+// jobs that already ended locally have no consumer left and go.
 func (p *tcpPeer) markDead() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.dead = true
-	for _, mb := range p.mail {
+	for job, mb := range p.mail {
 		mb.markBye()
 		mb.closeChans()
+		if mb.ended {
+			delete(p.mail, job)
+		}
 	}
 }
 

@@ -1026,3 +1026,198 @@ func TestTCPFaultsMatchInProcess(t *testing.T) {
 		}
 	}
 }
+
+// mailJobs lists the jobs that hold a mailbox on any of tr's connections.
+func mailJobs(tr *TCPTransport) map[uint32]bool {
+	jobs := make(map[uint32]bool)
+	for _, p := range tr.peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		for job := range p.mail {
+			jobs[job] = true
+		}
+		p.mu.Unlock()
+	}
+	return jobs
+}
+
+// waitMail waits until every transport's mailboxes belong to the live
+// jobs alone, and fails with what is left otherwise.
+func waitMail(t *testing.T, trs []*TCPTransport, live map[uint32]bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		left := ""
+		for i, tr := range trs {
+			for job := range mailJobs(tr) {
+				if !live[job] {
+					left += fmt.Sprintf(" rank %d job %d;", i, job)
+				}
+			}
+		}
+		if left == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mailboxes of ended jobs remain:%s", left)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// exchangeAll sends one byte to every peer and receives one from each, so
+// every (peer, job) pair of the session has a mailbox on both sides.
+func exchangeAll(r *Rank) error {
+	for p := 0; p < r.N; p++ {
+		if p != r.ID {
+			if err := r.Send(p, []byte{byte(r.ID)}); err != nil {
+				return err
+			}
+		}
+	}
+	for p := 0; p < r.N; p++ {
+		if p != r.ID {
+			if _, err := r.Recv(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// startJob opens job on every rank and runs exchangeAll on each; a rank's
+// session ends when its leave channel closes. The returned wait blocks
+// until rank i's session has ended and returns its run error.
+func startJob(t *testing.T, trs []*TCPTransport, job uint32, leave []chan struct{}) (wait func(i int) error) {
+	t.Helper()
+	ended := make([]chan struct{}, len(trs))
+	errs := make([]error, len(trs))
+	for i, tr := range trs {
+		sess, err := tr.Session(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ended[i] = make(chan struct{})
+		go func() {
+			defer close(ended[i])
+			_, errs[i] = Run(Config{Ranks: len(trs), RecvTimeout: 30 * time.Second, Transport: sess}, func(r *Rank) error {
+				err := exchangeAll(r)
+				<-leave[r.ID]
+				return err
+			})
+		}()
+	}
+	return func(i int) error {
+		<-ended[i]
+		return errs[i]
+	}
+}
+
+func leaveChans(n int) []chan struct{} {
+	leave := make([]chan struct{}, n)
+	for i := range leave {
+		leave[i] = make(chan struct{})
+	}
+	return leave
+}
+
+// An ended job session leaves no mailbox behind: once the local session
+// has ended and the peer's bye (or its reader's exit) has closed the
+// mailbox, the (peer, job) entry goes. Back-to-back jobs on a 3-rank mesh
+// then leave only the live session's mailboxes, whichever comes first on
+// a rank — the peer's bye or its own end — and when a connection dies
+// mid-job.
+func TestTCPEndedSessionsLeaveNoMailboxes(t *testing.T) {
+	const n, k = 3, 8
+	for _, order := range []string{"bye before local end", "local end before bye"} {
+		t.Run(order, func(t *testing.T) {
+			trs := startMesh(t, n)
+			// Job 1 stays live throughout; its mailboxes must stay too.
+			liveLeave := leaveChans(n)
+			liveWait := startJob(t, trs, 1, liveLeave)
+			for job := uint32(2); job < 2+k; job++ {
+				leave := leaveChans(n)
+				wait := startJob(t, trs, job, leave)
+				if order == "bye before local end" {
+					// Ranks 0 and 1 leave; rank 2 ends after both byes.
+					close(leave[0])
+					close(leave[1])
+					for deadline := time.Now().Add(10 * time.Second); !trs[2].peers[0].jobEnded(job) || !trs[2].peers[1].jobEnded(job); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("job %d: the byes never reached rank 2", job)
+						}
+					}
+					close(leave[2])
+				} else {
+					// Rank 2 ends before either peer says bye.
+					close(leave[2])
+					wait(2)
+					close(leave[0])
+					close(leave[1])
+				}
+				for i := range n {
+					if err := wait(i); err != nil {
+						t.Fatalf("job %d rank %d: %v", job, i, err)
+					}
+				}
+			}
+			waitMail(t, trs, map[uint32]bool{1: true})
+			for i, tr := range trs {
+				if !mailJobs(tr)[1] {
+					t.Fatalf("rank %d lost the live job's mailboxes", i)
+				}
+			}
+			for i := range liveLeave {
+				close(liveLeave[i])
+				if err := liveWait(i); err != nil {
+					t.Fatalf("live job rank %d: %v", i, err)
+				}
+			}
+			waitMail(t, trs, nil)
+		})
+	}
+	t.Run("reader exit mid-job", func(t *testing.T) {
+		trs := startMesh(t, n)
+		leave := make([][]chan struct{}, k)
+		wait := make([]func(int) error, k)
+		for j := range k {
+			leave[j] = leaveChans(n)
+			wait[j] = startJob(t, trs, uint32(j+1), leave[j])
+		}
+		waitFor := func(what string, cond func() bool) {
+			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal(what)
+				}
+			}
+		}
+		locked := func(p *tcpPeer, f func() bool) bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return f()
+		}
+		// Once every job has its mailboxes on both ends of the 0–1
+		// connection, the connection dies under them.
+		p01, p10 := trs[0].peers[1], trs[1].peers[0]
+		waitFor("the jobs never opened their mailboxes", func() bool {
+			return locked(p01, func() bool { return len(p01.mail) == k }) && locked(p10, func() bool { return len(p10.mail) == k })
+		})
+		if err := trs[0].DropConn(1); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("the readers never exited", func() bool {
+			return locked(p01, func() bool { return p01.dead }) && locked(p10, func() bool { return p10.dead })
+		})
+		for j := range k {
+			for i := range n {
+				close(leave[j][i])
+			}
+			for i := range n {
+				wait[j](i) // a rank that lost its link may fail; only its mailboxes count here
+			}
+		}
+		waitMail(t, trs, nil)
+	})
+}

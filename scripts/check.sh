@@ -9,8 +9,8 @@
 # natively), the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
 # and a segmented encode), a race pass over the
 # concurrent packages (telemetry's lock-free counters, the cluster
-# runtime, the codecs' fanout runner and an in-process run of every
-# experiment), and the nested benchmark module's own vet + tests (root
+# runtime, the codecs' fanout runner, the job daemon with the input its
+# in-process ranks share, and an in-process run of every experiment), and the nested benchmark module's own vet + tests (root
 # `go vet/test ./...` does not descend into benchmark/go.mod, and the
 # benchmark compiles against internal/ packages). `make check` runs this.
 set -eu
@@ -82,7 +82,7 @@ for procs in 1 4; do
 done
 
 echo "== go test -race (concurrent packages) =="
-go test -race . ./internal/telemetry ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core
+go test -race . ./internal/telemetry ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core ./serve
 # Every experiment at smoke scale: in-process ranks run their codec calls
 # concurrently (no lock serialises them), over the shared bufpool, fanout
 # helpers and telemetry.

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,6 +27,9 @@ var (
 	// dataset field and its error bound — which runs before the collective
 	// and so outside RunResult.WallSeconds.
 	mJobInputNS = telemetry.H("serve.job.input_ns", telemetry.DurationBuckets())
+	// mJobInputsGenerated counts the job inputs this process generated:
+	// one per job whose ranks all run here, however many ranks share it.
+	mJobInputsGenerated = telemetry.C("serve.job.inputs_generated")
 )
 
 // Flight-recorder phase codes of serve-level FlightJob events (the
@@ -84,8 +89,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// jobState is one registry entry plus the routing channels live while
-// the job runs.
+// finishedJobsKept bounds the finished jobs a daemon keeps for Jobs and
+// /jobs. Running jobs are always kept; past the bound the oldest finished
+// job goes first.
+const finishedJobsKept = 256
+
+// jobState is a running job's registry entry plus its routing channels.
 type jobState struct {
 	status JobStatus
 	// rank 0: worker readiness and result collection.
@@ -112,11 +121,11 @@ type Daemon struct {
 	pending  chan *pendingJob // rank 0 only
 	sem      chan struct{}    // rank 0 only
 
-	mu     sync.Mutex
-	jobs   map[uint32]*jobState
-	order  []uint32
-	nextID uint32
-	conns  map[net.Conn]struct{} // live client connections (rank 0)
+	mu       sync.Mutex
+	jobs     map[uint32]*jobState // running jobs
+	finished []JobStatus          // finished jobs, in finishing order
+	nextID   uint32
+	conns    map[net.Conn]struct{} // live client connections (rank 0)
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -210,27 +219,45 @@ func (d *Daemon) Close() error {
 	return nil
 }
 
-// Jobs snapshots the local job registry, oldest job first. On rank 0
-// this is the service-wide view; workers list the jobs they executed.
+// Jobs snapshots the local job registry, oldest job first: every running
+// job and the last finishedJobsKept finished ones. On rank 0 this is the
+// service-wide view; workers list the jobs they executed.
 func (d *Daemon) Jobs() []JobStatus {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]JobStatus, 0, len(d.order))
-	for _, id := range d.order {
-		if js, ok := d.jobs[id]; ok {
-			out = append(out, js.status)
-		}
+	out := make([]JobStatus, 0, len(d.jobs)+len(d.finished))
+	for _, js := range d.jobs {
+		out = append(out, js.status)
 	}
+	out = append(out, d.finished...)
+	d.mu.Unlock()
+	slices.SortFunc(out, func(a, b JobStatus) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// setJobState mutates one registry entry under the lock.
-func (d *Daemon) setJobState(id uint32, f func(*JobStatus)) {
+// addJob registers a running job.
+func (d *Daemon) addJob(js *jobState) {
 	d.mu.Lock()
-	if js, ok := d.jobs[id]; ok {
-		f(&js.status)
-	}
+	d.jobs[js.status.ID] = js
 	d.mu.Unlock()
+}
+
+// endJob applies a running job's final state and moves it to the
+// finished window, dropping its routing channels and, past
+// finishedJobsKept, the oldest finished job.
+func (d *Daemon) endJob(id uint32, f func(*JobStatus)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	js, ok := d.jobs[id]
+	if !ok {
+		return
+	}
+	f(&js.status)
+	delete(d.jobs, id)
+	if len(d.finished) == finishedJobsKept {
+		d.finished[0] = JobStatus{}
+		d.finished = d.finished[1:]
+	}
+	d.finished = append(d.finished, js.status)
 }
 
 // ---------------------------------------------------------------------
@@ -354,10 +381,7 @@ func (d *Daemon) schedule() {
 			ready:  make(chan int, d.tr.World()),
 			done:   make(chan rankReport, d.tr.World()),
 		}
-		d.mu.Lock()
-		d.jobs[id] = js
-		d.order = append(d.order, id)
-		d.mu.Unlock()
+		d.addJob(js)
 		telemetry.Flight().Record(d.opt.Rank, telemetry.FlightJob, int64(id), flightJobStart, 0, 0)
 		d.opt.Logf("serve: job %d admitted (%s/%s, %d bytes)", id, pj.spec.Op, pj.spec.Backend, pj.spec.MessageBytes)
 		payload, _ := json.Marshal(pj.spec)
@@ -461,7 +485,7 @@ func (d *Daemon) coordinate(pj *pendingJob, id uint32, sess hzccl.Transport, js 
 // the flight recorder, and releases its routing channels.
 func (d *Daemon) finishJob(id uint32, result *JobResult, err error) {
 	phase := int64(flightJobDone)
-	d.setJobState(id, func(s *JobStatus) {
+	d.endJob(id, func(s *JobStatus) {
 		if err != nil {
 			s.State = StateFailed
 			s.Err = err.Error()
@@ -550,14 +574,13 @@ func (d *Daemon) onStart(job uint32, payload []byte) {
 		status: JobStatus{ID: job, State: StateRunning, Op: spec.Op, Backend: spec.Backend, Bytes: spec.MessageBytes},
 		goCh:   make(chan struct{}),
 	}
-	d.mu.Lock()
-	d.jobs[job] = js
-	d.order = append(d.order, job)
-	d.mu.Unlock()
+	d.addJob(js)
 	telemetry.Flight().Record(d.opt.Rank, telemetry.FlightJob, int64(job), flightJobStart, 0, 0)
 	if err := d.tr.SendJob(0, job, kReady, nil); err != nil {
 		d.opt.Logf("serve: job %d: ready: %v", job, err)
 		sess.Close()
+		d.endJob(job, func(s *JobStatus) { s.State = StateFailed; s.Err = "ready: " + err.Error() })
+		mJobsFailed.Inc()
 		return
 	}
 	d.wg.Add(1)
@@ -574,7 +597,7 @@ func (d *Daemon) runWorker(sess hzccl.Transport, job uint32, spec JobSpec, js *j
 	case <-js.goCh:
 	case <-deadline.C:
 		sess.Close()
-		d.setJobState(job, func(s *JobStatus) { s.State = StateFailed; s.Err = "go signal never arrived" })
+		d.endJob(job, func(s *JobStatus) { s.State = StateFailed; s.Err = "go signal never arrived" })
 		mJobsFailed.Inc()
 		return
 	case <-d.closed:
@@ -587,7 +610,7 @@ func (d *Daemon) runWorker(sess hzccl.Transport, job uint32, spec JobSpec, js *j
 		d.opt.Logf("serve: job %d: done report: %v", job, err)
 	}
 	phase := int64(flightJobDone)
-	d.setJobState(job, func(s *JobStatus) {
+	d.endJob(job, func(s *JobStatus) {
 		if rep.Err != "" && !rep.Killed {
 			s.State = StateFailed
 			s.Err = rep.Err

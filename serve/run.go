@@ -67,6 +67,74 @@ func (s JobSpec) parse(world int) (job, error) {
 	return j, nil
 }
 
+// inputKey names one job input: the field Run generates for a job.
+type inputKey struct {
+	dataset   string
+	offset, n int
+}
+
+func (j job) inputKey() inputKey { return inputKey{j.Dataset, j.Offset, j.MessageBytes / 4} }
+
+// sharedInput is one input that Runs in this process hold: ready closes
+// once field or err is set, and refs counts the holders.
+type sharedInput struct {
+	ready chan struct{}
+	field []float32
+	err   error
+	refs  int
+}
+
+// inputs is the process-wide table of the inputs some Run holds. The
+// ranks of a job that run in one process ask for the same key at about
+// the same time; the first generates the field, the rest wait for it, and
+// all read it. The last holder's release drops the entry: nothing is
+// cached across jobs, so a process holds only the inputs of its running
+// jobs.
+var inputs = struct {
+	sync.Mutex
+	m map[inputKey]*sharedInput
+}{m: make(map[inputKey]*sharedInput)}
+
+// holdInput returns the field for k, generating it unless another Run in
+// this process already holds it, and the release the caller must call
+// when done with it. The field is shared: nothing may write to it. A
+// generation error reaches every waiter and is not kept.
+func holdInput(k inputKey) ([]float32, func(), error) {
+	inputs.Lock()
+	in, ok := inputs.m[k]
+	if !ok {
+		in = &sharedInput{ready: make(chan struct{})}
+		inputs.m[k] = in
+	}
+	in.refs++
+	inputs.Unlock()
+	release := func() {
+		inputs.Lock()
+		if in.refs--; in.refs == 0 && inputs.m[k] == in {
+			delete(inputs.m, k)
+		}
+		inputs.Unlock()
+	}
+	if ok {
+		<-in.ready
+	} else {
+		in.field, in.err = datasets.Field(k.dataset, k.offset, k.n)
+		if in.err == nil {
+			mJobInputsGenerated.Inc()
+		} else {
+			inputs.Lock()
+			delete(inputs.m, k)
+			inputs.Unlock()
+		}
+		close(in.ready)
+	}
+	if in.err != nil {
+		release()
+		return nil, nil, in.err
+	}
+	return in.field, release, nil
+}
+
 // Run runs spec's one collective on a world of the given size and
 // returns the digest of each rank's result this process ran, keyed by the
 // rank's number before any shrink, with the run's result. It is the one
@@ -75,9 +143,12 @@ func (s JobSpec) parse(world int) (job, error) {
 //
 // fabric nil runs every rank in this process; otherwise fabric hosts this
 // process's one rank (a TCP transport, or one job session of a mesh).
-// Every rank loads the same field (Dataset at Offset), derives its
-// absolute error bound from RelBound, and runs on the (2 µs, 0.4 GB/s)
-// network model with a receive deadline of recvTimeout (0 selects 2 s). A
+// Every rank reduces the same field (Dataset at Offset): the ranks that
+// run in this process, whether all of them (fabric nil) or the daemon
+// ranks of a job that share one process, share one generation of it.
+// Each rank derives its absolute error bound from RelBound and runs on
+// the (2 µs, 0.4 GB/s) network model with a receive deadline of
+// recvTimeout (0 selects 2 s). A
 // kill in the spec runs on the self-healing transport and shrinks the
 // world: the survivors evict the victim and finish without it, and on a
 // fabric the victim's own call returns hzccl.ErrRankKilled. trace, when
@@ -88,11 +159,12 @@ func Run(spec JobSpec, world int, fabric hzccl.Transport, recvTimeout time.Durat
 		return nil, nil, err
 	}
 	sp := mJobInputNS.Start()
-	base, err := datasets.Field(j.Dataset, j.Offset, j.MessageBytes/4)
+	base, release, err := holdInput(j.inputKey())
 	if err != nil {
 		sp.End()
 		return nil, nil, err
 	}
+	defer release()
 	opt := hzccl.CollectiveOptions{ErrorBound: metrics.AbsBound(j.RelBound, base), Algorithm: j.algo}
 	sp.End()
 	if recvTimeout <= 0 {

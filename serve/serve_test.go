@@ -8,6 +8,7 @@ package serve
 import (
 	"errors"
 	"maps"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"hzccl"
+	"hzccl/internal/datasets"
 	"hzccl/internal/telemetry"
 )
 
@@ -480,8 +482,130 @@ func TestDaemonTimesJobInput(t *testing.T) {
 	if _, err := c.Submit(JobSpec{MessageBytes: 1 << 16}); err != nil {
 		t.Fatal(err)
 	}
-	h := telemetry.Capture().Delta(before).Histograms["serve.job.input_ns"]
+	delta := telemetry.Capture().Delta(before)
+	h := delta.Histograms["serve.job.input_ns"]
 	if h.Count != n || h.Sum <= 0 {
 		t.Fatalf("serve.job.input_ns advanced by %d spans (%d ns) over one job on %d ranks, want %d", h.Count, h.Sum, n, n)
+	}
+	// The daemons share this process, so their ranks share one input.
+	if got := delta.Counters["serve.job.inputs_generated"]; got != 1 {
+		t.Fatalf("serve.job.inputs_generated advanced by %d over one job on %d ranks in one process, want 1", got, n)
+	}
+}
+
+// Ranks of a job that run in one process share one generation of its
+// input and only read it: for every op × backend × algorithm a daemon
+// offers, four concurrent Runs on sessions of a 4-rank loopback mesh give
+// the in-process digests, generate no input of their own while one is
+// held, and leave the held field equal to a fresh one bit for bit.
+func TestRunSharesOneReadOnlyInput(t *testing.T) {
+	const n = 4
+	trs := loopbackMesh(t, n)
+	job := uint32(0)
+	for _, op := range []string{"allreduce", "reduce_scatter"} {
+		for _, backend := range []string{"mpi", "ccoll", "hzccl"} {
+			for _, algo := range []string{"ring", "rd", "rabenseifner", "hierarchical", "auto"} {
+				spec := JobSpec{Op: op, Backend: backend, Algorithm: algo, Topology: "2x2", MessageBytes: 16 << 10, Dataset: "CESM-ATM", Offset: 2}
+				want, _, err := Run(spec, n, nil, 0, nil)
+				if err != nil {
+					t.Fatalf("%s/%s/%s in-process: %v", op, backend, algo, err)
+				}
+				j, err := spec.parse(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := counterValue("serve.job.inputs_generated")
+				field, release, err := holdInput(j.inputKey())
+				if err != nil {
+					t.Fatal(err)
+				}
+				job++
+				got := make(map[int]string)
+				var mu sync.Mutex
+				var wg sync.WaitGroup
+				errs := make([]error, n)
+				for r, tr := range trs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						sess, err := tr.Session(job)
+						if err != nil {
+							errs[r] = err
+							return
+						}
+						digests, _, err := Run(spec, n, sess, 0, nil)
+						errs[r] = err
+						mu.Lock()
+						maps.Copy(got, digests)
+						mu.Unlock()
+					}()
+				}
+				wg.Wait()
+				generated := counterValue("serve.job.inputs_generated") - before
+				fresh, err := datasets.Field(j.Dataset, j.Offset, j.MessageBytes/4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same := slices.EqualFunc(field, fresh, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) })
+				release()
+				if err := errors.Join(errs...); err != nil {
+					t.Fatalf("%s/%s/%s on TCP: %v", op, backend, algo, err)
+				}
+				if !maps.Equal(got, want) {
+					t.Errorf("%s/%s/%s: TCP digests %v, in-process %v", op, backend, algo, got, want)
+				}
+				if generated != 1 {
+					t.Errorf("%s/%s/%s: serve.job.inputs_generated advanced by %d, want 1", op, backend, algo, generated)
+				}
+				if !same {
+					t.Errorf("%s/%s/%s: the shared field changed during the job", op, backend, algo)
+				}
+			}
+		}
+	}
+	inputs.Lock()
+	left := len(inputs.m)
+	inputs.Unlock()
+	if left != 0 {
+		t.Fatalf("%d inputs still held after every Run returned", left)
+	}
+}
+
+// The registry keeps every running job and a window of finished ones:
+// after more than finishedJobsKept jobs, each rank lists at most that
+// many finished jobs, and the newest are among them.
+func TestDaemonJobRegistryIsBounded(t *testing.T) {
+	const n = 2
+	ds := startService(t, n, func(o *Options) { o.Logf = nil })
+	c, err := Dial(ds[0].ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var last uint32
+	for i := 0; i < finishedJobsKept+20; i++ {
+		res, err := c.Submit(JobSpec{MessageBytes: 1 << 10})
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		last = res.ID
+	}
+	for rank, d := range ds {
+		jobs := d.Jobs()
+		running := 0
+		for _, j := range jobs {
+			if j.State == StateRunning {
+				running++
+			}
+		}
+		if len(jobs) > finishedJobsKept+running {
+			t.Errorf("rank %d lists %d jobs, %d of them running; want at most %d + running", rank, len(jobs), running, finishedJobsKept)
+		}
+		if !slices.IsSortedFunc(jobs, func(a, b JobStatus) int { return int(a.ID) - int(b.ID) }) || jobs[len(jobs)-1].ID != last {
+			t.Errorf("rank %d: jobs %d..%d, want the newest, %d, last", rank, jobs[0].ID, jobs[len(jobs)-1].ID, last)
+		}
+	}
+	if got := ds[0].Jobs(); len(got) != finishedJobsKept || got[0].ID != last-finishedJobsKept+1 {
+		t.Errorf("rank 0 lists %d jobs from %d, want the last %d from %d", len(got), got[0].ID, finishedJobsKept, last-finishedJobsKept+1)
 	}
 }
