@@ -63,8 +63,9 @@ func run(list bool, name string, field, length int, out string, summary bool) er
 		mn, mx := metrics.MinMax(data)
 		fmt.Printf("dataset %s field %d: %d elements, range [%.4g, %.4g]\n", name, field, length, mn, mx)
 		fmt.Printf("%-8s  %-8s  %-10s  %s\n", "REL", "abs eb", "fZ ratio", "constant blocks")
+		span := metrics.Range(data)
 		for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
-			eb := metrics.AbsBound(rel, data)
+			eb := rel * span
 			comp, err := fzlight.Compress(data, fzlight.Params{ErrorBound: eb})
 			if err != nil {
 				return err

@@ -27,6 +27,13 @@
 // returns, and only the fabric that hands bytes to another owner copies
 // them — into a buffer from here, which the receiver Puts once it has
 // consumed the payload. See internal/cluster.
+//
+// Results may come from the pool too (KeepFloat32s): a collective's result
+// vector is recycled memory when the pool holds some, and is its caller's
+// from then on. Core never puts a result back — only its own scratch, such
+// as the full vector a reduce-scatter cuts its block from — and serve puts
+// back only a job's input, once its last holder is done with it; neither
+// knows who else still reads a result it handed out.
 package bufpool
 
 import (
@@ -66,22 +73,39 @@ func classFor(n int) int {
 // Get returns a slice of length n with undefined contents, drawn from the
 // pool when a buffer of sufficient capacity is available.
 func (p *typedPool[T]) Get(n int) []T {
-	c := classFor(n)
-	if c < numClasses {
+	if s, ok := p.take(n); ok {
+		return s
+	}
+	if c := classFor(n); c < numClasses {
+		return make([]T, n, 1<<c)
+	}
+	return make([]T, n)
+}
+
+// keep is Get for a buffer the caller keeps: a miss allocates exactly n
+// elements, as make does, so a kept buffer rounds up only memory the pool
+// already held.
+func (p *typedPool[T]) keep(n int) []T {
+	if s, ok := p.take(n); ok {
+		return s
+	}
+	return make([]T, n)
+}
+
+// take draws a buffer of length n from its class, counting the hit or miss.
+func (p *typedPool[T]) take(n int) ([]T, bool) {
+	if c := classFor(n); c < numClasses {
 		if x := p.classes[c].Get(); x != nil {
 			box := x.(*[]T)
 			s := *box
 			*box = nil
 			p.boxes.Put(box)
 			mHits.Inc()
-			return s[:n]
+			return s[:n], true
 		}
 	}
 	mMisses.Inc()
-	if c < numClasses {
-		return make([]T, n, 1<<c)
-	}
-	return make([]T, n)
+	return nil, false
 }
 
 // Put returns a buffer to the pool. The caller must not retain any
@@ -155,3 +179,9 @@ func Float32s(n int) []float32 { return float32Pool.Get(n) }
 
 // PutFloat32s recycles a float32 buffer.
 func PutFloat32s(s []float32) { float32Pool.Put(s) }
+
+// KeepFloat32s returns a []float32 of length n (contents undefined) that
+// the caller keeps rather than Puts: a collective's result. It is pooled
+// memory when the pool holds a buffer of the class, and otherwise a fresh
+// allocation of exactly n, as make([]float32, n) would be.
+func KeepFloat32s(n int) []float32 { return float32Pool.keep(n) }

@@ -139,3 +139,28 @@ func BenchmarkGetPut(b *testing.B) {
 		PutBytes(s)
 	}
 }
+
+// A kept buffer costs no more than make on a miss — capacity exactly n, not
+// the class's — and recycles pooled memory on a hit, without allocating.
+func TestKeepFloat32s(t *testing.T) {
+	const n = 3<<20 + 7 // a class nothing else in this package uses
+	if s := KeepFloat32s(n); len(s) != n || cap(s) != n {
+		t.Fatalf("KeepFloat32s(%d) on a miss: len %d cap %d, want both %d", n, len(s), cap(s), n)
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops Puts at random
+	}
+	// A whole class's length: a stray miss (a collection) puts back a
+	// buffer the next call hits again.
+	PutFloat32s(make([]float32, 1<<10))
+	avg := testing.AllocsPerRun(100, func() {
+		s := KeepFloat32s(1 << 10)
+		if len(s) != 1<<10 {
+			t.Fatalf("KeepFloat32s(1024): len %d", len(s))
+		}
+		PutFloat32s(s)
+	})
+	if avg != 0 {
+		t.Errorf("KeepFloat32s with a pooled buffer allocates %.2f allocs/op, want 0", avg)
+	}
+}

@@ -78,7 +78,7 @@ func (c Collectives) allreduceFolded(g comm, f Flavor, data []float32, nb int, f
 // ReduceScatter sums data element-wise across all ranks and returns this
 // rank's block of the result, block BlockOwned(rank, N) of N. Recursive
 // doubling and Rabenseifner have no reduce-scatter of their own: they run
-// the allreduce and slice the block out.
+// the allreduce, copy the block out and recycle the full vector.
 func (c Collectives) ReduceScatter(r *cluster.Rank, f Flavor, a Algorithm, data []float32) ([]float32, *hzdyn.Stats, error) {
 	return c.reduceScatter(world(r), r.Config().Topology, f, a, data)
 }
@@ -112,6 +112,7 @@ func (c Collectives) reduceScatter(g comm, topo *cluster.Topology, f Flavor, a A
 			return nil, nil, err
 		}
 		g.copy(out, full[s:e])
+		g.recycleFloats(full)
 	}
 	return out, stats, nil
 }

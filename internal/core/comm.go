@@ -169,11 +169,11 @@ func (c Collectives) reduceInto(g comm, dst []float32, got []byte, phase string,
 	return nil
 }
 
-// Scratch comes from bufpool and results are fresh, except in a replay,
-// where both are slices of its zero arena: the pool and its counters are
-// left alone, and a replay of any world holds one vector's memory. The
-// write helpers below skip the write in a replay, which keeps the arena
-// zero and the ranks that share it free of races.
+// Scratch comes from bufpool, and so does a result when the pool holds
+// one, except in a replay, where both are slices of its zero arena: the
+// pool and its counters are left alone, and a replay of any world holds one
+// vector's memory. The write helpers below skip the write in a replay,
+// which keeps the arena zero and the ranks that share it free of races.
 
 func (g comm) bytes(n int) []byte {
 	if g.replay != nil {
@@ -201,12 +201,16 @@ func (g comm) recycleFloats(s []float32) {
 	}
 }
 
-// vector returns a fresh n-value vector the caller keeps: a result.
+// vector returns an n-value vector the caller keeps: a result. It is
+// recycled memory when bufpool holds some (bufpool.KeepFloat32s), so its
+// contents are undefined and every element must be written before it is
+// read. Core never puts a result back; a vector it only cuts a block from
+// is scratch, and recycleFloats returns it.
 func (g comm) vector(n int) []float32 {
 	if g.replay != nil {
 		return g.replay.floats(n)
 	}
-	return make([]float32, n)
+	return bufpool.KeepFloat32s(n)
 }
 
 // clone returns a fresh copy of src the caller keeps: what a rank keeps of

@@ -183,13 +183,15 @@ func (c Collectives) allreduceHier(g comm, topo *cluster.Topology, f Flavor, dat
 // reduceScatterHier is the hierarchical reduce-scatter; stage 4 scatters:
 // the leader sends each member only the block that member owns under the
 // *world* reduce-scatter contract (block BlockOwned(globalRank, worldN)),
-// instead of broadcasting the whole vector. out receives this rank's.
+// instead of broadcasting the whole vector, then recycles it. out receives
+// this rank's.
 func (c Collectives) reduceScatterHier(g comm, topo *cluster.Topology, f Flavor, data, out []float32, stats *hzdyn.Stats) error {
 	cd := c.codec(g, f)
 	intra, full, err := c.hierPartial(g, topo, f, data, cd, stats)
 	if err != nil {
 		return err
 	}
+	defer g.recycleFloats(full)
 	if intra.id != 0 {
 		return cd.recvDecoded(intra, 0, out)
 	}

@@ -72,19 +72,32 @@ func Field(name string, f, n int) ([]float32, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("datasets: negative length %d", n)
 	}
+	out := make([]float32, n)
+	if err := FieldInto(out, name, f); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FieldInto generates field f of the named dataset with len(dst) elements
+// into dst, writing every element whatever dst held: the bits are Field's,
+// so dst may be recycled memory.
+func FieldInto(dst []float32, name string, f int) error {
 	switch name {
 	case "SimSet1":
-		return simSet1(f, n), nil
+		simSet1(dst, f)
 	case "SimSet2":
-		return simSet2(f, n), nil
+		simSet2(dst, f)
 	case "NYX":
-		return nyx(f, n), nil
+		nyx(dst, f)
 	case "CESM-ATM":
-		return cesmATM(f, n), nil
+		cesmATM(dst, f)
 	case "Hurricane":
-		return hurricane(f, n), nil
+		hurricane(dst, f)
+	default:
+		return fmt.Errorf("datasets: unknown dataset %q (have %v)", name, Names())
 	}
-	return nil, fmt.Errorf("datasets: unknown dataset %q (have %v)", name, Names())
+	return nil
 }
 
 // Pair returns the two fields the Table V experiment reduces
@@ -116,18 +129,17 @@ func rng(name string, field int) *rand.Rand {
 // Odd-numbered fields model the very first timesteps, whose residual
 // energy sits below typical error bounds (they quantize to constant
 // streams — the source of Sim-1's pipeline-①/③ split in Table V).
-func simSet1(field, n int) []float32 {
-	r := rng("SimSet1", field)
-	out := make([]float32, n)
+func simSet1(out []float32, field int) {
+	r, n := rng("SimSet1", field), len(out)
 	if n == 0 {
-		return out
+		return
 	}
 	if field%2 == 1 {
 		// Near-silent snapshot: tiny residue, far below eb at any REL.
 		for i := range out {
 			out[i] = float32(r.NormFloat64() * 1e-7)
 		}
-		return out
+		return
 	}
 	// Wave packet covering ~46% of the domain.
 	start := int(float64(n) * (0.10 + 0.05*r.Float64()))
@@ -138,12 +150,13 @@ func simSet1(field, n int) []float32 {
 	carrier := 2 * math.Pi / (160 + 40*r.Float64()) // wavelength ≈ 160-200 samples
 	phase := r.Float64() * 2 * math.Pi
 	noise := newAR1(r, 0.95, 3.0)
+	clear(out[:start])
 	for i := start; i < start+width; i++ {
 		t := float64(i - start)
 		env := math.Sin(math.Pi * t / float64(width)) // smooth envelope
 		out[i] = float32(env * (1000*math.Sin(carrier*t+phase) + noise.next()))
 	}
-	return out
+	clear(out[start+width:])
 }
 
 // simSet2 models a late RTM snapshot: the wavefield fills the volume and
@@ -151,11 +164,10 @@ func simSet1(field, n int) []float32 {
 // compression ratios that persist even at tight bounds (Table III's
 // 126→57 ladder). A field-dependent 15% of the domain carries a
 // higher-frequency reflection overlay.
-func simSet2(field, n int) []float32 {
-	r := rng("SimSet2", field)
-	out := make([]float32, n)
+func simSet2(out []float32, field int) {
+	r, n := rng("SimSet2", field), len(out)
 	if n == 0 {
-		return out
+		return
 	}
 	// Long-wavelength swells: wavelengths are fractions of the domain so a
 	// 32-sample block sees far less than one quantization step at REL
@@ -193,7 +205,6 @@ func simSet2(field, n int) []float32 {
 		}
 		out[i] = float32(v)
 	}
-	return out
 }
 
 // nyx models a baryon-density field: the exponential of a smooth Gaussian
@@ -201,11 +212,10 @@ func simSet2(field, n int) []float32 {
 // relative bound the absolute bound is enormous compared to the low
 // densities filling most of the volume — which is why almost every block
 // pair lands in pipeline ① (paper: 99.36%).
-func nyx(field, n int) []float32 {
-	r := rng("NYX", field)
-	out := make([]float32, n)
+func nyx(out []float32, field int) {
+	r, n := rng("NYX", field), len(out)
 	if n == 0 {
-		return out
+		return
 	}
 	g := newAR1(r, 0.999, 0.08)
 	for i := range out {
@@ -223,7 +233,6 @@ func nyx(field, n int) []float32 {
 			out[i] += float32(peak * math.Exp(-float64(d*d)/200))
 		}
 	}
-	return out
 }
 
 // cesmATM models an atmosphere variable: strong latitudinal banding plus
@@ -231,11 +240,10 @@ func nyx(field, n int) []float32 {
 // variability sits several quantization steps above the bound, so nearly
 // every block is non-constant and reductions go through pipeline ④
 // (paper: 88.64%).
-func cesmATM(field, n int) []float32 {
-	r := rng("CESM-ATM", field)
-	out := make([]float32, n)
+func cesmATM(out []float32, field int) {
+	r, n := rng("CESM-ATM", field), len(out)
 	if n == 0 {
-		return out
+		return
 	}
 	band := 2 * math.Pi / (float64(n)/24 + 1)
 	phase := r.Float64() * 2 * math.Pi
@@ -251,7 +259,6 @@ func cesmATM(field, n int) []float32 {
 		}
 		out[i] = float32(v + noise.next())
 	}
-	return out
 }
 
 // hurricane models paired weather fields: even fields are
@@ -260,11 +267,10 @@ func cesmATM(field, n int) []float32 {
 // field 0 with field 1 therefore sends nearly every block through
 // pipeline ③ — the left operand stays encoded, the right is constant
 // (paper: 99.25%).
-func hurricane(field, n int) []float32 {
-	r := rng("Hurricane", field)
-	out := make([]float32, n)
+func hurricane(out []float32, field int) {
+	r, n := rng("Hurricane", field), len(out)
 	if n == 0 {
-		return out
+		return
 	}
 	if field%2 == 1 {
 		// Pressure-anomaly field: fluctuations orders of magnitude below
@@ -274,7 +280,7 @@ func hurricane(field, n int) []float32 {
 		for i := range out {
 			out[i] = float32(0.01 * g.next())
 		}
-		return out
+		return
 	}
 	eye := float64(n) * (0.4 + 0.2*r.Float64())
 	noise := newAR1(r, 0.6, 0.9)
@@ -284,7 +290,6 @@ func hurricane(field, n int) []float32 {
 		background := 12 * math.Sin(2*math.Pi*float64(i)/float64(n)*6)
 		out[i] = float32(swirl + background + noise.next())
 	}
-	return out
 }
 
 // ar1 is a first-order autoregressive process: x' = a·x + σ·ξ.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hzccl/internal/floatbytes"
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
 	"hzccl/internal/metrics"
@@ -41,6 +42,59 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("%s: fields 0 and 1 are identical", name)
 		}
 	}
+}
+
+// FieldInto writes every element of its destination: generated into a
+// buffer full of NaNs it gives Field's bits, for every dataset, fields 0–3
+// and lengths around the block and packet edges. The checksums pin those
+// bits at 64 Ki elements, so a generator change cannot pass by moving Field
+// and FieldInto together.
+func TestFieldIntoOverwritesRecycledMemory(t *testing.T) {
+	golden := map[string][4]uint32{
+		"SimSet1":   {0x1cca7ea9, 0x5b820d5e, 0x80d37838, 0x7ece4c43},
+		"SimSet2":   {0x170f3e98, 0x7cee77fb, 0x835adc3f, 0x85c0ae78},
+		"NYX":       {0x7480cfd3, 0xd5408949, 0x7391aabc, 0x4f4e0bd9},
+		"CESM-ATM":  {0x33869c25, 0x4a297e01, 0xf0fc260b, 0x37f5f57c},
+		"Hurricane": {0x5858ed02, 0x8d4c16f2, 0x55f7616f, 0xf0be426d},
+	}
+	for _, name := range Names() {
+		for f := 0; f < 4; f++ {
+			for _, n := range []int{0, 1, 31, 1000, 1 << 16} {
+				want, err := Field(name, f, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float32, n)
+				for i := range got {
+					got[i] = math.Float32frombits(0x7fc00000 | uint32(i))
+				}
+				if err := FieldInto(got, name, f); err != nil {
+					t.Fatal(err)
+				}
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Errorf("%s field %d n %d: FieldInto element %d is %#x, Field's %#x", name, f, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+				if n == 1<<16 {
+					if sum := floatbytes.Checksum(want); sum != golden[name][f] {
+						t.Errorf("%s field %d: checksum %08x, want %08x", name, f, sum, golden[name][f])
+					}
+				}
+			}
+		}
+	}
+	if err := FieldInto(make([]float32, 4), "nope", 0); err == nil {
+		t.Error("FieldInto accepted an unknown dataset")
+	}
+}
+
+// firstBitDiff returns the first index where a and b differ in bits, or -1.
+func firstBitDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestUnknownDataset(t *testing.T) {

@@ -130,17 +130,22 @@ func MinMax(data []float32) (float64, float64) {
 	return mn, mx
 }
 
+// Range returns the denominator of a relative error bound for the given
+// data: max − min, or 1 when that is 0 (constant or empty data). One pass
+// over the data serves every relative bound: AbsBound(rel, data) is
+// rel · Range(data), bit for bit.
+func Range(data []float32) float64 {
+	mn, mx := MinMax(data)
+	if r := mx - mn; r != 0 {
+		return r
+	}
+	return 1
+}
+
 // AbsBound converts a relative error bound to an absolute one for the
 // given data: abs = rel · (max − min). The paper's Tables III–VI sweep
 // relative bounds 1e-1..1e-4.
-func AbsBound(rel float64, data []float32) float64 {
-	mn, mx := MinMax(data)
-	r := mx - mn
-	if r == 0 {
-		r = 1
-	}
-	return rel * r
-}
+func AbsBound(rel float64, data []float32) float64 { return rel * Range(data) }
 
 // ErrAutocorr returns the lag-1 autocorrelation of the reconstruction
 // error. Quantization noise decorrelates (values near 0); block-constant

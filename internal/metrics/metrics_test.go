@@ -131,6 +131,40 @@ func TestMinMaxAndAbsBound(t *testing.T) {
 	}
 }
 
+// A caller that computes Range once and scales it per relative bound gets
+// AbsBound's bits, and both keep the original definition (max − min, 1 when
+// that is 0) on the inputs where float arithmetic is least obvious.
+func TestRangeScalesToAbsBound(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	inputs := map[string][]float32{
+		"empty":         nil,
+		"constant":      {5, 5, 5},
+		"nan first":     {nan, 1, 2},
+		"nan later":     {1, nan, 2},
+		"+0 then -0":    {0, negZero},
+		"-0 then +0":    {negZero, 0},
+		"+inf and -inf": {inf, -inf},
+		"only +inf":     {inf, inf},
+		"finite":        {3, -1, 7},
+	}
+	for name, d := range inputs {
+		mn, mx := MinMax(d)
+		want := mx - mn
+		if want == 0 {
+			want = 1
+		}
+		if got := Range(d); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Range %g, want %g", name, got, want)
+		}
+		for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 3e-5} {
+			if a, b := rel*Range(d), AbsBound(rel, d); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s rel %g: rel·Range %g (%#x), AbsBound %g (%#x)", name, rel, a, math.Float64bits(a), b, math.Float64bits(b))
+			}
+		}
+	}
+}
+
 func TestErrAutocorr(t *testing.T) {
 	n := 1024
 	orig := make([]float32, n)

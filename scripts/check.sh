@@ -82,7 +82,7 @@ for procs in 1 4; do
 done
 
 echo "== go test -race (concurrent packages) =="
-go test -race . ./internal/telemetry ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core ./serve
+go test -race . ./internal/telemetry ./internal/bufpool ./internal/datasets ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core ./serve
 # Every experiment at smoke scale: in-process ranks run their codec calls
 # concurrently (no lock serialises them), over the shared bufpool, fanout
 # helpers and telemetry.

@@ -69,7 +69,9 @@ type JobSpec struct {
 	// RelBound is the relative error bound (default 1e-4).
 	RelBound float64 `json:"rel_bound,omitempty"`
 	// Dataset and Offset select the synthetic input field every rank
-	// loads (default "SimSet1" at offset 0).
+	// loads (default "SimSet1" at offset 0). The ranks of a job in one
+	// process share one generation of it and one pass over it for the
+	// range RelBound scales into the absolute error bound.
 	Dataset string `json:"dataset,omitempty"`
 	Offset  int    `json:"offset,omitempty"`
 	// KillRank, when non-nil, names the rank whose job body crashes

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hzccl"
+	"hzccl/internal/bufpool"
 	"hzccl/internal/datasets"
 	"hzccl/internal/floatbytes"
 	"hzccl/internal/metrics"
@@ -76,10 +77,13 @@ type inputKey struct {
 func (j job) inputKey() inputKey { return inputKey{j.Dataset, j.Offset, j.MessageBytes / 4} }
 
 // sharedInput is one input that Runs in this process hold: ready closes
-// once field or err is set, and refs counts the holders.
+// once field and span, or err, are set, and refs counts the holders. span
+// is metrics.Range of the field, the one pass every holder's error bound
+// scales: jobs that share an input may differ in RelBound.
 type sharedInput struct {
 	ready chan struct{}
 	field []float32
+	span  float64
 	err   error
 	refs  int
 }
@@ -87,19 +91,23 @@ type sharedInput struct {
 // inputs is the process-wide table of the inputs some Run holds. The
 // ranks of a job that run in one process ask for the same key at about
 // the same time; the first generates the field, the rest wait for it, and
-// all read it. The last holder's release drops the entry: nothing is
-// cached across jobs, so a process holds only the inputs of its running
-// jobs.
+// all read it. The last holder's release drops the entry and returns the
+// field to bufpool: nothing is cached across jobs, so a process holds only
+// the inputs of its running jobs, and the next job's vectors recycle them.
 var inputs = struct {
 	sync.Mutex
 	m map[inputKey]*sharedInput
 }{m: make(map[inputKey]*sharedInput)}
 
-// holdInput returns the field for k, generating it unless another Run in
-// this process already holds it, and the release the caller must call
-// when done with it. The field is shared: nothing may write to it. A
-// generation error reaches every waiter and is not kept.
-func holdInput(k inputKey) ([]float32, func(), error) {
+// recycleInput returns an input's buffer to bufpool; tests count its calls.
+var recycleInput = bufpool.PutFloat32s
+
+// holdInput returns the field for k and its metrics.Range, generating both
+// unless another Run in this process already holds them, and the release
+// the caller must call when done with the field. The field is shared:
+// nothing may write to it, nor read it after release. A generation error
+// reaches every waiter and is not kept.
+func holdInput(k inputKey) ([]float32, float64, func(), error) {
 	inputs.Lock()
 	in, ok := inputs.m[k]
 	if !ok {
@@ -110,18 +118,25 @@ func holdInput(k inputKey) ([]float32, func(), error) {
 	inputs.Unlock()
 	release := func() {
 		inputs.Lock()
-		if in.refs--; in.refs == 0 && inputs.m[k] == in {
+		in.refs--
+		last := in.refs == 0
+		if last && inputs.m[k] == in {
 			delete(inputs.m, k)
 		}
 		inputs.Unlock()
+		if last && in.field != nil {
+			recycleInput(in.field)
+		}
 	}
 	if ok {
 		<-in.ready
 	} else {
-		in.field, in.err = datasets.Field(k.dataset, k.offset, k.n)
-		if in.err == nil {
+		field := bufpool.Float32s(k.n)
+		if in.err = datasets.FieldInto(field, k.dataset, k.offset); in.err == nil {
+			in.field, in.span = field, metrics.Range(field)
 			mJobInputsGenerated.Inc()
 		} else {
+			recycleInput(field)
 			inputs.Lock()
 			delete(inputs.m, k)
 			inputs.Unlock()
@@ -130,9 +145,9 @@ func holdInput(k inputKey) ([]float32, func(), error) {
 	}
 	if in.err != nil {
 		release()
-		return nil, nil, in.err
+		return nil, 0, nil, in.err
 	}
-	return in.field, release, nil
+	return in.field, in.span, release, nil
 }
 
 // Run runs spec's one collective on a world of the given size and
@@ -145,9 +160,10 @@ func holdInput(k inputKey) ([]float32, func(), error) {
 // process's one rank (a TCP transport, or one job session of a mesh).
 // Every rank reduces the same field (Dataset at Offset): the ranks that
 // run in this process, whether all of them (fabric nil) or the daemon
-// ranks of a job that share one process, share one generation of it.
-// Each rank derives its absolute error bound from RelBound and runs on
-// the (2 µs, 0.4 GB/s) network model with a receive deadline of
+// ranks of a job that share one process, share one generation of it, into
+// recycled memory, and one pass over it for its range. Each rank's absolute
+// error bound is RelBound times that range — metrics.AbsBound's bits — and
+// each runs on the (2 µs, 0.4 GB/s) network model with a receive deadline of
 // recvTimeout (0 selects 2 s). A
 // kill in the spec runs on the self-healing transport and shrinks the
 // world: the survivors evict the victim and finish without it, and on a
@@ -159,14 +175,13 @@ func Run(spec JobSpec, world int, fabric hzccl.Transport, recvTimeout time.Durat
 		return nil, nil, err
 	}
 	sp := mJobInputNS.Start()
-	base, release, err := holdInput(j.inputKey())
+	base, span, release, err := holdInput(j.inputKey())
+	sp.End()
 	if err != nil {
-		sp.End()
 		return nil, nil, err
 	}
 	defer release()
-	opt := hzccl.CollectiveOptions{ErrorBound: metrics.AbsBound(j.RelBound, base), Algorithm: j.algo}
-	sp.End()
+	opt := hzccl.CollectiveOptions{ErrorBound: j.RelBound * span, Algorithm: j.algo}
 	if recvTimeout <= 0 {
 		recvTimeout = 2 * time.Second
 	}

@@ -10,6 +10,8 @@ import (
 	"maps"
 	"math"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"sync"
@@ -515,7 +517,7 @@ func TestRunSharesOneReadOnlyInput(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := counterValue("serve.job.inputs_generated")
-				field, release, err := holdInput(j.inputKey())
+				field, _, release, err := holdInput(j.inputKey())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -607,5 +609,164 @@ func TestDaemonJobRegistryIsBounded(t *testing.T) {
 	}
 	if got := ds[0].Jobs(); len(got) != finishedJobsKept || got[0].ID != last-finishedJobsKept+1 {
 		t.Errorf("rank 0 lists %d jobs from %d, want the last %d from %d", len(got), got[0].ID, finishedJobsKept, last-finishedJobsKept+1)
+	}
+}
+
+// Two jobs that share an input but not a relative bound run at once on a
+// 4-rank loopback mesh: they share one generation of the field, and each
+// gives the digests of its own standalone run, so each scaled the shared
+// range by its own RelBound.
+func TestSharedInputKeepsEachJobsBound(t *testing.T) {
+	const n = 4
+	trs := loopbackMesh(t, n)
+	specs := []JobSpec{
+		{Backend: "hzccl", MessageBytes: 1 << 16, Dataset: "NYX", Offset: 1, RelBound: 1e-4},
+		{Backend: "hzccl", MessageBytes: 1 << 16, Dataset: "NYX", Offset: 1, RelBound: 1e-2},
+	}
+	want := make([]map[int]string, len(specs))
+	for i, spec := range specs {
+		var err error
+		if want[i], _, err = Run(spec, n, nil, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if maps.Equal(want[0], want[1]) {
+		t.Fatal("the two bounds give the same digests: the test cannot tell them apart")
+	}
+	j, err := specs[0].parse(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := counterValue("serve.job.inputs_generated")
+	_, _, release, err := holdInput(j.inputKey()) // both jobs find it held
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A transport opens its job sessions in ID order.
+	sessions := make([][]hzccl.Transport, len(specs))
+	for i := range specs {
+		for _, tr := range trs {
+			sess, err := tr.Session(uint32(i + 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = append(sessions[i], sess)
+		}
+	}
+	got := make([]map[int]string, len(specs))
+	errs := make([]error, n*len(specs))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		got[i] = make(map[int]string)
+		for r, sess := range sessions[i] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				digests, _, err := Run(spec, n, sess, 0, nil)
+				errs[i*n+r] = err
+				mu.Lock()
+				maps.Copy(got[i], digests)
+				mu.Unlock()
+			}()
+		}
+	}
+	wg.Wait()
+	release()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if !maps.Equal(got[i], want[i]) {
+			t.Errorf("rel_bound %g: concurrent digests %v, standalone %v", specs[i].RelBound, got[i], want[i])
+		}
+	}
+	if generated := counterValue("serve.job.inputs_generated") - before; generated != 1 {
+		t.Errorf("serve.job.inputs_generated advanced by %d over two jobs sharing one input, want 1", generated)
+	}
+}
+
+// An input's buffer goes back to bufpool once, when its last holder
+// releases it, and at once when its generation fails.
+func TestInputReturnsToThePoolOnce(t *testing.T) {
+	var recycled [][]float32
+	defer func(put func([]float32)) { recycleInput = put }(recycleInput)
+	recycleInput = func(s []float32) { recycled = append(recycled, s) }
+
+	k := inputKey{"Hurricane", 3, 1000}
+	a, _, releaseA, err := holdInput(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, releaseB, err := holdInput(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a[0] != &b[0] {
+		t.Fatal("two holders of one key got different fields")
+	}
+	releaseA()
+	if len(recycled) != 0 {
+		t.Fatalf("the first of two releases recycled %d buffers", len(recycled))
+	}
+	releaseB()
+	if len(recycled) != 1 || &recycled[0][0] != &a[0] {
+		t.Fatalf("the last release recycled %d buffers, want the field once", len(recycled))
+	}
+
+	recycled = nil
+	if _, _, _, err := holdInput(inputKey{"no-such-dataset", 0, 1000}); err == nil {
+		t.Fatal("an unknown dataset generated")
+	}
+	if len(recycled) != 1 || len(recycled[0]) != 1000 {
+		t.Fatalf("a failed generation recycled %d buffers, want its one", len(recycled))
+	}
+	inputs.Lock()
+	left := len(inputs.m)
+	inputs.Unlock()
+	if left != 0 {
+		t.Fatalf("%d inputs still held after every holder released", left)
+	}
+}
+
+// A warm in-process job allocates its results and little else: its input
+// is generated into the buffer an earlier job returned, the full vectors a
+// recursive-doubling reduce-scatter cuts its blocks from go back to the
+// pool, and results draw on the pool where it holds memory. Past the bytes
+// of the results it hands back, a 4-rank 256 KiB job allocates less than
+// one input; fresh memory for the input would cost one input more, and for
+// the full vectors four.
+func TestWarmRunRecyclesItsInput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; byte counts are meaningless")
+	}
+	const n, input, warm, jobs = 4, 256 << 10, 4, 16
+	// A collection between jobs would empty bufpool (sync.Pool) and charge
+	// the refill to a job; the property is about the steady state.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, spec := range []JobSpec{
+		{Op: "allreduce", Backend: "hzccl", MessageBytes: input},
+		{Op: "reduce_scatter", Backend: "ccoll", Algorithm: "rd", MessageBytes: input},
+	} {
+		results := n * input // every rank's whole vector...
+		if spec.Op == "reduce_scatter" {
+			results = input // ...or its block of it
+		}
+		var before, after runtime.MemStats
+		for i := range warm + jobs {
+			if i == warm {
+				runtime.ReadMemStats(&before)
+			}
+			if _, _, err := Run(spec, n, nil, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+		t.Logf("%s %s: %.0f B per job, %d B of results, input %d B", spec.Op, spec.Backend, perJob, results, input)
+		if extra := perJob - float64(results); extra >= input {
+			t.Errorf("%s %s: a warm job allocates %.0f B past its %d B of results, want less than one input (%d B)",
+				spec.Op, spec.Backend, extra, results, input)
+		}
 	}
 }
