@@ -96,33 +96,12 @@ func TestPublicHomomorphicAdd(t *testing.T) {
 			t.Fatalf("sum error %g at %d", d, i)
 		}
 	}
-	static, err := hzccl.StaticHomomorphicAdd(ca, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sum2, err := hzccl.HomomorphicAdd(ca, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(static) != string(sum2) || string(sum) != string(sum2) {
-		t.Fatal("static/dynamic homomorphic adds disagree")
-	}
-}
-
-func TestPublicHomomorphicScale(t *testing.T) {
-	a := sineField(3000, 5)
-	ca, _ := hzccl.Compress(a, hzccl.Params{ErrorBound: 1e-3})
-	scaled, err := hzccl.HomomorphicScale(ca, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := hzccl.Decompress(scaled)
-	base, _ := hzccl.Decompress(ca)
-	for i := range got {
-		want := 3 * float64(base[i])
-		if d := math.Abs(float64(got[i]) - want); d > 1e-5*math.Abs(want)+1e-9 {
-			t.Fatalf("scale error %g at %d", d, i)
-		}
+	if string(sum) != string(sum2) {
+		t.Fatal("HomomorphicAdd and HomomorphicAddWithStats disagree")
 	}
 }
 
@@ -324,39 +303,6 @@ func TestBackendString(t *testing.T) {
 	}
 }
 
-func TestPublicHomomorphicSubAndFold(t *testing.T) {
-	a := sineField(2000, 50)
-	b := sineField(2000, 51)
-	p := hzccl.Params{ErrorBound: 1e-3}
-	ca, _ := hzccl.Compress(a, p)
-	cb, _ := hzccl.Compress(b, p)
-	diff, err := hzccl.HomomorphicSub(ca, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := hzccl.Decompress(diff)
-	for i := range got {
-		want := float64(a[i]) - float64(b[i])
-		if d := math.Abs(float64(got[i]) - want); d > 2e-3+1e-6 {
-			t.Fatalf("sub error %g", d)
-		}
-	}
-	sum, st, err := hzccl.HomomorphicFold([][]byte{ca, cb, ca})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Blocks == 0 {
-		t.Fatal("fold stats empty")
-	}
-	got, _ = hzccl.Decompress(sum)
-	for i := range got {
-		want := 2*float64(a[i]) + float64(b[i])
-		if d := math.Abs(float64(got[i]) - want); d > 3e-3+1e-6 {
-			t.Fatalf("fold error %g", d)
-		}
-	}
-}
-
 func TestPublicCompress2D(t *testing.T) {
 	h, w := 48, 32
 	data := make([]float32, h*w)
@@ -428,46 +374,6 @@ func TestPublicCompress3D(t *testing.T) {
 	}
 	if info.DataLen != d*h*w {
 		t.Fatalf("info %+v", info)
-	}
-}
-
-func TestPublicCompress64(t *testing.T) {
-	data := make([]float64, 5000)
-	for i := range data {
-		data[i] = math.Sin(float64(i) * 0.001)
-	}
-	comp, err := hzccl.Compress64(data, hzccl.Params{ErrorBound: 1e-8, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := hzccl.Decompress64(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if d := math.Abs(data[i] - got[i]); d > 1e-8*(1+1e-9) {
-			t.Fatalf("f64 error %g", d)
-		}
-	}
-	sum, err := hzccl.HomomorphicAdd(comp, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := hzccl.Decompress64(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ds {
-		if d := math.Abs(ds[i] - 2*got[i]); d > 1e-12 {
-			t.Fatalf("f64 homomorphic add error %g", d)
-		}
-	}
-	dst := make([]float64, len(data))
-	if err := hzccl.DecompressInto64(comp, dst); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hzccl.Decompress(comp); err == nil {
-		t.Fatal("float32 decode of float64 container accepted")
 	}
 }
 

@@ -129,35 +129,6 @@ func HomomorphicAddWithStats(a, b []byte) ([]byte, PipelineStats, error) {
 	return out, pipelineStats(st), err
 }
 
-// StaticHomomorphicAdd is the static baseline: every block pair goes
-// through the decode-add-encode pipeline regardless of constancy. The
-// result is byte-identical to HomomorphicAdd; only the work differs. It
-// exists to quantify the dynamic heuristic's benefit.
-func StaticHomomorphicAdd(a, b []byte) ([]byte, error) {
-	return hzdyn.StaticAdd(a, b)
-}
-
-// HomomorphicScale multiplies every value in a compressed container by the
-// integer k without decompressing.
-func HomomorphicScale(comp []byte, k int32) ([]byte, error) {
-	return hzdyn.ScaleInt(comp, k)
-}
-
-// HomomorphicSub subtracts compressed container b from a entirely in
-// compressed space: Decompress(HomomorphicSub(a,b)) equals
-// Decompress(a) − Decompress(b) exactly in the quantized domain.
-func HomomorphicSub(a, b []byte) ([]byte, error) {
-	out, _, err := hzdyn.Sub(a, b)
-	return out, err
-}
-
-// HomomorphicFold reduces many compressed containers into their sum with
-// pairwise homomorphic additions and returns aggregate pipeline stats.
-func HomomorphicFold(streams [][]byte) ([]byte, PipelineStats, error) {
-	out, st, err := hzdyn.Fold(streams)
-	return out, pipelineStats(st), err
-}
-
 // Compress2D compresses a row-major height×width field with the 2D Lorenzo
 // predictor — better ratios on image-like data with vertical structure.
 // The containers it produces decompress with Decompress and remain fully
@@ -174,23 +145,4 @@ func Compress2D(data []float32, height, width int, p Params) ([]byte, error) {
 // homomorphic and decompress with Decompress.
 func Compress3D(data []float32, depth, height, width int, p Params) ([]byte, error) {
 	return fzlight.Compress3D(data, depth, height, width, p.internal())
-}
-
-// Compress64 compresses double-precision data. Use it when the error bound
-// sits below float32 resolution (|v|·2⁻²³); decode with Decompress64.
-// Float64 containers are homomorphic with each other but not with float32
-// containers (the geometry check includes the precision).
-func Compress64(data []float64, p Params) ([]byte, error) {
-	return fzlight.Compress64(data, p.internal())
-}
-
-// Decompress64 reconstructs the values of a container produced by
-// Compress64.
-func Decompress64(comp []byte) ([]float64, error) {
-	return fzlight.Decompress64(comp)
-}
-
-// DecompressInto64 is the allocation-free variant of Decompress64.
-func DecompressInto64(comp []byte, dst []float64) error {
-	return fzlight.DecompressInto64(comp, dst)
 }

@@ -4,12 +4,12 @@
 // The library has three layers, all reachable from this package:
 //
 //   - An error-bounded lossy compressor for float32 scientific data
-//     (fZ-light): Compress, Decompress, DecompressInto, Info.
+//     (fZ-light): Compress, Compress2D, Compress3D, Decompress,
+//     DecompressInto, Info.
 //
-//   - A homomorphic compressor (hZ-dynamic) that performs reductions
-//     directly on compressed data, selecting the cheapest of four per-block
-//     pipelines at run time: HomomorphicAdd, HomomorphicAddWithStats,
-//     HomomorphicScale, StaticHomomorphicAdd.
+//   - A homomorphic compressor (hZ-dynamic) that sums compressed data
+//     directly, selecting the cheapest of four per-block pipelines at run
+//     time: HomomorphicAdd, HomomorphicAddWithStats.
 //
 //   - Compression-accelerated collectives (ring Reduce_scatter and
 //     Allreduce) on a simulated multi-node cluster with a calibrated

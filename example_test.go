@@ -49,19 +49,6 @@ func ExampleHomomorphicAdd() {
 	// 11.0 22.0 33.0 44.0
 }
 
-func ExampleHomomorphicScale() {
-	data := []float32{1, 2, 3}
-	comp, _ := hzccl.Compress(data, hzccl.Params{ErrorBound: 0.01})
-	tripled, err := hzccl.HomomorphicScale(comp, 3)
-	if err != nil {
-		panic(err)
-	}
-	vals, _ := hzccl.Decompress(tripled)
-	fmt.Printf("%.1f %.1f %.1f\n", vals[0], vals[1], vals[2])
-	// Output:
-	// 3.0 6.0 9.0
-}
-
 func ExampleRunCluster() {
 	// Four simulated nodes sum their vectors with the homomorphic
 	// Allreduce.
@@ -85,6 +72,37 @@ func ExampleRunCluster() {
 	fmt.Printf("%.0f %.0f\n", result[0], result[1])
 	// Output:
 	// 6 60
+}
+
+func ExampleRank_ReduceScatter() {
+	// Four simulated nodes sum their vectors with the homomorphic
+	// Reduce_scatter; each keeps one block of the sum, the one OwnedBlock
+	// names.
+	const ranks, n = 4, 8
+	shards := make([][]float32, ranks)
+	starts := make([]int, ranks)
+	_, err := hzccl.RunCluster(hzccl.ClusterConfig{Ranks: ranks}, func(r *hzccl.Rank) error {
+		data := make([]float32, n)
+		for i := range data {
+			data[i] = float32(10*r.ID() + i)
+		}
+		out, err := r.ReduceScatter(data, hzccl.BackendHZCCL,
+			hzccl.CollectiveOptions{ErrorBound: 1e-3})
+		shards[r.ID()] = out
+		_, starts[r.ID()], _ = r.OwnedBlock(n)
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	for id, shard := range shards {
+		fmt.Printf("rank %d: sum[%d:%d] = %.0f\n", id, starts[id], starts[id]+len(shard), shard)
+	}
+	// Output:
+	// rank 0: sum[2:4] = [68 72]
+	// rank 1: sum[4:6] = [76 80]
+	// rank 2: sum[6:8] = [84 88]
+	// rank 3: sum[0:2] = [60 64]
 }
 
 func ExampleInfo() {

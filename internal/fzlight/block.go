@@ -17,12 +17,7 @@ import (
 // instead of a per-element byte loop. Other block sizes (and the tail
 // block of a chunk) use the generic paths.
 
-// Float constrains the element types the codec accepts.
-type Float interface {
-	~float32 | ~float64
-}
-
-// level selects the block codecs for full float32 blocks: the Go codecs in
+// level selects the block codecs for full blocks: the Go codecs in
 // this file (simd.Portable), the AVX2+BMI2 kernels of block_amd64.s
 // (simd.AVX2), or the same with 16-lane quantise and dequantise
 // (simd.AVX512). It is the highest the CPU has, and only the package's
@@ -136,7 +131,7 @@ func quantise(v, recip float64) (int32, error) {
 
 // encodeBlock32 quantizes, predicts and encodes one full 32-element block.
 // qprev carries the previous quantized value across blocks of a chunk.
-func encodeBlock32[T Float](dst []byte, blk []T, recip float64, qprev *int32, mscratch *[32]uint32) (int, error) {
+func encodeBlock32(dst []byte, blk []float32, recip float64, qprev *int32, mscratch *[32]uint32) (int, error) {
 	mbuf := mscratch
 	var signW, ormag uint32
 	q := *qprev
@@ -173,7 +168,7 @@ func encodeBlock32[T Float](dst []byte, blk []T, recip float64, qprev *int32, ms
 
 // encodeBlockGeneric handles arbitrary block lengths and the first block of
 // a chunk (whose leading element is the outlier and encodes a zero delta).
-func encodeBlockGeneric[T Float](dst []byte, blk []T, recip float64, qprev *int32,
+func encodeBlockGeneric(dst []byte, blk []float32, recip float64, qprev *int32,
 	first *bool, outlier *int32, pbuf []int32, mbuf []uint32) (int, error) {
 	n := len(blk)
 	var maxmag uint32
@@ -216,9 +211,9 @@ func encodeBlockGeneric[T Float](dst []byte, blk []T, recip float64, qprev *int3
 // reconstructed float32 values, carrying the quantized accumulator. With
 // sums set it stores sums[i] + v in place of each value v: it decodes into
 // a scratch block first, since out may be sums.
-func decodeBlock32[T Float](src []byte, out, sums []T, acc *int32, eb2 float64, mscratch *[32]uint32) (int, error) {
+func decodeBlock32(src []byte, out, sums []float32, acc *int32, eb2 float64, mscratch *[32]uint32) (int, error) {
 	if sums != nil {
-		var vals [32]T
+		var vals [32]float32
 		n, err := decodeBlock32(src, vals[:], nil, acc, eb2, mscratch)
 		if err == nil {
 			for i, v := range vals {
@@ -236,7 +231,7 @@ func decodeBlock32[T Float](src []byte, out, sums []T, acc *int32, eb2 float64, 
 	}
 	out = out[:32]
 	if c == 0 {
-		v := T(eb2 * float64(*acc))
+		v := float32(eb2 * float64(*acc))
 		for i := range out {
 			out[i] = v
 		}
@@ -262,7 +257,7 @@ func decodeBlock32[T Float](src []byte, out, sums []T, acc *int32, eb2 float64, 
 		neg := -int32(signW >> uint(i) & 1) // 0 or -1
 		d := (int32(mbuf[i]) ^ neg) - neg
 		a += d
-		out[i] = T(eb2 * float64(a))
+		out[i] = float32(eb2 * float64(a))
 	}
 	*acc = a
 	return need, nil

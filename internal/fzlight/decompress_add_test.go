@@ -124,7 +124,8 @@ func TestDecompressAddLorenzo(t *testing.T) {
 }
 
 // Misuse fails typed before anything is written: sums shorter than the
-// container, dst shorter, a float64 container.
+// container, dst shorter, a container with a flag set (such as the
+// float64 bit of earlier builds).
 func TestDecompressAddIntoErrors(t *testing.T) {
 	data := smoothField(100, 5)
 	comp, err := Compress(data, Params{ErrorBound: 1e-3})
@@ -137,12 +138,10 @@ func TestDecompressAddIntoErrors(t *testing.T) {
 	if err := DecompressAddInto(comp, make([]float32, 100), make([]float32, 99)); !errors.Is(err, ErrShortOutput) {
 		t.Errorf("short dst: %v", err)
 	}
-	wide, err := Compress64([]float64{1, 2, 3}, Params{ErrorBound: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DecompressAddInto(wide, make([]float32, 3), make([]float32, 3)); !errors.Is(err, ErrWrongPrecision) {
-		t.Errorf("float64 container: %v", err)
+	flagged := append([]byte(nil), comp...)
+	flagged[5] = 0x01
+	if err := DecompressAddInto(flagged, make([]float32, 100), make([]float32, 100)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("flagged container: %v", err)
 	}
 }
 
@@ -166,7 +165,8 @@ func sumsFrom(b []byte, n int) []float32 {
 // FuzzDecompressAddInto is DecompressAddInto against DecompressInto on any
 // container and any sums: the same typed error, or the two-pass result bit
 // for bit, in place and disjoint, at the suite's level and on the portable
-// decoder. The golden containers seed it.
+// decoder. A container with a flag set must fail. The golden containers
+// seed it, and a flagged copy of the long one.
 func FuzzDecompressAddInto(f *testing.F) {
 	for _, v := range goldenVectors() {
 		comp, err := os.ReadFile(filepath.Join("testdata", "golden", v.name+".bin"))
@@ -180,14 +180,20 @@ func FuzzDecompressAddInto(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(long, []byte{0x45, 0x23, 0xc1, 0xff, 0, 0, 0, 0x80, 1, 0, 0, 0})
+	flagged := append([]byte(nil), long...)
+	flagged[5] = 0x01
+	f.Add(flagged, []byte{0x01, 0x00, 0xc0, 0x7f})
 	f.Fuzz(func(t *testing.T, comp, raw []byte) {
 		h, herr := ParseHeader(comp)
-		if herr == nil && (h.Float64 || h.DataLen > 1<<20) {
-			return // not a float32 container, or too large to be worth a fuzz case
+		if herr == nil && h.DataLen > 1<<20 {
+			return // too large to be worth a fuzz case
 		}
 		n := h.DataLen
 		dec := make([]float32, n)
 		derr := DecompressInto(comp, dec)
+		if len(comp) > 5 && comp[5] != 0 && derr == nil {
+			t.Fatalf("a container with flags 0x%02x decoded", comp[5])
+		}
 		sums := sumsFrom(raw, n)
 		for _, l := range []simd.Level{level, simd.Portable} {
 			withPath(l, func() {

@@ -12,7 +12,7 @@ import (
 //
 //	offset 0  : magic "FZL1"
 //	offset 4  : version: 1 = 1D delta, 2 = 2D Lorenzo, 3 = 3D Lorenzo
-//	offset 5  : flags (bit 0: float64 source values)
+//	offset 5  : flags, reserved: always 0
 //	offset 6  : block size (uint16)
 //	offset 8  : absolute error bound (float64)
 //	offset 16 : number of chunks (uint32)
@@ -28,9 +28,6 @@ const (
 	fixedHeader = 28 // the prefix every version shares
 )
 
-// flagFloat64 marks a container whose source values were float64.
-const flagFloat64 = 0x01
-
 // Header describes a compressed container. It is a plain value, parsed
 // without allocating, and two headers compare equal exactly when their
 // containers are homomorphically compatible, so `ha == hb` is the geometry
@@ -43,9 +40,6 @@ type Header struct {
 	// Version is the container format version: 1 = 1D delta, 2 = 2D
 	// Lorenzo, 3 = 3D Lorenzo.
 	Version int
-	// Float64 records that the source data was double-precision
-	// (Compress64); decode with Decompress64.
-	Float64 bool
 	// Width is the row length of a 2D/3D container; 0 for 1D.
 	Width int
 	// Height is the plane height of a 3D container; 0 otherwise.
@@ -96,10 +90,7 @@ func (h Header) PutChunkSize(dst []byte, i, size int) {
 func (h Header) Marshal(dst []byte) {
 	copy(dst, magic)
 	dst[4] = byte(h.Version)
-	dst[5] = 0
-	if h.Float64 {
-		dst[5] = flagFloat64
-	}
+	dst[5] = 0 // flags
 	binary.LittleEndian.PutUint16(dst[6:], uint16(h.BlockSize))
 	binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(h.ErrorBound))
 	binary.LittleEndian.PutUint32(dst[16:], uint32(h.NumChunks))
@@ -125,12 +116,16 @@ func ParseHeader(comp []byte) (Header, error) {
 	if comp[4] < 1 || comp[4] > 3 {
 		return h, fmt.Errorf("%w: version %d", ErrBadVersion, comp[4])
 	}
+	// No flag is defined: a container with one set (such as the float64
+	// bit of earlier builds) is of a format this decoder does not read.
+	if comp[5] != 0 {
+		return h, fmt.Errorf("%w: flags 0x%02x", ErrBadVersion, comp[5])
+	}
 	h.Version = int(comp[4])
 	table := h.tableStart()
 	if len(comp) < table {
 		return Header{}, ErrCorrupt
 	}
-	h.Float64 = comp[5]&flagFloat64 != 0
 	h.BlockSize = int(binary.LittleEndian.Uint16(comp[6:]))
 	h.ErrorBound = math.Float64frombits(binary.LittleEndian.Uint64(comp[8:]))
 	h.NumChunks = int(binary.LittleEndian.Uint32(comp[16:]))

@@ -131,29 +131,20 @@ func Compress(data []float32, p Params) ([]byte, error) {
 	return compressAny(data, p, Header{Version: 1})
 }
 
-// Compress64 compresses float64 data. The container records the source
-// precision; decode it with Decompress64/DecompressInto64. Containers of
-// either precision are mutually homomorphic only with their own kind (the
-// geometry check includes the element type).
-func Compress64(data []float64, p Params) ([]byte, error) {
-	return compressAny(data, p, Header{Version: 1})
-}
-
 // CompressLike compresses data into a container of h's layout (version,
 // width, height) and parameters (error bound, block size, and its chunk
-// count as Params.Threads); the element count and precision are data's.
-func CompressLike[T Float](data []T, h Header) ([]byte, error) {
+// count as Params.Threads); the element count is data's.
+func CompressLike(data []float32, h Header) ([]byte, error) {
 	return compressAny(data, Params{ErrorBound: h.ErrorBound, BlockSize: h.BlockSize, Threads: h.NumChunks}, h)
 }
 
 // compressAny compresses data into a fresh exact-sized container with
 // layout's Version, Width and Height.
-func compressAny[T Float](data []T, p Params, layout Header) ([]byte, error) {
+func compressAny(data []float32, p Params, layout Header) ([]byte, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	_, layout.Float64 = any(data).([]float64)
 	h := layout.shape(len(data), p)
 	buf := bufpool.Bytes(h.Bound())
 	n, err := compressHeader(buf, data, h)
@@ -180,15 +171,10 @@ func (h Header) shape(n int, p Params) Header {
 func (h Header) Bound() int {
 	total := h.PayloadStart()
 	for i := 0; i < h.NumChunks; i++ {
-		total += h.ChunkBound(i)
+		s, e := h.ChunkRange(i)
+		total += worstChunkBytes(e-s, h.BlockSize)
 	}
 	return total
-}
-
-// ChunkBound is the most bytes chunk i of h can encode to.
-func (h Header) ChunkBound(i int) int {
-	s, e := h.ChunkRange(i)
-	return worstChunkBytes(e-s, h.BlockSize)
 }
 
 // CompressBound returns the smallest dst length guaranteed to be
@@ -207,24 +193,15 @@ func CompressBound(n int, p Params) int {
 // A chunk of at least 2·minSegment elements is encoded on up to GOMAXPROCS
 // cores; the bytes are the same on any number (plan.go).
 func CompressInto(dst []byte, data []float32, p Params) (int, error) {
-	return compressIntoAny(dst, data, p, false)
-}
-
-// CompressInto64 is CompressInto for float64 data (see Compress64).
-func CompressInto64(dst []byte, data []float64, p Params) (int, error) {
-	return compressIntoAny(dst, data, p, true)
-}
-
-func compressIntoAny[T Float](dst []byte, data []T, p Params, wide bool) (int, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	return compressHeader(dst, data, Header{Version: 1, Float64: wide}.shape(len(data), p))
+	return compressHeader(dst, data, Header{Version: 1}.shape(len(data), p))
 }
 
 // compressHeader writes the container h describes for data into dst.
-func compressHeader[T Float](dst []byte, data []T, h Header) (int, error) {
+func compressHeader(dst []byte, data []float32, h Header) (int, error) {
 	cores := 1
 	if len(data) >= 2*minSegment { // no shorter chunk splits
 		cores = fanout.Cores()
@@ -236,7 +213,7 @@ func compressHeader[T Float](dst []byte, data []T, h Header) (int, error) {
 // segments of at least minLen elements: the plan's parts encode at their
 // worst-case offsets, on as many goroutines as the plan has parts, and
 // Assemble compacts them behind the header.
-func compressSplit[T Float](dst []byte, data []T, h Header, cores, minLen int) (int, error) {
+func compressSplit(dst []byte, data []float32, h Header, cores, minLen int) (int, error) {
 	if need := h.Bound(); len(dst) < need {
 		return 0, fmt.Errorf("%w: CompressInto needs %d bytes, got %d", ErrShortOutput, need, len(dst))
 	}
@@ -251,7 +228,7 @@ func compressSplit[T Float](dst []byte, data []T, h Header, cores, minLen int) (
 		return 0, err
 	}
 	mCompressCalls.Inc()
-	mCompressRaw.Add(int64(len(data) * elemBytes(h.Float64)))
+	mCompressRaw.Add(int64(4 * len(data)))
 	mCompressOut.Add(int64(n))
 	mCompressOutlier.Add(int64(h.NumChunks)) // one raw outlier per chunk
 	mCompressSegments.Add(int64(segments))
@@ -260,7 +237,7 @@ func compressSplit[T Float](dst []byte, data []T, h Header, cores, minLen int) (
 
 // encodeChunk writes one part of h's layout into dst: a whole chunk, or for
 // version 1 a block-aligned segment of one (see plan.go).
-func encodeChunk[T Float](dst []byte, data []T, h Header, recip float64, qprev int32, head bool) (int, error) {
+func encodeChunk(dst []byte, data []float32, h Header, recip float64, qprev int32, head bool) (int, error) {
 	if h.Version == 1 {
 		return compressChunk(dst, data, recip, h.BlockSize, qprev, head)
 	}
@@ -270,13 +247,13 @@ func encodeChunk[T Float](dst []byte, data []T, h Header, recip float64, qprev i
 // compressChunk writes a run of a chunk's blocks into dst and returns the
 // number of bytes written. This is the fused
 // quantization+prediction+encoding loop of the paper: runs of full
-// 32-element float32 blocks go through the SIMD kernel where the CPU has
-// one, a full block it declines through the branchless encodeBlock32 path;
-// the chunk's first block (which hosts the chunk outlier) and tail/odd-sized
+// 32-element blocks go through the SIMD kernel where the CPU has one, a
+// full block it declines through the branchless encodeBlock32 path; the
+// chunk's first block (which hosts the chunk outlier) and tail/odd-sized
 // blocks use the generic path. The run is a chunk's head (outlier slot
 // first, qprev unused) or a later segment, whose first delta is taken
 // against qprev, the quantised value in front of it.
-func compressChunk[T Float](dst []byte, data []T, recip float64, B int, qprev int32, head bool) (int, error) {
+func compressChunk(dst []byte, data []float32, recip float64, B int, qprev int32, head bool) (int, error) {
 	o := 0
 	if head {
 		putInt32(dst, 0) // outlier placeholder
@@ -292,11 +269,10 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int, qprev in
 	var mscratch [32]uint32
 	first := head
 	var outlier int32
-	f32, _ := any(data).([]float32) // nil for every other element type
 
 	for base := 0; base < len(data); {
-		if !first && B == 32 && f32 != nil {
-			n, k, q := encodeRun32(dst[o:], f32[base:], recip, qprev)
+		if !first && B == 32 {
+			n, k, q := encodeRun32(dst[o:], data[base:], recip, qprev)
 			o, base, qprev = o+n, base+32*k, q
 			if base == len(data) {
 				break
@@ -322,9 +298,9 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int, qprev in
 	return o, nil
 }
 
-// Decompress decodes a float32 container produced by Compress (or by a
+// Decompress decodes a container produced by Compress (or by a
 // homomorphic reduction of such containers) and returns the reconstructed
-// values. Use Decompress64 for containers produced by Compress64.
+// values.
 func Decompress(comp []byte) ([]float32, error) {
 	h, err := ParseHeader(comp)
 	if err != nil {
@@ -336,23 +312,6 @@ func Decompress(comp []byte) ([]float32, error) {
 	}
 	return out, nil
 }
-
-// Decompress64 decodes a float64 container produced by Compress64.
-func Decompress64(comp []byte) ([]float64, error) {
-	h, err := ParseHeader(comp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, h.DataLen)
-	if err := DecompressInto64(comp, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ErrWrongPrecision is returned when a container's source precision does
-// not match the requested decode type.
-var ErrWrongPrecision = errors.New("fzlight: container precision does not match decode type")
 
 // DecompressInto decodes comp into dst, which must hold at least
 // Header.DataLen elements. The steady state performs zero heap
@@ -377,33 +336,12 @@ func DecompressAddInto(comp []byte, sums, dst []float32) error {
 	if err != nil {
 		return err
 	}
-	if h.Float64 {
-		return ErrWrongPrecision
-	}
 	if sums != nil {
 		if len(sums) < h.DataLen {
 			return ErrShortOutput
 		}
 		sums = sums[:h.DataLen]
 	}
-	return decompressIntoAny(comp, h, dst, sums)
-}
-
-// DecompressInto64 decodes a float64 container into dst.
-func DecompressInto64(comp []byte, dst []float64) error {
-	h, err := ParseHeader(comp)
-	if err != nil {
-		return err
-	}
-	if !h.Float64 {
-		return ErrWrongPrecision
-	}
-	return decompressIntoAny(comp, h, dst, nil)
-}
-
-// decompressIntoAny decodes the container h heads into dst, adding it onto
-// sums when sums is set.
-func decompressIntoAny[T Float](comp []byte, h Header, dst, sums []T) error {
 	if len(dst) < h.DataLen {
 		return ErrShortOutput
 	}
@@ -411,21 +349,21 @@ func decompressIntoAny[T Float](comp []byte, h Header, dst, sums []T) error {
 	p.sums = sums
 	p.planDecode()
 	p.run()
-	err := firstErr(p.parts)
+	err = firstErr(p.parts)
 	p.release()
 	if err != nil {
 		mDecompressErrs.Inc()
 		return err
 	}
 	mDecompressCalls.Inc()
-	mDecompressRaw.Add(int64(h.DataLen * elemBytes(h.Float64)))
+	mDecompressRaw.Add(int64(4 * h.DataLen))
 	mDecompressIn.Add(int64(len(comp)))
 	return nil
 }
 
 // decodeChunk decodes one chunk of h's layout into dst, adding it onto
 // sums when sums is set.
-func decodeChunk[T Float](src []byte, dst, sums []T, h Header, eb2 float64) error {
+func decodeChunk(src []byte, dst, sums []float32, h Header, eb2 float64) error {
 	if h.Version == 1 {
 		return decompressChunk(src, dst, sums, eb2, h.BlockSize)
 	}
@@ -433,11 +371,11 @@ func decodeChunk[T Float](src []byte, dst, sums []T, h Header, eb2 float64) erro
 }
 
 // decompressChunk is the one decoder of a version-1 chunk: runs of full
-// 32-element float32 blocks go through the SIMD kernel where the CPU has
-// one, a full block it declines through decodeBlock32, and tail or
-// odd-sized blocks through DecodeBlock. With sums set every path stores
+// 32-element blocks go through the SIMD kernel where the CPU has one, a
+// full block it declines through decodeBlock32, and tail or odd-sized
+// blocks through DecodeBlock. With sums set every path stores
 // sums[i] + v instead of the decoded value v.
-func decompressChunk[T Float](src []byte, dst, sums []T, eb2 float64, B int) error {
+func decompressChunk(src []byte, dst, sums []float32, eb2 float64, B int) error {
 	if len(src) < 4 {
 		return ErrCorrupt
 	}
@@ -448,15 +386,13 @@ func decompressChunk[T Float](src []byte, dst, sums []T, eb2 float64, B int) err
 	defer bufpool.PutInt32s(pbuf)
 	defer bufpool.PutUint32s(mbuf)
 	var mscratch [32]uint32
-	out32, _ := any(dst).([]float32) // nil for every other element type
-	sums32, _ := any(sums).([]float32)
 	for base := 0; base < len(dst); {
-		if B == 32 && out32 != nil {
+		if B == 32 {
 			var s []float32
-			if sums32 != nil {
-				s = sums32[base:]
+			if sums != nil {
+				s = sums[base:]
 			}
-			used, k, a := decodeRun32(src[o:], out32[base:], s, acc, eb2)
+			used, k, a := decodeRun32(src[o:], dst[base:], s, acc, eb2)
 			o, base, acc = o+used, base+32*k, a
 			if base == len(dst) {
 				break
@@ -464,7 +400,7 @@ func decompressChunk[T Float](src []byte, dst, sums []T, eb2 float64, B int) err
 		}
 		end := min(base+B, len(dst))
 		n := end - base
-		var s []T
+		var s []float32
 		if sums != nil {
 			s = sums[base:end]
 		}
@@ -485,12 +421,12 @@ func decompressChunk[T Float](src []byte, dst, sums []T, eb2 float64, B int) err
 		if s == nil {
 			for i := 0; i < n; i++ {
 				acc += pbuf[i]
-				blk[i] = T(eb2 * float64(acc))
+				blk[i] = float32(eb2 * float64(acc))
 			}
 		} else {
 			for i := 0; i < n; i++ {
 				acc += pbuf[i]
-				blk[i] = s[i] + T(eb2*float64(acc))
+				blk[i] = s[i] + float32(eb2*float64(acc))
 			}
 		}
 		base = end

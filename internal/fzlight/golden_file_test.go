@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.bin fro
 // and compared byte-for-byte against the current encoder. Unlike the
 // in-code vectors above (which pin single blocks and the header layout),
 // these lock the complete wire format — chunk tables, outliers, markers,
-// payload packing — across 1D/2D/3D and float64 containers. If one fails,
+// payload packing — across the 1D, 2D and 3D layouts. If one fails,
 // the format changed: bump the version byte and provide migration, don't
 // regenerate blindly.
 
@@ -23,7 +23,6 @@ type goldenVector struct {
 	name     string
 	params   Params
 	compress func(p Params) ([]byte, error)
-	decode   func(comp []byte) (int, error) // returns element count
 }
 
 func goldenVectors() []goldenVector {
@@ -34,22 +33,12 @@ func goldenVectors() []goldenVector {
 		}
 		return out
 	}
-	f32 := func(data []float32) func(comp []byte) (int, error) {
-		return func(comp []byte) (int, error) {
-			got, err := Decompress(comp)
-			return len(got), err
-		}
-	}
 	outlier := sine(128, 0.2)
 	outlier[0] = 9000
 	outlier[64] = -8500
 	constant := make([]float32, 96)
 	for i := range constant {
 		constant[i] = 2.5
-	}
-	d64 := make([]float64, 100)
-	for i := range d64 {
-		d64[i] = math.Cos(float64(i) / 11)
 	}
 	oneD := sine(300, 0)
 	twoD := sine(12*16, 0.5)
@@ -61,7 +50,6 @@ func goldenVectors() []goldenVector {
 			compress: func(p Params) ([]byte, error) {
 				return Compress(oneD, p)
 			},
-			decode: f32(oneD),
 		},
 		{
 			name:   "1d-outlier",
@@ -69,7 +57,6 @@ func goldenVectors() []goldenVector {
 			compress: func(p Params) ([]byte, error) {
 				return Compress(outlier, p)
 			},
-			decode: f32(outlier),
 		},
 		{
 			name:   "1d-constant",
@@ -77,7 +64,6 @@ func goldenVectors() []goldenVector {
 			compress: func(p Params) ([]byte, error) {
 				return Compress(constant, p)
 			},
-			decode: f32(constant),
 		},
 		{
 			name:   "2d-ramp",
@@ -85,25 +71,12 @@ func goldenVectors() []goldenVector {
 			compress: func(p Params) ([]byte, error) {
 				return Compress2D(twoD, 12, 16, p)
 			},
-			decode: f32(twoD),
 		},
 		{
 			name:   "3d-wave",
 			params: Params{ErrorBound: 1e-2},
 			compress: func(p Params) ([]byte, error) {
 				return Compress3D(threeD, 4, 5, 6, p)
-			},
-			decode: f32(threeD),
-		},
-		{
-			name:   "f64-cos",
-			params: Params{ErrorBound: 1e-4},
-			compress: func(p Params) ([]byte, error) {
-				return Compress64(d64, p)
-			},
-			decode: func(comp []byte) (int, error) {
-				got, err := Decompress64(comp)
-				return len(got), err
 			},
 		},
 	}
@@ -135,7 +108,7 @@ func TestGoldenFiles(t *testing.T) {
 					gv.name, len(comp), len(want))
 			}
 			// The committed bytes must also still decode.
-			n, err := gv.decode(want)
+			got, err := Decompress(want)
 			if err != nil {
 				t.Fatalf("%s: committed container no longer decodes: %v", gv.name, err)
 			}
@@ -143,8 +116,8 @@ func TestGoldenFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != h.DataLen {
-				t.Fatalf("%s: decoded %d elements, header says %d", gv.name, n, h.DataLen)
+			if len(got) != h.DataLen {
+				t.Fatalf("%s: decoded %d elements, header says %d", gv.name, len(got), h.DataLen)
 			}
 		})
 	}

@@ -42,28 +42,6 @@ func TestCompressIntoMatchesCompress(t *testing.T) {
 	}
 }
 
-// The float64 variant must match Compress64 the same way.
-func TestCompressInto64MatchesCompress64(t *testing.T) {
-	data := make([]float64, 1000)
-	f32 := smoothField(len(data), 7)
-	for i := range data {
-		data[i] = float64(f32[i])
-	}
-	p := Params{ErrorBound: 1e-3, Threads: 4}
-	want, err := Compress64(data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, CompressBound(len(data), p))
-	m, err := CompressInto64(dst, data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst[:m], want) {
-		t.Fatalf("CompressInto64 output differs from Compress64 (%d vs %d bytes)", m, len(want))
-	}
-}
-
 // A destination below CompressBound must be rejected with ErrShortOutput
 // before any bytes are written.
 func TestCompressIntoShortOutput(t *testing.T) {

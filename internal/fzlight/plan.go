@@ -8,7 +8,7 @@ import "hzccl/internal/fanout"
 //
 // Chunks are the container's format (Params.Threads of them, each with its
 // own outlier; the bytes depend on the count). Segments are how an encode
-// uses the cores and do not show in the bytes: a float32 version-1 chunk of
+// uses the cores and do not show in the bytes: a version-1 chunk of
 // 32-element blocks is encoded as up to GOMAXPROCS block-aligned segments,
 // and segment k > 0 starts from the quantised value of the element in front
 // of it, which is exactly the state the serial encoder carries into that
@@ -73,56 +73,43 @@ func firstErr(parts []Part) error {
 // plan is one compress or decompress call: the container buf, the values
 // vals, and the parts that cover both. A decode with sums set adds the
 // container onto sums (DecompressAddInto).
-type plan[T Float] struct {
+type plan struct {
 	h      Header
 	buf    []byte
-	vals   []T
-	sums   []T
+	vals   []float32
+	sums   []float32
 	scale  float64 // recip = 1/(2·eb) to encode, 2·eb to decode
 	decode bool
 	parts  []Part
 }
 
-// plans keeps free plans of float32 and float64 values.
-var (
-	plans32 fanout.Free[plan[float32]]
-	plans64 fanout.Free[plan[float64]]
-)
+// plans is the free list the steady state takes its plans from.
+var plans fanout.Free[plan]
 
-// free is the free list of plan[T]: nil for an element type that is
-// neither float32 nor float64 (a named one), whose plans are not kept.
-func free[T Float]() *fanout.Free[plan[T]] {
-	f, _ := any(&plans32).(*fanout.Free[plan[T]])
-	if f == nil {
-		f, _ = any(&plans64).(*fanout.Free[plan[T]])
-	}
-	return f
-}
-
-func newPlan[T Float](h Header, buf []byte, vals []T, scale float64, decode bool) *plan[T] {
-	p := free[T]().Get()
+func newPlan(h Header, buf []byte, vals []float32, scale float64, decode bool) *plan {
+	p := plans.Get()
 	if p == nil {
-		p = new(plan[T])
+		p = new(plan)
 	}
 	p.h, p.buf, p.vals, p.scale, p.decode = h, buf, vals, scale, decode
 	p.parts = p.parts[:0]
 	return p
 }
 
-func (p *plan[T]) release() {
+func (p *plan) release() {
 	p.buf, p.vals, p.sums = nil, nil, nil
-	free[T]().Put(p)
+	plans.Put(p)
 }
 
 // planEncode lays out the parts of an encode of h for the given number of
-// cores: every chunk, split where it is a float32 version-1 chunk of
-// 32-element blocks into up to cores/NumChunks block-aligned segments of at
-// least minLen elements, each part's region its worst case (a segment
-// behind the first has no outlier).
-func (p *plan[T]) planEncode(cores, minLen int) {
+// cores: every chunk, split where it is a version-1 chunk of 32-element
+// blocks into up to cores/NumChunks block-aligned segments of at least
+// minLen elements, each part's region its worst case (a segment behind
+// the first has no outlier).
+func (p *plan) planEncode(cores, minLen int) {
 	h, B := p.h, p.h.BlockSize
 	split := 1
-	if _, f32 := any(p.vals).([]float32); f32 && h.Version == 1 && B == 32 {
+	if h.Version == 1 && B == 32 {
 		split = max(1, cores/h.NumChunks)
 	}
 	off := h.PayloadStart()
@@ -144,7 +131,7 @@ func (p *plan[T]) planEncode(cores, minLen int) {
 
 // planDecode lays out the parts of a decode of the container h heads: one
 // per chunk.
-func (p *plan[T]) planDecode() {
+func (p *plan) planDecode() {
 	off := p.h.PayloadStart()
 	for c := 0; c < p.h.NumChunks; c++ {
 		s, e := p.h.ChunkRange(c)
@@ -155,10 +142,10 @@ func (p *plan[T]) planDecode() {
 }
 
 // Do runs part i.
-func (p *plan[T]) Do(i int) {
+func (p *plan) Do(i int) {
 	pt := &p.parts[i]
 	if p.decode {
-		var sums []T
+		var sums []float32
 		if p.sums != nil {
 			sums = p.sums[pt.Start:pt.End]
 		}
@@ -182,4 +169,4 @@ func (p *plan[T]) Do(i int) {
 }
 
 // run runs every part on the fanout runner.
-func (p *plan[T]) run() { fanout.Run(len(p.parts), p) }
+func (p *plan) run() { fanout.Run(len(p.parts), p) }

@@ -40,11 +40,3 @@ func init() {
 	// homomorphic add), 2 = the same with AVX-512 quantise and dequantise.
 	telemetry.Gauge("fzlight.simd_kernels", func() float64 { return float64(level) })
 }
-
-// elemBytes returns the raw byte width of the container's element type.
-func elemBytes(wide bool) int {
-	if wide {
-		return 8
-	}
-	return 4
-}

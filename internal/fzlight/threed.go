@@ -115,7 +115,7 @@ func lorenzoInvert(v []int32, outlier int32, width, plane int) {
 
 // compressChunkLorenzo writes one chunk of whole planes (outlier + encoded
 // residual blocks) into dst and returns the number of bytes written.
-func compressChunkLorenzo[T Float](dst []byte, band []T, width, plane int, recip float64, B int) (int, error) {
+func compressChunkLorenzo(dst []byte, band []float32, width, plane int, recip float64, B int) (int, error) {
 	putInt32(dst, 0)
 	o := 4
 	if len(band) == 0 {
@@ -142,7 +142,7 @@ func compressChunkLorenzo[T Float](dst []byte, band []T, width, plane int, recip
 }
 
 // decompressChunkLorenzo reverses compressChunkLorenzo.
-func decompressChunkLorenzo[T Float](src []byte, dst, sums []T, width, plane int, eb2 float64, B int) error {
+func decompressChunkLorenzo(src []byte, dst, sums []float32, width, plane int, eb2 float64, B int) error {
 	if len(src) < 4 {
 		return ErrCorrupt
 	}
@@ -167,12 +167,12 @@ func decompressChunkLorenzo[T Float](src []byte, dst, sums []T, width, plane int
 	lorenzoInvert(v, getInt32(src), width, plane)
 	if sums == nil {
 		for i, q := range v {
-			dst[i] = T(eb2 * float64(q))
+			dst[i] = float32(eb2 * float64(q))
 		}
 		return nil
 	}
 	for i, q := range v {
-		dst[i] = sums[i] + T(eb2*float64(q))
+		dst[i] = sums[i] + float32(eb2*float64(q))
 	}
 	return nil
 }

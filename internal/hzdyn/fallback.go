@@ -39,27 +39,19 @@ func AddWithFallback(a, b []byte) (sum []byte, fellBack bool, st Stats, err erro
 const maxWidenings = 64
 
 // docAdd is the decompress-operate-compress reference path: it works for
-// any pair of streams Add accepts, at DOC cost.
+// any pair of streams Add accepts, at DOC cost. It decodes both operands,
+// sums them and compresses the sum in a's layout, doubling the error bound
+// on each ErrRange until the sum fits (see AddWithFallback).
 func docAdd(a, b []byte) ([]byte, error) {
 	h, err := fzlight.ParseHeader(a)
 	if err != nil {
 		return nil, fmt.Errorf("hzdyn: fallback: left operand: %w", err)
 	}
-	if h.Float64 {
-		return docAddAs(a, b, h, fzlight.Decompress64)
-	}
-	return docAddAs(a, b, h, fzlight.Decompress)
-}
-
-// docAddAs decodes both operands with decompress, sums them and compresses
-// the sum in a's layout, doubling the error bound on each ErrRange until
-// the sum fits (see AddWithFallback).
-func docAddAs[T fzlight.Float](a, b []byte, h fzlight.Header, decompress func([]byte) ([]T, error)) ([]byte, error) {
-	da, err := decompress(a)
+	da, err := fzlight.Decompress(a)
 	if err != nil {
 		return nil, fmt.Errorf("hzdyn: fallback: left operand: %w", err)
 	}
-	db, err := decompress(b)
+	db, err := fzlight.Decompress(b)
 	if err != nil {
 		return nil, fmt.Errorf("hzdyn: fallback: right operand: %w", err)
 	}

@@ -77,8 +77,6 @@ func (s Stats) Fraction(p Pipeline) float64 {
 	return float64(s.Pipeline[p]) / float64(s.Blocks)
 }
 
-func (s *Stats) add(o Stats) { s.Accumulate(o) }
-
 // Accumulate folds another Stats value into s (for callers aggregating
 // statistics across many reductions).
 func (s *Stats) Accumulate(o Stats) {
@@ -160,7 +158,7 @@ func addInto(dst, a, b []byte, dynamic bool) (int, Stats, error) {
 	n, err := p.run()
 	if err == nil {
 		for _, st := range p.stats {
-			stats.add(st)
+			stats.Accumulate(st)
 		}
 		recordAdd(stats)
 	}
@@ -168,15 +166,13 @@ func addInto(dst, a, b []byte, dynamic bool) (int, Stats, error) {
 	return n, stats, err
 }
 
-// plan is one reduction (b set) or scaling (b nil) of a container: a part
-// per chunk, run on the fanout runner, each written at its worst-case
-// offset in dst — a pair's two input chunks' combined size, a scaled
-// chunk's worst-case encoding — and compacted by fzlight's Assemble.
+// plan is one reduction of two containers: a part per chunk, run on the
+// fanout runner, each written at its worst-case offset in dst — the pair's
+// two input chunks' combined size — and compacted by fzlight's Assemble.
 type plan struct {
 	h         fzlight.Header
 	dst, a, b []byte
 	dynamic   bool
-	k         int32
 	parts     []fzlight.Part
 	// Chunk i's payload is a[inA[i]:inA[i+1]] (b[inB[i]:inB[i+1]]).
 	inA, inB []int
@@ -196,14 +192,10 @@ func newPlan(h fzlight.Header, dst, a, b []byte) *plan {
 	p.inA, p.inB = append(p.inA[:0], off), append(p.inB[:0], off)
 	for c := 0; c < h.NumChunks; c++ {
 		s, e := h.ChunkRange(c)
-		sa := h.ChunkSize(a, c)
-		region := h.ChunkBound(c)
-		if b != nil {
-			sb := h.ChunkSize(b, c)
-			region = sa + sb
-			p.inB = append(p.inB, p.inB[c]+sb)
-		}
+		sa, sb := h.ChunkSize(a, c), h.ChunkSize(b, c)
+		region := sa + sb
 		p.inA = append(p.inA, p.inA[c]+sa)
+		p.inB = append(p.inB, p.inB[c]+sb)
 		p.parts = append(p.parts, fzlight.Part{Chunk: c, Start: s, End: e, Off: off, Limit: off + region})
 		p.stats = append(p.stats, Stats{})
 		off += region
@@ -211,15 +203,11 @@ func newPlan(h fzlight.Header, dst, a, b []byte) *plan {
 	return p
 }
 
-// Do reduces or scales chunk i.
+// Do reduces chunk i.
 func (p *plan) Do(i int) {
 	pt := &p.parts[i]
-	dst, a := p.dst[pt.Off:pt.Limit], p.a[p.inA[i]:p.inA[i+1]]
-	if p.b == nil {
-		pt.Size, pt.Err = scaleChunk(dst, a, pt.End-pt.Start, p.h.BlockSize, p.k)
-		return
-	}
-	pt.Size, p.stats[i], pt.Err = addChunk(dst, a, p.b[p.inB[i]:p.inB[i+1]], pt.End-pt.Start, p.h.BlockSize, p.dynamic)
+	pt.Size, p.stats[i], pt.Err = addChunk(p.dst[pt.Off:pt.Limit], p.a[p.inA[i]:p.inA[i+1]], p.b[p.inB[i]:p.inB[i+1]],
+		pt.End-pt.Start, p.h.BlockSize, p.dynamic)
 }
 
 // run runs every chunk and assembles the container.
@@ -342,104 +330,6 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 	}
 	st.Blocks = int64((n + B - 1) / B)
 	return o, oa, ob, st, nil
-}
-
-// ScaleBound returns a dst size always sufficient for ScaleIntInto on
-// comp: scaling can grow every block to its worst-case code length, so the
-// bound is the header plus each chunk's worst-case encoding.
-func ScaleBound(comp []byte) (int, error) {
-	h, err := fzlight.ParseHeader(comp)
-	if err != nil {
-		return 0, err
-	}
-	return h.Bound(), nil
-}
-
-// ScaleInt multiplies every value in a compressed stream by the integer k,
-// entirely in compressed space. Scaling is linear in the quantized domain,
-// so Decompress(ScaleInt(C(v), k)) == k · Decompress(C(v)) exactly. This is
-// the building block the paper's future-work section needs for weighted
-// reductions.
-func ScaleInt(comp []byte, k int32) ([]byte, error) {
-	bound, err := ScaleBound(comp)
-	if err != nil {
-		return nil, err
-	}
-	buf := bufpool.Bytes(bound)
-	n, err := ScaleIntInto(buf, comp, k)
-	if err != nil {
-		bufpool.PutBytes(buf)
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	bufpool.PutBytes(buf)
-	return out, nil
-}
-
-// ScaleIntInto is the reusable-buffer form of ScaleInt: it scales comp by
-// k into dst — which must hold at least ScaleBound(comp) bytes — and
-// returns the container size. Like AddInto, the steady state performs
-// zero heap allocations, in every layout and at any chunk count.
-func ScaleIntInto(dst, comp []byte, k int32) (int, error) {
-	h, err := fzlight.ParseHeader(comp)
-	if err != nil {
-		return 0, err
-	}
-	if len(dst) < h.Bound() {
-		return 0, fzlight.ErrShortOutput
-	}
-	p := newPlan(h, dst, comp, nil)
-	p.k = k
-	n, err := p.run()
-	p.release()
-	return n, err
-}
-
-func scaleChunk(dst, src []byte, n, B int, k int32) (int, error) {
-	if len(src) < 4 {
-		return 0, fzlight.ErrCorrupt
-	}
-	ov := int64(getInt32(src)) * int64(k)
-	if ov > math.MaxInt32 || ov < math.MinInt32 {
-		return 0, ErrOverflow
-	}
-	putInt32(dst, int32(ov))
-	oi, o := 4, 4
-	p := bufpool.Int32s(B)
-	scratch := bufpool.Uint32s(B)
-	defer bufpool.PutInt32s(p)
-	defer bufpool.PutUint32s(scratch)
-	for base := 0; base < n; base += B {
-		bn := B
-		if base+bn > n {
-			bn = n - base
-		}
-		size, err := fzlight.BlockBytes(src[oi:], bn)
-		if err != nil {
-			return 0, err
-		}
-		if src[oi] == 0 || k == 1 {
-			o += copy(dst[o:], src[oi:oi+size])
-		} else {
-			if _, err := fzlight.DecodeBlock(src[oi:], p[:bn], scratch); err != nil {
-				return 0, err
-			}
-			for i := 0; i < bn; i++ {
-				s := int64(p[i]) * int64(k)
-				if s > math.MaxInt32 || s < math.MinInt32 {
-					return 0, ErrOverflow
-				}
-				p[i] = int32(s)
-			}
-			o += fzlight.EncodeBlock(dst[o:], p[:bn], scratch)
-		}
-		oi += size
-	}
-	if oi != len(src) {
-		return 0, fzlight.ErrCorrupt
-	}
-	return o, nil
 }
 
 func putInt32(b []byte, v int32) {

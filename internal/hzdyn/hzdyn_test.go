@@ -236,31 +236,45 @@ func TestCorruptOperand(t *testing.T) {
 	}
 }
 
-func TestScaleInt(t *testing.T) {
-	a := smooth(3000, 14, 1)
-	p := fzlight.Params{ErrorBound: 1e-3, Threads: 2}
-	ca := compress(t, a, p)
-	for _, k := range []int32{0, 1, 2, 7, -3} {
-		scaled, err := ScaleInt(ca, k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		got := decompress(t, scaled)
-		base := decompress(t, ca)
-		for i := range got {
-			want := float64(base[i]) * float64(k)
-			if math.Abs(float64(got[i])-want) > 1e-5*math.Abs(want)+1e-9 {
-				t.Fatalf("k=%d i=%d: got %v want %v", k, i, got[i], want)
-			}
+// The 2D Lorenzo predictor is linear, so version-2 containers must be
+// exactly as homomorphic as 1D ones.
+func TestHomomorphicAdd2D(t *testing.T) {
+	h, w := 64, 48
+	a := make([]float32, h*w)
+	b := make([]float32, h*w)
+	for i := 0; i < h; i++ {
+		for j := 0; j < w; j++ {
+			a[i*w+j] = float32(math.Sin(float64(i)*0.1) * math.Cos(float64(j)*0.1) * 5)
+			b[i*w+j] = float32(float64(i)*0.02 + float64(j)*0.03)
 		}
 	}
-}
-
-func TestScaleIntOverflow(t *testing.T) {
-	a := smooth(100, 15, 100)
-	ca := compress(t, a, fzlight.Params{ErrorBound: 1e-6})
-	if _, err := ScaleInt(ca, math.MaxInt32); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("want ErrOverflow, got %v", err)
+	p := fzlight.Params{ErrorBound: 1e-3, Threads: 3}
+	ca, err := fzlight.Compress2D(a, h, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := fzlight.Compress2D(b, h, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, st, err := Add(ca, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Blocks == 0 {
+		t.Fatal("no blocks")
+	}
+	got := decompress(t, sum)
+	da, db := decompress(t, ca), decompress(t, cb)
+	for i := range got {
+		want := float64(da[i]) + float64(db[i])
+		if d := math.Abs(float64(got[i]) - want); d > 1e-6*math.Abs(want)+1e-7 {
+			t.Fatalf("2D homomorphism broken at %d: got %v want %v", i, got[i], want)
+		}
+	}
+	// 1D and 2D containers of the same data must NOT mix.
+	if _, _, err := Add(ca, compress(t, a, p)); err == nil {
+		t.Fatal("mixed 1D/2D geometry accepted")
 	}
 }
 

@@ -1,7 +1,7 @@
 package hzdyn
 
-// Tests for the allocation-free Into API: AddInto/ScaleIntInto must be
-// byte-for-byte drop-ins for Add/ScaleInt in every container layout,
+// Tests for the allocation-free Into API: AddInto must be a
+// byte-for-byte drop-in for Add in every container layout,
 // reject short destinations, and — in the single-chunk steady state the
 // ring collectives run — perform zero allocations per op.
 
@@ -108,36 +108,6 @@ func TestAddIntoShortOutput(t *testing.T) {
 	}
 }
 
-// ScaleIntInto must match ScaleInt byte-for-byte on 1D containers.
-func TestScaleIntIntoMatchesScaleInt(t *testing.T) {
-	for _, n := range []int{1, 32, 1000, 4097} {
-		for _, threads := range []int{1, 4} {
-			for _, k := range []int32{0, 1, 3, -2} {
-				data := smooth(n, 300+int64(n), 1)
-				p := fzlight.Params{ErrorBound: 1e-3, Threads: threads}
-				comp := compress(t, data, p)
-				want, err := ScaleInt(comp, k)
-				if err != nil {
-					t.Fatalf("ScaleInt(n=%d,t=%d,k=%d): %v", n, threads, k, err)
-				}
-				bound, err := ScaleBound(comp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dst := make([]byte, bound)
-				m, err := ScaleIntInto(dst, comp, k)
-				if err != nil {
-					t.Fatalf("ScaleIntInto(n=%d,t=%d,k=%d): %v", n, threads, k, err)
-				}
-				if !bytes.Equal(dst[:m], want) {
-					t.Fatalf("n=%d t=%d k=%d: ScaleIntInto output differs from ScaleInt",
-						n, threads, k)
-				}
-			}
-		}
-	}
-}
-
 // The single-chunk steady state — one homomorphic add per ring step —
 // must not allocate once the scratch pools are warm, in any layout.
 // scripts/bench.sh gates CI on the benchmark twin of this assertion.
@@ -164,40 +134,10 @@ func TestAddIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// ScaleIntInto follows the same discipline as AddInto: the single-chunk
-// steady state must not allocate at all once the pools are warm.
-func TestScaleIntIntoZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; counts are meaningless")
-	}
-	for _, tc := range layoutCases {
-		comp, _ := layoutPair(t, tc.compress, fzlight.Params{ErrorBound: 1e-3}, 23, 24)
-		bound, err := ScaleBound(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]byte, bound)
-		for i := 0; i < 4; i++ {
-			if _, err := ScaleIntInto(dst, comp, 3); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ScaleIntInto(dst, comp, 3); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: steady-state ScaleIntInto allocates %v objects/op, want 0", tc.name, allocs)
-		}
-	}
-}
-
 // The multi-chunk path runs its chunks on the fanout runner from a pooled
 // plan: no goroutine, closure or index slice per call, so its steady state
-// allocates nothing either, scaling or adding, with the helpers taking
-// chunks.
-func TestScaleIntIntoMultiChunkScratchPooled(t *testing.T) {
+// allocates nothing either, with the helpers taking chunks.
+func TestAddIntoMultiChunkScratchPooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
@@ -212,39 +152,30 @@ func TestScaleIntIntoMultiChunkScratchPooled(t *testing.T) {
 	if h.NumChunks < 2 {
 		t.Fatalf("want a multi-chunk container, got %d chunks", h.NumChunks)
 	}
-	bound, err := ScaleBound(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, bound)
 	sum := make([]byte, AddBound(len(comp), len(comp)))
-	for name, op := range map[string]func() error{
-		"ScaleIntInto": func() error { _, err := ScaleIntInto(dst, comp, 3); return err },
-		"AddInto":      func() error { _, _, err := AddInto(sum, comp, comp); return err },
-	} {
-		for i := 0; i < 4; i++ {
+	op := func() error { _, _, err := AddInto(sum, comp, comp); return err }
+	for i := 0; i < 4; i++ {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Counted by hand, the fewest over up to ten rounds:
+	// testing.AllocsPerRun runs at GOMAXPROCS 1, where no helper takes a
+	// chunk, and with more a call that moves between cores takes a few
+	// rounds to find warm bufpool scratch on each.
+	best := ^uint64(0)
+	for r := 0; r < 10 && best > 0; r++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 100; i++ {
 			if err := op(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Counted by hand, the fewest over up to ten rounds:
-		// testing.AllocsPerRun runs at GOMAXPROCS 1, where no helper takes a
-		// chunk, and with more a call that moves between cores takes a few
-		// rounds to find warm bufpool scratch on each.
-		best := ^uint64(0)
-		for r := 0; r < 10 && best > 0; r++ {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for i := 0; i < 100; i++ {
-				if err := op(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&m1)
-			best = min(best, m1.Mallocs-m0.Mallocs)
-		}
-		if best != 0 {
-			t.Errorf("multi-chunk %s allocates %d objects in 100 calls, want 0", name, best)
-		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.Mallocs-m0.Mallocs)
+	}
+	if best != 0 {
+		t.Errorf("multi-chunk AddInto allocates %d objects in 100 calls, want 0", best)
 	}
 }

@@ -141,7 +141,7 @@ func TestStaticAddRecordsAllBothEncoded(t *testing.T) {
 // Quantized-sum overflow must be tallied as a fallback.
 func TestOverflowFallbackCounter(t *testing.T) {
 	const eb = 1e-3
-	// q ≈ 3e8 per value: one doubling stays in int32 range, ×8 overflows.
+	// q ≈ 3e8 per value: one sum stays in int32 range, the eighth overflows.
 	vals := make([]float32, 64)
 	for i := range vals {
 		vals[i] = 6e5
@@ -150,9 +150,15 @@ func TestOverflowFallbackCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc := c
+	for k := 2; k < 8; k++ {
+		if acc, _, err = Add(acc, c); err != nil {
+			t.Fatalf("sum of %d: %v", k, err)
+		}
+	}
 	before := telemetry.Capture()
-	if _, err := ScaleInt(c, 8); err != ErrOverflow {
-		t.Fatalf("ScaleInt err = %v, want ErrOverflow", err)
+	if _, _, err := Add(acc, c); err != ErrOverflow {
+		t.Fatalf("Add err = %v, want ErrOverflow", err)
 	}
 	d := telemetry.Capture().Delta(before)
 	if got := d.Counters["hzdyn.overflow_fallbacks"]; got != 1 {

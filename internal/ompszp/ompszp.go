@@ -42,6 +42,9 @@ import (
 // DefaultBlockSize matches cuSZp's 32-element blocks.
 const DefaultBlockSize = 32
 
+// maxBlockSize is the largest block size the header's 16-bit field holds.
+const maxBlockSize = math.MaxUint16
+
 // zeroMarker tags a block whose raw values were all exactly zero.
 const zeroMarker = 0xFF
 
@@ -63,7 +66,7 @@ var (
 type Params struct {
 	// ErrorBound is the absolute error bound. Must be > 0.
 	ErrorBound float64
-	// BlockSize is the small-block length (default 32).
+	// BlockSize is the small-block length (default 32, at most 65,535).
 	BlockSize int
 	// Threads is the number of strided workers (default 1).
 	Threads int
@@ -138,6 +141,9 @@ func putMetas(s []blockMeta) {
 func CompressBound(n int, p Params) int {
 	p = p.withDefaults()
 	B := p.BlockSize
+	if B < 1 || B > maxBlockSize {
+		return fixedHeader // CompressInto rejects the block size
+	}
 	nblocks := (n + B - 1) / B
 	return fixedHeader + nblocks*(5+bitio.SignBytes(B)+32*((B+7)/8))
 }
@@ -159,8 +165,11 @@ func Compress(data []float32, p Params) ([]byte, error) {
 // beyond the goroutines of multi-threaded runs.
 func CompressInto(dst []byte, data []float32, p Params) (int, error) {
 	p = p.withDefaults()
-	if !(p.ErrorBound > 0) || math.IsInf(p.ErrorBound, 0) {
+	if !(p.ErrorBound > 0) || math.IsInf(2*p.ErrorBound, 0) {
 		return 0, fmt.Errorf("%w: ErrorBound %v", ErrBadParams, p.ErrorBound)
+	}
+	if p.BlockSize < 1 || p.BlockSize > maxBlockSize {
+		return 0, fmt.Errorf("%w: BlockSize %d", ErrBadParams, p.BlockSize)
 	}
 	if len(dst) < CompressBound(len(data), p) {
 		return 0, fmt.Errorf("%w: dst too small", ErrBadParams)
@@ -565,13 +574,15 @@ func ParseHeader(comp []byte) (*Header, error) {
 	if comp[4] != version {
 		return nil, fmt.Errorf("%w: version %d", ErrBadVersion, comp[4])
 	}
-	h := &Header{
-		BlockSize:  int(binary.LittleEndian.Uint16(comp[6:])),
-		ErrorBound: math.Float64frombits(binary.LittleEndian.Uint64(comp[8:])),
-		DataLen:    int(binary.LittleEndian.Uint64(comp[16:])),
-	}
-	if h.BlockSize < 1 || h.DataLen < 0 || !(h.ErrorBound > 0) {
+	bs := binary.LittleEndian.Uint16(comp[6:])
+	eb := math.Float64frombits(binary.LittleEndian.Uint64(comp[8:]))
+	rawLen := binary.LittleEndian.Uint64(comp[16:])
+	// Streams arrive from the network: every block costs at least its
+	// marker byte, so the payload bounds the element count before anything
+	// is sized from it. The decoder scales by 2·eb, which must be finite.
+	payload := uint64(len(comp) - fixedHeader)
+	if bs < 1 || !(eb > 0) || math.IsInf(2*eb, 0) || rawLen > payload*uint64(bs) || rawLen > math.MaxInt {
 		return nil, ErrCorrupt
 	}
-	return h, nil
+	return &Header{BlockSize: int(bs), ErrorBound: eb, DataLen: int(rawLen)}, nil
 }

@@ -1,7 +1,9 @@
 package ompszp
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,6 +152,86 @@ func TestCorruptStreams(t *testing.T) {
 	}
 }
 
+// A block size the header's 16-bit field cannot hold is rejected before
+// anything is written: it used to be truncated into a stream that did not
+// decode (65,536 became 0), and a negative one panicked sizing dst.
+func TestBlockSizeMustFitHeader(t *testing.T) {
+	data := smooth(1000, 8)
+	for _, bs := range []int{-1, maxBlockSize + 1, maxBlockSize + 2} {
+		t.Run(fmt.Sprint(bs), func(t *testing.T) {
+			p := Params{ErrorBound: 1e-3, BlockSize: bs}
+			if _, err := Compress(data, p); !errors.Is(err, ErrBadParams) {
+				t.Errorf("Compress: got %v, want ErrBadParams", err)
+			}
+			dst := make([]byte, CompressBound(len(data), Params{ErrorBound: 1e-3}))
+			if _, err := CompressInto(dst, data, p); !errors.Is(err, ErrBadParams) {
+				t.Errorf("CompressInto: got %v, want ErrBadParams", err)
+			}
+		})
+	}
+	comp, err := Compress(data, Params{ErrorBound: 1e-3, BlockSize: maxBlockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decompress(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsErr(data, got); d > tol(1e-3, data) {
+		t.Fatalf("block size %d: error %g", maxBlockSize, d)
+	}
+}
+
+// Every block costs at least its marker byte, so a header may claim at
+// most payload × block size values; one more fails before the output is
+// sized from it.
+func TestParseHeaderRejectsUnbackedLength(t *testing.T) {
+	comp, err := Compress(smooth(100, 9), Params{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := uint64(len(comp)-fixedHeader) * DefaultBlockSize
+	bad := append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint64(bad[16:], most)
+	if h, err := ParseHeader(bad); err != nil || h.DataLen != int(most) {
+		t.Fatalf("length %d: %v", most, err)
+	}
+	for _, n := range []uint64{most + 1, 1 << 40, math.MaxUint64} {
+		binary.LittleEndian.PutUint64(bad[16:], n)
+		if _, err := ParseHeader(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("length %d: ParseHeader got %v, want ErrCorrupt", n, err)
+		}
+		if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("length %d: Decompress got %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// The decoder scales by 2·eb, so a bound that is not positive, or whose
+// double is not finite, fails in the header and in the compressor.
+func TestBoundMustDoubleFinitely(t *testing.T) {
+	data := smooth(100, 10)
+	comp, err := Compress(data, Params{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1), math.MaxFloat64} {
+		t.Run(fmt.Sprint(eb), func(t *testing.T) {
+			bad := append([]byte(nil), comp...)
+			binary.LittleEndian.PutUint64(bad[8:], math.Float64bits(eb))
+			if _, err := ParseHeader(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("ParseHeader: got %v, want ErrCorrupt", err)
+			}
+			if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Decompress: got %v, want ErrCorrupt", err)
+			}
+			if _, err := Compress(data, Params{ErrorBound: eb}); !errors.Is(err, ErrBadParams) {
+				t.Errorf("Compress: got %v, want ErrBadParams", err)
+			}
+		})
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	comp, err := Compress(nil, Params{ErrorBound: 1e-3})
 	if err != nil {
@@ -208,4 +290,60 @@ func TestPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecompress feeds arbitrary bytes to the decoder. It must fail with
+// one of the package's errors, or decode at most BlockSize values per
+// input byte (a zero block costs one), so that nothing is allocated from a
+// length the stream cannot back; a header that legally claims more than
+// 2^20 values is checked but not decoded. What it decodes must round-trip:
+// compressed again at the stream's own bound and block size, it decodes
+// within that bound, unless the compressor refuses the values as out of
+// range or not finite.
+func FuzzDecompress(f *testing.F) {
+	for _, data := range [][]float32{smooth(100, 7), make([]float32, 70), nil} {
+		comp, err := Compress(data, Params{ErrorBound: 1e-3})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(comp)
+	}
+	f.Add([]byte(magic))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if h, err := ParseHeader(b); err == nil {
+			if h.DataLen > len(b)*h.BlockSize {
+				t.Fatalf("implausible expansion: %d values from %d bytes", h.DataLen, len(b))
+			}
+			if h.DataLen > 1<<20 {
+				return // a legal expansion, too large to be worth a fuzz case
+			}
+		}
+		out, err := Decompress(b)
+		if err != nil {
+			for _, e := range []error{ErrCorrupt, ErrBadMagic, ErrBadVersion} {
+				if errors.Is(err, e) {
+					return
+				}
+			}
+			t.Fatalf("untyped error: %v", err)
+		}
+		h, err := ParseHeader(b)
+		if err != nil {
+			t.Fatalf("decoded a stream whose header fails: %v", err)
+		}
+		comp, err := Compress(out, Params{ErrorBound: h.ErrorBound, BlockSize: h.BlockSize})
+		if errors.Is(err, ErrRange) || errors.Is(err, ErrNonFinite) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("decoded values do not compress: %v", err)
+		}
+		back, err := Decompress(comp)
+		if err != nil {
+			t.Fatalf("recompressed stream does not decode: %v", err)
+		}
+		if d := maxAbsErr(out, back); d > tol(h.ErrorBound, out) {
+			t.Fatalf("round trip error %g over bound %g", d, h.ErrorBound)
+		}
+	})
 }

@@ -24,6 +24,10 @@ import (
 // DefaultBlockSize matches SZx's 128-element blocks.
 const DefaultBlockSize = 128
 
+// maxBlockSize bounds the block size, and with it how many values one
+// 5-byte constant block of a received stream can make the decoder allocate.
+const maxBlockSize = math.MaxUint16
+
 // Errors returned by the codec.
 var (
 	ErrBadParams = errors.New("szx: invalid parameters")
@@ -36,7 +40,7 @@ var (
 type Params struct {
 	// ErrorBound is the absolute error bound. Must be > 0.
 	ErrorBound float64
-	// BlockSize is the constant-block length (default 128).
+	// BlockSize is the constant-block length (default 128, at most 65,535).
 	BlockSize int
 }
 
@@ -86,7 +90,7 @@ func CompressInto(dst []byte, data []float32, p Params) (int, error) {
 	if B == 0 {
 		B = DefaultBlockSize
 	}
-	if B < 1 {
+	if B < 1 || B > maxBlockSize {
 		return 0, fmt.Errorf("%w: BlockSize %d", ErrBadParams, B)
 	}
 	if len(dst) < CompressBound(len(data), B) {
@@ -151,14 +155,15 @@ func DataLen(comp []byte) (int, error) {
 	if string(comp[:4]) != magic {
 		return 0, ErrBadMagic
 	}
-	B := int(binary.LittleEndian.Uint32(comp[4:]))
+	B := binary.LittleEndian.Uint32(comp[4:])
+	eb := math.Float64frombits(binary.LittleEndian.Uint64(comp[8:]))
 	rawLen := binary.LittleEndian.Uint64(comp[16:])
-	if B < 1 {
+	if B < 1 || B > maxBlockSize || !(eb > 0) || math.IsInf(eb, 0) {
 		return 0, ErrCorrupt
 	}
-	payload := uint64(len(comp) - fixedHeader)
-	// Every block costs at least 1 marker byte.
-	if rawLen > payload*uint64(B) {
+	// Every block costs at least 5 bytes: a marker and a constant, or a
+	// marker and at least one raw value.
+	if rawLen > uint64(len(comp)-fixedHeader)/5*uint64(B) || rawLen > math.MaxInt {
 		return 0, ErrCorrupt
 	}
 	return int(rawLen), nil

@@ -1,7 +1,9 @@
 package szx
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,6 +131,86 @@ func TestValidationAndCorruption(t *testing.T) {
 	}
 }
 
+// The block size is capped at 65,535 in the compressor and in the header:
+// one 5-byte constant block of a received stream must not make the
+// decoder allocate up to 2^32 − 1 values.
+func TestBlockSizeCapped(t *testing.T) {
+	data := ramp(1000, 1e-5)
+	if _, err := Compress(data, Params{ErrorBound: 1e-2, BlockSize: maxBlockSize + 1}); !errors.Is(err, ErrBadParams) {
+		t.Errorf("Compress: got %v, want ErrBadParams", err)
+	}
+	comp, err := Compress(data, Params{ErrorBound: 1e-2, BlockSize: maxBlockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decompress(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := maxAbsErr(data, got); m > 1e-2 {
+		t.Fatalf("block size %d: error %g", maxBlockSize, m)
+	}
+	for _, B := range []uint32{0, maxBlockSize + 1, math.MaxUint32} {
+		bad := append([]byte(nil), comp...)
+		binary.LittleEndian.PutUint32(bad[4:], B)
+		if _, err := DataLen(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("block size %d: DataLen got %v, want ErrCorrupt", B, err)
+		}
+		if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("block size %d: Decompress got %v, want ErrCorrupt", B, err)
+		}
+	}
+}
+
+// Every block costs at least five bytes, so a header may claim at most
+// payload/5 × block size values; one more fails before the output is
+// sized from it.
+func TestDataLenRejectsUnbackedLength(t *testing.T) {
+	comp, err := Compress(ramp(300, 1e-5), Params{ErrorBound: 1e-2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := uint64(len(comp)-fixedHeader) / 5 * DefaultBlockSize
+	bad := append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint64(bad[16:], most)
+	if n, err := DataLen(bad); err != nil || n != int(most) {
+		t.Fatalf("length %d: got %d, %v", most, n, err)
+	}
+	for _, n := range []uint64{most + 1, 1 << 40, math.MaxUint64} {
+		binary.LittleEndian.PutUint64(bad[16:], n)
+		if _, err := DataLen(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("length %d: DataLen got %v, want ErrCorrupt", n, err)
+		}
+		if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("length %d: Decompress got %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// A stream's bound must be finite and positive, as the compressor
+// requires of its own.
+func TestHeaderBoundMustBeFinite(t *testing.T) {
+	comp, err := Compress(ramp(300, 0.01), Params{ErrorBound: 1e-2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(eb), func(t *testing.T) {
+			bad := append([]byte(nil), comp...)
+			binary.LittleEndian.PutUint64(bad[8:], math.Float64bits(eb))
+			if _, err := DataLen(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("DataLen: got %v, want ErrCorrupt", err)
+			}
+			if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Decompress: got %v, want ErrCorrupt", err)
+			}
+			if _, err := Compress([]float32{1}, Params{ErrorBound: eb}); !errors.Is(err, ErrBadParams) {
+				t.Errorf("Compress: got %v, want ErrBadParams", err)
+			}
+		})
+	}
+}
+
 func TestEmptyAndTail(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 129, 300} {
 		data := ramp(n, 0.01)
@@ -172,4 +254,55 @@ func TestPropertyBound(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecompress feeds arbitrary bytes to the decoder. It must fail with
+// one of the package's errors, or decode at most BlockSize values per five
+// input bytes (a constant block costs five), so that nothing is allocated
+// from a length the stream cannot back; a header that legally claims more
+// than 2^20 values is checked but not decoded. What it decodes must
+// round-trip: compressed again at the stream's own bound and block size,
+// it decodes within that bound, unless the values are not finite.
+func FuzzDecompress(f *testing.F) {
+	for _, data := range [][]float32{ramp(300, 0.01), ramp(200, 1), nil} {
+		comp, err := Compress(data, Params{ErrorBound: 1e-2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(comp)
+	}
+	f.Add([]byte(magic))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if n, err := DataLen(b); err == nil {
+			if B := int(binary.LittleEndian.Uint32(b[4:])); n > len(b)/5*B {
+				t.Fatalf("implausible expansion: %d values from %d bytes", n, len(b))
+			}
+			if n > 1<<20 {
+				return // a legal expansion, too large to be worth a fuzz case
+			}
+		}
+		out, err := Decompress(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		B := int(binary.LittleEndian.Uint32(b[4:]))
+		eb := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		comp, err := Compress(out, Params{ErrorBound: eb, BlockSize: B})
+		if errors.Is(err, ErrNonFinite) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("decoded values do not compress: %v", err)
+		}
+		back, err := Decompress(comp)
+		if err != nil {
+			t.Fatalf("recompressed stream does not decode: %v", err)
+		}
+		if d := maxAbsErr(out, back); d > eb {
+			t.Fatalf("round trip error %g over bound %g", d, eb)
+		}
+	})
 }

@@ -1,18 +1,20 @@
 #!/bin/sh
 # check.sh — the repo's fast hygiene gate: formatting, vet (asmdecl covers
-# the fzlight block kernels), an arm64 cross vet/build (the non-amd64 stub
-# and the portable codec path) with a check that no quantiser fused its
-# multiply and add there, the same check by grep on every amd64 kernel, an
-# s390x cross vet/build (the big-endian side of
+# the fzlight block kernels), a check that scripts/gencorpus regenerates
+# the committed fuzz seed corpora byte for byte, an arm64 cross vet/build
+# (the non-amd64 stub and the portable codec path) with a check that no
+# quantiser fused its multiply and add there, the same check by grep on
+# every amd64 kernel, an s390x cross vet/build (the big-endian side of
 # floatbytes, the one place byte order is compiled in), a 386 test run of
 # the codec packages and the conformance oracles (the portable pipeline ④,
 # natively), the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
-# and a segmented encode), a race pass over the
-# concurrent packages (telemetry's lock-free counters, the cluster
-# runtime, the codecs' fanout runner, the job daemon with the input its
-# in-process ranks share, and an in-process run of every experiment), and the nested benchmark module's own vet + tests (root
-# `go vet/test ./...` does not descend into benchmark/go.mod, and the
-# benchmark compiles against internal/ packages). `make check` runs this.
+# and a segmented encode), a race pass over the concurrent packages
+# (telemetry's lock-free counters, the cluster runtime, the codecs' fanout
+# runner, the job daemon with the input its in-process ranks share, and an
+# in-process run of every experiment), and the nested benchmark module's
+# own vet + tests (root `go vet/test ./...` does not descend into
+# benchmark/go.mod, and the benchmark compiles against internal/
+# packages). `make check` runs this.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -42,6 +44,22 @@ fused=$(go tool objdump -s 'internal/(fzlight|ompszp)\.' "$tmp/paper" | grep -E 
 if [ -n "$fused" ]; then
     echo "fused multiply-add in a codec package (arm64):" >&2
     echo "$fused" >&2
+    exit 1
+fi
+
+echo "== fuzz corpora: gencorpus rewrites every committed seed byte for byte =="
+# gencorpus writes the seed files under internal/*/testdata/fuzz/ of its
+# working directory: run it in the scratch directory, and every file it
+# writes must be committed with the same bytes.
+root=$(pwd)
+go build -o "$tmp/gencorpus" ./scripts/gencorpus
+(cd "$tmp" && ./gencorpus >/dev/null)
+stale=$(cd "$tmp" && find internal -type f | sort | while read -r f; do
+    cmp -s "$f" "$root/$f" || echo "$f"
+done)
+if [ -n "$stale" ]; then
+    echo "gencorpus writes seeds that differ from the committed ones (run go run ./scripts/gencorpus):" >&2
+    echo "$stale" >&2
     exit 1
 fi
 

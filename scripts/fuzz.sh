@@ -1,34 +1,29 @@
 #!/bin/sh
 # fuzz.sh — run every Go native fuzz target for FUZZTIME each (default a
 # short smoke suitable for CI; set FUZZTIME=5m for a real session).
-# Targets run one at a time because `go test -fuzz` accepts a single
-# match per invocation. `make fuzz` runs this.
+# Targets are discovered per package with `go test -list '^Fuzz'`, so a new
+# one runs without being named here; they run one at a time because
+# `go test -fuzz` accepts a single match per invocation. `make fuzz` runs
+# this.
 set -eu
 cd "$(dirname "$0")/.."
 
 FUZZTIME=${FUZZTIME:-10s}
 
-run() {
-    pkg=$1
-    target=$2
-    echo "== fuzz $pkg.$target ($FUZZTIME) =="
-    go test "$pkg" -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME"
-}
+# -list prints a package's targets, then "ok <package> <time>". A suite
+# whose TestMain runs it once per SIMD level lists them once per level.
+list=$(go test -list '^Fuzz' ./...)
+targets=$(printf '%s\n' "$list" | awk '
+    /^Fuzz/ { if (!seen[$1]++) names[n++] = $1 }
+    /^ok/   { for (i = 0; i < n; i++) print $2, names[i]; n = 0; split("", seen) }')
+if [ -z "$targets" ]; then
+    echo "fuzz: no targets found" >&2
+    exit 1
+fi
 
-run ./internal/floatbytes FuzzAddInto
-run ./internal/fzlight FuzzDecompress
-run ./internal/fzlight FuzzCompressRoundTrip
-run ./internal/fzlight FuzzBlockKernels
-run ./internal/fzlight FuzzFusedAdd
-run ./internal/fzlight FuzzSumKernel
-run ./internal/hzdyn FuzzAdd
-run ./internal/hzdyn FuzzHomomorphism
-run ./internal/conformance FuzzCompressorOracle
-run ./internal/conformance FuzzHomomorphicOracle
-run ./internal/conformance FuzzCollectiveShapes
-# The three that drive the schedules under faults and membership change.
-run ./internal/conformance FuzzChaosSchedule
-run ./internal/conformance FuzzShrinkChaos
-run ./internal/conformance FuzzHierarchicalChaos
+printf '%s\n' "$targets" | while read -r pkg target; do
+    echo "== fuzz $pkg.$target ($FUZZTIME) =="
+    go test "$pkg" -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" </dev/null
+done
 
 echo "fuzz: OK"

@@ -1,14 +1,21 @@
 // Command gencorpus regenerates the committed fuzz seed corpora under the
-// testdata/fuzz/ directories of internal/fzlight, internal/hzdyn and
-// internal/conformance. Run it from the repository root after changing the
-// on-disk format or the fuzz target signatures:
+// testdata/fuzz/ directories of internal/fzlight, internal/hzdyn,
+// internal/ompszp, internal/szx and internal/conformance. Run it from the
+// repository root after changing the on-disk format or the fuzz target
+// signatures:
 //
 //	go run ./scripts/gencorpus
 //
 // The seeds are chosen to pin known-tricky paths: chunk outliers (the raw
 // first quantized value each chunk carries), the hZ-dynamic overflow
-// fallback (a folded stream whose next Add overflows int32), 2D/3D and
-// float64 containers and pairs of them, and truncated/corrupt streams.
+// fallback (a folded stream whose next Add overflows int32), 2D/3D
+// containers and pairs of them, a container with a flag set (the float64
+// bit of earlier builds, which no decoder reads any more), truncated and
+// corrupt streams, and the headers the ompSZp and SZx decoders must refuse
+// before they allocate.
+//
+// scripts/check.sh runs it in a scratch directory and requires every file
+// it writes to equal the committed one.
 package main
 
 import (
@@ -22,6 +29,8 @@ import (
 
 	"hzccl/internal/fzlight"
 	"hzccl/internal/hzdyn"
+	"hzccl/internal/ompszp"
+	"hzccl/internal/szx"
 )
 
 // entry renders one corpus file in the "go test fuzz v1" encoding.
@@ -111,14 +120,14 @@ func main() {
 		log.Fatal(err)
 	}
 	write(dir, "seed-3d", entry(c3d))
-	d64 := make([]float64, 80)
-	for i := range d64 {
-		d64[i] = math.Cos(float64(i) / 11)
+	// Flag bit 0 marked a float64 container in earlier builds; no flag is
+	// defined now, so a container with one set must fail to decode.
+	cos := make([]float32, 80)
+	for i := range cos {
+		cos[i] = float32(math.Cos(float64(i) / 11))
 	}
-	c64, err := fzlight.Compress64(d64, fzlight.Params{ErrorBound: eb})
-	if err != nil {
-		log.Fatal(err)
-	}
+	c64 := mustCompress(cos, fzlight.Params{ErrorBound: eb})
+	c64[5] = 0x01
 	write(dir, "seed-float64", entry(c64))
 	write(dir, "seed-truncated", entry(c1d[:len(c1d)/2]))
 	// A v3 header whose width × height (2^32 + 2^16) wraps a 32-bit int to
@@ -287,6 +296,7 @@ func main() {
 	}
 	write(dir, "seed-overflow-fallback", entry(acc, comp))
 	write(dir, "seed-geometry-mismatch", entry(c1d, mustCompress(sine(64, 0), p)))
+	write(dir, "seed-float64", entry(c64, c64))
 	// The Lorenzo layouts take the reducer's one path too: single- and
 	// multi-chunk 2D pairs, a 3D pair, and a 2D container beside the 3D
 	// one of height 1 — identical payload bytes, different layout, so the
@@ -313,6 +323,42 @@ func main() {
 	write(dir, "seed-cancellation", entry(
 		floatsToBytes([]float32{5000, -5000, 2500, -2500}),
 		floatsToBytes([]float32{-5000, 5000, -2500, 2500})))
+
+	// --- internal/ompszp, internal/szx: FuzzDecompress([]byte) ---
+	// The baselines' decoders: streams of every block kind, and headers
+	// whose element count the payload cannot back, whose bound is not
+	// finite at 2·eb, or (SZx) whose block size lets one 5-byte constant
+	// block claim billions of values.
+	dir = "internal/ompszp/testdata/fuzz/FuzzDecompress"
+	withZeros := sine(160, 0.3)
+	for i := 64; i < 128; i++ {
+		withZeros[i] = 0
+	}
+	oc, err := ompszp.Compress(withZeros, ompszp.Params{ErrorBound: eb})
+	if err != nil {
+		log.Fatal(err)
+	}
+	write(dir, "seed-zero-and-outlier-blocks", entry(oc))
+	unbacked := append([]byte(nil), oc...)
+	binary.LittleEndian.PutUint64(unbacked[16:], 1<<62)
+	write(dir, "seed-datalen-unbacked", entry(unbacked))
+	huge := append([]byte(nil), oc...)
+	binary.LittleEndian.PutUint64(huge[8:], math.Float64bits(math.MaxFloat64))
+	write(dir, "seed-bound-doubles-to-inf", entry(huge))
+
+	dir = "internal/szx/testdata/fuzz/FuzzDecompress"
+	sc, err := szx.Compress(append(make([]float32, 128), sine(100, 0)...), szx.Params{ErrorBound: eb})
+	if err != nil {
+		log.Fatal(err)
+	}
+	write(dir, "seed-constant-and-raw-blocks", entry(sc))
+	unbacked = append([]byte(nil), sc...)
+	binary.LittleEndian.PutUint64(unbacked[16:], 1<<62)
+	write(dir, "seed-datalen-unbacked", entry(unbacked))
+	wide := append([]byte(nil), sc[:24+5]...) // the header and one constant block
+	binary.LittleEndian.PutUint32(wide[4:], 0xF8000042)
+	binary.LittleEndian.PutUint64(wide[16:], 0xF8000042)
+	write(dir, "seed-block-size-unbounded", entry(wide))
 
 	// --- internal/conformance ---
 	dir = "internal/conformance/testdata/fuzz/FuzzCompressorOracle"
