@@ -3,7 +3,8 @@ package hzccl
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+
+	"hzccl/internal/crc32c"
 )
 
 // Integrity framing. Compressed containers crossing untrusted transports
@@ -14,8 +15,6 @@ import (
 // ErrChecksum is returned by VerifyChecksum when the frame is damaged.
 var ErrChecksum = errors.New("hzccl: checksum mismatch or malformed sealed frame")
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // sealMagic marks a checksummed frame.
 const sealMagic = "FZLC"
 
@@ -24,7 +23,7 @@ const sealMagic = "FZLC"
 func AddChecksum(comp []byte) []byte {
 	out := make([]byte, 8+len(comp))
 	copy(out, sealMagic)
-	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(comp, castagnoli))
+	binary.LittleEndian.PutUint32(out[4:], crc32c.Checksum(comp))
 	copy(out[8:], comp)
 	return out
 }
@@ -37,7 +36,7 @@ func VerifyChecksum(frame []byte) ([]byte, error) {
 	}
 	want := binary.LittleEndian.Uint32(frame[4:])
 	payload := frame[8:]
-	if crc32.Checksum(payload, castagnoli) != want {
+	if crc32c.Checksum(payload) != want {
 		return nil, ErrChecksum
 	}
 	return payload, nil

@@ -8,11 +8,15 @@
 //	hzccl-datasets -list
 //	hzccl-datasets -dataset NYX -field 0 -len 4194304 -o nyx0.f32
 //	hzccl-datasets -dataset NYX -summary
+//
+// The summary's first line carries the crc32c of the generated field, so
+// two builds that print the same summary generated the same bits.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hzccl/internal/datasets"
@@ -34,7 +38,7 @@ func main() {
 		metricsOut = flag.String("metrics", "", "dump the telemetry snapshot at exit: '-' = JSON to stdout, FILE = JSON, FILE.prom = Prometheus text format")
 	)
 	flag.Parse()
-	if err := run(*list, *name, *field, *length, *out, *summary); err != nil {
+	if err := run(os.Stdout, *list, *name, *field, *length, *out, *summary); err != nil {
 		fmt.Fprintf(os.Stderr, "hzccl-datasets: %v\n", err)
 		os.Exit(1)
 	}
@@ -44,11 +48,12 @@ func main() {
 	}
 }
 
-func run(list bool, name string, field, length int, out string, summary bool) error {
+// run does what the flags ask, writing its text to w.
+func run(w io.Writer, list bool, name string, field, length int, out string, summary bool) error {
 	if list {
-		fmt.Printf("%-10s %-14s %-8s %s\n", "Name", "Domain", "Fields", "DefaultLen")
+		fmt.Fprintf(w, "%-10s %-14s %-8s %s\n", "Name", "Domain", "Fields", "DefaultLen")
 		for _, m := range datasets.Catalog {
-			fmt.Printf("%-10s %-14s %-8d %d\n", m.Name, m.Domain, m.Fields, m.DefaultLen)
+			fmt.Fprintf(w, "%-10s %-14s %-8d %d\n", m.Name, m.Domain, m.Fields, m.DefaultLen)
 		}
 		return nil
 	}
@@ -61,8 +66,9 @@ func run(list bool, name string, field, length int, out string, summary bool) er
 	}
 	if summary {
 		mn, mx := metrics.MinMax(data)
-		fmt.Printf("dataset %s field %d: %d elements, range [%.4g, %.4g]\n", name, field, length, mn, mx)
-		fmt.Printf("%-8s  %-8s  %-10s  %s\n", "REL", "abs eb", "fZ ratio", "constant blocks")
+		fmt.Fprintf(w, "dataset %s field %d: %d elements, range [%.4g, %.4g], crc32c %08x\n",
+			name, field, length, mn, mx, floatbytes.Checksum(data))
+		fmt.Fprintf(w, "%-8s  %-8s  %-10s  %s\n", "REL", "abs eb", "fZ ratio", "constant blocks")
 		span := metrics.Range(data)
 		for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
 			eb := rel * span
@@ -74,7 +80,7 @@ func run(list bool, name string, field, length int, out string, summary bool) er
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-8.0e  %-8.3g  %-10.2f  %.1f%%\n",
+			fmt.Fprintf(w, "%-8.0e  %-8.3g  %-10.2f  %.1f%%\n",
 				rel, eb, metrics.Ratio(4*len(data), len(comp)), 100*st.ConstantFraction())
 		}
 		return nil
@@ -85,6 +91,6 @@ func run(list bool, name string, field, length int, out string, summary bool) er
 	if err := os.WriteFile(out, floatbytes.Bytes(data), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d float32 values (%d bytes)\n", out, length, 4*length)
+	fmt.Fprintf(w, "wrote %s: %d float32 values (%d bytes)\n", out, length, 4*length)
 	return nil
 }

@@ -12,6 +12,8 @@
 //     class, so a returned buffer always has the requested length available;
 //     Put bins by the buffer's actual capacity (rounded down), so foreign
 //     buffers (e.g. make()'d ones recycled opportunistically) are accepted.
+//     A length that is not a power of two looks one class lower first, where
+//     a buffer of exactly that length lands when it comes back.
 //   - Value-based API. Get returns a plain []T and Put takes one back; the
 //     *[]T boxes sync.Pool requires are themselves recycled through a box
 //     pool, so a steady-state Get/Put cycle performs zero allocations.
@@ -93,19 +95,55 @@ func (p *typedPool[T]) keep(n int) []T {
 }
 
 // take draws a buffer of length n from its class, counting the hit or miss.
+// A length between two powers of two first tries the class below its own,
+// where Put bins a buffer of exactly that length (a keep miss come back),
+// and takes what it finds there if it is long enough.
 func (p *typedPool[T]) take(n int) ([]T, bool) {
-	if c := classFor(n); c < numClasses {
-		if x := p.classes[c].Get(); x != nil {
-			box := x.(*[]T)
-			s := *box
-			*box = nil
-			p.boxes.Put(box)
-			mHits.Inc()
-			return s[:n], true
+	c := classFor(n)
+	if c >= numClasses {
+		mMisses.Inc()
+		return nil, false
+	}
+	if n&(n-1) != 0 {
+		if s, ok := p.pop(c - 1); ok {
+			if cap(s) >= n {
+				mHits.Inc()
+				return s[:n], true
+			}
+			p.push(c-1, s)
 		}
+	}
+	if s, ok := p.pop(c); ok {
+		mHits.Inc()
+		return s[:n], true
 	}
 	mMisses.Inc()
 	return nil, false
+}
+
+// pop takes a buffer from class c, if it holds one, and recycles its box.
+func (p *typedPool[T]) pop(c int) ([]T, bool) {
+	x := p.classes[c].Get()
+	if x == nil {
+		return nil, false
+	}
+	box := x.(*[]T)
+	s := *box
+	*box = nil
+	p.boxes.Put(box)
+	return s, true
+}
+
+// push stores s in class c, in a recycled box.
+func (p *typedPool[T]) push(c int, s []T) {
+	var box *[]T
+	if x := p.boxes.Get(); x != nil {
+		box = x.(*[]T)
+	} else {
+		box = new([]T)
+	}
+	*box = s[:cap(s)]
+	p.classes[c].Put(box)
 }
 
 // Put returns a buffer to the pool. The caller must not retain any
@@ -115,14 +153,7 @@ func (p *typedPool[T]) Put(s []T) {
 	if c < 0 {
 		return // capacity 0: nothing worth recycling
 	}
-	var box *[]T
-	if x := p.boxes.Get(); x != nil {
-		box = x.(*[]T)
-	} else {
-		box = new([]T)
-	}
-	*box = s[:cap(s)]
-	p.classes[c].Put(box)
+	p.push(c, s)
 	mPuts.Inc()
 	mRecycled.Add(int64(cap(s)) * p.elemSize)
 }

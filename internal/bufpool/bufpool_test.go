@@ -150,10 +150,26 @@ func TestKeepFloat32s(t *testing.T) {
 	if raceEnabled {
 		return // the race detector's sync.Pool drops Puts at random
 	}
+	// A length between two classes: its miss is exactly 1000 long, which
+	// Put bins in the class below 1000, and the next call of the same
+	// length must find it there (runs first: a 1024-long buffer in the
+	// class above would serve it too).
+	PutFloat32s(KeepFloat32s(1000))
+	avg := testing.AllocsPerRun(100, func() {
+		s := KeepFloat32s(1000)
+		if len(s) != 1000 {
+			t.Fatalf("KeepFloat32s(1000): len %d", len(s))
+		}
+		PutFloat32s(s)
+	})
+	if avg != 0 {
+		t.Errorf("KeepFloat32s(1000) recycled through PutFloat32s allocates %.2f allocs/op, want 0", avg)
+	}
+
 	// A whole class's length: a stray miss (a collection) puts back a
 	// buffer the next call hits again.
 	PutFloat32s(make([]float32, 1<<10))
-	avg := testing.AllocsPerRun(100, func() {
+	avg = testing.AllocsPerRun(100, func() {
 		s := KeepFloat32s(1 << 10)
 		if len(s) != 1<<10 {
 			t.Fatalf("KeepFloat32s(1024): len %d", len(s))

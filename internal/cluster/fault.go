@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"errors"
-	"hash/crc32"
 
+	"hzccl/internal/crc32c"
 	"hzccl/internal/telemetry"
 )
 
@@ -168,11 +168,9 @@ func (p CorruptPattern) apply(data []byte, fc FaultContext) {
 	}
 }
 
-var msgTable = crc32.MakeTable(crc32.Castagnoli)
-
-// checksum is the per-message integrity sum (crc32c, hardware-accelerated
-// on amd64/arm64).
-func checksum(data []byte) uint32 { return crc32.Checksum(data, msgTable) }
+// checksum is the per-message integrity sum (crc32c; the folding kernel
+// on amd64 with AVX-512 and VPCLMULQDQ).
+func checksum(data []byte) uint32 { return crc32c.Checksum(data) }
 
 // applyFault runs the configured hook (if any) on a message about to be
 // enqueued and returns how many copies to deliver plus the extra delay.

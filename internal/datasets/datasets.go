@@ -151,10 +151,19 @@ func simSet1(out []float32, field int) {
 	phase := r.Float64() * 2 * math.Pi
 	noise := newAR1(r, 0.95, 3.0)
 	clear(out[:start])
-	for i := start; i < start+width; i++ {
-		t := float64(i - start)
-		env := math.Sin(math.Pi * t / float64(width)) // smooth envelope
-		out[i] = float32(env * (1000*math.Sin(carrier*t+phase) + noise.next()))
+	var env, wave [sinRun]float64
+	for lo := 0; lo < width; lo += sinRun {
+		seg := out[start+lo : start+min(lo+sinRun, width)]
+		for k := range seg {
+			t := float64(lo + k)
+			env[k] = math.Pi * t / float64(width) // smooth envelope
+			wave[k] = carrier*t + phase
+		}
+		sinInPlace(env[:len(seg)])
+		sinInPlace(wave[:len(seg)])
+		for k := range seg {
+			seg[k] = float32(env[k] * (1000*wave[k] + noise.next()))
+		}
 	}
 	clear(out[start+width:])
 }
@@ -194,16 +203,34 @@ func simSet2(out []float32, field int) {
 		busyEnd = n
 	}
 	fine := 2 * math.Pi / 90
-	for i := range out {
-		t := float64(i)
-		v := 0.0
-		for w := 0; w < waves; w++ {
-			v += amps[w] * math.Sin(freqs[w]*t+phases[w])
+	var swell [waves][sinRun]float64
+	var overlay [sinRun]float64
+	for lo := 0; lo < n; lo += sinRun {
+		seg := out[lo:min(lo+sinRun, n)]
+		for w := range swell {
+			s := swell[w][:len(seg)]
+			for k := range s {
+				s[k] = freqs[w]*float64(lo+k) + phases[w]
+			}
+			sinInPlace(s)
 		}
-		if i >= busyStart && i < busyEnd {
-			v += 25 * math.Sin(fine*t)
+		b0, b1 := max(busyStart, lo)-lo, min(busyEnd, lo+len(seg))-lo
+		if b0 < b1 {
+			for k := b0; k < b1; k++ {
+				overlay[k] = fine * float64(lo+k)
+			}
+			sinInPlace(overlay[b0:b1])
 		}
-		out[i] = float32(v)
+		for k := range seg {
+			v := 0.0
+			for w := range swell {
+				v += amps[w] * swell[w][k]
+			}
+			if k >= b0 && k < b1 {
+				v += 25 * overlay[k]
+			}
+			seg[k] = float32(v)
+		}
 	}
 }
 
@@ -251,13 +278,20 @@ func cesmATM(out []float32, field int) {
 	// Polar caps: ~6% of the domain is flat (sea-ice mask), providing the
 	// small pipeline-①/②/③ remainder.
 	capLen := n * 3 / 100
-	for i := range out {
-		v := 120*math.Sin(band*float64(i)+phase) + 160
-		if i < capLen || i >= n-capLen {
-			out[i] = float32(200.0)
-			continue
+	for i := range capLen {
+		out[i], out[n-1-i] = 200, 200
+	}
+	body := out[capLen : n-capLen]
+	var s [sinRun]float64
+	for lo := 0; lo < len(body); lo += sinRun {
+		seg := body[lo:min(lo+sinRun, len(body))]
+		for k := range seg {
+			s[k] = band*float64(capLen+lo+k) + phase
 		}
-		out[i] = float32(v + noise.next())
+		sinInPlace(s[:len(seg)])
+		for k := range seg {
+			seg[k] = float32(120*s[k] + 160 + noise.next())
+		}
 	}
 }
 
@@ -284,11 +318,18 @@ func hurricane(out []float32, field int) {
 	}
 	eye := float64(n) * (0.4 + 0.2*r.Float64())
 	noise := newAR1(r, 0.6, 0.9)
-	for i := range out {
-		d := math.Abs(float64(i)-eye) / float64(n)
-		swirl := 70 * math.Exp(-d*18) // vortex profile
-		background := 12 * math.Sin(2*math.Pi*float64(i)/float64(n)*6)
-		out[i] = float32(swirl + background + noise.next())
+	var s [sinRun]float64
+	for lo := 0; lo < n; lo += sinRun {
+		seg := out[lo:min(lo+sinRun, n)]
+		for k := range seg {
+			s[k] = 2 * math.Pi * float64(lo+k) / float64(n) * 6
+		}
+		sinInPlace(s[:len(seg)])
+		for k := range seg {
+			d := math.Abs(float64(lo+k)-eye) / float64(n)
+			swirl := 70 * math.Exp(-d*18) // vortex profile
+			seg[k] = float32(swirl + 12*s[k] + noise.next())
+		}
 	}
 }
 

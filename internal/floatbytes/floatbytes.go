@@ -17,9 +17,9 @@ package floatbytes
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 
+	"hzccl/internal/crc32c"
 	"hzccl/internal/simd"
 )
 
@@ -27,15 +27,13 @@ import (
 // ever lower it.
 var level = simd.CPU
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // checksumPortable is Checksum through a fixed encode buffer.
 func checksumPortable(vals []float32) uint32 {
 	var buf [4096]byte
 	sum := uint32(0)
 	for len(vals) > 0 {
 		n := min(len(vals), len(buf)/4)
-		sum = crc32.Update(sum, castagnoli, buf[:FromFloat32(buf[:], vals[:n])])
+		sum = crc32c.Update(sum, buf[:FromFloat32(buf[:], vals[:n])])
 		vals = vals[n:]
 	}
 	return sum

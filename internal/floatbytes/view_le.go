@@ -9,8 +9,9 @@ package floatbytes
 // need not be 4-aligned.
 
 import (
-	"hash/crc32"
 	"unsafe"
+
+	"hzccl/internal/crc32c"
 )
 
 // Wire returns vals' little-endian wire bytes for reading, valid while vals
@@ -24,4 +25,4 @@ func Wire(vals []float32) []byte {
 func Load(dst []float32, src []byte) { copy(Wire(dst), src) }
 
 // Checksum returns the crc32c of vals' wire bytes, allocating nothing.
-func Checksum(vals []float32) uint32 { return crc32.Checksum(Wire(vals), castagnoli) }
+func Checksum(vals []float32) uint32 { return crc32c.Checksum(Wire(vals)) }

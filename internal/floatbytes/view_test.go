@@ -23,7 +23,7 @@ func checkWire(t *testing.T, what string, vals []float32) {
 	if got := Wire(vals); !bytes.Equal(got, want) {
 		t.Fatalf("%s: Wire differs from portable staging", what)
 	}
-	sum := crc32.Checksum(want, castagnoli)
+	sum := crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli))
 	if got, ref := Checksum(vals), checksumPortable(vals); got != sum || ref != sum {
 		t.Fatalf("%s: Checksum %08x, portable %08x, crc32c of the staged bytes %08x", what, got, ref, sum)
 	}

@@ -3,7 +3,15 @@
 // error, error standard deviation, compression ratio and throughput.
 package metrics
 
-import "math"
+import (
+	"math"
+
+	"hzccl/internal/simd"
+)
+
+// level selects Range's kernel: the CPU's, and only the package's tests
+// ever lower it.
+var level = simd.CPU
 
 // ErrorStats summarizes the reconstruction error of recon against orig.
 type ErrorStats struct {
@@ -133,13 +141,54 @@ func MinMax(data []float32) (float64, float64) {
 // Range returns the denominator of a relative error bound for the given
 // data: max − min, or 1 when that is 0 (constant or empty data). One pass
 // over the data serves every relative bound: AbsBound(rel, data) is
-// rel · Range(data), bit for bit.
+// rel · Range(data), bit for bit. It is MinMax's max − min, bit for bit:
+// see minMax32.
 func Range(data []float32) float64 {
-	mn, mx := MinMax(data)
-	if r := mx - mn; r != 0 {
+	if len(data) == 0 {
+		return 1
+	}
+	mn, mx := minMax32(data)
+	if r := float64(mx) - float64(mn); r != 0 {
 		return r
 	}
 	return 1
+}
+
+// minMax32 is MinMax over independent lanes: the 32 of the kernel of
+// range_amd64.s, where the CPU has one, each starting at data[0] and
+// taking a value only when it is strictly below (above) the lane's, as
+// MinMax does; then the lanes fold by the same rule, and the floats the
+// kernel left run through MinMax's loop. Comparing float32s is comparing
+// their float64 conversions, so the values are MinMax's: a leading NaN
+// stays in every lane, a later NaN enters none. Only the sign of a zero
+// extremum may differ (MinMax keeps the first zero it meets, the lanes
+// the first in lane order), which max − min cannot show: x − ±0 and ±0 − y
+// do not depend on the zero's sign for nonzero x and y, and 0 − 0 makes
+// Range 1.
+func minMax32(data []float32) (mn, mx float32) {
+	var lo, hi [8]float32
+	for k := range lo {
+		lo[k], hi[k] = data[0], data[0]
+	}
+	data = data[minMaxVector(data, &lo, &hi):]
+	mn, mx = lo[0], hi[0]
+	for k := 1; k < len(lo); k++ {
+		if lo[k] < mn {
+			mn = lo[k]
+		}
+		if hi[k] > mx {
+			mx = hi[k]
+		}
+	}
+	for _, v := range data {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
 }
 
 // AbsBound converts a relative error bound to an absolute one for the

@@ -26,3 +26,10 @@ func probe() Level {
 	}
 	return AVX512
 }
+
+// vpclmulqdq reports CPUID.7.0:ECX[10]; probe has checked that leaf 7
+// exists.
+func vpclmulqdq() bool {
+	_, _, c, _ := cpuid(7, 0)
+	return c&(1<<10) != 0
+}

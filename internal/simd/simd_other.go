@@ -3,3 +3,5 @@
 package simd
 
 func probe() Level { return Portable }
+
+func vpclmulqdq() bool { return false }

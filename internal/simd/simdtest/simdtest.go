@@ -15,6 +15,9 @@ import (
 // levels are the ones the package tells apart, highest first. Benchmarks,
 // fuzzing sessions and -list run once, at the level *level holds.
 func Main(m *testing.M, pkg string, level *simd.Level, levels ...simd.Level) int {
+	if !flag.Parsed() {
+		flag.Parse() // m.Run would parse them; the test below needs them first
+	}
 	if set("test.bench") || set("test.fuzz") || set("test.fuzzworker") || set("test.list") {
 		return m.Run()
 	}

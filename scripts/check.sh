@@ -7,11 +7,13 @@
 # every amd64 kernel, an s390x cross vet/build (the big-endian side of
 # floatbytes, the one place byte order is compiled in), a 386 test run of
 # the codec packages and the conformance oracles (the portable pipeline ④,
-# natively), the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
+# natively) and of the Go paths beside the generator, checksum and range
+# kernels, the codec and schedule tests at GOMAXPROCS 1 and 4 (one core
 # and a segmented encode), a race pass over the concurrent packages
 # (telemetry's lock-free counters, the cluster runtime, the codecs' fanout
-# runner, the job daemon with the input its in-process ranks share, and an
-# in-process run of every experiment), and the nested benchmark module's
+# runner, the job daemon with the input its in-process ranks share, the
+# generators, the crc32c every frame carries, and an in-process run of
+# every experiment), and the nested benchmark module's
 # own vet + tests (root `go vet/test ./...` does not descend into
 # benchmark/go.mod, and the benchmark compiles against internal/
 # packages). `make check` runs this.
@@ -65,7 +67,9 @@ fi
 
 echo "== amd64 kernels: two roundings by hand =="
 # The same rule in every hand-written kernel (the fZ-light block codecs,
-# floatbytes' add, any *_amd64.s to come): no fused multiply-add opcode,
+# floatbytes' add, the datasets' sin, which must repeat math.Sin's
+# roundings, crc32c's fold, metrics' min/max, any *_amd64.s to come): no
+# fused multiply-add opcode,
 # and no embedded rounding but the AVX-512 quantiser's convert
 # (VCVTPD2DQ.RD_SAE, the floor of x + ½ after the round-to-nearest sum).
 asm=$(find . -name '*_amd64.s' -not -path './.bench_build/*' | sort)
@@ -81,13 +85,15 @@ echo "== s390x (big-endian): go vet, go build =="
 GOARCH=s390x go vet ./...
 GOARCH=s390x go build ./...
 
-echo "== 386: go test the portable codec and pipeline ④ =="
+echo "== 386: go test the portable codec, pipeline ④ and the kernels' fallbacks =="
 # block_noasm.go runs natively here: the only pipeline ④ that arm64,
 # ppc64le and s390x have. conformance runs its homomorphic and collective
-# oracles over it. floatbytes stays out: its NaN-payload tests fail on 386
-# (a sum's NaN payload differs from the scalar reference; see ROADMAP
-# "Parked").
-GOARCH=386 go test ./internal/bitio/ ./internal/fzlight/ ./internal/hzdyn/ ./internal/conformance/
+# oracles over it. datasets, crc32c and metrics run their Go paths (math.Sin,
+# hash/crc32, the min/max loop) against the same tests and goldens as the
+# kernels. floatbytes stays out: its NaN-payload tests fail on 386 (a sum's
+# NaN payload differs from the scalar reference; see ROADMAP "Parked").
+GOARCH=386 go test ./internal/bitio/ ./internal/fzlight/ ./internal/hzdyn/ ./internal/conformance/ \
+    ./internal/datasets/ ./internal/crc32c/ ./internal/metrics/
 
 echo "== GOMAXPROCS=1 and 4: go test the codecs and the schedules =="
 # A long chunk is encoded as up to GOMAXPROCS segments and chunks run on
@@ -100,7 +106,7 @@ for procs in 1 4; do
 done
 
 echo "== go test -race (concurrent packages) =="
-go test -race . ./internal/telemetry ./internal/bufpool ./internal/datasets ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core ./serve
+go test -race . ./internal/telemetry ./internal/bufpool ./internal/datasets ./internal/crc32c ./internal/cluster ./internal/fanout ./internal/fzlight ./internal/hzdyn ./internal/core ./serve
 # Every experiment at smoke scale: in-process ranks run their codec calls
 # concurrently (no lock serialises them), over the shared bufpool, fanout
 # helpers and telemetry.

@@ -1,6 +1,7 @@
 // Command gencorpus regenerates the committed fuzz seed corpora under the
 // testdata/fuzz/ directories of internal/fzlight, internal/hzdyn,
-// internal/ompszp, internal/szx and internal/conformance. Run it from the
+// internal/ompszp, internal/szx, internal/conformance, internal/datasets
+// (the sin kernel) and internal/crc32c (the folding kernel). Run it from the
 // repository root after changing the on-disk format or the fuzz target
 // signatures:
 //
@@ -373,6 +374,39 @@ func main() {
 	dir = "internal/conformance/testdata/fuzz/FuzzCollectiveShapes"
 	write(dir, "seed-odd-ranks", entry(uint8(6), uint8(101), int64(3)))
 	write(dir, "seed-empty", entry(uint8(4), uint8(0), int64(4)))
+
+	// --- internal/datasets: FuzzSin([]byte) ---
+	// Runs of float64 bit patterns for the sin kernel: each kind of value
+	// that stops it in front of its eight (NaN, ±Inf, 2^29) inside a run,
+	// the octant edges, and ±0 and the subnormals, which keep their sign.
+	dir = "internal/datasets/testdata/fuzz/FuzzSin"
+	f64 := func(xs ...float64) []byte {
+		out := make([]byte, 8*len(xs))
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
+		}
+		return out
+	}
+	write(dir, "seed-stops-midrun", entry(f64(0.5, 1, 2, 3, math.NaN(), 5, 6, 7, 8, 9, 10, 11,
+		12, 13, 14, 15, math.Inf(1), 17, 18, 19, 20, 21, 22, 23, 1<<29, 1<<29-1, -(1<<29-1), math.Inf(-1))))
+	q := math.Pi / 4
+	write(dir, "seed-octant-edges", entry(f64(q, math.Nextafter(q, 0), math.Nextafter(q, 1), 3*q,
+		math.Nextafter(3*q, 0), 5*q, math.Nextafter(5*q, 9), 7*q, -7*q, 1e6*q, math.Nextafter(-1e6*q, 0))))
+	write(dir, "seed-zeros-subnormals", entry(f64(0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.Float64frombits(1<<52-1), -math.Float64frombits(1<<52), 1e-300, -2.5e-308)))
+
+	// --- internal/crc32c: FuzzUpdate([]byte, int64) ---
+	// A message through every fold stage (256, 64 and 16 bytes and a
+	// tail), and splits that leave a first part below the kernel's 256
+	// bytes or a second part off the 16-byte grid.
+	dir = "internal/crc32c/testdata/fuzz/FuzzUpdate"
+	msg := make([]byte, 1000)
+	for i := range msg {
+		msg[i] = byte(i*131 + 7)
+	}
+	write(dir, "seed-fold-stages", entry(msg[:256+64+16+5], int64(0)))
+	write(dir, "seed-split-below-fold", entry(msg[:300], int64(255)))
+	write(dir, "seed-split-unaligned", entry(msg, int64(333)))
 
 	fmt.Println("corpora regenerated")
 }
