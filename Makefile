@@ -77,10 +77,13 @@ chaos:
 # regression tests of the TCP ordering bugs that each first showed up as
 # a flake (replay vs connection close, reset vs detector, bye vs
 # receiver, bye vs bind), of the agreement table run on both fabrics and
-# of rank 0's death on a loopback TCP mesh.
+# of rank 0's death on a loopback TCP mesh, then ten of the orderings a
+# daemon job meets with no round before it runs: a rank opening its
+# session after its peers' frames arrived, and the two daemon kill jobs.
 soak:
 	$(GO) test -race -count=1 -run 'Agree|Shrink|Membership|ConnReset' ./internal/cluster ./internal/conformance
 	$(GO) test -race -count=10 -run 'TestTCPReliableDropRecovery|TestTCPConnResetFeedsDetector|TestTCPByeMidCollectiveIsTyped|TestTCPByeBeforeBindReachesDetector|TestAgreementMatchesAcrossFabrics|TestRankZeroDiesOnRealSockets' ./internal/cluster .
+	$(GO) test -race -count=10 -run 'TestTCPSessionsConcurrentJobs/opens_after|TestDaemonJobSurvivesKill' ./internal/cluster ./serve
 	SOAK_ITERS=$${SOAK_ITERS:-25} $(GO) test -race -count=1 -run 'TestShrinkSoak' -v .
 
 # tcp-smoke runs a 4-rank hZCCL Allreduce as 4 real OS processes over

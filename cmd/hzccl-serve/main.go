@@ -31,8 +31,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -50,7 +52,7 @@ func main() {
 		clientAddr = flag.String("client-listen", "", "rank 0's client-protocol listen address (empty = loopback ephemeral, printed at startup)")
 		queueDepth = flag.Int("queue-depth", 0, "bounded submission queue size on rank 0 (0 = 16); a full queue rejects with a typed error")
 		maxConc    = flag.Int("max-concurrent", 0, "cap on simultaneously running jobs (0 = 2)")
-		jobTO      = flag.Duration("job-timeout", 0, "per-job membership-handshake and result-collection deadline (0 = 60s)")
+		jobTO      = flag.Duration("job-timeout", 0, "how long rank 0 waits for the other ranks' reports once its own part of a job has returned (0 = 60s)")
 		recvTO     = flag.Duration("recv-timeout", 0, "per-job receive deadline (0 = 2s, matching hzccl-collective -transport)")
 		dialTO     = flag.Duration("dial-timeout", 0, "mesh formation deadline (0 = 15s)")
 		obsListen  = flag.String("obs-listen", "", "serve the live introspection endpoint (healthz, metrics, pprof, flight recorder, /jobs) on this host:port")
@@ -58,15 +60,9 @@ func main() {
 	)
 	flag.Parse()
 
-	peerList := strings.Split(*peers, ",")
-	if *peers == "" || len(peerList) < 2 {
-		fmt.Fprintln(os.Stderr, "hzccl-serve: -peers needs at least two comma-separated host:port addresses")
-		os.Exit(2)
-	}
-
-	d, err := serve.Start(serve.Options{
+	err := run(serve.Options{
 		Rank:          *rank,
-		Peers:         peerList,
+		Peers:         strings.Split(*peers, ","),
 		ClientAddr:    *clientAddr,
 		QueueDepth:    *queueDepth,
 		MaxConcurrent: *maxConc,
@@ -76,43 +72,60 @@ func main() {
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
-	})
+	}, *obsListen, os.Stdout, make(chan os.Signal, 1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hzccl-serve: %v\n", err)
+		if errors.Is(err, errPeers) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
-	if *rank == 0 {
+	if err := telemetry.DumpSnapshot(*metricsOut); err != nil {
+		fmt.Fprintf(os.Stderr, "hzccl-serve: metrics: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+var errPeers = errors.New("-peers needs at least two comma-separated host:port addresses")
+
+// run serves one rank of the mesh until stop yields a signal — SIGINT and
+// SIGTERM are relayed to it once the mesh is up — or the service stops
+// under it (a peer daemon died). Rank 0 prints its client address on
+// stdout; obsListen, when set, serves the introspection endpoint beside
+// the daemon.
+func run(opt serve.Options, obsListen string, stdout io.Writer, stop chan os.Signal) error {
+	if len(opt.Peers) < 2 {
+		return errPeers
+	}
+	d, err := serve.Start(opt)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
+	if opt.Rank == 0 {
 		// Stdout so scripts can capture the (possibly ephemeral) address.
-		fmt.Printf("client protocol on %s\n", d.ClientAddr())
+		fmt.Fprintf(stdout, "client protocol on %s\n", d.ClientAddr())
 	}
 
-	if *obsListen != "" {
-		srv, err := obs.Start(*obsListen, obs.Options{
-			Rank: *rank, World: d.World(), Transport: "tcp",
+	if obsListen != "" {
+		srv, err := obs.Start(obsListen, obs.Options{
+			Rank: opt.Rank, World: d.World(), Transport: "tcp",
 			Jobs: func() any { return d.Jobs() },
 		})
 		if err != nil {
-			d.Close()
-			fmt.Fprintf(os.Stderr, "hzccl-serve: obs: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("obs: %w", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: serving on http://%s\n", srv.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "hzccl-serve: rank %d: %v, shutting down\n", *rank, s)
+	case s := <-stop:
+		fmt.Fprintf(os.Stderr, "hzccl-serve: rank %d: %v, shutting down\n", opt.Rank, s)
 	case <-d.Done():
-		fmt.Fprintf(os.Stderr, "hzccl-serve: rank %d: service stopped\n", *rank)
+		fmt.Fprintf(os.Stderr, "hzccl-serve: rank %d: service stopped\n", opt.Rank)
 	}
-	d.Close()
-
-	if err := telemetry.DumpSnapshot(*metricsOut); err != nil {
-		fmt.Fprintf(os.Stderr, "hzccl-serve: metrics: %v\n", err)
-		os.Exit(1)
-	}
+	return nil
 }

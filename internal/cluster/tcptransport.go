@@ -1309,25 +1309,32 @@ func (t *TCPTransport) readFrames(p *tcpPeer) error {
 }
 
 // serveNack answers a peer's replay request from the window the
-// identified job's session was bound to. A session not bound yet answers
-// retxNotYetSent, as an empty window does; an unknown job — never opened
-// here, or already closed — answers retxGone: its window is unrecoverable.
+// identified job's session was bound to. A job not opened here yet and a
+// session not bound yet answer retxNotYetSent, as an empty window does; a
+// job whose session closed here answers retxGone: its window is
+// unrecoverable.
 func (t *TCPTransport) serveNack(p *tcpPeer, job uint32, seq, epoch int) error {
 	var data []byte
 	var sum uint32
 	status := byte(retxNotYetSent)
-	if s := t.sessionFor(job); s == nil {
+	t.sessMu.Lock()
+	s, opened := t.sessions[job], job <= t.maxJob
+	t.sessMu.Unlock()
+	switch {
+	case s != nil:
+		if w := s.retx.Load(); w != nil {
+			var err error
+			data, sum, err = w.lookup(t.rank, p.rank, seq, epoch)
+			switch {
+			case err == nil:
+				status = retxOK
+			case !errors.Is(err, errNotYetSent):
+				status = retxGone
+			}
+		}
+	case opened:
 		mRetxEvictions.Inc()
 		status = retxGone
-	} else if w := s.retx.Load(); w != nil {
-		var err error
-		data, sum, err = w.lookup(t.rank, p.rank, seq, epoch)
-		switch {
-		case err == nil:
-			status = retxOK
-		case !errors.Is(err, errNotYetSent):
-			status = retxGone
-		}
 	}
 	var hdr [18]byte
 	hdr[0] = frameRetx

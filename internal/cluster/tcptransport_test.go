@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -437,74 +438,145 @@ func runSessions(t *testing.T, cfg Config, sess []Transport, body func(*Rank) er
 // jobs running *simultaneously* over one handshaked mesh must each
 // produce exactly the results and virtual clocks of a dedicated
 // single-job fabric — no cross-delivery of data, replay or barrier
-// traffic between jobs sharing the connections.
+// traffic between jobs sharing the connections. In the second case rank
+// 0 opens each job's session only after its peers' data frames and
+// agreement records for that job have reached it: they wait in the
+// job's mailboxes, so a rank may join a job late without any round
+// announcing it.
 func TestTCPSessionsConcurrentJobs(t *testing.T) {
-	const n = 4
-	cfg := Config{Ranks: n}
-
-	// Reference: the same program on the in-process fabric.
-	refVals := make([][]uint32, n)
-	var mu sync.Mutex
-	refRes, err := Run(cfg, func(r *Rank) error {
-		var v []uint32
-		err := ringBody(&v)(r)
-		mu.Lock()
-		refVals[r.ID] = v
-		mu.Unlock()
-		return err
-	})
-	if err != nil {
-		t.Fatalf("in-process run: %v", err)
-	}
-
-	trs := startMesh(t, n)
-	const jobs = 2
-	sess := make([][]Transport, jobs)
-	for j := 0; j < jobs; j++ {
-		sess[j] = make([]Transport, n)
-		for i, tr := range trs {
-			s, err := tr.Session(uint32(j + 1))
-			if err != nil {
-				t.Fatalf("rank %d job %d session: %v", i, j+1, err)
-			}
-			sess[j][i] = s
-		}
-	}
-
-	vals := make([][][]uint32, jobs)
-	res := make([][]*Result, jobs)
-	jobErrs := make([]error, jobs)
-	var jwg sync.WaitGroup
-	for j := 0; j < jobs; j++ {
-		jwg.Add(1)
-		go func(j int) {
-			defer jwg.Done()
-			vals[j] = make([][]uint32, n)
-			res[j], jobErrs[j] = runSessions(t, cfg, sess[j], func(r *Rank) error {
-				var v []uint32
-				err := ringBody(&v)(r)
-				mu.Lock()
-				vals[j][r.ID] = v
-				mu.Unlock()
-				return err
-			})
-		}(j)
-	}
-	jwg.Wait()
-	for j := 0; j < jobs; j++ {
-		if jobErrs[j] != nil {
-			t.Fatalf("job %d: %v", j+1, jobErrs[j])
-		}
-		for i := 0; i < n; i++ {
-			for k := range refVals[i] {
-				if vals[j][i][k] != refVals[i][k] {
-					t.Fatalf("job %d rank %d elem %d: %d, want %d", j+1, i, k, vals[j][i][k], refVals[i][k])
+	const n, jobs = 4, 2
+	for _, c := range []struct {
+		name string
+		body func(*[]uint32) func(*Rank) error
+		late bool
+	}{
+		{"sessions open first", ringBody, false},
+		{"rank 0 opens after its frames arrive", sendFirstBody, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Ranks: n}
+			var mu sync.Mutex
+			record := func(dst [][]uint32) func(*Rank) error {
+				return func(r *Rank) error {
+					var v []uint32
+					err := c.body(&v)(r)
+					mu.Lock()
+					dst[r.ID] = v
+					mu.Unlock()
+					return err
 				}
 			}
-			if res[j][i].Time != refRes.RankTimes[i] {
-				t.Fatalf("job %d rank %d virtual time %v, want %v", j+1, i, res[j][i].Time, refRes.RankTimes[i])
+
+			// Reference: the same program on the in-process fabric.
+			refVals := make([][]uint32, n)
+			refRes, err := Run(cfg, record(refVals))
+			if err != nil {
+				t.Fatalf("in-process run: %v", err)
 			}
+
+			trs := startMesh(t, n)
+			vals := make([][][]uint32, jobs)
+			res := make([][]*Result, jobs)
+			errs := make([][]error, jobs)
+			var wg sync.WaitGroup
+			run := func(j, i int) {
+				s, err := trs[i].Session(uint32(j + 1))
+				if err != nil {
+					t.Fatalf("rank %d job %d session: %v", i, j+1, err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rc := cfg
+					rc.Transport = s
+					res[j][i], errs[j][i] = Run(rc, record(vals[j]))
+				}()
+			}
+			for j := 0; j < jobs; j++ {
+				vals[j], res[j], errs[j] = make([][]uint32, n), make([]*Result, n), make([]error, n)
+				for i := range n {
+					if i != 0 || !c.late {
+						run(j, i)
+					}
+				}
+			}
+			if c.late {
+				for j := 0; j < jobs; j++ {
+					awaitEarlyFrames(t, trs[0], uint32(j+1))
+					run(j, 0)
+				}
+			}
+			wg.Wait()
+			for j := 0; j < jobs; j++ {
+				for i := 0; i < n; i++ {
+					if errs[j][i] != nil {
+						t.Fatalf("job %d rank %d: %v", j+1, i, errs[j][i])
+					}
+					if !slices.Equal(vals[j][i], refVals[i]) {
+						t.Fatalf("job %d rank %d: %v, want %v", j+1, i, vals[j][i], refVals[i])
+					}
+					if res[j][i].Time != refRes.RankTimes[i] {
+						t.Fatalf("job %d rank %d virtual time %v, want %v", j+1, i, res[j][i].Time, refRes.RankTimes[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// sendFirstBody opens with frames that need no answer from rank 0: each
+// rank sends to its successor and enters an agreement, whose records go
+// to the coordinator, rank 0, before it receives anything. Then it runs
+// ringBody and folds the first value it received into the result.
+func sendFirstBody(acc *[]uint32) func(*Rank) error {
+	ring := ringBody(acc)
+	return func(r *Rank) error {
+		var buf [4]byte
+		binary.LittleEndian.PutUint32(buf[:], uint32(r.ID+1))
+		if err := r.Send((r.ID+1)%r.N, buf[:]); err != nil {
+			return err
 		}
+		if _, err := r.AgreeMax(r.ID); err != nil {
+			return err
+		}
+		got, err := r.Recv((r.ID + r.N - 1) % r.N)
+		if err != nil {
+			return err
+		}
+		if err := ring(r); err != nil {
+			return err
+		}
+		(*acc)[0] += binary.LittleEndian.Uint32(got)
+		return nil
+	}
+}
+
+// awaitEarlyFrames waits until rank 0's transport holds, for a job it has
+// not opened, what sendFirstBody's peers send it first: the data frame of
+// its predecessor and an agreement record from every peer.
+func awaitEarlyFrames(t *testing.T, tr *TCPTransport, job uint32) {
+	t.Helper()
+	arrived := func(p *tcpPeer) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		mb := p.mail[job]
+		return mb != nil && len(mb.ctl) > 0 && (len(mb.inbox) > 0 || p.rank != tr.n-1)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if tr.sessionFor(job) != nil {
+			t.Fatalf("job %d is open on rank 0 already", job)
+		}
+		all := true
+		for _, p := range tr.peers {
+			all = all && (p == nil || arrived(p))
+		}
+		if all {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d: the peers' first frames never reached rank 0", job)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -533,6 +605,32 @@ func TestTCPSessionIDRules(t *testing.T) {
 	tr.Close()
 	if _, err := tr.Session(9); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("session on closed transport: %v, want ErrTransportClosed", err)
+	}
+}
+
+// A NACK for a job the sender has not opened yet finds a rank that is
+// merely late, not a lost window: it answers "not yet sent", so the
+// receiver waits on within its budget. Once the sender has opened a later
+// job, this one can never open there, and its window is gone.
+func TestTCPNackBeforeOpenIsNotYetSent(t *testing.T) {
+	trs := startMesh(t, 2)
+	const job = 7
+	s1, err := trs[1].Session(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nack := func() error {
+		_, _, err := s1.(*tcpSession).retransmit(0, 1, 0, 0)
+		return err
+	}
+	if err := nack(); !errors.Is(err, errNotYetSent) {
+		t.Fatalf("NACK before rank 0 opened job %d: %v, want errNotYetSent", job, err)
+	}
+	if _, err := trs[0].Session(job + 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := nack(); !errors.Is(err, ErrRetransmitGone) {
+		t.Fatalf("NACK after rank 0 opened job %d: %v, want ErrRetransmitGone", job+1, err)
 	}
 }
 

@@ -63,9 +63,10 @@ type Options struct {
 	// acquires a slot BEFORE telling any worker to start, so the set of
 	// concurrently-running jobs is identical on every rank. 0 selects 2.
 	MaxConcurrent int
-	// JobTimeout bounds each job's rank-membership handshake and result
-	// collection (not the collective itself, which is bounded by its own
-	// receive deadline and retry budget). 0 selects 60s.
+	// JobTimeout bounds how long rank 0 waits for the other ranks' reports
+	// once its own part of a job has returned (not the collective itself,
+	// which is bounded by its own receive deadline and retry budget).
+	// 0 selects 60s.
 	JobTimeout time.Duration
 	// RecvTimeout is the per-job receive deadline (0 = Run's 2s).
 	RecvTimeout time.Duration
@@ -94,14 +95,11 @@ func (o Options) withDefaults() Options {
 // job goes first.
 const finishedJobsKept = 256
 
-// jobState is a running job's registry entry plus its routing channels.
+// jobState is a running job's registry entry plus, on rank 0, the
+// channel its ranks' reports arrive on.
 type jobState struct {
 	status JobStatus
-	// rank 0: worker readiness and result collection.
-	ready chan int
-	done  chan rankReport
-	// workers: closed when the scheduler says go.
-	goCh chan struct{}
+	done   chan rankReport
 }
 
 // pendingJob is one queued submission on rank 0.
@@ -378,7 +376,6 @@ func (d *Daemon) schedule() {
 		}
 		js := &jobState{
 			status: JobStatus{ID: id, State: StateRunning, Op: pj.spec.Op, Backend: pj.spec.Backend, Bytes: pj.spec.MessageBytes},
-			ready:  make(chan int, d.tr.World()),
 			done:   make(chan rankReport, d.tr.World()),
 		}
 		d.addJob(js)
@@ -397,9 +394,8 @@ func (d *Daemon) schedule() {
 	}
 }
 
-// coordinate drives one job on rank 0: gather worker readiness,
-// broadcast go, run the local rank, collect every rank's report, and
-// answer the submitting client.
+// coordinate drives one job on rank 0: run the local rank, collect every
+// rank's report, and answer the submitting client.
 func (d *Daemon) coordinate(pj *pendingJob, id uint32, sess hzccl.Transport, js *jobState, startErr error) {
 	defer d.wg.Done()
 	defer func() { <-d.sem }()
@@ -413,26 +409,9 @@ func (d *Daemon) coordinate(pj *pendingJob, id uint32, sess hzccl.Transport, js 
 		fail(startErr)
 		return
 	}
+	reports := map[int]rankReport{0: d.runJob(sess, pj.spec)}
 	deadline := time.NewTimer(d.opt.JobTimeout)
 	defer deadline.Stop()
-	for need := n - 1; need > 0; need-- {
-		select {
-		case <-js.ready:
-		case <-deadline.C:
-			fail(fmt.Errorf("membership handshake: %d workers missing after %v", need, d.opt.JobTimeout))
-			return
-		case <-d.closed:
-			fail(errors.New("daemon shutting down"))
-			return
-		}
-	}
-	for w := 1; w < n; w++ {
-		if err := d.tr.SendJob(w, id, kGo, nil); err != nil {
-			fail(fmt.Errorf("go rank %d: %w", w, err))
-			return
-		}
-	}
-	reports := map[int]rankReport{0: d.runJob(sess, pj.spec)}
 	for len(reports) < n {
 		select {
 		case rep := <-js.done:
@@ -516,27 +495,6 @@ func (d *Daemon) handleJobFrame(from int, job uint32, kind byte, payload []byte)
 	switch kind {
 	case kStart:
 		d.onStart(job, payload)
-	case kReady:
-		d.mu.Lock()
-		js := d.jobs[job]
-		d.mu.Unlock()
-		if js != nil && js.ready != nil {
-			select {
-			case js.ready <- from:
-			default:
-			}
-		}
-	case kGo:
-		d.mu.Lock()
-		js := d.jobs[job]
-		d.mu.Unlock()
-		if js != nil && js.goCh != nil {
-			select {
-			case <-js.goCh: // already released
-			default:
-				close(js.goCh)
-			}
-		}
 	case kDone:
 		var rep rankReport
 		if err := json.Unmarshal(payload, &rep); err != nil {
@@ -557,8 +515,11 @@ func (d *Daemon) handleJobFrame(from int, job uint32, kind byte, payload []byte)
 
 // onStart is a worker's admission path: open the job's session (ordered
 // — kStart frames arrive on the rank-0 connection in ID order, and this
-// runs on its reader goroutine), register the job, and hand the rest to
-// a goroutine that waits for the go signal.
+// runs on its reader goroutine), register the job, and run it on a
+// goroutine. No round with rank 0 is needed before the run: the peers'
+// frames that reach this rank before the session opens wait in the
+// job's mailboxes, and a peer's bye reaches the job's failure detector
+// whenever it lands.
 func (d *Daemon) onStart(job uint32, payload []byte) {
 	var spec JobSpec
 	if err := json.Unmarshal(payload, &spec); err != nil {
@@ -570,40 +531,16 @@ func (d *Daemon) onStart(job uint32, payload []byte) {
 		d.opt.Logf("serve: job %d: session: %v", job, err)
 		return
 	}
-	js := &jobState{
-		status: JobStatus{ID: job, State: StateRunning, Op: spec.Op, Backend: spec.Backend, Bytes: spec.MessageBytes},
-		goCh:   make(chan struct{}),
-	}
-	d.addJob(js)
+	d.addJob(&jobState{status: JobStatus{ID: job, State: StateRunning, Op: spec.Op, Backend: spec.Backend, Bytes: spec.MessageBytes}})
 	telemetry.Flight().Record(d.opt.Rank, telemetry.FlightJob, int64(job), flightJobStart, 0, 0)
-	if err := d.tr.SendJob(0, job, kReady, nil); err != nil {
-		d.opt.Logf("serve: job %d: ready: %v", job, err)
-		sess.Close()
-		d.endJob(job, func(s *JobStatus) { s.State = StateFailed; s.Err = "ready: " + err.Error() })
-		mJobsFailed.Inc()
-		return
-	}
 	d.wg.Add(1)
-	go d.runWorker(sess, job, spec, js)
+	go d.runWorker(sess, job, spec)
 }
 
-// runWorker executes one job on a worker rank: wait for the scheduler's
-// go, run the collective on the job's session, report back.
-func (d *Daemon) runWorker(sess hzccl.Transport, job uint32, spec JobSpec, js *jobState) {
+// runWorker executes one job on a worker rank: run the collective on the
+// job's session and report back.
+func (d *Daemon) runWorker(sess hzccl.Transport, job uint32, spec JobSpec) {
 	defer d.wg.Done()
-	deadline := time.NewTimer(d.opt.JobTimeout)
-	defer deadline.Stop()
-	select {
-	case <-js.goCh:
-	case <-deadline.C:
-		sess.Close()
-		d.endJob(job, func(s *JobStatus) { s.State = StateFailed; s.Err = "go signal never arrived" })
-		mJobsFailed.Inc()
-		return
-	case <-d.closed:
-		sess.Close()
-		return
-	}
 	rep := d.runJob(sess, spec)
 	buf, _ := json.Marshal(rep)
 	if err := d.tr.SendJob(0, job, kDone, buf); err != nil {

@@ -10,7 +10,9 @@
 //
 //   - Daemon (Start): the per-rank server. Rank 0 is the scheduler and
 //     client front door; every other rank is a worker driven by job
-//     control frames on the mesh itself.
+//     control frames on the mesh itself. A job is one kStart from rank
+//     0 to each worker, carrying the spec — the worker opens the job's
+//     session and runs it at once — and one kDone report back.
 //   - Client (Dial): the thin submission API clients and the
 //     hzccl-collective -submit mode use.
 //   - Run: one job, on one rank of a mesh or on every rank in process.
@@ -135,10 +137,8 @@ type response struct {
 // Mesh job-frame kinds (the transport reserves kind 0 for its internal
 // end-of-session broadcast).
 const (
-	kStart byte = 1 // scheduler → worker: spec JSON; open the session
-	kReady byte = 2 // worker → scheduler: session open, standing by
-	kGo    byte = 3 // scheduler → worker: every rank is ready, run
-	kDone  byte = 4 // worker → scheduler: rankReport JSON
+	kStart byte = 1 // scheduler → worker: spec JSON; open the session and run
+	kDone  byte = 2 // worker → scheduler: rankReport JSON
 )
 
 // rankReport is one rank's kDone payload.

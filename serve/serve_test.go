@@ -192,6 +192,36 @@ func transportConnCount() int64 {
 	return counterValue("cluster.transport.dials") + counterValue("cluster.transport.accepts")
 }
 
+// A job's control exchange is one kStart out to each worker and one kDone
+// back: on a 4-rank mesh that is 3 + 3 job frames, beside the 12 session
+// byes (each rank's session end tells its three peers), 18 in all. A
+// per-job round on top of the session layer would show here.
+func TestDaemonJobMovesTwoFramesPerWorker(t *testing.T) {
+	const n = 4
+	ds := startService(t, n, nil)
+	c, err := Dial(ds[0].ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frames := func() int64 { return counterValue("cluster.transport.job_frames") }
+	before := frames()
+	if _, err := c.Submit(JobSpec{MessageBytes: 1 << 14}); err != nil {
+		t.Fatal(err)
+	}
+	const want = 2*(n-1) + n*(n-1)
+	// The byes between workers may land after the submit returned.
+	for deadline := time.Now().Add(10 * time.Second); frames()-before < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	// At want, every frame a job sends has landed; the pause lets a frame
+	// beyond them land and show.
+	time.Sleep(50 * time.Millisecond)
+	if got := frames() - before; got != want {
+		t.Fatalf("one %d-rank job moved %d job frames, want %d (kStart and kDone per worker, plus the session byes)", n, got, want)
+	}
+}
+
 // A job whose spec kills a rank mid-collective must shrink and finish:
 // the victim reports killed, the survivors' digests match the
 // standalone kill run, and the service stays healthy for the next job.
